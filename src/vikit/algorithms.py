@@ -4,6 +4,10 @@ Four inertial Mann-type extragradient methods (two subgradient-halfspace
 variants, two forward-correction variants) and six baselines: anchored,
 hybrid-steepest-descent, two plain Mann-type, and two viscosity-type
 extragradient methods.
+
+`solve` checks its starting points against the problem's space once and
+then iterates on plain coordinate arrays. Every vector a step forms goes
+through `check_finite`, so a step that overflows fails at that step.
 """
 
 from __future__ import annotations
@@ -14,9 +18,11 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from .problems import ProblemInstance
 from .projections import HalfSpace, halfspace_residual, project
-from .space import SpaceElement, norm
+from .space import SpaceDescriptor, SpaceElement, check_finite
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -124,13 +130,16 @@ class SolverConfig:
 
 @dataclass
 class IterateState:
+    """One iterate and the intermediate points of the step that formed it,
+    as coordinate arrays."""
+
     k: int
-    x_prev: SpaceElement
-    x_curr: SpaceElement
-    s: Optional[SpaceElement] = None
-    y: Optional[SpaceElement] = None
-    z: Optional[SpaceElement] = None
-    t: Optional[SpaceElement] = None
+    x_prev: np.ndarray
+    x_curr: np.ndarray
+    s: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    z: Optional[np.ndarray] = None
+    t: Optional[np.ndarray] = None
     gamma: float = 0.0
     delta_k: float = 0.0
     gamma_prev: float = 0.0
@@ -161,8 +170,8 @@ class ConvergenceTrace:
         return [r.residuals[idx] for r in self.rows if r.residuals is not None]
 
 
-def inertial_delta(delta: float, zeta_k: float, x_curr: SpaceElement,
-                   x_prev: SpaceElement) -> float:
+def inertial_delta(space: SpaceDescriptor, delta: float, zeta_k: float,
+                   x_curr: np.ndarray, x_prev: np.ndarray) -> float:
     """Extrapolation weight: min(zeta_k / ||x_k - x_{k-1}||, delta), or the
     cap delta when the last two iterates coincide. Guarantees
     delta_k * ||x_k - x_{k-1}|| <= zeta_k."""
@@ -170,7 +179,7 @@ def inertial_delta(delta: float, zeta_k: float, x_curr: SpaceElement,
         raise ValueError("delta must be nonnegative")
     if zeta_k <= 0:
         raise ValueError("zeta_k must be positive")
-    gap = norm(x_curr - x_prev)
+    gap = space.norm(check_finite(x_curr - x_prev))
     if gap == 0.0:
         return delta
     return min(zeta_k / gap, delta)
@@ -184,29 +193,33 @@ def _initial_gamma(step: StepPolicy) -> float:
     return step.rho
 
 
-def _halfspace_z(w: SpaceElement, gamma: float, A, C):
+def _halfspace_z(w: np.ndarray, gamma: float, problem: ProblemInstance):
     """Shared subgradient-extragradient block: trial point, halfspace, and
     the second (halfspace) projection."""
+    A = problem.A
     Aw = A(w)
-    y = project(C, w + (-gamma) * Aw)
+    trial = check_finite(w + (-gamma) * Aw)
+    y = project(problem.C, trial)
     Ay = A(y)
-    hk = HalfSpace(normal=w + (-gamma) * Aw - y, anchor=y)
-    z = project(hk, w + (-gamma) * Ay)
+    hk = HalfSpace(normal=check_finite(trial - y), anchor=y, space=problem.space)
+    z = project(hk, check_finite(w + (-gamma) * Ay))
     return y, z, hk, Aw, Ay
 
 
-def _tseng_z(w: SpaceElement, gamma: float, A, C):
+def _tseng_z(w: np.ndarray, gamma: float, problem: ProblemInstance):
+    A = problem.A
     Aw = A(w)
-    y = project(C, w + (-gamma) * Aw)
+    y = project(problem.C, check_finite(w + (-gamma) * Aw))
     Ay = A(y)
-    z = y + (-gamma) * (Ay - Aw)
+    z = check_finite(y + (-gamma) * (Ay - Aw))
     return y, z, Aw, Ay
 
 
-def _inertial_point(state: IterateState, cfg: SolverConfig) -> Tuple[SpaceElement, float]:
+def _inertial_point(state: IterateState, cfg: SolverConfig,
+                    space: SpaceDescriptor) -> Tuple[np.ndarray, float]:
     zeta = cfg.zeta_seq(state.k)
-    dk = inertial_delta(cfg.delta, zeta, state.x_curr, state.x_prev)
-    s = state.x_curr + dk * (state.x_curr - state.x_prev)
+    dk = inertial_delta(space, cfg.delta, zeta, state.x_curr, state.x_prev)
+    s = check_finite(state.x_curr + dk * (state.x_curr - state.x_prev))
     return s, dk
 
 
@@ -216,10 +229,10 @@ def step_alg1(state: IterateState, problem: ProblemInstance,
     k = state.k
     theta = cfg.theta_seq(k)
     eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg)
-    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem.A, problem.C)
-    x_next = (1.0 - theta - eta) * z + eta * problem.T(z)
-    gamma_next = adaptive_update(state.gamma, cfg.step.phi, s, y, As, Ay)
+    s, dk = _inertial_point(state, cfg, problem.space)
+    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem)
+    x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
+    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
     return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
                         z=z, gamma=gamma_next, delta_k=dk,
                         gamma_prev=state.gamma, halfspace=hk)
@@ -232,10 +245,10 @@ def step_alg2(state: IterateState, problem: ProblemInstance,
     k = state.k
     theta = cfg.theta_seq(k)
     eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg)
-    y, z, As, Ay = _tseng_z(s, state.gamma, problem.A, problem.C)
-    x_next = (1.0 - theta - eta) * z + eta * problem.T(z)
-    gamma_next = adaptive_update(state.gamma, cfg.step.phi, s, y, As, Ay)
+    s, dk = _inertial_point(state, cfg, problem.space)
+    y, z, As, Ay = _tseng_z(s, state.gamma, problem)
+    x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
+    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
     return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
                         z=z, gamma=gamma_next, delta_k=dk,
                         gamma_prev=state.gamma)
@@ -247,10 +260,10 @@ def step_alg3(state: IterateState, problem: ProblemInstance,
     k = state.k
     theta = cfg.theta_seq(k)
     eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg)
-    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem.A, problem.C)
-    x_next = (1.0 - eta) * (theta * z) + eta * problem.T(z)
-    gamma_next = adaptive_update(state.gamma, cfg.step.phi, s, y, As, Ay)
+    s, dk = _inertial_point(state, cfg, problem.space)
+    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem)
+    x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
+    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
     return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
                         z=z, gamma=gamma_next, delta_k=dk,
                         gamma_prev=state.gamma, halfspace=hk)
@@ -262,10 +275,10 @@ def step_alg4(state: IterateState, problem: ProblemInstance,
     k = state.k
     theta = cfg.theta_seq(k)
     eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg)
-    y, z, As, Ay = _tseng_z(s, state.gamma, problem.A, problem.C)
-    x_next = (1.0 - eta) * (theta * z) + eta * problem.T(z)
-    gamma_next = adaptive_update(state.gamma, cfg.step.phi, s, y, As, Ay)
+    s, dk = _inertial_point(state, cfg, problem.space)
+    y, z, As, Ay = _tseng_z(s, state.gamma, problem)
+    x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
+    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
     return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
                         z=z, gamma=gamma_next, delta_k=dk,
                         gamma_prev=state.gamma)
@@ -282,34 +295,36 @@ def step_baseline(state: IterateState, problem: ProblemInstance,
     t = None
 
     if scheme is Scheme.HSEGM:
-        y, w, hk, _, _ = _halfspace_z(x, state.gamma, problem.A, problem.C)
-        z = theta * cfg.x0 + (1.0 - theta) * w
-        x_next = eta * x + (1.0 - eta) * problem.T(z)
+        y, w, hk, _, _ = _halfspace_z(x, state.gamma, problem)
+        z = check_finite(theta * cfg.x0.coords + (1.0 - theta) * w)
+        x_next = check_finite(eta * x + (1.0 - eta) * problem.T(z))
         gamma_next = state.gamma
     elif scheme is Scheme.STEGM:
-        gamma, y = armijo_search(cfg.step, x, problem.A, problem.C)
-        z = y + (-gamma) * (problem.A(y) - problem.A(x))
-        t = (1.0 - eta) * z + eta * problem.T(z)
-        x_next = t + (-cfg.hsd_lambda * theta) * problem.F(t)
+        gamma, y = armijo_search(problem.space, cfg.step, x, problem.A, problem.C)
+        z = check_finite(y + (-gamma) * (problem.A(y) - problem.A(x)))
+        t = check_finite((1.0 - eta) * z + eta * problem.T(z))
+        x_next = check_finite(t + (-cfg.hsd_lambda * theta) * problem.F(t))
         gamma_next = gamma
     elif scheme is Scheme.MSEGM:
-        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem.A, problem.C)
-        x_next = (1.0 - theta - eta) * z + eta * problem.T(z)
+        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem)
+        x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
         gamma_next = state.gamma
     elif scheme is Scheme.MMSEGM:
-        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem.A, problem.C)
-        x_next = (1.0 - eta) * (theta * z) + eta * problem.T(z)
+        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem)
+        x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
         gamma_next = state.gamma
     elif scheme is Scheme.VSEGM:
-        y, z, hk, As, Ay = _halfspace_z(x, state.gamma, problem.A, problem.C)
-        mann = (1.0 - eta) * z + eta * problem.T(z)
-        x_next = theta * problem.f_visc(x) + (1.0 - theta) * mann
-        gamma_next = adaptive_update(state.gamma, cfg.step.phi, x, y, As, Ay)
+        y, z, hk, As, Ay = _halfspace_z(x, state.gamma, problem)
+        mann = check_finite((1.0 - eta) * z + eta * problem.T(z))
+        x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * mann)
+        gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi,
+                                     x, y, As, Ay)
     elif scheme is Scheme.VTEGM:
-        y, z, As, Ay = _tseng_z(x, state.gamma, problem.A, problem.C)
-        mann = (1.0 - eta) * z + eta * problem.T(z)
-        x_next = theta * problem.f_visc(x) + (1.0 - theta) * mann
-        gamma_next = adaptive_update(state.gamma, cfg.step.phi, x, y, As, Ay)
+        y, z, As, Ay = _tseng_z(x, state.gamma, problem)
+        mann = check_finite((1.0 - eta) * z + eta * problem.T(z))
+        x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * mann)
+        gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi,
+                                     x, y, As, Ay)
     else:
         raise ConfigError(f"{scheme} is not a baseline scheme")
 
@@ -335,6 +350,11 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         raise ConfigError("demicontractive constant must lie in [0,1)")
     if cfg.x1 is None or (cfg.x0 is None):
         raise ConfigError("both initial points are required")
+    # the solver iterates on bare coordinate arrays, which would broadcast
+    # or combine silently across spaces, so every point is checked here once
+    for name, x in (("x0", cfg.x0), ("x1", cfg.x1), ("x_star", problem.x_star)):
+        if x is not None and not (isinstance(x, SpaceElement) and x.space == problem.space):
+            raise ConfigError(f"{name} must be a SpaceElement of {problem.space}")
     if scheme in FIXED_STEP:
         if not isinstance(cfg.step, Fixed):
             raise ConfigError(f"{scheme.value} requires a fixed step policy")
@@ -360,7 +380,7 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
 
 
 def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
-               u: SpaceElement) -> Tuple[float, float, float]:
+               u: np.ndarray, space: SpaceDescriptor) -> Tuple[float, float, float]:
     """Per-iteration inequality slacks, nan where not applicable.
 
     res_contraction: slack of the halfspace-variant contraction bound, or of
@@ -371,18 +391,22 @@ def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
     nan = math.nan
     res_c = res_h = res_t = nan
     s, y, z = state.s, state.y, state.z
+
+    def dist(a, b):
+        return space.norm(check_finite(a - b))
+
     if phi is not None and s is not None and scheme in _STEPPERS:
         ratio = state.gamma_prev / state.gamma
         if scheme in TSENG:
             coeff = 1.0 - (phi * ratio) ** 2
-            res_c = norm(z - u) ** 2 - (norm(s - u) ** 2 - coeff * norm(s - y) ** 2)
-            res_t = norm(z - y) - phi * ratio * norm(s - y)
+            res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * dist(s, y) ** 2)
+            res_t = dist(z, y) - phi * ratio * dist(s, y)
         else:
             coeff = 1.0 - phi * ratio
-            res_c = norm(z - u) ** 2 - (
-                norm(s - u) ** 2
-                - coeff * norm(y - s) ** 2
-                - coeff * norm(z - y) ** 2
+            res_c = dist(z, u) ** 2 - (
+                dist(s, u) ** 2
+                - coeff * dist(y, s) ** 2
+                - coeff * dist(z, y) ** 2
             )
     if state.halfspace is not None:
         res_h = halfspace_residual(state.halfspace, z)
@@ -396,13 +420,14 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     check_config(cfg, problem)
     stepper = _STEPPERS.get(cfg.algorithm, step_baseline)
     phi = getattr(cfg.step, "phi", None)
-    x_star = problem.x_star
+    space = problem.space
+    x_star = None if problem.x_star is None else problem.x_star.coords
 
-    def err(x: SpaceElement) -> float:
-        return norm(x - x_star) if x_star is not None else math.nan
+    def err(x: np.ndarray) -> float:
+        return space.norm(check_finite(x - x_star)) if x_star is not None else math.nan
 
     trace = ConvergenceTrace(scheme=cfg.algorithm)
-    state = IterateState(k=1, x_prev=cfg.x0, x_curr=cfg.x1,
+    state = IterateState(k=1, x_prev=cfg.x0.coords, x_curr=cfg.x1.coords,
                          gamma=_initial_gamma(cfg.step))
     trace.rows.append(TraceRow(k=1, D=err(state.x_curr), gamma=state.gamma,
                                delta=0.0, elapsed=0.0))
@@ -415,7 +440,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
                              trace) from exc
         residuals = None
         if cfg.record_invariants and x_star is not None:
-            residuals = _residuals(cfg.algorithm, state, phi, x_star)
+            residuals = _residuals(cfg.algorithm, state, phi, x_star, space)
         d = err(state.x_curr)
         trace.rows.append(TraceRow(k=state.k, D=d, gamma=state.gamma,
                                    delta=state.delta_k,

@@ -274,6 +274,49 @@ class ExperimentPlan:
             raise ValueError("plan needs a non-empty seed list")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        written_by = {}
+        for cell in self.cells():
+            try:
+                name = _trace_file_name(*cell)
+            except ValueError:
+                continue  # a malformed spec is reported by its own cell
+            if name in written_by:
+                raise ValueError(f"duplicate plan cells {_cell_id(*written_by[name])} "
+                                 f"and {_cell_id(*cell)} would both write {name}")
+            written_by[name] = cell
+
+    def cells(self) -> List[Tuple[str, Scheme, int]]:
+        """Every (problem spec, scheme, seed) combination, in run order."""
+        return [(spec, scheme, seed)
+                for spec in self.problems
+                for scheme in self.algorithms
+                for seed in self.seeds]
+
+
+# Keys each problem family accepts, in problem-id order, with their
+# defaults; a None default is filled in with the plan seed.
+_SPEC_KEYS = {
+    "ex1": {"n": 100, "seed": None, "init": "random_uniform"},
+    "ex2": {"grid": 101, "init": "t_squared"},
+}
+
+
+def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
+    """Family, integer parameters with defaults filled in, and initial-point
+    kind of a problem spec. Unknown families and keys raise ValueError."""
+    name, _, rest = spec.partition(":")
+    if name not in _SPEC_KEYS:
+        raise ValueError(f"unknown problem family {name!r} in {spec!r}")
+    fields = dict(_SPEC_KEYS[name])
+    for item in rest.split(",") if rest else ():
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key not in fields:
+            raise ValueError(f"unknown key {key!r} in {spec!r}; {name} takes "
+                             + ", ".join(fields))
+        fields[key] = val.strip()
+    init = fields.pop("init")
+    return name, {k: seed if v is None else int(v) for k, v in fields.items()}, init
 
 
 def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]:
@@ -283,34 +326,37 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
     for ex1 generation when the spec does not pin one, and always for
     random initial points.
     """
-    name, _, rest = spec.partition(":")
-    kv = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            kv[key.strip()] = val.strip()
+    name, params, init = _spec_fields(spec, seed)
     if name == "ex1":
-        n = int(kv.get("n", 100))
-        pseed = int(kv.get("seed", seed))
-        instance = prob.make_example1(prob.RandomSpec(n=n, seed=pseed))
-        init = kv.get("init", "random_uniform")
-    elif name == "ex2":
-        grid = int(kv.get("grid", 101))
-        instance = prob.make_example2(grid)
-        init = kv.get("init", "t_squared")
+        instance = prob.make_example1(prob.RandomSpec(**params))
     else:
-        raise ValueError(f"unknown problem family {name!r} in {spec!r}")
+        instance = prob.make_example2(params["grid"])
     return instance, init
+
+
+def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:
+    """CSV name of a plan cell: problem id, the initial-point kind when it
+    is not the family default, scheme and seed. Two cells get the same
+    name only when they run the same computation."""
+    name, params, init = _spec_fields(spec, seed)
+    stem = "_".join([name] + [f"{k}={v}" for k, v in params.items()])
+    if init != _SPEC_KEYS[name]["init"]:
+        stem += f"_init={init}"
+    return f"{stem}__{scheme.value}__seed{seed}.csv"
 
 
 class PlanCellError(RuntimeError):
     """A plan cell was rejected or failed; the plan keeps going."""
 
 
+def _cell_id(spec: str, scheme: Scheme, seed: int) -> str:
+    return f"{spec}|{scheme.value}|seed={seed}"
+
+
 def _run_cell(spec: str, scheme: Scheme, seed: int,
               plan: ExperimentPlan) -> Tuple[str, Optional[str], Optional[str]]:
     """Run one (problem, scheme, seed) cell; returns (cell id, path, error)."""
-    cell = f"{spec}|{scheme.value}|seed={seed}"
+    cell = _cell_id(spec, scheme, seed)
     try:
         problem, init = parse_problem_spec(spec, seed)
         failures = prob.certify(problem)
@@ -326,9 +372,7 @@ def _run_cell(spec: str, scheme: Scheme, seed: int,
         trace = solve(problem, cfg)
         header = TraceFileHeader.create(scheme, plan.preset, problem.problem_id,
                                         seed, problem.space.dim)
-        fname = (f"{problem.problem_id.replace(':', '_').replace(',', '_')}"
-                 f"__{scheme.value}__seed{seed}.csv")
-        path = Path(plan.output_dir) / fname
+        path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
         emit_csv(trace, header, path)
         return cell, str(path), None
     except Exception as exc:
@@ -345,10 +389,7 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     """Execute every (problem, algorithm, seed) cell; failed cells are
     recorded with a reason and do not abort the rest of the plan."""
     Path(plan.output_dir).mkdir(parents=True, exist_ok=True)
-    cells = [(spec, scheme, seed)
-             for spec in plan.problems
-             for scheme in plan.algorithms
-             for seed in plan.seeds]
+    cells = plan.cells()
     workers = int(os.environ.get("VIKIT_THREADS", "4"))
     result = PlanResult()
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:

@@ -2,8 +2,10 @@
 
 Concrete maps: affine Gx + f, coordinatewise positive part, scalar
 scaling, the rank-one integral map t -> t * integral(x), and sequential
-composition. Monotonicity and demicontractivity are certified by seeded
-sampling; demiclosedness is a declared property and is not checked here.
+composition. Each maps a coordinate array to a new coordinate array; a
+result with a NaN or Inf entry raises NonFiniteElementError. Monotonicity
+and demicontractivity are certified by seeded sampling; demiclosedness is
+a declared property and is not checked here.
 """
 
 from __future__ import annotations
@@ -13,14 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .space import (
-    SpaceDescriptor,
-    SpaceElement,
-    SpaceKind,
-    inner,
-    norm,
-    random_element,
-)
+from .space import SpaceDescriptor, SpaceElement, SpaceKind, check_finite
 
 
 class PowerIterationError(RuntimeError):
@@ -44,21 +39,21 @@ class AffineMatrix:
             raise ValueError(f"G must be square, got shape {G.shape}")
         object.__setattr__(self, "G", G)
 
-    def __call__(self, x: SpaceElement) -> SpaceElement:
-        if self.G.shape[0] != x.space.dim:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self.G.shape[0] != x.shape[0]:
             raise ValueError("matrix dimension does not match the space")
-        y = self.G @ x.coords
+        y = self.G @ x
         if self.f_vec is not None:
             y = y + self.f_vec.coords
-        return SpaceElement(y, x.space)
+        return check_finite(y)
 
 
 @dataclass(frozen=True)
 class PositivePart:
     """x -> max(x, 0) coordinatewise."""
 
-    def __call__(self, x: SpaceElement) -> SpaceElement:
-        return SpaceElement(np.maximum(x.coords, 0.0), x.space)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.maximum(x, 0.0)  # finite whenever x is
 
 
 @dataclass(frozen=True)
@@ -71,19 +66,23 @@ class Scale:
         if not np.isfinite(self.c):
             raise ValueError("scale factor must be finite")
 
-    def __call__(self, x: SpaceElement) -> SpaceElement:
-        return SpaceElement(self.c * x.coords, x.space)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return check_finite(self.c * x)
 
 
 @dataclass(frozen=True)
 class RankOneIntegral:
     """x -> (t -> t * integral of x over [0,1]) on a GRID_L2 space."""
 
-    def __call__(self, x: SpaceElement) -> SpaceElement:
-        if x.space.kind is not SpaceKind.GRID_L2:
+    space: SpaceDescriptor
+
+    def __post_init__(self):
+        if self.space.kind is not SpaceKind.GRID_L2:
             raise ValueError("RankOneIntegral is defined on GRID_L2 spaces")
-        integral = float(np.sum(x.space.quad_weights * x.coords))
-        return SpaceElement(integral * x.space.grid, x.space)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        integral = float(np.sum(self.space.quad_weights * x))
+        return check_finite(integral * self.space.grid)
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,7 @@ class Composite:
 
     parts: Sequence
 
-    def __call__(self, x: SpaceElement) -> SpaceElement:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         for op in self.parts:
             x = op(x)
         return x
@@ -110,10 +109,6 @@ class MappingInfo:
         lam = self.demicontractive_lambda
         if lam is not None and not 0.0 <= lam < 1.0:
             raise ValueError("demicontractive constant must lie in [0,1)")
-
-
-def apply(op, x: SpaceElement) -> SpaceElement:
-    return op(x)
 
 
 def spectral_norm(G: np.ndarray, rtol: float = 1e-10,
@@ -152,12 +147,12 @@ def estimate_lipschitz(op, space: Optional[SpaceDescriptor] = None,
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(samples):
-        x = random_element(space, rng, -5.0, 5.0)
-        y = random_element(space, rng, -5.0, 5.0)
-        dxy = norm(x - y)
+        x = rng.uniform(-5.0, 5.0, space.dim)
+        y = rng.uniform(-5.0, 5.0, space.dim)
+        dxy = space.norm(x - y)
         if dxy == 0.0:
             continue
-        best = max(best, norm(op(x) - op(y)) / dxy)
+        best = max(best, space.norm(op(x) - op(y)) / dxy)
     return best
 
 
@@ -166,9 +161,9 @@ def check_monotone(op, space: SpaceDescriptor, samples: int = 1000,
     """True iff <op(x)-op(y), x-y> >= -tol on all sampled pairs."""
     rng = np.random.default_rng(seed)
     for _ in range(samples):
-        x = random_element(space, rng, -5.0, 5.0)
-        y = random_element(space, rng, -5.0, 5.0)
-        if inner(op(x) - op(y), x - y) < -tol:
+        x = rng.uniform(-5.0, 5.0, space.dim)
+        y = rng.uniform(-5.0, 5.0, space.dim)
+        if space.inner(op(x) - op(y), x - y) < -tol:
             return False
     return True
 
@@ -177,12 +172,13 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement,
                           samples: int = 1000, seed: int = 0,
                           tol: float = 1e-10) -> bool:
     """Sampled check of ||Tx - z||^2 <= ||x - z||^2 + lam ||x - Tx||^2."""
-    if norm(op(fixed_point) - fixed_point) > 1e-10:
+    space, z = fixed_point.space, fixed_point.coords
+    norm = space.norm
+    if norm(op(z) - z) > 1e-10:
         raise ValueError("provided point is not a fixed point of the operator")
     rng = np.random.default_rng(seed)
-    z = fixed_point
     for _ in range(samples):
-        x = random_element(fixed_point.space, rng, -5.0, 5.0)
+        x = rng.uniform(-5.0, 5.0, space.dim)
         tx = op(x)
         lhs = norm(tx - z) ** 2
         rhs = norm(x - z) ** 2 + lam * norm(x - tx) ** 2
@@ -191,7 +187,7 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement,
     return True
 
 
-def mann_combination(op, lam: float, x: SpaceElement) -> SpaceElement:
+def mann_combination(op, lam: float, x: np.ndarray) -> np.ndarray:
     """lam * op(x) + (1 - lam) * x, the relaxed (averaged) map."""
     if not 0.0 < lam < 1.0:
         raise ValueError(f"relaxation parameter must be in (0,1), got {lam}")

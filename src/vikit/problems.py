@@ -21,7 +21,6 @@ from .space import (
     element,
     euclidean,
     grid_l2,
-    norm,
     zeros,
 )
 
@@ -93,7 +92,7 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
         space=space,
         A=ops.PositivePart(),
         C=Ball(center=zeros(space), radius=1.0),
-        T=ops.RankOneIntegral(),
+        T=ops.RankOneIntegral(space),
         T_info=ops.MappingInfo(demicontractive_lambda=0.0),
         F=ops.Scale(0.5),
         f_visc=ops.Scale(0.5),
@@ -131,8 +130,8 @@ def solution_residual(problem: ProblemInstance, gamma: float = 0.1) -> float:
     """||x* - P_C(x* - gamma A x*)||; near zero iff x* solves the VI."""
     if problem.x_star is None:
         raise ValueError("problem has no known solution")
-    xs = problem.x_star
-    return norm(xs - project(problem.C, xs + (-gamma) * problem.A(xs)))
+    xs = problem.x_star.coords
+    return problem.space.norm(xs - project(problem.C, xs + (-gamma) * problem.A(xs)))
 
 
 def certify(problem: ProblemInstance, samples: int = 200, seed: int = 0) -> list:
@@ -145,7 +144,8 @@ def certify(problem: ProblemInstance, samples: int = 200, seed: int = 0) -> list
         r = solution_residual(problem)
         if r > 1e-8:
             failures.append(f"VI solution residual {r:.3e} exceeds 1e-8")
-        fp = norm(problem.T(problem.x_star) - problem.x_star)
+        xs = problem.x_star.coords
+        fp = problem.space.norm(problem.T(xs) - xs)
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
     if not ops.check_monotone(problem.A, problem.space, samples=samples, seed=seed):

@@ -1,8 +1,8 @@
 """Metric projections onto the feasible sets used by the solvers.
 
-Closed-form projectors for boxes, balls and halfspaces, plus a slow
-multi-start oracle (scipy SLSQP) used only to validate the closed forms
-on small Euclidean instances.
+Closed-form projectors for boxes, balls and halfspaces. Points are
+coordinate arrays; a ball or halfspace carries the space whose norm the
+projection is taken in.
 """
 
 from __future__ import annotations
@@ -11,16 +11,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .space import (
-    SpaceDescriptor,
-    SpaceElement,
-    SpaceKind,
-    SpaceMismatchError,
-    inner,
-    norm,
-)
+from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_finite
 
 
 @dataclass(frozen=True)
@@ -47,196 +39,84 @@ class Ball:
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """{x : <normal, x - anchor> <= 0}.
+    """{x : <normal, x - anchor> <= 0} in the given space.
 
     A zero normal is the degenerate case and denotes the whole space.
     """
 
-    normal: SpaceElement
-    anchor: SpaceElement
+    normal: np.ndarray
+    anchor: np.ndarray
+    space: SpaceDescriptor
 
     def __post_init__(self):
-        if self.normal.space != self.anchor.space:
-            raise SpaceMismatchError("halfspace normal and anchor live in different spaces")
+        shape = (self.space.dim,)
+        if self.normal.shape != shape or self.anchor.shape != shape:
+            raise SpaceMismatchError("halfspace normal and anchor must have the "
+                                     f"space's shape {shape}")
 
 
 FeasibleSet = Union[Box, Ball, HalfSpace]
 
 
-def _set_space(s: FeasibleSet) -> SpaceDescriptor | None:
-    if isinstance(s, Ball):
-        return s.center.space
-    if isinstance(s, HalfSpace):
-        return s.normal.space
-    return None  # a box carries no space of its own
-
-
-def project(s: FeasibleSet, x: SpaceElement) -> SpaceElement:
-    """Nearest point of the set in the space's norm."""
-    sp = _set_space(s)
-    if sp is not None and sp != x.space:
+def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
+    """Nearest point of the set in the space's norm. Returns x itself when
+    it already lies in a ball or halfspace."""
+    if isinstance(s, Box):  # a box has no space of its own
+        return np.clip(x, s.lower, s.upper)
+    sp = s.center.space if isinstance(s, Ball) else s.space
+    if x.shape != (sp.dim,):
         raise SpaceMismatchError("point and set live in different spaces")
-    if isinstance(s, Box):
-        return SpaceElement(np.clip(x.coords, s.lower, s.upper), x.space)
     if isinstance(s, Ball):
-        d = x - s.center
-        dist = norm(d)
+        c = s.center.coords
+        d = check_finite(x - c)
+        dist = sp.norm(d)
         if dist <= s.radius:
             return x
-        return s.center + (s.radius / dist) * d
+        return check_finite(c + (s.radius / dist) * d)
     # halfspace: one-step orthogonal correction
-    nn = inner(s.normal, s.normal)
+    nn = sp.inner(s.normal, s.normal)
     if nn == 0.0:
         return x
-    viol = inner(s.normal, x - s.anchor)
+    viol = halfspace_residual(s, x)
     if viol <= 0.0:
         return x
-    return x - (viol / nn) * s.normal
+    return check_finite(x - (viol / nn) * s.normal)
 
 
-def halfspace_residual(s: HalfSpace, x: SpaceElement) -> float:
+def halfspace_residual(s: HalfSpace, x: np.ndarray) -> float:
     """<normal, x - anchor>; nonpositive iff x belongs to the halfspace."""
-    return inner(s.normal, x - s.anchor)
+    return s.space.inner(s.normal, check_finite(x - s.anchor))
 
 
-def contains(s: FeasibleSet, x: SpaceElement, tol: float = 1e-10) -> bool:
+def contains(s: FeasibleSet, x: np.ndarray, tol: float = 1e-10) -> bool:
     if isinstance(s, Box):
         return bool(
-            np.all(x.coords >= np.asarray(s.lower) - tol)
-            and np.all(x.coords <= np.asarray(s.upper) + tol)
+            np.all(x >= np.asarray(s.lower) - tol)
+            and np.all(x <= np.asarray(s.upper) + tol)
         )
     if isinstance(s, Ball):
-        return norm(x - s.center) <= s.radius + tol
+        return s.center.space.norm(x - s.center.coords) <= s.radius + tol
     return halfspace_residual(s, x) <= tol
 
 
 def sample_point(s: FeasibleSet, space: SpaceDescriptor,
-                 rng: np.random.Generator) -> SpaceElement:
+                 rng: np.random.Generator) -> np.ndarray:
     """A random member of the set (used by the membership-style tests)."""
     if isinstance(s, Box):
         lo = np.broadcast_to(np.asarray(s.lower, dtype=float), (space.dim,))
         hi = np.broadcast_to(np.asarray(s.upper, dtype=float), (space.dim,))
-        return SpaceElement(rng.uniform(lo, hi), space)
+        return rng.uniform(lo, hi)
     if isinstance(s, Ball):
-        d = SpaceElement(rng.standard_normal(space.dim), space)
-        nd = norm(d)
+        d = rng.standard_normal(space.dim)
+        nd = space.norm(d)
         if nd == 0.0:
-            return s.center
+            return s.center.coords
         r = s.radius * rng.uniform() ** (1.0 / space.dim)
-        return s.center + (r / nd) * d
+        return s.center.coords + (r / nd) * d
     # halfspace: project a random point, then pull strictly inside
-    x = SpaceElement(rng.uniform(-2.0, 2.0, space.dim), space)
+    x = rng.uniform(-2.0, 2.0, space.dim)
     p = project(s, x)
-    nn = inner(s.normal, s.normal)
+    nn = space.inner(s.normal, s.normal)
     if nn == 0.0:
         return p
     return p - (rng.uniform(0.0, 1.0) / np.sqrt(nn)) * s.normal
-
-
-def _kkt_polish(s: FeasibleSet, x0: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Newton refinement of the nearest-point optimality system for the
-    smooth-constraint variants; boxes are handled exactly by the solver's
-    native bounds and need no polish."""
-    if isinstance(s, Ball):
-        c, r = s.center.coords, s.radius
-
-        def g(v):
-            return float(np.sum((v - c) ** 2) - r ** 2)
-
-        def dg(v):
-            return 2.0 * (v - c)
-
-        hess = 2.0 * np.eye(len(x0))
-    elif isinstance(s, HalfSpace):
-        a, b = s.normal.coords, s.anchor.coords
-
-        def g(v):
-            return float(a @ (v - b))
-
-        def dg(v):
-            return a
-
-        hess = np.zeros((len(x0), len(x0)))
-    else:
-        return y
-
-    if g(y) < -1e-9:  # constraint inactive: the projection is x itself
-        return x0 if g(x0) <= 0.0 else y
-    n = len(x0)
-    grad = dg(y)
-    gg = float(grad @ grad)
-    if gg == 0.0:
-        return y
-    mu = max(-(float((y - x0) @ grad)) / gg, 0.0) or 1e-12
-    for _ in range(10):
-        grad = dg(y)
-        F = np.concatenate([y - x0 + mu * grad, [g(y)]])
-        if np.linalg.norm(F) < 1e-14:
-            break
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = np.eye(n) + mu * hess
-        J[:n, n] = grad
-        J[n, :n] = grad
-        try:
-            step = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            break
-        y = y + step[:n]
-        mu = mu + step[n]
-    return y
-
-
-def project_oracle(s: FeasibleSet, x: SpaceElement, n_restarts: int = 3,
-                   seed: int = 0) -> SpaceElement:
-    """Brute-force nearest point: multi-start SLSQP over explicit
-    membership constraints, followed by a Newton polish of the optimality
-    system. Independent of `project`. Euclidean small-dimension use only.
-    """
-    if x.space.kind is not SpaceKind.EUCLIDEAN:
-        raise ValueError("oracle projector supports Euclidean spaces only")
-    n = x.space.dim
-    x0 = x.coords
-
-    constraints = []
-    bounds = None
-    if isinstance(s, Box):
-        lo = np.broadcast_to(np.asarray(s.lower, dtype=float), (n,))
-        hi = np.broadcast_to(np.asarray(s.upper, dtype=float), (n,))
-        bounds = list(zip(lo, hi))
-    elif isinstance(s, Ball):
-        c, r = s.center.coords, s.radius
-        constraints.append({
-            "type": "ineq",
-            "fun": lambda y: r ** 2 - np.sum((y - c) ** 2),
-            "jac": lambda y: -2.0 * (y - c),
-        })
-    else:
-        a, b = s.normal.coords, s.anchor.coords
-        constraints.append({
-            "type": "ineq",
-            "fun": lambda y: -(a @ (y - b)),
-            "jac": lambda y: -a,
-        })
-
-    def objective(y):
-        return 0.5 * np.sum((y - x0) ** 2)
-
-    def gradient(y):
-        return y - x0
-
-    rng = np.random.default_rng(seed)
-    best, best_val = None, np.inf
-    starts = [x0] + [x0 + rng.standard_normal(n) for _ in range(max(n_restarts - 1, 0))]
-    for y0 in starts:
-        res = minimize(objective, y0, jac=gradient, method="SLSQP",
-                       bounds=bounds, constraints=constraints,
-                       options={"maxiter": 1000, "ftol": 1e-18})
-        y = _kkt_polish(s, x0, np.asarray(res.x, dtype=float))
-        cand = SpaceElement(y, x.space)
-        val = objective(y)
-        if contains(s, cand, tol=1e-8) and val < best_val:
-            best, best_val = cand, val
-    if best is None:
-        # all starts failed feasibility; fall back to the last polished point
-        best = SpaceElement(y, x.space)
-    return best

@@ -3,12 +3,18 @@
 Two concrete spaces are supported: R^n with the usual dot product, and
 functions on [0,1] sampled on a uniform grid with the L2 inner product
 approximated by composite trapezoid quadrature.
+
+`SpaceElement` is the checked point type at the library boundary. Inside
+the solvers points are plain float64 coordinate arrays, and the space's
+`inner`/`norm` methods supply the geometry.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,21 +49,50 @@ class SpaceDescriptor:
         if self.kind is SpaceKind.GRID_L2 and self.dim < 2:
             raise ValueError("GRID_L2 requires at least 2 grid nodes")
 
-    @property
+    @cached_property
     def grid(self) -> np.ndarray:
+        """Grid nodes; built once per descriptor and read-only."""
         if self.kind is not SpaceKind.GRID_L2:
             raise ValueError("grid nodes only exist for GRID_L2 spaces")
-        return np.linspace(0.0, 1.0, self.dim)
+        return _read_only(np.linspace(0.0, 1.0, self.dim))
 
-    @property
+    @cached_property
     def quad_weights(self) -> np.ndarray:
-        """Inner-product weights: all ones for Euclidean, trapezoid for L2."""
+        """Inner-product weights: all ones for Euclidean, trapezoid for L2.
+        Built once per descriptor and read-only."""
         if self.kind is SpaceKind.EUCLIDEAN:
-            return np.ones(self.dim)
+            return _read_only(np.ones(self.dim))
         h = 1.0 / (self.dim - 1)
         w = np.full(self.dim, h)
         w[0] = w[-1] = 0.5 * h
-        return w
+        return _read_only(w)
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Inner product of two coordinate arrays; trapezoid quadrature of
+        a*b in the GRID_L2 case."""
+        if self.kind is SpaceKind.EUCLIDEAN:
+            return float(a @ b)
+        return float(np.sum(self.quad_weights * a * b))
+
+    def norm(self, a: np.ndarray) -> float:
+        return math.sqrt(max(self.inner(a, a), 0.0))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def check_finite(v: np.ndarray) -> np.ndarray:
+    """v itself, once it is known to hold no NaN or Inf entry; raises
+    NonFiniteElementError otherwise."""
+    # v @ v is non-finite whenever v has a non-finite entry (its terms are
+    # squares, so nothing cancels) and is the cheapest reduction with that
+    # property; it also overflows (and numpy warns) on finite entries above
+    # ~1e154, so a non-finite result is confirmed entry by entry.
+    if not math.isfinite(v @ v) and not np.isfinite(v).all():
+        raise NonFiniteElementError("element contains non-finite entries")
+    return v
 
 
 def euclidean(n: int) -> SpaceDescriptor:
@@ -84,10 +119,7 @@ class SpaceElement:
             raise SpaceMismatchError(
                 f"coords shape {arr.shape} does not match dimension {self.space.dim}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteElementError("element contains non-finite entries")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        arr = _read_only(check_finite(arr).copy())
         object.__setattr__(self, "coords", arr)
 
     def __add__(self, other: "SpaceElement") -> "SpaceElement":
@@ -121,13 +153,11 @@ def _require_same_space(a: SpaceElement, b: SpaceElement):
 def inner(a: SpaceElement, b: SpaceElement) -> float:
     """Inner product; trapezoid quadrature of a*b in the GRID_L2 case."""
     _require_same_space(a, b)
-    if a.space.kind is SpaceKind.EUCLIDEAN:
-        return float(a.coords @ b.coords)
-    return float(np.sum(a.space.quad_weights * a.coords * b.coords))
+    return a.space.inner(a.coords, b.coords)
 
 
 def norm(a: SpaceElement) -> float:
-    return float(np.sqrt(max(inner(a, a), 0.0)))
+    return a.space.norm(a.coords)
 
 
 def axpy(alpha: float, a: SpaceElement, b: SpaceElement) -> SpaceElement:

@@ -1,12 +1,16 @@
-"""Step-size policies: fixed, adaptive ratio rule, Armijo backtracking."""
+"""Step-size policies: fixed, adaptive ratio rule, Armijo backtracking.
+
+Points are coordinate arrays of the given space."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple, Union
 
+import numpy as np
+
 from .projections import FeasibleSet, project
-from .space import SpaceElement, norm
+from .space import SpaceDescriptor, check_finite
 
 
 class ArmijoSearchError(RuntimeError):
@@ -56,15 +60,17 @@ class Armijo:
 StepPolicy = Union[Fixed, Adaptive, Armijo]
 
 
-def adaptive_update(gamma_k: float, phi: float, s: SpaceElement, y: SpaceElement,
-                    As: SpaceElement, Ay: SpaceElement) -> float:
+def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
+                    s: np.ndarray, y: np.ndarray, As: np.ndarray,
+                    Ay: np.ndarray) -> float:
     """Next step: min(phi * ||s-y|| / ||As-Ay||, gamma_k), or gamma_k when
     the operator displacement vanishes. Never increases."""
-    denom = norm(As - Ay)
+    norm = space.norm
+    denom = norm(check_finite(As - Ay))
     # floating-point reading of the "As != Ay" branch
     if denom <= 1e-14 * max(1.0, norm(As), norm(Ay)):
         return gamma_k
-    return min(phi * norm(s - y) / denom, gamma_k)
+    return min(phi * norm(check_finite(s - y)) / denom, gamma_k)
 
 
 def validate_fixed(gamma: float, L: float) -> bool:
@@ -74,17 +80,18 @@ def validate_fixed(gamma: float, L: float) -> bool:
     return 0.0 < gamma < 1.0 / L
 
 
-def armijo_search(policy: Armijo, x: SpaceElement, A, C: FeasibleSet,
-                  max_backtracks: int = 60) -> Tuple[float, SpaceElement]:
+def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
+                  C: FeasibleSet, max_backtracks: int = 60) -> Tuple[float, np.ndarray]:
     """Largest gamma in {rho, rho*l, rho*l^2, ...} with
     gamma * ||A(x) - A(y)|| <= phi * ||x - y||, y = P_C(x - gamma A(x))."""
     if max_backtracks < 1:
         raise ValueError("max_backtracks must be >= 1")
+    norm = space.norm
     Ax = A(x)
     gamma = policy.rho
     for _ in range(max_backtracks):
-        y = project(C, x + (-gamma) * Ax)
-        if gamma * norm(Ax - A(y)) <= policy.phi * norm(x - y):
+        y = project(C, check_finite(x + (-gamma) * Ax))
+        if gamma * norm(check_finite(Ax - A(y))) <= policy.phi * norm(check_finite(x - y)):
             return gamma, y
         gamma *= policy.l
     raise ArmijoSearchError(

@@ -29,15 +29,9 @@ from vikit.problems import (
     make_example1,
     make_example2,
 )
-from vikit.projections import (
-    Ball,
-    Box,
-    HalfSpace,
-    halfspace_residual,
-    project,
-    project_oracle,
-)
-from vikit.space import SpaceElement, element, euclidean, norm, zeros
+from projection_oracle import project_oracle
+from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
+from vikit.space import element, euclidean, zeros
 
 BASELINES = tuple(s for s in Scheme if s not in PROPOSED)
 
@@ -79,10 +73,10 @@ def test_criterion_01_projections_match_oracle():
                 s = Ball(element(sp, rng.uniform(-1, 1, n)),
                          float(rng.uniform(0.5, 2)))
             else:
-                s = HalfSpace(element(sp, rng.uniform(-1, 1, n)),
-                              element(sp, rng.uniform(-1, 1, n)))
-            x = element(sp, rng.uniform(-4, 4, n))
-            gap = norm(project(s, x) - project_oracle(s, x, seed=i))
+                s = HalfSpace(element(sp, rng.uniform(-1, 1, n)).coords,
+                              element(sp, rng.uniform(-1, 1, n)).coords, sp)
+            x = element(sp, rng.uniform(-4, 4, n)).coords
+            gap = sp.norm(project(s, x) - project_oracle(s, x, seed=i))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 10.0
@@ -206,14 +200,14 @@ def test_criterion_07_halfspace_separates_the_feasible_set(bench1):
                               max_iter=400)
     rng = np.random.default_rng(55)
     n = problem.space.dim
-    state = IterateState(k=1, x_prev=x0, x_curr=x1, gamma=cfg.step.gamma1)
+    state = IterateState(k=1, x_prev=x0.coords, x_curr=x1.coords,
+                         gamma=cfg.step.gamma1)
     worst = -math.inf
     for _ in range(cfg.max_iter):
         state = step_alg1(state, problem, cfg)
         pts = rng.uniform(-2.0, 5.0, (100, n))
         for row in pts:
-            p = SpaceElement(row, problem.space)
-            worst = max(worst, halfspace_residual(state.halfspace, p))
+            worst = max(worst, halfspace_residual(state.halfspace, row))
     ok = worst <= 1e-10
     _verdict("criterion 7: constructed halfspaces contain the feasible set",
              ok, f"worst residual {worst:.2e}")

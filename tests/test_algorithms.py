@@ -8,6 +8,7 @@ from vikit.algorithms import (
     IterateState,
     Scheme,
     SequenceRule,
+    SolveError,
     SolverConfig,
     inertial_delta,
     solve,
@@ -16,10 +17,11 @@ from vikit.algorithms import (
     step_alg3,
     step_baseline,
 )
+from vikit.harness import make_config
 from vikit.operators import AffineMatrix, MappingInfo, Scale
-from vikit.problems import ProblemInstance
+from vikit.problems import ProblemInstance, RandomSpec, make_example1
 from vikit.projections import Box
-from vikit.space import element, euclidean, norm, zeros
+from vikit.space import NonFiniteElementError, element, euclidean, norm, zeros
 from vikit.stepsize import Adaptive, Armijo, Fixed
 
 
@@ -44,34 +46,34 @@ def _cfg(scheme, step, theta, eta, **kw):
 
 
 def _ones_state(sp, gamma):
-    x = element(sp, [1.0, 1.0])
+    x = element(sp, [1.0, 1.0]).coords
     return IterateState(k=1, x_prev=x, x_curr=x, gamma=gamma)
 
 
 def test_inertial_delta_examples():
     sp = euclidean(1)
-    a, b = element(sp, [1.0]), element(sp, [0.0])
+    a, b = element(sp, [1.0]).coords, element(sp, [0.0]).coords
     # coincident iterates: return the cap
-    assert inertial_delta(0.6, 0.25, a, a) == 0.6
+    assert inertial_delta(sp, 0.6, 0.25, a, a) == 0.6
     # gap 1, zeta 0.25: the ratio wins
-    assert inertial_delta(0.6, 0.25, a, b) == 0.25
+    assert inertial_delta(sp, 0.6, 0.25, a, b) == 0.25
     # large zeta: the cap wins
-    assert inertial_delta(0.6, 10.0, a, b) == 0.6
+    assert inertial_delta(sp, 0.6, 10.0, a, b) == 0.6
     with pytest.raises(ValueError):
-        inertial_delta(-0.1, 0.25, a, b)
+        inertial_delta(sp, -0.1, 0.25, a, b)
     with pytest.raises(ValueError):
-        inertial_delta(0.6, 0.0, a, b)
+        inertial_delta(sp, 0.6, 0.0, a, b)
 
 
 def test_inertial_delta_guarantee():
     sp = euclidean(3)
     rng = np.random.default_rng(3)
     for _ in range(200):
-        a = element(sp, rng.uniform(-4, 4, 3))
-        b = element(sp, rng.uniform(-4, 4, 3))
+        a = element(sp, rng.uniform(-4, 4, 3)).coords
+        b = element(sp, rng.uniform(-4, 4, 3)).coords
         zeta = float(rng.uniform(0.001, 1.0))
-        dk = inertial_delta(0.6, zeta, a, b)
-        assert dk * norm(a - b) <= zeta + 1e-15
+        dk = inertial_delta(sp, 0.6, zeta, a, b)
+        assert dk * sp.norm(a - b) <= zeta + 1e-15
 
 
 def test_sequence_rule_values():
@@ -127,10 +129,10 @@ def test_step_alg1_matches_scalar_recomputation():
                delta=0.6)
     st = step_alg1(_ones_state(p.space, 0.5), p, cfg)
     s, y, z, x2, gamma2 = _scalar_first_iteration("alg1")
-    assert np.allclose(st.s.coords, s)
-    assert np.allclose(st.y.coords, y)
-    assert np.allclose(st.z.coords, z)
-    assert np.allclose(st.x_curr.coords, x2)
+    assert np.allclose(st.s, s)
+    assert np.allclose(st.y, y)
+    assert np.allclose(st.z, z)
+    assert np.allclose(st.x_curr, x2)
     assert st.gamma == gamma2
     assert st.delta_k == 0.6
     assert x2 == 0.28125  # frozen value of the scalar recomputation
@@ -143,7 +145,7 @@ def test_step_alg2_agrees_with_alg1_on_linear_radial_data():
                "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
-    assert np.allclose(st.x_curr.coords, 0.28125)
+    assert np.allclose(st.x_curr, 0.28125)
     assert st.gamma == 0.5
     assert st.halfspace is None
 
@@ -155,7 +157,7 @@ def test_step_alg3_matches_scalar_recomputation():
                delta=0.6)
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, gamma2 = _scalar_first_iteration("alg3")
-    assert np.allclose(st.x_curr.coords, x2)
+    assert np.allclose(st.x_curr, x2)
     assert st.gamma == gamma2
     assert x2 == 0.375
 
@@ -165,7 +167,7 @@ def test_step_vsegm_matches_scalar_recomputation():
     cfg = _cfg(Scheme.VSEGM, Adaptive(0.5, 0.5), "one_over_kp1", "k_over_2kp1")
     st = step_baseline(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, _ = _scalar_first_iteration("vsegm")
-    assert np.allclose(st.x_curr.coords, x2)
+    assert np.allclose(st.x_curr, x2)
     assert x2 == 0.5625
 
 
@@ -180,9 +182,9 @@ def test_step_alg2_reduces_to_mann_when_a_vanishes():
                delta=0.6)
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
     # (1 - 0.5 - 0.25) s + 0.25 * 0.5 s = 0.375 s
-    assert np.allclose(st.x_curr.coords, 0.375)
-    assert np.allclose(st.y.coords, 1.0)
-    assert np.allclose(st.z.coords, 1.0)
+    assert np.allclose(st.x_curr, 0.375)
+    assert np.allclose(st.y, 1.0)
+    assert np.allclose(st.z, 1.0)
 
 
 def test_step_alg3_with_identity_t_and_theta_one_returns_z():
@@ -195,7 +197,7 @@ def test_step_alg3_with_identity_t_and_theta_one_returns_z():
                        eta_seq=SequenceRule("constant", 0.25),
                        zeta_seq=SequenceRule("one_over_kp1_sq"), delta=0.6)
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
-    assert np.allclose(st.x_curr.coords, st.z.coords)
+    assert np.allclose(st.x_curr, st.z)
 
 
 def test_stegm_step_componentwise():
@@ -210,9 +212,9 @@ def test_stegm_step_componentwise():
     t = (1.0 - eta) * z + eta * 0.5 * z
     x2 = t - 0.5 * 0.5 * (0.5 * t)  # t - hsd_lambda * theta_1 * F(t)
     assert st.gamma == gamma
-    assert np.allclose(st.y.coords, y)
-    assert np.allclose(st.t.coords, t)
-    assert np.allclose(st.x_curr.coords, x2)
+    assert np.allclose(st.y, y)
+    assert np.allclose(st.t, t)
+    assert np.allclose(st.x_curr, x2)
 
 
 def test_hsegm_step_uses_the_anchor():
@@ -224,7 +226,7 @@ def test_hsegm_step_uses_the_anchor():
     # w = z-block value 0.75; z = 0.5*anchor + 0.5*w; x2 = eta x + (1-eta) T z
     zc = 0.5 * 1.0 + 0.5 * 0.75
     x2 = (1.0 / 3.0) * 1.0 + (2.0 / 3.0) * 0.5 * zc
-    assert np.allclose(st.x_curr.coords, x2)
+    assert np.allclose(st.x_curr, x2)
     assert st.gamma == 0.5
 
 
@@ -312,3 +314,36 @@ def test_residual_columns_present_when_requested():
     assert all(v <= 1e-12 for v in hs)
     assert all(v <= 1e-10 for v in trace.column("res_contraction"))
     assert all(math.isnan(v) for v in trace.column("res_tseng"))
+
+
+def _huge_start_problem():
+    p = make_example1(RandomSpec(n=8, seed=1))
+    x = element(p.space, np.full(8, 1e298))
+    return p, x
+
+
+@pytest.mark.parametrize("scheme,step", [
+    (Scheme.IMSEGM, Adaptive(gamma1=1e10, phi=0.5)),
+    # the first Armijo trial overflows; it must not be clipped into the box
+    # and backtracked past
+    (Scheme.STEGM, Armijo(rho=1e10, l=0.5, phi=0.4)),
+])
+def test_overflow_inside_a_step_raises_at_that_step(scheme, step):
+    p, x = _huge_start_problem()
+    cfg = make_config(scheme, p, x0=x, x1=x, max_iter=5, step=step)
+    with pytest.raises(SolveError) as info:
+        solve(p, cfg)
+    assert "at k=1" in str(info.value)
+    assert isinstance(info.value.__cause__, NonFiniteElementError)
+    assert len(info.value.trace.rows) == 1
+
+
+def test_start_from_another_space_rejected():
+    p = _toy_problem()
+    other = element(euclidean(3), [1.0, 1.0, 1.0])
+    ok = element(p.space, [1.0, 1.0])
+    for x0, x1 in ((other, ok), (ok, other)):
+        with pytest.raises(ConfigError):
+            solve(p, _solve_cfg(Scheme.IMSEGM, p, x0=x0, x1=x1))
+    with pytest.raises(ConfigError):
+        solve(p, _solve_cfg(Scheme.IMSEGM, p, x0=ok.coords, x1=ok.coords))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from vikit import harness
@@ -83,3 +88,28 @@ def test_record_invariants_adds_columns(tmp_path):
     assert rows[1].residuals is not None
     assert rows[1].residuals[1] <= 1e-12  # halfspace membership
     assert np.isfinite(rows[1].residuals[0])
+
+
+def test_run_rejects_duplicate_cells_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                 "--alg", "all", "--out", str(out)])
+    assert code == 2
+    assert "duplicate plan cells" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_rejects_unknown_spec_key(capsys):
+    assert main(["check", "--problem", "ex1:dim=7"]) == 2
+    assert "unknown key 'dim'" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; import vikit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -225,3 +225,39 @@ def test_run_plan_records_cell_errors(tmp_path):
     res = harness.run_plan(bad)
     assert res.paths == [] and len(res.errors) == 1
     assert "ex9" in res.errors[0][0]
+
+
+@pytest.mark.parametrize("spec", ["ex1:dim=7", "ex2:n=5", "ex1:n=5,grid=3", "ex2:grid=5,"])
+def test_parse_problem_spec_rejects_unknown_keys(spec):
+    with pytest.raises(ValueError, match="unknown key"):
+        harness.parse_problem_spec(spec, seed=1)
+
+
+def test_run_plan_keeps_cells_that_differ_only_in_init(tmp_path):
+    plan = harness.ExperimentPlan(
+        problems=["ex2:grid=21", "ex2:grid=21,init=t_plus_half_cos_t"],
+        algorithms=[Scheme.IMSEGM],
+        max_iter=5,
+        seeds=[1],
+        output_dir=str(tmp_path),
+    )
+    result = harness.run_plan(plan)
+    assert result.errors == []
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "ex2_grid=21__imsegm__seed1.csv",
+        "ex2_grid=21_init=t_plus_half_cos_t__imsegm__seed1.csv",
+    ]
+    a, b = result.paths
+    assert harness.trace_fingerprint(a) != harness.trace_fingerprint(b)
+
+
+@pytest.mark.parametrize("problems,algorithms,seeds", [
+    (["ex2:grid=21", "ex2:grid=21,init=t_squared"], [Scheme.IMSEGM], [1]),
+    (["ex1:n=8,seed=2", "ex1:n=8"], [Scheme.IMSEGM], [2]),
+    (["ex2:grid=21"], [Scheme.IMSEGM, Scheme.IMSEGM], [1]),
+    (["ex2:grid=21"], [Scheme.IMSEGM], [1, 1]),
+])
+def test_plan_with_duplicate_cells_rejected(problems, algorithms, seeds):
+    with pytest.raises(ValueError, match="duplicate plan cells"):
+        harness.ExperimentPlan(problems=problems, algorithms=algorithms,
+                               max_iter=5, seeds=seeds, output_dir="x")

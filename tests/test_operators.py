@@ -21,25 +21,27 @@ from vikit.space import element, euclidean, grid_l2, inner, norm, random_element
 def test_positive_part_clips_negative_grid_function():
     sp = grid_l2(51)
     x = element(sp, -sp.grid)
-    assert np.array_equal(PositivePart()(x).coords, np.zeros(51))
+    assert np.array_equal(PositivePart()(x.coords), np.zeros(51))
 
 
 def test_rank_one_integral_of_constant_is_identity_function():
     sp = grid_l2(101)
     one = element(sp, np.ones(101))
-    out = RankOneIntegral()(one)
-    assert np.allclose(out.coords, sp.grid, atol=1e-14)
+    out = RankOneIntegral(sp)(one.coords)
+    assert np.allclose(out, sp.grid, atol=1e-14)
+    with pytest.raises(ValueError):
+        RankOneIntegral(euclidean(3))
 
 
 def test_scale_half():
     sp = euclidean(2)
-    assert np.array_equal(Scale(0.5)(element(sp, [2, -4])).coords, [1.0, -2.0])
+    assert np.array_equal(Scale(0.5)(element(sp, [2, -4]).coords), [1.0, -2.0])
 
 
 def test_affine_matrix():
     sp = euclidean(2)
     op = AffineMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), element(sp, [1, 1]))
-    assert np.array_equal(op(element(sp, [1, 1])).coords, [4.0, 2.0])
+    assert np.array_equal(op(element(sp, [1, 1]).coords), [4.0, 2.0])
     with pytest.raises(ValueError):
         AffineMatrix(np.ones((2, 3)))
 
@@ -47,7 +49,7 @@ def test_affine_matrix():
 def test_composite_applies_left_to_right():
     sp = euclidean(2)
     op = Composite([Scale(2.0), PositivePart()])
-    assert np.array_equal(op(element(sp, [1, -1])).coords, [2.0, 0.0])
+    assert np.array_equal(op(element(sp, [1, -1]).coords), [2.0, 0.0])
 
 
 def test_spectral_norm_diagonal_and_identity():
@@ -102,7 +104,7 @@ def test_check_demicontractive_precondition():
 
 def test_rank_one_integral_is_zero_demicontractive():
     sp = grid_l2(101)
-    assert check_demicontractive(RankOneIntegral(), 0.0, zeros(sp), samples=500)
+    assert check_demicontractive(RankOneIntegral(sp), 0.0, zeros(sp), samples=500)
 
 
 def test_mapping_info_validates_lambda():
@@ -112,20 +114,20 @@ def test_mapping_info_validates_lambda():
 
 def test_mann_combination():
     sp = euclidean(2)
-    x = element(sp, [2.0, 0.0])
+    x = element(sp, [2.0, 0.0]).coords
     out = mann_combination(Scale(0.5), 0.5, x)
-    assert np.array_equal(out.coords, [1.5, 0.0])
+    assert np.array_equal(out, [1.5, 0.0])
     # identity operator leaves x unchanged for any relaxation
-    assert np.allclose(mann_combination(Scale(1.0), 0.3, x).coords, x.coords)
+    assert np.allclose(mann_combination(Scale(1.0), 0.3, x), x)
     with pytest.raises(ValueError):
         mann_combination(Scale(0.5), 1.0, x)
 
 
 def test_mann_combination_preserves_fixed_points():
     sp = grid_l2(61)
-    p = zeros(sp)  # common fixed point of the concrete maps here
-    for op in (Scale(0.5), RankOneIntegral(), PositivePart()):
-        assert norm(mann_combination(op, 0.7, p) - p) <= 1e-14
+    p = zeros(sp).coords  # common fixed point of the concrete maps here
+    for op in (Scale(0.5), RankOneIntegral(sp), PositivePart()):
+        assert sp.norm(mann_combination(op, 0.7, p) - p) <= 1e-14
 
 
 def test_relaxed_map_contraction_inequality():
@@ -135,16 +137,16 @@ def test_relaxed_map_contraction_inequality():
     rng = np.random.default_rng(8)
     T = Scale(0.5)
     for _ in range(200):
-        x = random_element(sp, rng, -5, 5)
+        x = random_element(sp, rng, -5, 5).coords
         lam = float(rng.uniform(0.05, 0.95))
         tx = mann_combination(T, lam, x)
-        lhs = norm(tx) ** 2
-        rhs = norm(x) ** 2 - (1.0 / lam) * (1.0 - lam) * norm(x - tx) ** 2
+        lhs = sp.norm(tx) ** 2
+        rhs = sp.norm(x) ** 2 - (1.0 / lam) * (1.0 - lam) * sp.norm(x - tx) ** 2
         assert lhs <= rhs + 1e-10
 
 
 def _demi_forms(op, x, z, eta):
-    tx = op(x)
+    tx = element(x.space, op(x.coords))
     f1 = norm(tx - z) ** 2 - (norm(x - z) ** 2 + eta * norm(x - tx) ** 2)
     f2 = inner(tx - x, x - z) - 0.5 * (eta - 1.0) * norm(x - tx) ** 2
     f3 = inner(tx - z, x - z) - (norm(x - z) ** 2 + 0.5 * (eta - 1.0) * norm(x - tx) ** 2)
@@ -153,7 +155,7 @@ def _demi_forms(op, x, z, eta):
 
 @pytest.mark.parametrize("op,sp", [
     (Scale(0.5), euclidean(4)),
-    (RankOneIntegral(), grid_l2(41)),
+    (RankOneIntegral(grid_l2(41)), grid_l2(41)),
 ])
 def test_three_demicontractive_forms_agree(op, sp):
     rng = np.random.default_rng(15)

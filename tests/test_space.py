@@ -3,8 +3,10 @@ import pytest
 
 from vikit.space import (
     NonFiniteElementError,
+    SpaceKind,
     SpaceMismatchError,
     axpy,
+    check_finite,
     element,
     euclidean,
     grid_l2,
@@ -65,6 +67,29 @@ def test_non_finite_rejected():
         element(euclidean(2), [1.0, np.nan])
     with pytest.raises(NonFiniteElementError):
         element(euclidean(2), [np.inf, 0.0])
+
+
+def test_check_finite_on_coordinate_arrays():
+    v = np.array([1.0, -2.0])
+    assert check_finite(v) is v
+    big = np.array([1e200, -1e200])  # finite, though v @ v overflows
+    with np.errstate(over="ignore"):
+        assert check_finite(big) is big
+        for bad in ([1.0, np.nan], [np.inf, 0.0], [1e200, -np.inf]):
+            with pytest.raises(NonFiniteElementError):
+                check_finite(np.array(bad))
+
+
+@pytest.mark.parametrize("sp", [euclidean(4), grid_l2(11)])
+def test_cached_geometry_is_shared_and_read_only(sp):
+    arrays = [sp.quad_weights]
+    if sp.kind is SpaceKind.GRID_L2:
+        arrays.append(sp.grid)
+        assert sp.grid is sp.grid
+    assert sp.quad_weights is sp.quad_weights
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_grid_requires_two_nodes():

@@ -3,7 +3,7 @@ import pytest
 
 from vikit.operators import AffineMatrix
 from vikit.projections import Box
-from vikit.space import element, euclidean, norm, zeros
+from vikit.space import element, euclidean, zeros
 from vikit.stepsize import (
     Adaptive,
     Armijo,
@@ -29,28 +29,28 @@ def test_policy_validation():
 
 def test_adaptive_update_examples():
     sp = euclidean(2)
-    s = element(sp, [1.0, 0.0])
-    y = zeros(sp)
+    s = element(sp, [1.0, 0.0]).coords
+    y = zeros(sp).coords
     # ||s - y|| = 1, ||As - Ay|| = 2: candidate phi/2 = 0.25 < gamma_k
-    As, Ay = element(sp, [2.0, 0.0]), zeros(sp)
-    assert adaptive_update(0.5, 0.5, s, y, As, Ay) == 0.25
+    As, Ay = element(sp, [2.0, 0.0]).coords, zeros(sp).coords
+    assert adaptive_update(sp, 0.5, 0.5, s, y, As, Ay) == 0.25
     # candidate 5.0 exceeds gamma_k: keep gamma_k
-    As2 = element(sp, [0.1, 0.0])
-    assert adaptive_update(0.5, 0.5, s, y, As2, Ay) == 0.5
+    As2 = element(sp, [0.1, 0.0]).coords
+    assert adaptive_update(sp, 0.5, 0.5, s, y, As2, Ay) == 0.5
     # vanishing operator displacement: keep gamma_k
-    assert adaptive_update(0.5, 0.5, s, y, zeros(sp), zeros(sp)) == 0.5
+    assert adaptive_update(sp, 0.5, 0.5, s, y, zeros(sp).coords, zeros(sp).coords) == 0.5
 
 
 def test_adaptive_update_never_increases():
     sp = euclidean(3)
     rng = np.random.default_rng(6)
     for _ in range(200):
-        s = element(sp, rng.uniform(-2, 2, 3))
-        y = element(sp, rng.uniform(-2, 2, 3))
-        As = element(sp, rng.uniform(-2, 2, 3))
-        Ay = element(sp, rng.uniform(-2, 2, 3))
+        s = element(sp, rng.uniform(-2, 2, 3)).coords
+        y = element(sp, rng.uniform(-2, 2, 3)).coords
+        As = element(sp, rng.uniform(-2, 2, 3)).coords
+        Ay = element(sp, rng.uniform(-2, 2, 3)).coords
         g = float(rng.uniform(0.01, 1.0))
-        assert adaptive_update(g, 0.5, s, y, As, Ay) <= g
+        assert adaptive_update(sp, g, 0.5, s, y, As, Ay) <= g
 
 
 def test_validate_fixed():
@@ -71,45 +71,45 @@ def _setup(scale=2.0):
 
 def test_armijo_accepts_rho_at_a_solution():
     sp, A, C = _setup()
-    gamma, y = armijo_search(Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp), A, C)
+    gamma, y = armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp).coords, A, C)
     assert gamma == 1.0
-    assert norm(y) == 0.0
+    assert sp.norm(y) == 0.0
 
 
 def test_armijo_accepts_first_trial_when_rho_small():
     # L = 2 here, so any rho <= phi / L passes immediately
     sp, A, C = _setup(scale=2.0)
-    x = element(sp, [1.0, -1.0])
+    x = element(sp, [1.0, -1.0]).coords
     policy = Armijo(rho=0.19, l=0.5, phi=0.4)
-    gamma, y = armijo_search(policy, x, A, C)
+    gamma, y = armijo_search(sp, policy, x, A, C)
     assert gamma == 0.19
-    assert np.allclose(y.coords, x.coords - 0.19 * 2.0 * x.coords)
+    assert np.allclose(y, x - 0.19 * 2.0 * x)
 
 
 def test_armijo_backtracks_and_satisfies_inequality():
     sp, A, C = _setup(scale=2.0)
-    x = element(sp, [3.0, 4.0])
+    x = element(sp, [3.0, 4.0]).coords
     policy = Armijo(rho=8.0, l=0.5, phi=0.4)
-    gamma, y = armijo_search(policy, x, A, C)
+    gamma, y = armijo_search(sp, policy, x, A, C)
     assert gamma < 8.0
     assert gamma in [8.0 * 0.5 ** m for m in range(1, 20)]
-    assert gamma * norm(A(x) - A(y)) <= policy.phi * norm(x - y) + 1e-14
+    assert gamma * sp.norm(A(x) - A(y)) <= policy.phi * sp.norm(x - y) + 1e-14
     # the previous (rejected) trial really fails the inequality
     prev = gamma / policy.l
-    y_prev = element(sp, np.clip(x.coords - prev * A(x).coords, -100, 100))
-    assert prev * norm(A(x) - A(y_prev)) > policy.phi * norm(x - y_prev)
+    y_prev = element(sp, np.clip(x - prev * A(x), -100, 100)).coords
+    assert prev * sp.norm(A(x) - A(y_prev)) > policy.phi * sp.norm(x - y_prev)
 
 
 def test_armijo_exhaustion_raises_with_last_gamma():
     sp, A, C = _setup(scale=2.0)
-    x = element(sp, [1.0, 1.0])
+    x = element(sp, [1.0, 1.0]).coords
     with pytest.raises(ArmijoSearchError) as info:
-        armijo_search(Armijo(rho=8.0, l=0.5, phi=0.4), x, A, C, max_backtracks=1)
+        armijo_search(sp, Armijo(rho=8.0, l=0.5, phi=0.4), x, A, C, max_backtracks=1)
     assert info.value.last_gamma == 4.0
 
 
 def test_armijo_rejects_bad_budget():
     sp, A, C = _setup()
     with pytest.raises(ValueError):
-        armijo_search(Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp), A, C,
+        armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp).coords, A, C,
                       max_backtracks=0)
