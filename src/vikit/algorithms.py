@@ -3,7 +3,8 @@
 Four inertial Mann-type extragradient methods (two subgradient-halfspace
 variants, two forward-correction variants) and six baselines: anchored,
 hybrid-steepest-descent, two plain Mann-type, and two viscosity-type
-extragradient methods.
+extragradient methods. Each scheme is one row of `SCHEMES`, and one
+generic step runs every row.
 
 `solve` checks its starting points against the problem's space once and
 then iterates on plain coordinate arrays. Every vector a step forms goes
@@ -16,7 +17,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -47,14 +48,39 @@ class Scheme(enum.Enum):
     VTEGM = "vtegm"
 
 
-PROPOSED = (Scheme.IMSEGM, Scheme.IMTEGM, Scheme.IMMSEGM, Scheme.IMMTEGM)
-INERTIAL = frozenset(PROPOSED)
+class Parts(NamedTuple):
+    """What a scheme is built from: inertial extrapolation or none; the
+    subgradient-extragradient "halfspace" projection or Tseng's forward
+    correction "tseng"; the outer update ("mann", "modified_mann",
+    "anchored", "viscosity" or "hsd", hybrid steepest descent); and the
+    step-policy type."""
+
+    inertial: bool
+    correction: str
+    outer: str
+    step: type
+
+
+SCHEMES = {
+    Scheme.IMSEGM: Parts(True, "halfspace", "mann", Adaptive),
+    Scheme.IMTEGM: Parts(True, "tseng", "mann", Adaptive),
+    Scheme.IMMSEGM: Parts(True, "halfspace", "modified_mann", Adaptive),
+    Scheme.IMMTEGM: Parts(True, "tseng", "modified_mann", Adaptive),
+    Scheme.HSEGM: Parts(False, "halfspace", "anchored", Fixed),
+    # the Armijo search yields y itself, so an Armijo row has no trial point
+    # to build a halfspace from and must use the forward correction
+    Scheme.STEGM: Parts(False, "tseng", "hsd", Armijo),
+    Scheme.MSEGM: Parts(False, "halfspace", "mann", Fixed),
+    Scheme.MMSEGM: Parts(False, "halfspace", "modified_mann", Fixed),
+    Scheme.VSEGM: Parts(False, "halfspace", "viscosity", Adaptive),
+    Scheme.VTEGM: Parts(False, "tseng", "viscosity", Adaptive),
+}
+
+PROPOSED = tuple(s for s, p in SCHEMES.items() if p.inertial)
 # schemes whose sequences are governed by the vanishing-theta condition set
-C4_SCHEMES = frozenset({Scheme.IMSEGM, Scheme.IMTEGM, Scheme.MSEGM})
+C4_SCHEMES = frozenset(s for s, p in SCHEMES.items() if p.outer == "mann")
 # schemes governed by the theta -> 1 condition set
-C5_SCHEMES = frozenset({Scheme.IMMSEGM, Scheme.IMMTEGM, Scheme.MMSEGM})
-TSENG = frozenset({Scheme.IMTEGM, Scheme.IMMTEGM, Scheme.VTEGM, Scheme.STEGM})
-FIXED_STEP = frozenset({Scheme.HSEGM, Scheme.MSEGM, Scheme.MMSEGM})
+C5_SCHEMES = frozenset(s for s, p in SCHEMES.items() if p.outer == "modified_mann")
 
 
 class ConfigError(ValueError):
@@ -193,144 +219,89 @@ def _initial_gamma(step: StepPolicy) -> float:
     return step.rho
 
 
-def _halfspace_z(w: np.ndarray, gamma: float, problem: ProblemInstance):
-    """Shared subgradient-extragradient block: trial point, halfspace, and
-    the second (halfspace) projection."""
-    A = problem.A
-    Aw = A(w)
-    trial = check_finite(w + (-gamma) * Aw)
-    y = project(problem.C, trial)
-    Ay = A(y)
-    hk = HalfSpace(normal=check_finite(trial - y), anchor=y, space=problem.space)
-    z = project(hk, check_finite(w + (-gamma) * Ay))
-    return y, z, hk, Aw, Ay
-
-
-def _tseng_z(w: np.ndarray, gamma: float, problem: ProblemInstance):
-    A = problem.A
-    Aw = A(w)
-    y = project(problem.C, check_finite(w + (-gamma) * Aw))
-    Ay = A(y)
-    z = check_finite(y + (-gamma) * (Ay - Aw))
-    return y, z, Aw, Ay
-
-
-def _inertial_point(state: IterateState, cfg: SolverConfig,
-                    space: SpaceDescriptor) -> Tuple[np.ndarray, float]:
-    zeta = cfg.zeta_seq(state.k)
-    dk = inertial_delta(space, cfg.delta, zeta, state.x_curr, state.x_prev)
-    s = check_finite(state.x_curr + dk * (state.x_curr - state.x_prev))
-    return s, dk
-
-
-def step_alg1(state: IterateState, problem: ProblemInstance,
-              cfg: SolverConfig) -> IterateState:
-    """Inertial Mann-type subgradient extragradient step."""
+def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
+          cfg: SolverConfig) -> IterateState:
+    """One iteration of the scheme built from parts."""
     k = state.k
     theta = cfg.theta_seq(k)
     eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg, problem.space)
-    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem)
-    x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
-    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
-                        z=z, gamma=gamma_next, delta_k=dk,
-                        gamma_prev=state.gamma, halfspace=hk)
+    space, A, T = problem.space, problem.A, problem.T
+    x = state.x_curr
+    s, dk = x, 0.0
+    if parts.inertial:
+        dk = inertial_delta(space, cfg.delta, cfg.zeta_seq(k), x, state.x_prev)
+        s = check_finite(x + dk * (x - state.x_prev))
+
+    if parts.step is Armijo:
+        gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
+    else:
+        gamma = state.gamma
+        As = A(s)
+        trial = check_finite(s + (-gamma) * As)
+        y = project(problem.C, trial)
+        Ay = A(y)
+
+    hk = None
+    if parts.correction == "tseng":
+        z = check_finite(y + (-gamma) * (Ay - As))
+    else:
+        hk = HalfSpace(normal=check_finite(trial - y), anchor=y, space=space)
+        z = project(hk, check_finite(s + (-gamma) * Ay))
+
+    t = None
+    if parts.outer == "mann":
+        x_next = check_finite((1.0 - theta - eta) * z + eta * T(z))
+    elif parts.outer == "modified_mann":
+        x_next = check_finite((1.0 - eta) * (theta * z) + eta * T(z))
+    elif parts.outer == "anchored":
+        z = check_finite(theta * cfg.x0.coords + (1.0 - theta) * z)
+        x_next = check_finite(eta * x + (1.0 - eta) * T(z))
+    else:
+        t = check_finite((1.0 - eta) * z + eta * T(z))
+        if parts.outer == "viscosity":
+            x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * t)
+        else:  # hsd
+            x_next = check_finite(t + (-cfg.hsd_lambda * theta) * problem.F(t))
+
+    gamma_next = gamma
+    if parts.step is Adaptive:
+        gamma_next = adaptive_update(space, gamma, cfg.step.phi, s, y, As, Ay)
+    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z, t=t,
+                        gamma=gamma_next, delta_k=dk, gamma_prev=state.gamma,
+                        halfspace=hk)
+
+
+# One function per proposed scheme, and one for the baselines, so each can
+# be called (and profiled) on its own.
+def step_alg1(state: IterateState, problem: ProblemInstance,
+              cfg: SolverConfig) -> IterateState:
+    """Inertial Mann-type subgradient extragradient step."""
+    return _step(SCHEMES[Scheme.IMSEGM], state, problem, cfg)
 
 
 def step_alg2(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type step with the forward correction in place of the
     second projection."""
-    k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg, problem.space)
-    y, z, As, Ay = _tseng_z(s, state.gamma, problem)
-    x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
-    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
-                        z=z, gamma=gamma_next, delta_k=dk,
-                        gamma_prev=state.gamma)
+    return _step(SCHEMES[Scheme.IMTEGM], state, problem, cfg)
 
 
 def step_alg3(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type subgradient extragradient step."""
-    k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg, problem.space)
-    y, z, hk, As, Ay = _halfspace_z(s, state.gamma, problem)
-    x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
-    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
-                        z=z, gamma=gamma_next, delta_k=dk,
-                        gamma_prev=state.gamma, halfspace=hk)
+    return _step(SCHEMES[Scheme.IMMSEGM], state, problem, cfg)
 
 
 def step_alg4(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type step with the forward correction."""
-    k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
-    s, dk = _inertial_point(state, cfg, problem.space)
-    y, z, As, Ay = _tseng_z(s, state.gamma, problem)
-    x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
-    gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=state.x_curr, x_curr=x_next, s=s, y=y,
-                        z=z, gamma=gamma_next, delta_k=dk,
-                        gamma_prev=state.gamma)
+    return _step(SCHEMES[Scheme.IMMTEGM], state, problem, cfg)
 
 
 def step_baseline(state: IterateState, problem: ProblemInstance,
                   cfg: SolverConfig) -> IterateState:
-    k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
-    x = state.x_curr
-    scheme = cfg.algorithm
-    hk = None
-    t = None
-
-    if scheme is Scheme.HSEGM:
-        y, w, hk, _, _ = _halfspace_z(x, state.gamma, problem)
-        z = check_finite(theta * cfg.x0.coords + (1.0 - theta) * w)
-        x_next = check_finite(eta * x + (1.0 - eta) * problem.T(z))
-        gamma_next = state.gamma
-    elif scheme is Scheme.STEGM:
-        gamma, y = armijo_search(problem.space, cfg.step, x, problem.A, problem.C)
-        z = check_finite(y + (-gamma) * (problem.A(y) - problem.A(x)))
-        t = check_finite((1.0 - eta) * z + eta * problem.T(z))
-        x_next = check_finite(t + (-cfg.hsd_lambda * theta) * problem.F(t))
-        gamma_next = gamma
-    elif scheme is Scheme.MSEGM:
-        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem)
-        x_next = check_finite((1.0 - theta - eta) * z + eta * problem.T(z))
-        gamma_next = state.gamma
-    elif scheme is Scheme.MMSEGM:
-        y, z, hk, _, _ = _halfspace_z(x, state.gamma, problem)
-        x_next = check_finite((1.0 - eta) * (theta * z) + eta * problem.T(z))
-        gamma_next = state.gamma
-    elif scheme is Scheme.VSEGM:
-        y, z, hk, As, Ay = _halfspace_z(x, state.gamma, problem)
-        mann = check_finite((1.0 - eta) * z + eta * problem.T(z))
-        x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * mann)
-        gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi,
-                                     x, y, As, Ay)
-    elif scheme is Scheme.VTEGM:
-        y, z, As, Ay = _tseng_z(x, state.gamma, problem)
-        mann = check_finite((1.0 - eta) * z + eta * problem.T(z))
-        x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * mann)
-        gamma_next = adaptive_update(problem.space, state.gamma, cfg.step.phi,
-                                     x, y, As, Ay)
-    else:
-        raise ConfigError(f"{scheme} is not a baseline scheme")
-
-    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=x, y=y, z=z, t=t,
-                        gamma=gamma_next, delta_k=0.0, gamma_prev=state.gamma,
-                        halfspace=hk)
+    """Step of the baseline scheme cfg.algorithm."""
+    return _step(SCHEMES[cfg.algorithm], state, problem, cfg)
 
 
 _STEPPERS = {
@@ -355,31 +326,24 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     for name, x in (("x0", cfg.x0), ("x1", cfg.x1), ("x_star", problem.x_star)):
         if x is not None and not (isinstance(x, SpaceElement) and x.space == problem.space):
             raise ConfigError(f"{name} must be a SpaceElement of {problem.space}")
-    if scheme in FIXED_STEP:
-        if not isinstance(cfg.step, Fixed):
-            raise ConfigError(f"{scheme.value} requires a fixed step policy")
-        if problem.L is not None and not validate_fixed(cfg.step.gamma, problem.L):
-            raise ConfigError(
-                f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}"
-            )
-    elif scheme is Scheme.STEGM:
-        if not isinstance(cfg.step, Armijo):
-            raise ConfigError("stegm requires an Armijo step policy")
-        if problem.F is None:
-            raise ConfigError("stegm needs the damping operator F")
-    else:
-        if not isinstance(cfg.step, Adaptive):
-            raise ConfigError(f"{scheme.value} requires an adaptive step policy")
-    if scheme in INERTIAL:
+    parts = SCHEMES[scheme]
+    if not isinstance(cfg.step, parts.step):
+        raise ConfigError(f"{scheme.value} requires a {parts.step.__name__} step policy")
+    if (parts.step is Fixed and problem.L is not None
+            and not validate_fixed(cfg.step.gamma, problem.L)):
+        raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
+    if parts.inertial:
         if cfg.zeta_seq is None:
             raise ConfigError("inertial schemes need a zeta sequence")
         if cfg.delta < 0:
             raise ConfigError("inertial bound delta must be nonnegative")
-    if scheme in (Scheme.VSEGM, Scheme.VTEGM) and problem.f_visc is None:
+    if parts.outer == "hsd" and problem.F is None:
+        raise ConfigError(f"{scheme.value} needs the damping operator F")
+    if parts.outer == "viscosity" and problem.f_visc is None:
         raise ConfigError("viscosity schemes need the contraction f")
 
 
-def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
+def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
                u: np.ndarray, space: SpaceDescriptor) -> Tuple[float, float, float]:
     """Per-iteration inequality slacks, nan where not applicable.
 
@@ -395,9 +359,9 @@ def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
     def dist(a, b):
         return space.norm(check_finite(a - b))
 
-    if phi is not None and s is not None and scheme in _STEPPERS:
+    if parts.inertial:
         ratio = state.gamma_prev / state.gamma
-        if scheme in TSENG:
+        if parts.correction == "tseng":
             coeff = 1.0 - (phi * ratio) ** 2
             res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * dist(s, y) ** 2)
             res_t = dist(z, y) - phi * ratio * dist(s, y)
@@ -440,7 +404,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
                              trace) from exc
         residuals = None
         if cfg.record_invariants and x_star is not None:
-            residuals = _residuals(cfg.algorithm, state, phi, x_star, space)
+            residuals = _residuals(SCHEMES[cfg.algorithm], state, phi, x_star, space)
         d = err(state.x_curr)
         trace.rows.append(TraceRow(k=state.k, D=d, gamma=state.gamma,
                                    delta=state.delta_k,

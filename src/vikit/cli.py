@@ -5,7 +5,8 @@ Subcommands:
   validate  check a scheme's preset sequences against its condition set
   check     certify a problem instance (operators and known solution)
 
-Exit codes: 0 success, 2 validation/certification failure, 1 runtime error.
+Exit codes: 0 success, 2 bad input (configuration, conditions or
+certification), 1 runtime error.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ def _cmd_run(args) -> int:
     result = harness.run_plan(plan)
     for path in result.paths:
         print(path)
-    for cell, reason in result.errors:
+    for cell, _, reason in result.errors:
         print(f"FAILED {cell}: {reason}", file=sys.stderr)
     if result.errors:
-        return 2 if any("violation" in r or "outside" in r or "certification" in r
-                        for _, r in result.errors) else 1
+        return 2 if any(category != "runtime" for _, category, _ in result.errors) else 1
     return 0
 
 

@@ -345,57 +345,61 @@ def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:
     return f"{stem}__{scheme.value}__seed{seed}.csv"
 
 
-class PlanCellError(RuntimeError):
-    """A plan cell was rejected or failed; the plan keeps going."""
-
-
 def _cell_id(spec: str, scheme: Scheme, seed: int) -> str:
     return f"{spec}|{scheme.value}|seed={seed}"
 
 
-def _run_cell(spec: str, scheme: Scheme, seed: int,
-              plan: ExperimentPlan) -> Tuple[str, Optional[str], Optional[str]]:
-    """Run one (problem, scheme, seed) cell; returns (cell id, path, error)."""
+def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan
+              ) -> Tuple[str, Optional[str], Optional[Tuple[str, str]]]:
+    """Run one (problem, scheme, seed) cell; returns (cell id, path, error),
+    where error is a (category, message) pair."""
     cell = _cell_id(spec, scheme, seed)
     try:
         problem, init = parse_problem_spec(spec, seed)
         failures = prob.certify(problem)
         if failures:
-            return cell, None, "certification failed: " + "; ".join(failures)
+            return cell, None, ("certification",
+                                "certification failed: " + "; ".join(failures))
         x0, x1 = prob.initial_points(problem, init, seed=seed)
         cfg = make_config(scheme, problem, x0=x0, x1=x1,
                           max_iter=plan.max_iter, preset=plan.preset,
                           tol=plan.tol, record_invariants=plan.record_invariants)
         violations = validate_conditions(cfg, horizon=plan.max_iter)
         if violations:
-            return cell, None, "; ".join(str(v) for v in violations)
+            return cell, None, ("conditions", "; ".join(str(v) for v in violations))
         trace = solve(problem, cfg)
         header = TraceFileHeader.create(scheme, plan.preset, problem.problem_id,
                                         seed, problem.space.dim)
         path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
         emit_csv(trace, header, path)
         return cell, str(path), None
+    except ValueError as exc:
+        return cell, None, ("config", str(exc))
     except Exception as exc:
-        return cell, None, str(exc)
+        return cell, None, ("runtime", str(exc))
 
 
 @dataclass
 class PlanResult:
     paths: List[str] = field(default_factory=list)
-    errors: List[Tuple[str, str]] = field(default_factory=list)
+    # (cell id, category, message); the category is "certification",
+    # "conditions", "config" (a ValueError before the run) or "runtime"
+    errors: List[Tuple[str, str, str]] = field(default_factory=list)
 
 
 def run_plan(plan: ExperimentPlan) -> PlanResult:
     """Execute every (problem, algorithm, seed) cell; failed cells are
-    recorded with a reason and do not abort the rest of the plan."""
+    recorded with a category and a reason and do not abort the plan."""
+    workers = os.environ.get("VIKIT_THREADS", "4").strip()
+    if not workers.isdecimal() or int(workers) < 1:
+        raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
     Path(plan.output_dir).mkdir(parents=True, exist_ok=True)
     cells = plan.cells()
-    workers = int(os.environ.get("VIKIT_THREADS", "4"))
     result = PlanResult()
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
         for cell, path, error in pool.map(lambda c: _run_cell(*c, plan), cells):
             if error is not None:
-                result.errors.append((cell, error))
+                result.errors.append((cell, *error))
             else:
                 result.paths.append(path)
     return result

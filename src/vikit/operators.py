@@ -1,8 +1,7 @@
 """Evaluable operators and empirical class-membership checks.
 
 Concrete maps: affine Gx + f, coordinatewise positive part, scalar
-scaling, the rank-one integral map t -> t * integral(x), and sequential
-composition. Each maps a coordinate array to a new coordinate array; a
+scaling, and the rank-one integral map t -> t * integral(x). Each maps a coordinate array to a new coordinate array; a
 result with a NaN or Inf entry raises NonFiniteElementError. Monotonicity
 and demicontractivity are certified by seeded sampling; demiclosedness is
 a declared property and is not checked here.
@@ -11,7 +10,7 @@ a declared property and is not checked here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -86,24 +85,10 @@ class RankOneIntegral:
 
 
 @dataclass(frozen=True)
-class Composite:
-    """Sequential composition, applied left to right."""
-
-    parts: Sequence
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        for op in self.parts:
-            x = op(x)
-        return x
-
-
-@dataclass(frozen=True)
 class MappingInfo:
     """Declared analytic properties of a map, spot-checked empirically."""
 
-    lipschitz_bound: Optional[float] = None
     demicontractive_lambda: Optional[float] = None
-    monotone: bool = False
 
     def __post_init__(self):
         lam = self.demicontractive_lambda
@@ -185,10 +170,3 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement,
         if lhs > rhs + tol:
             return False
     return True
-
-
-def mann_combination(op, lam: float, x: np.ndarray) -> np.ndarray:
-    """lam * op(x) + (1 - lam) * x, the relaxed (averaged) map."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError(f"relaxation parameter must be in (0,1), got {lam}")
-    return lam * op(x) + (1.0 - lam) * x

@@ -74,8 +74,7 @@ def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> Problem
         A=A,
         C=Box(-2.0, 5.0),
         T=ops.Scale(0.5),
-        T_info=ops.MappingInfo(lipschitz_bound=0.5, demicontractive_lambda=0.0,
-                               monotone=True),
+        T_info=ops.MappingInfo(demicontractive_lambda=0.0),
         F=ops.Scale(0.5),
         f_visc=ops.Scale(0.5),
         x_star=x_star,

@@ -81,9 +81,12 @@ def validate_fixed(gamma: float, L: float) -> bool:
 
 
 def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
-                  C: FeasibleSet, max_backtracks: int = 60) -> Tuple[float, np.ndarray]:
+                  C: FeasibleSet, max_backtracks: int = 60
+                  ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Largest gamma in {rho, rho*l, rho*l^2, ...} with
-    gamma * ||A(x) - A(y)|| <= phi * ||x - y||, y = P_C(x - gamma A(x))."""
+    gamma * ||A(x) - A(y)|| <= phi * ||x - y||, y = P_C(x - gamma A(x)).
+
+    Returns (gamma, y, A(x), A(y)) for the accepted step."""
     if max_backtracks < 1:
         raise ValueError("max_backtracks must be >= 1")
     norm = space.norm
@@ -91,8 +94,9 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     gamma = policy.rho
     for _ in range(max_backtracks):
         y = project(C, check_finite(x + (-gamma) * Ax))
-        if gamma * norm(check_finite(Ax - A(y))) <= policy.phi * norm(check_finite(x - y)):
-            return gamma, y
+        Ay = A(y)
+        if gamma * norm(check_finite(Ax - Ay)) <= policy.phi * norm(check_finite(x - y)):
+            return gamma, y, Ax, Ay
         gamma *= policy.l
     raise ArmijoSearchError(
         f"no acceptable step within {max_backtracks} backtracks", last_gamma=gamma

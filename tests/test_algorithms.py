@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from vikit.algorithms import (
+    C4_SCHEMES,
+    C5_SCHEMES,
+    PROPOSED,
+    SCHEMES,
     ConfigError,
     IterateState,
     Scheme,
@@ -91,6 +95,27 @@ def test_sequence_rule_values():
         SequenceRule("bogus")
     with pytest.raises(ValueError):
         SequenceRule("constant")
+
+
+def test_scheme_table_reproduces_the_scheme_sets():
+    S = Scheme
+    assert set(SCHEMES) == set(Scheme)
+    assert PROPOSED == (S.IMSEGM, S.IMTEGM, S.IMMSEGM, S.IMMTEGM)
+    assert C4_SCHEMES == {S.IMSEGM, S.IMTEGM, S.MSEGM}
+    assert C5_SCHEMES == {S.IMMSEGM, S.IMMTEGM, S.MMSEGM}
+
+    def rows(**match):
+        return {s for s, p in SCHEMES.items()
+                if all(getattr(p, k) == v for k, v in match.items())}
+
+    assert rows(inertial=True) == set(PROPOSED)
+    assert rows(correction="tseng") == {S.IMTEGM, S.IMMTEGM, S.VTEGM, S.STEGM}
+    assert rows(step=Fixed) == {S.HSEGM, S.MSEGM, S.MMSEGM}
+    assert rows(step=Armijo) == {S.STEGM}
+    assert rows(step=Adaptive) == set(PROPOSED) | {S.VSEGM, S.VTEGM}
+    assert rows(outer="anchored") == {S.HSEGM}
+    assert rows(outer="hsd") == {S.STEGM}
+    assert rows(outer="viscosity") == {S.VSEGM, S.VTEGM}
 
 
 def _scalar_first_iteration(variant):

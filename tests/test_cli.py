@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from vikit import harness
 from vikit.cli import main
@@ -113,3 +114,24 @@ def test_cli_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_trace_write_failure_exits_one_whatever_the_path(tmp_path, capsys):
+    # the output path reads "violation", which once counted as bad input
+    out = tmp_path / "violation_out"
+    (out / "ex1_n=8_seed=2__imsegm__seed1.csv").mkdir(parents=True)
+    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                 "--max-iter", "5", "--out", str(out)])
+    assert code == 1
+    assert "failed to write trace" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_thread_count_rejected_before_running(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("VIKIT_THREADS", value)
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                 "--max-iter", "5", "--out", str(out)])
+    assert code == 2
+    assert "VIKIT_THREADS" in capsys.readouterr().err
+    assert not out.exists()

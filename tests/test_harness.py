@@ -227,6 +227,31 @@ def test_run_plan_records_cell_errors(tmp_path):
     assert "ex9" in res.errors[0][0]
 
 
+def _one_cell_plan(out, spec="ex1:n=5,seed=1", preset="table1"):
+    return harness.ExperimentPlan(problems=[spec], algorithms=[Scheme.IMSEGM],
+                                  max_iter=10, seeds=[1], output_dir=str(out),
+                                  preset=preset)
+
+
+def test_run_plan_types_cell_errors(tmp_path, monkeypatch):
+    assert harness.run_plan(_one_cell_plan(tmp_path / "a", spec="ex9:n=5")).errors[0][1] \
+        == "config"
+
+    bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
+    monkeypatch.setitem(harness.PRESETS, "bad", {Scheme.IMSEGM: bad})
+    assert harness.run_plan(_one_cell_plan(tmp_path / "b", preset="bad")).errors[0][1] \
+        == "conditions"
+
+    # a directory where the trace file should go makes the write fail
+    out = tmp_path / "c"
+    (out / "ex1_n=5_seed=1__imsegm__seed1.csv").mkdir(parents=True)
+    assert harness.run_plan(_one_cell_plan(out)).errors[0][1] == "runtime"
+
+    monkeypatch.setattr(harness.prob, "certify", lambda problem: ["forced"])
+    assert harness.run_plan(_one_cell_plan(tmp_path / "d")).errors[0][1:] \
+        == ("certification", "certification failed: forced")
+
+
 @pytest.mark.parametrize("spec", ["ex1:dim=7", "ex2:n=5", "ex1:n=5,grid=3", "ex2:grid=5,"])
 def test_parse_problem_spec_rejects_unknown_keys(spec):
     with pytest.raises(ValueError, match="unknown key"):

