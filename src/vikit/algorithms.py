@@ -319,6 +319,11 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         raise ConfigError("max_iter must be nonnegative")
     if not 0.0 <= cfg.lambda_T < 1.0:
         raise ConfigError("demicontractive constant must lie in [0,1)")
+    if cfg.tol is not None:
+        if not 0.0 < cfg.tol < math.inf:
+            raise ConfigError(f"tol must be a positive finite number, got {cfg.tol}")
+        if problem.x_star is None:
+            raise ConfigError("tol needs a problem with a known solution x_star")
     if cfg.x1 is None or (cfg.x0 is None):
         raise ConfigError("both initial points are required")
     # the solver iterates on bare coordinate arrays, which would broadcast

@@ -2,7 +2,7 @@
 
 Subcommands:
   run       execute an algorithm x problem x seed grid, writing CSV traces
-  validate  check a scheme's preset sequences against its condition set
+  validate  check a scheme's Table 1 sequences against its condition set
   check     certify a problem instance (operators and known solution)
 
 Exit codes: 0 success, 2 bad input (configuration, conditions or
@@ -37,7 +37,6 @@ def _cmd_run(args) -> int:
         output_dir=args.out,
         record_invariants=args.record_invariants,
         tol=args.tol,
-        preset=args.preset,
     )
     result = harness.run_plan(plan)
     for path in result.paths:
@@ -55,8 +54,7 @@ def _cmd_validate(args) -> int:
     for name in args.alg:
         for scheme in _scheme_list(name):
             cfg = harness.make_config(scheme, problem, x0=problem.x_star,
-                                      x1=problem.x_star, max_iter=args.horizon,
-                                      preset=args.preset)
+                                      x1=problem.x_star, max_iter=args.horizon)
             violations = harness.validate_conditions(cfg, args.horizon)
             if violations:
                 status = 2
@@ -88,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ex1:n=100,seed=7 or ex2:grid=101[,init=t_squared]")
     run.add_argument("--alg", action="append", required=True,
                      help="scheme name or 'all' (repeatable)")
-    run.add_argument("--preset", default="table1")
     run.add_argument("--max-iter", type=int, default=400)
     run.add_argument("--tol", type=float, default=None)
     run.add_argument("--seed", type=int, action="append", default=None)
@@ -96,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True)
     run.set_defaults(func=_cmd_run)
 
-    val = sub.add_parser("validate", help="validate preset sequences")
+    val = sub.add_parser("validate", help="validate the Table 1 sequences")
     val.add_argument("--alg", action="append", required=True)
-    val.add_argument("--preset", default="table1")
     val.add_argument("--horizon", type=int, default=400)
     val.add_argument("--problem", default="ex1:n=10,seed=1",
                      help="instance used to resolve step-size bounds")

@@ -1,4 +1,4 @@
-"""Benchmark harness: named parameter presets, sequence-condition
+"""Benchmark harness: the Table 1 parameter table, sequence-condition
 validation, trace CSV serialization, and the experiment-plan runner."""
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .space import SpaceElement
 from .stepsize import Adaptive, Armijo, Fixed
 
 
-# Named preset: everything except the step policy for fixed-step schemes,
-# whose gamma depends on the problem's Lipschitz constant (0.99/L).
+# Table 1 parameters: everything except the step policy for fixed-step
+# schemes, whose gamma depends on the problem's Lipschitz constant (0.99/L).
 TABLE1_FIXED_GAMMA_FACTOR = 0.99
 
 _SEQ = SequenceRule
@@ -57,22 +57,15 @@ TABLE1: Dict[Scheme, dict] = {
                        step=Armijo(rho=1.0, l=0.5, phi=0.4), hsd_lambda=0.5),
 }
 
-PRESETS = {"table1": TABLE1}
-
 
 def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 x0: Optional[SpaceElement] = None,
                 x1: Optional[SpaceElement] = None,
-                max_iter: int = 400, preset: str = "table1",
-                tol: Optional[float] = None,
+                max_iter: int = 400, tol: Optional[float] = None,
                 record_invariants: bool = False,
                 **overrides) -> SolverConfig:
-    """Build a SolverConfig from a named preset; keyword overrides win."""
-    try:
-        entry = dict(PRESETS[preset][scheme])
-    except KeyError:
-        raise ConfigError(f"no preset {preset!r} for scheme {scheme.value!r}")
-    entry.update(overrides)
+    """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides win."""
+    entry = dict(TABLE1[scheme], **overrides)
     step = entry.get("step")
     if step is None:
         if problem.L is None:
@@ -263,7 +256,6 @@ class ExperimentPlan:
     output_dir: str
     record_invariants: bool = False
     tol: Optional[float] = None
-    preset: str = "table1"
 
     def __post_init__(self):
         if not self.problems:
@@ -274,6 +266,8 @@ class ExperimentPlan:
             raise ValueError("plan needs a non-empty seed list")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if self.tol is not None and not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
         written_by = {}
         for cell in self.cells():
             try:
@@ -362,13 +356,13 @@ def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan
                                 "certification failed: " + "; ".join(failures))
         x0, x1 = prob.initial_points(problem, init, seed=seed)
         cfg = make_config(scheme, problem, x0=x0, x1=x1,
-                          max_iter=plan.max_iter, preset=plan.preset,
-                          tol=plan.tol, record_invariants=plan.record_invariants)
+                          max_iter=plan.max_iter, tol=plan.tol,
+                          record_invariants=plan.record_invariants)
         violations = validate_conditions(cfg, horizon=plan.max_iter)
         if violations:
             return cell, None, ("conditions", "; ".join(str(v) for v in violations))
         trace = solve(problem, cfg)
-        header = TraceFileHeader.create(scheme, plan.preset, problem.problem_id,
+        header = TraceFileHeader.create(scheme, "table1", problem.problem_id,
                                         seed, problem.space.dim)
         path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
         emit_csv(trace, header, path)

@@ -133,7 +133,7 @@ def solution_residual(problem: ProblemInstance, gamma: float = 0.1) -> float:
     return problem.space.norm(xs - project(problem.C, xs + (-gamma) * problem.A(xs)))
 
 
-def certify(problem: ProblemInstance, samples: int = 200, seed: int = 0) -> list:
+def certify(problem: ProblemInstance) -> list:
     """Machine checks gating a problem before any solver run.
 
     Returns a list of human-readable failure strings; empty means certified.
@@ -147,12 +147,11 @@ def certify(problem: ProblemInstance, samples: int = 200, seed: int = 0) -> list
         fp = problem.space.norm(problem.T(xs) - xs)
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
-    if not ops.check_monotone(problem.A, problem.space, samples=samples, seed=seed):
+    if not ops.check_monotone(problem.A, problem.space):
         failures.append("operator failed the sampled monotonicity check")
     lam = problem.T_info.demicontractive_lambda
     if lam is not None and problem.x_star is not None:
-        if not ops.check_demicontractive(problem.T, lam, problem.x_star,
-                                         samples=samples, seed=seed):
+        if not ops.check_demicontractive(problem.T, lam, problem.x_star):
             failures.append(
                 f"mapping failed the sampled demicontractivity check (lambda={lam})"
             )

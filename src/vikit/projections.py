@@ -17,14 +17,17 @@ from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_fini
 
 @dataclass(frozen=True)
 class Box:
-    """{x : lower <= x_i <= upper} coordinatewise. Bounds may be scalars."""
+    """{x : lower <= x_i <= upper} coordinatewise. Bounds may be scalars
+    or infinite, but not NaN."""
 
     lower: Union[float, np.ndarray]
     upper: Union[float, np.ndarray]
 
     def __post_init__(self):
-        if np.any(np.asarray(self.lower) > np.asarray(self.upper)):
-            raise ValueError("box requires lower <= upper coordinatewise")
+        # a NaN bound compares False too, so it is rejected here as well
+        if not np.all(np.asarray(self.lower) <= np.asarray(self.upper)):
+            raise ValueError("box requires lower <= upper coordinatewise, "
+                             "with no NaN bound")
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not self.radius > 0:  # also rejects NaN
+            raise ValueError(f"ball radius must be positive, got {self.radius}")
 
 
 @dataclass(frozen=True)

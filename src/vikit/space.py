@@ -122,20 +122,6 @@ class SpaceElement:
         arr = _read_only(check_finite(arr).copy())
         object.__setattr__(self, "coords", arr)
 
-    def __add__(self, other: "SpaceElement") -> "SpaceElement":
-        _require_same_space(self, other)
-        return SpaceElement(self.coords + other.coords, self.space)
-
-    def __sub__(self, other: "SpaceElement") -> "SpaceElement":
-        _require_same_space(self, other)
-        return SpaceElement(self.coords - other.coords, self.space)
-
-    def __rmul__(self, alpha: float) -> "SpaceElement":
-        return SpaceElement(float(alpha) * self.coords, self.space)
-
-    def __neg__(self) -> "SpaceElement":
-        return SpaceElement(-self.coords, self.space)
-
 
 def element(space: SpaceDescriptor, coords) -> SpaceElement:
     return SpaceElement(np.asarray(coords, dtype=float), space)
@@ -145,27 +131,12 @@ def zeros(space: SpaceDescriptor) -> SpaceElement:
     return SpaceElement(np.zeros(space.dim), space)
 
 
-def _require_same_space(a: SpaceElement, b: SpaceElement):
-    if a.space != b.space:
-        raise SpaceMismatchError(f"space mismatch: {a.space} vs {b.space}")
-
-
 def inner(a: SpaceElement, b: SpaceElement) -> float:
     """Inner product; trapezoid quadrature of a*b in the GRID_L2 case."""
-    _require_same_space(a, b)
+    if a.space != b.space:
+        raise SpaceMismatchError(f"space mismatch: {a.space} vs {b.space}")
     return a.space.inner(a.coords, b.coords)
 
 
 def norm(a: SpaceElement) -> float:
     return a.space.norm(a.coords)
-
-
-def axpy(alpha: float, a: SpaceElement, b: SpaceElement) -> SpaceElement:
-    """alpha*a + b."""
-    _require_same_space(a, b)
-    return SpaceElement(float(alpha) * a.coords + b.coords, a.space)
-
-
-def random_element(space: SpaceDescriptor, rng: np.random.Generator,
-                   low: float = -1.0, high: float = 1.0) -> SpaceElement:
-    return SpaceElement(rng.uniform(low, high, space.dim), space)

@@ -4,6 +4,7 @@ Points are coordinate arrays of the given space."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple, Union
 
@@ -26,8 +27,8 @@ class Fixed:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError("fixed step must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"fixed step must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,8 @@ class Adaptive:
     phi: float
 
     def __post_init__(self):
-        if self.gamma1 <= 0:
-            raise ValueError("initial step must be positive")
+        if not 0.0 < self.gamma1 < math.inf:
+            raise ValueError(f"initial step must be positive and finite, got {self.gamma1}")
         if not 0.0 < self.phi < 1.0:
             raise ValueError("phi must lie in (0,1)")
 
@@ -49,8 +50,8 @@ class Armijo:
     phi: float
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0.0 < self.l < 1.0:
             raise ValueError("backtracking factor l must lie in (0,1)")
         if not 0.0 < self.phi < 1.0:
@@ -80,24 +81,25 @@ def validate_fixed(gamma: float, L: float) -> bool:
     return 0.0 < gamma < 1.0 / L
 
 
+ARMIJO_MAX_TRIALS = 60
+
+
 def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
-                  C: FeasibleSet, max_backtracks: int = 60
-                  ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Largest gamma in {rho, rho*l, rho*l^2, ...} with
-    gamma * ||A(x) - A(y)|| <= phi * ||x - y||, y = P_C(x - gamma A(x)).
+                  C: FeasibleSet) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Largest gamma among the first ARMIJO_MAX_TRIALS of {rho, rho*l,
+    rho*l^2, ...} with gamma * ||A(x) - A(y)|| <= phi * ||x - y||,
+    y = P_C(x - gamma A(x)).
 
     Returns (gamma, y, A(x), A(y)) for the accepted step."""
-    if max_backtracks < 1:
-        raise ValueError("max_backtracks must be >= 1")
     norm = space.norm
     Ax = A(x)
     gamma = policy.rho
-    for _ in range(max_backtracks):
+    for _ in range(ARMIJO_MAX_TRIALS):
         y = project(C, check_finite(x + (-gamma) * Ax))
         Ay = A(y)
         if gamma * norm(check_finite(Ax - Ay)) <= policy.phi * norm(check_finite(x - y)):
             return gamma, y, Ax, Ay
         gamma *= policy.l
     raise ArmijoSearchError(
-        f"no acceptable step within {max_backtracks} backtracks", last_gamma=gamma
+        f"no acceptable step within {ARMIJO_MAX_TRIALS} trials", last_gamma=gamma
     )

@@ -288,6 +288,19 @@ def test_solve_tolerance_stops_early():
     assert trace.rows[-1].D < 1e-6
 
 
+def test_bad_tolerance_rejected():
+    p = _toy_problem()
+    for tol in (math.nan, math.inf, 0.0, -1e-8):
+        with pytest.raises(ConfigError, match="positive finite"):
+            solve(p, _solve_cfg(Scheme.IMSEGM, p, tol=tol))
+    # with no known solution every D_k is NaN, so no tolerance could stop the run
+    sp = euclidean(4)
+    q = make_example1(RandomSpec(n=4, seed=1), f=element(sp, np.ones(4)))
+    x = zeros(sp)
+    with pytest.raises(ConfigError, match="x_star"):
+        solve(q, make_config(Scheme.IMSEGM, q, x0=x, x1=x, tol=1e-8))
+
+
 def test_config_policy_mismatch_rejected():
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
@@ -320,7 +333,7 @@ def test_convergence_to_an_interior_nonzero_solution():
     shift = element(sp, [-1.0, -2.0])  # A(x) = x + shift, zero at (1, 2)
     p = _toy_problem(shift=shift)
     # T must also fix x*; use the averaged map pulling toward x*
-    Tmat = AffineMatrix(0.5 * np.eye(2), 0.5 * p.x_star)
+    Tmat = AffineMatrix(0.5 * np.eye(2), element(sp, 0.5 * p.x_star.coords))
     p = ProblemInstance(space=sp, A=p.A, C=p.C, T=Tmat, T_info=p.T_info,
                         x_star=p.x_star, L=1.0, problem_id="toy-shift")
     # the vanishing anchor term slows things to roughly a 1/k rate when the

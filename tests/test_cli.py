@@ -100,6 +100,16 @@ def test_run_rejects_duplicate_cells_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tolerance_rejected_before_running(tmp_path, capsys, tol):
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                 "--tol", tol, "--out", str(out)])
+    assert code == 2
+    assert "tol must be a positive finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_rejects_unknown_spec_key(capsys):
     assert main(["check", "--problem", "ex1:dim=7"]) == 2
     assert "unknown key 'dim'" in capsys.readouterr().err

@@ -4,7 +4,6 @@ import pytest
 
 from vikit import harness
 from vikit.algorithms import (
-    ConfigError,
     ConvergenceTrace,
     Scheme,
     SequenceRule,
@@ -40,8 +39,6 @@ def test_make_config_stegm_and_overrides(small_problem):
     assert cfg.hsd_lambda == 0.5
     over = harness.make_config(Scheme.IMSEGM, small_problem, delta=0.3)
     assert over.delta == 0.3
-    with pytest.raises(ConfigError):
-        harness.make_config(Scheme.IMSEGM, small_problem, preset="nope")
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -227,10 +224,9 @@ def test_run_plan_records_cell_errors(tmp_path):
     assert "ex9" in res.errors[0][0]
 
 
-def _one_cell_plan(out, spec="ex1:n=5,seed=1", preset="table1"):
+def _one_cell_plan(out, spec="ex1:n=5,seed=1"):
     return harness.ExperimentPlan(problems=[spec], algorithms=[Scheme.IMSEGM],
-                                  max_iter=10, seeds=[1], output_dir=str(out),
-                                  preset=preset)
+                                  max_iter=10, seeds=[1], output_dir=str(out))
 
 
 def test_run_plan_types_cell_errors(tmp_path, monkeypatch):
@@ -238,9 +234,10 @@ def test_run_plan_types_cell_errors(tmp_path, monkeypatch):
         == "config"
 
     bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
-    monkeypatch.setitem(harness.PRESETS, "bad", {Scheme.IMSEGM: bad})
-    assert harness.run_plan(_one_cell_plan(tmp_path / "b", preset="bad")).errors[0][1] \
-        == "conditions"
+    with monkeypatch.context() as m:
+        m.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
+        assert harness.run_plan(_one_cell_plan(tmp_path / "b")).errors[0][1] \
+            == "conditions"
 
     # a directory where the trace file should go makes the write fail
     out = tmp_path / "c"

@@ -81,10 +81,16 @@ def test_space_mismatch():
 
 
 def test_bad_sets_rejected():
-    with pytest.raises(ValueError):
-        Box(1.0, 0.0)
-    with pytest.raises(ValueError):
-        Ball(zeros(euclidean(2)), 0.0)
+    for lower, upper in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
+                         (np.array([0.0, np.nan]), 1.0)):
+        with pytest.raises(ValueError):
+            Box(lower, upper)
+    for radius in (0.0, np.nan):
+        with pytest.raises(ValueError):
+            Ball(zeros(euclidean(2)), radius)
+    # infinite bounds are legal: a half-bounded or unbounded box
+    Box(-np.inf, 0.0)
+    Box(np.array([0.0, -np.inf]), np.inf)
 
 
 @pytest.mark.parametrize("variant", ["box", "ball", "half"])

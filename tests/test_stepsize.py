@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from vikit.operators import AffineMatrix
 from vikit.projections import Box
 from vikit.space import element, euclidean, zeros
 from vikit.stepsize import (
+    ARMIJO_MAX_TRIALS,
     Adaptive,
     Armijo,
     ArmijoSearchError,
@@ -25,6 +28,17 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         Armijo(rho=1.0, l=1.0, phi=0.4)
     Armijo(rho=1.0, l=0.5, phi=0.4)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: Fixed(v),
+    lambda v: Adaptive(gamma1=v, phi=0.5),
+    lambda v: Armijo(rho=v, l=0.5, phi=0.4),
+], ids=["fixed", "adaptive", "armijo"])
+def test_policies_reject_non_finite_steps(make, value):
+    with pytest.raises(ValueError, match="finite"):
+        make(value)
 
 
 def test_adaptive_update_examples():
@@ -101,15 +115,10 @@ def test_armijo_backtracks_and_satisfies_inequality():
 
 
 def test_armijo_exhaustion_raises_with_last_gamma():
-    sp, A, C = _setup(scale=2.0)
+    # a stiff operator accepts only gamma <= phi / L = 4e-21, far below the
+    # last trial rho * l^(ARMIJO_MAX_TRIALS - 1)
+    sp, A, C = _setup(scale=1e20)
     x = element(sp, [1.0, 1.0]).coords
     with pytest.raises(ArmijoSearchError) as info:
-        armijo_search(sp, Armijo(rho=8.0, l=0.5, phi=0.4), x, A, C, max_backtracks=1)
-    assert info.value.last_gamma == 4.0
-
-
-def test_armijo_rejects_bad_budget():
-    sp, A, C = _setup()
-    with pytest.raises(ValueError):
-        armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), zeros(sp).coords, A, C,
-                      max_backtracks=0)
+        armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), x, A, C)
+    assert info.value.last_gamma == 0.5 ** ARMIJO_MAX_TRIALS
