@@ -77,10 +77,6 @@ SCHEMES = {
 }
 
 PROPOSED = tuple(s for s, p in SCHEMES.items() if p.inertial)
-# schemes whose sequences are governed by the vanishing-theta condition set
-C4_SCHEMES = frozenset(s for s, p in SCHEMES.items() if p.outer == "mann")
-# schemes governed by the theta -> 1 condition set
-C5_SCHEMES = frozenset(s for s, p in SCHEMES.items() if p.outer == "modified_mann")
 
 
 class ConfigError(ValueError):
@@ -95,15 +91,18 @@ class SolveError(RuntimeError):
         self.trace = trace
 
 
-SEQUENCE_KINDS = (
-    "one_over_kp1",
-    "k_over_kp1",
-    "k_over_2kp1",
-    "half_one_minus_theta",
-    "theta_over_3",
-    "one_over_kp1_sq",
-    "constant",
-)
+# Closed forms of the Table 1 sequences, by kind, as functions of the
+# 1-based index k, theta_k and a constant's value.
+_SEQUENCES = {
+    "one_over_kp1": lambda k, theta, value: 1.0 / (k + 1),
+    "k_over_kp1": lambda k, theta, value: k / (k + 1),
+    "k_over_2kp1": lambda k, theta, value: k / (2 * k + 1),
+    "half_one_minus_theta": lambda k, theta, value: 0.5 * (1.0 - theta),
+    "theta_over_3": lambda k, theta, value: theta / 3.0,
+    "one_over_kp1_sq": lambda k, theta, value: 1.0 / (k + 1) ** 2,
+    "constant": lambda k, theta, value: value,
+}
+_THETA_KINDS = frozenset({"half_one_minus_theta", "theta_over_3"})
 
 
 @dataclass(frozen=True)
@@ -114,27 +113,15 @@ class SequenceRule:
     value: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in SEQUENCE_KINDS:
+        if self.kind not in _SEQUENCES:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "constant" and self.value is None:
             raise ValueError("constant sequences need a value")
 
     def __call__(self, k: int, theta: Optional[float] = None) -> float:
-        if self.kind == "one_over_kp1":
-            return 1.0 / (k + 1)
-        if self.kind == "k_over_kp1":
-            return k / (k + 1)
-        if self.kind == "k_over_2kp1":
-            return k / (2 * k + 1)
-        if self.kind == "one_over_kp1_sq":
-            return 1.0 / (k + 1) ** 2
-        if self.kind == "constant":
-            return self.value
-        if theta is None:
+        if theta is None and self.kind in _THETA_KINDS:
             raise ValueError(f"sequence {self.kind!r} depends on theta_k")
-        if self.kind == "half_one_minus_theta":
-            return 0.5 * (1.0 - theta)
-        return theta / 3.0  # theta_over_3
+        return _SEQUENCES[self.kind](k, theta, self.value)
 
 
 @dataclass
@@ -271,8 +258,8 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
                         halfspace=hk)
 
 
-# One function per proposed scheme, and one for the baselines, so each can
-# be called (and profiled) on its own.
+# One function per proposed scheme, so each can be called (and profiled)
+# on its own; solve runs every scheme through step_baseline.
 def step_alg1(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type subgradient extragradient step."""
@@ -300,16 +287,14 @@ def step_alg4(state: IterateState, problem: ProblemInstance,
 
 def step_baseline(state: IterateState, problem: ProblemInstance,
                   cfg: SolverConfig) -> IterateState:
-    """Step of the baseline scheme cfg.algorithm."""
+    """Step of the scheme cfg.algorithm."""
     return _step(SCHEMES[cfg.algorithm], state, problem, cfg)
 
 
-_STEPPERS = {
-    Scheme.IMSEGM: step_alg1,
-    Scheme.IMTEGM: step_alg2,
-    Scheme.IMMSEGM: step_alg3,
-    Scheme.IMMTEGM: step_alg4,
-}
+def check_tol(tol: Optional[float]):
+    """A stopping tolerance is unset or a positive finite number."""
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise ConfigError(f"tol must be a positive finite number, got {tol}")
 
 
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
@@ -319,11 +304,9 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         raise ConfigError("max_iter must be nonnegative")
     if not 0.0 <= cfg.lambda_T < 1.0:
         raise ConfigError("demicontractive constant must lie in [0,1)")
-    if cfg.tol is not None:
-        if not 0.0 < cfg.tol < math.inf:
-            raise ConfigError(f"tol must be a positive finite number, got {cfg.tol}")
-        if problem.x_star is None:
-            raise ConfigError("tol needs a problem with a known solution x_star")
+    check_tol(cfg.tol)
+    if cfg.tol is not None and problem.x_star is None:
+        raise ConfigError("tol needs a problem with a known solution x_star")
     if cfg.x1 is None or (cfg.x0 is None):
         raise ConfigError("both initial points are required")
     # the solver iterates on bare coordinate arrays, which would broadcast
@@ -387,7 +370,6 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     error D_k (when the solution is known), step and inertia parameters,
     elapsed time, and optional inequality residuals."""
     check_config(cfg, problem)
-    stepper = _STEPPERS.get(cfg.algorithm, step_baseline)
     phi = getattr(cfg.step, "phi", None)
     space = problem.space
     x_star = None if problem.x_star is None else problem.x_star.coords
@@ -403,7 +385,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
         try:
-            state = stepper(state, problem, cfg)
+            state = step_baseline(state, problem, cfg)
         except Exception as exc:
             raise SolveError(f"{cfg.algorithm.value} failed at k={state.k}: {exc}",
                              trace) from exc

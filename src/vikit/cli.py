@@ -24,7 +24,7 @@ def _scheme_list(name: str):
     try:
         return [Scheme(name)]
     except ValueError:
-        raise SystemExit(f"unknown algorithm {name!r}; choose one of "
+        raise ValueError(f"unknown algorithm {name!r}; choose one of "
                          + ", ".join(s.value for s in Scheme) + ", all")
 
 
@@ -115,12 +115,9 @@ def main(argv=None) -> int:
         args.seed = [1]
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except Exception as exc:  # bad input (ValueError) or a runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
-    except Exception as exc:  # runtime failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

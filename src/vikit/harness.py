@@ -9,18 +9,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import problems as prob
 from .algorithms import (
-    C4_SCHEMES,
-    C5_SCHEMES,
+    SCHEMES,
     ConfigError,
     ConvergenceTrace,
     Scheme,
     SequenceRule,
     SolverConfig,
     TraceRow,
+    check_tol,
     solve,
 )
 from .space import SpaceElement
@@ -57,6 +57,11 @@ TABLE1: Dict[Scheme, dict] = {
                        step=Armijo(rho=1.0, l=0.5, phi=0.4), hsd_lambda=0.5),
 }
 
+# The SolverConfig field each Table 1 key fills; make_config takes these
+# keys as overrides.
+TABLE1_FIELDS = {"theta": "theta_seq", "eta": "eta_seq", "zeta": "zeta_seq",
+                 "delta": "delta", "step": "step", "hsd_lambda": "hsd_lambda"}
+
 
 def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 x0: Optional[SpaceElement] = None,
@@ -64,28 +69,27 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 max_iter: int = 400, tol: Optional[float] = None,
                 record_invariants: bool = False,
                 **overrides) -> SolverConfig:
-    """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides win."""
+    """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides
+    win. An override key outside TABLE1_FIELDS raises ConfigError."""
+    unknown = [key for key in overrides if key not in TABLE1_FIELDS]
+    if unknown:
+        raise ConfigError(f"unknown override key(s) {', '.join(unknown)}; "
+                          f"make_config takes {', '.join(TABLE1_FIELDS)}")
     entry = dict(TABLE1[scheme], **overrides)
-    step = entry.get("step")
-    if step is None:
+    if entry.get("step") is None:
         if problem.L is None:
             raise ConfigError(f"{scheme.value} needs a Lipschitz bound for its fixed step")
-        step = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
+        entry["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
     lam = problem.T_info.demicontractive_lambda
     return SolverConfig(
         algorithm=scheme,
-        step=step,
-        theta_seq=entry["theta"],
-        eta_seq=entry["eta"],
-        zeta_seq=entry.get("zeta"),
-        delta=entry.get("delta", 0.0),
         lambda_T=lam if lam is not None else 0.0,
-        hsd_lambda=entry.get("hsd_lambda", 0.5),
         max_iter=max_iter,
         x0=x0,
         x1=x1,
         tol=tol,
         record_invariants=record_invariants,
+        **{TABLE1_FIELDS[key]: value for key, value in entry.items()},
     )
 
 
@@ -100,18 +104,41 @@ class Violation:
         return f"{self.condition}{where}: {self.message}"
 
 
+class ConditionSet(NamedTuple):
+    """A strong-convergence condition set: its label, the upper bound on
+    eta_k as a function of (theta_k, lambda), the divisor of zeta_k in the
+    ratio that must decrease over the tail, and that ratio's name."""
+
+    label: str
+    eta_bound: Callable[[float, float], float]
+    zeta_divisor: Callable[[float], float]
+    ratio: str
+
+
+# by outer update: (C4) for Mann with theta_k -> 0, (C5) for modified Mann
+# with theta_k -> 1
+CONDITIONS = {
+    "mann": ConditionSet("C4", lambda th, lam: (1.0 - lam) * (1.0 - th),
+                         lambda th: th, "zeta_over_theta"),
+    "modified_mann": ConditionSet("C5", lambda th, lam: (1.0 - lam) * th / (lam + th),
+                                  lambda th: 1.0 - th, "zeta_over_one_minus_theta"),
+}
+
+
 def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     """Pointwise and tail checks of the parameter sequences over k=1..horizon.
 
-    Vanishing-theta schemes: theta_k in (0,1), eta_k in
-    (0, (1-lambda)(1-theta_k)), zeta_k > 0, and zeta_k/theta_k decreasing
-    over the last horizon/2 terms. Theta-to-one schemes: eta_k in
-    (0, (1-lambda)theta_k/(lambda+theta_k)) and zeta_k/(1-theta_k)
-    decreasing over the tail. Other schemes get range checks only.
+    Schemes whose outer update has a CONDITIONS row: theta_k in (0,1),
+    eta_k in (0, eta_bound(theta_k, lambda)), zeta_k > 0, and
+    zeta_k / zeta_divisor(theta_k) decreasing over the last horizon/2
+    terms. Other schemes get range checks only. A horizon below 1 raises
+    ValueError.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     out: List[Violation] = []
     lam = cfg.lambda_T
-    scheme = cfg.algorithm
+    cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
     ks = range(1, horizon + 1)
 
     thetas = {}
@@ -122,40 +149,29 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
             out.append(Violation("theta_range", k, f"theta_k={th} outside (0,1)"))
             continue
         eta = cfg.eta_seq(k, th)
-        if scheme in C4_SCHEMES:
-            hi = (1.0 - lam) * (1.0 - th)
-            if not 0.0 < eta < hi:
-                out.append(Violation("C4.eta_range", k,
-                                     f"eta_k={eta} outside (0, {hi})"))
-        elif scheme in C5_SCHEMES:
-            hi = (1.0 - lam) * th / (lam + th)
-            if not 0.0 < eta < hi:
-                out.append(Violation("C5.eta_range", k,
-                                     f"eta_k={eta} outside (0, {hi})"))
-        else:
+        if cond is None:
             if not 0.0 < eta < 1.0:
                 out.append(Violation("eta_range", k, f"eta_k={eta} outside (0,1)"))
+            continue
+        hi = cond.eta_bound(th, lam)
+        if not 0.0 < eta < hi:
+            out.append(Violation(f"{cond.label}.eta_range", k,
+                                 f"eta_k={eta} outside (0, {hi})"))
 
-    needs_zeta = scheme in C4_SCHEMES or scheme in C5_SCHEMES
-    if needs_zeta and cfg.zeta_seq is not None:
+    if cond is not None and cfg.zeta_seq is not None:
         ratios = []
         for k in ks:
             z = cfg.zeta_seq(k)
             if z <= 0.0:
                 out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
                 continue
-            th = thetas.get(k)
-            if th is None or not 0.0 < th < 1.0:
-                continue
-            if scheme in C4_SCHEMES:
-                ratios.append((k, z / th))
-            else:
-                ratios.append((k, z / (1.0 - th)))
+            th = thetas[k]
+            if 0.0 < th < 1.0:
+                ratios.append((k, z / cond.zeta_divisor(th)))
         tail = ratios[len(ratios) // 2:]
-        label = "C4.zeta_over_theta" if scheme in C4_SCHEMES else "C5.zeta_over_one_minus_theta"
         for (k0, r0), (k1, r1) in zip(tail, tail[1:]):
             if r1 >= r0:
-                out.append(Violation(label, k1,
+                out.append(Violation(f"{cond.label}.{cond.ratio}", k1,
                                      f"ratio {r1} did not decrease from {r0}"))
                 break
     return out
@@ -190,7 +206,7 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
     has_res = any(r.residuals is not None for r in trace.rows)
     cols = "k,D_k,gamma_k,delta_k,elapsed_s"
     if has_res:
-        cols += ",res_contraction,res_halfspace,res_tseng"
+        cols += "," + ",".join(ConvergenceTrace.RESIDUAL_NAMES)
     lines = [
         f"# scheme: {header.scheme}",
         f"# preset: {header.preset}",
@@ -266,8 +282,7 @@ class ExperimentPlan:
             raise ValueError("plan needs a non-empty seed list")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol is not None and not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be a positive finite number, got {self.tol}")
+        check_tol(self.tol)
         written_by = {}
         for cell in self.cells():
             try:
@@ -297,17 +312,22 @@ _SPEC_KEYS = {
 
 def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
     """Family, integer parameters with defaults filled in, and initial-point
-    kind of a problem spec. Unknown families and keys raise ValueError."""
+    kind of a problem spec. Unknown families, unknown keys and repeated
+    keys raise ValueError."""
     name, _, rest = spec.partition(":")
     if name not in _SPEC_KEYS:
         raise ValueError(f"unknown problem family {name!r} in {spec!r}")
     fields = dict(_SPEC_KEYS[name])
+    given = set()
     for item in rest.split(",") if rest else ():
         key, _, val = item.partition("=")
         key = key.strip()
         if key not in fields:
             raise ValueError(f"unknown key {key!r} in {spec!r}; {name} takes "
                              + ", ".join(fields))
+        if key in given:
+            raise ValueError(f"repeated key {key!r} in {spec!r}")
+        given.add(key)
         fields[key] = val.strip()
     init = fields.pop("init")
     return name, {k: seed if v is None else int(v) for k, v in fields.items()}, init

@@ -36,6 +36,9 @@ class AffineMatrix:
         G = np.asarray(self.G, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError(f"G must be square, got shape {G.shape}")
+        if self.f_vec is not None and self.f_vec.space.dim != G.shape[0]:
+            raise ValueError(f"offset dimension {self.f_vec.space.dim} does not "
+                             f"match G's {G.shape[0]}")
         object.__setattr__(self, "G", G)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

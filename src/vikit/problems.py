@@ -17,7 +17,6 @@ from .projections import Ball, Box, FeasibleSet, project
 from .space import (
     SpaceDescriptor,
     SpaceElement,
-    SpaceKind,
     element,
     euclidean,
     grid_l2,
@@ -101,27 +100,23 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
     )
 
 
-INITIAL_KINDS = ("random_uniform", "t_squared", "t_plus_half_cos_t")
+# starting coordinates by initial-point kind, from the space and the seed;
+# space.grid rejects a non-grid space for the two t-recipes
+_START_RECIPES = {
+    "random_uniform": lambda space, seed:
+        np.random.default_rng(seed).uniform(0.0, 1.0, space.dim),
+    "t_squared": lambda space, seed: space.grid ** 2,
+    "t_plus_half_cos_t": lambda space, seed: space.grid + 0.5 * np.cos(space.grid),
+}
+INITIAL_KINDS = tuple(_START_RECIPES)
 
 
 def initial_points(problem: ProblemInstance, kind: str,
                    seed: int = 0) -> Tuple[SpaceElement, SpaceElement]:
     """Paired starting points x^0 = x^1 per the named recipe."""
-    space = problem.space
-    if kind == "random_uniform":
-        rng = np.random.default_rng(seed)
-        x = SpaceElement(rng.uniform(0.0, 1.0, space.dim), space)
-    elif kind == "t_squared":
-        if space.kind is not SpaceKind.GRID_L2:
-            raise ValueError("t_squared initial points need a GRID_L2 space")
-        x = element(space, space.grid ** 2)
-    elif kind == "t_plus_half_cos_t":
-        if space.kind is not SpaceKind.GRID_L2:
-            raise ValueError("t_plus_half_cos_t initial points need a GRID_L2 space")
-        t = space.grid
-        x = element(space, t + 0.5 * np.cos(t))
-    else:
+    if kind not in _START_RECIPES:
         raise ValueError(f"unknown initial-point kind {kind!r}")
+    x = element(problem.space, _START_RECIPES[kind](problem.space, seed))
     return x, x
 
 

@@ -51,14 +51,11 @@ def test_run_is_reproducible(tmp_path):
     assert fa == fb
 
 
-def test_run_unknown_algorithm_exits_nonzero(tmp_path):
-    code = 0
-    try:
-        code = main(["run", "--problem", "ex1:n=5", "--alg", "bogus",
-                     "--out", str(tmp_path)])
-    except SystemExit as exc:
-        code = exc.code
-    assert code not in (0, None)
+def test_run_unknown_algorithm_exits_nonzero(tmp_path, capsys):
+    assert main(["run", "--problem", "ex1:n=5", "--alg", "bogus",
+                 "--out", str(tmp_path)]) == 2
+    assert main(["validate", "--alg", "bogus"]) == 2
+    assert capsys.readouterr().err.count("unknown algorithm 'bogus'") == 2
 
 
 def test_validate_clean_presets(capsys):
@@ -67,6 +64,14 @@ def test_validate_clean_presets(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("ok") == 10
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_validate_horizon_below_one_exits_two(capsys, horizon):
+    assert main(["validate", "--alg", "imsegm", "--horizon", horizon]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"horizon must be >= 1, got {horizon}" in out.err
 
 
 def test_validate_bad_problem_spec_exits_two(capsys):

@@ -4,6 +4,7 @@ import pytest
 
 from vikit import harness
 from vikit.algorithms import (
+    ConfigError,
     ConvergenceTrace,
     Scheme,
     SequenceRule,
@@ -45,6 +46,21 @@ def test_make_config_stegm_and_overrides(small_problem):
 def test_presets_validate_cleanly(scheme, small_problem):
     cfg = harness.make_config(scheme, small_problem)
     assert harness.validate_conditions(cfg, horizon=400) == []
+
+
+@pytest.mark.parametrize("key", ["zeta_seq", "etaa"])
+def test_make_config_rejects_unknown_override_keys(small_problem, key):
+    with pytest.raises(ConfigError, match=f"{key}; make_config takes theta, eta, "
+                                          "zeta, delta, step, hsd_lambda"):
+        harness.make_config(Scheme.IMSEGM, small_problem,
+                            **{key: SequenceRule("constant", 1.0)})
+
+
+@pytest.mark.parametrize("horizon", [0, -5])
+def test_horizon_below_one_rejected(small_problem, horizon):
+    cfg = harness.make_config(Scheme.IMSEGM, small_problem)
+    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+        harness.validate_conditions(cfg, horizon)
 
 
 def test_eta_out_of_range_flagged_for_vanishing_theta(small_problem):
@@ -252,6 +268,13 @@ def test_run_plan_types_cell_errors(tmp_path, monkeypatch):
 @pytest.mark.parametrize("spec", ["ex1:dim=7", "ex2:n=5", "ex1:n=5,grid=3", "ex2:grid=5,"])
 def test_parse_problem_spec_rejects_unknown_keys(spec):
     with pytest.raises(ValueError, match="unknown key"):
+        harness.parse_problem_spec(spec, seed=1)
+
+
+@pytest.mark.parametrize("spec,key", [("ex1:n=5,n=6", "n"), ("ex1:seed=2,n=5,seed=3", "seed"),
+                                      ("ex2:init=t_squared,init=t_squared", "init")])
+def test_parse_problem_spec_rejects_repeated_keys(spec, key):
+    with pytest.raises(ValueError, match=f"repeated key '{key}'"):
         harness.parse_problem_spec(spec, seed=1)
 
 

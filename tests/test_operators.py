@@ -51,6 +51,12 @@ def test_affine_matrix():
         AffineMatrix(np.ones((2, 3)))
 
 
+def test_affine_matrix_rejects_an_offset_of_another_dimension():
+    # broadcasting would turn a 1-vector offset into a constant 3-vector
+    with pytest.raises(ValueError, match="offset dimension 1"):
+        AffineMatrix(np.eye(3), element(euclidean(1), [2.0]))
+
+
 def test_spectral_norm_diagonal_and_identity():
     assert spectral_norm(np.eye(2)) == pytest.approx(1.0, abs=1e-9)
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-9)
