@@ -33,7 +33,7 @@ def _cmd_run(args) -> int:
         problems=args.problem,
         algorithms=[s for name in args.alg for s in _scheme_list(name)],
         max_iter=args.max_iter,
-        seeds=args.seed,
+        seeds=args.seed or [1],
         output_dir=args.out,
         record_invariants=args.record_invariants,
         tol=args.tol,
@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--alg", action="append", required=True)
     val.add_argument("--horizon", type=int, default=400)
     val.add_argument("--problem", default="ex1:n=10,seed=1",
-                     help="instance used to resolve step-size bounds")
+                     help="instance whose mapping T supplies the demicontractive "
+                          "constant lambda to the condition sets")
     val.add_argument("--seed", type=int, default=1)
     val.set_defaults(func=_cmd_validate)
 
@@ -111,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "run" and args.seed is None:
-        args.seed = [1]
     try:
         return args.func(args)
     except Exception as exc:  # bad input (ValueError) or a runtime failure

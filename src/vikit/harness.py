@@ -302,22 +302,16 @@ class ExperimentPlan:
                 for seed in self.seeds]
 
 
-# Keys each problem family accepts, in problem-id order, with their
-# defaults; a None default is filled in with the plan seed.
-_SPEC_KEYS = {
-    "ex1": {"n": 100, "seed": None, "init": "random_uniform"},
-    "ex2": {"grid": 101, "init": "t_squared"},
-}
-
-
 def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
     """Family, integer parameters with defaults filled in, and initial-point
-    kind of a problem spec. Unknown families, unknown keys and repeated
-    keys raise ValueError."""
+    kind of a problem spec, resolved through problems.FAMILIES. An unknown
+    family, an unknown or repeated key, a start the family does not accept
+    and a non-integer value raise ValueError naming the spec."""
     name, _, rest = spec.partition(":")
-    if name not in _SPEC_KEYS:
+    if name not in prob.FAMILIES:
         raise ValueError(f"unknown problem family {name!r} in {spec!r}")
-    fields = dict(_SPEC_KEYS[name])
+    family = prob.FAMILIES[name]
+    fields = dict(family.keys, init=family.starts[0])
     given = set()
     for item in rest.split(",") if rest else ():
         key, _, val = item.partition("=")
@@ -330,7 +324,17 @@ def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
         given.add(key)
         fields[key] = val.strip()
     init = fields.pop("init")
-    return name, {k: seed if v is None else int(v) for k, v in fields.items()}, init
+    if init not in family.starts:
+        raise ValueError(f"unsupported init {init!r} in {spec!r}; {name} accepts "
+                         + ", ".join(family.starts))
+    params = {}
+    for key, val in fields.items():
+        try:
+            params[key] = seed if val is None else int(val)
+        except ValueError:
+            raise ValueError(f"key {key!r} in {spec!r} must be an integer, "
+                             f"got {val!r}") from None
+    return name, params, init
 
 
 def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]:
@@ -341,11 +345,7 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
     random initial points.
     """
     name, params, init = _spec_fields(spec, seed)
-    if name == "ex1":
-        instance = prob.make_example1(prob.RandomSpec(**params))
-    else:
-        instance = prob.make_example2(params["grid"])
-    return instance, init
+    return prob.FAMILIES[name].build(**params), init
 
 
 def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:
@@ -354,7 +354,7 @@ def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:
     name only when they run the same computation."""
     name, params, init = _spec_fields(spec, seed)
     stem = "_".join([name] + [f"{k}={v}" for k, v in params.items()])
-    if init != _SPEC_KEYS[name]["init"]:
+    if init != prob.FAMILIES[name].starts[0]:
         stem += f"_init={init}"
     return f"{stem}__{scheme.value}__seed{seed}.csv"
 

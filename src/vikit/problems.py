@@ -8,7 +8,7 @@ L2([0,1]), discretized on a uniform grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -108,7 +108,25 @@ _START_RECIPES = {
     "t_squared": lambda space, seed: space.grid ** 2,
     "t_plus_half_cos_t": lambda space, seed: space.grid + 0.5 * np.cos(space.grid),
 }
-INITIAL_KINDS = tuple(_START_RECIPES)
+
+
+class Family(NamedTuple):
+    """Integer spec keys with defaults (None means the plan seed), accepted
+    starting recipes (default first), and the builder of the resolved keys."""
+
+    keys: Dict[str, Optional[int]]
+    starts: Tuple[str, ...]
+    build: Callable[..., ProblemInstance]
+
+
+# the builders look make_example1/2 up by name at each call, so a wrapper
+# installed on this module (perfbench's tracer) sees every build
+FAMILIES = {
+    "ex1": Family({"n": 100, "seed": None}, ("random_uniform",),
+                  lambda n, seed: make_example1(RandomSpec(n, seed))),
+    "ex2": Family({"grid": 101}, ("t_squared", "t_plus_half_cos_t", "random_uniform"),
+                  lambda grid: make_example2(grid)),
+}
 
 
 def initial_points(problem: ProblemInstance, kind: str,
@@ -134,6 +152,7 @@ def certify(problem: ProblemInstance) -> list:
     Returns a list of human-readable failure strings; empty means certified.
     """
     failures = []
+    lam = problem.T_info.demicontractive_lambda
     if problem.x_star is not None:
         r = solution_residual(problem)
         if r > 1e-8:
@@ -142,12 +161,12 @@ def certify(problem: ProblemInstance) -> list:
         fp = problem.space.norm(problem.T(xs) - xs)
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
-    if not ops.check_monotone(problem.A, problem.space):
-        failures.append("operator failed the sampled monotonicity check")
-    lam = problem.T_info.demicontractive_lambda
-    if lam is not None and problem.x_star is not None:
-        if not ops.check_demicontractive(problem.T, lam, problem.x_star):
+        # demicontractivity is sampled about x*, so only when x* is a fixed point
+        elif lam is not None and not ops.check_demicontractive(problem.T, lam,
+                                                               problem.x_star):
             failures.append(
                 f"mapping failed the sampled demicontractivity check (lambda={lam})"
             )
+    if not ops.check_monotone(problem.A, problem.space):
+        failures.append("operator failed the sampled monotonicity check")
     return failures

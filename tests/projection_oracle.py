@@ -9,7 +9,8 @@ scipy, a test-only dependency.
 import numpy as np
 from scipy.optimize import minimize
 
-from vikit.projections import Ball, Box, FeasibleSet, HalfSpace, contains
+from membership import contains
+from vikit.projections import Ball, Box, FeasibleSet, HalfSpace
 from vikit.space import SpaceKind
 
 

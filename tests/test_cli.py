@@ -120,6 +120,26 @@ def test_check_rejects_unknown_spec_key(capsys):
     assert "unknown key 'dim'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("spec,named", [
+    ("ex1:n=5,init=bogus", "ex1 accepts random_uniform"),
+    ("ex1:n=5,init=t_squared", "ex1 accepts random_uniform"),
+    ("ex1:n=abc", "key 'n'"),
+    ("ex1:n=5,seed=", "key 'seed'"),
+    ("ex2:grid=1.5", "key 'grid'"),
+])
+def test_check_rejects_bad_start_or_value(capsys, spec, named):
+    assert main(["check", "--problem", spec]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert repr(spec) in out.err and named in out.err
+
+
+def test_check_accepts_every_ex2_start(capsys):
+    for init in ("t_plus_half_cos_t", "random_uniform"):
+        assert main(["check", "--problem", f"ex2:grid=31,init={init}"]) == 0
+    assert capsys.readouterr().out.count("ex2:grid=31: certified") == 2
+
+
 def test_cli_import_leaves_scipy_out():
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys; import vikit.cli; "

@@ -278,6 +278,43 @@ def test_parse_problem_spec_rejects_repeated_keys(spec, key):
         harness.parse_problem_spec(spec, seed=1)
 
 
+@pytest.mark.parametrize("spec,starts", [
+    ("ex1:n=5,init=bogus", "random_uniform"),
+    ("ex1:n=5,init=t_squared", "random_uniform"),
+    ("ex2:grid=5,init=bogus", "t_squared, t_plus_half_cos_t, random_uniform"),
+])
+def test_parse_problem_spec_rejects_starts_the_family_lacks(spec, starts):
+    with pytest.raises(ValueError, match="unsupported init") as err:
+        harness.parse_problem_spec(spec, seed=1)
+    assert repr(spec) in str(err.value) and str(err.value).endswith(starts)
+
+
+@pytest.mark.parametrize("spec,key", [("ex1:n=abc", "n"), ("ex1:n=5,seed=", "seed"),
+                                      ("ex2:grid=1.5", "grid"), ("ex1:n", "n")])
+def test_parse_problem_spec_rejects_non_integer_values(spec, key):
+    with pytest.raises(ValueError, match=f"key '{key}' in '{spec}' must be an integer"):
+        harness.parse_problem_spec(spec, seed=1)
+
+
+def test_run_plan_rejects_bad_init_before_build_and_certify(tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(harness.prob, "make_example1", unreachable)
+    monkeypatch.setattr(harness.prob, "certify", unreachable)
+    result = harness.run_plan(_one_cell_plan(tmp_path, spec="ex1:n=5,seed=1,init=t_squared"))
+    assert result.paths == []
+    [(cell, category, message)] = result.errors
+    assert category == "config" and "ex1 accepts random_uniform" in message
+
+
+def test_run_plan_ex2_from_a_random_start(tmp_path):
+    result = harness.run_plan(_one_cell_plan(tmp_path, spec="ex2:grid=31,init=random_uniform"))
+    assert result.errors == []
+    assert [p.name for p in tmp_path.glob("*.csv")] == [
+        "ex2_grid=31_init=random_uniform__imsegm__seed1.csv"]
+
+
 def test_run_plan_keeps_cells_that_differ_only_in_init(tmp_path):
     plan = harness.ExperimentPlan(
         problems=["ex2:grid=21", "ex2:grid=21,init=t_plus_half_cos_t"],

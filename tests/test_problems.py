@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from vikit.operators import PositivePart, RankOneIntegral, Scale, spectral_norm
+from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, spectral_norm
 from vikit.problems import (
-    INITIAL_KINDS,
+    _START_RECIPES,
+    FAMILIES,
     RNG_ALGORITHM,
     RandomSpec,
     certify,
@@ -13,7 +16,7 @@ from vikit.problems import (
     solution_residual,
 )
 from vikit.projections import Ball, Box
-from vikit.space import element, norm
+from vikit.space import element, euclidean, norm
 
 
 def test_same_seed_gives_bitwise_identical_matrices():
@@ -102,8 +105,15 @@ def test_grid_recipes_rejected_on_euclidean_space():
             initial_points(p, kind)
     with pytest.raises(ValueError):
         initial_points(p, "nope")
-    assert set(INITIAL_KINDS) == {"random_uniform", "t_squared",
-                                  "t_plus_half_cos_t"}
+    starts = {kind for family in FAMILIES.values() for kind in family.starts}
+    assert starts <= set(_START_RECIPES)
+    assert starts == {"random_uniform", "t_squared", "t_plus_half_cos_t"}
+
+
+def test_certify_reports_a_solution_that_is_not_a_fixed_point():
+    base = make_example1(RandomSpec(5, 1))
+    p = dataclasses.replace(base, T=AffineMatrix(np.eye(5), element(euclidean(5), np.ones(5))))
+    assert certify(p) == ["fixed-point residual 2.236e+00 exceeds 1e-10"]
 
 
 def test_spec_validation_and_rng_label():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from membership import contains, sample_point
 from projection_oracle import project_oracle
 from vikit.projections import (
     Ball,
     Box,
     HalfSpace,
-    contains,
     halfspace_residual,
     project,
-    sample_point,
 )
 from vikit.space import SpaceMismatchError, element, euclidean, grid_l2, zeros
 

@@ -6,8 +6,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from membership import contains, sample_point
 from vikit.algorithms import inertial_delta
-from vikit.projections import Ball, Box, HalfSpace, contains, project, sample_point
+from vikit.projections import Ball, Box, HalfSpace, project
 from vikit.space import element, euclidean, grid_l2
 from vikit.stepsize import adaptive_update
 
