@@ -53,8 +53,7 @@ def _cmd_validate(args) -> int:
     status = 0
     for name in args.alg:
         for scheme in _scheme_list(name):
-            cfg = harness.make_config(scheme, problem, x0=problem.x_star,
-                                      x1=problem.x_star, max_iter=args.horizon)
+            cfg = harness.make_config(scheme, problem)
             violations = harness.validate_conditions(cfg, args.horizon)
             if violations:
                 status = 2

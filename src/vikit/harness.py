@@ -27,35 +27,50 @@ from .space import SpaceElement
 from .stepsize import Adaptive, Armijo, Fixed
 
 
-# Table 1 parameters: everything except the step policy for fixed-step
-# schemes, whose gamma depends on the problem's Lipschitz constant (0.99/L).
+class ConditionSet(NamedTuple):
+    """A strong-convergence condition set: its label, the upper bound on
+    eta_k as a function of (theta_k, lambda), the divisor of zeta_k in the
+    ratio that must decrease over the tail, and that ratio's name."""
+
+    label: str
+    eta_bound: Callable[[float, float], float]
+    zeta_divisor: Callable[[float], float]
+    ratio: str
+
+
+# by outer update: (C4) for Mann with theta_k -> 0, (C5) for modified Mann
+# with theta_k -> 1
+CONDITIONS = {
+    "mann": ConditionSet("C4", lambda th, lam: (1.0 - lam) * (1.0 - th),
+                         lambda th: th, "zeta_over_theta"),
+    "modified_mann": ConditionSet("C5", lambda th, lam: (1.0 - lam) * th / (lam + th),
+                                  lambda th: 1.0 - th, "zeta_over_one_minus_theta"),
+}
+
+# Table 1 by part: theta_k and eta_k by outer update, 1/(k+1) and k/(2k+1)
+# for every outer update not named here; zeta_k and delta of the inertial
+# rows; the step policy by type. A Fixed step depends on the problem's
+# Lipschitz constant, so make_config sets it to 0.99/L.
+_OUTER_SEQS = {
+    "mann": ("one_over_kp1", "half_one_minus_theta"),
+    "modified_mann": ("k_over_kp1", "theta_over_3"),
+}
+_INERTIAL = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
+_STEPS = {Adaptive: Adaptive(gamma1=0.5, phi=0.5), Armijo: Armijo(rho=1.0, l=0.5, phi=0.4)}
 TABLE1_FIXED_GAMMA_FACTOR = 0.99
 
-_SEQ = SequenceRule
 
-TABLE1: Dict[Scheme, dict] = {
-    Scheme.HSEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("k_over_2kp1")),
-    Scheme.MSEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("half_one_minus_theta")),
-    Scheme.MMSEGM: dict(theta=_SEQ("k_over_kp1"), eta=_SEQ("theta_over_3")),
-    Scheme.IMSEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("half_one_minus_theta"),
-                        zeta=_SEQ("one_over_kp1_sq"), delta=0.6,
-                        step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.IMTEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("half_one_minus_theta"),
-                        zeta=_SEQ("one_over_kp1_sq"), delta=0.6,
-                        step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.IMMSEGM: dict(theta=_SEQ("k_over_kp1"), eta=_SEQ("theta_over_3"),
-                         zeta=_SEQ("one_over_kp1_sq"), delta=0.6,
-                         step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.IMMTEGM: dict(theta=_SEQ("k_over_kp1"), eta=_SEQ("theta_over_3"),
-                         zeta=_SEQ("one_over_kp1_sq"), delta=0.6,
-                         step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.VSEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("k_over_2kp1"),
-                       step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.VTEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("k_over_2kp1"),
-                       step=Adaptive(gamma1=0.5, phi=0.5)),
-    Scheme.STEGM: dict(theta=_SEQ("one_over_kp1"), eta=_SEQ("k_over_2kp1"),
-                       step=Armijo(rho=1.0, l=0.5, phi=0.4), hsd_lambda=0.5),
-}
+def _table1_row(parts) -> dict:
+    theta, eta = _OUTER_SEQS.get(parts.outer, ("one_over_kp1", "k_over_2kp1"))
+    row = dict(theta=SequenceRule(theta), eta=SequenceRule(eta))
+    if parts.inertial:
+        row.update(_INERTIAL)
+    if parts.step in _STEPS:
+        row["step"] = _STEPS[parts.step]
+    return row
+
+
+TABLE1: Dict[Scheme, dict] = {scheme: _table1_row(p) for scheme, p in SCHEMES.items()}
 
 # The SolverConfig field each Table 1 key fills; make_config takes these
 # keys as overrides.
@@ -80,10 +95,9 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
         if problem.L is None:
             raise ConfigError(f"{scheme.value} needs a Lipschitz bound for its fixed step")
         entry["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
-    lam = problem.T_info.demicontractive_lambda
     return SolverConfig(
         algorithm=scheme,
-        lambda_T=lam if lam is not None else 0.0,
+        lambda_T=problem.lambda_T,
         max_iter=max_iter,
         x0=x0,
         x1=x1,
@@ -102,27 +116,6 @@ class Violation:
     def __str__(self):
         where = f" at k={self.k}" if self.k is not None else ""
         return f"{self.condition}{where}: {self.message}"
-
-
-class ConditionSet(NamedTuple):
-    """A strong-convergence condition set: its label, the upper bound on
-    eta_k as a function of (theta_k, lambda), the divisor of zeta_k in the
-    ratio that must decrease over the tail, and that ratio's name."""
-
-    label: str
-    eta_bound: Callable[[float, float], float]
-    zeta_divisor: Callable[[float], float]
-    ratio: str
-
-
-# by outer update: (C4) for Mann with theta_k -> 0, (C5) for modified Mann
-# with theta_k -> 1
-CONDITIONS = {
-    "mann": ConditionSet("C4", lambda th, lam: (1.0 - lam) * (1.0 - th),
-                         lambda th: th, "zeta_over_theta"),
-    "modified_mann": ConditionSet("C5", lambda th, lam: (1.0 - lam) * th / (lam + th),
-                                  lambda th: 1.0 - th, "zeta_over_one_minus_theta"),
-}
 
 
 def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
@@ -280,6 +273,8 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one algorithm")
         if not self.seeds:
             raise ValueError("plan needs a non-empty seed list")
+        if min(self.seeds) < 0:
+            raise ValueError(f"plan seeds must be >= 0, got {min(self.seeds)}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         check_tol(self.tol)
@@ -342,10 +337,14 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
 
     Returns the instance and the initial-point kind. The plan seed is used
     for ex1 generation when the spec does not pin one, and always for
-    random initial points.
+    random initial points. A value the builder rejects raises ValueError
+    naming the spec.
     """
     name, params, init = _spec_fields(spec, seed)
-    return prob.FAMILIES[name].build(**params), init
+    try:
+        return prob.FAMILIES[name].build(**params), init
+    except ValueError as exc:
+        raise ValueError(f"{spec!r}: {exc}") from exc
 
 
 def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:

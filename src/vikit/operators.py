@@ -87,18 +87,6 @@ class RankOneIntegral:
         return check_finite(integral * self.space.grid)
 
 
-@dataclass(frozen=True)
-class MappingInfo:
-    """Declared analytic properties of a map, spot-checked empirically."""
-
-    demicontractive_lambda: Optional[float] = None
-
-    def __post_init__(self):
-        lam = self.demicontractive_lambda
-        if lam is not None and not 0.0 <= lam < 1.0:
-            raise ValueError("demicontractive constant must lie in [0,1)")
-
-
 def spectral_norm(G: np.ndarray) -> float:
     """||G|| via power iteration on G^T G, to a relative change of 1e-10
     within 10000 iterations."""

@@ -32,12 +32,16 @@ class ProblemInstance:
     A: object
     C: FeasibleSet
     T: object
-    T_info: ops.MappingInfo
+    lambda_T: float  # T's demicontractive constant
     F: Optional[object] = None
     f_visc: Optional[object] = None
     x_star: Optional[SpaceElement] = None
     L: Optional[float] = None
     problem_id: str = ""
+
+    def __post_init__(self):
+        if not 0.0 <= self.lambda_T < 1.0:
+            raise ValueError(f"lambda_T must lie in [0,1), got {self.lambda_T}")
 
 
 @dataclass(frozen=True)
@@ -52,6 +56,8 @@ class RandomSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> ProblemInstance:
@@ -73,7 +79,7 @@ def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> Problem
         A=A,
         C=Box(-2.0, 5.0),
         T=ops.Scale(0.5),
-        T_info=ops.MappingInfo(demicontractive_lambda=0.0),
+        lambda_T=0.0,
         F=ops.Scale(0.5),
         f_visc=ops.Scale(0.5),
         x_star=x_star,
@@ -91,7 +97,7 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
         A=ops.PositivePart(),
         C=Ball(center=zeros(space), radius=1.0),
         T=ops.RankOneIntegral(space),
-        T_info=ops.MappingInfo(demicontractive_lambda=0.0),
+        lambda_T=0.0,
         F=ops.Scale(0.5),
         f_visc=ops.Scale(0.5),
         x_star=zeros(space),
@@ -138,12 +144,16 @@ def initial_points(problem: ProblemInstance, kind: str,
     return x, x
 
 
-def solution_residual(problem: ProblemInstance, gamma: float = 0.1) -> float:
-    """||x* - P_C(x* - gamma A x*)||; near zero iff x* solves the VI."""
+# the step of the natural-map residual; any positive step has the same zeros
+RESIDUAL_GAMMA = 0.1
+
+
+def solution_residual(problem: ProblemInstance) -> float:
+    """||x* - P_C(x* - RESIDUAL_GAMMA A x*)||; near zero iff x* solves the VI."""
     if problem.x_star is None:
         raise ValueError("problem has no known solution")
     xs = problem.x_star.coords
-    return problem.space.norm(xs - project(problem.C, xs + (-gamma) * problem.A(xs)))
+    return problem.space.norm(xs - project(problem.C, xs - RESIDUAL_GAMMA * problem.A(xs)))
 
 
 def certify(problem: ProblemInstance) -> list:
@@ -152,7 +162,6 @@ def certify(problem: ProblemInstance) -> list:
     Returns a list of human-readable failure strings; empty means certified.
     """
     failures = []
-    lam = problem.T_info.demicontractive_lambda
     if problem.x_star is not None:
         r = solution_residual(problem)
         if r > 1e-8:
@@ -162,11 +171,9 @@ def certify(problem: ProblemInstance) -> list:
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
         # demicontractivity is sampled about x*, so only when x* is a fixed point
-        elif lam is not None and not ops.check_demicontractive(problem.T, lam,
-                                                               problem.x_star):
-            failures.append(
-                f"mapping failed the sampled demicontractivity check (lambda={lam})"
-            )
+        elif not ops.check_demicontractive(problem.T, problem.lambda_T, problem.x_star):
+            failures.append("mapping failed the sampled demicontractivity check "
+                            f"(lambda={problem.lambda_T})")
     if not ops.check_monotone(problem.A, problem.space):
         failures.append("operator failed the sampled monotonicity check")
     return failures

@@ -20,7 +20,7 @@ from vikit.algorithms import (
     step_baseline,
 )
 from vikit.harness import CONDITIONS, make_config
-from vikit.operators import AffineMatrix, MappingInfo, Scale
+from vikit.operators import AffineMatrix, Scale
 from vikit.problems import ProblemInstance, RandomSpec, make_example1
 from vikit.projections import Box
 from vikit.space import NonFiniteElementError, element, euclidean, norm, zeros
@@ -35,7 +35,7 @@ def _toy_problem(scale=1.0, shift=None):
     xs = zeros(sp) if shift is None else element(sp, -shift.coords / scale)
     return ProblemInstance(
         space=sp, A=A, C=Box(-2.0, 5.0), T=Scale(0.5),
-        T_info=MappingInfo(demicontractive_lambda=0.0),
+        lambda_T=0.0,
         F=Scale(0.5), f_visc=Scale(0.5), x_star=xs, L=scale,
         problem_id="toy",
     )
@@ -201,7 +201,7 @@ def test_step_alg2_reduces_to_mann_when_a_vanishes():
     # A = 0: y = z = s, so the step is a pure averaged-map update of s
     p = _toy_problem(scale=0.0)
     p = ProblemInstance(space=p.space, A=AffineMatrix(np.zeros((2, 2))), C=p.C,
-                        T=p.T, T_info=p.T_info, x_star=p.x_star, L=1.0,
+                        T=p.T, lambda_T=p.lambda_T, x_star=p.x_star, L=1.0,
                         problem_id="toy0")
     cfg = _cfg(Scheme.IMTEGM, Adaptive(0.5, 0.5), "one_over_kp1",
                "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
@@ -216,7 +216,7 @@ def test_step_alg2_reduces_to_mann_when_a_vanishes():
 def test_step_alg3_with_identity_t_and_theta_one_returns_z():
     p = _toy_problem()
     p = ProblemInstance(space=p.space, A=p.A, C=p.C, T=Scale(1.0),
-                        T_info=p.T_info, x_star=p.x_star, L=p.L,
+                        lambda_T=p.lambda_T, x_star=p.x_star, L=p.L,
                         problem_id="toyI")
     cfg = SolverConfig(algorithm=Scheme.IMMSEGM, step=Adaptive(0.5, 0.5),
                        theta_seq=SequenceRule("constant", 1.0),
@@ -335,7 +335,7 @@ def test_convergence_to_an_interior_nonzero_solution():
     p = _toy_problem(shift=shift)
     # T must also fix x*; use the averaged map pulling toward x*
     Tmat = AffineMatrix(0.5 * np.eye(2), element(sp, 0.5 * p.x_star.coords))
-    p = ProblemInstance(space=sp, A=p.A, C=p.C, T=Tmat, T_info=p.T_info,
+    p = ProblemInstance(space=sp, A=p.A, C=p.C, T=Tmat, lambda_T=p.lambda_T,
                         x_star=p.x_star, L=1.0, problem_id="toy-shift")
     # the vanishing anchor term slows things to roughly a 1/k rate when the
     # solution sits away from the origin, hence the long horizon

@@ -1,10 +1,13 @@
 """The names perfbench's tracer binds in vikit still exist and still carry
-the calls it counts.
+the calls it counts, and the library calls of perfbench's workloads still
+work.
 
 `perfbench/tracer.py` replaces module-level functions, the plan's thread
 pool, `parse_problem_spec`, `project`, `solve` and `SpaceElement.__init__`
 by name. A refactor that renames or drops one of them breaks every traced
-benchmark run, so a small traced plan runs here.
+benchmark run, so a small traced plan runs here. `perfbench/run.py` builds,
+certifies, configures, validates, solves and writes its library cells
+through vikit's public functions, so two small cells run here through it.
 """
 
 import sys
@@ -45,3 +48,19 @@ def test_traced_plan_counts_cells_and_operator_calls(tmp_path, monkeypatch):
     assert metrics["operators.A_evals_per_iter.imsegm"][0] == 2.0
     assert metrics["problems.build_s"][0] > 0.0  # builds go through make_example1
     assert _bound_names(tracer) == before
+
+
+def test_library_workload_cells_run_through_vikit(tmp_path, monkeypatch):
+    # run.py pins the BLAS thread variables at import; setenv restores them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import run
+
+    instances = run.build(["ex1:n=6,seed=1", "ex2:grid=11"])
+    for spec, instance in instances.items():
+        for scheme in ("imsegm", "stegm"):
+            path = tmp_path / f"{spec}-{scheme}.csv"
+            _, _, trace = run.run_cell(instance, 1, scheme, path)
+            iterations, _, _ = run.fingerprint(path)
+            assert 0 < iterations == len(trace.rows) - 1

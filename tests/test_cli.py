@@ -134,6 +134,27 @@ def test_check_rejects_bad_start_or_value(capsys, spec, named):
     assert repr(spec) in out.err and named in out.err
 
 
+@pytest.mark.parametrize("spec,named", [
+    ("ex1:n=0", "dimension must be >= 1"),
+    ("ex1:n=5,seed=-1", "seed must be >= 0, got -1"),
+    ("ex2:grid=1", "at least 2 grid nodes"),
+    ("ex2:grid=-3", "dimension must be >= 1"),
+])
+def test_check_rejects_out_of_range_values_naming_the_spec(capsys, spec, named):
+    assert main(["check", "--problem", spec]) == 2
+    err = capsys.readouterr().err
+    assert repr(spec) in err and named in err
+
+
+def test_run_rejects_negative_seed_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    for spec in ("ex1:n=4", "ex2:grid=11"):
+        assert main(["run", "--problem", spec, "--alg", "imsegm", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "plan seeds must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_accepts_every_ex2_start(capsys):
     for init in ("t_plus_half_cos_t", "random_uniform"):
         assert main(["check", "--problem", f"ex2:grid=31,init={init}"]) == 0

@@ -42,6 +42,27 @@ def test_make_config_stegm_and_overrides(small_problem):
     assert over.delta == 0.3
 
 
+def test_table1_rows_follow_each_schemes_parts(small_problem):
+    one, kp1, k2 = (SequenceRule(k) for k in ("one_over_kp1", "k_over_kp1", "k_over_2kp1"))
+    half, third = SequenceRule("half_one_minus_theta"), SequenceRule("theta_over_3")
+    inertial = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
+    adaptive = Adaptive(gamma1=0.5, phi=0.5)
+    assert harness.TABLE1 == {
+        Scheme.HSEGM: dict(theta=one, eta=k2),
+        Scheme.MSEGM: dict(theta=one, eta=half),
+        Scheme.MMSEGM: dict(theta=kp1, eta=third),
+        Scheme.IMSEGM: dict(theta=one, eta=half, **inertial, step=adaptive),
+        Scheme.IMTEGM: dict(theta=one, eta=half, **inertial, step=adaptive),
+        Scheme.IMMSEGM: dict(theta=kp1, eta=third, **inertial, step=adaptive),
+        Scheme.IMMTEGM: dict(theta=kp1, eta=third, **inertial, step=adaptive),
+        Scheme.VSEGM: dict(theta=one, eta=k2, step=adaptive),
+        Scheme.VTEGM: dict(theta=one, eta=k2, step=adaptive),
+        Scheme.STEGM: dict(theta=one, eta=k2, step=Armijo(rho=1.0, l=0.5, phi=0.4)),
+    }
+    # STEGM's hybrid-steepest-descent weight is SolverConfig's default
+    assert harness.make_config(Scheme.STEGM, small_problem).hsd_lambda == 0.5
+
+
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_presets_validate_cleanly(scheme, small_problem):
     cfg = harness.make_config(scheme, small_problem)

@@ -3,7 +3,6 @@ import pytest
 
 from vikit.operators import (
     AffineMatrix,
-    MappingInfo,
     PositivePart,
     PowerIterationError,
     RankOneIntegral,
@@ -13,6 +12,8 @@ from vikit.operators import (
     estimate_lipschitz,
     spectral_norm,
 )
+from vikit.problems import ProblemInstance
+from vikit.projections import Box
 from vikit.space import element, euclidean, grid_l2, zeros
 
 
@@ -107,8 +108,11 @@ def test_rank_one_integral_is_zero_demicontractive():
 
 
 def test_mapping_info_validates_lambda():
-    with pytest.raises(ValueError):
-        MappingInfo(demicontractive_lambda=1.0)
+    # T's demicontractive constant is a problem field, checked on construction
+    for lam in (1.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="lambda_T must lie in"):
+            ProblemInstance(space=euclidean(2), A=Scale(1.0), C=Box(-1.0, 1.0),
+                            T=Scale(0.5), lambda_T=lam)
 
 
 def test_mann_combination():

@@ -1,5 +1,6 @@
 """Property tests of the mathematics the solvers rely on: the metric
-projection identities, the adaptive step rule and the inertial bound."""
+projection identities, the adaptive step rule and the inertial bound; and
+of the problem-spec grammar."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -8,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from membership import contains, sample_point
 from vikit.algorithms import inertial_delta
+from vikit.harness import parse_problem_spec
 from vikit.projections import Ball, Box, HalfSpace, project
 from vikit.space import element, euclidean, grid_l2
 from vikit.stepsize import adaptive_update
@@ -80,3 +82,27 @@ def test_inertial_step_stays_within_zeta(case, delta, zeta):
     dk = inertial_delta(sp, delta, zeta, x_curr, x_prev)
     assert 0.0 <= dk <= delta
     assert dk * sp.norm(x_curr - x_prev) <= zeta * (1.0 + 1e-12)
+
+
+# Spec values are small integers, the three starts or fixed junk, never free
+# text: int() accepts Unicode digits, and a large n would allocate n^2 floats.
+SPEC_VALUES = st.one_of(st.integers(-3, 8).map(str),
+                        st.sampled_from(["random_uniform", "t_squared", "t_plus_half_cos_t",
+                                         "", "abc", "1.5", " 4 "]))
+
+
+@st.composite
+def problem_specs(draw):
+    """A family name and 0-4 key=value items, repeats allowed."""
+    items = draw(st.lists(st.tuples(st.sampled_from(["n", "seed", "grid", "init", "bogus"]),
+                                    SPEC_VALUES), max_size=4))
+    rest = ",".join(f"{key}={val}" for key, val in items)
+    return draw(st.sampled_from(["ex1", "ex2", "ex9"])) + (":" + rest if items else "")
+
+
+@given(problem_specs(), st.integers(0, 3))
+def test_problem_spec_builds_or_names_itself(spec, seed):
+    try:
+        parse_problem_spec(spec, seed)
+    except ValueError as exc:
+        assert spec in str(exc)
