@@ -307,6 +307,8 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     check_tol(cfg.tol)
     if cfg.tol is not None and problem.x_star is None:
         raise ConfigError("tol needs a problem with a known solution x_star")
+    if cfg.record_invariants and problem.x_star is None:
+        raise ConfigError("record_invariants needs a problem with a known solution x_star")
     if cfg.x1 is None or (cfg.x0 is None):
         raise ConfigError("both initial points are required")
     # the solver iterates on bare coordinate arrays, which would broadcast
@@ -390,7 +392,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
             raise SolveError(f"{cfg.algorithm.value} failed at k={state.k}: {exc}",
                              trace) from exc
         residuals = None
-        if cfg.record_invariants and x_star is not None:
+        if cfg.record_invariants:
             residuals = _residuals(SCHEMES[cfg.algorithm], state, phi, x_star, space)
         d = err(state.x_curr)
         trace.rows.append(TraceRow(k=state.k, D=d, gamma=state.gamma,

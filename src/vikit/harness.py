@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -362,18 +363,57 @@ def _cell_id(spec: str, scheme: Scheme, seed: int) -> str:
     return f"{spec}|{scheme.value}|seed={seed}"
 
 
-def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan
-              ) -> Tuple[str, Optional[str], Optional[Tuple[str, str]]]:
-    """Run one (problem, scheme, seed) cell; returns (cell id, path, error),
-    where error is a (category, message) pair."""
-    cell = _cell_id(spec, scheme, seed)
+def _problem_key(spec: str, seed: int):
+    """Cells with equal keys share one problem: its family and resolved
+    integer keys, so init and the scheme do not count. A spec that does not
+    resolve is its own key; its build raises the same ValueError."""
     try:
-        problem, init = parse_problem_spec(spec, seed)
-        failures = prob.certify(problem)
-        if failures:
-            return cell, None, ("certification",
-                                "certification failed: " + "; ".join(failures))
-        x0, x1 = prob.initial_points(problem, init, seed=seed)
+        name, params, _ = _spec_fields(spec, seed)
+    except ValueError:
+        return spec
+    return name, tuple(params.items())
+
+
+def _cell_error(exc: Exception) -> Tuple[str, str]:
+    return ("config" if isinstance(exc, ValueError) else "runtime"), str(exc)
+
+
+class _SharedProblem:
+    """The build and certification of one distinct problem of a plan. The
+    first of its cells to ask does the work under the lock and the others
+    wait for it. Only the group's queued and running cells refer to it, so
+    the problem is freed when the last of them ends."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._outcome = None
+
+    def take(self, spec: str, seed: int):
+        """(certified problem, None) or (None, the error of every cell)."""
+        with self._lock:
+            if self._outcome is None:
+                try:
+                    problem, _ = parse_problem_spec(spec, seed)
+                    failures = prob.certify(problem)
+                    self._outcome = (problem, None) if not failures else (None, (
+                        "certification", "certification failed: " + "; ".join(failures)))
+                except Exception as exc:
+                    self._outcome = None, _cell_error(exc)
+            return self._outcome
+
+
+def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan,
+              shared: _SharedProblem
+              ) -> Tuple[str, Optional[str], Optional[Tuple[str, str]]]:
+    """Run one (problem, scheme, seed) cell on its group's shared problem;
+    returns (cell id, path, error), where error is a (category, message)
+    pair."""
+    cell = _cell_id(spec, scheme, seed)
+    problem, error = shared.take(spec, seed)
+    if error is not None:
+        return cell, None, error
+    try:
+        x0, x1 = prob.initial_points(problem, _spec_fields(spec, seed)[2], seed=seed)
         cfg = make_config(scheme, problem, x0=x0, x1=x1,
                           max_iter=plan.max_iter, tol=plan.tol,
                           record_invariants=plan.record_invariants)
@@ -386,10 +426,8 @@ def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan
         path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
         emit_csv(trace, header, path)
         return cell, str(path), None
-    except ValueError as exc:
-        return cell, None, ("config", str(exc))
     except Exception as exc:
-        return cell, None, ("runtime", str(exc))
+        return cell, None, _cell_error(exc)
 
 
 @dataclass
@@ -402,15 +440,28 @@ class PlanResult:
 
 def run_plan(plan: ExperimentPlan) -> PlanResult:
     """Execute every (problem, algorithm, seed) cell; failed cells are
-    recorded with a category and a reason and do not abort the plan."""
+    recorded with a category and a reason and do not abort the plan.
+
+    Each distinct problem is built and certified once and shared by its
+    cells. They are submitted group by group, so a plan holds about one
+    problem per worker. Results follow plan.cells() order."""
     workers = os.environ.get("VIKIT_THREADS", "4").strip()
     if not workers.isdecimal() or int(workers) < 1:
         raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
     Path(plan.output_dir).mkdir(parents=True, exist_ok=True)
     cells = plan.cells()
+    groups: Dict[object, List[int]] = {}
+    for i, (spec, _, seed) in enumerate(cells):
+        groups.setdefault(_problem_key(spec, seed), []).append(i)
+    futures = [None] * len(cells)
     result = PlanResult()
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        for cell, path, error in pool.map(lambda c: _run_cell(*c, plan), cells):
+        for members in groups.values():
+            shared = _SharedProblem()
+            for i in members:
+                futures[i] = pool.submit(_run_cell, *cells[i], plan, shared)
+        for future in futures:
+            cell, path, error = future.result()
             if error is not None:
                 result.errors.append((cell, *error))
             else:

@@ -302,6 +302,15 @@ def test_bad_tolerance_rejected():
         solve(q, make_config(Scheme.IMSEGM, q, x0=x, x1=x, tol=1e-8))
 
 
+
+def test_record_invariants_without_known_solution_rejected():
+    # every residual is measured against x_star, so none could be recorded
+    sp = euclidean(5)
+    q = make_example1(RandomSpec(n=5, seed=1), f=element(sp, np.ones(5)))
+    x = zeros(sp)
+    with pytest.raises(ConfigError, match="record_invariants needs .* x_star"):
+        solve(q, make_config(Scheme.IMSEGM, q, x0=x, x1=x, record_invariants=True))
+
 def test_config_policy_mismatch_rejected():
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])

@@ -1,4 +1,6 @@
 import math
+import sys
+import weakref
 
 import pytest
 
@@ -364,3 +366,112 @@ def test_plan_with_duplicate_cells_rejected(problems, algorithms, seeds):
     with pytest.raises(ValueError, match="duplicate plan cells"):
         harness.ExperimentPlan(problems=problems, algorithms=algorithms,
                                max_iter=5, seeds=seeds, output_dir="x")
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap the named problems functions; each call appends to its list."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _orig=getattr(harness.prob, name), _log=calls[name]):
+            _log.append(args)
+            return _orig(*args)
+        monkeypatch.setattr(harness.prob, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("problems,algorithms,seeds,builds", [
+    (["ex1:n=6,seed=1"], [Scheme.IMSEGM, Scheme.STEGM, Scheme.MSEGM], [1, 2],
+     dict(make_example1=1, make_example2=0, certify=1)),
+    (["ex1:n=6"], [Scheme.IMSEGM], [1, 2], dict(make_example1=2, make_example2=0, certify=2)),
+    (["ex2:grid=21", "ex2:grid=21,init=t_plus_half_cos_t"], [Scheme.IMSEGM], [1],
+     dict(make_example1=0, make_example2=1, certify=1)),
+])
+def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, problems,
+                                                         algorithms, seeds, builds):
+    # more workers than cores, switching threads often: a build done twice shows
+    monkeypatch.setenv("VIKIT_THREADS", "8")
+    calls = _count_calls(monkeypatch, *builds)
+    plan = harness.ExperimentPlan(problems=problems, algorithms=algorithms, max_iter=5,
+                                  seeds=seeds, output_dir=str(tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result = harness.run_plan(plan)
+    finally:
+        sys.setswitchinterval(interval)
+    assert result.errors == [] and len(result.paths) == len(plan.cells())
+    assert {name: len(log) for name, log in calls.items()} == builds
+
+
+def _group_plan(out, spec):
+    return harness.ExperimentPlan(problems=[spec], algorithms=[Scheme.IMSEGM, Scheme.STEGM],
+                                  max_iter=5, seeds=[1, 2], output_dir=str(out))
+
+
+def test_failed_certification_fails_every_cell_of_its_problem(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness.prob, "certify",
+                        lambda problem: calls.append(problem) or ["forced"])
+    result = harness.run_plan(_group_plan(tmp_path, "ex1:n=6,seed=1"))
+    assert result.paths == [] and len(calls) == 1
+    assert [error[1:] for error in result.errors] == \
+        [("certification", "certification failed: forced")] * 4
+
+
+def test_builder_crash_fails_every_cell_of_its_problem(tmp_path, monkeypatch):
+    calls = []
+
+    def crash(spec):
+        calls.append(spec)
+        raise RuntimeError("builder crashed")
+
+    monkeypatch.setattr(harness.prob, "make_example1", crash)
+    result = harness.run_plan(_group_plan(tmp_path, "ex1:n=6,seed=1"))
+    assert result.paths == [] and len(calls) == 1
+    assert [error[1:] for error in result.errors] == [("runtime", "builder crashed")] * 4
+
+
+@pytest.mark.parametrize("spec", ["ex1:n=0", "ex1:n=abc", "ex9:n=5"])
+def test_rejected_spec_fails_every_cell_with_config(tmp_path, spec):
+    plan = _group_plan(tmp_path, spec)
+    result = harness.run_plan(plan)
+    assert result.paths == []
+    assert [(cell, category) for cell, category, _ in result.errors] == \
+        [(harness._cell_id(*cell), "config") for cell in plan.cells()]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threads):
+    monkeypatch.setenv("VIKIT_THREADS", threads)
+    plan = harness.ExperimentPlan(
+        problems=["ex1:n=6,seed=4", "ex1:n=6", "ex2:grid=21",
+                  "ex2:grid=21,init=t_plus_half_cos_t"],
+        algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5, seeds=[1, 2],
+        output_dir=str(tmp_path / "plan"))
+    result = harness.run_plan(plan)
+    assert result.errors == []
+    assert result.paths == [str(tmp_path / "plan" / harness._trace_file_name(*cell))
+                            for cell in plan.cells()]
+    for i, (spec, scheme, seed) in enumerate(plan.cells()):
+        alone = harness.ExperimentPlan(problems=[spec], algorithms=[scheme], max_iter=5,
+                                       seeds=[seed], output_dir=str(tmp_path / str(i)))
+        [path] = harness.run_plan(alone).paths
+        assert harness.trace_fingerprint(path) == harness.trace_fingerprint(result.paths[i])
+
+
+def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch):
+    monkeypatch.setenv("VIKIT_THREADS", "1")
+    built, alive_at_build = [], []
+    parse = harness.parse_problem_spec
+
+    def tracked(spec, seed):
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        problem, init = parse(spec, seed)
+        built.append(weakref.ref(problem))
+        return problem, init
+
+    monkeypatch.setattr(harness, "parse_problem_spec", tracked)
+    plan = harness.ExperimentPlan(problems=["ex1:n=6"], algorithms=[Scheme.IMSEGM],
+                                  max_iter=5, seeds=[1, 2, 3], output_dir=str(tmp_path))
+    assert harness.run_plan(plan).errors == []
+    assert alive_at_build == [0, 0, 0]
