@@ -180,13 +180,16 @@ class TraceFileHeader:
     rng: str
     dim: int
     timestamp: str
+    # file name of the trace this one copies, when another cell ran the
+    # same computation; the copied elapsed_s column is that run's
+    same_as: Optional[str] = None
 
     @classmethod
     def create(cls, scheme: Scheme, preset: str, problem_id: str, seed: int,
-               dim: int) -> "TraceFileHeader":
+               dim: int, same_as: Optional[str] = None) -> "TraceFileHeader":
         return cls(scheme=scheme.value, preset=preset, problem_id=problem_id,
                    seed=seed, rng=prob.RNG_ALGORITHM, dim=dim,
-                   timestamp=datetime.datetime.now().isoformat())
+                   timestamp=datetime.datetime.now().isoformat(), same_as=same_as)
 
 
 def _fmt(v: float) -> str:
@@ -195,7 +198,8 @@ def _fmt(v: float) -> str:
 
 def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
     """Write '#'-prefixed header lines, a '#' column line, and one data row
-    per iterate with 17-significant-digit floats."""
+    per iterate with 17-significant-digit floats. A header with same_as
+    adds a '# same_as: <file name>' line before the column line."""
     path = Path(path)
     has_res = any(r.residuals is not None for r in trace.rows)
     cols = "k,D_k,gamma_k,delta_k,elapsed_s"
@@ -209,8 +213,10 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
         f"# rng: {header.rng}",
         f"# dim: {header.dim}",
         f"# timestamp: {header.timestamp}",
-        f"# columns: {cols}",
     ]
+    if header.same_as is not None:
+        lines.append(f"# same_as: {header.same_as}")
+    lines.append(f"# columns: {cols}")
     for r in trace.rows:
         fields = [str(r.k), _fmt(r.D), _fmt(r.gamma), _fmt(r.delta), _fmt(r.elapsed)]
         if has_res:
@@ -363,15 +369,19 @@ def _cell_id(spec: str, scheme: Scheme, seed: int) -> str:
     return f"{spec}|{scheme.value}|seed={seed}"
 
 
-def _problem_key(spec: str, seed: int):
-    """Cells with equal keys share one problem: its family and resolved
-    integer keys, so init and the scheme do not count. A spec that does not
-    resolve is its own key; its build raises the same ValueError."""
+def _run_key(i: int, spec: str, scheme: Scheme, seed: int):
+    """(problem key, run key) of cell i. Cells with equal problem keys share
+    one problem: its family and resolved integer keys. Of those, cells with
+    equal run keys run the same computation: the same scheme and start, and
+    the same plan seed only when the start recipe draws from it. A spec that
+    does not resolve is its own problem key, its build raises the same
+    ValueError, and each of its cells is its own run."""
     try:
-        name, params, _ = _spec_fields(spec, seed)
+        name, params, init = _spec_fields(spec, seed)
     except ValueError:
-        return spec
-    return name, tuple(params.items())
+        return spec, i
+    reads_seed = prob._START_RECIPES[init].reads_seed
+    return (name, tuple(params.items())), (scheme, init, seed if reads_seed else None)
 
 
 def _cell_error(exc: Exception) -> Tuple[str, str]:
@@ -402,32 +412,47 @@ class _SharedProblem:
             return self._outcome
 
 
-def _run_cell(spec: str, scheme: Scheme, seed: int, plan: ExperimentPlan,
-              shared: _SharedProblem
-              ) -> Tuple[str, Optional[str], Optional[Tuple[str, str]]]:
-    """Run one (problem, scheme, seed) cell on its group's shared problem;
-    returns (cell id, path, error), where error is a (category, message)
-    pair."""
-    cell = _cell_id(spec, scheme, seed)
+# (cell id, trace path, error) of a plan cell, where error is a
+# (category, message) pair
+_Outcome = Tuple[str, Optional[str], Optional[Tuple[str, str]]]
+
+
+def _run_cells(cells: List[Tuple[str, Scheme, int]], plan: ExperimentPlan,
+               shared: _SharedProblem) -> List[_Outcome]:
+    """Run the computation that all of cells stand for once, on their
+    group's shared problem, and write one trace per cell. The first trace
+    written is the computed one; the others name it in same_as. A failed
+    computation fails every cell with the same error."""
+    spec, scheme, seed = cells[0]
     problem, error = shared.take(spec, seed)
+    if error is None:
+        try:
+            x0, x1 = prob.initial_points(problem, _spec_fields(spec, seed)[2], seed=seed)
+            cfg = make_config(scheme, problem, x0=x0, x1=x1,
+                              max_iter=plan.max_iter, tol=plan.tol,
+                              record_invariants=plan.record_invariants)
+            violations = validate_conditions(cfg, horizon=plan.max_iter)
+            if violations:
+                error = "conditions", "; ".join(str(v) for v in violations)
+            else:
+                trace = solve(problem, cfg)
+        except Exception as exc:
+            error = _cell_error(exc)
     if error is not None:
-        return cell, None, error
-    try:
-        x0, x1 = prob.initial_points(problem, _spec_fields(spec, seed)[2], seed=seed)
-        cfg = make_config(scheme, problem, x0=x0, x1=x1,
-                          max_iter=plan.max_iter, tol=plan.tol,
-                          record_invariants=plan.record_invariants)
-        violations = validate_conditions(cfg, horizon=plan.max_iter)
-        if violations:
-            return cell, None, ("conditions", "; ".join(str(v) for v in violations))
-        trace = solve(problem, cfg)
+        return [(_cell_id(*cell), None, error) for cell in cells]
+    outcomes, source = [], None
+    for spec, scheme, seed in cells:
         header = TraceFileHeader.create(scheme, "table1", problem.problem_id,
-                                        seed, problem.space.dim)
+                                        seed, problem.space.dim, same_as=source)
         path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
-        emit_csv(trace, header, path)
-        return cell, str(path), None
-    except Exception as exc:
-        return cell, None, _cell_error(exc)
+        try:
+            emit_csv(trace, header, path)
+        except Exception as exc:
+            outcomes.append((_cell_id(spec, scheme, seed), None, _cell_error(exc)))
+            continue
+        outcomes.append((_cell_id(spec, scheme, seed), str(path), None))
+        source = source or path.name
+    return outcomes
 
 
 @dataclass
@@ -442,28 +467,47 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     """Execute every (problem, algorithm, seed) cell; failed cells are
     recorded with a category and a reason and do not abort the plan.
 
-    Each distinct problem is built and certified once and shared by its
-    cells. They are submitted group by group, so a plan holds about one
-    problem per worker. Results follow plan.cells() order."""
+    A trace file of the plan that already exists raises ValueError naming
+    its cell before anything runs. Each distinct problem is built and
+    certified once and shared by its cells. Cells that differ only in a
+    seed their start does not read run once: the first trace is computed
+    and each other cell's trace copies it under its own header, with a
+    same_as line naming the computed file. Runs are submitted problem by
+    problem, so a plan holds about one problem per worker. Results follow
+    plan.cells() order."""
     workers = os.environ.get("VIKIT_THREADS", "4").strip()
     if not workers.isdecimal() or int(workers) < 1:
         raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
-    Path(plan.output_dir).mkdir(parents=True, exist_ok=True)
     cells = plan.cells()
-    groups: Dict[object, List[int]] = {}
-    for i, (spec, _, seed) in enumerate(cells):
-        groups.setdefault(_problem_key(spec, seed), []).append(i)
-    futures = [None] * len(cells)
-    result = PlanResult()
+    out = Path(plan.output_dir)
+    for cell in cells:
+        try:
+            path = out / _trace_file_name(*cell)
+        except ValueError:
+            continue  # a malformed spec is reported by its own cell
+        if path.is_file():
+            raise ValueError(f"{path} already exists; cell {_cell_id(*cell)} "
+                             "would overwrite it")
+    groups: Dict[object, Dict[object, List[int]]] = {}
+    for i, cell in enumerate(cells):
+        problem, run = _run_key(i, *cell)
+        groups.setdefault(problem, {}).setdefault(run, []).append(i)
+    out.mkdir(parents=True, exist_ok=True)
+    outcomes = [None] * len(cells)
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-        for members in groups.values():
+        tasks = []
+        for runs in groups.values():
             shared = _SharedProblem()
-            for i in members:
-                futures[i] = pool.submit(_run_cell, *cells[i], plan, shared)
-        for future in futures:
-            cell, path, error = future.result()
-            if error is not None:
-                result.errors.append((cell, *error))
-            else:
-                result.paths.append(path)
+            for members in runs.values():
+                tasks.append((members, pool.submit(
+                    _run_cells, [cells[i] for i in members], plan, shared)))
+        for members, task in tasks:
+            for i, outcome in zip(members, task.result()):
+                outcomes[i] = outcome
+    result = PlanResult()
+    for cell, path, error in outcomes:
+        if error is not None:
+            result.errors.append((cell, *error))
+        else:
+            result.paths.append(path)
     return result

@@ -106,13 +106,22 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
     )
 
 
-# starting coordinates by initial-point kind, from the space and the seed;
-# space.grid rejects a non-grid space for the two t-recipes
+class StartRecipe(NamedTuple):
+    """Whether two seeds can give different starts, and the starting
+    coordinates from the space and the seed."""
+
+    reads_seed: bool
+    coords: Callable[[SpaceDescriptor, int], np.ndarray]
+
+
+# by initial-point kind; space.grid rejects a non-grid space for the two
+# t-recipes
 _START_RECIPES = {
-    "random_uniform": lambda space, seed:
-        np.random.default_rng(seed).uniform(0.0, 1.0, space.dim),
-    "t_squared": lambda space, seed: space.grid ** 2,
-    "t_plus_half_cos_t": lambda space, seed: space.grid + 0.5 * np.cos(space.grid),
+    "random_uniform": StartRecipe(True, lambda space, seed:
+                                  np.random.default_rng(seed).uniform(0.0, 1.0, space.dim)),
+    "t_squared": StartRecipe(False, lambda space, seed: space.grid ** 2),
+    "t_plus_half_cos_t": StartRecipe(False, lambda space, seed:
+                                     space.grid + 0.5 * np.cos(space.grid)),
 }
 
 
@@ -140,7 +149,7 @@ def initial_points(problem: ProblemInstance, kind: str,
     """Paired starting points x^0 = x^1 per the named recipe."""
     if kind not in _START_RECIPES:
         raise ValueError(f"unknown initial-point kind {kind!r}")
-    x = element(problem.space, _START_RECIPES[kind](problem.space, seed))
+    x = element(problem.space, _START_RECIPES[kind].coords(problem.space, seed))
     return x, x
 
 

@@ -37,16 +37,17 @@ def test_traced_plan_counts_cells_and_operator_calls(tmp_path, monkeypatch):
     import tracer
 
     before = _bound_names(tracer)
-    # four cells share one wrapped problem: the tracer must still see every
-    # cell and every A call, and one build
-    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1"],
+    # the four ex1 cells share one wrapped problem; the four ex2 cells share
+    # another and, as their start ignores the seed, make two runs. The tracer
+    # must see one cell per run, every A call, and one build per problem
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=11"],
                                   algorithms=[Scheme.IMSEGM, Scheme.STEGM],
                                   max_iter=5, seeds=[1, 2], output_dir=str(tmp_path))
     with tracer.installed(tracer.Recorder()) as rec:
         result = harness.run_plan(plan)
-    assert result.errors == []
-    assert len(rec.cells) == 4
-    metrics = tracer.layer_metrics(rec.arrays(), n_cells=4)
+    assert result.errors == [] and len(result.paths) == 8
+    assert len(rec.cells) == 6
+    metrics = tracer.layer_metrics(rec.arrays(), n_cells=6)
     assert metrics["operators.A_evals_per_iter.imsegm"][0] == 2.0
     assert metrics["harness.builds_per_spec"][0] == 1.0
     assert metrics["problems.build_s"][0] > 0.0  # builds go through make_example1

@@ -51,6 +51,20 @@ def test_run_is_reproducible(tmp_path):
     assert fa == fb
 
 
+def test_rerun_into_the_same_directory_exits_two_and_keeps_the_traces(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--problem", "ex2:grid=21", "--alg", "imsegm", "--max-iter", "5",
+            "--out", str(out)]
+    assert main(args + ["--seed", "1"]) == 0
+    first = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(args + ["--seed", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "already exists; cell ex2:grid=21|imsegm|seed=1 would overwrite it" in captured.err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == first
+
+
 def test_run_unknown_algorithm_exits_nonzero(tmp_path, capsys):
     assert main(["run", "--problem", "ex1:n=5", "--alg", "bogus",
                  "--out", str(tmp_path)]) == 2

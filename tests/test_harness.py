@@ -1,6 +1,7 @@
 import math
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -379,6 +380,16 @@ def _count_calls(monkeypatch, *names):
     return calls
 
 
+def _run_switching_often(plan):
+    """Run a plan with the interpreter switching threads every microsecond."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return harness.run_plan(plan)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("problems,algorithms,seeds,builds", [
     (["ex1:n=6,seed=1"], [Scheme.IMSEGM, Scheme.STEGM, Scheme.MSEGM], [1, 2],
      dict(make_example1=1, make_example2=0, certify=1)),
@@ -393,12 +404,7 @@ def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, 
     calls = _count_calls(monkeypatch, *builds)
     plan = harness.ExperimentPlan(problems=problems, algorithms=algorithms, max_iter=5,
                                   seeds=seeds, output_dir=str(tmp_path))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        result = harness.run_plan(plan)
-    finally:
-        sys.setswitchinterval(interval)
+    result = _run_switching_often(plan)
     assert result.errors == [] and len(result.paths) == len(plan.cells())
     assert {name: len(log) for name, log in calls.items()} == builds
 
@@ -440,6 +446,102 @@ def test_rejected_spec_fails_every_cell_with_config(tmp_path, spec):
         [(harness._cell_id(*cell), "config") for cell in plan.cells()]
 
 
+def _count_solves(monkeypatch):
+    calls = []
+
+    def counted(problem, cfg, _solve=harness.solve):
+        calls.append(cfg.algorithm)
+        return _solve(problem, cfg)
+
+    monkeypatch.setattr(harness, "solve", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec,solves", [
+    ("ex2:grid=21", 2),  # both seeds share each scheme's run
+    ("ex2:grid=21,init=random_uniform", 4),  # the start draws from the seed
+    ("ex1:n=6", 4),  # so do ex1's start and, unpinned, its problem
+    ("ex1:n=6,seed=3", 4),
+])
+def test_run_plan_runs_each_distinct_computation_once(tmp_path, monkeypatch, spec, solves):
+    monkeypatch.setenv("VIKIT_THREADS", "8")
+    calls = _count_solves(monkeypatch)
+    plan = _group_plan(tmp_path, spec)
+    result = _run_switching_often(plan)
+    assert result.errors == [] and len(result.paths) == len(plan.cells()) == 4
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == \
+        sorted(harness._trace_file_name(*cell) for cell in plan.cells())
+    assert len(calls) == solves
+
+
+def _body(path):
+    return [line for line in Path(path).read_text().splitlines() if not line.startswith("#")]
+
+
+def test_copied_traces_name_their_computed_source(tmp_path):
+    plan = harness.ExperimentPlan(problems=["ex2:grid=21"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM],
+                                  max_iter=5, seeds=[1, 2, 3], output_dir=str(tmp_path))
+    result = harness.run_plan(plan)
+    assert result.errors == []
+    # cells() order: each scheme at seeds 1, 2 and 3
+    for source, *copies in (result.paths[0:3], result.paths[3:6]):
+        source_meta, _ = harness.parse_csv(source)
+        assert "same_as" not in source_meta and source_meta["seed"] == "1"
+        for seed, copy in enumerate(copies, start=2):
+            copy_meta, _ = harness.parse_csv(copy)
+            assert copy_meta["same_as"] == Path(source).name
+            assert copy_meta["seed"] == str(seed)
+            assert harness.trace_fingerprint(copy) == harness.trace_fingerprint(source)
+            assert _body(copy) == _body(source)
+
+
+def test_failed_computation_fails_each_cell_it_stands_for(tmp_path, monkeypatch):
+    plan = _group_plan(tmp_path / "a", "ex2:grid=21")
+    bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
+    with monkeypatch.context() as m:
+        m.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
+        result = harness.run_plan(plan)
+    assert [cell for cell, _, _ in result.errors] == \
+        [harness._cell_id(*cell) for cell in plan.cells() if cell[1] is Scheme.IMSEGM]
+    [(category, _)] = {error[1:] for error in result.errors}
+    assert category == "conditions" and len(result.paths) == 2
+
+    calls = []
+
+    def crash(problem, cfg):
+        calls.append(cfg.algorithm)
+        raise RuntimeError("solve crashed")
+
+    monkeypatch.setattr(harness, "solve", crash)
+    result = harness.run_plan(_group_plan(tmp_path / "b", "ex2:grid=21"))
+    assert result.paths == [] and len(calls) == 2
+    assert [error[1:] for error in result.errors] == [("runtime", "solve crashed")] * 4
+
+
+def test_copy_of_a_trace_that_failed_to_write_becomes_the_source(tmp_path):
+    plan = _group_plan(tmp_path, "ex2:grid=21")
+    first = plan.cells()[0]
+    (tmp_path / harness._trace_file_name(*first)).mkdir()
+    result = harness.run_plan(plan)
+    assert [error[:2] for error in result.errors] == [(harness._cell_id(*first), "runtime")]
+    meta, _ = harness.parse_csv(result.paths[0])
+    assert meta["seed"] == "2" and "same_as" not in meta
+
+
+def test_run_plan_refuses_to_overwrite_a_trace(tmp_path, monkeypatch):
+    assert harness.run_plan(_one_cell_plan(tmp_path)).errors == []
+    [written] = tmp_path.iterdir()
+    before = written.read_bytes()
+    calls = _count_solves(monkeypatch)
+    plan = harness.ExperimentPlan(problems=["ex1:n=5,seed=1"], algorithms=[Scheme.IMSEGM],
+                                  max_iter=10, seeds=[2, 1], output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match=r"already exists; cell ex1:n=5,seed=1\|imsegm\|seed=1 "):
+        harness.run_plan(plan)
+    assert calls == [] and list(tmp_path.iterdir()) == [written]
+    assert written.read_bytes() == before
+
+
 @pytest.mark.parametrize("threads", ["1", "3"])
 def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threads):
     monkeypatch.setenv("VIKIT_THREADS", threads)
@@ -457,6 +559,10 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
                                        seeds=[seed], output_dir=str(tmp_path / str(i)))
         [path] = harness.run_plan(alone).paths
         assert harness.trace_fingerprint(path) == harness.trace_fingerprint(result.paths[i])
+        # an ex2 start ignores the seed: seed 2 copies seed 1's run
+        copied = spec.startswith("ex2") and seed == 2
+        assert harness.parse_csv(result.paths[i])[0].get("same_as") == \
+            (harness._trace_file_name(spec, scheme, 1) if copied else None)
 
 
 def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from vikit.harness import parse_problem_spec
 from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, spectral_norm
 from vikit.problems import (
     _START_RECIPES,
@@ -108,6 +109,15 @@ def test_grid_recipes_rejected_on_euclidean_space():
     starts = {kind for family in FAMILIES.values() for kind in family.starts}
     assert starts <= set(_START_RECIPES)
     assert starts == {"random_uniform", "t_squared", "t_plus_half_cos_t"}
+
+
+@pytest.mark.parametrize("family,kind", [(name, kind) for name, family in FAMILIES.items()
+                                         for kind in family.starts])
+def test_two_seeds_give_equal_starts_exactly_when_the_recipe_is_seed_free(family, kind):
+    problem, _ = parse_problem_spec(f"{family}:init={kind}", seed=1)
+    x1, _ = initial_points(problem, kind, seed=1)
+    x2, _ = initial_points(problem, kind, seed=2)
+    assert np.array_equal(x1.coords, x2.coords) == (not _START_RECIPES[kind].reads_seed)
 
 
 def test_certify_reports_a_solution_that_is_not_a_fixed_point():
