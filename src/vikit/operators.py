@@ -9,7 +9,7 @@ a declared property and is not checked here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,10 +27,22 @@ class PowerIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class AffineMatrix:
-    """x -> G x + f."""
+    """x -> G x + f.
+
+    `frobenius` is ||G||_F, computed once here. It bounds the Lipschitz
+    constant ||G||_2 from above, and it bounds how far two evaluations of
+    A(y) that sum in different orders (one G @ y, or one row of a block
+    Y @ G.T) can lie apart: each computes every entry of Gy + f as a sum
+    of n + 1 terms, so in any order |fl(Gy + f) - (Gy + f)| <=
+    g_{n+1} (|G||y| + |f|) entrywise, g_m = m u / (1 - m u) with u = 2^-53.
+    Two evaluations therefore differ by at most
+    2 g_{n+1} (||G||_F ||y|| + ||f||) in the Euclidean norm, because
+    || |G||y| || <= || |G| ||_F ||y|| = ||G||_F ||y||. The screened Armijo
+    search (`stepsize.armijo_search`) rests on this bound."""
 
     G: np.ndarray
     f_vec: Optional[SpaceElement] = None
+    frobenius: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -40,6 +52,8 @@ class AffineMatrix:
             raise ValueError(f"offset dimension {self.f_vec.space.dim} does not "
                              f"match G's {G.shape[0]}")
         object.__setattr__(self, "G", G)
+        with np.errstate(over="ignore"):  # entries past ~1e154 give inf
+            object.__setattr__(self, "frobenius", float(np.linalg.norm(G)))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.G.shape[0] != x.shape[0]:

@@ -65,10 +65,18 @@ def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> Problem
     rng = np.random.default_rng(spec.seed)
     n = spec.n
     B = rng.uniform(0.0, 2.0, (n, n))
-    E = np.diag(rng.uniform(0.0, 2.0, n))
+    e = rng.uniform(0.0, 2.0, n)
     M = rng.uniform(-2.0, 2.0, (n, n))
-    S = 0.5 * (M - M.T)
-    G = B @ B.T + S + E
+    # the bits of B @ B.T + 0.5 * (M - M.T) + diag(e), built in place with
+    # each part freed once added, so at most three n x n arrays are alive
+    G = B @ B.T
+    del B
+    S = M - M.T
+    del M
+    S *= 0.5
+    G += S
+    del S
+    G[np.diag_indices(n)] += e
 
     space = euclidean(n)
     A = ops.AffineMatrix(G, f)

@@ -1,8 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from armijo_oracle import armijo_search_serial
+from vikit import algorithms
 from vikit.algorithms import (
     PROPOSED,
     SCHEMES,
@@ -20,8 +23,8 @@ from vikit.algorithms import (
     step_baseline,
 )
 from vikit.harness import CONDITIONS, make_config
-from vikit.operators import AffineMatrix, Scale
-from vikit.problems import ProblemInstance, RandomSpec, make_example1
+from vikit.operators import AffineMatrix, Scale, estimate_lipschitz
+from vikit.problems import ProblemInstance, RandomSpec, certify, initial_points, make_example1
 from vikit.projections import Box
 from vikit.space import NonFiniteElementError, element, euclidean, norm, zeros
 from vikit.stepsize import Adaptive, Armijo, Fixed
@@ -351,6 +354,56 @@ def test_convergence_to_an_interior_nonzero_solution():
     trace = solve(p, _solve_cfg(Scheme.IMSEGM, p, max_iter=2000))
     assert np.allclose(p.x_star.coords, [1.0, 2.0])
     assert trace.rows[-1].D <= 1e-2 * trace.rows[0].D
+
+
+def _binding_problem(n, dim_v, seed):
+    """A problem whose VI binds: T = P_V for a random subspace V (so
+    Fix(T) = V and lambda_T = 0) and A(x) = G(x - x*) with G = BB^T + S + I
+    positive definite, built as AffineMatrix(G, f_vec=-Gx*). x* lies in V
+    and inside the box, so Omega = VI(C, A) ∩ Fix(T) = {x*} with x* != 0,
+    and only A can find x* within V."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, dim_v)))
+    B = rng.uniform(0.0, 2.0, (n, n))
+    M = rng.uniform(-2.0, 2.0, (n, n))
+    G = B @ B.T + 0.5 * (M - M.T) + np.eye(n)
+    xs = Q @ rng.standard_normal(dim_v)
+    xs *= 1.5 / np.abs(xs).max()
+    sp = euclidean(n)
+    A = AffineMatrix(G, element(sp, -(G @ xs)))
+    return ProblemInstance(space=sp, A=A, C=Box(-2.0, 5.0), T=lambda x: Q @ (Q.T @ x),
+                           lambda_T=0.0, F=Scale(0.5), f_visc=Scale(0.5),
+                           x_star=element(sp, xs), L=estimate_lipschitz(A),
+                           problem_id=f"binding:n={n},dim_v={dim_v},seed={seed}")
+
+
+# every scheme ends below this share of D_1 after BINDING_ITERS iterations;
+# at n = 20, dim V = 10 the schemes reach 0.03-0.17 and an A-free imsegm
+# stalls at 0.69-0.93
+BINDING_SHARE = 0.3
+BINDING_ITERS = 1000
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_scheme_solves_a_problem_on_which_the_vi_binds(seed, monkeypatch):
+    p = _binding_problem(20, 10, seed)
+    assert certify(p) == []
+    x0, x1 = initial_points(p, "random_uniform", seed=3)
+    traces = {}
+    for scheme in SCHEMES:
+        traces[scheme] = solve(p, make_config(scheme, p, x0=x0, x1=x1, max_iter=BINDING_ITERS))
+        rows = traces[scheme].rows
+        assert rows[-1].D <= BINDING_SHARE * rows[0].D, scheme
+    # A is what finds x* within V: without it imsegm stalls
+    free = dataclasses.replace(p, A=Scale(0.0))
+    rows = solve(free, make_config(Scheme.IMSEGM, free, x0=x0, x1=x1,
+                                   max_iter=BINDING_ITERS)).rows
+    assert rows[-1].D > BINDING_SHARE * rows[0].D
+    # stegm's screened Armijo search on an offset A follows the serial one
+    monkeypatch.setattr(algorithms, "armijo_search", armijo_search_serial)
+    serial = solve(p, make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=BINDING_ITERS))
+    assert ([(r.D, r.gamma) for r in serial.rows]
+            == [(r.D, r.gamma) for r in traces[Scheme.STEGM].rows])
 
 
 def test_residual_columns_present_when_requested():

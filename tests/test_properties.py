@@ -1,6 +1,6 @@
 """Property tests of the mathematics the solvers rely on: the metric
-projection identities, the adaptive step rule and the inertial bound; and
-of the problem-spec grammar."""
+projection identities, the adaptive step rule, the step-size floors and
+the inertial bound; and of the problem-spec grammar."""
 
 import numpy as np
 from hypothesis import assume, given
@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from membership import contains, sample_point
-from vikit.algorithms import inertial_delta
-from vikit.harness import parse_problem_spec
+from vikit.algorithms import SCHEMES, Scheme, inertial_delta, solve
+from vikit.harness import make_config, parse_problem_spec
+from vikit.problems import RandomSpec, initial_points, make_example1
 from vikit.projections import Ball, Box, HalfSpace, project
 from vikit.space import element, euclidean, grid_l2
-from vikit.stepsize import adaptive_update
+from vikit.stepsize import Adaptive, Armijo, adaptive_update
 
 coord = st.floats(-10.0, 10.0, allow_subnormal=False)
 
@@ -74,6 +75,42 @@ def test_projection_obtuse_angle(case):
 def test_adaptive_update_never_increases(case, gamma, phi):
     sp, s, y, As, Ay = case
     assert adaptive_update(sp, gamma, phi, s, y, As, Ay) <= gamma
+
+
+# The floors below use L = ||G||_F, an upper bound on the Lipschitz
+# constant ||G||_2 (problem.L estimates it from below). FLOOR_RTOL allows
+# for the rounding of the floor itself and of the step's last multiply.
+FLOOR_RTOL = 1e-12
+FLOOR_ITERS = 30
+
+
+@st.composite
+def ex1_runs(draw, step_type):
+    """(problem, step policy, trace): a drawn ex1 instance solved for
+    FLOOR_ITERS iterations from a drawn start seed by a drawn scheme whose
+    step is step_type."""
+    p = make_example1(RandomSpec(draw(st.integers(2, 30)), draw(st.integers(0, 2**16))))
+    scheme = draw(st.sampled_from([s for s in Scheme if SCHEMES[s].step is step_type]))
+    x0, x1 = initial_points(p, "random_uniform", seed=draw(st.integers(0, 2**16)))
+    cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=FLOOR_ITERS)
+    return p, cfg.step, solve(p, cfg)
+
+
+@given(ex1_runs(Armijo))
+def test_accepted_armijo_step_is_at_least_min_rho_and_l_phi_over_l(run):
+    # every gamma <= phi/L passes the test, so the last rejected trial
+    # exceeds phi/L and the accepted one, l times it, exceeds l phi/L
+    p, step, trace = run
+    floor = min(step.rho, step.l * step.phi / p.A.frobenius) * (1 - FLOOR_RTOL)
+    assert all(r.gamma >= floor for r in trace.rows)
+
+
+@given(ex1_runs(Adaptive))
+def test_adaptive_step_stays_at_least_min_gamma1_and_phi_over_l(run):
+    # each update is min(phi ||s-y|| / ||As-Ay||, gamma_k) >= min(phi/L, gamma_k)
+    p, step, trace = run
+    floor = min(step.gamma1, step.phi / p.A.frobenius) * (1 - FLOOR_RTOL)
+    assert all(r.gamma >= floor for r in trace.rows)
 
 
 @given(space_and_points(2), st.floats(0.0, 5.0), st.floats(1e-6, 10.0))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from armijo_oracle import armijo_search_serial
 from vikit.operators import AffineMatrix
 from vikit.projections import Box
-from vikit.space import element, euclidean, zeros
+from vikit.space import NonFiniteElementError, check_finite, element, euclidean, grid_l2, zeros
 from vikit.stepsize import (
     ARMIJO_MAX_TRIALS,
     Adaptive,
@@ -122,3 +125,105 @@ def test_armijo_exhaustion_raises_with_last_gamma():
     with pytest.raises(ArmijoSearchError) as info:
         armijo_search(sp, Armijo(rho=1.0, l=0.5, phi=0.4), x, A, C)
     assert info.value.last_gamma == 0.5 ** ARMIJO_MAX_TRIALS
+
+
+def test_screened_search_fails_like_the_serial_one_on_misshapen_bounds():
+    # Box does not check its bounds' shape against the space; np.clip does
+    sp, A, _ = _setup()
+    case = (sp, Armijo(rho=8.0, l=0.5, phi=0.4), np.array([3.0, 4.0]), A,
+            Box(np.zeros(3), np.ones(3)))
+    with pytest.raises(ValueError) as screened:
+        armijo_search(*case)
+    with pytest.raises(ValueError) as serial:
+        armijo_search_serial(*case)
+    assert str(screened.value) == str(serial.value)
+
+
+def _bounds(draw, rng, n):
+    """Box bounds: scalar, per-coordinate (some entries infinite) or infinite."""
+    kind = draw(st.sampled_from(["scalar", "vector", "infinite"]))
+    if kind == "scalar":
+        lower = -float(rng.uniform(0.0, 5.0))
+        return lower, lower + float(rng.uniform(0.0, 10.0))
+    if kind == "vector":
+        lower = rng.uniform(-5.0, 5.0, n)
+        upper = lower + rng.uniform(0.0, 10.0, n)
+        lower[rng.random(n) < 0.3] = -math.inf
+        upper[rng.random(n) < 0.3] = math.inf
+        return lower, upper
+    return -math.inf, draw(st.sampled_from([math.inf, float(rng.uniform(0.0, 5.0))]))
+
+
+def _serial_ratios(sp, A, C, x, rho, l):
+    """gamma_j ||A(x) - A(y_j)|| / ||x - y_j|| for the serial trials, up to
+    the first that overflows or divides by zero."""
+    ratios, gamma = [], rho
+    try:
+        Ax = A(x)
+        for _ in range(ARMIJO_MAX_TRIALS):
+            y = np.clip(check_finite(x + (-gamma) * Ax), C.lower, C.upper)
+            lhs = gamma * sp.norm(check_finite(Ax - A(y)))
+            rhs = sp.norm(check_finite(x - y))
+            if not 0.0 < rhs < math.inf:
+                break
+            ratios.append(lhs / rhs)
+            gamma *= l
+    except NonFiniteElementError:
+        pass
+    return ratios
+
+
+@st.composite
+def armijo_cases(draw):
+    """(space, policy, x, A, C): G from ex1's recipe or non-symmetric
+    random, with or without an offset; x and rho up to overflow scale; and
+    in tie cases phi within 4 ulps of the serial ratio at some trial."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
+    if draw(st.booleans()):
+        B = rng.uniform(0.0, 2.0, (n, n))
+        M = rng.uniform(-2.0, 2.0, (n, n))
+        G = B @ B.T + 0.5 * (M - M.T) + np.diag(rng.uniform(0.0, 2.0, n))
+    else:
+        G = rng.standard_normal((n, n))
+    G = G * 10.0 ** draw(st.integers(-3, 3))
+    f = None
+    if draw(st.booleans()):
+        f = element(sp, rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3)))
+    A = AffineMatrix(G, f)
+    C = Box(*_bounds(draw, rng, n))
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.sampled_from(
+        [-8, -1, 0, 1, 3, 140, 145, 150, 155, 300, 305]))
+    # a huge rho overflows the first trials while A(x) stays finite
+    rho = 10.0 ** draw(st.one_of(st.floats(-3.0, 10.0), st.floats(150.0, 300.0)))
+    l = draw(st.floats(0.05, 0.95))
+    phi = draw(st.floats(0.01, 0.99))
+    if draw(st.booleans()):
+        with np.errstate(all="ignore"):
+            ratios = [r for r in _serial_ratios(sp, A, C, x, rho, l) if 0.0 < r < 1.0]
+        if ratios:
+            phi = ratios[draw(st.integers(0, len(ratios) - 1))]
+            nudge = draw(st.integers(-4, 4))
+            for _ in range(abs(nudge)):
+                phi = float(np.nextafter(phi, math.copysign(math.inf, nudge)))
+            phi = min(max(phi, 5e-324), float(np.nextafter(1.0, 0.0)))
+    return sp, Armijo(rho=rho, l=l, phi=phi), x, A, C
+
+
+def _outcome(search, case):
+    """The returned (gamma, y, A(x), A(y)) as bytes, or the exception's
+    type, message and last_gamma. Numpy's overflow warnings are silenced:
+    the serial loop warns on the trials the screen skips."""
+    with np.errstate(all="ignore"):
+        try:
+            gamma, *arrays = search(*case)
+        except (ArmijoSearchError, NonFiniteElementError) as exc:
+            return type(exc), str(exc), getattr(exc, "last_gamma", None)
+    return (gamma.hex(),) + tuple(a.tobytes() for a in arrays)
+
+
+@settings(max_examples=400)
+@given(armijo_cases())
+def test_screened_armijo_search_equals_the_serial_search(case):
+    assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case)
