@@ -13,7 +13,7 @@ from typing import Callable, Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import operators as ops
-from .projections import Ball, Box, FeasibleSet, project
+from .projections import Ball, Box, FeasibleSet, HalfSpace, project
 from .space import (
     SpaceDescriptor,
     SpaceElement,
@@ -28,6 +28,16 @@ RNG_ALGORITHM = "numpy-PCG64"
 
 @dataclass(frozen=True)
 class ProblemInstance:
+    """VI(C, A) over Fix(T) in `space`.
+
+    `A` and `T` map a coordinate array of the space to one. `certify`
+    samples them in blocks: vikit's own operators (`AffineMatrix`,
+    `PositivePart`, `Scale`, `RankOneIntegral`) are evaluated once per
+    block, any other callable once per point, so a callable written for
+    one point is never handed a block. `C` must fit the space: each `Box`
+    bound is a scalar or of shape (dim,), and a `Ball`'s centre or a
+    `HalfSpace` lies in the space; otherwise ValueError."""
+
     space: SpaceDescriptor
     A: object
     C: FeasibleSet
@@ -42,6 +52,19 @@ class ProblemInstance:
     def __post_init__(self):
         if not 0.0 <= self.lambda_T < 1.0:
             raise ValueError(f"lambda_T must lie in [0,1), got {self.lambda_T}")
+        sp, C = self.space, self.C
+        where = f"the problem's {sp.dim}-dimensional {sp.kind.value} space"
+        if isinstance(C, Box):
+            shapes = {np.shape(C.lower), np.shape(C.upper)}
+            if not shapes <= {(), (sp.dim,)}:
+                raise ValueError(f"box bounds of shapes {sorted(shapes)} do not fit {where}: "
+                                 f"each must be a scalar or of shape ({sp.dim},)")
+        elif isinstance(C, (Ball, HalfSpace)):
+            noun, own = (("ball centre", C.center.space) if isinstance(C, Ball)
+                         else ("halfspace", C.space))
+            if own != sp:
+                raise ValueError(f"{noun} lies in the {own.dim}-dimensional {own.kind.value} "
+                                 f"space, not in {where}")
 
 
 @dataclass(frozen=True)
@@ -188,9 +211,17 @@ def certify(problem: ProblemInstance) -> list:
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
         # demicontractivity is sampled about x*, so only when x* is a fixed point
-        elif not ops.check_demicontractive(problem.T, problem.lambda_T, problem.x_star):
-            failures.append("mapping failed the sampled demicontractivity check "
-                            f"(lambda={problem.lambda_T})")
-    if not ops.check_monotone(problem.A, problem.space):
-        failures.append("operator failed the sampled monotonicity check")
+        else:
+            check = ops.check_demicontractive(problem.T, problem.lambda_T, problem.x_star)
+            if not check:
+                failures.append(
+                    "mapping failed the sampled demicontractivity check "
+                    f"(lambda={problem.lambda_T}) at sample {check.failed_at} of "
+                    f"{ops.CERTIFY_SAMPLES}: ||Tx - x*||^2 - ||x - x*||^2 "
+                    f"- lambda ||x - Tx||^2 = {check.value:.3e}")
+    check = ops.check_monotone(problem.A, problem.space)
+    if not check:
+        failures.append("operator failed the sampled monotonicity check at sample "
+                        f"{check.failed_at} of {ops.CERTIFY_SAMPLES}: "
+                        f"<A(x) - A(y), x - y> = {check.value:.3e}")
     return failures

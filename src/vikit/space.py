@@ -77,6 +77,12 @@ class SpaceDescriptor:
     def norm(self, a: np.ndarray) -> float:
         return math.sqrt(max(self.inner(a, a), 0.0))
 
+    def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Inner products of the matching rows of two (m, n) blocks, as an
+        (m,) array: each row of a*b weighted by quad_weights and summed.
+        Each agrees with `inner` on that pair of rows up to rounding."""
+        return (a * b) @ self.quad_weights
+
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -86,11 +92,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def check_finite(v: np.ndarray) -> np.ndarray:
     """v itself, once it is known to hold no NaN or Inf entry; raises
     NonFiniteElementError otherwise."""
-    # v @ v is non-finite whenever v has a non-finite entry (its terms are
-    # squares, so nothing cancels) and is the cheapest reduction with that
-    # property; it also overflows (and numpy warns) on finite entries above
-    # ~1e154, so a non-finite result is confirmed entry by entry.
-    if not math.isfinite(v @ v) and not np.isfinite(v).all():
+    # np.vdot(v, v), the sum of squares over every entry of v (a point or a
+    # block of rows), is non-finite whenever v has a non-finite entry (its
+    # terms are squares, so nothing cancels) and is the cheapest reduction
+    # with that property. It also overflows (silently, unlike v @ v) on
+    # finite entries above ~1e154, so a non-finite result is confirmed
+    # entry by entry.
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise NonFiniteElementError("element contains non-finite entries")
     return v
 

@@ -200,9 +200,9 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
             size += np.linalg.norm(A.f_vec.coords)
         dA = (2 * (n + 2) * _EPS * math.sqrt(w.max())) * size
         d = Ax - AY
-        n1 = np.sqrt((d * d) @ w)
+        n1 = np.sqrt(space.row_inner(d, d))
         d = x - Y
-        n2 = np.sqrt((d * d) @ w)
+        n2 = np.sqrt(space.row_inner(d, d))
         proven = (g * n1 * (1 - 4 * eta)
                   > (policy.phi * (n2 + 2 * _TAU) + g * (dA + 2 * _TAU)) * (1 + 4 * eta) + _SIGMA)
         proven &= (np.maximum(n1, n2) <= _HUGE) & np.isfinite(unclipped).all(axis=1)

@@ -430,8 +430,9 @@ def _huge_start_problem():
     (Scheme.STEGM, Armijo(rho=1e10, l=0.5, phi=0.4)),
 ])
 def test_overflow_inside_a_step_raises_at_that_step(scheme, step):
-    # the huge start already overflows v @ v in check_finite, and the step
-    # overflows in its first multiply
+    # the huge start already overflows check_finite's sum of squares (which
+    # is then confirmed entry by entry), and the step overflows, with
+    # numpy's warning, in its first multiply
     with pytest.warns(RuntimeWarning, match="overflow"):
         p, x = _huge_start_problem()
         cfg = make_config(scheme, p, x0=x, x1=x, max_iter=5, step=step)

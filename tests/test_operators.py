@@ -1,7 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from certify_oracle import check_demicontractive_serial, check_monotone_serial
+from vikit import operators as ops
 from vikit.operators import (
+    CERTIFY_BLOCK_BYTES,
+    CERTIFY_SAMPLES,
+    CERTIFY_TOL,
     AffineMatrix,
     PositivePart,
     PowerIterationError,
@@ -12,7 +21,7 @@ from vikit.operators import (
     estimate_lipschitz,
     spectral_norm,
 )
-from vikit.problems import ProblemInstance
+from vikit.problems import ProblemInstance, RandomSpec, make_example1, make_example2
 from vikit.projections import Box
 from vikit.space import element, euclidean, grid_l2, zeros
 
@@ -183,3 +192,146 @@ def test_three_forms_fail_together_for_expansion():
             violated += 1
             assert f2 > 1e-10 and f3 > 1e-10
     assert violated > 0
+
+
+def _block_operators():
+    rng = np.random.default_rng(21)
+    sp = grid_l2(37)
+    G = rng.standard_normal((37, 37))
+    return [(PositivePart(), sp), (Scale(-0.7), sp), (RankOneIntegral(sp), sp),
+            (AffineMatrix(G), sp), (AffineMatrix(G, element(sp, rng.standard_normal(37))), sp)]
+
+
+@pytest.mark.parametrize("op,sp", _block_operators())
+def test_vikit_operators_map_a_block_row_by_row(op, sp):
+    X = np.random.default_rng(22).uniform(-5, 5, (9, sp.dim))
+    expected = np.stack([op(x) for x in X])
+    block = op(X)
+    if not isinstance(op, AffineMatrix):
+        assert np.array_equal(block, expected)
+        return
+    # X @ G.T sums each row in another order than G @ x: by the bound in
+    # AffineMatrix, two evaluations lie within 2 g_{n+1} (|G||x| + |f|)
+    f = 0.0 if op.f_vec is None else np.abs(op.f_vec.coords)
+    n1 = sp.dim + 1
+    g = n1 * 2.0 ** -53 / (1 - n1 * 2.0 ** -53)
+    assert np.all(np.abs(block - expected) <= 2 * g * (np.abs(X) @ np.abs(op.G).T + f))
+
+
+def test_certification_evaluates_an_affine_operator_once_per_block(monkeypatch):
+    p = make_example1(RandomSpec(n=400, seed=1))
+    shapes = []
+    call = AffineMatrix.__call__
+    monkeypatch.setattr(AffineMatrix, "__call__",
+                        lambda self, x: shapes.append(x.shape) or call(self, x))
+    assert check_monotone(p.A, p.space)
+    pairs = CERTIFY_BLOCK_BYTES // (8 * 400)
+    assert len(shapes) == math.ceil(CERTIFY_SAMPLES / pairs)
+    assert sum(m for m, _ in shapes) == 2 * CERTIFY_SAMPLES
+
+
+def _pointwise(op, seen):
+    """op as a plain function, recording the ndim of every argument."""
+    def f(x):
+        seen.add(x.ndim)
+        return op(x)
+    return f
+
+
+@st.composite
+def certify_cases(draw):
+    """An operator, its space and a demicontractive constant: ex1's A or T
+    (n in [1, 60]), ex2's A or T on a drawn grid, Scale(c) with c < 0 or
+    c > 0, or a non-monotone AffineMatrix I - c u u^T, which fails on the
+    samples x - y close enough to the unit vector u, so often part-way."""
+    kind = draw(st.sampled_from(["ex1", "ex2", "scale", "nonmonotone"]))
+    if kind == "ex1":
+        p = make_example1(RandomSpec(draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1))))
+        op, sp = draw(st.sampled_from([p.A, p.T])), p.space
+    elif kind == "ex2":
+        p = make_example2(draw(st.integers(2, 300)))
+        op, sp = draw(st.sampled_from([p.A, p.T])), p.space
+    else:
+        n = draw(st.integers(1, 60))
+        sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
+        if kind == "scale":
+            c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 0.5))
+            op = Scale(c)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            u = rng.standard_normal(n)
+            u /= np.linalg.norm(u)
+            op = AffineMatrix(np.eye(n) - 10.0 ** draw(st.floats(0.0, 2.0)) * np.outer(u, u))
+    return op, sp, draw(st.floats(0.0, 0.99)), draw(st.booleans())
+
+
+@settings(max_examples=150)
+@given(certify_cases(), st.one_of(st.just(CERTIFY_BLOCK_BYTES), st.integers(1, 20_000)))
+def test_block_certification_equals_the_serial_checks(case, block_bytes):
+    """Also with smaller blocks (down to one sample each), so that a first
+    failure lies past the first block."""
+    op, sp, lam, plain = case
+    seen = set()
+    if plain:
+        op = _pointwise(op, seen)
+    z = zeros(sp)
+    ops.CERTIFY_BLOCK_BYTES = block_bytes
+    try:
+        checks = ((check_monotone(op, sp), check_monotone_serial(op, sp)),
+                  (check_demicontractive(op, lam, z), check_demicontractive_serial(op, lam, z)))
+    finally:
+        ops.CERTIFY_BLOCK_BYTES = CERTIFY_BLOCK_BYTES
+    for block, serial in checks:
+        if serial is None:
+            assert block and block.failed_at is None
+        else:
+            assert not block and block.failed_at == serial[0]
+            # the same sample, summed in another order: rel 1e-9 is far above
+            # the n eps of a reordered sum at n <= 300
+            assert block.value == pytest.approx(serial[1], rel=1e-9, abs=1e-9)
+    assert seen == ({1} if plain else set())
+
+
+_NUDGES = st.one_of(st.integers(-16, 16).map(lambda k: k * 2.0 ** -52),
+                   st.builds(lambda sign, e: sign * 2.0 ** e, st.sampled_from([-1, 1]),
+                             st.integers(-47, -10)))
+
+
+@settings(max_examples=120)
+@given(st.integers(1, 60), st.booleans(), _NUDGES)
+def test_block_and_serial_verdicts_differ_only_within_rounding_of_the_tolerance(n, grid, nudge):
+    """Tie cases: Scale(c) with c ||x - y||^2 = -CERTIFY_TOL on the widest
+    sampled pair, and Scale(-2) with lam putting the largest sampled point
+    at +CERTIFY_TOL, each scaled by 1 + nudge: within 16 ulps of the
+    threshold, or 2^-47 to 2^-10 away, where rounding cannot reach. The
+    block and serial checks sum in other orders, so their verdicts may
+    differ (on a few percent of the cases within 16 ulps), but only at a
+    sample whose value lies within rounding of the threshold: the first
+    sample where they disagree is checked."""
+    sp = grid_l2(n) if grid and n > 1 else euclidean(n)
+    w, u = sp.quad_weights, 2.0 ** -53
+    XY = np.random.default_rng(0).uniform(-5.0, 5.0, (CERTIFY_SAMPLES, 2, n))
+    X = np.random.default_rng(0).uniform(-5.0, 5.0, (CERTIFY_SAMPLES, n))
+    D = XY[:, 0] - XY[:, 1]
+    c = -CERTIFY_TOL / np.max(D * D @ w) * (1 + nudge)
+    lam = (3 - CERTIFY_TOL / np.max(X * X @ w)) / 9 * (1 + nudge)
+
+    def disagreement(block, serial):
+        first = min(i for i in (block.failed_at, serial and serial[0], CERTIFY_SAMPLES)
+                    if i is not None)
+        return None if block.failed_at == (serial and serial[0]) else first
+
+    op = Scale(c)
+    i = disagreement(check_monotone(op, sp), check_monotone_serial(op, sp))
+    if i is not None:
+        x, y = XY[i]
+        value = sp.inner(op(x) - op(y), x - y)
+        size = np.abs(c) * (np.abs(x) + np.abs(y)) * np.abs(x - y) @ w
+        assert abs(value + CERTIFY_TOL) <= 4 * (n + 2) * u * size
+    op, z = Scale(-2.0), zeros(sp)
+    i = disagreement(check_demicontractive(op, lam, z), check_demicontractive_serial(op, lam, z))
+    if i is not None:
+        x = X[i]
+        value = sp.inner(op(x), op(x)) - sp.inner(x, x) - lam * sp.inner(x - op(x), x - op(x))
+        size = (4 + 1 + 9 * lam) * (x * x @ w)
+        assert abs(value - CERTIFY_TOL) <= 4 * (n + 2) * u * size

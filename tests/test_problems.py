@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from certify_oracle import check_demicontractive_serial, check_monotone_serial
 from vikit.harness import parse_problem_spec
 from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, spectral_norm
 from vikit.problems import (
     _START_RECIPES,
     FAMILIES,
     RNG_ALGORITHM,
+    ProblemInstance,
     RandomSpec,
     certify,
     initial_points,
@@ -16,8 +18,8 @@ from vikit.problems import (
     make_example2,
     solution_residual,
 )
-from vikit.projections import Ball, Box
-from vikit.space import element, euclidean, norm
+from vikit.projections import Ball, Box, HalfSpace
+from vikit.space import element, euclidean, grid_l2, norm, zeros
 
 
 def test_same_seed_gives_bitwise_identical_matrices():
@@ -124,6 +126,39 @@ def test_certify_reports_a_solution_that_is_not_a_fixed_point():
     base = make_example1(RandomSpec(5, 1))
     p = dataclasses.replace(base, T=AffineMatrix(np.eye(5), element(euclidean(5), np.ones(5))))
     assert certify(p) == ["fixed-point residual 2.236e+00 exceeds 1e-10"]
+
+
+def test_certify_names_the_first_failing_sample_and_its_value():
+    # A = I - 1.5 u u^T fails where x - y leans towards u; T = diag(1.3, 0.5,
+    # 0.5, 0.5) fails where x leans towards e_1: both part-way
+    sp = euclidean(4)
+    u = np.array([1.0, 2.0, -1.0, 0.5]) / np.linalg.norm([1.0, 2.0, -1.0, 0.5])
+    A = AffineMatrix(np.eye(4) - 1.5 * np.outer(u, u))
+    T = AffineMatrix(np.diag([1.3, 0.5, 0.5, 0.5]))
+    p = ProblemInstance(space=sp, A=A, C=Box(-1.0, 1.0), T=T, lambda_T=0.0, x_star=zeros(sp))
+    i_t, v_t = check_demicontractive_serial(T, 0.0, p.x_star)
+    i_a, v_a = check_monotone_serial(A, sp)
+    assert i_t > 0 and i_a > 0
+    assert certify(p) == [
+        f"mapping failed the sampled demicontractivity check (lambda=0.0) at sample {i_t} "
+        f"of 200: ||Tx - x*||^2 - ||x - x*||^2 - lambda ||x - Tx||^2 = {v_t:.3e}",
+        f"operator failed the sampled monotonicity check at sample {i_a} of 200: "
+        f"<A(x) - A(y), x - y> = {v_a:.3e}"]
+
+
+@pytest.mark.parametrize("C,named", [
+    (Box(np.zeros(3), np.ones(3)), r"box bounds of shapes \[\(3,\)\]"),
+    (Box(0.0, np.ones(1)), r"box bounds of shapes \[\(\), \(1,\)\]"),
+    (Ball(zeros(euclidean(3)), 1.0), "ball centre lies in the 3-dimensional euclidean"),
+    (Ball(zeros(grid_l2(2)), 1.0), "ball centre lies in the 2-dimensional grid_l2"),
+    (HalfSpace(np.ones(3), np.zeros(3), euclidean(3)), "halfspace lies in the 3-dim"),
+])
+def test_problem_rejects_a_feasible_set_that_does_not_fit_its_space(C, named):
+    with pytest.raises(ValueError, match=named + ".*the problem's 2-dimensional euclidean space"):
+        ProblemInstance(space=euclidean(2), A=Scale(1.0), C=C, T=Scale(0.5), lambda_T=0.0)
+    for fits in (Box(-1.0, 1.0), Box(np.zeros(2), 1.0), Ball(zeros(euclidean(2)), 1.0),
+                 HalfSpace(np.ones(2), np.zeros(2), euclidean(2))):
+        ProblemInstance(space=euclidean(2), A=Scale(1.0), C=fits, T=Scale(0.5), lambda_T=0.0)
 
 
 def test_spec_validation_and_rng_label():

@@ -58,12 +58,37 @@ def test_non_finite_rejected():
 def test_check_finite_on_coordinate_arrays():
     v = np.array([1.0, -2.0])
     assert check_finite(v) is v
-    big = np.array([1e200, -1e200])  # finite, though v @ v overflows
+    big = np.array([1e200, -1e200])  # finite, though its sum of squares overflows
     with np.errstate(over="ignore"):
         assert check_finite(big) is big
         for bad in ([1.0, np.nan], [np.inf, 0.0], [1e200, -np.inf]):
             with pytest.raises(NonFiniteElementError):
                 check_finite(np.array(bad))
+
+
+def test_check_finite_on_blocks_of_rows():
+    block = np.arange(6.0).reshape(3, 2)  # not square, so block @ block fails
+    assert check_finite(block) is block
+    with np.errstate(over="ignore"):
+        big = block * 1e200  # finite, though the sum of squares overflows
+        assert check_finite(big) is big
+        for bad in (np.nan, np.inf, -np.inf):
+            b = block.copy()
+            b[2, 1] = bad
+            with pytest.raises(NonFiniteElementError):
+                check_finite(b)
+
+
+@pytest.mark.parametrize("sp", [euclidean(7), grid_l2(7)])
+def test_row_inner_is_inner_of_each_pair_of_rows(sp):
+    rng = np.random.default_rng(4)
+    a, b = rng.uniform(-5, 5, (2, 9, sp.dim))
+    rows = sp.row_inner(a, b)
+    assert rows.shape == (9,)
+    expected = [sp.inner(x, y) for x, y in zip(a, b)]
+    # the same weighted sum in another order: within n eps of the sum of |terms|
+    bound = sp.dim * np.finfo(float).eps * (np.abs(a * b) @ sp.quad_weights)
+    assert np.all(np.abs(rows - expected) <= bound)
 
 
 @pytest.mark.parametrize("sp", [euclidean(4), grid_l2(11)])
