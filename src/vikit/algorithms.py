@@ -7,8 +7,13 @@ extragradient methods. Each scheme is one row of `SCHEMES`, and one
 generic step runs every row.
 
 `solve` checks its starting points against the problem's space once and
-then iterates on plain coordinate arrays. Every vector a step forms goes
-through `check_finite`, so a step that overflows fails at that step.
+then iterates on plain coordinate arrays. A step that overflows, or meets
+NaN, raises NonFiniteElementError at that step. Two points are checked
+entry by entry: each new iterate, and the trial point before a box clips
+it (np.clip maps Inf to a bound). A norm that feeds a comparison or a min
+is tested as a scalar (`finite_norm`), and its vector is checked only when
+the norm is not finite. Every other intermediate vector is left unchecked:
+a NaN or Inf entry in it reaches the new iterate.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .problems import ProblemInstance
 from .projections import HalfSpace, halfspace_residual, project
-from .space import SpaceDescriptor, SpaceElement, check_finite
+from .space import SpaceDescriptor, SpaceElement, check_finite, finite_norm
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -187,12 +192,14 @@ def inertial_delta(space: SpaceDescriptor, delta: float, zeta_k: float,
                    x_curr: np.ndarray, x_prev: np.ndarray) -> float:
     """Extrapolation weight: min(zeta_k / ||x_k - x_{k-1}||, delta), or the
     cap delta when the last two iterates coincide. Guarantees
-    delta_k * ||x_k - x_{k-1}|| <= zeta_k."""
+    delta_k * ||x_k - x_{k-1}|| <= zeta_k. Raises NonFiniteElementError
+    when x_k - x_{k-1} has a NaN or Inf entry, which the min could pass
+    over."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if zeta_k <= 0:
         raise ValueError("zeta_k must be positive")
-    gap = space.norm(check_finite(x_curr - x_prev))
+    gap = finite_norm(space, x_curr - x_prev)
     if gap == 0.0:
         return delta
     return min(zeta_k / gap, delta)
@@ -217,38 +224,39 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
     s, dk = x, 0.0
     if parts.inertial:
         dk = inertial_delta(space, cfg.delta, cfg.zeta_seq(k), x, state.x_prev)
-        s = check_finite(x + dk * (x - state.x_prev))
+        s = x + dk * (x - state.x_prev)
 
     if parts.step is Armijo:
         gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
     else:
         gamma = state.gamma
         As = A(s)
-        trial = check_finite(s + (-gamma) * As)
+        trial = s + (-gamma) * As
         y = project(problem.C, trial)
         Ay = A(y)
 
     hk = None
     if parts.correction == "tseng":
-        z = check_finite(y + (-gamma) * (Ay - As))
+        z = y + (-gamma) * (Ay - As)
     else:
-        hk = HalfSpace(normal=check_finite(trial - y), anchor=y, space=space)
-        z = project(hk, check_finite(s + (-gamma) * Ay))
+        hk = HalfSpace(normal=trial - y, anchor=y, space=space)
+        z = project(hk, s + (-gamma) * Ay)
 
     t = None
     if parts.outer == "mann":
-        x_next = check_finite((1.0 - theta - eta) * z + eta * T(z))
+        x_next = (1.0 - theta - eta) * z + eta * T(z)
     elif parts.outer == "modified_mann":
-        x_next = check_finite((1.0 - eta) * (theta * z) + eta * T(z))
+        x_next = (1.0 - eta) * (theta * z) + eta * T(z)
     elif parts.outer == "anchored":
-        z = check_finite(theta * cfg.x0.coords + (1.0 - theta) * z)
-        x_next = check_finite(eta * x + (1.0 - eta) * T(z))
+        z = theta * cfg.x0.coords + (1.0 - theta) * z
+        x_next = eta * x + (1.0 - eta) * T(z)
     else:
-        t = check_finite((1.0 - eta) * z + eta * T(z))
+        t = (1.0 - eta) * z + eta * T(z)
         if parts.outer == "viscosity":
-            x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * t)
+            x_next = theta * problem.f_visc(x) + (1.0 - theta) * t
         else:  # hsd
-            x_next = check_finite(t + (-cfg.hsd_lambda * theta) * problem.F(t))
+            x_next = t + (-cfg.hsd_lambda * theta) * problem.F(t)
+    x_next = check_finite(x_next)
 
     gamma_next = gamma
     if parts.step is Adaptive:
@@ -347,7 +355,7 @@ def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
     s, y, z = state.s, state.y, state.z
 
     def dist(a, b):
-        return space.norm(check_finite(a - b))
+        return finite_norm(space, a - b)
 
     if parts.inertial:
         ratio = state.gamma_prev / state.gamma
@@ -377,7 +385,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     x_star = None if problem.x_star is None else problem.x_star.coords
 
     def err(x: np.ndarray) -> float:
-        return space.norm(check_finite(x - x_star)) if x_star is not None else math.nan
+        return finite_norm(space, x - x_star) if x_star is not None else math.nan
 
     trace = ConvergenceTrace(scheme=cfg.algorithm)
     state = IterateState(k=1, x_prev=cfg.x0.coords, x_curr=cfg.x1.coords,

@@ -3,21 +3,25 @@
 Concrete maps: affine Gx + f, coordinatewise positive part, scalar
 scaling, and the rank-one integral map t -> t * integral(x). Each maps a
 coordinate array to a new coordinate array, and an (m, n) block of rows
-to the block of its values row by row; a result with a NaN or Inf entry
-raises NonFiniteElementError. Monotonicity and demicontractivity are
-certified by seeded sampling, which evaluates these four maps once per
-block of samples and any other callable one point at a time;
-demiclosedness is a declared property and is not checked here.
+to the block of its values row by row. The affine, scaling and integral
+maps raise NonFiniteElementError when their result has a NaN or Inf
+entry. The positive part never raises: it maps a finite input to a
+finite result, keeps NaN and +Inf entries and maps -Inf to 0.
+Monotonicity and demicontractivity are certified by seeded sampling,
+which evaluates these four maps once per block of samples and any other
+callable one point at a time; demiclosedness is a declared property and
+is not checked here.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .space import SpaceDescriptor, SpaceElement, SpaceKind, check_finite
+from .space import SpaceDescriptor, SpaceElement, SpaceKind, _read_only, check_finite
 
 
 class PowerIterationError(RuntimeError):
@@ -71,10 +75,17 @@ class AffineMatrix:
 
 @dataclass(frozen=True)
 class PositivePart:
-    """x -> max(x, 0) coordinatewise."""
+    """x -> max(x, 0) coordinatewise; NaN stays NaN, -Inf gives 0."""
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(x, 0.0)  # finite whenever x is
+        # against a zero row numpy takes its contiguous loop; against the
+        # scalar 0.0 it took 3x as long at 10001 nodes, with the same bits
+        return np.maximum(x, _zero_row(x.shape[-1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _zero_row(n: int) -> np.ndarray:
+    return _read_only(np.zeros(n))
 
 
 @dataclass(frozen=True)

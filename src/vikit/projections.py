@@ -63,29 +63,38 @@ FeasibleSet = Union[Box, Ball, HalfSpace]
 
 def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     """Nearest point of the set in the space's norm. Returns x itself when
-    it already lies in a ball or halfspace."""
+    it already lies in a ball or halfspace.
+
+    A box rejects a point with a NaN or Inf entry (NonFiniteElementError),
+    which np.clip would map to a bound. A ball or halfspace passes such an
+    entry of x on to its result, as NaN or Inf."""
     if isinstance(s, Box):  # a box has no space of its own
-        return np.clip(x, s.lower, s.upper)
+        return np.clip(check_finite(x), s.lower, s.upper)
     sp = s.center.space if isinstance(s, Ball) else s.space
     if x.shape != (sp.dim,):
         raise SpaceMismatchError("point and set live in different spaces")
     if isinstance(s, Ball):
         c = s.center.coords
-        d = check_finite(x - c)
+        d = x - c
         dist = sp.norm(d)
+        # a NaN dist fails the test, and an infinite one scales d by 0,
+        # which turns an Inf entry into NaN
         if dist <= s.radius:
             return x
-        return check_finite(c + (s.radius / dist) * d)
-    # halfspace: one-step orthogonal correction
+        return c + (s.radius / dist) * d
+    # halfspace: one-step orthogonal correction. A NaN or Inf entry of x is
+    # returned or turned into NaN; only a non-finite normal could pass a
+    # finite x as a member (viol = -Inf), and a step's normal is finite when
+    # its trial point is, as the box check and the ball's NaN ensure
     nn = sp.inner(s.normal, s.normal)
     if nn == 0.0:
         return x
     viol = halfspace_residual(s, x)
     if viol <= 0.0:
         return x
-    return check_finite(x - (viol / nn) * s.normal)
+    return x - (viol / nn) * s.normal
 
 
 def halfspace_residual(s: HalfSpace, x: np.ndarray) -> float:
     """<normal, x - anchor>; nonpositive iff x belongs to the halfspace."""
-    return s.space.inner(s.normal, check_finite(x - s.anchor))
+    return s.space.inner(s.normal, x - s.anchor)

@@ -72,10 +72,20 @@ class SpaceDescriptor:
         a*b in the GRID_L2 case."""
         if self.kind is SpaceKind.EUCLIDEAN:
             return float(a @ b)
-        return float(np.sum(self.quad_weights * a * b))
+        # np.sum's pairwise sum without its Python wrapper
+        return float(np.add.reduce(self.quad_weights * a * b))
 
     def norm(self, a: np.ndarray) -> float:
-        return math.sqrt(max(self.inner(a, a), 0.0))
+        """sqrt(inner(a, a)), NaN or Inf when a has a NaN or Inf entry. A
+        sum of squares that overflows on finite entries (past ~1.3e154) is
+        taken again on a / max|a|, so a finite array has a finite norm
+        unless the norm itself exceeds the largest float."""
+        sq = self.inner(a, a)
+        if not math.isfinite(sq) and np.isfinite(a).all():
+            big = float(np.abs(a).max())
+            b = a / big
+            return big * math.sqrt(self.inner(b, b))
+        return math.sqrt(max(sq, 0.0))
 
     def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Inner products of the matching rows of two (m, n) blocks, as an
@@ -101,6 +111,17 @@ def check_finite(v: np.ndarray) -> np.ndarray:
     if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise NonFiniteElementError("element contains non-finite entries")
     return v
+
+
+def finite_norm(space: SpaceDescriptor, v: np.ndarray) -> float:
+    """space.norm(v), once v is known to hold no NaN or Inf entry; raises
+    NonFiniteElementError otherwise. Such an entry always makes the norm
+    non-finite (the weights are positive), so v is checked entry by entry
+    only when the norm is."""
+    n = space.norm(v)
+    if not math.isfinite(n):
+        check_finite(v)
+    return n
 
 
 def euclidean(n: int) -> SpaceDescriptor:

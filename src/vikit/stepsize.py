@@ -12,7 +12,7 @@ import numpy as np
 
 from .operators import AffineMatrix
 from .projections import Box, FeasibleSet, project
-from .space import SpaceDescriptor, check_finite
+from .space import SpaceDescriptor, check_finite, finite_norm
 
 
 class ArmijoSearchError(RuntimeError):
@@ -66,13 +66,15 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
                     s: np.ndarray, y: np.ndarray, As: np.ndarray,
                     Ay: np.ndarray) -> float:
     """Next step: min(phi * ||s-y|| / ||As-Ay||, gamma_k), or gamma_k when
-    the operator displacement vanishes. Never increases."""
-    norm = space.norm
-    denom = norm(check_finite(As - Ay))
-    # floating-point reading of the "As != Ay" branch
-    if denom <= 1e-14 * max(1.0, norm(As), norm(Ay)):
+    the operator displacement vanishes. Never increases. Raises
+    NonFiniteElementError when As - Ay or s - y has a NaN or Inf entry,
+    which the comparison or the min could otherwise pass over."""
+    denom = finite_norm(space, As - Ay)
+    # floating-point reading of the "As != Ay" branch; a finite denom
+    # means As and Ay are finite too
+    if denom <= 1e-14 * max(1.0, space.norm(As), space.norm(Ay)):
         return gamma_k
-    return min(phi * norm(check_finite(s - y)) / denom, gamma_k)
+    return min(phi * finite_norm(space, s - y) / denom, gamma_k)
 
 
 def validate_fixed(gamma: float, L: float) -> bool:

@@ -39,6 +39,18 @@ def test_positive_part_clips_negative_grid_function():
     assert np.array_equal(PositivePart()(x.coords), np.zeros(51))
 
 
+@pytest.mark.parametrize("shape", [(9,), (4, 9), (3, 10001)])
+def test_positive_part_is_bitwise_max_with_the_scalar_zero(shape):
+    # the operator compares against a zero row, numpy's fast loop; the bits
+    # must be those of np.maximum(x, 0.0), signed zeros and NaN included
+    x = np.random.default_rng(5).standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[:6] = [-0.0, 0.0, np.nan, -np.inf, np.inf, -1e-320]
+    out = PositivePart()(x)
+    assert out.tobytes() == np.maximum(x, 0.0).tobytes()
+    assert not np.signbit(out.reshape(-1)[0])
+
+
 def test_rank_one_integral_of_constant_is_identity_function():
     sp = grid_l2(101)
     one = element(sp, np.ones(101))

@@ -1,17 +1,22 @@
 """Property tests of the mathematics the solvers rely on: the metric
-projection identities, the adaptive step rule, the step-size floors and
-the inertial bound; and of the problem-spec grammar."""
+projection identities, the adaptive step rule, the step-size floors, the
+inertial bound, and the halfspace-membership and Tseng inequalities of
+each step; and of the problem-spec grammar."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from binding_problem import binding_problem
 from membership import contains, sample_point
+from vikit import algorithms
 from vikit.algorithms import SCHEMES, Scheme, inertial_delta, solve
 from vikit.harness import make_config, parse_problem_spec
-from vikit.problems import RandomSpec, initial_points, make_example1
-from vikit.projections import Ball, Box, HalfSpace, project
+from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
+from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
 from vikit.space import element, euclidean, grid_l2
 from vikit.stepsize import Adaptive, Armijo, adaptive_update
 
@@ -119,6 +124,78 @@ def test_inertial_step_stays_within_zeta(case, delta, zeta):
     dk = inertial_delta(sp, delta, zeta, x_curr, x_prev)
     assert 0.0 <= dk <= delta
     assert dk * sp.norm(x_curr - x_prev) <= zeta * (1.0 + 1e-12)
+
+
+# Each inequality below holds exactly for exact arithmetic; its tolerance
+# bounds the rounding of the quantities it compares, (n + 4) eps times the
+# norms of the vectors they are computed from (weighted norms, so the bound
+# holds on the grid too). Over 300 draws the halfspace residual reached
+# 0.043 of its tolerance, and at most 1.5e-12 of ||normal|| ||z - anchor||,
+# which alone is no bound: z - anchor can be small where x and z are not.
+EPS = float(np.finfo(float).eps)
+STEP_ITERS = 100
+
+
+@st.composite
+def step_states(draw, correction):
+    """(problem, config, states): an ex1 problem with n = 5-100, an ex2
+    problem on 3-201 nodes from any start, or a binding problem with n =
+    4-24, solved for STEP_ITERS iterations by a drawn scheme with the given
+    correction; states are the IterateStates its steps returned."""
+    family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
+    init = "random_uniform"
+    if family == "ex1":
+        p = make_example1(RandomSpec(draw(st.integers(5, 100)), draw(st.integers(0, 2**16))))
+    elif family == "ex2":
+        p = make_example2(draw(st.integers(3, 201)))
+        init = draw(st.sampled_from(["t_squared", "t_plus_half_cos_t", "random_uniform"]))
+    else:
+        n = draw(st.integers(4, 24))
+        p = binding_problem(n, draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
+    x0, x1 = initial_points(p, init, seed=draw(st.integers(0, 2**16)))
+    scheme = draw(st.sampled_from([s for s in Scheme if SCHEMES[s].correction == correction]))
+    cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS)
+    states = []
+    step = algorithms.step_baseline
+
+    def record(state, problem, c):
+        states.append(step(state, problem, c))
+        return states[-1]
+
+    with mock.patch.object(algorithms, "step_baseline", record):
+        solve(p, cfg)
+    return p, cfg, states
+
+
+@settings(max_examples=30)
+@given(step_states("halfspace"))
+def test_z_lies_in_the_halfspace_it_was_projected_onto(run):
+    # <normal, z - anchor> <= 0, where z is x = s - gamma_k A(y) projected
+    # (hsegm's z then moves toward x_0, a point of C and so of the halfspace)
+    p, _, states = run
+    norm, n = p.space.norm, p.space.dim
+    for st_ in states:
+        hk, z = st_.halfspace, st_.z
+        x = st_.s + (-st_.gamma_prev) * p.A(st_.y)
+        size = sum(norm(v) for v in (z - hk.anchor, x - hk.anchor, x, z, hk.anchor))
+        assert halfspace_residual(hk, z) <= (n + 4) * EPS * norm(hk.normal) * size
+
+
+@settings(max_examples=30)
+@given(step_states("tseng"))
+def test_tseng_correction_moves_at_most_phi_gamma_ratio_times_s_minus_y(run):
+    # ||z - y|| = gamma_k ||As - Ay|| <= phi (gamma_k / gamma_{k+1}) ||s - y||;
+    # the Armijo search makes it hold with ratio 1, and the adaptive rule
+    # keeps gamma_k when ||As - Ay|| <= 1e-14 max(1, ||As||, ||Ay||)
+    p, cfg, states = run
+    norm, n = p.space.norm, p.space.dim
+    phi = cfg.step.phi
+    for st_ in states:
+        s, y, z = st_.s, st_.y, st_.z
+        ratio = 1.0 if isinstance(cfg.step, Armijo) else st_.gamma_prev / st_.gamma
+        kept = st_.gamma_prev * 1e-14 * max(1.0, norm(p.A(s)), norm(p.A(y)))
+        rounding = (n + 4) * EPS * (norm(y) + norm(z) + phi * ratio * (norm(s) + norm(y)))
+        assert norm(z - y) - phi * ratio * norm(s - y) <= kept + rounding
 
 
 # Spec values are small integers, the three starts or fixed junk, never free

@@ -7,6 +7,7 @@ from vikit.space import (
     SpaceMismatchError,
     check_finite,
     element,
+    finite_norm,
     euclidean,
     grid_l2,
     inner,
@@ -39,6 +40,27 @@ def test_norms():
     g = grid_l2(101)
     assert norm(element(g, np.ones(101))) == pytest.approx(1.0, abs=1e-14)
     assert norm(element(g, g.grid)) == pytest.approx(1 / np.sqrt(3), abs=1e-4)
+
+
+@pytest.mark.parametrize("sp", [euclidean(8), grid_l2(8)])
+def test_norm_of_a_finite_array_does_not_overflow_before_the_norm_does(sp):
+    # the sum of squares overflows past ~1.3e154 (with numpy's warning)
+    rng = np.random.default_rng(2)
+    a = rng.uniform(-1.0, 1.0, 8)
+    with np.errstate(over="ignore"):
+        for scale in (1e160, 1e300):
+            assert sp.norm(scale * a) == pytest.approx(scale * sp.norm(a), rel=1e-14)
+        # in R^8 the norm itself overflows; the grid's weights sum to 1
+        top = np.inf if sp.kind is SpaceKind.EUCLIDEAN else 1e308
+        assert sp.norm(np.full(8, 1e308)) == top
+        assert finite_norm(sp, np.full(8, 1e308)) == top
+    for bad in (np.nan, np.inf, -np.inf):
+        b = a.copy()
+        b[3] = bad
+        assert not np.isfinite(sp.norm(b))
+        with pytest.raises(NonFiniteElementError):
+            finite_norm(sp, b)
+    assert finite_norm(sp, a) == sp.norm(a)
 
 
 def test_space_mismatch_raises():

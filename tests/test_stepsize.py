@@ -70,6 +70,17 @@ def test_adaptive_update_never_increases():
         assert adaptive_update(sp, g, 0.5, s, y, As, Ay) <= g
 
 
+def test_adaptive_update_rejects_a_difference_that_overflows():
+    # As - Ay = inf would make the candidate step phi ||s - y|| / inf = 0
+    sp = euclidean(2)
+    s, y = np.array([1.0, 0.0]), np.zeros(2)
+    As, Ay = np.array([1e308, 0.0]), np.array([-1e308, 0.0])
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
+        adaptive_update(sp, 0.5, 0.5, s, y, As, Ay)
+    with pytest.raises(NonFiniteElementError):
+        adaptive_update(sp, 0.5, 0.5, np.array([np.nan, 0.0]), y, np.ones(2), y)
+
+
 def test_validate_fixed():
     L = 4.0
     assert validate_fixed(0.99 / L, L)
