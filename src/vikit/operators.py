@@ -16,6 +16,7 @@ is not checked here.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
@@ -32,24 +33,36 @@ class PowerIterationError(RuntimeError):
         self.best_estimate = best_estimate
 
 
+_PROBE_MIN_NORM = 2.0 ** -400
+
+
 @dataclass(frozen=True)
 class AffineMatrix:
     """x -> G x + f.
 
     `frobenius` is ||G||_F, computed once here. It bounds the Lipschitz
-    constant ||G||_2 from above, and it bounds how far two evaluations of
-    A(y) that sum in different orders (one G @ y, or one row of a block
-    Y @ G.T) can lie apart: each computes every entry of Gy + f as a sum
-    of n + 1 terms, so in any order |fl(Gy + f) - (Gy + f)| <=
-    g_{n+1} (|G||y| + |f|) entrywise, g_m = m u / (1 - m u) with u = 2^-53.
-    Two evaluations therefore differ by at most
-    2 g_{n+1} (||G||_F ||y|| + ||f||) in the Euclidean norm, because
-    || |G||y| || <= || |G| ||_F ||y|| = ||G||_F ||y||. The screened Armijo
-    search (`stepsize.armijo_search`) rests on this bound."""
+    constant ||G||_2 from above, and it bounds how far a computed A(y)
+    lies from the exact Gy + f: every entry is a sum of n + 1 terms, so in
+    any order |fl(Gy + f) - (Gy + f)| <= g_{n+1} (|G||y| + |f|) entrywise,
+    g_m = m u / (1 - m u) with u = 2^-53, and in the Euclidean norm
+    ||fl(Gy + f) - (Gy + f)|| <= g_{n+1} (||G||_F ||y|| + ||f||), because
+    || |G||y| || <= || |G| ||_F ||y|| = ||G||_F ||y||.
+
+    `probe` is w / ||u|| with u = G 1 and w = G^T u, both computed once
+    here: an n-vector with ||G d|| >= |<G^T u, d>| / ||u|| for every d
+    (Cauchy-Schwarz on <u, G d>), so one dot product bounds ||G d|| from
+    below. Any u serves; G 1 leans towards G's dominant direction when G's
+    entries are mostly positive, as ex1's are. For the computed u, the
+    computed w lies within g_n ||G||_F ||u|| of G^T u, so
+    ||w|| <= (1 + g_n) ||G||_F ||u||. `probe` is None when ||G||_F or ||u||
+    is not finite, ||u|| < 2^-400 (its sum of squares may have lost
+    digits to underflow) or the probe is zero or not finite. The screened
+    Armijo search (`stepsize.armijo_search`) rests on these bounds."""
 
     G: np.ndarray
     f_vec: Optional[SpaceElement] = None
     frobenius: float = field(init=False, repr=False, compare=False)
+    probe: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
@@ -59,8 +72,17 @@ class AffineMatrix:
             raise ValueError(f"offset dimension {self.f_vec.space.dim} does not "
                              f"match G's {G.shape[0]}")
         object.__setattr__(self, "G", G)
-        with np.errstate(over="ignore"):  # entries past ~1e154 give inf
-            object.__setattr__(self, "frobenius", float(np.linalg.norm(G)))
+        # entries past ~1e154 overflow these sums to inf, and a zero u
+        # divides 0 by 0; either leaves the probe out
+        with np.errstate(all="ignore"):
+            frobenius = float(np.linalg.norm(G))
+            u = G.sum(axis=1)
+            u_norm = float(np.linalg.norm(u))
+            probe = (G.T @ u) / u_norm
+        usable = (frobenius < math.inf and _PROBE_MIN_NORM <= u_norm < math.inf
+                  and np.isfinite(probe).all() and probe.any())
+        object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "probe", _read_only(probe) if usable else None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.G.shape[0] != x.shape[-1]:

@@ -7,6 +7,7 @@ projection is taken in.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -92,6 +93,18 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     viol = halfspace_residual(s, x)
     if viol <= 0.0:
         return x
+    if not (math.isfinite(nn) and math.isfinite(viol)):
+        # past ~1e154 the inner products overflow on finite vectors; take
+        # them again on the vectors divided by their largest |entry|, as
+        # SpaceDescriptor.norm does. A non-finite vector keeps the NaN.
+        d = x - s.anchor
+        if np.isfinite(s.normal).all() and np.isfinite(d).all():
+            a = s.normal / np.abs(s.normal).max()
+            scale = float(np.abs(d).max())
+            viol = sp.inner(a, d / scale)
+            if viol <= 0.0:
+                return x
+            return x - (scale * (viol / sp.inner(a, a))) * a
     return x - (viol / nn) * s.normal
 
 

@@ -88,7 +88,7 @@ ARMIJO_MAX_TRIALS = 60
 
 # The screen's margin in armijo_search: underflow moves a computed norm by
 # at most _TAU and a product by far less than _SIGMA, and no trial whose
-# block norms exceed _HUGE counts as proven, so nothing the serial trial
+# sizes exceed _HUGE counts as proven, so nothing the serial trial
 # computes can overflow. _EPS is twice the unit roundoff u = 2^-53.
 _TAU = 2.0 ** -500
 _SIGMA = 2.0 ** -1000
@@ -110,21 +110,25 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     rejected them. So the result, or the exception and its `last_gamma`,
     is bitwise the serial search's.
 
-    The screen applies when A is an `AffineMatrix` and C a `Box` with
-    scalar or per-coordinate bounds; any other A (a `PositivePart`, a
-    wrapped operator) or set runs the serial loop alone. The trials
-    j = 0, 1, ... with gamma_j ||G||_F > phi (at most ARMIJO_MAX_TRIALS;
-    later ones pass the exact test, as ||G||_F >= L) are formed as rows of
-    one array, with the same repeated gamma *= l and an elementwise clip,
-    so row j is bitwise the serial y_j; one Y @ G.T (+ f) gives their A
-    values. In the space's weights w, let n1 and n2 be the block's norms of
-    A(x) - A_block(y_j) and x - y_j, and
+    The screen applies when A is an `AffineMatrix` with a `probe` and C a
+    `Box` with scalar or per-coordinate bounds; any other A (a
+    `PositivePart`, a wrapped operator) or set runs the serial loop alone.
+    The trials j = 0, 1, ... with gamma_j ||G||_F > phi (at most
+    ARMIJO_MAX_TRIALS; later ones pass the exact test, as ||G||_F >= L)
+    are formed as rows of one array, with the same repeated gamma *= l and
+    an elementwise clip, so row j of D = x - Y is bitwise the serial
+    d_j = x - y_j. A trial is judged from d_j alone, with no evaluation of
+    A: let n2 be the block's norm of d_j in the space's weights w, p_j the
+    computed <probe, d_j>, s = sqrt(min w), F = ||G||_F, xn and fn the
+    computed Euclidean norms of x and f (fn = 0 without f), and
 
-        dA = 2 (n + 2) eps sqrt(max w) ((||G||_F + tau)(||y_j||_2 + tau) + ||f||_2 + tau),
+        n1 = s |p_j|,
+        size = (2 (F + tau) / s)(n2 + tau) + (F + tau)(xn + tau) + fn + tau,
+        dA = 2 (n + 3) eps s size,
         eta = (n + 16) eps,  eps = 2u,  tau = 2^-500,  sigma = 2^-1000.
 
-    Trial j is proven rejected when its unclipped point is finite,
-    n1, n2 <= 2^500, and
+    Trial j is proven rejected when xn + gamma_j ||A(x)||_2 <= 2^500 (the
+    norm as computed), n2 <= 2^500, size <= 2^500 and
 
         gamma_j n1 (1 - 4 eta) > (phi (n2 + 2 tau) + gamma_j (dA + 2 tau)) (1 + 4 eta) + sigma.
 
@@ -132,26 +136,38 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     squares in any order, then a square root) has |N - ||v||| <=
     g ||v|| + tau with g ~ (n + 3) u / 2 <= eta / 4: the terms are
     nonnegative, so the sum's relative error is at most g_{n+1}, and
-    underflow of the squares costs at most sqrt(n) 2^-537 <= tau. By the
-    bound in `AffineMatrix`, the serial and block A(y_j) differ by at most
-    2 g_{n+1} (||G||_F ||y_j||_2 + ||f||_2) in the Euclidean norm, hence
-    by sqrt(max w) times that in the space's; dA bounds this with a factor
-    2 to spare for the rounding of ||G||_F, ||y_j|| and ||f|| (tau covers
-    their underflow). The serial difference fl(A(x) - A(y_j)) is within a
-    relative u of the exact one. Chaining these, the serial test's sides
-    satisfy
+    underflow of the squares costs at most sqrt(n) 2^-537 <= tau. Let d be
+    the exact x - y_j; it lies within a relative u of d_j. In the
+    Euclidean norm:
+    - by `AffineMatrix`, the serial A(x) and A(y_j) lie within
+      g_{n+1} (F ||x|| + ||f||) and g_{n+1} (F ||y_j|| + ||f||) of Gx + f
+      and G y_j + f, and ||y_j|| <= ||x|| + ||d||;
+    - ||G d|| >= |<G^T u, d>| / ||u|| for the computed u = G 1. The
+      computed w lies within g_n F ||u|| of G^T u, the probe within a
+      relative u of w / ||u|| as computed, and p_j within g_n ||probe||
+      ||d_j|| of <probe, d_j>; with ||w|| <= (1 + g_n) F ||u|| these add
+      at most g_n (||w|| + F ||u||) ||d_j|| / ||u|| <= 2 g_{n+3} F ||d_j||,
+      and the computed ||u|| >= 2^-400 is within g of the exact one.
+    So ||A(x) - A(y_j)|| >= (1 - g) |p_j| - 2 g_{n+3} (F ||x|| + 2 F ||d_j||
+    + ||f||), where ||d_j|| <= (n2 + tau)(1 + eta) / s; dA / s bounds the
+    subtracted term with a factor 2 to spare for the rounding of F, xn, fn
+    and s (tau covers their underflow). The weighted norm is at least s
+    times the Euclidean one, and the serial difference fl(A(x) - A(y_j))
+    is within a relative u of the exact one. Chaining these, the serial
+    test's sides satisfy
 
-        fl(gamma_j N1) >= gamma_j n1 (1 - u)(1 - eta)^2 - gamma_j (dA + 2 tau) - 2^-1075,
+        fl(gamma_j N1) >= gamma_j n1 (1 - u)^2 (1 - eta)^2 - gamma_j (dA + 2 tau) - 2^-1075,
         fl(phi N2) <= phi (n2 + 2 tau)(1 + u)(1 + eta) + 2^-1075.
 
     The screen's inequality adds and multiplies nonnegative terms only, so
     its own rounding is a few u relative; 4 eta >= 128 u and sigma cover
     that and the factors above, and it makes the first line exceed the
     second: the serial test is false. The guards keep the serial trial
-    from raising: its unclipped point is bitwise the checked row; n1 > dA
-    (implied) bounds ||G||_F ||y_j|| + ||f|| below 2^560, so no partial
-    sum of G y_j + f overflows; and n1, n2 <= 2^500 keep A(x) - A(y_j),
-    x - y_j and their sums of squares finite."""
+    from raising: |x_i| + gamma_j |A(x)_i| < 2^501 keeps its unclipped
+    point finite (the row's is bitwise the same); size bounds F ||y_j|| +
+    ||f|| and F ||x|| + ||f|| below 2^500, so no partial sum of G y_j + f
+    overflows and A(y_j) and A(x) - A(y_j) are finite; and n2 <= 2^500
+    keeps x - y_j finite. A finite vector passes `check_finite`."""
     norm = space.norm
     Ax = A(x)
     skip = _proven_rejections(space, policy, x, Ax, A, C)
@@ -174,9 +190,9 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
                        Ax: np.ndarray, A, C: FeasibleSet) -> list:
     """For the first trials of armijo_search, True where the serial test
     is proven to reject the trial (see its docstring for the margin);
-    empty unless A is an AffineMatrix and C a Box with scalar or
-    per-coordinate bounds."""
-    if not (isinstance(A, AffineMatrix) and isinstance(C, Box)
+    empty unless A is an AffineMatrix with a probe and C a Box with scalar
+    or per-coordinate bounds."""
+    if not (isinstance(A, AffineMatrix) and A.probe is not None and isinstance(C, Box)
             and {np.shape(C.lower), np.shape(C.upper)} <= {(), x.shape}):
         return []
     gammas = []
@@ -188,24 +204,25 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
         return []
     g = np.array(gammas)
     n = x.shape[0]
-    w = space.quad_weights
+    s = math.sqrt(space.quad_weights.min())
     eta = (n + 16) * _EPS
     # the screen's arithmetic may overflow or meet inf where the serial
     # trials it screens never would; such a row is simply not proven
     with np.errstate(all="ignore"):
-        unclipped = x + (-g)[:, None] * Ax
-        Y = np.clip(unclipped, C.lower, C.upper)
-        AY = Y @ A.G.T
-        size = (A.frobenius + _TAU) * (np.sqrt(np.einsum("ij,ij->i", Y, Y)) + _TAU) + _TAU
-        if A.f_vec is not None:
-            AY += A.f_vec.coords
-            size += np.linalg.norm(A.f_vec.coords)
-        dA = (2 * (n + 2) * _EPS * math.sqrt(w.max())) * size
-        d = Ax - AY
-        n1 = np.sqrt(space.row_inner(d, d))
-        d = x - Y
-        n2 = np.sqrt(space.row_inner(d, d))
+        xn = math.sqrt(np.vdot(x, x))
+        fn = 0.0 if A.f_vec is None else math.sqrt(np.vdot(A.f_vec.coords, A.f_vec.coords))
+        # row j: the serial x + (-gamma_j) A(x), its clip, then x - y_j
+        D = np.multiply.outer(-g, Ax)
+        D += x
+        np.clip(D, C.lower, C.upper, out=D)
+        np.subtract(x, D, out=D)
+        n2 = np.sqrt(space.row_inner(D, D))
+        n1 = s * np.abs(D @ A.probe)
+        F = A.frobenius + _TAU
+        size = (2 * F / s) * (n2 + _TAU) + (F * (xn + _TAU) + fn + _TAU)
+        dA = (2 * (n + 3) * _EPS * s) * size
         proven = (g * n1 * (1 - 4 * eta)
                   > (policy.phi * (n2 + 2 * _TAU) + g * (dA + 2 * _TAU)) * (1 + 4 * eta) + _SIGMA)
-        proven &= (np.maximum(n1, n2) <= _HUGE) & np.isfinite(unclipped).all(axis=1)
+        proven &= ((n2 <= _HUGE) & (size <= _HUGE)
+                   & (xn + g * math.sqrt(np.vdot(Ax, Ax)) <= _HUGE))
     return proven.tolist()

@@ -2,10 +2,11 @@
 
 This is `vikit.algorithms._step` as it was when every vector a step forms
 went through `check_finite`, with the inertial weight, the adaptive
-update and the ball and halfspace projections it called then. The
-library step checks only the points where a NaN or Inf could be lost;
-from the same state it must give the same iterate bit for bit, or raise
-the same exception at the same step.
+update and the ball and halfspace projections it called then; the
+halfspace projection also has the library's rescale for inner products
+that overflow on finite vectors. The library step checks only the points
+where a NaN or Inf could be lost; from the same state it must give the
+same iterate bit for bit, or raise the same exception at the same step.
 """
 
 import numpy as np
@@ -30,10 +31,20 @@ def _project(s, x):
     nn = sp.inner(s.normal, s.normal)
     if nn == 0.0:
         return x
-    viol = sp.inner(s.normal, check_finite(x - s.anchor))
+    d = check_finite(x - s.anchor)
+    viol = sp.inner(s.normal, d)
     if viol <= 0.0:
         return x
-    return check_finite(x - (viol / nn) * s.normal)
+    if np.isfinite(nn) and np.isfinite(viol):
+        return check_finite(x - (viol / nn) * s.normal)
+    # inner products that overflow on finite vectors, taken again on the
+    # vectors divided by their largest |entry|
+    a = check_finite(s.normal) / np.abs(s.normal).max()
+    scale = np.abs(d).max()
+    viol = sp.inner(a, d / scale)
+    if viol <= 0.0:
+        return x
+    return check_finite(x - (scale * (viol / sp.inner(a, a))) * a)
 
 
 def _inertial_delta(space, delta, zeta_k, x_curr, x_prev):

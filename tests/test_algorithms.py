@@ -27,7 +27,7 @@ from vikit.algorithms import (
     step_alg3,
     step_baseline,
 )
-from vikit.harness import CONDITIONS, make_config
+from vikit.harness import CONDITIONS, make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, Scale
 from vikit.problems import (
     ProblemInstance,
@@ -433,6 +433,28 @@ def test_residual_columns_present_when_requested():
     assert all(math.isnan(v) for v in trace.column("res_tseng"))
 
 
+def _iterations_to(problem, x, scheme, tol):
+    trace = solve(problem, make_config(scheme, problem, x0=x, x1=x, max_iter=3000, tol=tol))
+    assert trace.rows[-1].D <= tol
+    return trace.rows[-1].k
+
+
+@pytest.mark.parametrize("spec", [f"ex1:n=100,seed={seed}" for seed in range(1, 6)]
+                         + ["ex2:grid=1001", "ex2:grid=1001,init=t_plus_half_cos_t"])
+def test_the_proposed_schemes_reach_1e_4_before_their_baselines(spec):
+    # the paper's comparison: imsegm against msegm and immsegm against
+    # mmsegm (each pair differs in inertia and in the step rule). The golden
+    # traces catch any change to the floats; this says whether a change
+    # reverses the ordering. ex2's starts read no seed.
+    for start in range(4 if spec.startswith("ex1") else 1):
+        problem, init = parse_problem_spec(spec, start)
+        x, _ = initial_points(problem, init, seed=start)
+        for proposed, baseline in ((Scheme.IMSEGM, Scheme.MSEGM),
+                                   (Scheme.IMMSEGM, Scheme.MMSEGM)):
+            assert (_iterations_to(problem, x, proposed, 1e-4)
+                    < _iterations_to(problem, x, baseline, 1e-4)), (spec, start, proposed)
+
+
 def _huge_start_problem():
     p = make_example1(RandomSpec(n=8, seed=1))
     x = element(p.space, np.full(8, 1e298))
@@ -461,14 +483,16 @@ def test_overflow_inside_a_step_raises_at_that_step(scheme, step):
 
 def test_distances_from_a_huge_start_are_finite():
     # every entry 1e160: the sum of squares of x_1 - x* overflows, the norm
-    # (2.83e160) does not. (At k = 2 the halfspace projection's own inner
-    # products overflow, so the run stops there.)
+    # (2.83e160) does not. So do the halfspace projection's inner products;
+    # taken again on rescaled vectors, they let these schemes run on
     p = make_example1(RandomSpec(n=8, seed=1))
     x = element(p.space, np.full(8, 1e160))
-    with np.errstate(over="ignore"):
-        rows = solve(p, make_config(Scheme.IMSEGM, p, x0=x, x1=x, max_iter=1)).rows
-    assert rows[0].D == pytest.approx(math.sqrt(8) * 1e160, rel=1e-15)
-    assert math.isfinite(rows[1].D)
+    for scheme in (Scheme.IMSEGM, Scheme.IMMSEGM, Scheme.VSEGM, Scheme.MSEGM, Scheme.MMSEGM):
+        with np.errstate(over="ignore"):
+            rows = solve(p, make_config(scheme, p, x0=x, x1=x, max_iter=200)).rows
+        assert rows[0].D == pytest.approx(math.sqrt(8) * 1e160, rel=1e-15)
+        assert len(rows) == 201
+        assert all(math.isfinite(row.D) for row in rows)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armijo_oracle import armijo_search_serial
+from vikit.algorithms import Scheme, solve
+from vikit.harness import make_config
 from vikit.operators import AffineMatrix
+from vikit.problems import RandomSpec, initial_points, make_example1
 from vikit.projections import Box
 from vikit.space import NonFiniteElementError, check_finite, element, euclidean, grid_l2, zeros
 from vikit.stepsize import (
@@ -15,6 +19,7 @@ from vikit.stepsize import (
     Armijo,
     ArmijoSearchError,
     Fixed,
+    _proven_rejections,
     adaptive_update,
     armijo_search,
     validate_fixed,
@@ -184,28 +189,64 @@ def _serial_ratios(sp, A, C, x, rho, l):
     return ratios
 
 
-@st.composite
-def armijo_cases(draw):
-    """(space, policy, x, A, C): G from ex1's recipe or non-symmetric
-    random, with or without an offset; x and rho up to overflow scale; and
-    in tie cases phi within 4 ulps of the serial ratio at some trial."""
-    n = draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
-    if draw(st.booleans()):
+def _nudged(phi, ulps):
+    for _ in range(abs(ulps)):
+        phi = float(np.nextafter(phi, math.copysign(math.inf, ulps)))
+    return phi
+
+
+MATRIX_KINDS = ("ex1", "random", "rank_one", "zero_row_sums", "huge")
+
+
+def _matrix(kind, rng, n, e):
+    """An n x n G of the given kind, scaled by about 10^e."""
+    if kind == "ex1":
         B = rng.uniform(0.0, 2.0, (n, n))
         M = rng.uniform(-2.0, 2.0, (n, n))
         G = B @ B.T + 0.5 * (M - M.T) + np.diag(rng.uniform(0.0, 2.0, n))
-    else:
+    elif kind == "random":
         G = rng.standard_normal((n, n))
-    G = G * 10.0 ** draw(st.integers(-3, 3))
-    f = None
-    if draw(st.booleans()):
-        f = element(sp, rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3)))
-    A = AffineMatrix(G, f)
-    C = Box(*_bounds(draw, rng, n))
+    elif kind == "rank_one":
+        G = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    elif kind == "zero_row_sums":
+        # small integers sum exactly in any order, and a power of two
+        # scales them exactly, so G 1 is exactly zero
+        G = rng.integers(-4, 5, (n, n)).astype(float)
+        G[:, 0] -= G.sum(axis=1)
+        return G * 2.0 ** (3 * e)
+    else:  # "huge": G 1 or G^T G 1 overflows
+        return rng.standard_normal((n, n)) * 10.0 ** (300 + e)
+    return G * 10.0 ** e
+
+
+@st.composite
+def armijo_cases(draw):
+    """(space, policy, x, A, C): G from ex1's recipe, non-symmetric
+    random, exactly rank-one (where the screen's bound on ||G d|| is
+    tight), with zero row sums (no probe) or with entries near overflow
+    (no probe either); no offset, a random one, or one that nearly cancels
+    Gx; x and rho up to overflow scale; and in tie cases phi within 4 ulps
+    of the serial ratio at some trial."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
+    G = _matrix(draw(st.sampled_from(MATRIX_KINDS)), rng, n, draw(st.integers(-3, 3)))
     x = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.sampled_from(
         [-8, -1, 0, 1, 3, 140, 145, 150, 155, 300, 305]))
+    f = None
+    offset = draw(st.sampled_from(["none", "random", "near_root"]))
+    if offset == "random":
+        f = element(sp, rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3)))
+    elif offset == "near_root":
+        # A(x) = Gx + f nearly cancels, so the serial A(x) - A(y) carries
+        # rounding errors of order u ||G|| ||x||, far above ||G (x - y)||:
+        # the part of the screen's margin that grows with ||x||
+        with np.errstate(all="ignore"):
+            f = -(G @ x) + rng.standard_normal(n) * (
+                10.0 ** draw(st.integers(-14, -4)) * float(np.abs(G @ x).max(initial=0.0)))
+        f = element(sp, f) if np.isfinite(f).all() else None
+    A = AffineMatrix(G, f)
+    C = Box(*_bounds(draw, rng, n))
     # a huge rho overflows the first trials while A(x) stays finite
     rho = 10.0 ** draw(st.one_of(st.floats(-3.0, 10.0), st.floats(150.0, 300.0)))
     l = draw(st.floats(0.05, 0.95))
@@ -214,10 +255,8 @@ def armijo_cases(draw):
         with np.errstate(all="ignore"):
             ratios = [r for r in _serial_ratios(sp, A, C, x, rho, l) if 0.0 < r < 1.0]
         if ratios:
-            phi = ratios[draw(st.integers(0, len(ratios) - 1))]
-            nudge = draw(st.integers(-4, 4))
-            for _ in range(abs(nudge)):
-                phi = float(np.nextafter(phi, math.copysign(math.inf, nudge)))
+            phi = _nudged(ratios[draw(st.integers(0, len(ratios) - 1))],
+                          draw(st.integers(-4, 4)))
             phi = min(max(phi, 5e-324), float(np.nextafter(1.0, 0.0)))
     return sp, Armijo(rho=rho, l=l, phi=phi), x, A, C
 
@@ -238,3 +277,65 @@ def _outcome(search, case):
 @given(armijo_cases())
 def test_screened_armijo_search_equals_the_serial_search(case):
     assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case)
+
+
+@pytest.mark.parametrize("offset", ["none", "near_root"])
+def test_rank_one_ties_are_left_to_the_serial_test(offset):
+    # for a rank-one G the screen's bound on ||G d|| is tight, so with phi
+    # within 4 ulps of a trial's serial ratio only the margin keeps the
+    # screen from skipping a trial the serial test accepts; a near root
+    # adds rounding of order u ||G|| ||x|| to the serial A(x) - A(y)
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 8
+        sp = euclidean(n)
+        G = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+        x = rng.uniform(-1.0, 1.0, n)
+        f = None
+        if offset == "near_root":
+            f = element(sp, -(G @ x) + 1e-9 * rng.standard_normal(n))
+        A, C = AffineMatrix(G, f), Box(-math.inf, math.inf)
+        ratios = [r for r in _serial_ratios(sp, A, C, x, 1e3, 0.5) if r < 1.0]
+        for ratio in ratios[:4]:
+            for ulps in range(-4, 5):
+                phi = _nudged(ratio, ulps)
+                if 0.0 < phi < 1.0:
+                    case = (sp, Armijo(rho=1e3, l=0.5, phi=phi), x, A, C)
+                    assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case)
+
+
+@pytest.mark.parametrize("kind", ["zero_row_sums", "huge"])
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_the_screen_is_empty_without_a_probe(kind, n):
+    # G 1 = 0 divides 0 by 0 and huge entries overflow G 1 or G^T G 1;
+    # building the operator must not warn (warnings are errors here)
+    A = AffineMatrix(_matrix(kind, np.random.default_rng(n), n, 0))
+    assert A.probe is None
+    x = np.ones(n)
+    assert _proven_rejections(euclidean(n), Armijo(rho=1e3, l=0.5, phi=0.4),
+                              x, x, A, Box(-1.0, 1.0)) == []
+
+
+@dataclasses.dataclass(frozen=True)
+class _CountingAffine(AffineMatrix):
+    """An AffineMatrix, so the screen still applies, that counts its
+    evaluations."""
+
+    calls: list = dataclasses.field(default_factory=list, repr=False, compare=False)
+
+    def __call__(self, x):
+        self.calls.append(x.shape)
+        return super().__call__(x)
+
+
+@pytest.mark.parametrize("n,seed", [(100, 1), (400, 7)])
+def test_the_screen_leaves_one_serial_trial_per_stegm_iteration(n, seed):
+    # A(x) and the accepted trial: the screen proves every rejected trial
+    # rejected, so a margin that grew too conservative shows here
+    p = make_example1(RandomSpec(n=n, seed=seed))
+    A = _CountingAffine(p.A.G, p.A.f_vec)
+    x0, x1 = initial_points(p, "random_uniform", seed=0)
+    trace = solve(dataclasses.replace(p, A=A),
+                  make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=400))
+    assert len(trace.rows) == 401
+    assert len(A.calls) / 400 == 2.0
