@@ -157,7 +157,6 @@ class IterateState:
     s: Optional[np.ndarray] = None
     y: Optional[np.ndarray] = None
     z: Optional[np.ndarray] = None
-    t: Optional[np.ndarray] = None
     gamma: float = 0.0
     delta_k: float = 0.0
     gamma_prev: float = 0.0
@@ -242,7 +241,6 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
         hk = HalfSpace(normal=trial - y, anchor=y, space=space)
         z = project(hk, s + (-gamma) * Ay)
 
-    t = None
     if parts.outer == "mann":
         x_next = (1.0 - theta - eta) * z + eta * T(z)
     elif parts.outer == "modified_mann":
@@ -261,7 +259,7 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
     gamma_next = gamma
     if parts.step is Adaptive:
         gamma_next = adaptive_update(space, gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z, t=t,
+    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z,
                         gamma=gamma_next, delta_k=dk, gamma_prev=state.gamma,
                         halfspace=hk)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import datetime
 import math
 import os
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -263,7 +264,7 @@ def trace_fingerprint(path) -> List[str]:
     return body
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
     problems: List[str]
     algorithms: List[Scheme]
@@ -285,16 +286,12 @@ class ExperimentPlan:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         check_tol(self.tol)
+        object.__setattr__(self, "_resolved", [_resolve(*cell) for cell in self.cells()])
         written_by = {}
-        for cell in self.cells():
-            try:
-                name = _trace_file_name(*cell)
-            except ValueError:
-                continue  # a malformed spec is reported by its own cell
-            if name in written_by:
-                raise ValueError(f"duplicate plan cells {_cell_id(*written_by[name])} "
-                                 f"and {_cell_id(*cell)} would both write {name}")
-            written_by[name] = cell
+        for cell in self._resolved:
+            if cell.error is None and written_by.setdefault(cell.file, cell) is not cell:
+                raise ValueError(f"duplicate plan cells {written_by[cell.file].id} "
+                                 f"and {cell.id} would both write {cell.file}")
 
     def cells(self) -> List[Tuple[str, Scheme, int]]:
         """Every (problem spec, scheme, seed) combination, in run order."""
@@ -329,14 +326,18 @@ def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
     if init not in family.starts:
         raise ValueError(f"unsupported init {init!r} in {spec!r}; {name} accepts "
                          + ", ".join(family.starts))
-    params = {}
-    for key, val in fields.items():
-        try:
-            params[key] = seed if val is None else int(val)
-        except ValueError:
-            raise ValueError(f"key {key!r} in {spec!r} must be an integer, "
-                             f"got {val!r}") from None
+    params = {key: seed if val is None else _integer(str(val), f"key {key!r} in {spec!r}")
+              for key, val in fields.items()}
     return name, params, init
+
+
+def _integer(text: str, what: str) -> int:
+    """The value of text written as an ASCII decimal integer, [+-]?[0-9]+.
+    Anything else, such as '1_0' or non-ASCII digits that int() would read,
+    raises ValueError naming what."""
+    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
+        raise ValueError(f"{what} must be an integer, got {text!r}")
+    return int(text)
 
 
 def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]:
@@ -354,34 +355,38 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
         raise ValueError(f"{spec!r}: {exc}") from exc
 
 
-def _trace_file_name(spec: str, scheme: Scheme, seed: int) -> str:
-    """CSV name of a plan cell: problem id, the initial-point kind when it
-    is not the family default, scheme and seed. Two cells get the same
-    name only when they run the same computation."""
-    name, params, init = _spec_fields(spec, seed)
+class _Cell(NamedTuple):
+    """A plan cell resolved once: its id, trace file name, problem key, run
+    key and start, or the ValueError of a spec that does not resolve. Cells
+    with equal problem keys (family and resolved integer keys) share one
+    problem. Of those, cells with equal run keys (scheme, start, and the
+    seed only when the start draws from it) run the same computation, and
+    only such cells share a file name."""
+
+    spec: str
+    scheme: Scheme
+    seed: int
+    id: str
+    file: Optional[str] = None
+    problem: Optional[tuple] = None
+    run: Optional[tuple] = None
+    init: Optional[str] = None
+    error: Optional[ValueError] = None
+
+
+def _resolve(spec: str, scheme: Scheme, seed: int) -> _Cell:
+    cell = _Cell(spec, scheme, seed, f"{spec}|{scheme.value}|seed={seed}")
+    try:
+        name, params, init = _spec_fields(spec, seed)
+    except ValueError as exc:
+        return cell._replace(error=exc)
     stem = "_".join([name] + [f"{k}={v}" for k, v in params.items()])
     if init != prob.FAMILIES[name].starts[0]:
         stem += f"_init={init}"
-    return f"{stem}__{scheme.value}__seed{seed}.csv"
-
-
-def _cell_id(spec: str, scheme: Scheme, seed: int) -> str:
-    return f"{spec}|{scheme.value}|seed={seed}"
-
-
-def _run_key(i: int, spec: str, scheme: Scheme, seed: int):
-    """(problem key, run key) of cell i. Cells with equal problem keys share
-    one problem: its family and resolved integer keys. Of those, cells with
-    equal run keys run the same computation: the same scheme and start, and
-    the same plan seed only when the start recipe draws from it. A spec that
-    does not resolve is its own problem key, its build raises the same
-    ValueError, and each of its cells is its own run."""
-    try:
-        name, params, init = _spec_fields(spec, seed)
-    except ValueError:
-        return spec, i
     reads_seed = prob._START_RECIPES[init].reads_seed
-    return (name, tuple(params.items())), (scheme, init, seed if reads_seed else None)
+    return cell._replace(file=f"{stem}__{scheme.value}__seed{seed}.csv",
+                         problem=(name, tuple(params.items())),
+                         run=(scheme, init, seed if reads_seed else None), init=init)
 
 
 def _cell_error(exc: Exception) -> Tuple[str, str]:
@@ -417,18 +422,18 @@ class _SharedProblem:
 _Outcome = Tuple[str, Optional[str], Optional[Tuple[str, str]]]
 
 
-def _run_cells(cells: List[Tuple[str, Scheme, int]], plan: ExperimentPlan,
+def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
                shared: _SharedProblem) -> List[_Outcome]:
     """Run the computation that all of cells stand for once, on their
     group's shared problem, and write one trace per cell. The first trace
     written is the computed one; the others name it in same_as. A failed
     computation fails every cell with the same error."""
-    spec, scheme, seed = cells[0]
-    problem, error = shared.take(spec, seed)
+    first = cells[0]
+    problem, error = shared.take(first.spec, first.seed)
     if error is None:
         try:
-            x0, x1 = prob.initial_points(problem, _spec_fields(spec, seed)[2], seed=seed)
-            cfg = make_config(scheme, problem, x0=x0, x1=x1,
+            x0, x1 = prob.initial_points(problem, first.init, seed=first.seed)
+            cfg = make_config(first.scheme, problem, x0=x0, x1=x1,
                               max_iter=plan.max_iter, tol=plan.tol,
                               record_invariants=plan.record_invariants)
             violations = validate_conditions(cfg, horizon=plan.max_iter)
@@ -439,18 +444,18 @@ def _run_cells(cells: List[Tuple[str, Scheme, int]], plan: ExperimentPlan,
         except Exception as exc:
             error = _cell_error(exc)
     if error is not None:
-        return [(_cell_id(*cell), None, error) for cell in cells]
+        return [(cell.id, None, error) for cell in cells]
     outcomes, source = [], None
-    for spec, scheme, seed in cells:
-        header = TraceFileHeader.create(scheme, "table1", problem.problem_id,
-                                        seed, problem.space.dim, same_as=source)
-        path = Path(plan.output_dir) / _trace_file_name(spec, scheme, seed)
+    for cell in cells:
+        header = TraceFileHeader.create(cell.scheme, "table1", problem.problem_id,
+                                        cell.seed, problem.space.dim, same_as=source)
+        path = Path(plan.output_dir) / cell.file
         try:
             emit_csv(trace, header, path)
         except Exception as exc:
-            outcomes.append((_cell_id(spec, scheme, seed), None, _cell_error(exc)))
+            outcomes.append((cell.id, None, _cell_error(exc)))
             continue
-        outcomes.append((_cell_id(spec, scheme, seed), str(path), None))
+        outcomes.append((cell.id, str(path), None))
         source = source or path.name
     return outcomes
 
@@ -467,8 +472,10 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     """Execute every (problem, algorithm, seed) cell; failed cells are
     recorded with a category and a reason and do not abort the plan.
 
-    A trace file of the plan that already exists raises ValueError naming
-    its cell before anything runs. Each distinct problem is built and
+    A trace file of the plan that already exists, or an output path that
+    is not a directory, raises ValueError before anything runs. A cell
+    whose spec does not resolve fails with "config" and runs nothing.
+    Each distinct problem is built and
     certified once and shared by its cells. Cells that differ only in a
     seed their start does not read run once: the first trace is computed
     and each other cell's trace copies it under its own header, with a
@@ -476,24 +483,23 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     problem, so a plan holds about one problem per worker. Results follow
     plan.cells() order."""
     workers = os.environ.get("VIKIT_THREADS", "4").strip()
-    if not workers.isdecimal() or int(workers) < 1:
+    if _integer(workers, "VIKIT_THREADS") < 1:
         raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
-    cells = plan.cells()
+    cells = plan._resolved
     out = Path(plan.output_dir)
-    for cell in cells:
-        try:
-            path = out / _trace_file_name(*cell)
-        except ValueError:
-            continue  # a malformed spec is reported by its own cell
-        if path.is_file():
-            raise ValueError(f"{path} already exists; cell {_cell_id(*cell)} "
-                             "would overwrite it")
+    if out.exists() and not out.is_dir():
+        raise ValueError(f"output directory {out} exists and is not a directory")
+    outcomes = [None] * len(cells)
     groups: Dict[object, Dict[object, List[int]]] = {}
     for i, cell in enumerate(cells):
-        problem, run = _run_key(i, *cell)
-        groups.setdefault(problem, {}).setdefault(run, []).append(i)
+        if cell.error is not None:
+            outcomes[i] = cell.id, None, _cell_error(cell.error)
+        elif (out / cell.file).is_file():
+            raise ValueError(f"{out / cell.file} already exists; cell {cell.id} "
+                             "would overwrite it")
+        else:
+            groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(i)
     out.mkdir(parents=True, exist_ok=True)
-    outcomes = [None] * len(cells)
     with ThreadPoolExecutor(max_workers=int(workers)) as pool:
         tasks = []
         for runs in groups.values():

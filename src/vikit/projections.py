@@ -89,7 +89,11 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     # its trial point is, as the box check and the ball's NaN ensure
     nn = sp.inner(s.normal, s.normal)
     if nn == 0.0:
-        return x
+        if not s.normal.any():
+            return x
+        # <normal, normal> underflowed (entries below ~1e-162): the same
+        # halfspace with the normal divided by its largest |entry|
+        return project(HalfSpace(s.normal / np.abs(s.normal).max(), s.anchor, sp), x)
     viol = halfspace_residual(s, x)
     if viol <= 0.0:
         return x

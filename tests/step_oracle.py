@@ -3,10 +3,11 @@
 This is `vikit.algorithms._step` as it was when every vector a step forms
 went through `check_finite`, with the inertial weight, the adaptive
 update and the ball and halfspace projections it called then; the
-halfspace projection also has the library's rescale for inner products
-that overflow on finite vectors. The library step checks only the points
-where a NaN or Inf could be lost; from the same state it must give the
-same iterate bit for bit, or raise the same exception at the same step.
+halfspace projection also has the library's rescales for inner products
+that overflow on finite vectors and for a normal whose square underflows.
+The library step checks only the points where a NaN or Inf could be lost;
+from the same state it must give the same iterate bit for bit, or raise
+the same exception at the same step.
 """
 
 import numpy as np
@@ -30,7 +31,10 @@ def _project(s, x):
         return check_finite(c + (s.radius / dist) * d)
     nn = sp.inner(s.normal, s.normal)
     if nn == 0.0:
-        return x
+        if not s.normal.any():
+            return x
+        # a normal whose square underflows, divided by its largest |entry|
+        return _project(HalfSpace(s.normal / np.abs(s.normal).max(), s.anchor, sp), x)
     d = check_finite(x - s.anchor)
     viol = sp.inner(s.normal, d)
     if viol <= 0.0:
@@ -89,7 +93,6 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
         hk = HalfSpace(normal=check_finite(trial - y), anchor=y, space=space)
         z = _project(hk, check_finite(s + (-gamma) * Ay))
 
-    t = None
     if parts.outer == "mann":
         x_next = check_finite((1.0 - theta - eta) * z + eta * T(z))
     elif parts.outer == "modified_mann":
@@ -107,6 +110,6 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
     gamma_next = gamma
     if parts.step is Adaptive:
         gamma_next = _adaptive_update(space, gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z, t=t,
+    return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z,
                         gamma=gamma_next, delta_k=dk, gamma_prev=state.gamma,
                         halfspace=hk)

@@ -261,7 +261,6 @@ def test_stegm_step_componentwise():
     x2 = t - 0.5 * 0.5 * (0.5 * t)  # t - hsd_lambda * theta_1 * F(t)
     assert st.gamma == gamma
     assert np.allclose(st.y, y)
-    assert np.allclose(st.t, t)
     assert np.allclose(st.x_curr, x2)
 
 

@@ -196,7 +196,7 @@ def test_trace_write_failure_exits_one_whatever_the_path(tmp_path, capsys):
     assert "failed to write trace" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1_0", "\u0663"])
 def test_bad_thread_count_rejected_before_running(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setenv("VIKIT_THREADS", value)
     out = tmp_path / "out"
@@ -205,3 +205,13 @@ def test_bad_thread_count_rejected_before_running(tmp_path, capsys, monkeypatch,
     assert code == 2
     assert "VIKIT_THREADS" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_into_a_path_that_is_not_a_directory_exits_two(tmp_path, capsys):
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                 "--max-iter", "5", "--out", str(out)])
+    assert code == 2
+    assert f"{out} exists and is not a directory" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"

@@ -314,7 +314,9 @@ def test_parse_problem_spec_rejects_starts_the_family_lacks(spec, starts):
 
 
 @pytest.mark.parametrize("spec,key", [("ex1:n=abc", "n"), ("ex1:n=5,seed=", "seed"),
-                                      ("ex2:grid=1.5", "grid"), ("ex1:n", "n")])
+                                      ("ex2:grid=1.5", "grid"), ("ex1:n", "n"),
+                                      # int() reads both, as 10 and 3
+                                      ("ex1:n=1_0", "n"), ("ex1:n=5,seed=\u0663", "seed")])
 def test_parse_problem_spec_rejects_non_integer_values(spec, key):
     with pytest.raises(ValueError, match=f"key '{key}' in '{spec}' must be an integer"):
         harness.parse_problem_spec(spec, seed=1)
@@ -443,7 +445,28 @@ def test_rejected_spec_fails_every_cell_with_config(tmp_path, spec):
     result = harness.run_plan(plan)
     assert result.paths == []
     assert [(cell, category) for cell, category, _ in result.errors] == \
-        [(harness._cell_id(*cell), "config") for cell in plan.cells()]
+        [(harness._resolve(*cell).id, "config") for cell in plan.cells()]
+
+
+def test_run_plan_resolves_each_cell_once(tmp_path, monkeypatch):
+    # 12 cells on two buildable problems and one unknown family: one parse
+    # per cell and one per problem build
+    calls = []
+    spec_fields = harness._spec_fields
+
+    def counted(spec, seed):
+        calls.append(spec)
+        return spec_fields(spec, seed)
+
+    monkeypatch.setattr(harness, "_spec_fields", counted)
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=21", "ex9"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                                  seeds=[1, 2], output_dir=str(tmp_path))
+    result = harness.run_plan(plan)
+    assert len(result.paths) == 8
+    assert [error[1:] for error in result.errors] == \
+        [("config", "unknown problem family 'ex9' in 'ex9'")] * 4
+    assert len(calls) == 14
 
 
 def _count_solves(monkeypatch):
@@ -470,7 +493,7 @@ def test_run_plan_runs_each_distinct_computation_once(tmp_path, monkeypatch, spe
     result = _run_switching_often(plan)
     assert result.errors == [] and len(result.paths) == len(plan.cells()) == 4
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == \
-        sorted(harness._trace_file_name(*cell) for cell in plan.cells())
+        sorted(harness._resolve(*cell).file for cell in plan.cells())
     assert len(calls) == solves
 
 
@@ -503,7 +526,7 @@ def test_failed_computation_fails_each_cell_it_stands_for(tmp_path, monkeypatch)
         m.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
         result = harness.run_plan(plan)
     assert [cell for cell, _, _ in result.errors] == \
-        [harness._cell_id(*cell) for cell in plan.cells() if cell[1] is Scheme.IMSEGM]
+        [harness._resolve(*cell).id for cell in plan.cells() if cell[1] is Scheme.IMSEGM]
     [(category, _)] = {error[1:] for error in result.errors}
     assert category == "conditions" and len(result.paths) == 2
 
@@ -522,9 +545,9 @@ def test_failed_computation_fails_each_cell_it_stands_for(tmp_path, monkeypatch)
 def test_copy_of_a_trace_that_failed_to_write_becomes_the_source(tmp_path):
     plan = _group_plan(tmp_path, "ex2:grid=21")
     first = plan.cells()[0]
-    (tmp_path / harness._trace_file_name(*first)).mkdir()
+    (tmp_path / harness._resolve(*first).file).mkdir()
     result = harness.run_plan(plan)
-    assert [error[:2] for error in result.errors] == [(harness._cell_id(*first), "runtime")]
+    assert [error[:2] for error in result.errors] == [(harness._resolve(*first).id, "runtime")]
     meta, _ = harness.parse_csv(result.paths[0])
     assert meta["seed"] == "2" and "same_as" not in meta
 
@@ -552,7 +575,7 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
         output_dir=str(tmp_path / "plan"))
     result = harness.run_plan(plan)
     assert result.errors == []
-    assert result.paths == [str(tmp_path / "plan" / harness._trace_file_name(*cell))
+    assert result.paths == [str(tmp_path / "plan" / harness._resolve(*cell).file)
                             for cell in plan.cells()]
     for i, (spec, scheme, seed) in enumerate(plan.cells()):
         alone = harness.ExperimentPlan(problems=[spec], algorithms=[scheme], max_iter=5,
@@ -562,7 +585,7 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
         # an ex2 start ignores the seed: seed 2 copies seed 1's run
         copied = spec.startswith("ex2") and seed == 2
         assert harness.parse_csv(result.paths[i])[0].get("same_as") == \
-            (harness._trace_file_name(spec, scheme, 1) if copied else None)
+            (harness._resolve(spec, scheme, 1).file if copied else None)
 
 
 def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch):

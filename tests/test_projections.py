@@ -53,6 +53,22 @@ def test_halfspace_orthogonal_drop():
     assert np.allclose(p, [0.0, 3.0])
 
 
+@pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
+def test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space(sp):
+    # <normal, normal> is 0 for both normals below; only the zero one is degenerate
+    for tiny in (1e-170, 5e-324):
+        hs = HalfSpace(np.array([tiny, 0.0]), zeros(sp).coords, sp)
+        assert sp.inner(hs.normal, hs.normal) == 0.0
+        assert np.array_equal(project(hs, np.array([1.0, 0.0])), [0.0, 0.0])
+        big = HalfSpace(np.array([1.0, 0.0]), zeros(sp).coords, sp)
+        for x in ([1.0, 0.0], [2.0, 3.0], [1e-170, 0.0]):
+            x = np.array(x)
+            assert np.array_equal(project(hs, x), project(big, x))
+        x = np.array([-1.0, 4.0])  # a member, and the anchor: both kept
+        assert project(hs, x) is x
+        assert project(hs, hs.anchor) is hs.anchor
+
+
 def test_degenerate_halfspace_is_identity():
     sp = euclidean(2)
     hs = HalfSpace(zeros(sp).coords, zeros(sp).coords, sp)

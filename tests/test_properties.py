@@ -1,7 +1,7 @@
 """Property tests of the mathematics the solvers rely on: the metric
 projection identities, the adaptive step rule, the step-size floors, the
-inertial bound, and the halfspace-membership and Tseng inequalities of
-each step; and of the problem-spec grammar."""
+inertial bound, and the halfspace-membership, Tseng and contraction
+inequalities of each step; and of the problem-spec grammar."""
 
 from unittest import mock
 
@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from binding_problem import binding_problem
 from membership import contains, sample_point
 from vikit import algorithms
-from vikit.algorithms import SCHEMES, Scheme, inertial_delta, solve
+from vikit.algorithms import PROPOSED, SCHEMES, Scheme, inertial_delta, solve
 from vikit.harness import make_config, parse_problem_spec
 from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
@@ -136,12 +136,16 @@ EPS = float(np.finfo(float).eps)
 STEP_ITERS = 100
 
 
+def _with_correction(correction):
+    return [s for s in Scheme if SCHEMES[s].correction == correction]
+
+
 @st.composite
-def step_states(draw, correction):
+def step_states(draw, schemes):
     """(problem, config, states): an ex1 problem with n = 5-100, an ex2
     problem on 3-201 nodes from any start, or a binding problem with n =
-    4-24, solved for STEP_ITERS iterations by a drawn scheme with the given
-    correction; states are the IterateStates its steps returned."""
+    4-24, solved for STEP_ITERS iterations by a scheme drawn from schemes;
+    states are the IterateStates its steps returned."""
     family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
     init = "random_uniform"
     if family == "ex1":
@@ -153,7 +157,7 @@ def step_states(draw, correction):
         n = draw(st.integers(4, 24))
         p = binding_problem(n, draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
     x0, x1 = initial_points(p, init, seed=draw(st.integers(0, 2**16)))
-    scheme = draw(st.sampled_from([s for s in Scheme if SCHEMES[s].correction == correction]))
+    scheme = draw(st.sampled_from(schemes))
     cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS)
     states = []
     step = algorithms.step_baseline
@@ -168,7 +172,7 @@ def step_states(draw, correction):
 
 
 @settings(max_examples=30)
-@given(step_states("halfspace"))
+@given(step_states(_with_correction("halfspace")))
 def test_z_lies_in_the_halfspace_it_was_projected_onto(run):
     # <normal, z - anchor> <= 0, where z is x = s - gamma_k A(y) projected
     # (hsegm's z then moves toward x_0, a point of C and so of the halfspace)
@@ -182,7 +186,7 @@ def test_z_lies_in_the_halfspace_it_was_projected_onto(run):
 
 
 @settings(max_examples=30)
-@given(step_states("tseng"))
+@given(step_states(_with_correction("tseng")))
 def test_tseng_correction_moves_at_most_phi_gamma_ratio_times_s_minus_y(run):
     # ||z - y|| = gamma_k ||As - Ay|| <= phi (gamma_k / gamma_{k+1}) ||s - y||;
     # the Armijo search makes it hold with ratio 1, and the adaptive rule
@@ -198,11 +202,37 @@ def test_tseng_correction_moves_at_most_phi_gamma_ratio_times_s_minus_y(run):
         assert norm(z - y) - phi * ratio * norm(s - y) <= kept + rounding
 
 
+@settings(max_examples=30)
+@given(step_states(PROPOSED))
+def test_inertial_step_contracts_toward_the_solution(run):
+    # with u = x*, a solution of the VI: ||z - u||^2 <= ||s - u||^2 - c (||s - y||^2
+    # + ||z - y||^2), c = 1 - phi gamma_k / gamma_{k+1}, for the halfspace
+    # variants, and the same with c (||s - y||^2) and c = 1 - (phi gamma_k /
+    # gamma_{k+1})^2 for Tseng's; res_contraction is the left side's excess.
+    # Where the adaptive rule kept gamma_k, gamma_k ||As - Ay|| <= kept adds at
+    # most 2 kept ||z - y|| (halfspace) or kept^2 (Tseng) to the left side.
+    # Rounding adds at most (n + 4) eps times the squared sum of the norms
+    # below; over 150 draws the excess was positive at some steps and
+    # reached 6.6e-4 of that bound
+    p, cfg, states = run
+    norm, n = p.space.norm, p.space.dim
+    u, parts = p.x_star.coords, SCHEMES[cfg.algorithm]
+    for st_ in states:
+        s, y, z = st_.s, st_.y, st_.z
+        norm_As, norm_Ay = norm(p.A(s)), norm(p.A(y))
+        res_c = algorithms._residuals(parts, st_, cfg.step.phi, u, p.space)[0]
+        kept = st_.gamma_prev * 1e-14 * max(1.0, norm_As, norm_Ay)
+        size = norm(s) + norm(y) + norm(z) + norm(u) + st_.gamma_prev * (norm_As + norm_Ay)
+        assert res_c <= kept * (2 * norm(z - y) + kept) + (n + 4) * EPS * size ** 2
+
+
 # Spec values are small integers, the three starts or fixed junk, never free
-# text: int() accepts Unicode digits, and a large n would allocate n^2 floats.
+# text, where a large n would allocate n^2 floats. The junk includes "1_0" and
+# an Arabic-Indic 3, which int() reads as 10 and 3 but a spec must reject.
+NOT_INTEGERS = ["1_0", "\u0663"]
 SPEC_VALUES = st.one_of(st.integers(-3, 8).map(str),
                         st.sampled_from(["random_uniform", "t_squared", "t_plus_half_cos_t",
-                                         "", "abc", "1.5", " 4 "]))
+                                         "", "abc", "1.5", " 4 "] + NOT_INTEGERS))
 
 
 @st.composite
@@ -220,3 +250,5 @@ def test_problem_spec_builds_or_names_itself(spec, seed):
         parse_problem_spec(spec, seed)
     except ValueError as exc:
         assert spec in str(exc)
+    else:  # no key, integer or not, takes such a value
+        assert not any(f"={junk}" in spec for junk in NOT_INTEGERS)
