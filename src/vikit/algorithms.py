@@ -8,12 +8,8 @@ generic step runs every row.
 
 `solve` checks its starting points against the problem's space once and
 then iterates on plain coordinate arrays. A step that overflows, or meets
-NaN, raises NonFiniteElementError at that step. Two points are checked
-entry by entry: each new iterate, and the trial point before a box clips
-it (np.clip maps Inf to a bound). A norm that feeds a comparison or a min
-is tested as a scalar (`finite_norm`), and its vector is checked only when
-the norm is not finite. Every other intermediate vector is left unchecked:
-a NaN or Inf entry in it reaches the new iterate.
+NaN, raises NonFiniteElementError at that step; where it checks follows
+README's call convention.
 """
 
 from __future__ import annotations

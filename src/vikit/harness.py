@@ -266,15 +266,18 @@ def trace_fingerprint(path) -> List[str]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    problems: List[str]
-    algorithms: List[Scheme]
+    problems: Tuple[str, ...]
+    algorithms: Tuple[Scheme, ...]
     max_iter: int
-    seeds: List[int]
+    seeds: Tuple[int, ...]
     output_dir: str
     record_invariants: bool = False
     tol: Optional[float] = None
 
     def __post_init__(self):
+        # stored as tuples, so that the cells resolved here stay the plan's
+        for name in ("problems", "algorithms", "seeds"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.problems:
             raise ValueError("plan needs at least one problem spec")
         if not self.algorithms:
@@ -473,7 +476,8 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     recorded with a category and a reason and do not abort the plan.
 
     A trace file of the plan that already exists, or an output path that
-    is not a directory, raises ValueError before anything runs. A cell
+    is or lies under an existing non-directory, raises ValueError before
+    anything runs. A cell
     whose spec does not resolve fails with "config" and runs nothing.
     Each distinct problem is built and
     certified once and shared by its cells. Cells that differ only in a
@@ -487,8 +491,9 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
         raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
     cells = plan._resolved
     out = Path(plan.output_dir)
-    if out.exists() and not out.is_dir():
-        raise ValueError(f"output directory {out} exists and is not a directory")
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"output path {existing} exists and is not a directory")
     outcomes = [None] * len(cells)
     groups: Dict[object, Dict[object, List[int]]] = {}
     for i, cell in enumerate(cells):

@@ -3,10 +3,8 @@
 Concrete maps: affine Gx + f, coordinatewise positive part, scalar
 scaling, and the rank-one integral map t -> t * integral(x). Each maps a
 coordinate array to a new coordinate array, and an (m, n) block of rows
-to the block of its values row by row. The affine, scaling and integral
-maps raise NonFiniteElementError when their result has a NaN or Inf
-entry. The positive part never raises: it maps a finite input to a
-finite result, keeps NaN and +Inf entries and maps -Inf to 0.
+to the block of its values row by row. They are pure maps: where a NaN
+or Inf value is checked follows README's call convention.
 Monotonicity and demicontractivity are certified by seeded sampling,
 which evaluates these four maps once per block of samples and any other
 callable one point at a time; demiclosedness is a declared property and
@@ -90,9 +88,7 @@ class AffineMatrix:
         # a block as X @ G.T: (G @ X.T).T, the same map without a branch,
         # made certify at n = 2000 1.8x slower
         y = self.G @ x if x.ndim == 1 else x @ self.G.T
-        if self.f_vec is not None:
-            y = y + self.f_vec.coords
-        return check_finite(y)
+        return y if self.f_vec is None else y + self.f_vec.coords
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ class Scale:
             raise ValueError("scale factor must be finite")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return check_finite(self.c * x)
+        return self.c * x
 
 
 @dataclass(frozen=True)
@@ -136,7 +132,7 @@ class RankOneIntegral:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         integral = (self.space.quad_weights * x).sum(axis=-1, keepdims=True)
-        return check_finite(integral * self.space.grid)
+        return integral * self.space.grid
 
 
 def spectral_norm(G: np.ndarray) -> float:
@@ -150,14 +146,13 @@ def spectral_norm(G: np.ndarray) -> float:
     est = 0.0
     for _ in range(10_000):
         w = GtG @ v
-        nw = np.linalg.norm(w)
+        nw = np.linalg.norm(w)  # Rayleigh-quotient-style estimate of the top eigenvalue
         if nw == 0.0:
             return 0.0
-        new_est = nw  # Rayleigh-quotient-style estimate of the top eigenvalue
         v = w / nw
-        if abs(new_est - est) <= 1e-10 * max(new_est, 1e-300):
-            return float(np.sqrt(new_est))
-        est = new_est
+        if abs(nw - est) <= 1e-10 * max(nw, 1e-300):
+            return float(np.sqrt(nw))
+        est = nw
     raise PowerIterationError("power iteration did not converge in 10000 iterations",
                               best_estimate=float(np.sqrt(est)))
 
@@ -210,10 +205,10 @@ class SampleCheck:
 def _rows(op, X: np.ndarray) -> np.ndarray:
     """op at each row of the (m, n) block X: one call for vikit's own
     operators, one call per row for any other callable, which is never
-    handed more than one point."""
-    if type(op) in _BLOCK_OPERATORS:
-        return op(X)
-    return np.stack([op(x) for x in X])
+    handed more than one point. The values are checked as README's call
+    convention says."""
+    values = op(X) if type(op) in _BLOCK_OPERATORS else np.stack([op(x) for x in X])
+    return check_finite(values)
 
 
 def _sample_blocks(dim: int, points: int) -> Iterator[Tuple[int, np.ndarray]]:
@@ -268,7 +263,7 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement) -> SampleCh
     one-at-a-time loop squares `norm`s, so the two can disagree on a sample
     whose value lies within rounding of +CERTIFY_TOL, and only there."""
     space, z = fixed_point.space, fixed_point.coords
-    if space.norm(op(z) - z) > 1e-10:
+    if space.norm(check_finite(op(z)) - z) > 1e-10:
         raise ValueError("provided point is not a fixed point of the operator")
 
     def sq(d):

@@ -17,6 +17,7 @@ from .projections import Ball, Box, FeasibleSet, HalfSpace, project
 from .space import (
     SpaceDescriptor,
     SpaceElement,
+    check_finite,
     element,
     euclidean,
     grid_l2,
@@ -193,13 +194,16 @@ def solution_residual(problem: ProblemInstance) -> float:
     if problem.x_star is None:
         raise ValueError("problem has no known solution")
     xs = problem.x_star.coords
-    return problem.space.norm(xs - project(problem.C, xs - RESIDUAL_GAMMA * problem.A(xs)))
+    Ax = check_finite(problem.A(xs))
+    return problem.space.norm(xs - project(problem.C, xs - RESIDUAL_GAMMA * Ax))
 
 
 def certify(problem: ProblemInstance) -> list:
     """Machine checks gating a problem before any solver run.
 
     Returns a list of human-readable failure strings; empty means certified.
+    An A or T value it reads with a NaN or Inf entry raises
+    NonFiniteElementError (README's call convention).
     """
     failures = []
     if problem.x_star is not None:
@@ -207,7 +211,7 @@ def certify(problem: ProblemInstance) -> list:
         if r > 1e-8:
             failures.append(f"VI solution residual {r:.3e} exceeds 1e-8")
         xs = problem.x_star.coords
-        fp = problem.space.norm(problem.T(xs) - xs)
+        fp = problem.space.norm(check_finite(problem.T(xs)) - xs)
         if fp > 1e-10:
             failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
         # demicontractivity is sampled about x*, so only when x* is a fixed point

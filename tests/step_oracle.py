@@ -5,6 +5,8 @@ went through `check_finite`, with the inertial weight, the adaptive
 update and the ball and halfspace projections it called then; the
 halfspace projection also has the library's rescales for inner products
 that overflow on finite vectors and for a normal whose square underflows.
+Every operator value (A, T, F and the viscosity map) is checked too, as
+the affine, scaling and integral maps once checked their own results.
 The library step checks only the points where a NaN or Inf could be lost;
 from the same state it must give the same iterate bit for bit, or raise
 the same exception at the same step.
@@ -81,10 +83,10 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
         gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
     else:
         gamma = state.gamma
-        As = A(s)
+        As = check_finite(A(s))
         trial = check_finite(s + (-gamma) * As)
         y = _project(problem.C, trial)
-        Ay = A(y)
+        Ay = check_finite(A(y))
 
     hk = None
     if parts.correction == "tseng":
@@ -94,18 +96,18 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
         z = _project(hk, check_finite(s + (-gamma) * Ay))
 
     if parts.outer == "mann":
-        x_next = check_finite((1.0 - theta - eta) * z + eta * T(z))
+        x_next = check_finite((1.0 - theta - eta) * z + eta * check_finite(T(z)))
     elif parts.outer == "modified_mann":
-        x_next = check_finite((1.0 - eta) * (theta * z) + eta * T(z))
+        x_next = check_finite((1.0 - eta) * (theta * z) + eta * check_finite(T(z)))
     elif parts.outer == "anchored":
         z = check_finite(theta * cfg.x0.coords + (1.0 - theta) * z)
-        x_next = check_finite(eta * x + (1.0 - eta) * T(z))
+        x_next = check_finite(eta * x + (1.0 - eta) * check_finite(T(z)))
     else:
-        t = check_finite((1.0 - eta) * z + eta * T(z))
+        t = check_finite((1.0 - eta) * z + eta * check_finite(T(z)))
         if parts.outer == "viscosity":
-            x_next = check_finite(theta * problem.f_visc(x) + (1.0 - theta) * t)
+            x_next = check_finite(theta * check_finite(problem.f_visc(x)) + (1.0 - theta) * t)
         else:  # hsd
-            x_next = check_finite(t + (-cfg.hsd_lambda * theta) * problem.F(t))
+            x_next = check_finite(t + (-cfg.hsd_lambda * theta) * check_finite(problem.F(t)))
 
     gamma_next = gamma
     if parts.step is Adaptive:

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from armijo_oracle import armijo_search_serial
 from binding_problem import binding_problem
 from step_oracle import step_checked
-from vikit import algorithms
+from vikit import algorithms, space
 from vikit.algorithms import (
     PROPOSED,
     SCHEMES,
@@ -542,6 +544,34 @@ def test_step_checks_only_where_finiteness_can_be_lost(run):
     # bit, or fail with the same error at the same k after the same rows
     p, cfg = run
     assert _outcome(p, cfg, algorithms._step) == _outcome(p, cfg, step_checked)
+
+
+def _check_finite_calls(run) -> int:
+    """How many times run() calls check_finite, counted through every vikit
+    module that binds it (space's own callers included)."""
+    real, calls = space.check_finite, []
+
+    def counted(v):
+        calls.append(None)
+        return real(v)
+
+    with contextlib.ExitStack() as stack:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vikit") and getattr(module, "check_finite", None) is real:
+                stack.enter_context(mock.patch.object(module, "check_finite", counted))
+        run()
+    return len(calls)
+
+
+@pytest.mark.parametrize("spec,per_iter", [("ex1:n=100,seed=1", 2), ("ex2:grid=1001", 1)])
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_step_checks_two_vectors_over_a_box_and_one_over_a_ball(spec, per_iter, scheme):
+    # x_{k+1}, and over ex1's box the trial point it clips; operator values
+    # and every other vector go unchecked
+    problem, init = parse_problem_spec(spec, 1)
+    x, _ = initial_points(problem, init, seed=1)
+    cfg = make_config(scheme, problem, x0=x, x1=x, max_iter=200)
+    assert _check_finite_calls(lambda: solve(problem, cfg)) == 200 * per_iter
 
 
 def test_start_from_another_space_rejected():

@@ -208,10 +208,12 @@ def test_bad_thread_count_rejected_before_running(tmp_path, capsys, monkeypatch,
 
 
 def test_run_into_a_path_that_is_not_a_directory_exits_two(tmp_path, capsys):
-    out = tmp_path / "afile"
-    out.write_text("kept\n")
-    code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
-                 "--max-iter", "5", "--out", str(out)])
-    assert code == 2
-    assert f"{out} exists and is not a directory" in capsys.readouterr().err
-    assert out.read_text() == "kept\n"
+    # the output directory is the file itself or would lie under it
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile, afile / "sub", afile / "sub" / "deeper"):
+        code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
+                     "--max-iter", "5", "--out", str(out)])
+        assert code == 2
+        assert f"{afile} exists and is not a directory" in capsys.readouterr().err
+        assert afile.read_text() == "kept\n"

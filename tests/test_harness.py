@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import weakref
@@ -192,6 +193,25 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         harness.ExperimentPlan(problems=["ex1:n=5"], algorithms=[Scheme.IMSEGM],
                                max_iter=0, seeds=[1], output_dir="x")
+
+
+def test_a_plan_built_from_lists_stores_tuples_and_runs_them(tmp_path):
+    problems, algorithms, seeds = ["ex1:n=6,seed=1"], [Scheme.IMSEGM], [1]
+    plan = harness.ExperimentPlan(problems=problems, algorithms=algorithms, max_iter=5,
+                                  seeds=seeds, output_dir=str(tmp_path))
+    # changing the caller's lists, or the plan's fields, cannot add cells
+    # that resolution never saw
+    problems.append("ex2:grid=11")
+    seeds.append(2)
+    assert (plan.problems, plan.algorithms, plan.seeds) == \
+        (("ex1:n=6,seed=1",), (Scheme.IMSEGM,), (1,))
+    with pytest.raises(AttributeError):
+        plan.seeds.append(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.seeds = [1, 2]
+    assert plan.cells() == [("ex1:n=6,seed=1", Scheme.IMSEGM, 1)]
+    result = harness.run_plan(plan)
+    assert result.errors == [] and len(result.paths) == 1
 
 
 def test_parse_problem_spec():

@@ -5,7 +5,14 @@ import pytest
 
 from certify_oracle import check_demicontractive_serial, check_monotone_serial
 from vikit.harness import parse_problem_spec
-from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, spectral_norm
+from vikit.operators import (
+    AffineMatrix,
+    PositivePart,
+    RankOneIntegral,
+    Scale,
+    check_demicontractive,
+    spectral_norm,
+)
 from vikit.problems import (
     _START_RECIPES,
     FAMILIES,
@@ -19,7 +26,7 @@ from vikit.problems import (
     solution_residual,
 )
 from vikit.projections import Ball, Box, HalfSpace
-from vikit.space import element, euclidean, grid_l2, norm, zeros
+from vikit.space import NonFiniteElementError, element, euclidean, grid_l2, norm, zeros
 
 
 def test_same_seed_gives_bitwise_identical_matrices():
@@ -144,6 +151,38 @@ def test_certify_names_the_first_failing_sample_and_its_value():
         f"of 200: ||Tx - x*||^2 - ||x - x*||^2 - lambda ||x - Tx||^2 = {v_t:.3e}",
         f"operator failed the sampled monotonicity check at sample {i_a} of 200: "
         f"<A(x) - A(y), x - y> = {v_a:.3e}"]
+
+
+_TAME = {"A": lambda x: x, "T": lambda x: 0.5 * x}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("C", [Box(-1.0, 1.0), Ball(zeros(euclidean(3)), 1.0)],
+                         ids=["box", "ball"])
+@pytest.mark.parametrize("name,where,known", [
+    ("A", "samples", True), ("A", "samples", False), ("A", "x_star", True),
+    ("T", "samples", True), ("T", "x_star", True)])
+def test_certify_raises_on_a_caller_operator_that_returns_nan_or_inf(bad, C, name,
+                                                                     where, known):
+    # x* = 0 solves VI(C, x -> x) and is the fixed point of x -> x / 2; the
+    # bad operator returns `bad` at x* itself, or only on the samples with
+    # an entry above 4. T is sampled only about a known x*
+    def bad_op(x):
+        if where == "x_star":
+            return np.full_like(x, bad)
+        return np.where(x > 4.0, bad, _TAME[name](x))
+
+    sp = euclidean(3)
+    p = ProblemInstance(space=sp, C=C, lambda_T=0.0, x_star=zeros(sp) if known else None,
+                        **dict(_TAME, **{name: bad_op}))
+    with pytest.raises(NonFiniteElementError):
+        certify(p)
+
+
+def test_demicontractivity_rejects_a_nan_at_the_fixed_point():
+    sp = euclidean(3)
+    with pytest.raises(NonFiniteElementError):
+        check_demicontractive(lambda x: np.full_like(x, np.nan), 0.0, zeros(sp))
 
 
 @pytest.mark.parametrize("C,named", [

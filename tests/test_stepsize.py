@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from armijo_oracle import armijo_search_serial
 from vikit.algorithms import Scheme, solve
 from vikit.harness import make_config
-from vikit.operators import AffineMatrix
+from vikit.operators import AffineMatrix, PositivePart
 from vikit.problems import RandomSpec, initial_points, make_example1
-from vikit.projections import Box
+from vikit.projections import Ball, Box, HalfSpace, project
 from vikit.space import NonFiniteElementError, check_finite, element, euclidean, grid_l2, zeros
 from vikit.stepsize import (
     ARMIJO_MAX_TRIALS,
@@ -170,6 +170,20 @@ def _bounds(draw, rng, n):
     return -math.inf, draw(st.sampled_from([math.inf, float(rng.uniform(0.0, 5.0))]))
 
 
+def _feasible_set(draw, rng, sp):
+    """A box (see _bounds), a ball, or a halfspace whose normal may be
+    tiny enough for its square to underflow or large enough to overflow."""
+    n = sp.dim
+    kind = draw(st.sampled_from(["box", "ball", "halfspace"]))
+    if kind == "box":
+        return Box(*_bounds(draw, rng, n))
+    if kind == "ball":
+        center = rng.uniform(-5.0, 5.0, n) * 10.0 ** draw(st.sampled_from([0, 3, 150]))
+        return Ball(element(sp, center), 10.0 ** draw(st.floats(-3.0, 3.0)))
+    normal = rng.standard_normal(n) * 10.0 ** draw(st.sampled_from([-170, -3, 0, 3, 155]))
+    return HalfSpace(normal, rng.uniform(-5.0, 5.0, n), sp)
+
+
 def _serial_ratios(sp, A, C, x, rho, l):
     """gamma_j ||A(x) - A(y_j)|| / ||x - y_j|| for the serial trials, up to
     the first that overflows or divides by zero."""
@@ -177,7 +191,7 @@ def _serial_ratios(sp, A, C, x, rho, l):
     try:
         Ax = A(x)
         for _ in range(ARMIJO_MAX_TRIALS):
-            y = np.clip(check_finite(x + (-gamma) * Ax), C.lower, C.upper)
+            y = project(C, check_finite(x + (-gamma) * Ax))
             lhs = gamma * sp.norm(check_finite(Ax - A(y)))
             rhs = sp.norm(check_finite(x - y))
             if not 0.0 < rhs < math.inf:
@@ -225,28 +239,20 @@ def armijo_cases(draw):
     random, exactly rank-one (where the screen's bound on ||G d|| is
     tight), with zero row sums (no probe) or with entries near overflow
     (no probe either); no offset, a random one, or one that nearly cancels
-    Gx; x and rho up to overflow scale; and in tie cases phi within 4 ulps
-    of the serial ratio at some trial."""
+    Gx; or the positive part, which maps -Inf to 0, so that only the
+    x - y norm notices a -Inf that a halfspace passes on to y; a box, where
+    the screen applies, or a ball or halfspace, where only the serial loop
+    runs and a non-finite trial point goes unchecked into the projection;
+    x and rho up to overflow scale; and in tie cases phi within 4 ulps of
+    the serial ratio at some trial."""
     n = draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
-    G = _matrix(draw(st.sampled_from(MATRIX_KINDS)), rng, n, draw(st.integers(-3, 3)))
+    kind = draw(st.sampled_from(MATRIX_KINDS + ("positive_part",)))
     x = rng.uniform(-1.0, 1.0, n) * 10.0 ** draw(st.sampled_from(
         [-8, -1, 0, 1, 3, 140, 145, 150, 155, 300, 305]))
-    f = None
-    offset = draw(st.sampled_from(["none", "random", "near_root"]))
-    if offset == "random":
-        f = element(sp, rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3)))
-    elif offset == "near_root":
-        # A(x) = Gx + f nearly cancels, so the serial A(x) - A(y) carries
-        # rounding errors of order u ||G|| ||x||, far above ||G (x - y)||:
-        # the part of the screen's margin that grows with ||x||
-        with np.errstate(all="ignore"):
-            f = -(G @ x) + rng.standard_normal(n) * (
-                10.0 ** draw(st.integers(-14, -4)) * float(np.abs(G @ x).max(initial=0.0)))
-        f = element(sp, f) if np.isfinite(f).all() else None
-    A = AffineMatrix(G, f)
-    C = Box(*_bounds(draw, rng, n))
+    A = PositivePart() if kind == "positive_part" else _affine(draw, rng, sp, kind, x)
+    C = _feasible_set(draw, rng, sp)
     # a huge rho overflows the first trials while A(x) stays finite
     rho = 10.0 ** draw(st.one_of(st.floats(-3.0, 10.0), st.floats(150.0, 300.0)))
     l = draw(st.floats(0.05, 0.95))
@@ -261,6 +267,25 @@ def armijo_cases(draw):
     return sp, Armijo(rho=rho, l=l, phi=phi), x, A, C
 
 
+def _affine(draw, rng, sp, kind, x):
+    """An AffineMatrix with G of the given kind and a drawn offset."""
+    n = sp.dim
+    G = _matrix(kind, rng, n, draw(st.integers(-3, 3)))
+    f = None
+    offset = draw(st.sampled_from(["none", "random", "near_root"]))
+    if offset == "random":
+        f = element(sp, rng.standard_normal(n) * 10.0 ** draw(st.integers(-3, 3)))
+    elif offset == "near_root":
+        # A(x) = Gx + f nearly cancels, so the serial A(x) - A(y) carries
+        # rounding errors of order u ||G|| ||x||, far above ||G (x - y)||:
+        # the part of the screen's margin that grows with ||x||
+        with np.errstate(all="ignore"):
+            f = -(G @ x) + rng.standard_normal(n) * (
+                10.0 ** draw(st.integers(-14, -4)) * float(np.abs(G @ x).max(initial=0.0)))
+        f = element(sp, f) if np.isfinite(f).all() else None
+    return AffineMatrix(G, f)
+
+
 def _outcome(search, case):
     """The returned (gamma, y, A(x), A(y)) as bytes, or the exception's
     type, message and last_gamma. Numpy's overflow warnings are silenced:
@@ -273,7 +298,7 @@ def _outcome(search, case):
     return (gamma.hex(),) + tuple(a.tobytes() for a in arrays)
 
 
-@settings(max_examples=400)
+@settings(max_examples=1200)
 @given(armijo_cases())
 def test_screened_armijo_search_equals_the_serial_search(case):
     assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case)
