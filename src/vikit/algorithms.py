@@ -159,8 +159,10 @@ class IterateState:
     halfspace: Optional[HalfSpace] = None
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
+    """One trace CSV row: the scalar fields in column order, then the
+    residuals in RESIDUAL_NAMES order when recorded."""
+
     k: int
     D: float
     gamma: float
@@ -174,10 +176,13 @@ class ConvergenceTrace:
     scheme: Scheme
     rows: List[TraceRow] = field(default_factory=list)
 
+    # the CSV column names of TraceRow's scalar fields, in field order
+    SCALAR_NAMES = ("k", "D_k", "gamma_k", "delta_k", "elapsed_s")
     RESIDUAL_NAMES = ("res_contraction", "res_halfspace", "res_tseng")
 
     def column(self, name: str) -> List[float]:
-        if name in ("k", "D", "gamma", "delta", "elapsed"):
+        """A TraceRow field or residual by name, over the rows that have it."""
+        if name in TraceRow._fields:
             return [getattr(r, name) for r in self.rows]
         idx = self.RESIDUAL_NAMES.index(name)
         return [r.residuals[idx] for r in self.rows if r.residuals is not None]

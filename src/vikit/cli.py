@@ -28,6 +28,12 @@ def _scheme_list(name: str):
                          + ", ".join(s.value for s in Scheme) + ", all")
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, by the ASCII-decimal rule of problem specs;
+    argparse names the flag when it fails."""
+    return harness._integer(text, "value")
+
+
 def _cmd_run(args) -> int:
     plan = harness.ExperimentPlan(
         problems=args.problem,
@@ -85,32 +91,34 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ex1:n=100,seed=7 or ex2:grid=101[,init=t_squared]")
     run.add_argument("--alg", action="append", required=True,
                      help="scheme name or 'all' (repeatable)")
-    run.add_argument("--max-iter", type=int, default=400)
+    run.add_argument("--max-iter", type=integer, default=400)
     run.add_argument("--tol", type=float, default=None)
-    run.add_argument("--seed", type=int, action="append", default=None)
+    run.add_argument("--seed", type=integer, action="append", default=None)
     run.add_argument("--record-invariants", action="store_true")
     run.add_argument("--out", required=True)
     run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="validate the Table 1 sequences")
     val.add_argument("--alg", action="append", required=True)
-    val.add_argument("--horizon", type=int, default=400)
+    val.add_argument("--horizon", type=integer, default=400)
     val.add_argument("--problem", default="ex1:n=10,seed=1",
                      help="instance whose mapping T supplies the demicontractive "
                           "constant lambda to the condition sets")
-    val.add_argument("--seed", type=int, default=1)
+    val.add_argument("--seed", type=integer, default=1)
     val.set_defaults(func=_cmd_validate)
 
     chk = sub.add_parser("check", help="certify a problem instance")
     chk.add_argument("--problem", required=True)
-    chk.add_argument("--seed", type=int, default=1)
+    chk.add_argument("--seed", type=integer, default=1)
     chk.set_defaults(func=_cmd_check)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return exc.code
     try:
         return args.func(args)
     except Exception as exc:  # bad input (ValueError) or a runtime failure

@@ -9,7 +9,7 @@ import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -25,7 +25,7 @@ from .algorithms import (
     check_tol,
     solve,
 )
-from .space import SpaceElement
+from .space import NonFiniteElementError, SpaceElement
 from .stepsize import Adaptive, Armijo, Fixed
 
 
@@ -174,9 +174,11 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
 
 @dataclass(frozen=True)
 class TraceFileHeader:
+    """The '# key: value' header lines of a trace CSV, in field order."""
+
     scheme: str
     preset: str
-    problem_id: str
+    problem: str
     seed: int
     rng: str
     dim: int
@@ -188,42 +190,30 @@ class TraceFileHeader:
     @classmethod
     def create(cls, scheme: Scheme, preset: str, problem_id: str, seed: int,
                dim: int, same_as: Optional[str] = None) -> "TraceFileHeader":
-        return cls(scheme=scheme.value, preset=preset, problem_id=problem_id,
+        return cls(scheme=scheme.value, preset=preset, problem=problem_id,
                    seed=seed, rng=prob.RNG_ALGORITHM, dim=dim,
                    timestamp=datetime.datetime.now().isoformat(), same_as=same_as)
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
-    """Write '#'-prefixed header lines, a '#' column line, and one data row
-    per iterate with 17-significant-digit floats. A header with same_as
-    adds a '# same_as: <file name>' line before the column line."""
+    """Write one '# key: value' line per header field that is set, a
+    '# columns:' line, and one data row per iterate with 17-significant-digit
+    floats. The residual columns are written when some row has them, as nan
+    in the rows that do not."""
     path = Path(path)
+    names = ConvergenceTrace.SCALAR_NAMES
+    scalars = len(names)
     has_res = any(r.residuals is not None for r in trace.rows)
-    cols = "k,D_k,gamma_k,delta_k,elapsed_s"
     if has_res:
-        cols += "," + ",".join(ConvergenceTrace.RESIDUAL_NAMES)
-    lines = [
-        f"# scheme: {header.scheme}",
-        f"# preset: {header.preset}",
-        f"# problem: {header.problem_id}",
-        f"# seed: {header.seed}",
-        f"# rng: {header.rng}",
-        f"# dim: {header.dim}",
-        f"# timestamp: {header.timestamp}",
-    ]
-    if header.same_as is not None:
-        lines.append(f"# same_as: {header.same_as}")
-    lines.append(f"# columns: {cols}")
+        names += ConvergenceTrace.RESIDUAL_NAMES
+    lines = [f"# {key}: {value}" for key, value in asdict(header).items() if value is not None]
+    lines.append(f"# columns: {','.join(names)}")
+    row = ",".join(["{}"] + ["{:.17g}"] * (len(names) - 1))  # k is an integer
     for r in trace.rows:
-        fields = [str(r.k), _fmt(r.D), _fmt(r.gamma), _fmt(r.delta), _fmt(r.elapsed)]
+        values = r[:scalars]
         if has_res:
-            res = r.residuals if r.residuals is not None else (math.nan,) * 3
-            fields += [_fmt(v) for v in res]
-        lines.append(",".join(fields))
+            values += r.residuals or (math.nan,) * len(ConvergenceTrace.RESIDUAL_NAMES)
+        lines.append(row.format(*values))
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -232,6 +222,8 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
 
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
     """Inverse of emit_csv; float fields round-trip bitwise."""
+    scalars = len(ConvergenceTrace.SCALAR_NAMES)
+    width = scalars + len(ConvergenceTrace.RESIDUAL_NAMES)
     meta = {}
     rows: List[TraceRow] = []
     for line in Path(path).read_text().splitlines():
@@ -242,12 +234,8 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
             meta[key.strip()] = val.strip()
             continue
         parts = line.split(",")
-        residuals = None
-        if len(parts) > 5:
-            residuals = tuple(float(v) for v in parts[5:8])
-        rows.append(TraceRow(k=int(parts[0]), D=float(parts[1]),
-                             gamma=float(parts[2]), delta=float(parts[3]),
-                             elapsed=float(parts[4]), residuals=residuals))
+        residuals = tuple(map(float, parts[scalars:width])) or None
+        rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
     return meta, rows
 
 
@@ -259,7 +247,7 @@ def trace_fingerprint(path) -> List[str]:
         if line.startswith("#") or not line.strip():
             continue
         parts = line.split(",")
-        del parts[4]  # elapsed_s
+        del parts[ConvergenceTrace.SCALAR_NAMES.index("elapsed_s")]
         body.append(",".join(parts))
     return body
 
@@ -277,7 +265,10 @@ class ExperimentPlan:
     def __post_init__(self):
         # stored as tuples, so that the cells resolved here stay the plan's
         for name in ("problems", "algorithms", "seeds"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            value = getattr(self, name)
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                raise TypeError(f"plan {name} must be a list, got {value!r}")
+            object.__setattr__(self, name, tuple(value))
         if not self.problems:
             raise ValueError("plan needs at least one problem spec")
         if not self.algorithms:
@@ -412,7 +403,10 @@ class _SharedProblem:
             if self._outcome is None:
                 try:
                     problem, _ = parse_problem_spec(spec, seed)
-                    failures = prob.certify(problem)
+                    try:
+                        failures = prob.certify(problem)
+                    except NonFiniteElementError as exc:
+                        failures = [str(exc)]
                     self._outcome = (problem, None) if not failures else (None, (
                         "certification", "certification failed: " + "; ".join(failures)))
                 except Exception as exc:

@@ -27,6 +27,7 @@ from vikit.algorithms import (
     step_alg1,
     step_alg2,
     step_alg3,
+    step_alg4,
     step_baseline,
 )
 from vikit.harness import CONDITIONS, make_config, parse_problem_spec
@@ -352,6 +353,37 @@ def test_config_policy_mismatch_rejected():
         solve(p, bad3)
     with pytest.raises(ConfigError):
         solve(p, _solve_cfg(Scheme.IMSEGM, p, x0=None))
+
+
+@pytest.mark.parametrize("scheme,cfg_changes,problem_changes,message", [
+    (Scheme.IMSEGM, dict(max_iter=-1), {}, "max_iter must be nonnegative"),
+    (Scheme.IMSEGM, dict(lambda_T=1.0), {}, r"demicontractive constant must lie in \[0,1\)"),
+    (Scheme.MSEGM, dict(lambda_T=-0.1), {}, r"demicontractive constant must lie in \[0,1\)"),
+    (Scheme.IMMTEGM, dict(delta=-0.1), {}, "inertial bound delta must be nonnegative"),
+    (Scheme.STEGM, {}, dict(F=None), "stegm needs the damping operator F"),
+    (Scheme.VSEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
+    (Scheme.VTEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
+])
+def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_changes,
+                                                message):
+    p = dataclasses.replace(_toy_problem(), **problem_changes)
+    x = element(p.space, [1.0, 1.0])
+    cfg = dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes)
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        solve(p, cfg)
+
+
+def test_step_alg4_agrees_with_alg3_on_linear_radial_data():
+    # with A = I the forward correction and the halfspace projection coincide
+    p = _toy_problem()
+    cfg = _cfg(Scheme.IMMTEGM, Adaptive(0.5, 0.5), "k_over_kp1",
+               "theta_over_3", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               delta=0.6)
+    st = step_alg4(_ones_state(p.space, 0.5), p, cfg)
+    *_, x2, gamma2 = _scalar_first_iteration("alg3")
+    assert np.allclose(st.x_curr, x2)
+    assert st.gamma == gamma2
+    assert st.halfspace is None
 
 
 def test_stationary_at_the_solution():

@@ -1,13 +1,22 @@
+import contextlib
+import dataclasses
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vikit import harness
+from test_properties import NOT_INTEGERS
+from vikit import harness, problems
+from vikit.algorithms import Scheme, SequenceRule
 from vikit.cli import main
+from vikit.space import element
 
 
 def test_run_writes_traces_and_prints_paths(tmp_path, capsys):
@@ -217,3 +226,57 @@ def test_run_into_a_path_that_is_not_a_directory_exits_two(tmp_path, capsys):
         assert code == 2
         assert f"{afile} exists and is not a directory" in capsys.readouterr().err
         assert afile.read_text() == "kept\n"
+
+
+def _ex2_with_a_wrong_solution(grid):
+    problem = problems.make_example2(grid)
+    return dataclasses.replace(problem, x_star=element(problem.space, np.full(grid, 0.5)))
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--alg", "imsegm", "--alg", "msegm", "--horizon", "3"],
+    ["check", "--problem", "ex2:grid=5"],
+])
+def test_failed_validation_or_certification_prints_each_failure_and_exits_two(
+        argv, monkeypatch, capsys):
+    bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
+    monkeypatch.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
+    monkeypatch.setitem(problems.FAMILIES, "ex2", problems.FAMILIES["ex2"]._replace(
+        build=_ex2_with_a_wrong_solution))
+    assert main(argv) == 2
+    if argv[0] == "validate":
+        expected = [f"imsegm: theta_range at k={k}: theta_k=1.5 outside (0,1)"
+                    for k in (1, 2, 3)] + ["msegm: ok (3 terms)"]
+    else:
+        failures = problems.certify(_ex2_with_a_wrong_solution(5))
+        assert failures[0].startswith("VI solution residual")
+        expected = [f"ex2:grid=5: {failure}" for failure in failures]
+    assert capsys.readouterr().out.splitlines() == expected
+
+
+# (arguments before the flag, an integer flag, its least accepted value or
+# None); the problems are tiny and --max-iter is at most 5
+INTEGER_FLAGS = [
+    (["run", "--problem", "ex2:grid=5", "--alg", "imsegm"], "--max-iter", 1),
+    (["run", "--problem", "ex2:grid=5", "--alg", "imsegm", "--max-iter", "2"], "--seed", 0),
+    (["validate", "--alg", "imsegm", "--problem", "ex2:grid=5"], "--horizon", 1),
+    (["validate", "--alg", "imsegm", "--problem", "ex2:grid=5"], "--seed", None),
+    (["check", "--problem", "ex2:grid=5"], "--seed", None),
+]
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(INTEGER_FLAGS),
+       st.one_of(st.integers(-3, 5).map(str), st.sampled_from(NOT_INTEGERS)))
+def test_integer_flags_take_ascii_decimals_only(case, value):
+    before, flag, least = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        out = ["--out", os.path.join(tmp, "out")] if before[0] == "run" else []
+        code = main(before + [flag, value] + out)
+    if value in NOT_INTEGERS:
+        assert code == 2
+        assert f"argument {flag}: invalid integer value: {value!r}" in err.getvalue()
+    else:
+        assert code == (2 if least is not None and int(value) < least else 0), err.getvalue()

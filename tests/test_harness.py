@@ -122,6 +122,27 @@ def test_theta_out_of_range_flagged(small_problem):
     assert "k=1" in str(violations[0])
 
 
+@pytest.mark.parametrize("scheme,problem_changes,overrides,named", [
+    (Scheme.MSEGM, dict(L=None), {},
+     "ConfigError: msegm needs a Lipschitz bound for its fixed step"),
+    (Scheme.HSEGM, {}, dict(eta=SequenceRule("constant", 1.0)),
+     "eta_range at k=1: eta_k=1.0 outside (0,1)"),
+    (Scheme.IMSEGM, {}, dict(zeta=SequenceRule("constant", 0.0)),
+     "zeta_positive at k=1: zeta_k=0.0 not positive"),
+])
+def test_bad_parameters_are_named_by_make_config_or_the_conditions(
+        small_problem, scheme, problem_changes, overrides, named):
+    # make_config raises; validate_conditions returns its first violation
+    problem = dataclasses.replace(small_problem, **problem_changes)
+    try:
+        cfg = harness.make_config(scheme, problem, **overrides)
+    except ConfigError as exc:
+        found = f"ConfigError: {exc}"
+    else:
+        found = str(harness.validate_conditions(cfg, horizon=5)[0])
+    assert found == named
+
+
 def _toy_trace(with_res):
     rows = [
         TraceRow(k=1, D=1.0, gamma=0.5, delta=0.0, elapsed=0.0,
@@ -193,6 +214,16 @@ def test_plan_validation():
     with pytest.raises(ValueError):
         harness.ExperimentPlan(problems=["ex1:n=5"], algorithms=[Scheme.IMSEGM],
                                max_iter=0, seeds=[1], output_dir="x")
+
+
+@pytest.mark.parametrize("name,value", [
+    ("problems", "ex2"), ("algorithms", Scheme.IMSEGM), ("seeds", 1)])
+def test_plan_field_that_is_a_str_or_not_iterable_is_a_type_error(name, value, monkeypatch):
+    # raised before any cell is resolved
+    monkeypatch.setattr(harness, "_resolve", None)
+    fields = dict(problems=["ex2:grid=5"], algorithms=[Scheme.IMSEGM], seeds=[1])
+    with pytest.raises(TypeError, match=f"^plan {name} must be a list, got {value!r}$"):
+        harness.ExperimentPlan(**dict(fields, **{name: value}), max_iter=5, output_dir="x")
 
 
 def test_a_plan_built_from_lists_stores_tuples_and_runs_them(tmp_path):
@@ -444,6 +475,17 @@ def test_failed_certification_fails_every_cell_of_its_problem(tmp_path, monkeypa
     assert result.paths == [] and len(calls) == 1
     assert [error[1:] for error in result.errors] == \
         [("certification", "certification failed: forced")] * 4
+
+
+def test_a_non_finite_certification_value_fails_as_certification(tmp_path, monkeypatch):
+    ex2 = harness.prob.FAMILIES["ex2"]
+    monkeypatch.setitem(harness.prob.FAMILIES, "ex2", ex2._replace(
+        build=lambda grid: dataclasses.replace(make_example2(grid), T=lambda x: x * math.nan)))
+    plan = harness.ExperimentPlan(problems=["ex2:grid=5"], algorithms=[Scheme.IMSEGM],
+                                  max_iter=5, seeds=[1], output_dir=str(tmp_path))
+    assert harness.run_plan(plan).errors == [
+        ("ex2:grid=5|imsegm|seed=1", "certification",
+         "certification failed: element contains non-finite entries")]
 
 
 def test_builder_crash_fails_every_cell_of_its_problem(tmp_path, monkeypatch):

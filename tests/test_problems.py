@@ -135,6 +135,16 @@ def test_certify_reports_a_solution_that_is_not_a_fixed_point():
     assert certify(p) == ["fixed-point residual 2.236e+00 exceeds 1e-10"]
 
 
+@pytest.mark.parametrize("xs,residual", [([3.0, 4.0], "5.000e-01"), ([0.0, 1e-6], "1.000e-07")])
+def test_certify_reports_a_point_that_does_not_solve_the_vi(xs, residual):
+    # with A = I and x* inside the box the natural residual is 0.1 ||x*||;
+    # x* is a fixed point of T = I, so only the VI check fails
+    sp = euclidean(2)
+    p = ProblemInstance(space=sp, A=AffineMatrix(np.eye(2)), C=Box(-2.0, 5.0),
+                        T=Scale(1.0), lambda_T=0.0, x_star=element(sp, xs))
+    assert certify(p) == [f"VI solution residual {residual} exceeds 1e-8"]
+
+
 def test_certify_names_the_first_failing_sample_and_its_value():
     # A = I - 1.5 u u^T fails where x - y leans towards u; T = diag(1.3, 0.5,
     # 0.5, 0.5) fails where x leans towards e_1: both part-way
