@@ -32,7 +32,6 @@ from .stepsize import (
     StepPolicy,
     adaptive_update,
     armijo_search,
-    validate_fixed,
 )
 
 
@@ -129,12 +128,11 @@ class SequenceRule:
 class SolverConfig:
     algorithm: Scheme
     step: StepPolicy
-    theta_seq: SequenceRule
-    eta_seq: SequenceRule
-    zeta_seq: Optional[SequenceRule] = None
+    theta: SequenceRule
+    eta: SequenceRule
+    zeta: Optional[SequenceRule] = None
     delta: float = 0.0
     lambda_T: float = 0.0
-    hsd_lambda: float = 0.5
     max_iter: int = 400
     x0: Optional[SpaceElement] = None
     x1: Optional[SpaceElement] = None
@@ -213,17 +211,21 @@ def _initial_gamma(step: StepPolicy) -> float:
     return step.rho
 
 
+# Table 1's hybrid-steepest-descent weight lambda, for the hsd outer update
+HSD_LAMBDA = 0.5
+
+
 def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
           cfg: SolverConfig) -> IterateState:
     """One iteration of the scheme built from parts."""
     k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
+    theta = cfg.theta(k)
+    eta = cfg.eta(k, theta)
     space, A, T = problem.space, problem.A, problem.T
     x = state.x_curr
     s, dk = x, 0.0
     if parts.inertial:
-        dk = inertial_delta(space, cfg.delta, cfg.zeta_seq(k), x, state.x_prev)
+        dk = inertial_delta(space, cfg.delta, cfg.zeta(k), x, state.x_prev)
         s = x + dk * (x - state.x_prev)
 
     if parts.step is Armijo:
@@ -254,7 +256,7 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
         if parts.outer == "viscosity":
             x_next = theta * problem.f_visc(x) + (1.0 - theta) * t
         else:  # hsd
-            x_next = t + (-cfg.hsd_lambda * theta) * problem.F(t)
+            x_next = t + (-HSD_LAMBDA * theta) * problem.F(t)
     x_next = check_finite(x_next)
 
     gamma_next = gamma
@@ -326,14 +328,14 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     parts = SCHEMES[scheme]
     if not isinstance(cfg.step, parts.step):
         raise ConfigError(f"{scheme.value} requires a {parts.step.__name__} step policy")
-    if (parts.step is Fixed and problem.L is not None
-            and not validate_fixed(cfg.step.gamma, problem.L)):
+    # gamma in (0, 1/L), with no division: L = 0 admits every gamma
+    if parts.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
         raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
     if parts.inertial:
-        if cfg.zeta_seq is None:
+        if cfg.zeta is None:
             raise ConfigError("inertial schemes need a zeta sequence")
-        if cfg.delta < 0:
-            raise ConfigError("inertial bound delta must be nonnegative")
+        if not 0.0 <= cfg.delta < math.inf:
+            raise ConfigError("inertial bound delta must be finite and nonnegative")
     if parts.outer == "hsd" and problem.F is None:
         raise ConfigError(f"{scheme.value} needs the damping operator F")
     if parts.outer == "viscosity" and problem.f_visc is None:

@@ -34,6 +34,11 @@ def integer(text: str) -> int:
     return harness._integer(text, "value")
 
 
+def decimal(text: str) -> float:
+    """--tol's value, by the ASCII-decimal rule of harness._decimal."""
+    return harness._decimal(text, "value")
+
+
 def _cmd_run(args) -> int:
     plan = harness.ExperimentPlan(
         problems=args.problem,
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alg", action="append", required=True,
                      help="scheme name or 'all' (repeatable)")
     run.add_argument("--max-iter", type=integer, default=400)
-    run.add_argument("--tol", type=float, default=None)
+    run.add_argument("--tol", type=decimal, default=None)
     run.add_argument("--seed", type=integer, action="append", default=None)
     run.add_argument("--record-invariants", action="store_true")
     run.add_argument("--out", required=True)

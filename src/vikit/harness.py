@@ -52,7 +52,8 @@ CONDITIONS = {
 # Table 1 by part: theta_k and eta_k by outer update, 1/(k+1) and k/(2k+1)
 # for every outer update not named here; zeta_k and delta of the inertial
 # rows; the step policy by type. A Fixed step depends on the problem's
-# Lipschitz constant, so make_config sets it to 0.99/L.
+# Lipschitz constant, so make_config sets it to 0.99/L. The hsd weight is
+# algorithms.HSD_LAMBDA.
 _OUTER_SEQS = {
     "mann": ("one_over_kp1", "half_one_minus_theta"),
     "modified_mann": ("k_over_kp1", "theta_over_3"),
@@ -72,12 +73,8 @@ def _table1_row(parts) -> dict:
     return row
 
 
+# Each key of a row is the SolverConfig field it fills.
 TABLE1: Dict[Scheme, dict] = {scheme: _table1_row(p) for scheme, p in SCHEMES.items()}
-
-# The SolverConfig field each Table 1 key fills; make_config takes these
-# keys as overrides.
-TABLE1_FIELDS = {"theta": "theta_seq", "eta": "eta_seq", "zeta": "zeta_seq",
-                 "delta": "delta", "step": "step", "hsd_lambda": "hsd_lambda"}
 
 
 def make_config(scheme: Scheme, problem: prob.ProblemInstance,
@@ -87,14 +84,16 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 record_invariants: bool = False,
                 **overrides) -> SolverConfig:
     """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides
-    win. An override key outside TABLE1_FIELDS raises ConfigError."""
-    unknown = [key for key in overrides if key not in TABLE1_FIELDS]
+    win. An override key that no TABLE1 row has raises ConfigError. A Fixed
+    step is 0.99/L, so a problem with L unset or 0 raises ConfigError."""
+    keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
+    unknown = [key for key in overrides if key not in keys]
     if unknown:
         raise ConfigError(f"unknown override key(s) {', '.join(unknown)}; "
-                          f"make_config takes {', '.join(TABLE1_FIELDS)}")
+                          f"make_config takes {', '.join(keys)}")
     entry = dict(TABLE1[scheme], **overrides)
     if entry.get("step") is None:
-        if problem.L is None:
+        if not problem.L:
             raise ConfigError(f"{scheme.value} needs a Lipschitz bound for its fixed step")
         entry["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
     return SolverConfig(
@@ -105,7 +104,7 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
         x1=x1,
         tol=tol,
         record_invariants=record_invariants,
-        **{TABLE1_FIELDS[key]: value for key, value in entry.items()},
+        **entry,
     )
 
 
@@ -134,29 +133,25 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     out: List[Violation] = []
     lam = cfg.lambda_T
     cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
+    eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
     ks = range(1, horizon + 1)
 
     thetas = {}
     for k in ks:
-        th = cfg.theta_seq(k)
+        th = cfg.theta(k)
         thetas[k] = th
         if not 0.0 < th < 1.0:
             out.append(Violation("theta_range", k, f"theta_k={th} outside (0,1)"))
             continue
-        eta = cfg.eta_seq(k, th)
-        if cond is None:
-            if not 0.0 < eta < 1.0:
-                out.append(Violation("eta_range", k, f"eta_k={eta} outside (0,1)"))
-            continue
-        hi = cond.eta_bound(th, lam)
+        eta = cfg.eta(k, th)
+        hi = 1 if cond is None else cond.eta_bound(th, lam)
         if not 0.0 < eta < hi:
-            out.append(Violation(f"{cond.label}.eta_range", k,
-                                 f"eta_k={eta} outside (0, {hi})"))
+            out.append(Violation(eta_range, k, f"eta_k={eta} outside (0,{hi})"))
 
-    if cond is not None and cfg.zeta_seq is not None:
+    if cond is not None and cfg.zeta is not None:
         ratios = []
         for k in ks:
-            z = cfg.zeta_seq(k)
+            z = cfg.zeta(k)
             if z <= 0.0:
                 out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
                 continue
@@ -221,12 +216,13 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
 
 
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
-    """Inverse of emit_csv; float fields round-trip bitwise."""
+    """Inverse of emit_csv; float fields round-trip bitwise. A data row
+    whose field count differs from the '# columns:' line before it raises
+    ValueError naming the path and the 1-based line number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
-    width = scalars + len(ConvergenceTrace.RESIDUAL_NAMES)
     meta = {}
     rows: List[TraceRow] = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -234,7 +230,11 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
             meta[key.strip()] = val.strip()
             continue
         parts = line.split(",")
-        residuals = tuple(map(float, parts[scalars:width])) or None
+        width = meta["columns"].count(",") + 1 if "columns" in meta else 0
+        if len(parts) != width:
+            raise ValueError(f"{path} line {number}: {len(parts)} fields, but the "
+                             f"'# columns:' line names {width}")
+        residuals = tuple(map(float, parts[scalars:])) or None
         rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
     return meta, rows
 
@@ -280,6 +280,8 @@ class ExperimentPlan:
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         check_tol(self.tol)
+        if not self.output_dir:
+            raise ValueError(f"plan output_dir must name a directory, got {self.output_dir!r}")
         object.__setattr__(self, "_resolved", [_resolve(*cell) for cell in self.cells()])
         written_by = {}
         for cell in self._resolved:
@@ -332,6 +334,16 @@ def _integer(text: str, what: str) -> int:
     if re.fullmatch(r"[+-]?[0-9]+", text) is None:
         raise ValueError(f"{what} must be an integer, got {text!r}")
     return int(text)
+
+
+def _decimal(text: str, what: str) -> float:
+    """The value of text written as an ASCII decimal number, such as '2',
+    '-.5' or '1e-8'. Anything else, such as '1_0', 'nan', 'inf' or
+    non-ASCII digits that float() would read, raises ValueError naming
+    what."""
+    if re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?", text) is None:
+        raise ValueError(f"{what} must be a decimal number, got {text!r}")
+    return float(text)
 
 
 def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]:

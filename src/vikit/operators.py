@@ -141,7 +141,7 @@ def spectral_norm(G: np.ndarray) -> float:
     G = np.asarray(G, dtype=float)
     GtG = G.T @ G
     rng = np.random.default_rng(12345)
-    v = rng.standard_normal(G.shape[0])
+    v = rng.standard_normal(G.shape[1])
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(10_000):

@@ -7,6 +7,7 @@ L2([0,1]), discretized on a uniform grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -37,7 +38,9 @@ class ProblemInstance:
     block, any other callable once per point, so a callable written for
     one point is never handed a block. `C` must fit the space: each `Box`
     bound is a scalar or of shape (dim,), and a `Ball`'s centre or a
-    `HalfSpace` lies in the space; otherwise ValueError."""
+    `HalfSpace` lies in the space; otherwise ValueError. So is a
+    `lambda_T` outside [0, 1) or an `L` outside [0, inf); `L` = 0 bounds
+    the zero operator."""
 
     space: SpaceDescriptor
     A: object
@@ -53,6 +56,8 @@ class ProblemInstance:
     def __post_init__(self):
         if not 0.0 <= self.lambda_T < 1.0:
             raise ValueError(f"lambda_T must lie in [0,1), got {self.lambda_T}")
+        if self.L is not None and not 0.0 <= self.L < math.inf:
+            raise ValueError(f"Lipschitz bound L must lie in [0,inf), got {self.L}")
         sp, C = self.space, self.C
         where = f"the problem's {sp.dim}-dimensional {sp.kind.value} space"
         if isinstance(C, Box):

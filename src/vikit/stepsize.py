@@ -77,13 +77,6 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
     return min(phi * finite_norm(space, s - y) / denom, gamma_k)
 
 
-def validate_fixed(gamma: float, L: float) -> bool:
-    """True iff gamma lies in the open interval (0, 1/L)."""
-    if L <= 0:
-        raise ValueError("Lipschitz constant must be positive")
-    return 0.0 < gamma < 1.0 / L
-
-
 ARMIJO_MAX_TRIALS = 60
 
 # The screen's margin in armijo_search: underflow moves a computed norm by

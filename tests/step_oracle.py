@@ -14,7 +14,7 @@ the same exception at the same step.
 
 import numpy as np
 
-from vikit.algorithms import IterateState, Parts
+from vikit.algorithms import HSD_LAMBDA, IterateState, Parts
 from vikit.projections import Ball, Box, HalfSpace
 from vikit.space import check_finite
 from vikit.stepsize import Adaptive, Armijo, armijo_search
@@ -70,13 +70,13 @@ def _adaptive_update(space, gamma_k, phi, s, y, As, Ay):
 
 def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateState:
     k = state.k
-    theta = cfg.theta_seq(k)
-    eta = cfg.eta_seq(k, theta)
+    theta = cfg.theta(k)
+    eta = cfg.eta(k, theta)
     space, A, T = problem.space, problem.A, problem.T
     x = state.x_curr
     s, dk = x, 0.0
     if parts.inertial:
-        dk = _inertial_delta(space, cfg.delta, cfg.zeta_seq(k), x, state.x_prev)
+        dk = _inertial_delta(space, cfg.delta, cfg.zeta(k), x, state.x_prev)
         s = check_finite(x + dk * (x - state.x_prev))
 
     if parts.step is Armijo:
@@ -107,7 +107,7 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
         if parts.outer == "viscosity":
             x_next = check_finite(theta * check_finite(problem.f_visc(x)) + (1.0 - theta) * t)
         else:  # hsd
-            x_next = check_finite(t + (-cfg.hsd_lambda * theta) * check_finite(problem.F(t)))
+            x_next = check_finite(t + (-HSD_LAMBDA * theta) * check_finite(problem.F(t)))
 
     gamma_next = gamma
     if parts.step is Adaptive:

@@ -61,8 +61,8 @@ def _toy_problem(scale=1.0, shift=None):
 
 def _cfg(scheme, step, theta, eta, **kw):
     return SolverConfig(algorithm=scheme, step=step,
-                        theta_seq=SequenceRule(theta),
-                        eta_seq=SequenceRule(eta), **kw)
+                        theta=SequenceRule(theta),
+                        eta=SequenceRule(eta), **kw)
 
 
 def _ones_state(sp, gamma):
@@ -176,7 +176,7 @@ def _scalar_first_iteration(variant):
 def test_step_alg1_matches_scalar_recomputation():
     p = _toy_problem()
     cfg = _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg1(_ones_state(p.space, 0.5), p, cfg)
     s, y, z, x2, gamma2 = _scalar_first_iteration("alg1")
@@ -193,7 +193,7 @@ def test_step_alg2_agrees_with_alg1_on_linear_radial_data():
     # with A = I the forward correction and the halfspace projection coincide
     p = _toy_problem()
     cfg = _cfg(Scheme.IMTEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
     assert np.allclose(st.x_curr, 0.28125)
@@ -204,7 +204,7 @@ def test_step_alg2_agrees_with_alg1_on_linear_radial_data():
 def test_step_alg3_matches_scalar_recomputation():
     p = _toy_problem()
     cfg = _cfg(Scheme.IMMSEGM, Adaptive(0.5, 0.5), "k_over_kp1",
-               "theta_over_3", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, gamma2 = _scalar_first_iteration("alg3")
@@ -229,7 +229,7 @@ def test_step_alg2_reduces_to_mann_when_a_vanishes():
                         T=p.T, lambda_T=p.lambda_T, x_star=p.x_star, L=1.0,
                         problem_id="toy0")
     cfg = _cfg(Scheme.IMTEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
     # (1 - 0.5 - 0.25) s + 0.25 * 0.5 s = 0.375 s
@@ -244,9 +244,9 @@ def test_step_alg3_with_identity_t_and_theta_one_returns_z():
                         lambda_T=p.lambda_T, x_star=p.x_star, L=p.L,
                         problem_id="toyI")
     cfg = SolverConfig(algorithm=Scheme.IMMSEGM, step=Adaptive(0.5, 0.5),
-                       theta_seq=SequenceRule("constant", 1.0),
-                       eta_seq=SequenceRule("constant", 0.25),
-                       zeta_seq=SequenceRule("one_over_kp1_sq"), delta=0.6)
+                       theta=SequenceRule("constant", 1.0),
+                       eta=SequenceRule("constant", 0.25),
+                       zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
     assert np.allclose(st.x_curr, st.z)
 
@@ -255,13 +255,13 @@ def test_stegm_step_componentwise():
     # A = I, rho=1, l=0.5, phi=0.4: trial steps 1, 0.5 fail, 0.25 passes
     p = _toy_problem()
     cfg = _cfg(Scheme.STEGM, Armijo(rho=1.0, l=0.5, phi=0.4),
-               "one_over_kp1", "k_over_2kp1", hsd_lambda=0.5)
+               "one_over_kp1", "k_over_2kp1")
     st = step_baseline(_ones_state(p.space, 1.0), p, cfg)
     gamma, y = 0.25, 0.75
     z = y - gamma * (y - 1.0)
     eta = 1.0 / 3.0
     t = (1.0 - eta) * z + eta * 0.5 * z
-    x2 = t - 0.5 * 0.5 * (0.5 * t)  # t - hsd_lambda * theta_1 * F(t)
+    x2 = t - 0.5 * 0.5 * (0.5 * t)  # t - HSD_LAMBDA * theta_1 * F(t)
     assert st.gamma == gamma
     assert np.allclose(st.y, y)
     assert np.allclose(st.x_curr, x2)
@@ -282,7 +282,7 @@ def test_hsegm_step_uses_the_anchor():
 
 def _solve_cfg(scheme, p, **kw):
     x = element(p.space, [1.0, 1.0])
-    base = dict(zeta_seq=SequenceRule("one_over_kp1_sq"), delta=0.6,
+    base = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6,
                 x0=x, x1=x, max_iter=50)
     base.update(kw)
     if scheme in (Scheme.IMMSEGM, Scheme.IMMTEGM):
@@ -339,7 +339,7 @@ def test_config_policy_mismatch_rejected():
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
     bad = _cfg(Scheme.IMSEGM, Fixed(0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
                x0=x, x1=x)
     with pytest.raises(ConfigError):
         solve(p, bad)
@@ -359,7 +359,11 @@ def test_config_policy_mismatch_rejected():
     (Scheme.IMSEGM, dict(max_iter=-1), {}, "max_iter must be nonnegative"),
     (Scheme.IMSEGM, dict(lambda_T=1.0), {}, r"demicontractive constant must lie in \[0,1\)"),
     (Scheme.MSEGM, dict(lambda_T=-0.1), {}, r"demicontractive constant must lie in \[0,1\)"),
-    (Scheme.IMMTEGM, dict(delta=-0.1), {}, "inertial bound delta must be nonnegative"),
+    (Scheme.IMMTEGM, dict(delta=-0.1), {}, "inertial bound delta must be finite and nonnegative"),
+    (Scheme.IMSEGM, dict(delta=math.nan), {}, "inertial bound delta must be finite and nonnegative"),
+    (Scheme.IMSEGM, dict(delta=math.inf), {}, "inertial bound delta must be finite and nonnegative"),
+    # gamma = 1/L is outside (0, 1/L)
+    (Scheme.MSEGM, dict(step=Fixed(0.25)), dict(L=4.0), r"fixed step 0.25 outside \(0, 1/L\) for L=4.0"),
     (Scheme.STEGM, {}, dict(F=None), "stegm needs the damping operator F"),
     (Scheme.VSEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
     (Scheme.VTEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
@@ -373,11 +377,22 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
         solve(p, cfg)
 
 
+@pytest.mark.parametrize("scheme", [Scheme.HSEGM, Scheme.MSEGM, Scheme.MMSEGM])
+def test_zero_lipschitz_bound_admits_any_fixed_step_but_has_no_table1_step(scheme):
+    p = _toy_problem(scale=0.0)  # the zero operator, L = 0
+    with pytest.raises(ConfigError, match=f"^{scheme.value} needs a Lipschitz bound "
+                                          "for its fixed step$"):
+        make_config(scheme, p)
+    x = element(p.space, [1.0, 1.0])
+    cfg = make_config(scheme, p, x0=x, x1=x, max_iter=3, step=Fixed(1e300))
+    assert [r.gamma for r in solve(p, cfg).rows] == [1e300] * 4
+
+
 def test_step_alg4_agrees_with_alg3_on_linear_radial_data():
     # with A = I the forward correction and the halfspace projection coincide
     p = _toy_problem()
     cfg = _cfg(Scheme.IMMTEGM, Adaptive(0.5, 0.5), "k_over_kp1",
-               "theta_over_3", zeta_seq=SequenceRule("one_over_kp1_sq"),
+               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"),
                delta=0.6)
     st = step_alg4(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, gamma2 = _scalar_first_iteration("alg3")

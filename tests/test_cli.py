@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_properties import NOT_INTEGERS
+from test_properties import NOT_INTEGERS, problem_specs
 from vikit import harness, problems
 from vikit.algorithms import Scheme, SequenceRule
 from vikit.cli import main
@@ -128,14 +128,30 @@ def test_run_rejects_duplicate_cells_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
-def test_bad_tolerance_rejected_before_running(tmp_path, capsys, tol):
+@pytest.mark.parametrize("tol,named", [
+    ("nan", "argument --tol: invalid decimal value: 'nan'"),
+    ("inf", "argument --tol: invalid decimal value: 'inf'"),
+    ("0", "tol must be a positive finite number, got 0.0"),
+    ("-1", "tol must be a positive finite number, got -1.0"),
+    ("1e400", "tol must be a positive finite number, got inf"),
+], ids=["nan", "inf", "0", "-1", "1e400"])
+def test_bad_tolerance_rejected_before_running(tmp_path, capsys, tol, named):
+    # nan and inf are no decimal numbers; the others are, but out of range
     out = tmp_path / "out"
     code = main(["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm",
                  "--tol", tol, "--out", str(out)])
     assert code == 2
-    assert "tol must be a positive finite number" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_out_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--problem", "ex2:grid=5", "--alg", "imsegm", "--max-iter", "3",
+                 "--out", ""])
+    assert code == 2
+    assert "plan output_dir must name a directory, got ''" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_rejects_unknown_spec_key(capsys):
@@ -280,3 +296,74 @@ def test_integer_flags_take_ascii_decimals_only(case, value):
         assert f"argument {flag}: invalid integer value: {value!r}" in err.getvalue()
     else:
         assert code == (2 if least is not None and int(value) < least else 0), err.getvalue()
+
+
+# --tol values: accepted, decimal but not a positive finite number (argparse
+# reads the two negative ones as values), and no decimal number at all
+TOLS = ["1e-3", "0.5", ".5", "2.", "+1E-2", "7"]
+OUT_OF_RANGE_TOLS = ["0", "-1", "-.5", "0e0", "1e400"]
+NOT_DECIMALS = ["1_0", "\u0661", "nan", "inf", " 1e-3", "1e", ".", "0x1", ""]
+SCHEME_NAMES = [s.value for s in Scheme] + ["all"]
+
+# (accepted, possibly rejected) values of each part of a run's argv
+RUN_PARTS = {
+    "spec": (st.sampled_from(["ex1:n=4", "ex1:n=3,seed=2", "ex2:grid=5",
+                              "ex2:grid=7,init=random_uniform"]), problem_specs()),
+    "alg": (st.sampled_from(SCHEME_NAMES), st.sampled_from(["bogus", "", "IMSEGM"])),
+    "tol": (st.one_of(st.none(), st.sampled_from(TOLS)),
+            st.sampled_from(OUT_OF_RANGE_TOLS + NOT_DECIMALS)),
+    "out": (st.just("dir"), st.sampled_from(["empty", "under_file"])),
+    "flag": (st.none(), st.sampled_from(["--bogus", "-z", "--tol=1", "--problem"])),
+}
+
+
+@st.composite
+def run_argv_parts(draw):
+    """One value per part of a run's argv, of which at most two may be bad."""
+    bad = draw(st.sets(st.sampled_from(sorted(RUN_PARTS)), max_size=2))
+    return {part: draw(RUN_PARTS[part][part in bad]) for part in RUN_PARTS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(run_argv_parts())
+def test_run_argv_succeeds_or_names_what_it_rejects(parts):
+    spec, alg, tol, out_kind, flag = (parts[k] for k in ("spec", "alg", "tol", "out", "flag"))
+    with tempfile.TemporaryDirectory() as tmp:
+        afile = os.path.join(tmp, "afile")
+        Path(afile).write_text("")
+        out = {"dir": os.path.join(tmp, "out"), "empty": "",
+               "under_file": os.path.join(afile, "sub")}[out_kind]
+        argv = ["run", "--problem", spec, "--alg", alg, "--max-iter", "2", "--out", out]
+        argv += [] if tol is None else ["--tol", tol]
+        argv += [] if flag is None else [flag]
+        # what stderr says of each bad part; one of them must be said
+        named = []
+        if flag in ("--bogus", "-z"):
+            named.append(f"unrecognized arguments: {flag}")
+        if flag == "--problem":
+            named.append("argument --problem: expected one argument")
+        if tol in NOT_DECIMALS:
+            named.append(f"argument --tol: invalid decimal value: {tol!r}")
+        # argparse checks each --tol it reads, and the last one wins
+        if ("1" if flag == "--tol=1" else tol) in OUT_OF_RANGE_TOLS:
+            named.append("tol must be a positive finite number")
+        if alg not in SCHEME_NAMES:
+            named.append(f"unknown algorithm {alg!r}")
+        if out_kind == "empty":
+            named.append("plan output_dir must name a directory, got ''")
+        if out_kind == "under_file":
+            named.append(f"output path {afile} exists and is not a directory")
+        try:
+            harness.parse_problem_spec(spec, 1)
+        except ValueError:
+            named.append(f"FAILED {spec}|")
+        err, printed = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed), \
+                contextlib.chdir(tmp):
+            code = main(argv)
+        if not named:
+            assert code == 0, err.getvalue()
+            assert len(printed.getvalue().splitlines()) == (10 if alg == "all" else 1)
+        else:
+            assert code == 2, err.getvalue()
+            assert any(part in err.getvalue() for part in named), (named, err.getvalue())

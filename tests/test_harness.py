@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import sys
 import weakref
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from vikit import harness
 from vikit.algorithms import (
+    HSD_LAMBDA,
     ConfigError,
     ConvergenceTrace,
     Scheme,
@@ -27,7 +29,7 @@ def test_make_config_adaptive_schemes(small_problem):
     cfg = harness.make_config(Scheme.IMSEGM, small_problem, max_iter=100)
     assert cfg.step == Adaptive(gamma1=0.5, phi=0.5)
     assert cfg.delta == 0.6
-    assert cfg.zeta_seq == SequenceRule("one_over_kp1_sq")
+    assert cfg.zeta == SequenceRule("one_over_kp1_sq")
     assert cfg.lambda_T == 0.0
     assert cfg.max_iter == 100
 
@@ -41,7 +43,6 @@ def test_make_config_fixed_step_depends_on_l(small_problem):
 def test_make_config_stegm_and_overrides(small_problem):
     cfg = harness.make_config(Scheme.STEGM, small_problem)
     assert cfg.step == Armijo(rho=1.0, l=0.5, phi=0.4)
-    assert cfg.hsd_lambda == 0.5
     over = harness.make_config(Scheme.IMSEGM, small_problem, delta=0.3)
     assert over.delta == 0.3
 
@@ -63,8 +64,8 @@ def test_table1_rows_follow_each_schemes_parts(small_problem):
         Scheme.VTEGM: dict(theta=one, eta=k2, step=adaptive),
         Scheme.STEGM: dict(theta=one, eta=k2, step=Armijo(rho=1.0, l=0.5, phi=0.4)),
     }
-    # STEGM's hybrid-steepest-descent weight is SolverConfig's default
-    assert harness.make_config(Scheme.STEGM, small_problem).hsd_lambda == 0.5
+    # STEGM's hybrid-steepest-descent weight, the one Table 1 value outside TABLE1
+    assert HSD_LAMBDA == 0.5
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -73,10 +74,10 @@ def test_presets_validate_cleanly(scheme, small_problem):
     assert harness.validate_conditions(cfg, horizon=400) == []
 
 
-@pytest.mark.parametrize("key", ["zeta_seq", "etaa"])
+@pytest.mark.parametrize("key", ["zeta_seq", "etaa", "hsd_lambda"])
 def test_make_config_rejects_unknown_override_keys(small_problem, key):
     with pytest.raises(ConfigError, match=f"{key}; make_config takes theta, eta, "
-                                          "zeta, delta, step, hsd_lambda"):
+                                          "zeta, delta, step$"):
         harness.make_config(Scheme.IMSEGM, small_problem,
                             **{key: SequenceRule("constant", 1.0)})
 
@@ -180,6 +181,33 @@ def test_csv_without_residual_columns(tmp_path):
     harness.emit_csv(_toy_trace(with_res=False), _header(), path)
     _, rows = harness.parse_csv(path)
     assert rows[0].residuals is None and rows[1].residuals is None
+
+
+@pytest.mark.parametrize("with_res", [False, True])
+def test_csv_skips_blank_lines(tmp_path, with_res):
+    path = tmp_path / "t.csv"
+    harness.emit_csv(_toy_trace(with_res), _header(), path)
+    lines = path.read_text().splitlines()
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text("\n".join(["", *lines[:-1], "  ", lines[-1], ""]) + "\n")
+    assert repr(harness.parse_csv(spaced)) == repr(harness.parse_csv(path))
+
+
+@pytest.mark.parametrize("with_res,row,fields", [
+    (False, "1,0.5,0.5", 3),
+    (False, "1,0.5,0.5,0,0,7", 6),
+    (True, "1,0.5,0.5,0,0,7", 6),
+    (True, "1,0.5,0.5,0,0,7,7,7,7,7", 10),
+])
+def test_csv_row_that_does_not_fit_the_columns_line_is_named(tmp_path, with_res, row, fields):
+    path = tmp_path / "t.csv"
+    harness.emit_csv(_toy_trace(with_res), _header(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [row]) + "\n")
+    width = 8 if with_res else 5
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {len(lines) + 1}: {fields} fields, "
+                                         f"but the '# columns:' line names {width}$"):
+        harness.parse_csv(path)
 
 
 def test_empty_trace_writes_header_only(tmp_path):

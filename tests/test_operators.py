@@ -84,6 +84,11 @@ def test_spectral_norm_diagonal_and_identity():
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, rel=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 4)])
+def test_spectral_norm_of_a_zero_matrix_is_zero(shape):
+    assert spectral_norm(np.zeros(shape)) == 0.0
+
+
 def test_spectral_norm_matches_numpy_on_random_matrices():
     rng = np.random.default_rng(2)
     for _ in range(20):

@@ -22,7 +22,6 @@ from vikit.stepsize import (
     _proven_rejections,
     adaptive_update,
     armijo_search,
-    validate_fixed,
 )
 
 
@@ -84,15 +83,6 @@ def test_adaptive_update_rejects_a_difference_that_overflows():
         adaptive_update(sp, 0.5, 0.5, s, y, As, Ay)
     with pytest.raises(NonFiniteElementError):
         adaptive_update(sp, 0.5, 0.5, np.array([np.nan, 0.0]), y, np.ones(2), y)
-
-
-def test_validate_fixed():
-    L = 4.0
-    assert validate_fixed(0.99 / L, L)
-    assert not validate_fixed(1.0 / L, L)
-    assert not validate_fixed(0.0, L)
-    with pytest.raises(ValueError):
-        validate_fixed(0.1, 0.0)
 
 
 def _setup(scale=2.0):
