@@ -23,6 +23,7 @@ from .algorithms import (
     SolverConfig,
     TraceRow,
     check_tol,
+    sequence_table,
     solve,
 )
 from .space import NonFiniteElementError, SpaceElement
@@ -135,15 +136,14 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
     eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
     ks = range(1, horizon + 1)
+    seq = sequence_table(cfg, horizon)
 
-    thetas = {}
     for k in ks:
-        th = cfg.theta(k)
-        thetas[k] = th
+        th = seq.theta[k]
         if not 0.0 < th < 1.0:
             out.append(Violation("theta_range", k, f"theta_k={th} outside (0,1)"))
             continue
-        eta = cfg.eta(k, th)
+        eta = seq.eta[k]
         hi = 1 if cond is None else cond.eta_bound(th, lam)
         if not 0.0 < eta < hi:
             out.append(Violation(eta_range, k, f"eta_k={eta} outside (0,{hi})"))
@@ -151,11 +151,11 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     if cond is not None and cfg.zeta is not None:
         ratios = []
         for k in ks:
-            z = cfg.zeta(k)
+            z = seq.zeta[k]
             if z <= 0.0:
                 out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
                 continue
-            th = thetas[k]
+            th = seq.theta[k]
             if 0.0 < th < 1.0:
                 ratios.append((k, z / cond.zeta_divisor(th)))
         tail = ratios[len(ratios) // 2:]
@@ -215,10 +215,18 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
         raise OSError(f"failed to write trace to {path}: {exc}") from exc
 
 
+# the '# columns:' lines emit_csv writes: the scalars, then the residuals
+# when they were recorded
+_COLUMN_LINES = tuple(",".join(names) for names in (
+    ConvergenceTrace.SCALAR_NAMES,
+    ConvergenceTrace.SCALAR_NAMES + ConvergenceTrace.RESIDUAL_NAMES))
+
+
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
-    """Inverse of emit_csv; float fields round-trip bitwise. A data row
-    whose field count differs from the '# columns:' line before it raises
-    ValueError naming the path and the 1-based line number."""
+    """Inverse of emit_csv; float fields round-trip bitwise. A '# columns:'
+    line other than the two emit_csv writes, or a data row whose field
+    count differs from the '# columns:' line before it, raises ValueError
+    naming the path and the 1-based line number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
     meta = {}
     rows: List[TraceRow] = []
@@ -227,7 +235,11 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
             continue
         if line.startswith("#"):
             key, _, val = line[1:].partition(":")
-            meta[key.strip()] = val.strip()
+            key, val = key.strip(), val.strip()
+            if key == "columns" and val not in _COLUMN_LINES:
+                raise ValueError(f"{path} line {number}: '# columns:' line names {val!r}, "
+                                 f"not {_COLUMN_LINES[0]!r} or {_COLUMN_LINES[1]!r}")
+            meta[key] = val
             continue
         parts = line.split(",")
         width = meta["columns"].count(",") + 1 if "columns" in meta else 0

@@ -54,12 +54,15 @@ class AffineMatrix:
     computed w lies within g_n ||G||_F ||u|| of G^T u, so
     ||w|| <= (1 + g_n) ||G||_F ||u||. `probe` is None when ||G||_F or ||u||
     is not finite, ||u|| < 2^-400 (its sum of squares may have lost
-    digits to underflow) or the probe is zero or not finite. The screened
-    Armijo search (`stepsize.armijo_search`) rests on these bounds."""
+    digits to underflow) or the probe is zero or not finite. `f_norm` is
+    the computed Euclidean norm of f (0 without f), also taken once here.
+    The screened Armijo search (`stepsize.armijo_search`) rests on these
+    bounds and reads all three."""
 
     G: np.ndarray
     f_vec: Optional[SpaceElement] = None
     frobenius: float = field(init=False, repr=False, compare=False)
+    f_norm: float = field(init=False, repr=False, compare=False)
     probe: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -74,12 +77,15 @@ class AffineMatrix:
         # divides 0 by 0; either leaves the probe out
         with np.errstate(all="ignore"):
             frobenius = float(np.linalg.norm(G))
+            f = self.f_vec
+            f_norm = 0.0 if f is None else math.sqrt(np.vdot(f.coords, f.coords))
             u = G.sum(axis=1)
             u_norm = float(np.linalg.norm(u))
             probe = (G.T @ u) / u_norm
         usable = (frobenius < math.inf and _PROBE_MIN_NORM <= u_norm < math.inf
                   and np.isfinite(probe).all() and probe.any())
         object.__setattr__(self, "frobenius", frobenius)
+        object.__setattr__(self, "f_norm", f_norm)
         object.__setattr__(self, "probe", _read_only(probe) if usable else None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

@@ -4,15 +4,16 @@ Points are coordinate arrays of the given space."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .operators import AffineMatrix
-from .projections import Box, FeasibleSet, project
-from .space import SpaceDescriptor, finite_norm
+from .projections import Box, FeasibleSet, clip_ufunc, project
+from .space import SpaceDescriptor, _read_only, finite_norm
 
 
 class ArmijoSearchError(RuntimeError):
@@ -179,6 +180,29 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _screened_steps(rho: float, l: float, phi: float, frobenius: float) -> Optional[np.ndarray]:
+    """The steps gamma_j of the trials armijo_search screens: rho, rho*l,
+    ... as its serial loop forms them, while gamma_j ||G||_F > phi and at
+    most ARMIJO_MAX_TRIALS of them; None when there are none. Built once
+    per policy and ||G||_F."""
+    gammas = []
+    gamma = rho
+    while gamma * frobenius > phi and len(gammas) < ARMIJO_MAX_TRIALS:
+        gammas.append(gamma)
+        gamma *= l
+    return _read_only(np.array(gammas, dtype=float)) if gammas else None
+
+
+@functools.lru_cache(maxsize=16)
+def _screen_margins(space: SpaceDescriptor) -> Tuple[float, float, float]:
+    """The screen's s = sqrt(min w), eta = (n + 16) eps and the factor
+    2 (n + 3) eps s of dA in this space. Built once per space."""
+    n = space.dim
+    s = math.sqrt(space.quad_weights.min())
+    return s, (n + 16) * _EPS, 2 * (n + 3) * _EPS * s
+
+
 def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
                        Ax: np.ndarray, A, C: FeasibleSet) -> list:
     """For the first trials of armijo_search, True where the serial test
@@ -188,32 +212,24 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
     if not (isinstance(A, AffineMatrix) and A.probe is not None and isinstance(C, Box)
             and {np.shape(C.lower), np.shape(C.upper)} <= {(), x.shape}):
         return []
-    gammas = []
-    gamma = policy.rho
-    while gamma * A.frobenius > policy.phi and len(gammas) < ARMIJO_MAX_TRIALS:
-        gammas.append(gamma)
-        gamma *= policy.l
-    if not gammas:
+    g = _screened_steps(policy.rho, policy.l, policy.phi, A.frobenius)
+    if g is None:
         return []
-    g = np.array(gammas)
-    n = x.shape[0]
-    s = math.sqrt(space.quad_weights.min())
-    eta = (n + 16) * _EPS
+    s, eta, dA_factor = _screen_margins(space)
     # the screen's arithmetic may overflow or meet inf where the serial
     # trials it screens never would; such a row is simply not proven
     with np.errstate(all="ignore"):
         xn = math.sqrt(np.vdot(x, x))
-        fn = 0.0 if A.f_vec is None else math.sqrt(np.vdot(A.f_vec.coords, A.f_vec.coords))
         # row j: the serial x + (-gamma_j) A(x), its clip, then x - y_j
         D = np.multiply.outer(-g, Ax)
         D += x
-        np.clip(D, C.lower, C.upper, out=D)
+        clip_ufunc(D, C.lower, C.upper, out=D)
         np.subtract(x, D, out=D)
         n2 = np.sqrt(space.row_inner(D, D))
         n1 = s * np.abs(D @ A.probe)
         F = A.frobenius + _TAU
-        size = (2 * F / s) * (n2 + _TAU) + (F * (xn + _TAU) + fn + _TAU)
-        dA = (2 * (n + 3) * _EPS * s) * size
+        size = (2 * F / s) * (n2 + _TAU) + (F * (xn + _TAU) + A.f_norm + _TAU)
+        dA = dA_factor * size
         proven = (g * n1 * (1 - 4 * eta)
                   > (policy.phi * (n2 + 2 * _TAU) + g * (dA + 2 * _TAU)) * (1 + 4 * eta) + _SIGMA)
         proven &= ((n2 <= _HUGE) & (size <= _HUGE)

@@ -210,6 +210,27 @@ def test_csv_row_that_does_not_fit_the_columns_line_is_named(tmp_path, with_res,
         harness.parse_csv(path)
 
 
+@pytest.mark.parametrize("with_res,columns", [
+    # a sixth column once read as residuals=(7.0,)
+    (False, "k,D_k,gamma_k,delta_k,elapsed_s,extra"),
+    (False, "k,D_k,gamma_k,delta_k"),
+    (True, "k,D_k,gamma_k,delta_k,elapsed_s,res_contraction,res_tseng,res_halfspace"),
+    (True, "D_k,k,gamma_k,delta_k,elapsed_s"),
+])
+def test_csv_columns_line_other_than_the_two_emitted_is_named(tmp_path, with_res, columns):
+    path = tmp_path / "t.csv"
+    harness.emit_csv(_toy_trace(with_res), _header(), path)
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith("# columns:"))
+    lines[number - 1] = f"# columns: {columns}"
+    fields = len(columns.split(","))
+    lines.append(",".join(["1"] + ["0.5"] * (fields - 1)))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {number}: "
+                                         f"'# columns:' line names '{columns}', not "):
+        harness.parse_csv(path)
+
+
 def test_empty_trace_writes_header_only(tmp_path):
     path = tmp_path / "t.csv"
     harness.emit_csv(ConvergenceTrace(scheme=Scheme.IMSEGM), _header(), path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membership import contains, sample_point
 from projection_oracle import project_oracle
@@ -7,6 +9,7 @@ from vikit.projections import (
     Ball,
     Box,
     HalfSpace,
+    clip_ufunc,
     halfspace_residual,
     project,
 )
@@ -150,3 +153,40 @@ def test_oracle_agrees_with_closed_form(variant):
         x = element(sp, rng.uniform(-4, 4, sp.dim)).coords
         gap = sp.norm(project(s, x) - project_oracle(s, x, n_restarts=3, seed=i))
         assert gap <= 1e-8
+
+
+# entries and bounds the clip must keep bit for bit: signed zeros, both
+# infinities, subnormals and the extremes
+_EDGES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308, 1.0, -1.0]
+_FINITE = st.one_of(st.sampled_from([v for v in _EDGES if np.isfinite(v)]),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _box_bounds(draw, n):
+    """Scalar or per-coordinate bounds, lower <= upper, some of them infinite."""
+    bound = st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf]))
+    if draw(st.booleans()):
+        lo, hi = sorted([draw(bound), draw(bound)])
+        return lo, hi
+    pairs = [sorted([draw(bound), draw(bound)]) for _ in range(n)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(1, 12))
+def test_the_clip_ufunc_is_np_clip_bit_for_bit(data, n):
+    lo, hi = data.draw(_box_bounds(n))
+    # a point, as project(Box) clips it
+    x = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
+    assert project(Box(lo, hi), x).tobytes() == np.clip(x, lo, hi).tobytes()
+    # a block of screen rows, which may hold inf or NaN, clipped in place
+    rows = data.draw(st.integers(1, 5))
+    entries = st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf, np.nan]))
+    D = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=rows, max_size=rows)))
+    expected = D.copy()
+    with np.errstate(all="ignore"):
+        np.clip(expected, lo, hi, out=expected)
+        clip_ufunc(D, lo, hi, out=D)
+    assert D.tobytes() == expected.tobytes()

@@ -20,6 +20,8 @@ from vikit.stepsize import (
     ArmijoSearchError,
     Fixed,
     _proven_rejections,
+    _screen_margins,
+    _screened_steps,
     adaptive_update,
     armijo_search,
 )
@@ -354,3 +356,22 @@ def test_the_screen_leaves_one_serial_trial_per_stegm_iteration(n, seed):
                   make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=400))
     assert len(trace.rows) == 401
     assert len(A.calls) / 400 == 2.0
+
+
+def test_the_screens_constants_are_built_once_per_policy_and_problem():
+    # one build of the trial steps and of the space's margins, then one
+    # cache hit per stegm iteration; another policy builds its own steps
+    p = make_example1(RandomSpec(n=20, seed=3))
+    x0, x1 = initial_points(p, "random_uniform", seed=0)
+    _screened_steps.cache_clear()
+    _screen_margins.cache_clear()
+    solve(p, make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=60))
+    for cached in (_screened_steps, _screen_margins):
+        assert cached.cache_info()[:2] == (59, 1)  # (hits, misses)
+    solve(p, make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=60,
+                         step=Armijo(rho=2.0, l=0.5, phi=0.4)))
+    assert _screened_steps.cache_info()[:2] == (118, 2)
+    assert _screen_margins.cache_info()[:2] == (119, 1)
+    g = _screened_steps(2.0, 0.5, 0.4, p.A.frobenius)
+    assert g.tolist() == [2.0 * 0.5 ** j for j in range(len(g))]
+    assert g[-1] * p.A.frobenius > 0.4 >= g[-1] * 0.5 * p.A.frobenius
