@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -125,16 +124,6 @@ class SequenceRule:
         return _SEQUENCES[self.kind](k, theta, self.value)
 
 
-class Sequences(NamedTuple):
-    """theta_k, eta_k and zeta_k of one rule triple at index k = 1..n, as
-    the rules return them; index 0 is unused, and zeta is None without a
-    zeta rule."""
-
-    theta: Tuple[float, ...]
-    eta: Tuple[float, ...]
-    zeta: Optional[Tuple[float, ...]]
-
-
 @dataclass
 class SolverConfig:
     algorithm: Scheme
@@ -149,43 +138,6 @@ class SolverConfig:
     x1: Optional[SpaceElement] = None
     tol: Optional[float] = None
     record_invariants: bool = False
-
-
-# Each rule triple's table, keyed by the rules' identities (an entry holds
-# its rules, so no other object can take their ids): rules that compare
-# equal may return other bits, such as constants 1 and 1.0 or 0.0 and -0.0
-_TABLES: Dict[Tuple[int, int, int], Tuple[tuple, Sequences]] = {}
-_TABLES_KEPT = 32
-_TABLES_LOCK = threading.Lock()
-
-
-def sequence_table(cfg: SolverConfig, n: int) -> Sequences:
-    """cfg's theta_k, eta_k and zeta_k for k = 1..n at least, each
-    evaluated once by its rule. Every solve and validate_conditions that
-    uses the same rule objects reads the same table. One that needs a
-    longer table at least doubles it, so a solve that asks for one more k
-    per step extends it O(log n) times. A theta or zeta rule that depends
-    on theta_k raises its ValueError."""
-    theta, eta, zeta = rules = cfg.theta, cfg.eta, cfg.zeta
-    key = (id(theta), id(eta), id(zeta))
-    entry = _TABLES.get(key)
-    if entry is not None and len(entry[1].theta) > n:
-        return entry[1]
-    with _TABLES_LOCK:
-        entry = _TABLES.pop(key, None)
-        old = entry[1] if entry else Sequences((math.nan,), (math.nan,), (math.nan,))
-        thetas, etas, zetas = list(old.theta), list(old.eta), list(old.zeta or ())
-        for k in range(len(thetas), max(n, 2 * len(thetas)) + 1):
-            th = theta(k)
-            thetas.append(th)
-            etas.append(eta(k, th))
-            if zeta is not None:
-                zetas.append(zeta(k))
-        table = Sequences(tuple(thetas), tuple(etas), None if zeta is None else tuple(zetas))
-        _TABLES[key] = rules, table
-        while len(_TABLES) > _TABLES_KEPT:
-            del _TABLES[next(iter(_TABLES))]
-    return table
 
 
 @dataclass
@@ -264,18 +216,16 @@ HSD_LAMBDA = 0.5
 
 
 def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
-          cfg: SolverConfig, seq: Optional[Sequences] = None) -> IterateState:
-    """One iteration of the scheme built from parts. seq is cfg's sequence
-    table, with an entry at state.k; by default it is looked up."""
+          cfg: SolverConfig) -> IterateState:
+    """One iteration of the scheme built from parts."""
     k = state.k
-    if seq is None:
-        seq = sequence_table(cfg, k)
-    theta, eta = seq.theta[k], seq.eta[k]
+    theta = cfg.theta(k)
+    eta = cfg.eta(k, theta)
     space, A, T = problem.space, problem.A, problem.T
     x = state.x_curr
     s, dk = x, 0.0
     if parts.inertial:
-        dk = inertial_delta(space, cfg.delta, seq.zeta[k], x, state.x_prev)
+        dk = inertial_delta(space, cfg.delta, cfg.zeta(k), x, state.x_prev)
         s = x + dk * (x - state.x_prev)
 
     if parts.step is Armijo:
@@ -343,9 +293,9 @@ def step_alg4(state: IterateState, problem: ProblemInstance,
 
 
 def step_baseline(state: IterateState, problem: ProblemInstance,
-                  cfg: SolverConfig, seq: Optional[Sequences] = None) -> IterateState:
-    """Step of the scheme cfg.algorithm; seq as in _step."""
-    return _step(SCHEMES[cfg.algorithm], state, problem, cfg, seq)
+                  cfg: SolverConfig) -> IterateState:
+    """Step of the scheme cfg.algorithm."""
+    return _step(SCHEMES[cfg.algorithm], state, problem, cfg)
 
 
 def check_tol(tol: Optional[float]):
@@ -373,9 +323,6 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     for name, x in (("x0", cfg.x0), ("x1", cfg.x1), ("x_star", problem.x_star)):
         if x is not None and not (isinstance(x, SpaceElement) and x.space == problem.space):
             raise ConfigError(f"{name} must be a SpaceElement of {problem.space}")
-    for name, rule in (("theta", cfg.theta), ("zeta", cfg.zeta)):
-        if rule is not None and rule.kind in _THETA_KINDS:
-            raise ConfigError(f"{name} sequence {rule.kind!r} depends on theta_k")
     parts = SCHEMES[scheme]
     if not isinstance(cfg.step, parts.step):
         raise ConfigError(f"{scheme.value} requires a {parts.step.__name__} step policy")
@@ -444,13 +391,10 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     rows = trace.rows
     state = IterateState(1, cfg.x0.coords, cfg.x1.coords, gamma=_initial_gamma(cfg.step))
     rows.append(TraceRow(1, err(state.x_curr), state.gamma, 0.0, 0.0))
-    seq = sequence_table(cfg, 1)
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
         try:
-            if state.k >= len(seq.theta):
-                seq = sequence_table(cfg, state.k)
-            state = step_baseline(state, problem, cfg, seq)
+            state = step_baseline(state, problem, cfg)
         except Exception as exc:
             raise SolveError(f"{cfg.algorithm.value} failed at k={state.k}: {exc}",
                              trace) from exc

@@ -23,7 +23,6 @@ from .algorithms import (
     SolverConfig,
     TraceRow,
     check_tol,
-    sequence_table,
     solve,
 )
 from .space import NonFiniteElementError, SpaceElement
@@ -136,14 +135,15 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
     eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
     ks = range(1, horizon + 1)
-    seq = sequence_table(cfg, horizon)
 
+    thetas = {}
     for k in ks:
-        th = seq.theta[k]
+        th = cfg.theta(k)
+        thetas[k] = th
         if not 0.0 < th < 1.0:
             out.append(Violation("theta_range", k, f"theta_k={th} outside (0,1)"))
             continue
-        eta = seq.eta[k]
+        eta = cfg.eta(k, th)
         hi = 1 if cond is None else cond.eta_bound(th, lam)
         if not 0.0 < eta < hi:
             out.append(Violation(eta_range, k, f"eta_k={eta} outside (0,{hi})"))
@@ -151,11 +151,11 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     if cond is not None and cfg.zeta is not None:
         ratios = []
         for k in ks:
-            z = seq.zeta[k]
+            z = cfg.zeta(k)
             if z <= 0.0:
                 out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
                 continue
-            th = seq.theta[k]
+            th = thetas[k]
             if 0.0 < th < 1.0:
                 ratios.append((k, z / cond.zeta_divisor(th)))
         tail = ratios[len(ratios) // 2:]

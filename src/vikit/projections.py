@@ -17,11 +17,15 @@ from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_fini
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
-# against 1.0 us for the ufunc at n = 100 (2-core Xeon, numpy 2.4)
+# against 1.0 us for the ufunc at n = 100 (2-core Xeon, numpy 2.4). The
+# ufunc's module is private, so a numpy that moves it gets np.clip back.
 try:
     from numpy._core.umath import clip as clip_ufunc
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as clip_ufunc
+except ImportError:
+    try:  # numpy < 2
+        from numpy.core.umath import clip as clip_ufunc
+    except ImportError:
+        clip_ufunc = np.clip
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,7 @@ def _adaptive_update(space, gamma_k, phi, s, y, As, Ay):
     return min(phi * norm(check_finite(s - y)) / denom, gamma_k)
 
 
-def step_checked(parts: Parts, state: IterateState, problem, cfg, seq=None) -> IterateState:
-    # theta_k, eta_k and zeta_k come from the rules themselves, never from
-    # the sequence table solve passes in as seq, so that the library step
-    # matching this one also shows that the table holds the rules' values
+def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateState:
     k = state.k
     theta = cfg.theta(k)
     eta = cfg.eta(k, theta)

@@ -30,7 +30,7 @@ from vikit.algorithms import (
     step_alg4,
     step_baseline,
 )
-from vikit.harness import CONDITIONS, make_config, parse_problem_spec, validate_conditions
+from vikit.harness import CONDITIONS, make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, Scale
 from vikit.problems import (
     ProblemInstance,
@@ -120,69 +120,6 @@ def test_sequence_rule_values():
         SequenceRule("bogus")
     with pytest.raises(ValueError):
         SequenceRule("constant")
-
-
-def _bits(v):
-    return type(v), float(v).hex()
-
-
-_KINDS = sorted(algorithms._SEQUENCES)
-_OWN_KINDS = [k for k in _KINDS if k not in algorithms._THETA_KINDS]
-
-
-@st.composite
-def _rule(draw, kinds):
-    kind = draw(st.sampled_from(kinds))
-    if kind != "constant":
-        return SequenceRule(kind)
-    # any float the table must keep bit for bit, -0.0 and ints included
-    return SequenceRule(kind, draw(st.one_of(st.floats(allow_nan=False),
-                                             st.integers(-3, 3))))
-
-
-@settings(max_examples=200)
-@given(_rule(_OWN_KINDS), _rule(_KINDS), st.one_of(st.none(), _rule(_OWN_KINDS)),
-       st.integers(0, 40), st.integers(1, 700))
-def test_the_sequence_table_holds_the_rules_values_bit_for_bit(theta, eta, zeta, first, n):
-    # asked for `first` entries, then extended to n, as a solve extends it
-    cfg = SolverConfig(Scheme.IMSEGM, Adaptive(0.5, 0.5), theta, eta, zeta)
-    algorithms.sequence_table(cfg, first)
-    table = algorithms.sequence_table(cfg, n)
-    assert len(table.theta) > n and (table.zeta is None) == (zeta is None)
-    for k in range(1, n + 1):
-        th = theta(k)
-        assert _bits(table.theta[k]) == _bits(th)
-        assert _bits(table.eta[k]) == _bits(eta(k, th))
-        if zeta is not None:
-            assert _bits(table.zeta[k]) == _bits(zeta(k))
-
-
-def _count_sequence_calls(monkeypatch) -> list:
-    """Record every _SEQUENCES closure call from here on."""
-    calls = []
-    for kind, closure in list(algorithms._SEQUENCES.items()):
-        def counted(k, theta, value, closure=closure, kind=kind):
-            calls.append((kind, k))
-            return closure(k, theta, value)
-        monkeypatch.setitem(algorithms._SEQUENCES, kind, counted)
-    return calls
-
-
-def test_a_second_solve_with_the_same_rules_evaluates_no_sequence(monkeypatch):
-    p = make_example1(RandomSpec(n=10, seed=1))
-    x0, x1 = initial_points(p, "random_uniform", seed=1)
-    for scheme in (Scheme.IMSEGM, Scheme.IMMSEGM, Scheme.HSEGM):
-        cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=300)
-        first = solve(p, cfg).rows
-        calls = _count_sequence_calls(monkeypatch)
-        assert solve(p, cfg).rows[-1].D == first[-1].D
-        assert validate_conditions(cfg, horizon=300) == []
-        assert calls == []
-        # fresh rule objects get a table of their own
-        fresh = dataclasses.replace(cfg, theta=dataclasses.replace(cfg.theta))
-        solve(p, fresh)
-        assert len(calls) >= 2 * 300
-        monkeypatch.undo()
 
 
 def test_scheme_table_reproduces_the_scheme_sets():
@@ -427,11 +364,6 @@ def test_config_policy_mismatch_rejected():
     (Scheme.IMMTEGM, dict(delta=-0.1), {}, "inertial bound delta must be finite and nonnegative"),
     (Scheme.IMSEGM, dict(delta=math.nan), {}, "inertial bound delta must be finite and nonnegative"),
     (Scheme.IMSEGM, dict(delta=math.inf), {}, "inertial bound delta must be finite and nonnegative"),
-    # the sequence table evaluates theta_k and zeta_k on their own
-    (Scheme.IMSEGM, dict(theta=SequenceRule("theta_over_3")), {},
-     "theta sequence 'theta_over_3' depends on theta_k"),
-    (Scheme.MSEGM, dict(zeta=SequenceRule("half_one_minus_theta")), {},
-     "zeta sequence 'half_one_minus_theta' depends on theta_k"),
     # gamma = 1/L is outside (0, 1/L)
     (Scheme.MSEGM, dict(step=Fixed(0.25)), dict(L=4.0), r"fixed step 0.25 outside \(0, 1/L\) for L=4.0"),
     (Scheme.STEGM, {}, dict(F=None), "stegm needs the damping operator F"),

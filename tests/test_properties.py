@@ -164,8 +164,8 @@ def step_states(draw, schemes):
     states = []
     step = algorithms.step_baseline
 
-    def record(state, problem, c, *seq):
-        states.append(step(state, problem, c, *seq))
+    def record(state, problem, c):
+        states.append(step(state, problem, c))
         return states[-1]
 
     with mock.patch.object(algorithms, "step_baseline", record):
@@ -243,8 +243,8 @@ def _iterates_after(problem, cfg, counts):
     kept = {}
     step = algorithms.step_baseline
 
-    def record(state, problem, c, *seq):
-        state = step(state, problem, c, *seq)
+    def record(state, problem, c):
+        state = step(state, problem, c)
         if state.k - 1 in counts:
             kept[state.k - 1] = state.x_curr
         return state
