@@ -47,6 +47,10 @@ class Scheme(enum.Enum):
     VSEGM = "vsegm"
     VTEGM = "vtegm"
 
+    # members are singletons, so identity hashes agree with equality;
+    # Enum's own __hash__ hashes the name in Python, on every SCHEMES lookup
+    __hash__ = object.__hash__
+
 
 class Parts(NamedTuple):
     """What a scheme is built from: inertial extrapolation or none; the
@@ -360,8 +364,9 @@ def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
         ratio = state.gamma_prev / state.gamma
         if parts.correction == "tseng":
             coeff = 1.0 - (phi * ratio) ** 2
-            res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * dist(s, y) ** 2)
-            res_t = dist(z, y) - phi * ratio * dist(s, y)
+            d_sy = dist(s, y)
+            res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * d_sy ** 2)
+            res_t = dist(z, y) - phi * ratio * d_sy
         else:
             coeff = 1.0 - phi * ratio
             res_c = dist(z, u) ** 2 - (

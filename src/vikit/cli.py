@@ -39,6 +39,19 @@ def decimal(text: str) -> float:
     return harness._decimal(text, "value")
 
 
+class _Once(argparse.Action):
+    """Stores a scalar flag's value. A second occurrence of the flag is a
+    usage error that names it (exit 2), where argparse would keep the last
+    value without a word."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = namespace.__dict__.setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _cmd_run(args) -> int:
     plan = harness.ExperimentPlan(
         problems=args.problem,
@@ -96,25 +109,25 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ex1:n=100,seed=7 or ex2:grid=101[,init=t_squared]")
     run.add_argument("--alg", action="append", required=True,
                      help="scheme name or 'all' (repeatable)")
-    run.add_argument("--max-iter", type=integer, default=400)
-    run.add_argument("--tol", type=decimal, default=None)
+    run.add_argument("--max-iter", type=integer, default=400, action=_Once)
+    run.add_argument("--tol", type=decimal, default=None, action=_Once)
     run.add_argument("--seed", type=integer, action="append", default=None)
     run.add_argument("--record-invariants", action="store_true")
-    run.add_argument("--out", required=True)
+    run.add_argument("--out", required=True, action=_Once)
     run.set_defaults(func=_cmd_run)
 
     val = sub.add_parser("validate", help="validate the Table 1 sequences")
     val.add_argument("--alg", action="append", required=True)
-    val.add_argument("--horizon", type=integer, default=400)
-    val.add_argument("--problem", default="ex1:n=10,seed=1",
+    val.add_argument("--horizon", type=integer, default=400, action=_Once)
+    val.add_argument("--problem", default="ex1:n=10,seed=1", action=_Once,
                      help="instance whose mapping T supplies the demicontractive "
                           "constant lambda to the condition sets")
-    val.add_argument("--seed", type=integer, default=1)
+    val.add_argument("--seed", type=integer, default=1, action=_Once)
     val.set_defaults(func=_cmd_validate)
 
     chk = sub.add_parser("check", help="certify a problem instance")
-    chk.add_argument("--problem", required=True)
-    chk.add_argument("--seed", type=integer, default=1)
+    chk.add_argument("--problem", required=True, action=_Once)
+    chk.add_argument("--seed", type=integer, default=1, action=_Once)
     chk.set_defaults(func=_cmd_check)
     return parser
 

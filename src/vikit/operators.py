@@ -89,11 +89,21 @@ class AffineMatrix:
         object.__setattr__(self, "probe", _read_only(probe) if usable else None)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.G.shape[0] != x.shape[-1]:
+        G = self.G
+        if G.shape[0] != x.shape[-1]:
             raise ValueError("matrix dimension does not match the space")
-        # a block as X @ G.T: (G @ X.T).T, the same map without a branch,
-        # made certify at n = 2000 1.8x slower
-        y = self.G @ x if x.ndim == 1 else x @ self.G.T
+        if x.ndim != 1:
+            # a block as X @ G.T: (G @ X.T).T, the same map without a
+            # branch, made certify at n = 2000 1.8x slower
+            y = x @ G.T
+        elif x.size > 1 and x.flags.c_contiguous and G.flags.c_contiguous:
+            # as in SpaceDescriptor.inner: on these operands G.dot(x) is the
+            # BLAS dgemv G @ x calls, bit for bit, without matmul's ufunc
+            # dispatch (~1 us at n = 100). A reversed x, or a 1x1 G that dot
+            # multiplies directly, keeps @.
+            y = G.dot(x)
+        else:
+            y = G @ x
         return y if self.f_vec is None else y + self.f_vec.coords
 
 

@@ -69,11 +69,33 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
     """Next step: min(phi * ||s-y|| / ||As-Ay||, gamma_k), or gamma_k when
     the operator displacement vanishes. Never increases. Raises
     NonFiniteElementError when As - Ay or s - y has a NaN or Inf entry,
-    which the comparison or the min could otherwise pass over."""
+    which the comparison or the min could otherwise pass over.
+
+    "As != Ay" is read in floating point as the test
+
+        denom > 1e-14 max(1, ||As||, ||Ay||),  denom = ||As - Ay||,
+
+    with every quantity as computed (a finite denom means As and Ay are
+    finite too). ||Ay|| is taken only where it can decide the test:
+    - denom <= 1e-14 max(1, ||As||) passes the test's "<=" already;
+    - denom > 2e-14 max(1, ||As|| + denom) fails it. A computed norm N of
+      v has |N - ||v||| <= g ||v|| + tau, g ~ (n + 3) u / 2, tau = 2^-500
+      (see armijo_search), and fl(As - Ay) is within a relative u of the
+      exact difference. So the triangle inequality for the exact norms
+      gives the computed ||Ay|| <= (1 + g)(||As|| + denom + 2 tau) /
+      ((1 - g)(1 - u)^2) + tau, which is at most 2 max(1, fl(||As|| +
+      denom)) for every n below ~2^50 (the 1 absorbs the tau terms). As
+      fl(2e-14) = 2 fl(1e-14) and rounding is monotone, fl(1e-14 m) <=
+      fl(2e-14 max(1, fl(||As|| + denom))) < denom for each m of the
+      max: 1, ||As|| and ||Ay||.
+    Only in the band between the two is ||Ay|| computed and the test
+    applied as stated. An ||As|| + denom that overflows lands in the band.
+    So the step is bitwise the four-norm rule's."""
     denom = finite_norm(space, As - Ay)
-    # floating-point reading of the "As != Ay" branch; a finite denom
-    # means As and Ay are finite too
-    if denom <= 1e-14 * max(1.0, space.norm(As), space.norm(Ay)):
+    norm_As = space.norm(As)
+    if denom <= 1e-14 * max(1.0, norm_As) or (
+            denom <= 2e-14 * max(1.0, norm_As + denom)
+            and denom <= 1e-14 * max(1.0, norm_As, space.norm(Ay))):
         return gamma_k
     return min(phi * finite_norm(space, s - y) / denom, gamma_k)
 

@@ -298,6 +298,25 @@ def test_integer_flags_take_ascii_decimals_only(case, value):
         assert code == (2 if least is not None and int(value) < least else 0), err.getvalue()
 
 
+# (a command's argv, a scalar flag of it, an accepted value); run's scalar
+# flags are drawn by test_run_argv_succeeds_or_names_what_it_rejects
+SCALAR_FLAGS = [
+    (["validate", "--alg", "imsegm"], "--horizon", "5"),
+    (["validate", "--alg", "imsegm"], "--problem", "ex2:grid=5"),
+    (["validate", "--alg", "imsegm"], "--seed", "1"),
+    (["check"], "--problem", "ex2:grid=5"),
+    (["check", "--problem", "ex2:grid=5"], "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("before,flag,value", SCALAR_FLAGS)
+def test_a_scalar_flag_given_twice_exits_two_and_names_it(capsys, before, flag, value):
+    assert main(before + [flag, value]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    assert main(before + [flag, value, f"{flag}={value}"]) == 2
+    assert f"argument {flag}: given more than once" in capsys.readouterr().err
+
+
 # --tol values: accepted, decimal but not a positive finite number (argparse
 # reads the two negative ones as values), and no decimal number at all
 TOLS = ["1e-3", "0.5", ".5", "2.", "+1E-2", "7"]
@@ -314,6 +333,8 @@ RUN_PARTS = {
             st.sampled_from(OUT_OF_RANGE_TOLS + NOT_DECIMALS)),
     "out": (st.just("dir"), st.sampled_from(["empty", "under_file"])),
     "flag": (st.none(), st.sampled_from(["--bogus", "-z", "--tol=1", "--problem"])),
+    # a scalar flag given a second time, with an accepted value
+    "repeat": (st.none(), st.sampled_from(["--max-iter", "--tol", "--out"])),
 }
 
 
@@ -327,7 +348,8 @@ def run_argv_parts(draw):
 @settings(max_examples=60, deadline=None)
 @given(run_argv_parts())
 def test_run_argv_succeeds_or_names_what_it_rejects(parts):
-    spec, alg, tol, out_kind, flag = (parts[k] for k in ("spec", "alg", "tol", "out", "flag"))
+    spec, alg, tol, out_kind, flag, repeat = (
+        parts[k] for k in ("spec", "alg", "tol", "out", "flag", "repeat"))
     with tempfile.TemporaryDirectory() as tmp:
         afile = os.path.join(tmp, "afile")
         Path(afile).write_text("")
@@ -336,6 +358,9 @@ def test_run_argv_succeeds_or_names_what_it_rejects(parts):
         argv = ["run", "--problem", spec, "--alg", alg, "--max-iter", "2", "--out", out]
         argv += [] if tol is None else ["--tol", tol]
         argv += [] if flag is None else [flag]
+        if repeat is not None:
+            argv += [repeat, {"--max-iter": "3", "--tol": "1e-3",
+                              "--out": os.path.join(tmp, "out2")}[repeat]]
         # what stderr says of each bad part; one of them must be said
         named = []
         if flag in ("--bogus", "-z"):
@@ -344,9 +369,14 @@ def test_run_argv_succeeds_or_names_what_it_rejects(parts):
             named.append("argument --problem: expected one argument")
         if tol in NOT_DECIMALS:
             named.append(f"argument --tol: invalid decimal value: {tol!r}")
-        # argparse checks each --tol it reads, and the last one wins
-        if ("1" if flag == "--tol=1" else tol) in OUT_OF_RANGE_TOLS:
+        tols = [v for v in (tol, "1" if flag == "--tol=1" else None,
+                            "1e-3" if repeat == "--tol" else None) if v is not None]
+        if len(tols) > 1:
+            named.append("argument --tol: given more than once")
+        elif tols and tols[0] in OUT_OF_RANGE_TOLS:
             named.append("tol must be a positive finite number")
+        if repeat in ("--max-iter", "--out"):
+            named.append(f"argument {repeat}: given more than once")
         if alg not in SCHEME_NAMES:
             named.append(f"unknown algorithm {alg!r}")
         if out_kind == "empty":

@@ -73,6 +73,27 @@ def test_affine_matrix():
         AffineMatrix(np.ones((2, 3)))
 
 
+@settings(max_examples=200)
+@given(st.one_of(st.integers(1, 3), st.integers(1, 300)), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["C", "F", "reversed_rows"]),
+       st.sampled_from(["contiguous", "reversed", "strided"]), st.booleans(),
+       st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310, -1e160, 1e200]), max_size=3))
+def test_affine_matrix_is_bitwise_the_matmul_form(n, seed, order, layout, offset, specials):
+    # G.dot(x) on C-contiguous operands is the same BLAS dgemv as G @ x;
+    # every other layout, and a 1x1 G, must keep @, whose sum differs on a
+    # reversed x and drops the sign of a zero product
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n))
+    G = {"C": G, "F": np.asfortranarray(G), "reversed_rows": G[::-1]}[order]
+    x = rng.standard_normal(2 * n)
+    x[rng.integers(0, 2 * n, len(specials))] = specials
+    x = {"contiguous": x[:n], "reversed": x[n - 1::-1], "strided": x[::2]}[layout]
+    f = element(euclidean(n), rng.standard_normal(n)) if offset else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = G @ x if f is None else G @ x + f.coords
+        assert AffineMatrix(G, f)(x).tobytes() == want.tobytes()
+
+
 def test_affine_matrix_rejects_an_offset_of_another_dimension():
     # broadcasting would turn a 1-vector offset into a constant 3-vector
     with pytest.raises(ValueError, match="offset dimension 1"):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vikit.space import (
     NonFiniteElementError,
@@ -161,3 +165,53 @@ def test_convex_combination_identity(sp):
         rhs = (th * sp.norm(x) ** 2 + (1 - th) * sp.norm(y) ** 2
                - th * (1 - th) * sp.norm(x - y) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
+
+
+def _matmul_norm(a):
+    """SpaceDescriptor.norm as it was when every Euclidean inner product
+    was float(a @ b)."""
+    sq = float(a @ a)
+    if not math.isfinite(sq) and np.isfinite(a).all():
+        big = float(np.abs(a).max())
+        b = a / big
+        return big * math.sqrt(float(b @ b))
+    return math.sqrt(max(sq, 0.0))
+
+
+# entries that a uniform draw never gives: signed zeros, subnormals, and
+# magnitudes whose squares overflow
+SPECIAL_ENTRIES = [0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 3e154, -1e160, 1e200, 1.7e308]
+
+
+@st.composite
+def vector_pairs(draw):
+    """Two float64 vectors of length 0-2000 with some special entries, laid
+    out contiguously, reversed or strided."""
+    n = draw(st.one_of(st.integers(0, 3), st.integers(0, 2000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-160, 1e150]))
+    layout = draw(st.sampled_from(["contiguous", "reversed", "strided", "reversed_strided"]))
+    step = {"contiguous": 1, "reversed": -1, "strided": 2, "reversed_strided": -3}[layout]
+    pair = []
+    for _ in range(2):
+        v = rng.standard_normal(n * abs(step)) * scale
+        specials = draw(st.lists(st.sampled_from(SPECIAL_ENTRIES), max_size=4))
+        if v.size:
+            v[rng.integers(0, v.size, len(specials))] = specials
+        pair.append(v[::step])
+    return pair
+
+
+@settings(max_examples=300)
+@given(vector_pairs())
+def test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms(pair):
+    # inner takes ndarray.dot on C-contiguous vectors of two or more
+    # entries, which is the same BLAS ddot as @; a reversed or strided
+    # vector, or a single entry (dot keeps -1.0 * 0.0 = -0.0), must keep @
+    a, b = pair
+    sp = euclidean(max(a.size, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in ((a, b), (a, a), (b, a)):
+            assert np.float64(sp.inner(u, v)).tobytes() == np.float64(u @ v).tobytes()
+        for u in pair:
+            assert np.float64(sp.norm(u)).tobytes() == np.float64(_matmul_norm(u)).tobytes()

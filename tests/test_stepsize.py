@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,12 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armijo_oracle import armijo_search_serial
+from step_oracle import _adaptive_update
+from vikit import algorithms
 from vikit.algorithms import Scheme, solve
-from vikit.harness import make_config
+from vikit.harness import make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, PositivePart
 from vikit.problems import RandomSpec, initial_points, make_example1
 from vikit.projections import Ball, Box, HalfSpace, project
-from vikit.space import NonFiniteElementError, check_finite, element, euclidean, grid_l2, zeros
+from vikit.space import (
+    NonFiniteElementError,
+    SpaceDescriptor,
+    check_finite,
+    element,
+    euclidean,
+    grid_l2,
+    zeros,
+)
 from vikit.stepsize import (
     ARMIJO_MAX_TRIALS,
     Adaptive,
@@ -85,6 +96,67 @@ def test_adaptive_update_rejects_a_difference_that_overflows():
         adaptive_update(sp, 0.5, 0.5, s, y, As, Ay)
     with pytest.raises(NonFiniteElementError):
         adaptive_update(sp, 0.5, 0.5, np.array([np.nan, 0.0]), y, np.ones(2), y)
+
+
+@st.composite
+def threshold_cases(draw):
+    """adaptive_update inputs with denom = ||As - Ay|| = 1e-14 r max(1,
+    ||As||) as computed, for r in [0.5, 4] or within a few 1e-14 of 1,
+    around and inside the band where ||Ay|| decides the step. |As| has
+    entries in [1.1, 1.4] 2^e, and As - Ay is exact: its entries are
+    integer multiples of 2^(e-52), below 2^(e-2). Then ||As|| is tuned
+    (scaling As by ~1) to put denom where r says. At e = 600 and 1000 the
+    squares overflow and the norms rescale; at e = -40 the band is set by
+    the 1 of the max, and at e = -600 denom sits far below it."""
+    sp = draw(st.sampled_from([euclidean, grid_l2]))(draw(st.integers(2, 40)))
+    n = sp.dim
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    e = draw(st.sampled_from([-600, -40, 0, 40, 600, 1000]))
+    r = draw(st.one_of(st.floats(0.5, 4.0), st.floats(-2.0, 3.0).map(lambda t: 1.0 + t * 1e-14)))
+    As = np.ldexp(rng.uniform(1.1, 1.4, n) * rng.choice([-1.0, 1.0], n), e)
+    with np.errstate(over="ignore"):
+        target = 1e-14 * r * max(1.0, sp.norm(As))
+        k = rng.standard_normal(n)
+        k = np.round(k * min(target / (np.ldexp(1.0, e - 52) * sp.norm(k)), 2.0 ** 49 / np.abs(k).max()))
+        D = np.ldexp(k, e - 52)
+        if sp.norm(As) >= 1.0:
+            As = As * (sp.norm(D) / (1e-14 * r) / sp.norm(As))
+    Ay = As - D
+    assert np.array_equal(As - Ay, D)
+    s = rng.standard_normal(n)
+    y = s + draw(st.sampled_from([0.0, 1e-3, 1.0])) * rng.standard_normal(n)
+    return sp, draw(st.floats(1e-3, 10.0)), draw(st.floats(0.05, 0.95)), s, y, As, Ay
+
+
+@settings(max_examples=400)
+@given(threshold_cases())
+def test_adaptive_update_is_bitwise_the_four_norm_rule(case):
+    # ||Ay|| is skipped outside the band 1e-14 max(1, ||As||) < denom <=
+    # 2e-14 max(1, ||As|| + denom); the checked four-norm rule must agree
+    with np.errstate(over="ignore"):
+        got, want = adaptive_update(*case), _adaptive_update(*case)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_each_adaptive_update_makes_three_norm_calls():
+    # ||As - Ay||, ||As|| and ||s - y||: on this run ||Ay|| is never needed
+    problem, init = parse_problem_spec("ex1:n=100,seed=1", 1)
+    x, _ = initial_points(problem, init, seed=1)
+    cfg = make_config(Scheme.IMSEGM, problem, x0=x, x1=x, tol=1e-8)
+    per_call = []
+
+    def counted(*args):
+        before = norm.call_count
+        gamma = adaptive_update(*args)
+        per_call.append(norm.call_count - before)
+        return gamma
+
+    with mock.patch.object(SpaceDescriptor, "norm", autospec=True,
+                           side_effect=SpaceDescriptor.norm) as norm, \
+            mock.patch.object(algorithms, "adaptive_update", counted):
+        trace = solve(problem, cfg)
+    assert len(per_call) == len(trace.rows) - 1 > 10
+    assert set(per_call) == {3}
 
 
 def _setup(scale=2.0):
