@@ -24,7 +24,8 @@ import numpy as np
 
 from .problems import ProblemInstance
 from .projections import HalfSpace, halfspace_residual, project
-from .space import SpaceDescriptor, SpaceElement, check_finite, finite_norm
+from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
+                    finite_norm)
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -83,10 +84,6 @@ SCHEMES = {
 PROPOSED = tuple(s for s, p in SCHEMES.items() if p.inertial)
 
 
-class ConfigError(ValueError):
-    """Solver configuration rejected before the run starts."""
-
-
 class SolveError(RuntimeError):
     """A step failed mid-run; the partial trace is attached."""
 
@@ -119,8 +116,8 @@ class SequenceRule:
     def __post_init__(self):
         if self.kind not in _SEQUENCES:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
-        if self.kind == "constant" and self.value is None:
-            raise ValueError("constant sequences need a value")
+        if self.kind == "constant":
+            check_field("value", self.value, -math.inf)
 
     def __call__(self, k: int, theta: Optional[float] = None) -> float:
         if theta is None and self.kind in _THETA_KINDS:
@@ -196,12 +193,16 @@ def inertial_delta(space: SpaceDescriptor, delta: float, zeta_k: float,
     cap delta when the last two iterates coincide. Guarantees
     delta_k * ||x_k - x_{k-1}|| <= zeta_k. Raises NonFiniteElementError
     when x_k - x_{k-1} has a NaN or Inf entry, which the min could pass
-    over."""
-    if not 0.0 <= delta < math.inf:
-        raise ValueError("inertial bound delta must be finite and nonnegative")
-    if zeta_k <= 0:
-        raise ValueError("zeta_k must be positive")
-    gap = finite_norm(space, x_curr - x_prev)
+    over. A delta outside [0, inf), or a zeta_k that is not positive (NaN
+    included), raises ConfigError."""
+    return _inertial_weight(space, check_field("delta", delta, 0.0), zeta_k, x_curr - x_prev)
+
+
+def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> float:
+    """inertial_delta from dx = x_k - x_{k-1}, with delta already checked."""
+    if not zeta_k > 0:
+        raise ConfigError(f"zeta_k must be positive, got {zeta_k}")
+    gap = finite_norm(space, dx)
     if gap == 0.0:
         return delta
     return min(zeta_k / gap, delta)
@@ -229,8 +230,9 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
     x = state.x_curr
     s, dk = x, 0.0
     if parts.inertial:
-        dk = inertial_delta(space, cfg.delta, cfg.zeta(k), x, state.x_prev)
-        s = x + dk * (x - state.x_prev)
+        dx = x - state.x_prev
+        dk = _inertial_weight(space, cfg.delta, cfg.zeta(k), dx)
+        s = x + dk * dx
 
     if parts.step is Armijo:
         gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
@@ -304,40 +306,39 @@ def step_baseline(state: IterateState, problem: ProblemInstance,
 
 def check_tol(tol: Optional[float]):
     """A stopping tolerance is unset or a positive finite number."""
-    if tol is not None and not 0.0 < tol < math.inf:
-        raise ConfigError(f"tol must be a positive finite number, got {tol}")
+    if tol is not None:
+        check_field("tol", tol, 0.0, lo_open=True)
 
 
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
-    """Structural validation; sequence-condition checks live in the harness."""
-    scheme = cfg.algorithm
-    if cfg.max_iter < 0:
-        raise ConfigError("max_iter must be nonnegative")
-    if not 0.0 <= cfg.lambda_T < 1.0:
-        raise ConfigError("demicontractive constant must lie in [0,1)")
+    """Structural validation; sequence-condition checks live in the harness.
+    Each rejected field raises ConfigError naming it, before any step."""
+    if not isinstance(cfg.algorithm, Scheme):
+        raise ConfigError(f"algorithm must be of type Scheme, got {cfg.algorithm!r}")
+    scheme, parts = cfg.algorithm, SCHEMES[cfg.algorithm]
+    # only the inertial extrapolation reads zeta
+    for name, kind in (("theta", SequenceRule), ("eta", SequenceRule), ("zeta", SequenceRule),
+                       ("step", parts.step), ("record_invariants", bool)):
+        got = getattr(cfg, name)
+        if not (isinstance(got, kind) or name == "zeta" and got is None and not parts.inertial):
+            raise ConfigError(f"{name} must be of type {kind.__name__}, got {got!r}")
+    check_field("max_iter", cfg.max_iter, 0, integer=True)
+    check_field("lambda_T", cfg.lambda_T, 0.0, 1.0, hi_open=True)
+    check_field("delta", cfg.delta, 0.0)
     check_tol(cfg.tol)
     if cfg.tol is not None and problem.x_star is None:
         raise ConfigError("tol needs a problem with a known solution x_star")
     if cfg.record_invariants and problem.x_star is None:
         raise ConfigError("record_invariants needs a problem with a known solution x_star")
-    if cfg.x1 is None or (cfg.x0 is None):
-        raise ConfigError("both initial points are required")
     # the solver iterates on bare coordinate arrays, which would broadcast
     # or combine silently across spaces, so every point is checked here once
     for name, x in (("x0", cfg.x0), ("x1", cfg.x1), ("x_star", problem.x_star)):
-        if x is not None and not (isinstance(x, SpaceElement) and x.space == problem.space):
+        if not (isinstance(x, SpaceElement) and x.space == problem.space
+                or name == "x_star" and x is None):
             raise ConfigError(f"{name} must be a SpaceElement of {problem.space}")
-    parts = SCHEMES[scheme]
-    if not isinstance(cfg.step, parts.step):
-        raise ConfigError(f"{scheme.value} requires a {parts.step.__name__} step policy")
     # gamma in (0, 1/L), with no division: L = 0 admits every gamma
     if parts.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
         raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
-    if parts.inertial:
-        if cfg.zeta is None:
-            raise ConfigError("inertial schemes need a zeta sequence")
-        if not 0.0 <= cfg.delta < math.inf:
-            raise ConfigError("inertial bound delta must be finite and nonnegative")
     if parts.outer == "hsd" and problem.F is None:
         raise ConfigError(f"{scheme.value} needs the damping operator F")
     if parts.outer == "viscosity" and problem.f_visc is None:

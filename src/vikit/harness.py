@@ -25,7 +25,7 @@ from .algorithms import (
     check_tol,
     solve,
 )
-from .space import NonFiniteElementError, SpaceElement
+from .space import NonFiniteElementError, SpaceElement, check_field
 from .stepsize import Adaptive, Armijo, Fixed
 
 
@@ -85,7 +85,10 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 **overrides) -> SolverConfig:
     """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides
     win. An override key that no TABLE1 row has raises ConfigError. A Fixed
-    step is 0.99/L, so a problem with L unset or 0 raises ConfigError."""
+    step is 0.99/L, so a problem with L unset or 0 raises ConfigError, as
+    does a scheme that is not a Scheme."""
+    if not isinstance(scheme, Scheme):
+        raise ConfigError(f"scheme must be of type Scheme, got {scheme!r}")
     keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
     unknown = [key for key in overrides if key not in keys]
     if unknown:
@@ -125,11 +128,10 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     Schemes whose outer update has a CONDITIONS row: theta_k in (0,1),
     eta_k in (0, eta_bound(theta_k, lambda)), zeta_k > 0, and
     zeta_k / zeta_divisor(theta_k) decreasing over the last horizon/2
-    terms. Other schemes get range checks only. A horizon below 1 raises
-    ValueError.
+    terms. Other schemes get range checks only. A horizon that is not an
+    integer of at least 1 raises ConfigError.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    check_field("horizon", horizon, 1, integer=True)
     out: List[Violation] = []
     lam = cfg.lambda_T
     cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
@@ -287,11 +289,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one algorithm")
         if not self.seeds:
             raise ValueError("plan needs a non-empty seed list")
-        if min(self.seeds) < 0:
-            raise ValueError(f"plan seeds must be >= 0, got {min(self.seeds)}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        for i, seed in enumerate(self.seeds):
+            check_field(f"seeds[{i}]", seed, 0, integer=True)
+        check_field("max_iter", self.max_iter, 1, integer=True)
         check_tol(self.tol)
+        if not isinstance(self.record_invariants, bool):
+            raise ConfigError("record_invariants must be of type bool, "
+                              f"got {self.record_invariants!r}")
         if not self.output_dir:
             raise ValueError(f"plan output_dir must name a directory, got {self.output_dir!r}")
         object.__setattr__(self, "_resolved", [_resolve(*cell) for cell in self.cells()])
@@ -504,9 +508,8 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     same_as line naming the computed file. Runs are submitted problem by
     problem, so a plan holds about one problem per worker. Results follow
     plan.cells() order."""
-    workers = os.environ.get("VIKIT_THREADS", "4").strip()
-    if _integer(workers, "VIKIT_THREADS") < 1:
-        raise ValueError(f"VIKIT_THREADS must be an integer >= 1, got {workers!r}")
+    workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
+    check_field("VIKIT_THREADS", workers, 1, integer=True)
     cells = plan._resolved
     out = Path(plan.output_dir)
     existing = next(path for path in (out, *out.parents) if path.exists())
@@ -523,7 +526,7 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
         else:
             groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(i)
     out.mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=int(workers)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         tasks = []
         for runs in groups.values():
             shared = _SharedProblem()

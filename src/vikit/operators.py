@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .space import SpaceDescriptor, SpaceElement, SpaceKind, _read_only, check_finite
+from .space import SpaceDescriptor, SpaceElement, SpaceKind, _read_only, check_field, check_finite
 
 
 class PowerIterationError(RuntimeError):
@@ -129,8 +129,7 @@ class Scale:
     c: float
 
     def __post_init__(self):
-        if not np.isfinite(self.c):
-            raise ValueError("scale factor must be finite")
+        check_field("c", self.c, -math.inf)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.c * x

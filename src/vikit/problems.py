@@ -7,7 +7,6 @@ L2([0,1]), discretized on a uniform grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
@@ -18,6 +17,7 @@ from .projections import Ball, Box, FeasibleSet, HalfSpace, project
 from .space import (
     SpaceDescriptor,
     SpaceElement,
+    check_field,
     check_finite,
     element,
     euclidean,
@@ -38,9 +38,9 @@ class ProblemInstance:
     block, any other callable once per point, so a callable written for
     one point is never handed a block. `C` must fit the space: each `Box`
     bound is a scalar or of shape (dim,), and a `Ball`'s centre or a
-    `HalfSpace` lies in the space; otherwise ValueError. So is a
-    `lambda_T` outside [0, 1) or an `L` outside [0, inf); `L` = 0 bounds
-    the zero operator."""
+    `HalfSpace` lies in the space; otherwise ValueError. A `lambda_T`
+    outside [0, 1) or an `L` outside [0, inf) raises ConfigError (a
+    ValueError); `L` = 0 bounds the zero operator."""
 
     space: SpaceDescriptor
     A: object
@@ -54,10 +54,9 @@ class ProblemInstance:
     problem_id: str = ""
 
     def __post_init__(self):
-        if not 0.0 <= self.lambda_T < 1.0:
-            raise ValueError(f"lambda_T must lie in [0,1), got {self.lambda_T}")
-        if self.L is not None and not 0.0 <= self.L < math.inf:
-            raise ValueError(f"Lipschitz bound L must lie in [0,inf), got {self.L}")
+        check_field("lambda_T", self.lambda_T, 0.0, 1.0, hi_open=True)
+        if self.L is not None:
+            check_field("L", self.L, 0.0)
         sp, C = self.space, self.C
         where = f"the problem's {sp.dim}-dimensional {sp.kind.value} space"
         if isinstance(C, Box):
@@ -83,10 +82,8 @@ class RandomSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        check_field("n", self.n, 1, integer=True)
+        check_field("seed", self.seed, 0, integer=True)
 
 
 def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> ProblemInstance:

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_finite
+from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_field, check_finite
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
@@ -49,8 +49,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:  # also rejects NaN
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+        check_field("radius", self.radius, 0.0, lo_open=True)
 
 
 @dataclass

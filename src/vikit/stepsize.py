@@ -13,7 +13,7 @@ import numpy as np
 
 from .operators import AffineMatrix
 from .projections import Box, FeasibleSet, clip_ufunc, project
-from .space import SpaceDescriptor, _read_only, finite_norm
+from .space import SpaceDescriptor, _read_only, check_field, finite_norm
 
 
 class ArmijoSearchError(RuntimeError):
@@ -29,8 +29,7 @@ class Fixed:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < math.inf:
-            raise ValueError(f"fixed step must be positive and finite, got {self.gamma}")
+        check_field("gamma", self.gamma, 0.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,8 @@ class Adaptive:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma1 < math.inf:
-            raise ValueError(f"initial step must be positive and finite, got {self.gamma1}")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must lie in (0,1)")
+        check_field("gamma1", self.gamma1, 0.0, lo_open=True)
+        check_field("phi", self.phi, 0.0, 1.0, lo_open=True, hi_open=True)
 
 
 @dataclass(frozen=True)
@@ -52,12 +49,9 @@ class Armijo:
     phi: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.inf:
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not 0.0 < self.l < 1.0:
-            raise ValueError("backtracking factor l must lie in (0,1)")
-        if not 0.0 < self.phi < 1.0:
-            raise ValueError("phi must lie in (0,1)")
+        check_field("rho", self.rho, 0.0, lo_open=True)
+        check_field("l", self.l, 0.0, 1.0, lo_open=True, hi_open=True)
+        check_field("phi", self.phi, 0.0, 1.0, lo_open=True, hi_open=True)
 
 
 StepPolicy = Union[Fixed, Adaptive, Armijo]

@@ -81,7 +81,7 @@ def test_inertial_delta_examples():
     assert inertial_delta(sp, 0.6, 10.0, a, b) == 0.6
     for delta in (-0.1, math.nan, math.inf):
         # check_config's rule: a NaN cap would drop out of the min
-        with pytest.raises(ValueError, match="^inertial bound delta must be finite and nonnegative$"):
+        with pytest.raises(ValueError, match=rf"^delta must be a real number in \[0,inf\), got {delta}$"):
             inertial_delta(sp, delta, 0.25, a, b)
     with pytest.raises(ValueError):
         inertial_delta(sp, 0.6, 0.0, a, b)
@@ -318,7 +318,7 @@ def test_solve_tolerance_stops_early():
 def test_bad_tolerance_rejected():
     p = _toy_problem()
     for tol in (math.nan, math.inf, 0.0, -1e-8):
-        with pytest.raises(ConfigError, match="positive finite"):
+        with pytest.raises(ConfigError, match=r"tol must be a real number in \(0,inf\)"):
             solve(p, _solve_cfg(Scheme.IMSEGM, p, tol=tol))
     # with no known solution every D_k is NaN, so no tolerance could stop the run
     sp = euclidean(4)
@@ -358,12 +358,12 @@ def test_config_policy_mismatch_rejected():
 
 
 @pytest.mark.parametrize("scheme,cfg_changes,problem_changes,message", [
-    (Scheme.IMSEGM, dict(max_iter=-1), {}, "max_iter must be nonnegative"),
-    (Scheme.IMSEGM, dict(lambda_T=1.0), {}, r"demicontractive constant must lie in \[0,1\)"),
-    (Scheme.MSEGM, dict(lambda_T=-0.1), {}, r"demicontractive constant must lie in \[0,1\)"),
-    (Scheme.IMMTEGM, dict(delta=-0.1), {}, "inertial bound delta must be finite and nonnegative"),
-    (Scheme.IMSEGM, dict(delta=math.nan), {}, "inertial bound delta must be finite and nonnegative"),
-    (Scheme.IMSEGM, dict(delta=math.inf), {}, "inertial bound delta must be finite and nonnegative"),
+    (Scheme.IMSEGM, dict(max_iter=-1), {}, r"max_iter must be an integer in \[0,inf\), got -1"),
+    (Scheme.IMSEGM, dict(lambda_T=1.0), {}, r"lambda_T must be a real number in \[0,1\), got 1.0"),
+    (Scheme.MSEGM, dict(lambda_T=-0.1), {}, r"lambda_T must be a real number in \[0,1\), got -0.1"),
+    (Scheme.IMMTEGM, dict(delta=-0.1), {}, r"delta must be a real number in \[0,inf\), got -0.1"),
+    (Scheme.IMSEGM, dict(delta=math.nan), {}, r"delta must be a real number in \[0,inf\), got nan"),
+    (Scheme.IMSEGM, dict(delta=math.inf), {}, r"delta must be a real number in \[0,inf\), got inf"),
     # gamma = 1/L is outside (0, 1/L)
     (Scheme.MSEGM, dict(step=Fixed(0.25)), dict(L=4.0), r"fixed step 0.25 outside \(0, 1/L\) for L=4.0"),
     (Scheme.STEGM, {}, dict(F=None), "stegm needs the damping operator F"),
@@ -377,6 +377,31 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
     cfg = dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes)
     with pytest.raises(ConfigError, match=f"^{message}$"):
         solve(p, cfg)
+
+
+def test_solve_checks_its_fields_once_per_run_not_per_step():
+    # check_field costs ~1 us a call, so none may run inside the step loop
+    p = _toy_problem()
+    x = element(p.space, [1.0, 1.0])
+    code = space.check_field.__code__
+
+    def check_field_calls(scheme, max_iter):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                calls.append(frame)
+
+        cfg = make_config(scheme, p, x0=x, x1=x, max_iter=max_iter)
+        sys.setprofile(profile)
+        try:
+            solve(p, cfg)
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    for scheme in Scheme:
+        assert 0 < check_field_calls(scheme, 10) == check_field_calls(scheme, 200), scheme
 
 
 @pytest.mark.parametrize("scheme", [Scheme.HSEGM, Scheme.MSEGM, Scheme.MMSEGM])

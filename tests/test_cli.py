@@ -94,7 +94,7 @@ def test_validate_horizon_below_one_exits_two(capsys, horizon):
     assert main(["validate", "--alg", "imsegm", "--horizon", horizon]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"horizon must be >= 1, got {horizon}" in out.err
+    assert f"horizon must be an integer in [1,inf), got {horizon}" in out.err
 
 
 def test_validate_bad_problem_spec_exits_two(capsys):
@@ -131,9 +131,9 @@ def test_run_rejects_duplicate_cells_before_running(tmp_path, capsys):
 @pytest.mark.parametrize("tol,named", [
     ("nan", "argument --tol: invalid decimal value: 'nan'"),
     ("inf", "argument --tol: invalid decimal value: 'inf'"),
-    ("0", "tol must be a positive finite number, got 0.0"),
-    ("-1", "tol must be a positive finite number, got -1.0"),
-    ("1e400", "tol must be a positive finite number, got inf"),
+    ("0", "tol must be a real number in (0,inf), got 0.0"),
+    ("-1", "tol must be a real number in (0,inf), got -1.0"),
+    ("1e400", "tol must be a real number in (0,inf), got inf"),
 ], ids=["nan", "inf", "0", "-1", "1e400"])
 def test_bad_tolerance_rejected_before_running(tmp_path, capsys, tol, named):
     # nan and inf are no decimal numbers; the others are, but out of range
@@ -174,10 +174,10 @@ def test_check_rejects_bad_start_or_value(capsys, spec, named):
 
 
 @pytest.mark.parametrize("spec,named", [
-    ("ex1:n=0", "dimension must be >= 1"),
-    ("ex1:n=5,seed=-1", "seed must be >= 0, got -1"),
-    ("ex2:grid=1", "at least 2 grid nodes"),
-    ("ex2:grid=-3", "dimension must be >= 1"),
+    ("ex1:n=0", "n must be an integer in [1,inf), got 0"),
+    ("ex1:n=5,seed=-1", "seed must be an integer in [0,inf), got -1"),
+    ("ex2:grid=1", "dim must be an integer in [2,inf), got 1"),
+    ("ex2:grid=-3", "dim must be an integer in [2,inf), got -3"),
 ])
 def test_check_rejects_out_of_range_values_naming_the_spec(capsys, spec, named):
     assert main(["check", "--problem", spec]) == 2
@@ -190,7 +190,7 @@ def test_run_rejects_negative_seed_before_writing(tmp_path, capsys):
     for spec in ("ex1:n=4", "ex2:grid=11"):
         assert main(["run", "--problem", spec, "--alg", "imsegm", "--seed", "-1",
                      "--out", str(out)]) == 2
-        assert "plan seeds must be >= 0, got -1" in capsys.readouterr().err
+        assert "seeds[0] must be an integer in [0,inf), got -1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -374,7 +374,7 @@ def test_run_argv_succeeds_or_names_what_it_rejects(parts):
         if len(tols) > 1:
             named.append("argument --tol: given more than once")
         elif tols and tols[0] in OUT_OF_RANGE_TOLS:
-            named.append("tol must be a positive finite number")
+            named.append("tol must be a real number in (0,inf)")
         if repeat in ("--max-iter", "--out"):
             named.append(f"argument {repeat}: given more than once")
         if alg not in SCHEME_NAMES:

@@ -16,17 +16,19 @@ from vikit.stepsize import Armijo
 @pytest.mark.parametrize("make,error,message", [
     (lambda: AffineMatrix(np.eye(2))(np.ones(3)), ValueError,
      "matrix dimension does not match the space"),
-    (lambda: Scale(math.inf), ValueError, "scale factor must be finite"),
+    (lambda: Scale(math.inf), ValueError, r"c must be a real number in \(-inf,inf\), got inf"),
     (lambda: element(euclidean(2), [1.0, 2.0, 3.0]), SpaceMismatchError,
      r"coords shape \(3,\) does not match dimension 2"),
-    (lambda: Armijo(rho=1.0, l=0.5, phi=0.0), ValueError, r"phi must lie in \(0,1\)"),
-    (lambda: Armijo(rho=1.0, l=0.5, phi=1.0), ValueError, r"phi must lie in \(0,1\)"),
+    (lambda: Armijo(rho=1.0, l=0.5, phi=0.0), ValueError,
+     r"phi must be a real number in \(0,1\), got 0.0"),
+    (lambda: Armijo(rho=1.0, l=0.5, phi=1.0), ValueError,
+     r"phi must be a real number in \(0,1\), got 1.0"),
     (lambda: dataclasses.replace(make_example2(5), L=-1.0), ValueError,
-     r"Lipschitz bound L must lie in \[0,inf\), got -1.0"),
+     r"L must be a real number in \[0,inf\), got -1.0"),
     (lambda: dataclasses.replace(make_example2(5), L=math.nan), ValueError,
-     r"Lipschitz bound L must lie in \[0,inf\), got nan"),
+     r"L must be a real number in \[0,inf\), got nan"),
     (lambda: dataclasses.replace(make_example2(5), L=math.inf), ValueError,
-     r"Lipschitz bound L must lie in \[0,inf\), got inf"),
+     r"L must be a real number in \[0,inf\), got inf"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
         "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):

@@ -85,7 +85,7 @@ def test_make_config_rejects_unknown_override_keys(small_problem, key):
 @pytest.mark.parametrize("horizon", [0, -5])
 def test_horizon_below_one_rejected(small_problem, horizon):
     cfg = harness.make_config(Scheme.IMSEGM, small_problem)
-    with pytest.raises(ValueError, match=f"horizon must be >= 1, got {horizon}"):
+    with pytest.raises(ValueError, match=rf"horizon must be an integer in \[1,inf\), got {horizon}"):
         harness.validate_conditions(cfg, horizon)
 
 

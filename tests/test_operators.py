@@ -157,7 +157,7 @@ def test_rank_one_integral_is_zero_demicontractive():
 def test_mapping_info_validates_lambda():
     # T's demicontractive constant is a problem field, checked on construction
     for lam in (1.0, -0.1, float("nan")):
-        with pytest.raises(ValueError, match="lambda_T must lie in"):
+        with pytest.raises(ValueError, match=r"lambda_T must be a real number in \[0,1\)"):
             ProblemInstance(space=euclidean(2), A=Scale(1.0), C=Box(-1.0, 1.0),
                             T=Scale(0.5), lambda_T=lam)
 

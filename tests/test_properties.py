@@ -2,8 +2,11 @@
 projection identities, the adaptive step rule, the step-size floors, the
 inertial bound, the halfspace-membership, Tseng and contraction
 inequalities of each step, and the point of the solution set each scheme
-converges to; and of the problem-spec grammar."""
+converges to; and of the problem-spec grammar and the input fields."""
 
+import dataclasses
+import math
+from typing import Callable, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import numpy as np
@@ -15,12 +18,21 @@ from binding_problem import binding_problem
 from membership import contains, sample_point
 from segment_problem import segment_problem
 from vikit import algorithms
-from vikit.algorithms import PROPOSED, SCHEMES, Scheme, inertial_delta, solve
-from vikit.harness import make_config, parse_problem_spec
+from vikit.algorithms import (
+    PROPOSED,
+    SCHEMES,
+    ConfigError,
+    Scheme,
+    SequenceRule,
+    inertial_delta,
+    solve,
+)
+from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
+from vikit.operators import Scale
 from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
-from vikit.space import element, euclidean, grid_l2
-from vikit.stepsize import Adaptive, Armijo, adaptive_update
+from vikit.space import element, euclidean, grid_l2, zeros
+from vikit.stepsize import Adaptive, Armijo, Fixed, adaptive_update
 
 coord = st.floats(-10.0, 10.0, allow_subnormal=False)
 
@@ -307,3 +319,138 @@ def test_problem_spec_builds_or_names_itself(spec, seed):
         assert spec in str(exc)
     else:  # no key, integer or not, takes such a value
         assert not any(f"={junk}" in spec for junk in NOT_INTEGERS)
+
+
+class Field(NamedTuple):
+    """An input field: the name its error must start with, a build from one
+    value, whether it takes integers only, the interval test a number must
+    pass (None for a field that takes no number), the other values it
+    accepts, and values of its own kind it rejects."""
+
+    name: str
+    build: Callable
+    integer: bool = False
+    interval: Optional[Callable] = None
+    valid: Tuple = ()
+    others: Tuple = ()
+
+
+def _is_number(value, integer: bool) -> bool:
+    """A real number, or an integer for a count; numpy scalars count, bools
+    do not."""
+    kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
+    return isinstance(value, kinds) and not isinstance(value, (bool, np.bool_))
+
+
+# A 4-dimensional ex1 whose A counts its calls, so that a rejection can be
+# shown to come before the first step.
+_BASE = make_example1(RandomSpec(4, 1))
+_A_CALLS = []
+_COUNTED = dataclasses.replace(_BASE, A=lambda x: _A_CALLS.append(x) or _BASE.A(x))
+_X0, _X1 = initial_points(_BASE, "random_uniform", seed=1)
+
+
+def _solved(scheme=Scheme.IMSEGM, replace=None, **overrides):
+    """make_config's config of scheme on the counted problem, 2 iterations
+    unless overridden, with SolverConfig fields replaced, solved."""
+    cfg = make_config(scheme, _COUNTED, **dict(dict(x0=_X0, x1=_X1, max_iter=2), **overrides))
+    return solve(_COUNTED, dataclasses.replace(cfg, **(replace or {})))
+
+
+def _plan(max_iter=2, seeds=(1,), **fields):
+    return ExperimentPlan(("ex1:n=4",), (Scheme.IMSEGM,), max_iter, seeds, "out", **fields)
+
+
+def _positive(v):
+    return 0 < v < math.inf
+
+
+def _finite(v):
+    return -math.inf < v < math.inf
+
+
+def _nonnegative(v):
+    return 0 <= v < math.inf
+
+
+def _unit(v):
+    return 0 < v < 1
+
+
+def _unit_closed_left(v):
+    return 0 <= v < 1
+
+
+RULES = [SequenceRule("one_over_kp1"), SequenceRule("constant", 0.25)]
+FIELDS = [
+    Field("gamma", Fixed, False, _positive),
+    Field("gamma1", lambda v: Adaptive(v, 0.5), False, _positive),
+    Field("phi", lambda v: Adaptive(0.5, v), False, _unit),
+    Field("rho", lambda v: Armijo(v, 0.5, 0.4), False, _positive),
+    Field("l", lambda v: Armijo(1.0, v, 0.4), False, _unit),
+    Field("phi", lambda v: Armijo(1.0, 0.5, v), False, _unit),
+    Field("value", lambda v: SequenceRule("constant", v), False, _finite),
+    Field("n", lambda v: RandomSpec(v, 1), True, lambda v: v >= 1),
+    Field("seed", lambda v: RandomSpec(3, v), True, lambda v: v >= 0),
+    Field("dim", euclidean, True, lambda v: v >= 1),
+    Field("dim", grid_l2, True, lambda v: v >= 2),
+    Field("radius", lambda v: Ball(zeros(euclidean(2)), v), False, _positive),
+    Field("c", Scale, False, _finite),
+    Field("L", lambda v: dataclasses.replace(_BASE, L=v), False, _nonnegative, (None,)),
+    Field("lambda_T", lambda v: dataclasses.replace(_BASE, lambda_T=v), False, _unit_closed_left),
+    Field("max_iter", lambda v: _plan(max_iter=v), True, lambda v: v >= 1),
+    Field("seeds", lambda v: _plan(seeds=(v,)), True, lambda v: v >= 0),
+    Field("tol", lambda v: _plan(tol=v), False, _positive, (None,)),
+    Field("horizon", lambda v: validate_conditions(make_config(Scheme.IMSEGM, _BASE), v),
+          True, lambda v: v >= 1),
+    # every SolverConfig field, through make_config and a 2-iteration solve
+    Field("scheme", lambda v: _solved(v), valid=tuple(Scheme)),
+    # a scheme that takes imsegm's Adaptive step; another fails on the step
+    Field("algorithm", lambda v: _solved(replace=dict(algorithm=v)),
+          valid=tuple(s for s, parts in SCHEMES.items() if parts.step is Adaptive)),
+    Field("step", lambda v: _solved(step=v), valid=(Adaptive(0.5, 0.5), Adaptive(0.1, 0.9)),
+          others=(Fixed(0.5), Armijo(1.0, 0.5, 0.4))),
+    Field("theta", lambda v: _solved(theta=v), valid=tuple(RULES)),
+    Field("eta", lambda v: _solved(eta=v), valid=tuple(RULES)),
+    Field("zeta", lambda v: _solved(zeta=v), valid=(RULES[0], SequenceRule("one_over_kp1_sq"))),
+    Field("delta", lambda v: _solved(delta=v), False, _nonnegative),
+    Field("lambda_T", lambda v: _solved(replace=dict(lambda_T=v)), False, _unit_closed_left),
+    Field("max_iter", lambda v: _solved(max_iter=v), True, lambda v: 0 <= v <= 7),
+    Field("x0", lambda v: _solved(x0=v), valid=(_X0,),
+          others=(_X0.coords, zeros(euclidean(3)), zeros(grid_l2(4)))),
+    Field("x1", lambda v: _solved(x1=v), valid=(_X1,), others=(_X1.coords,)),
+    Field("tol", lambda v: _solved(tol=v), False, _positive, (None,)),
+    Field("record_invariants", lambda v: _solved(record_invariants=v), valid=(True, False)),
+]
+
+# What every field is offered: numbers in and out of each interval, their
+# ends, numpy scalars, fractional counts, and values of no number kind.
+# The largest integer is 7, so that a drawn count stays cheap.
+NUMBERS = [0, 1, 2, 7, -1, 0.0, 0.5, 1.0, 2.5, 3.0, 1e300, math.inf, -math.inf,
+           np.int64(3), np.int32(0), np.float64(0.25), np.float32(0.5), np.float64(3.0)]
+NOT_NUMBERS = [True, False, np.bool_(True), "1", "", None, math.nan, np.float64(math.nan),
+               RULES[0]]
+
+
+# every (field, value) pair; one flat choice per example costs hypothesis
+# about a third of a field-then-value draw
+FIELD_VALUES = [(field, value) for field in FIELDS
+                for value in field.valid + field.others + tuple(NUMBERS + NOT_NUMBERS)]
+
+
+@settings(max_examples=len(FIELD_VALUES))
+@given(st.sampled_from(FIELD_VALUES))
+def test_each_field_takes_its_values_or_names_itself_before_any_step(case):
+    field, value = case
+    accepted = any(value is v for v in field.valid) or (
+        field.interval is not None and _is_number(value, field.integer)
+        and bool(field.interval(value)))
+    _A_CALLS.clear()
+    try:
+        field.build(value)
+    except ConfigError as exc:
+        assert not accepted, exc
+        assert str(exc).startswith(field.name), exc
+        assert _A_CALLS == []
+    else:
+        assert accepted, value

@@ -57,7 +57,7 @@ def test_policy_validation():
     lambda v: Armijo(rho=v, l=0.5, phi=0.4),
 ], ids=["fixed", "adaptive", "armijo"])
 def test_policies_reject_non_finite_steps(make, value):
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=rf"must be a real number in \(0,inf\), got {value}"):
         make(value)
 
 
