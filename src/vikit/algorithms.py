@@ -193,15 +193,15 @@ def inertial_delta(space: SpaceDescriptor, delta: float, zeta_k: float,
     cap delta when the last two iterates coincide. Guarantees
     delta_k * ||x_k - x_{k-1}|| <= zeta_k. Raises NonFiniteElementError
     when x_k - x_{k-1} has a NaN or Inf entry, which the min could pass
-    over. A delta outside [0, inf), or a zeta_k that is not positive (NaN
-    included), raises ConfigError."""
+    over. A delta outside [0, inf) raises ConfigError, and a zeta_k that is
+    not positive (NaN included) raises ValueError."""
     return _inertial_weight(space, check_field("delta", delta, 0.0), zeta_k, x_curr - x_prev)
 
 
 def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> float:
     """inertial_delta from dx = x_k - x_{k-1}, with delta already checked."""
     if not zeta_k > 0:
-        raise ConfigError(f"zeta_k must be positive, got {zeta_k}")
+        raise ValueError(f"zeta_k must be positive, got {zeta_k}")
     gap = finite_norm(space, dx)
     if gap == 0.0:
         return delta
@@ -323,7 +323,7 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         if not (isinstance(got, kind) or name == "zeta" and got is None and not parts.inertial):
             raise ConfigError(f"{name} must be of type {kind.__name__}, got {got!r}")
     check_field("max_iter", cfg.max_iter, 0, integer=True)
-    check_field("lambda_T", cfg.lambda_T, 0.0, 1.0, hi_open=True)
+    check_field("lambda_T", cfg.lambda_T, 0.0, 1.0)
     check_field("delta", cfg.delta, 0.0)
     check_tol(cfg.tol)
     if cfg.tol is not None and problem.x_star is None:

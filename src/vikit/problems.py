@@ -54,7 +54,7 @@ class ProblemInstance:
     problem_id: str = ""
 
     def __post_init__(self):
-        check_field("lambda_T", self.lambda_T, 0.0, 1.0, hi_open=True)
+        check_field("lambda_T", self.lambda_T, 0.0, 1.0)
         if self.L is not None:
             check_field("L", self.L, 0.0)
         sp, C = self.space, self.C

@@ -46,22 +46,21 @@ _INTEGERS = (int, np.integer)
 
 
 def check_field(name: str, value, lo: float, hi: float = math.inf, *,
-                lo_open: bool = False, hi_open: bool = False, integer: bool = False):
+                lo_open: bool = False, integer: bool = False):
     """value itself, when it is a real number (with `integer`, an integer)
     between lo and hi. numpy scalars count; bools, strings, None and NaN do
-    not. An end is open when its flag is set or it is infinite. Anything
-    else raises ConfigError naming the field, the interval and the value.
+    not. The upper end is open; the lower end is open when `lo_open` is set
+    or it is infinite. Anything else raises ConfigError naming the field,
+    the interval and the value.
 
     This is the one statement of every numeric input rule of the library.
     It runs where a value enters, never per iteration: a call takes ~0.4 us
     on a 2-core Xeon, an inline comparison ~0.04 us."""
     lo_open = lo_open or lo == -math.inf
-    hi_open = hi_open or hi == math.inf
     if (isinstance(value, _INTEGERS if integer else _REALS) and not isinstance(value, bool)
-            and (lo < value if lo_open else lo <= value)
-            and (value < hi if hi_open else value <= hi)):
+            and (lo < value if lo_open else lo <= value) and value < hi):
         return value
-    interval = f"{'(' if lo_open else '['}{lo:g},{hi:g}{')' if hi_open else ']'}"
+    interval = f"{'(' if lo_open else '['}{lo:g},{hi:g})"
     kind = "an integer" if integer else "a real number"
     raise ConfigError(f"{name} must be {kind} in {interval}, got {value!r}")
 

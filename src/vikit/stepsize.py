@@ -39,7 +39,7 @@ class Adaptive:
 
     def __post_init__(self):
         check_field("gamma1", self.gamma1, 0.0, lo_open=True)
-        check_field("phi", self.phi, 0.0, 1.0, lo_open=True, hi_open=True)
+        check_field("phi", self.phi, 0.0, 1.0, lo_open=True)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class Armijo:
 
     def __post_init__(self):
         check_field("rho", self.rho, 0.0, lo_open=True)
-        check_field("l", self.l, 0.0, 1.0, lo_open=True, hi_open=True)
-        check_field("phi", self.phi, 0.0, 1.0, lo_open=True, hi_open=True)
+        check_field("l", self.l, 0.0, 1.0, lo_open=True)
+        check_field("phi", self.phi, 0.0, 1.0, lo_open=True)
 
 
 StepPolicy = Union[Fixed, Adaptive, Armijo]

@@ -380,7 +380,7 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
 
 
 def test_solve_checks_its_fields_once_per_run_not_per_step():
-    # check_field costs ~1 us a call, so none may run inside the step loop
+    # check_field costs ~0.4 us a call, so none may run inside the step loop
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
     code = space.check_field.__code__
