@@ -25,7 +25,7 @@ import numpy as np
 from .problems import ProblemInstance
 from .projections import HalfSpace, halfspace_residual, project
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
-                    finite_norm)
+                    check_space, check_type, finite_norm)
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -108,7 +108,9 @@ _THETA_KINDS = frozenset({"half_one_minus_theta", "theta_over_3"})
 
 @dataclass(frozen=True)
 class SequenceRule:
-    """Closed-form scalar sequence, evaluated at 1-based iteration index."""
+    """Closed-form scalar sequence, evaluated at 1-based iteration index.
+    Only a "constant" reads `value`, which must then be finite; any other
+    kind takes none (ConfigError)."""
 
     kind: str
     value: Optional[float] = None
@@ -118,6 +120,8 @@ class SequenceRule:
             raise ValueError(f"unknown sequence kind {self.kind!r}")
         if self.kind == "constant":
             check_field("value", self.value, -math.inf)
+        else:
+            check_type("value", self.value, type(None))
 
     def __call__(self, k: int, theta: Optional[float] = None) -> float:
         if theta is None and self.kind in _THETA_KINDS:
@@ -208,12 +212,8 @@ def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> floa
     return min(zeta_k / gap, delta)
 
 
-def _initial_gamma(step: StepPolicy) -> float:
-    if isinstance(step, Fixed):
-        return step.gamma
-    if isinstance(step, Adaptive):
-        return step.gamma1
-    return step.rho
+# the field of each step-policy type that holds gamma_1
+_FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
 
 
 # Table 1's hybrid-steepest-descent weight lambda, for the hsd outer update
@@ -310,39 +310,37 @@ def check_tol(tol: Optional[float]):
         check_field("tol", tol, 0.0, lo_open=True)
 
 
+# the problem operator each outer update reads beyond T
+_OUTER_OPERATORS = {"hsd": "F", "viscosity": "f_visc"}
+
+
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
     """Structural validation; sequence-condition checks live in the harness.
     Each rejected field raises ConfigError naming it, before any step."""
-    if not isinstance(cfg.algorithm, Scheme):
-        raise ConfigError(f"algorithm must be of type Scheme, got {cfg.algorithm!r}")
-    scheme, parts = cfg.algorithm, SCHEMES[cfg.algorithm]
+    parts = SCHEMES[check_type("algorithm", cfg.algorithm, Scheme)]
     # only the inertial extrapolation reads zeta
-    for name, kind in (("theta", SequenceRule), ("eta", SequenceRule), ("zeta", SequenceRule),
+    zeta = SequenceRule if parts.inertial else (SequenceRule, type(None))
+    for name, kind in (("theta", SequenceRule), ("eta", SequenceRule), ("zeta", zeta),
                        ("step", parts.step), ("record_invariants", bool)):
-        got = getattr(cfg, name)
-        if not (isinstance(got, kind) or name == "zeta" and got is None and not parts.inertial):
-            raise ConfigError(f"{name} must be of type {kind.__name__}, got {got!r}")
+        check_type(name, getattr(cfg, name), kind)
     check_field("max_iter", cfg.max_iter, 0, integer=True)
     check_field("lambda_T", cfg.lambda_T, 0.0, 1.0)
     check_field("delta", cfg.delta, 0.0)
     check_tol(cfg.tol)
-    if cfg.tol is not None and problem.x_star is None:
-        raise ConfigError("tol needs a problem with a known solution x_star")
-    if cfg.record_invariants and problem.x_star is None:
-        raise ConfigError("record_invariants needs a problem with a known solution x_star")
+    # every D_k and residual is measured against x_star
+    for name in ("tol", "record_invariants"):
+        if problem.x_star is None and getattr(cfg, name) not in (None, False):
+            raise ConfigError(f"{name} needs a problem with a known solution x_star")
     # the solver iterates on bare coordinate arrays, which would broadcast
-    # or combine silently across spaces, so every point is checked here once
-    for name, x in (("x0", cfg.x0), ("x1", cfg.x1), ("x_star", problem.x_star)):
-        if not (isinstance(x, SpaceElement) and x.space == problem.space
-                or name == "x_star" and x is None):
-            raise ConfigError(f"{name} must be a SpaceElement of {problem.space}")
+    # or combine silently across spaces, so each start is checked here once
+    for name in ("x0", "x1"):
+        check_space(name, check_type(name, getattr(cfg, name), SpaceElement), problem.space)
     # gamma in (0, 1/L), with no division: L = 0 admits every gamma
     if parts.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
         raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
-    if parts.outer == "hsd" and problem.F is None:
-        raise ConfigError(f"{scheme.value} needs the damping operator F")
-    if parts.outer == "viscosity" and problem.f_visc is None:
-        raise ConfigError("viscosity schemes need the contraction f")
+    needed = _OUTER_OPERATORS.get(parts.outer)
+    if needed is not None and getattr(problem, needed) is None:
+        raise ConfigError(f"{needed} must be set for {cfg.algorithm.value}'s {parts.outer} update")
 
 
 def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
@@ -354,8 +352,7 @@ def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
     res_halfspace: membership residual of z in the constructed halfspace.
     res_tseng: slack of ||z - y|| <= phi (gamma_k/gamma_{k+1}) ||s - y||.
     """
-    nan = math.nan
-    res_c = res_h = res_t = nan
+    res_c = res_h = res_t = math.nan
     s, y, z = state.s, state.y, state.z
 
     def dist(a, b):
@@ -395,7 +392,8 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
 
     trace = ConvergenceTrace(scheme=cfg.algorithm)
     rows = trace.rows
-    state = IterateState(1, cfg.x0.coords, cfg.x1.coords, gamma=_initial_gamma(cfg.step))
+    state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
+                         gamma=getattr(cfg.step, _FIRST_GAMMA[parts.step]))
     rows.append(TraceRow(1, err(state.x_curr), state.gamma, 0.0, 0.0))
     start = time.perf_counter()
     for _ in range(cfg.max_iter):

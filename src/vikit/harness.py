@@ -4,6 +4,7 @@ validation, trace CSV serialization, and the experiment-plan runner."""
 from __future__ import annotations
 
 import datetime
+import functools
 import math
 import os
 import re
@@ -25,7 +26,7 @@ from .algorithms import (
     check_tol,
     solve,
 )
-from .space import NonFiniteElementError, SpaceElement, check_field
+from .space import NonFiniteElementError, SpaceElement, check_field, check_type
 from .stepsize import Adaptive, Armijo, Fixed
 
 
@@ -87,8 +88,7 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
     win. An override key that no TABLE1 row has raises ConfigError. A Fixed
     step is 0.99/L, so a problem with L unset or 0 raises ConfigError, as
     does a scheme that is not a Scheme."""
-    if not isinstance(scheme, Scheme):
-        raise ConfigError(f"scheme must be of type Scheme, got {scheme!r}")
+    check_type("scheme", scheme, Scheme)
     keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
     unknown = [key for key in overrides if key not in keys]
     if unknown:
@@ -192,27 +192,29 @@ class TraceFileHeader:
                    timestamp=datetime.datetime.now().isoformat(), same_as=same_as)
 
 
+def _row_format(width: int) -> str:
+    """The format of a CSV data row of width fields: k as an integer, then
+    floats to 17 significant digits, which read back bitwise."""
+    return ",".join(["{}"] + ["{:.17g}"] * (width - 1))
+
+
 def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
     """Write one '# key: value' line per header field that is set, a
     '# columns:' line, and one data row per iterate with 17-significant-digit
     floats. The residual columns are written when some row has them, as nan
     in the rows that do not."""
-    path = Path(path)
     names = ConvergenceTrace.SCALAR_NAMES
-    scalars = len(names)
-    has_res = any(r.residuals is not None for r in trace.rows)
-    if has_res:
+    missing = ()  # the residuals of a row that has none
+    if any(r.residuals is not None for r in trace.rows):
         names += ConvergenceTrace.RESIDUAL_NAMES
+        missing = (math.nan,) * len(ConvergenceTrace.RESIDUAL_NAMES)
     lines = [f"# {key}: {value}" for key, value in asdict(header).items() if value is not None]
     lines.append(f"# columns: {','.join(names)}")
-    row = ",".join(["{}"] + ["{:.17g}"] * (len(names) - 1))  # k is an integer
-    for r in trace.rows:
-        values = r[:scalars]
-        if has_res:
-            values += r.residuals or (math.nan,) * len(ConvergenceTrace.RESIDUAL_NAMES)
-        lines.append(row.format(*values))
+    row = _row_format(len(names))
+    for r in trace.rows:  # a TraceRow's last field is its residuals
+        lines.append(row.format(*r[:-1], *(r.residuals or missing)))
     try:
-        path.write_text("\n".join(lines) + "\n")
+        Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write trace to {path}: {exc}") from exc
 
@@ -254,16 +256,13 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
 
 
 def trace_fingerprint(path) -> List[str]:
-    """CSV body with header lines and wall-clock fields removed; two runs of
-    the same plan must agree on this exactly."""
-    body = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#") or not line.strip():
-            continue
-        parts = line.split(",")
-        del parts[ConvergenceTrace.SCALAR_NAMES.index("elapsed_s")]
-        body.append(",".join(parts))
-    return body
+    """The CSV's data rows without the wall-clock field, read by parse_csv
+    and written in emit_csv's row format; two runs of the same plan must
+    agree on this exactly. A file parse_csv rejects raises its ValueError."""
+    cut = ConvergenceTrace.SCALAR_NAMES.index("elapsed_s")
+    meta, rows = parse_csv(path)
+    row = _row_format(meta.get("columns", "").count(","))  # every column but elapsed_s
+    return [row.format(*r[:cut], *r[cut + 1:-1], *(r.residuals or ())) for r in rows]
 
 
 @dataclass(frozen=True)
@@ -277,27 +276,25 @@ class ExperimentPlan:
     tol: Optional[float] = None
 
     def __post_init__(self):
-        # stored as tuples, so that the cells resolved here stay the plan's
-        for name in ("problems", "algorithms", "seeds"):
+        # each list field: a list (stored as a tuple, so that the cells
+        # resolved here stay the plan's), non-empty, and its entries' rule
+        for name, check in (("problems", functools.partial(check_type, kind=str)),
+                            ("algorithms", functools.partial(check_type, kind=Scheme)),
+                            ("seeds", functools.partial(check_field, lo=0, integer=True))):
             value = getattr(self, name)
             if isinstance(value, str) or not hasattr(value, "__iter__"):
                 raise TypeError(f"plan {name} must be a list, got {value!r}")
-            object.__setattr__(self, name, tuple(value))
-        if not self.problems:
-            raise ValueError("plan needs at least one problem spec")
-        if not self.algorithms:
-            raise ValueError("plan needs at least one algorithm")
-        if not self.seeds:
-            raise ValueError("plan needs a non-empty seed list")
-        for i, seed in enumerate(self.seeds):
-            check_field(f"seeds[{i}]", seed, 0, integer=True)
+            value = tuple(value)
+            if not value:
+                raise ConfigError(f"{name} must not be empty")
+            for i, entry in enumerate(value):
+                check(f"{name}[{i}]", entry)
+            object.__setattr__(self, name, value)
         check_field("max_iter", self.max_iter, 1, integer=True)
         check_tol(self.tol)
-        if not isinstance(self.record_invariants, bool):
-            raise ConfigError("record_invariants must be of type bool, "
-                              f"got {self.record_invariants!r}")
-        if not self.output_dir:
-            raise ValueError(f"plan output_dir must name a directory, got {self.output_dir!r}")
+        check_type("record_invariants", self.record_invariants, bool)
+        if not check_type("output_dir", self.output_dir, (str, os.PathLike)):
+            raise ConfigError(f"output_dir must name a directory, got {self.output_dir!r}")
         object.__setattr__(self, "_resolved", [_resolve(*cell) for cell in self.cells()])
         written_by = {}
         for cell in self._resolved:

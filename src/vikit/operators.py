@@ -20,7 +20,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .space import SpaceDescriptor, SpaceElement, SpaceKind, _read_only, check_field, check_finite
+from .space import (SpaceDescriptor, SpaceElement, _read_only, check_field,
+                    check_finite, check_space, check_type, euclidean)
 
 
 class PowerIterationError(RuntimeError):
@@ -69,15 +70,14 @@ class AffineMatrix:
         G = np.asarray(self.G, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ValueError(f"G must be square, got shape {G.shape}")
-        if self.f_vec is not None and self.f_vec.space.dim != G.shape[0]:
-            raise ValueError(f"offset dimension {self.f_vec.space.dim} does not "
-                             f"match G's {G.shape[0]}")
+        f = self.f_vec
+        if f is not None:
+            check_space("f_vec", check_type("f_vec", f, SpaceElement).coords, euclidean(len(G)))
         object.__setattr__(self, "G", G)
         # entries past ~1e154 overflow these sums to inf, and a zero u
         # divides 0 by 0; either leaves the probe out
         with np.errstate(all="ignore"):
             frobenius = float(np.linalg.norm(G))
-            f = self.f_vec
             f_norm = 0.0 if f is None else math.sqrt(np.vdot(f.coords, f.coords))
             u = G.sum(axis=1)
             u_norm = float(np.linalg.norm(u))
@@ -91,7 +91,7 @@ class AffineMatrix:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         G = self.G
         if G.shape[0] != x.shape[-1]:
-            raise ValueError("matrix dimension does not match the space")
+            check_space("x", x, euclidean(G.shape[0]))
         if x.ndim != 1:
             # a block as X @ G.T: (G @ X.T).T, the same map without a
             # branch, made certify at n = 2000 1.8x slower
@@ -104,7 +104,9 @@ class AffineMatrix:
             y = G.dot(x)
         else:
             y = G @ x
-        return y if self.f_vec is None else y + self.f_vec.coords
+        if self.f_vec is None:
+            return y
+        return y + self.f_vec.coords
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,7 @@ class RankOneIntegral:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        if self.space.kind is not SpaceKind.GRID_L2:
-            raise ValueError("RankOneIntegral is defined on GRID_L2 spaces")
+        self.space.grid  # only a GRID_L2 space has grid nodes; others raise ValueError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         integral = (self.space.quad_weights * x).sum(axis=-1, keepdims=True)
@@ -175,12 +176,9 @@ def spectral_norm(G: np.ndarray) -> float:
 def estimate_lipschitz(op) -> float:
     """Lipschitz constant of an affine map x -> Gx + f: the spectral norm of G.
 
-    Other maps raise ValueError; a sampled ratio would only bound L from
+    Other maps raise ConfigError; a sampled ratio would only bound L from
     below, so their problems must state L themselves."""
-    if not isinstance(op, AffineMatrix):
-        raise ValueError(f"no Lipschitz constant for {type(op).__name__}; "
-                         "pass L with the problem")
-    return spectral_norm(op.G)
+    return spectral_norm(check_type("op", op, AffineMatrix).G)
 
 
 # Every certification check draws CERTIFY_SAMPLES samples, each a point

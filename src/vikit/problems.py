@@ -19,6 +19,8 @@ from .space import (
     SpaceElement,
     check_field,
     check_finite,
+    check_space,
+    check_type,
     element,
     euclidean,
     grid_l2,
@@ -36,11 +38,13 @@ class ProblemInstance:
     samples them in blocks: vikit's own operators (`AffineMatrix`,
     `PositivePart`, `Scale`, `RankOneIntegral`) are evaluated once per
     block, any other callable once per point, so a callable written for
-    one point is never handed a block. `C` must fit the space: each `Box`
-    bound is a scalar or of shape (dim,), and a `Ball`'s centre or a
-    `HalfSpace` lies in the space; otherwise ValueError. A `lambda_T`
-    outside [0, 1) or an `L` outside [0, inf) raises ConfigError (a
-    ValueError); `L` = 0 bounds the zero operator."""
+    one point is never handed a block. Construction checks the type and
+    space rules of README's "Library use" on every field: `A`, `T` and
+    (when set) `F` and `f_visc` are callable, `C` is a `Box`, `Ball` or
+    `HalfSpace` that fits the space, `x_star` (when known) lies in the
+    space, and an `AffineMatrix` `A` is dim x dim with its offset in the
+    space; `lambda_T` lies in [0, 1) and `L` in [0, inf), where `L` = 0
+    bounds the zero operator."""
 
     space: SpaceDescriptor
     A: object
@@ -57,19 +61,23 @@ class ProblemInstance:
         check_field("lambda_T", self.lambda_T, 0.0, 1.0)
         if self.L is not None:
             check_field("L", self.L, 0.0)
-        sp, C = self.space, self.C
-        where = f"the problem's {sp.dim}-dimensional {sp.kind.value} space"
-        if isinstance(C, Box):
-            shapes = {np.shape(C.lower), np.shape(C.upper)}
-            if not shapes <= {(), (sp.dim,)}:
-                raise ValueError(f"box bounds of shapes {sorted(shapes)} do not fit {where}: "
-                                 f"each must be a scalar or of shape ({sp.dim},)")
-        elif isinstance(C, (Ball, HalfSpace)):
-            noun, own = (("ball centre", C.center.space) if isinstance(C, Ball)
-                         else ("halfspace", C.space))
-            if own != sp:
-                raise ValueError(f"{noun} lies in the {own.dim}-dimensional {own.kind.value} "
-                                 f"space, not in {where}")
+        for name in ("A", "T", "F", "f_visc"):
+            unset = (type(None),) if name in ("F", "f_visc") else ()  # these may be unset
+            check_type(name, getattr(self, name), (Callable, *unset))
+        sp, C = self.space, check_type("C", self.C, (Box, Ball, HalfSpace))
+        if isinstance(C, Box):  # a scalar bound fits every space
+            for name in ("lower", "upper"):
+                if np.ndim(getattr(C, name)):
+                    check_space(f"C.{name}", getattr(C, name), sp)
+        else:  # a ball lies where its centre does
+            check_space("C", getattr(C, "center", C), sp)
+        if self.x_star is not None:
+            check_space("x_star", check_type("x_star", self.x_star, SpaceElement), sp)
+        if isinstance(self.A, ops.AffineMatrix):
+            # G is square, so its diagonal is as long as its rows
+            check_space("A.G rows", self.A.G.diagonal(), sp)
+            if self.A.f_vec is not None:
+                check_space("A.f_vec", self.A.f_vec, sp)
 
 
 @dataclass(frozen=True)

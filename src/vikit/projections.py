@@ -13,7 +13,8 @@ from typing import Union
 
 import numpy as np
 
-from .space import SpaceDescriptor, SpaceElement, SpaceMismatchError, check_field, check_finite
+from .space import (RealArray, SpaceDescriptor, SpaceElement, check_field, check_finite,
+                    check_space, check_type, euclidean)
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
@@ -30,17 +31,18 @@ except ImportError:
 
 @dataclass(frozen=True)
 class Box:
-    """{x : lower <= x_i <= upper} coordinatewise. Bounds may be scalars
-    or infinite, but not NaN."""
+    """{x : lower <= x_i <= upper} coordinatewise. Each bound is a real
+    number or an array of them, and may be infinite but not NaN
+    (ConfigError); a lower bound above its upper one raises ValueError."""
 
     lower: Union[float, np.ndarray]
     upper: Union[float, np.ndarray]
 
     def __post_init__(self):
-        # a NaN bound compares False too, so it is rejected here as well
+        check_type("lower", self.lower, RealArray)
+        check_type("upper", self.upper, RealArray)
         if not np.all(np.asarray(self.lower) <= np.asarray(self.upper)):
-            raise ValueError("box requires lower <= upper coordinatewise, "
-                             "with no NaN bound")
+            raise ValueError("box requires lower <= upper coordinatewise")
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,7 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        check_type("center", self.center, SpaceElement)
         check_field("radius", self.radius, 0.0, lo_open=True)
 
 
@@ -66,10 +69,9 @@ class HalfSpace:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        shape = (self.space.dim,)
-        if self.normal.shape != shape or self.anchor.shape != shape:
-            raise SpaceMismatchError("halfspace normal and anchor must have the "
-                                     f"space's shape {shape}")
+        if self.normal.shape != (self.space.dim,) or self.anchor.shape != self.normal.shape:
+            check_space("normal", self.normal, self.space)
+            check_space("anchor", self.anchor, self.space)
 
 
 FeasibleSet = Union[Box, Ball, HalfSpace]
@@ -81,13 +83,17 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
 
     A box rejects a point with a NaN or Inf entry (NonFiniteElementError),
     which clipping would map to a bound. A ball or halfspace passes such an
-    entry of x on to its result, as NaN or Inf."""
+    entry of x on to its result, as NaN or Inf. A point that does not fit
+    the set's space, or a box's bounds, raises SpaceMismatchError."""
     if isinstance(s, Box):  # a box has no space of its own
-        return clip_ufunc(check_finite(x), s.lower, s.upper)
+        y = clip_ufunc(check_finite(x), s.lower, s.upper)
+        if y.shape != x.shape:  # bounds of another shape broadcast x to theirs
+            check_space("x", x, euclidean(y.size))
+        return y
     if isinstance(s, Ball):
         sp = s.center.space
         if x.shape != (sp.dim,):
-            raise SpaceMismatchError("point and set live in different spaces")
+            check_space("x", x, sp)
         c = s.center.coords
         d = x - c
         dist = sp.norm(d)
@@ -102,7 +108,7 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     # its trial point is, as the box check and the ball's NaN ensure
     sp, normal = s.space, s.normal
     if x.shape != normal.shape:  # the normal has the space's shape
-        raise SpaceMismatchError("point and set live in different spaces")
+        check_space("x", x, sp)
     nn = sp.inner(normal, normal)
     if nn == 0.0:
         if not normal.any():

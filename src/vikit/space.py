@@ -29,16 +29,17 @@ class SpaceKind(enum.Enum):
     GRID_L2 = "grid_l2"
 
 
-class SpaceMismatchError(ValueError):
-    """Raised when two elements from different spaces are combined."""
+class ConfigError(ValueError):
+    """Input rejected: a field of the wrong type, outside its interval or
+    in another space."""
+
+
+class SpaceMismatchError(ConfigError):
+    """Raised when a value does not lie in the space it is meant for."""
 
 
 class NonFiniteElementError(ValueError):
     """Raised when an element would contain NaN or Inf entries."""
-
-
-class ConfigError(ValueError):
-    """Input rejected before a run starts."""
 
 
 _REALS = (int, float, np.integer, np.floating)
@@ -65,6 +66,42 @@ def check_field(name: str, value, lo: float, hi: float = math.inf, *,
     raise ConfigError(f"{name} must be {kind} in {interval}, got {value!r}")
 
 
+def check_type(name: str, value, kind):
+    """value itself, when it is an instance of kind (a type or a tuple of
+    types); anything else raises ConfigError naming the field, the kind and
+    the value. This is the one statement of every type rule of the library."""
+    if isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise ConfigError(f"{name} must be of type {names}, got {value!r}")
+
+
+def check_space(name: str, value, space: SpaceDescriptor):
+    """value itself, when it lies in space: an object whose `.space` is
+    space (a SpaceElement, a HalfSpace) or an array of shape (space.dim,).
+    Anything else raises SpaceMismatchError naming the field, where the
+    value lies and the space. This is the one statement of the space rule.
+
+    Like check_field it runs where a value enters. A guard that runs every
+    step compares the shape inline and calls this only to raise."""
+    own = getattr(value, "space", None)
+    if own == space if own is not None else np.shape(value) == (space.dim,):
+        return value
+    where = f"in {own}" if own is not None else f"of shape {np.shape(value)}"
+    raise SpaceMismatchError(f"{name} must lie in {space}, got a value {where}")
+
+
+class _RealArrayKind(type):
+    def __instancecheck__(cls, value) -> bool:
+        return np.asarray(value).dtype.kind in "iuf" and not np.isnan(value).any()
+
+
+class RealArray(metaclass=_RealArrayKind):
+    """The kind, for check_type, of a real number or an array of them (a
+    list or an ndarray of integer or float dtype) with no NaN entry. Bools,
+    strings and objects are not real."""
+
+
 @dataclass(frozen=True)
 class SpaceDescriptor:
     """Identifies a space and its dimension.
@@ -75,6 +112,9 @@ class SpaceDescriptor:
 
     kind: SpaceKind
     dim: int
+
+    def __repr__(self) -> str:
+        return f"{self.kind.value}({self.dim})"
 
     def __post_init__(self):
         check_field("dim", self.dim, 2 if self.kind is SpaceKind.GRID_L2 else 1, integer=True)
@@ -188,13 +228,8 @@ class SpaceElement:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        arr = np.asarray(self.coords, dtype=float)
-        if arr.shape != (self.space.dim,):
-            raise SpaceMismatchError(
-                f"coords shape {arr.shape} does not match dimension {self.space.dim}"
-            )
-        arr = _read_only(check_finite(arr).copy())
-        object.__setattr__(self, "coords", arr)
+        arr = check_space("coords", np.asarray(self.coords, dtype=float), self.space)
+        object.__setattr__(self, "coords", _read_only(check_finite(arr).copy()))
 
 
 def element(space: SpaceDescriptor, coords) -> SpaceElement:
@@ -207,9 +242,7 @@ def zeros(space: SpaceDescriptor) -> SpaceElement:
 
 def inner(a: SpaceElement, b: SpaceElement) -> float:
     """Inner product; trapezoid quadrature of a*b in the GRID_L2 case."""
-    if a.space != b.space:
-        raise SpaceMismatchError(f"space mismatch: {a.space} vs {b.space}")
-    return a.space.inner(a.coords, b.coords)
+    return a.space.inner(a.coords, check_space("b", b, a.space).coords)
 
 
 def norm(a: SpaceElement) -> float:

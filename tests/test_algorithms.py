@@ -366,9 +366,9 @@ def test_config_policy_mismatch_rejected():
     (Scheme.IMSEGM, dict(delta=math.inf), {}, r"delta must be a real number in \[0,inf\), got inf"),
     # gamma = 1/L is outside (0, 1/L)
     (Scheme.MSEGM, dict(step=Fixed(0.25)), dict(L=4.0), r"fixed step 0.25 outside \(0, 1/L\) for L=4.0"),
-    (Scheme.STEGM, {}, dict(F=None), "stegm needs the damping operator F"),
-    (Scheme.VSEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
-    (Scheme.VTEGM, {}, dict(f_visc=None), "viscosity schemes need the contraction f"),
+    (Scheme.STEGM, {}, dict(F=None), "F must be set for stegm's hsd update"),
+    (Scheme.VSEGM, {}, dict(f_visc=None), "f_visc must be set for vsegm's viscosity update"),
+    (Scheme.VTEGM, {}, dict(f_visc=None), "f_visc must be set for vtegm's viscosity update"),
 ])
 def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_changes,
                                                 message):
@@ -380,17 +380,18 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
 
 
 def test_solve_checks_its_fields_once_per_run_not_per_step():
-    # check_field costs ~0.4 us a call, so none may run inside the step loop
+    # a checker costs ~0.4 us a call, so none may run inside the step loop
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
-    code = space.check_field.__code__
+    checkers = {f.__code__: f.__name__ for f in (space.check_field, space.check_type,
+                                                   space.check_space)}
 
-    def check_field_calls(scheme, max_iter):
-        calls = []
+    def checker_calls(scheme, max_iter):
+        calls = dict.fromkeys(checkers.values(), 0)
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code is code:
-                calls.append(frame)
+            if event == "call" and frame.f_code in checkers:
+                calls[checkers[frame.f_code]] += 1
 
         cfg = make_config(scheme, p, x0=x, x1=x, max_iter=max_iter)
         sys.setprofile(profile)
@@ -398,10 +399,12 @@ def test_solve_checks_its_fields_once_per_run_not_per_step():
             solve(p, cfg)
         finally:
             sys.setprofile(None)
-        return len(calls)
+        return calls
 
     for scheme in Scheme:
-        assert 0 < check_field_calls(scheme, 10) == check_field_calls(scheme, 200), scheme
+        short = checker_calls(scheme, 10)
+        assert all(short.values()), (scheme, short)
+        assert short == checker_calls(scheme, 200), scheme
 
 
 @pytest.mark.parametrize("scheme", [Scheme.HSEGM, Scheme.MSEGM, Scheme.MMSEGM])

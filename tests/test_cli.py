@@ -150,7 +150,7 @@ def test_empty_out_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch):
     code = main(["run", "--problem", "ex2:grid=5", "--alg", "imsegm", "--max-iter", "3",
                  "--out", ""])
     assert code == 2
-    assert "plan output_dir must name a directory, got ''" in capsys.readouterr().err
+    assert "output_dir must name a directory, got ''" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -380,7 +380,7 @@ def test_run_argv_succeeds_or_names_what_it_rejects(parts):
         if alg not in SCHEME_NAMES:
             named.append(f"unknown algorithm {alg!r}")
         if out_kind == "empty":
-            named.append("plan output_dir must name a directory, got ''")
+            named.append("output_dir must name a directory, got ''")
         if out_kind == "under_file":
             named.append(f"output path {afile} exists and is not a directory")
         try:

@@ -14,11 +14,11 @@ from vikit.stepsize import Armijo
 
 
 @pytest.mark.parametrize("make,error,message", [
-    (lambda: AffineMatrix(np.eye(2))(np.ones(3)), ValueError,
-     "matrix dimension does not match the space"),
+    (lambda: AffineMatrix(np.eye(2))(np.ones(3)), SpaceMismatchError,
+     r"x must lie in euclidean\(2\), got a value of shape \(3,\)"),
     (lambda: Scale(math.inf), ValueError, r"c must be a real number in \(-inf,inf\), got inf"),
     (lambda: element(euclidean(2), [1.0, 2.0, 3.0]), SpaceMismatchError,
-     r"coords shape \(3,\) does not match dimension 2"),
+     r"coords must lie in euclidean\(2\), got a value of shape \(3,\)"),
     (lambda: Armijo(rho=1.0, l=0.5, phi=0.0), ValueError,
      r"phi must be a real number in \(0,1\), got 0.0"),
     (lambda: Armijo(rho=1.0, l=0.5, phi=1.0), ValueError,

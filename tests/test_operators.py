@@ -23,7 +23,7 @@ from vikit.operators import (
 )
 from vikit.problems import ProblemInstance, RandomSpec, make_example1, make_example2
 from vikit.projections import Box
-from vikit.space import element, euclidean, grid_l2, zeros
+from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, grid_l2, zeros
 
 
 def mann_combination(op, lam: float, x: np.ndarray) -> np.ndarray:
@@ -94,9 +94,21 @@ def test_affine_matrix_is_bitwise_the_matmul_form(n, seed, order, layout, offset
         assert AffineMatrix(G, f)(x).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("offset", [False, True])
+@pytest.mark.parametrize("m,n", [(1, 1), (3, 2), (9, 37), (5, 300)])
+def test_affine_matrix_maps_a_block_bitwise_as_x_times_g_transposed(m, n, offset):
+    # certify's blocks of rows; a row-by-row product sums in another order
+    rng = np.random.default_rng(m * n)
+    G, X = rng.standard_normal((n, n)), rng.standard_normal((m, n))
+    f = element(euclidean(n), rng.standard_normal(n)) if offset else None
+    want = X @ G.T if f is None else X @ G.T + f.coords
+    assert AffineMatrix(G, f)(X).tobytes() == want.tobytes()
+
+
 def test_affine_matrix_rejects_an_offset_of_another_dimension():
     # broadcasting would turn a 1-vector offset into a constant 3-vector
-    with pytest.raises(ValueError, match="offset dimension 1"):
+    with pytest.raises(SpaceMismatchError,
+                       match=r"^f_vec must lie in euclidean\(3\), got a value of shape \(1,\)$"):
         AffineMatrix(np.eye(3), element(euclidean(1), [2.0]))
 
 
@@ -124,7 +136,7 @@ def test_power_iteration_error_carries_estimate():
 
 def test_estimate_lipschitz_rejects_non_affine_maps():
     for op in (PositivePart(), Scale(2.0), RankOneIntegral(grid_l2(5))):
-        with pytest.raises(ValueError, match="pass L"):
+        with pytest.raises(ConfigError, match="^op must be of type AffineMatrix, got "):
             estimate_lipschitz(op)
 
 

@@ -26,7 +26,8 @@ from vikit.problems import (
     solution_residual,
 )
 from vikit.projections import Ball, Box, HalfSpace
-from vikit.space import NonFiniteElementError, element, euclidean, grid_l2, norm, zeros
+from vikit.space import (NonFiniteElementError, SpaceMismatchError, element, euclidean, grid_l2,
+                         norm, zeros)
 
 
 def test_same_seed_gives_bitwise_identical_matrices():
@@ -196,14 +197,15 @@ def test_demicontractivity_rejects_a_nan_at_the_fixed_point():
 
 
 @pytest.mark.parametrize("C,named", [
-    (Box(np.zeros(3), np.ones(3)), r"box bounds of shapes \[\(3,\)\]"),
-    (Box(0.0, np.ones(1)), r"box bounds of shapes \[\(\), \(1,\)\]"),
-    (Ball(zeros(euclidean(3)), 1.0), "ball centre lies in the 3-dimensional euclidean"),
-    (Ball(zeros(grid_l2(2)), 1.0), "ball centre lies in the 2-dimensional grid_l2"),
-    (HalfSpace(np.ones(3), np.zeros(3), euclidean(3)), "halfspace lies in the 3-dim"),
+    (Box(np.zeros(3), np.ones(3)), r"C\.lower must lie in euclidean\(2\), got a value of shape \(3,\)"),
+    (Box(0.0, np.ones(1)), r"C\.upper must lie in euclidean\(2\), got a value of shape \(1,\)"),
+    (Ball(zeros(euclidean(3)), 1.0), r"C must lie in euclidean\(2\), got a value in euclidean\(3\)"),
+    (Ball(zeros(grid_l2(2)), 1.0), r"C must lie in euclidean\(2\), got a value in grid_l2\(2\)"),
+    (HalfSpace(np.ones(3), np.zeros(3), euclidean(3)),
+     r"C must lie in euclidean\(2\), got a value in euclidean\(3\)"),
 ])
 def test_problem_rejects_a_feasible_set_that_does_not_fit_its_space(C, named):
-    with pytest.raises(ValueError, match=named + ".*the problem's 2-dimensional euclidean space"):
+    with pytest.raises(SpaceMismatchError, match=named):
         ProblemInstance(space=euclidean(2), A=Scale(1.0), C=C, T=Scale(0.5), lambda_T=0.0)
     for fits in (Box(-1.0, 1.0), Box(np.zeros(2), 1.0), Ball(zeros(euclidean(2)), 1.0),
                  HalfSpace(np.ones(2), np.zeros(2), euclidean(2))):

@@ -98,6 +98,16 @@ def test_space_mismatch():
         HalfSpace(element(sp, [1, 0]).coords, zeros(euclidean(3)).coords, sp)
 
 
+def test_box_projection_keeps_the_points_shape_or_names_it():
+    # clipping would broadcast a 1-vector against 3-vector bounds
+    box = Box(np.zeros(3), np.ones(3))
+    with pytest.raises(SpaceMismatchError,
+                       match=r"^x must lie in euclidean\(3\), got a value of shape \(1,\)$"):
+        project(box, np.array([0.5]))
+    assert project(box, np.array([0.5, 2.0, -1.0])).tolist() == [0.5, 1.0, 0.0]
+    assert project(Box(0.0, 1.0), np.array([2.0])).tolist() == [1.0]
+
+
 def test_bad_sets_rejected():
     for lower, upper in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
                          (np.array([0.0, np.nan]), 1.0)):

@@ -6,6 +6,7 @@ converges to; and of the problem-spec grammar and the input fields."""
 
 import dataclasses
 import math
+from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
 from unittest import mock
 
@@ -28,7 +29,7 @@ from vikit.algorithms import (
     solve,
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
-from vikit.operators import Scale
+from vikit.operators import AffineMatrix, Scale, estimate_lipschitz
 from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
 from vikit.space import element, euclidean, grid_l2, zeros
@@ -357,8 +358,9 @@ def _solved(scheme=Scheme.IMSEGM, replace=None, **overrides):
     return solve(_COUNTED, dataclasses.replace(cfg, **(replace or {})))
 
 
-def _plan(max_iter=2, seeds=(1,), **fields):
-    return ExperimentPlan(("ex1:n=4",), (Scheme.IMSEGM,), max_iter, seeds, "out", **fields)
+def _plan(max_iter=2, seeds=(1,), problems=("ex1:n=4",), algorithms=(Scheme.IMSEGM,),
+          output_dir="out", **fields):
+    return ExperimentPlan(problems, algorithms, max_iter, seeds, output_dir, **fields)
 
 
 def _positive(v):
@@ -382,6 +384,9 @@ def _unit_closed_left(v):
 
 
 RULES = [SequenceRule("one_over_kp1"), SequenceRule("constant", 0.25)]
+# the strings every field is offered, named so that a field that takes any
+# string can list these very objects as valid
+STRINGS = ("1", "")
 FIELDS = [
     Field("gamma", Fixed, False, _positive),
     Field("gamma1", lambda v: Adaptive(v, 0.5), False, _positive),
@@ -390,17 +395,48 @@ FIELDS = [
     Field("l", lambda v: Armijo(1.0, v, 0.4), False, _unit),
     Field("phi", lambda v: Armijo(1.0, 0.5, v), False, _unit),
     Field("value", lambda v: SequenceRule("constant", v), False, _finite),
+    Field("value", lambda v: SequenceRule("one_over_kp1", v), valid=(None,)),
     Field("n", lambda v: RandomSpec(v, 1), True, lambda v: v >= 1),
     Field("seed", lambda v: RandomSpec(3, v), True, lambda v: v >= 0),
     Field("dim", euclidean, True, lambda v: v >= 1),
     Field("dim", grid_l2, True, lambda v: v >= 2),
     Field("radius", lambda v: Ball(zeros(euclidean(2)), v), False, _positive),
+    Field("center", lambda v: Ball(v, 1.0), valid=(zeros(grid_l2(2)),), others=(np.zeros(2),)),
+    # a bound is a real number or array of them, infinite but never NaN
+    Field("lower", lambda v: Box(v, math.inf), False, lambda v: not math.isnan(v),
+          valid=(np.zeros(2), [0, 1]), others=(np.array(["a"]), np.array([True]), [1, "a"],
+                                              np.array([0.0, math.nan]))),
+    Field("upper", lambda v: Box(-math.inf, v), False, lambda v: not math.isnan(v),
+          valid=(np.ones(2), [0, 1]), others=(np.array(["b"]), [math.nan])),
     Field("c", Scale, False, _finite),
+    Field("f_vec", lambda v: AffineMatrix(np.eye(2), v), valid=(None, zeros(grid_l2(2))),
+          others=(zeros(euclidean(3)), np.zeros(2))),
+    Field("op", estimate_lipschitz, valid=(_BASE.A,), others=(Scale(1.0),)),
     Field("L", lambda v: dataclasses.replace(_BASE, L=v), False, _nonnegative, (None,)),
     Field("lambda_T", lambda v: dataclasses.replace(_BASE, lambda_T=v), False, _unit_closed_left),
+    # any callable is an operator (a SequenceRule among them); A's matrix
+    # and offset must fit the space
+    Field("A", lambda v: dataclasses.replace(_BASE, A=v), valid=(_BASE.A, Scale(1.0), RULES[0]),
+          others=(AffineMatrix(np.eye(5)), AffineMatrix(_BASE.A.G, zeros(grid_l2(4))))),
+    Field("T", lambda v: dataclasses.replace(_BASE, T=v), valid=(_BASE.T, RULES[0])),
+    Field("F", lambda v: dataclasses.replace(_BASE, F=v), valid=(_BASE.F, RULES[0], None)),
+    Field("f_visc", lambda v: dataclasses.replace(_BASE, f_visc=v),
+          valid=(_BASE.f_visc, RULES[0], None)),
+    Field("C", lambda v: dataclasses.replace(_BASE, C=v),
+          valid=(_BASE.C, Box(np.zeros(4), 5.0), Ball(zeros(euclidean(4)), 1.0),
+                 HalfSpace(np.ones(4), np.zeros(4), euclidean(4))),
+          others=(Box(np.zeros(3), 5.0), Box(-2.0, np.ones(1)), Ball(zeros(grid_l2(4)), 1.0),
+                  HalfSpace(np.ones(3), np.zeros(3), euclidean(3)))),
+    Field("x_star", lambda v: dataclasses.replace(_BASE, x_star=v), valid=(_BASE.x_star, None),
+          others=(zeros(euclidean(3)), zeros(grid_l2(4)), _BASE.x_star.coords)),
     Field("max_iter", lambda v: _plan(max_iter=v), True, lambda v: v >= 1),
     Field("seeds", lambda v: _plan(seeds=(v,)), True, lambda v: v >= 0),
     Field("tol", lambda v: _plan(tol=v), False, _positive, (None,)),
+    Field("problems", lambda v: _plan(problems=(v,)), valid=("ex1:n=4", *STRINGS)),
+    Field("algorithms", lambda v: _plan(algorithms=(v,)), valid=tuple(Scheme),
+          others=("imsegm",)),
+    Field("output_dir", lambda v: _plan(output_dir=v), valid=("out", Path("out"), STRINGS[0])),
+    Field("record_invariants", lambda v: _plan(record_invariants=v), valid=(True, False)),
     Field("horizon", lambda v: validate_conditions(make_config(Scheme.IMSEGM, _BASE), v),
           True, lambda v: v >= 1),
     # every SolverConfig field, through make_config and a 2-iteration solve
@@ -428,7 +464,7 @@ FIELDS = [
 # The largest integer is 7, so that a drawn count stays cheap.
 NUMBERS = [0, 1, 2, 7, -1, 0.0, 0.5, 1.0, 2.5, 3.0, 1e300, math.inf, -math.inf,
            np.int64(3), np.int32(0), np.float64(0.25), np.float32(0.5), np.float64(3.0)]
-NOT_NUMBERS = [True, False, np.bool_(True), "1", "", None, math.nan, np.float64(math.nan),
+NOT_NUMBERS = [True, False, np.bool_(True), *STRINGS, None, math.nan, np.float64(math.nan),
                RULES[0]]
 
 
