@@ -129,8 +129,16 @@ class SequenceRule:
         return _SEQUENCES[self.kind](k, theta, self.value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """The parameters of one run. Construction, and so dataclasses.replace,
+    checks every rule that needs no problem and raises ConfigError naming
+    the field: the kind of each field, by the scheme's parts (zeta may be
+    None only for a scheme without inertia, step is the scheme's policy
+    type, x0 and x1 are SpaceElements or None), max_iter an integer in
+    [0, inf), lambda_T in [0, 1), delta in [0, inf) and tol unset or in
+    (0, inf). check_config adds the rules that read the problem."""
+
     algorithm: Scheme
     step: StepPolicy
     theta: SequenceRule
@@ -143,6 +151,19 @@ class SolverConfig:
     x1: Optional[SpaceElement] = None
     tol: Optional[float] = None
     record_invariants: bool = False
+
+    def __post_init__(self):
+        parts, unset = SCHEMES[check_type("algorithm", self.algorithm, Scheme)], type(None)
+        # only the inertial extrapolation reads zeta; check_config asks for x0 and x1
+        for name, kind in (("theta", SequenceRule), ("eta", SequenceRule),
+                           ("zeta", SequenceRule if parts.inertial else (SequenceRule, unset)),
+                           ("step", parts.step), ("record_invariants", bool),
+                           ("x0", (SpaceElement, unset)), ("x1", (SpaceElement, unset))):
+            check_type(name, getattr(self, name), kind)
+        check_field("max_iter", self.max_iter, 0, integer=True)
+        check_field("lambda_T", self.lambda_T, 0.0, 1.0)
+        check_field("delta", self.delta, 0.0)
+        check_tol(self.tol)
 
 
 @dataclass
@@ -191,19 +212,13 @@ class ConvergenceTrace:
         return [r.residuals[idx] for r in self.rows if r.residuals is not None]
 
 
-def inertial_delta(space: SpaceDescriptor, delta: float, zeta_k: float,
-                   x_curr: np.ndarray, x_prev: np.ndarray) -> float:
-    """Extrapolation weight: min(zeta_k / ||x_k - x_{k-1}||, delta), or the
-    cap delta when the last two iterates coincide. Guarantees
-    delta_k * ||x_k - x_{k-1}|| <= zeta_k. Raises NonFiniteElementError
-    when x_k - x_{k-1} has a NaN or Inf entry, which the min could pass
-    over. A delta outside [0, inf) raises ConfigError, and a zeta_k that is
-    not positive (NaN included) raises ValueError."""
-    return _inertial_weight(space, check_field("delta", delta, 0.0), zeta_k, x_curr - x_prev)
-
-
 def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> float:
-    """inertial_delta from dx = x_k - x_{k-1}, with delta already checked."""
+    """Extrapolation weight from dx = x_k - x_{k-1}: min(zeta_k / ||dx||,
+    delta), or the cap delta when the last two iterates coincide, so that
+    delta_k * ||dx|| <= zeta_k. delta is a checked SolverConfig's. Raises
+    NonFiniteElementError when dx has a NaN or Inf entry, which the min
+    could pass over, and ValueError when zeta_k is not positive (NaN
+    included)."""
     if not zeta_k > 0:
         raise ValueError(f"zeta_k must be positive, got {zeta_k}")
     gap = finite_norm(space, dx)
@@ -315,18 +330,10 @@ _OUTER_OPERATORS = {"hsd": "F", "viscosity": "f_visc"}
 
 
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
-    """Structural validation; sequence-condition checks live in the harness.
-    Each rejected field raises ConfigError naming it, before any step."""
-    parts = SCHEMES[check_type("algorithm", cfg.algorithm, Scheme)]
-    # only the inertial extrapolation reads zeta
-    zeta = SequenceRule if parts.inertial else (SequenceRule, type(None))
-    for name, kind in (("theta", SequenceRule), ("eta", SequenceRule), ("zeta", zeta),
-                       ("step", parts.step), ("record_invariants", bool)):
-        check_type(name, getattr(cfg, name), kind)
-    check_field("max_iter", cfg.max_iter, 0, integer=True)
-    check_field("lambda_T", cfg.lambda_T, 0.0, 1.0)
-    check_field("delta", cfg.delta, 0.0)
-    check_tol(cfg.tol)
+    """The rules of cfg that read the problem; cfg checked the others when
+    it was built, and sequence-condition checks live in the harness. Each
+    rejected field raises ConfigError naming it, before any step."""
+    parts = SCHEMES[cfg.algorithm]
     # every D_k and residual is measured against x_star
     for name in ("tol", "record_invariants"):
         if problem.x_star is None and getattr(cfg, name) not in (None, False):

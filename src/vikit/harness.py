@@ -496,15 +496,14 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
 
     A trace file of the plan that already exists, or an output path that
     is or lies under an existing non-directory, raises ValueError before
-    anything runs. A cell
-    whose spec does not resolve fails with "config" and runs nothing.
-    Each distinct problem is built and
-    certified once and shared by its cells. Cells that differ only in a
-    seed their start does not read run once: the first trace is computed
-    and each other cell's trace copies it under its own header, with a
-    same_as line naming the computed file. Runs are submitted problem by
-    problem, so a plan holds about one problem per worker. Results follow
-    plan.cells() order."""
+    anything runs. A cell whose spec does not resolve fails with "config"
+    and runs nothing. Each distinct problem is built and certified once
+    and shared by its cells. Cells that differ only in a seed their start
+    does not read run once: the first trace is computed and each other
+    cell's trace copies it under its own header, with a same_as line
+    naming the computed file. Runs are submitted problem by problem, so a
+    plan holds about one problem per worker. Results follow plan.cells()
+    order."""
     workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
     check_field("VIKIT_THREADS", workers, 1, integer=True)
     cells = plan._resolved

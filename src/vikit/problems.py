@@ -39,12 +39,12 @@ class ProblemInstance:
     `PositivePart`, `Scale`, `RankOneIntegral`) are evaluated once per
     block, any other callable once per point, so a callable written for
     one point is never handed a block. Construction checks the type and
-    space rules of README's "Library use" on every field: `A`, `T` and
-    (when set) `F` and `f_visc` are callable, `C` is a `Box`, `Ball` or
-    `HalfSpace` that fits the space, `x_star` (when known) lies in the
-    space, and an `AffineMatrix` `A` is dim x dim with its offset in the
-    space; `lambda_T` lies in [0, 1) and `L` in [0, inf), where `L` = 0
-    bounds the zero operator."""
+    space rules of README's "Library use" on every field: `space` is a
+    `SpaceDescriptor`, `A`, `T` and (when set) `F` and `f_visc` are
+    callable, `C` is a `Box`, `Ball` or `HalfSpace` that fits the space,
+    `x_star` (when known) lies in the space, and an `AffineMatrix` `A` is
+    dim x dim with its offset in the space; `lambda_T` lies in [0, 1) and
+    `L` in [0, inf), where `L` = 0 bounds the zero operator."""
 
     space: SpaceDescriptor
     A: object
@@ -58,6 +58,7 @@ class ProblemInstance:
     problem_id: str = ""
 
     def __post_init__(self):
+        check_type("space", self.space, SpaceDescriptor)
         check_field("lambda_T", self.lambda_T, 0.0, 1.0)
         if self.L is not None:
             check_field("L", self.L, 0.0)

@@ -57,7 +57,8 @@ class Ball:
 
 @dataclass
 class HalfSpace:
-    """{x : <normal, x - anchor> <= 0} in the given space.
+    """{x : <normal, x - anchor> <= 0} in the given space. The normal and
+    the anchor are arrays of the space's shape (ConfigError otherwise).
 
     A zero normal is the degenerate case and denotes the whole space.
     Not frozen: a halfspace scheme builds one every step, and a frozen
@@ -69,9 +70,15 @@ class HalfSpace:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        if self.normal.shape != (self.space.dim,) or self.anchor.shape != self.normal.shape:
-            check_space("normal", self.normal, self.space)
-            check_space("anchor", self.anchor, self.space)
+        # the inline shape test is the per-step guard; a non-array, which
+        # has no shape, takes the checks' path, and check_type names it
+        try:
+            if self.normal.shape == (self.space.dim,) == self.anchor.shape:
+                return
+        except AttributeError:
+            pass
+        for name in ("normal", "anchor"):
+            check_space(name, check_type(name, getattr(self, name), np.ndarray), self.space)
 
 
 FeasibleSet = Union[Box, Ball, HalfSpace]

@@ -93,13 +93,14 @@ def check_space(name: str, value, space: SpaceDescriptor):
 
 class _RealArrayKind(type):
     def __instancecheck__(cls, value) -> bool:
-        return np.asarray(value).dtype.kind in "iuf" and not np.isnan(value).any()
+        arr = np.asarray(value)
+        return arr.dtype.kind in "iuf" and arr.ndim <= 1 and not np.isnan(arr).any()
 
 
 class RealArray(metaclass=_RealArrayKind):
-    """The kind, for check_type, of a real number or an array of them (a
-    list or an ndarray of integer or float dtype) with no NaN entry. Bools,
-    strings and objects are not real."""
+    """The kind, for check_type, of a real number or a one-dimensional array
+    of them (a list or an ndarray of integer or float dtype) with no NaN
+    entry. Bools, strings and objects are not real."""
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from vikit.algorithms import (
     SequenceRule,
     SolveError,
     SolverConfig,
-    inertial_delta,
+    _inertial_weight,
     solve,
     step_alg1,
     step_alg2,
@@ -74,24 +74,20 @@ def test_inertial_delta_examples():
     sp = euclidean(1)
     a, b = element(sp, [1.0]).coords, element(sp, [0.0]).coords
     # coincident iterates: return the cap
-    assert inertial_delta(sp, 0.6, 0.25, a, a) == 0.6
+    assert _inertial_weight(sp, 0.6, 0.25, a - a) == 0.6
     # gap 1, zeta 0.25: the ratio wins
-    assert inertial_delta(sp, 0.6, 0.25, a, b) == 0.25
+    assert _inertial_weight(sp, 0.6, 0.25, a - b) == 0.25
     # large zeta: the cap wins
-    assert inertial_delta(sp, 0.6, 10.0, a, b) == 0.6
-    for delta in (-0.1, math.nan, math.inf):
-        # check_config's rule: a NaN cap would drop out of the min
-        with pytest.raises(ValueError, match=rf"^delta must be a real number in \[0,inf\), got {delta}$"):
-            inertial_delta(sp, delta, 0.25, a, b)
+    assert _inertial_weight(sp, 0.6, 10.0, a - b) == 0.6
     with pytest.raises(ValueError):
-        inertial_delta(sp, 0.6, 0.0, a, b)
+        _inertial_weight(sp, 0.6, 0.0, a - b)
 
 
 def test_inertial_delta_rejects_a_gap_that_overflows():
     # x_k - x_{k-1} = inf would make zeta_k / inf = 0 win the min
     sp = euclidean(2)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
-        inertial_delta(sp, 0.6, 0.25, np.array([1e308, 0.0]), np.array([-1e308, 0.0]))
+        _inertial_weight(sp, 0.6, 0.25, np.array([1e308, 0.0]) - np.array([-1e308, 0.0]))
 
 
 def test_inertial_delta_guarantee():
@@ -101,7 +97,7 @@ def test_inertial_delta_guarantee():
         a = element(sp, rng.uniform(-4, 4, 3)).coords
         b = element(sp, rng.uniform(-4, 4, 3)).coords
         zeta = float(rng.uniform(0.001, 1.0))
-        dk = inertial_delta(sp, 0.6, zeta, a, b)
+        dk = _inertial_weight(sp, 0.6, zeta, a - b)
         assert dk * sp.norm(a - b) <= zeta + 1e-15
 
 
@@ -340,19 +336,15 @@ def test_record_invariants_without_known_solution_rejected():
 def test_config_policy_mismatch_rejected():
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
-    bad = _cfg(Scheme.IMSEGM, Fixed(0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
-               x0=x, x1=x)
     with pytest.raises(ConfigError):
-        solve(p, bad)
-    bad2 = _cfg(Scheme.MSEGM, Fixed(2.0), "one_over_kp1",
-                "half_one_minus_theta", x0=x, x1=x)  # 2.0 >= 1/L
-    with pytest.raises(ConfigError):
-        solve(p, bad2)
-    bad3 = _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-                "half_one_minus_theta", x0=x, x1=x)  # missing zeta
-    with pytest.raises(ConfigError):
-        solve(p, bad3)
+        solve(p, _cfg(Scheme.IMSEGM, Fixed(0.5), "one_over_kp1", "half_one_minus_theta",
+                      zeta=SequenceRule("one_over_kp1_sq"), x0=x, x1=x))
+    with pytest.raises(ConfigError):  # 2.0 >= 1/L
+        solve(p, _cfg(Scheme.MSEGM, Fixed(2.0), "one_over_kp1", "half_one_minus_theta",
+                      x0=x, x1=x))
+    with pytest.raises(ConfigError):  # missing zeta
+        solve(p, _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
+                      "half_one_minus_theta", x0=x, x1=x))
     with pytest.raises(ConfigError):
         solve(p, _solve_cfg(Scheme.IMSEGM, p, x0=None))
 
@@ -374,9 +366,29 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
                                                 message):
     p = dataclasses.replace(_toy_problem(), **problem_changes)
     x = element(p.space, [1.0, 1.0])
-    cfg = dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes)
     with pytest.raises(ConfigError, match=f"^{message}$"):
-        solve(p, cfg)
+        solve(p, dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes))
+
+
+@pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
+def test_a_config_with_a_bad_delta_is_never_built(delta):
+    # a NaN cap would drop out of the inertial weight's min: with x_k and
+    # x_{k-1} two apart, delta_k would read zeta_1 / 2 = 0.125
+    p = _toy_problem()
+    state = IterateState(1, element(p.space, [1.0, 1.0]).coords,
+                         element(p.space, [1.0, 3.0]).coords, gamma=0.5)
+    with pytest.raises(ConfigError, match=rf"^delta must be a real number in \[0,inf\), "
+                                          rf"got {delta}$"):
+        step_baseline(state, p, _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
+                                     "half_one_minus_theta",
+                                     zeta=SequenceRule("one_over_kp1_sq"), delta=delta))
+
+
+def test_a_checked_config_cannot_be_changed_unchecked():
+    # only dataclasses.replace, which checks the new config, changes a field
+    cfg = make_config(Scheme.IMSEGM, _toy_problem())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.delta = math.nan
 
 
 def test_solve_checks_its_fields_once_per_run_not_per_step():
@@ -393,10 +405,9 @@ def test_solve_checks_its_fields_once_per_run_not_per_step():
             if event == "call" and frame.f_code in checkers:
                 calls[checkers[frame.f_code]] += 1
 
-        cfg = make_config(scheme, p, x0=x, x1=x, max_iter=max_iter)
         sys.setprofile(profile)
         try:
-            solve(p, cfg)
+            solve(p, make_config(scheme, p, x0=x, x1=x, max_iter=max_iter))
         finally:
             sys.setprofile(None)
         return calls

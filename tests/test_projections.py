@@ -13,7 +13,7 @@ from vikit.projections import (
     halfspace_residual,
     project,
 )
-from vikit.space import SpaceMismatchError, element, euclidean, grid_l2, zeros
+from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, grid_l2, zeros
 
 
 def _random_set(variant, n, rng):
@@ -96,6 +96,14 @@ def test_space_mismatch():
         project(Ball(zeros(sp), 1.0), element(euclidean(3), [1, 2, 3]).coords)
     with pytest.raises(SpaceMismatchError):
         HalfSpace(element(sp, [1, 0]).coords, zeros(euclidean(3)).coords, sp)
+
+
+def test_halfspace_with_a_list_normal_or_anchor_names_it():
+    sp = euclidean(2)
+    with pytest.raises(ConfigError, match=r"^normal must be of type ndarray, got \[1.0, 0.0\]$"):
+        HalfSpace([1.0, 0.0], np.zeros(2), sp)
+    with pytest.raises(ConfigError, match=r"^anchor must be of type ndarray, got \[0.0, 0.0\]$"):
+        HalfSpace(np.array([1.0, 0.0]), [0.0, 0.0], sp)
 
 
 def test_box_projection_keeps_the_points_shape_or_names_it():

@@ -25,7 +25,7 @@ from vikit.algorithms import (
     ConfigError,
     Scheme,
     SequenceRule,
-    inertial_delta,
+    _inertial_weight,
     solve,
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
@@ -136,7 +136,7 @@ def test_adaptive_step_stays_at_least_min_gamma1_and_phi_over_l(run):
 @given(space_and_points(2), st.floats(0.0, 5.0), st.floats(1e-6, 10.0))
 def test_inertial_step_stays_within_zeta(case, delta, zeta):
     sp, x_curr, x_prev = case
-    dk = inertial_delta(sp, delta, zeta, x_curr, x_prev)
+    dk = _inertial_weight(sp, delta, zeta, x_curr - x_prev)
     assert 0.0 <= dk <= delta
     assert dk * sp.norm(x_curr - x_prev) <= zeta * (1.0 + 1e-12)
 
@@ -358,6 +358,15 @@ def _solved(scheme=Scheme.IMSEGM, replace=None, **overrides):
     return solve(_COUNTED, dataclasses.replace(cfg, **(replace or {})))
 
 
+_CFG = make_config(Scheme.IMSEGM, _BASE, x0=_X0, x1=_X1, max_iter=2)
+
+
+def _validated(**changes):
+    """validate_conditions over 5 terms of make_config's imsegm config, with
+    SolverConfig fields replaced."""
+    return validate_conditions(dataclasses.replace(_CFG, **changes), 5)
+
+
 def _plan(max_iter=2, seeds=(1,), problems=("ex1:n=4",), algorithms=(Scheme.IMSEGM,),
           output_dir="out", **fields):
     return ExperimentPlan(problems, algorithms, max_iter, seeds, output_dir, **fields)
@@ -402,16 +411,20 @@ FIELDS = [
     Field("dim", grid_l2, True, lambda v: v >= 2),
     Field("radius", lambda v: Ball(zeros(euclidean(2)), v), False, _positive),
     Field("center", lambda v: Ball(v, 1.0), valid=(zeros(grid_l2(2)),), others=(np.zeros(2),)),
-    # a bound is a real number or array of them, infinite but never NaN
+    # a bound is a real number or array of them, of one dimension at most,
+    # infinite but never NaN
     Field("lower", lambda v: Box(v, math.inf), False, lambda v: not math.isnan(v),
           valid=(np.zeros(2), [0, 1]), others=(np.array(["a"]), np.array([True]), [1, "a"],
-                                              np.array([0.0, math.nan]))),
+                                              np.array([0.0, math.nan]), np.zeros((1, 3)),
+                                              [[0, 1]])),
     Field("upper", lambda v: Box(-math.inf, v), False, lambda v: not math.isnan(v),
-          valid=(np.ones(2), [0, 1]), others=(np.array(["b"]), [math.nan])),
+          valid=(np.ones(2), [0, 1]), others=(np.array(["b"]), [math.nan], np.ones((3, 1)),
+                                              np.ones((1, 1, 1)))),
     Field("c", Scale, False, _finite),
     Field("f_vec", lambda v: AffineMatrix(np.eye(2), v), valid=(None, zeros(grid_l2(2))),
           others=(zeros(euclidean(3)), np.zeros(2))),
     Field("op", estimate_lipschitz, valid=(_BASE.A,), others=(Scale(1.0),)),
+    Field("space", lambda v: dataclasses.replace(_BASE, space=v), valid=(_BASE.space,)),
     Field("L", lambda v: dataclasses.replace(_BASE, L=v), False, _nonnegative, (None,)),
     Field("lambda_T", lambda v: dataclasses.replace(_BASE, lambda_T=v), False, _unit_closed_left),
     # any callable is an operator (a SequenceRule among them); A's matrix
@@ -457,6 +470,26 @@ FIELDS = [
     Field("x1", lambda v: _solved(x1=v), valid=(_X1,), others=(_X1.coords,)),
     Field("tol", lambda v: _solved(tol=v), False, _positive, (None,)),
     Field("record_invariants", lambda v: _solved(record_invariants=v), valid=(True, False)),
+    # every SolverConfig field again, through dataclasses.replace and
+    # validate_conditions, which reads a config with no problem: only the
+    # space rule and the starts being set wait for solve
+    Field("algorithm", lambda v: _validated(algorithm=v),
+          valid=tuple(s for s, parts in SCHEMES.items() if parts.step is Adaptive),
+          others=("imsegm",)),
+    Field("step", lambda v: _validated(step=v), valid=(Adaptive(0.5, 0.5), Adaptive(0.1, 0.9)),
+          others=(Fixed(0.5), Armijo(1.0, 0.5, 0.4))),
+    Field("theta", lambda v: _validated(theta=v), valid=tuple(RULES)),
+    Field("eta", lambda v: _validated(eta=v), valid=tuple(RULES)),
+    Field("zeta", lambda v: _validated(zeta=v),
+          valid=(RULES[0], SequenceRule("one_over_kp1_sq"))),
+    Field("delta", lambda v: _validated(delta=v), False, _nonnegative),
+    Field("lambda_T", lambda v: _validated(lambda_T=v), False, _unit_closed_left),
+    Field("max_iter", lambda v: _validated(max_iter=v), True, _nonnegative),
+    Field("x0", lambda v: _validated(x0=v), valid=(_X0, zeros(euclidean(3)), None),
+          others=(_X0.coords,)),
+    Field("x1", lambda v: _validated(x1=v), valid=(_X1, None), others=(_X1.coords,)),
+    Field("tol", lambda v: _validated(tol=v), False, _positive, (None,)),
+    Field("record_invariants", lambda v: _validated(record_invariants=v), valid=(True, False)),
 ]
 
 # What every field is offered: numbers in and out of each interval, their
