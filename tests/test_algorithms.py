@@ -74,20 +74,20 @@ def test_inertial_delta_examples():
     sp = euclidean(1)
     a, b = element(sp, [1.0]).coords, element(sp, [0.0]).coords
     # coincident iterates: return the cap
-    assert _inertial_weight(sp, 0.6, 0.25, a - a) == 0.6
+    assert _inertial_weight(sp, 0.25, a - a) == 0.6
     # gap 1, zeta 0.25: the ratio wins
-    assert _inertial_weight(sp, 0.6, 0.25, a - b) == 0.25
+    assert _inertial_weight(sp, 0.25, a - b) == 0.25
     # large zeta: the cap wins
-    assert _inertial_weight(sp, 0.6, 10.0, a - b) == 0.6
+    assert _inertial_weight(sp, 10.0, a - b) == 0.6
     with pytest.raises(ValueError):
-        _inertial_weight(sp, 0.6, 0.0, a - b)
+        _inertial_weight(sp, 0.0, a - b)
 
 
 def test_inertial_delta_rejects_a_gap_that_overflows():
     # x_k - x_{k-1} = inf would make zeta_k / inf = 0 win the min
     sp = euclidean(2)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
-        _inertial_weight(sp, 0.6, 0.25, np.array([1e308, 0.0]) - np.array([-1e308, 0.0]))
+        _inertial_weight(sp, 0.25, np.array([1e308, 0.0]) - np.array([-1e308, 0.0]))
 
 
 def test_inertial_delta_guarantee():
@@ -97,7 +97,7 @@ def test_inertial_delta_guarantee():
         a = element(sp, rng.uniform(-4, 4, 3)).coords
         b = element(sp, rng.uniform(-4, 4, 3)).coords
         zeta = float(rng.uniform(0.001, 1.0))
-        dk = _inertial_weight(sp, 0.6, zeta, a - b)
+        dk = _inertial_weight(sp, zeta, a - b)
         assert dk * sp.norm(a - b) <= zeta + 1e-15
 
 
@@ -174,8 +174,7 @@ def _scalar_first_iteration(variant):
 def test_step_alg1_matches_scalar_recomputation():
     p = _toy_problem()
     cfg = _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
-               delta=0.6)
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg1(_ones_state(p.space, 0.5), p, cfg)
     s, y, z, x2, gamma2 = _scalar_first_iteration("alg1")
     assert np.allclose(st.s, s)
@@ -191,8 +190,7 @@ def test_step_alg2_agrees_with_alg1_on_linear_radial_data():
     # with A = I the forward correction and the halfspace projection coincide
     p = _toy_problem()
     cfg = _cfg(Scheme.IMTEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
-               delta=0.6)
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
     assert np.allclose(st.x_curr, 0.28125)
     assert st.gamma == 0.5
@@ -202,8 +200,7 @@ def test_step_alg2_agrees_with_alg1_on_linear_radial_data():
 def test_step_alg3_matches_scalar_recomputation():
     p = _toy_problem()
     cfg = _cfg(Scheme.IMMSEGM, Adaptive(0.5, 0.5), "k_over_kp1",
-               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"),
-               delta=0.6)
+               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, gamma2 = _scalar_first_iteration("alg3")
     assert np.allclose(st.x_curr, x2)
@@ -227,8 +224,7 @@ def test_step_alg2_reduces_to_mann_when_a_vanishes():
                         T=p.T, lambda_T=p.lambda_T, x_star=p.x_star, L=1.0,
                         problem_id="toy0")
     cfg = _cfg(Scheme.IMTEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"),
-               delta=0.6)
+               "half_one_minus_theta", zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg2(_ones_state(p.space, 0.5), p, cfg)
     # (1 - 0.5 - 0.25) s + 0.25 * 0.5 s = 0.375 s
     assert np.allclose(st.x_curr, 0.375)
@@ -244,7 +240,7 @@ def test_step_alg3_with_identity_t_and_theta_one_returns_z():
     cfg = SolverConfig(algorithm=Scheme.IMMSEGM, step=Adaptive(0.5, 0.5),
                        theta=SequenceRule("constant", 1.0),
                        eta=SequenceRule("constant", 0.25),
-                       zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
+                       zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg3(_ones_state(p.space, 0.5), p, cfg)
     assert np.allclose(st.x_curr, st.z)
 
@@ -280,7 +276,7 @@ def test_hsegm_step_uses_the_anchor():
 
 def _solve_cfg(scheme, p, **kw):
     x = element(p.space, [1.0, 1.0])
-    base = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6,
+    base = dict(zeta=SequenceRule("one_over_kp1_sq"),
                 x0=x, x1=x, max_iter=50)
     base.update(kw)
     if scheme in (Scheme.IMMSEGM, Scheme.IMMTEGM):
@@ -353,9 +349,19 @@ def test_config_policy_mismatch_rejected():
     (Scheme.IMSEGM, dict(max_iter=-1), {}, r"max_iter must be an integer in \[0,inf\), got -1"),
     (Scheme.IMSEGM, dict(lambda_T=1.0), {}, r"lambda_T must be a real number in \[0,1\), got 1.0"),
     (Scheme.MSEGM, dict(lambda_T=-0.1), {}, r"lambda_T must be a real number in \[0,1\), got -0.1"),
-    (Scheme.IMMTEGM, dict(delta=-0.1), {}, r"delta must be a real number in \[0,inf\), got -0.1"),
-    (Scheme.IMSEGM, dict(delta=math.nan), {}, r"delta must be a real number in \[0,inf\), got nan"),
-    (Scheme.IMSEGM, dict(delta=math.inf), {}, r"delta must be a real number in \[0,inf\), got inf"),
+    # a scheme without inertia never reads zeta, and theta_k and zeta_k are
+    # evaluated without theta_k
+    (Scheme.MSEGM, dict(zeta=SequenceRule("one_over_kp1_sq")), {},
+     r"zeta must be of type NoneType, got SequenceRule\(kind='one_over_kp1_sq', value=None\)"),
+    (Scheme.IMSEGM, dict(theta=SequenceRule("theta_over_3")), {},
+     r"theta must not depend on theta_k, got SequenceRule\(kind='theta_over_3', value=None\)"),
+    (Scheme.IMSEGM, dict(zeta=SequenceRule("half_one_minus_theta")), {},
+     r"zeta must not depend on theta_k, got "
+     r"SequenceRule\(kind='half_one_minus_theta', value=None\)"),
+    # validate_conditions reads the config's lambda, so it must be the problem's
+    (Scheme.IMSEGM, dict(lambda_T=0.9), {}, "lambda_T must be the problem's 0.0, got 0.9"),
+    (Scheme.MMSEGM, dict(lambda_T=0.0), dict(lambda_T=0.5),
+     "lambda_T must be the problem's 0.5, got 0.0"),
     # gamma = 1/L is outside (0, 1/L)
     (Scheme.MSEGM, dict(step=Fixed(0.25)), dict(L=4.0), r"fixed step 0.25 outside \(0, 1/L\) for L=4.0"),
     (Scheme.STEGM, {}, dict(F=None), "F must be set for stegm's hsd update"),
@@ -370,25 +376,11 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
         solve(p, dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes))
 
 
-@pytest.mark.parametrize("delta", [-0.1, math.nan, math.inf])
-def test_a_config_with_a_bad_delta_is_never_built(delta):
-    # a NaN cap would drop out of the inertial weight's min: with x_k and
-    # x_{k-1} two apart, delta_k would read zeta_1 / 2 = 0.125
-    p = _toy_problem()
-    state = IterateState(1, element(p.space, [1.0, 1.0]).coords,
-                         element(p.space, [1.0, 3.0]).coords, gamma=0.5)
-    with pytest.raises(ConfigError, match=rf"^delta must be a real number in \[0,inf\), "
-                                          rf"got {delta}$"):
-        step_baseline(state, p, _cfg(Scheme.IMSEGM, Adaptive(0.5, 0.5), "one_over_kp1",
-                                     "half_one_minus_theta",
-                                     zeta=SequenceRule("one_over_kp1_sq"), delta=delta))
-
-
 def test_a_checked_config_cannot_be_changed_unchecked():
     # only dataclasses.replace, which checks the new config, changes a field
     cfg = make_config(Scheme.IMSEGM, _toy_problem())
     with pytest.raises(dataclasses.FrozenInstanceError):
-        cfg.delta = math.nan
+        cfg.lambda_T = math.nan
 
 
 def test_solve_checks_its_fields_once_per_run_not_per_step():
@@ -433,8 +425,7 @@ def test_step_alg4_agrees_with_alg3_on_linear_radial_data():
     # with A = I the forward correction and the halfspace projection coincide
     p = _toy_problem()
     cfg = _cfg(Scheme.IMMTEGM, Adaptive(0.5, 0.5), "k_over_kp1",
-               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"),
-               delta=0.6)
+               "theta_over_3", zeta=SequenceRule("one_over_kp1_sq"))
     st = step_alg4(_ones_state(p.space, 0.5), p, cfg)
     *_, x2, gamma2 = _scalar_first_iteration("alg3")
     assert np.allclose(st.x_curr, x2)

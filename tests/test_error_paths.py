@@ -7,9 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from vikit.operators import AffineMatrix, Scale
+from vikit.algorithms import SequenceRule
+from vikit.operators import AffineMatrix, RankOneIntegral, Scale
 from vikit.problems import make_example2
-from vikit.space import SpaceMismatchError, element, euclidean
+from vikit.projections import Box
+from vikit.space import ConfigError, SpaceMismatchError, element, euclidean
 from vikit.stepsize import Armijo
 
 
@@ -29,8 +31,20 @@ from vikit.stepsize import Armijo
      r"L must be a real number in \[0,inf\), got nan"),
     (lambda: dataclasses.replace(make_example2(5), L=math.inf), ValueError,
      r"L must be a real number in \[0,inf\), got inf"),
+    (lambda: SequenceRule("bogus"), ConfigError,
+     "kind must be one of one_over_kp1, k_over_kp1, k_over_2kp1, half_one_minus_theta, "
+     "theta_over_3, one_over_kp1_sq, constant, got 'bogus'"),
+    (lambda: Box(1.0, 0.0), ConfigError,
+     "upper must be at least lower coordinatewise, got lower=1.0, upper=0.0"),
+    (lambda: AffineMatrix(np.ones((2, 3))), ConfigError,
+     r"G must be a square matrix, got shape \(2, 3\)"),
+    (lambda: RankOneIntegral(euclidean(3)), ConfigError,
+     r"space must be a grid_l2 space, got euclidean\(3\)"),
+    (lambda: RankOneIntegral(5), ConfigError, "space must be of type SpaceDescriptor, got 5"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
-        "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf"])
+        "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
+        "sequence-kind", "box-upper-below-lower", "affine-not-square", "rank-one-not-grid",
+        "rank-one-not-a-space"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()

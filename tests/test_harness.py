@@ -10,6 +10,7 @@ import pytest
 from vikit import harness
 from vikit.algorithms import (
     HSD_LAMBDA,
+    INERTIAL_DELTA,
     ConfigError,
     ConvergenceTrace,
     Scheme,
@@ -28,7 +29,6 @@ def small_problem():
 def test_make_config_adaptive_schemes(small_problem):
     cfg = harness.make_config(Scheme.IMSEGM, small_problem, max_iter=100)
     assert cfg.step == Adaptive(gamma1=0.5, phi=0.5)
-    assert cfg.delta == 0.6
     assert cfg.zeta == SequenceRule("one_over_kp1_sq")
     assert cfg.lambda_T == 0.0
     assert cfg.max_iter == 100
@@ -43,14 +43,14 @@ def test_make_config_fixed_step_depends_on_l(small_problem):
 def test_make_config_stegm_and_overrides(small_problem):
     cfg = harness.make_config(Scheme.STEGM, small_problem)
     assert cfg.step == Armijo(rho=1.0, l=0.5, phi=0.4)
-    over = harness.make_config(Scheme.IMSEGM, small_problem, delta=0.3)
-    assert over.delta == 0.3
+    over = harness.make_config(Scheme.IMSEGM, small_problem, eta=SequenceRule("k_over_2kp1"))
+    assert over.eta == SequenceRule("k_over_2kp1")
 
 
 def test_table1_rows_follow_each_schemes_parts(small_problem):
     one, kp1, k2 = (SequenceRule(k) for k in ("one_over_kp1", "k_over_kp1", "k_over_2kp1"))
     half, third = SequenceRule("half_one_minus_theta"), SequenceRule("theta_over_3")
-    inertial = dict(zeta=SequenceRule("one_over_kp1_sq"), delta=0.6)
+    inertial = dict(zeta=SequenceRule("one_over_kp1_sq"))
     adaptive = Adaptive(gamma1=0.5, phi=0.5)
     assert harness.TABLE1 == {
         Scheme.HSEGM: dict(theta=one, eta=k2),
@@ -64,8 +64,9 @@ def test_table1_rows_follow_each_schemes_parts(small_problem):
         Scheme.VTEGM: dict(theta=one, eta=k2, step=adaptive),
         Scheme.STEGM: dict(theta=one, eta=k2, step=Armijo(rho=1.0, l=0.5, phi=0.4)),
     }
-    # STEGM's hybrid-steepest-descent weight, the one Table 1 value outside TABLE1
-    assert HSD_LAMBDA == 0.5
+    # the inertial cap and STEGM's hybrid-steepest-descent weight, the two
+    # Table 1 values outside TABLE1
+    assert (INERTIAL_DELTA, HSD_LAMBDA) == (0.6, 0.5)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -74,10 +75,11 @@ def test_presets_validate_cleanly(scheme, small_problem):
     assert harness.validate_conditions(cfg, horizon=400) == []
 
 
-@pytest.mark.parametrize("key", ["zeta_seq", "etaa", "hsd_lambda"])
+# delta is the constant INERTIAL_DELTA, not an override
+@pytest.mark.parametrize("key", ["zeta_seq", "etaa", "hsd_lambda", "delta"])
 def test_make_config_rejects_unknown_override_keys(small_problem, key):
-    with pytest.raises(ConfigError, match=f"{key}; make_config takes theta, eta, "
-                                          "zeta, delta, step$"):
+    with pytest.raises(ConfigError, match=f"^unknown override key\\(s\\) {key}; make_config "
+                                          "takes theta, eta, zeta, step$"):
         harness.make_config(Scheme.IMSEGM, small_problem,
                             **{key: SequenceRule("constant", 1.0)})
 

@@ -20,6 +20,7 @@ from membership import contains, sample_point
 from segment_problem import segment_problem
 from vikit import algorithms
 from vikit.algorithms import (
+    INERTIAL_DELTA,
     PROPOSED,
     SCHEMES,
     ConfigError,
@@ -133,11 +134,11 @@ def test_adaptive_step_stays_at_least_min_gamma1_and_phi_over_l(run):
     assert all(r.gamma >= floor for r in trace.rows)
 
 
-@given(space_and_points(2), st.floats(0.0, 5.0), st.floats(1e-6, 10.0))
-def test_inertial_step_stays_within_zeta(case, delta, zeta):
+@given(space_and_points(2), st.floats(1e-6, 10.0))
+def test_inertial_step_stays_within_zeta(case, zeta):
     sp, x_curr, x_prev = case
-    dk = _inertial_weight(sp, delta, zeta, x_curr - x_prev)
-    assert 0.0 <= dk <= delta
+    dk = _inertial_weight(sp, zeta, x_curr - x_prev)
+    assert 0.0 <= dk <= INERTIAL_DELTA
     assert dk * sp.norm(x_curr - x_prev) <= zeta * (1.0 + 1e-12)
 
 
@@ -393,6 +394,8 @@ def _unit_closed_left(v):
 
 
 RULES = [SequenceRule("one_over_kp1"), SequenceRule("constant", 0.25)]
+# rules that read theta_k, which only eta is given
+THETA_RULES = (SequenceRule("theta_over_3"), SequenceRule("half_one_minus_theta"))
 # the strings every field is offered, named so that a field that takes any
 # string can list these very objects as valid
 STRINGS = ("1", "")
@@ -454,16 +457,21 @@ FIELDS = [
           True, lambda v: v >= 1),
     # every SolverConfig field, through make_config and a 2-iteration solve
     Field("scheme", lambda v: _solved(v), valid=tuple(Scheme)),
-    # a scheme that takes imsegm's Adaptive step; another fails on the step
-    Field("algorithm", lambda v: _solved(replace=dict(algorithm=v)),
-          valid=tuple(s for s, parts in SCHEMES.items() if parts.step is Adaptive)),
+    # a scheme that takes imsegm's Adaptive step and zeta, that is one with
+    # inertia; another fails on the step or on zeta
+    Field("algorithm", lambda v: _solved(replace=dict(algorithm=v)), valid=PROPOSED),
     Field("step", lambda v: _solved(step=v), valid=(Adaptive(0.5, 0.5), Adaptive(0.1, 0.9)),
           others=(Fixed(0.5), Armijo(1.0, 0.5, 0.4))),
-    Field("theta", lambda v: _solved(theta=v), valid=tuple(RULES)),
-    Field("eta", lambda v: _solved(eta=v), valid=tuple(RULES)),
-    Field("zeta", lambda v: _solved(zeta=v), valid=(RULES[0], SequenceRule("one_over_kp1_sq"))),
-    Field("delta", lambda v: _solved(delta=v), False, _nonnegative),
-    Field("lambda_T", lambda v: _solved(replace=dict(lambda_T=v)), False, _unit_closed_left),
+    Field("theta", lambda v: _solved(theta=v), valid=tuple(RULES), others=THETA_RULES),
+    Field("eta", lambda v: _solved(eta=v), valid=tuple(RULES) + THETA_RULES),
+    Field("zeta", lambda v: _solved(zeta=v), valid=(RULES[0], SequenceRule("one_over_kp1_sq")),
+          others=THETA_RULES),
+    # a scheme without inertia takes no zeta
+    Field("zeta", lambda v: _solved(Scheme.MSEGM, zeta=v), valid=(None,),
+          others=(SequenceRule("one_over_kp1_sq"),)),
+    # the config's lambda is the problem's, 0 here
+    Field("lambda_T", lambda v: _solved(replace=dict(lambda_T=v)), False,
+          lambda v: v == _COUNTED.lambda_T),
     Field("max_iter", lambda v: _solved(max_iter=v), True, lambda v: 0 <= v <= 7),
     Field("x0", lambda v: _solved(x0=v), valid=(_X0,),
           others=(_X0.coords, zeros(euclidean(3)), zeros(grid_l2(4)))),
@@ -473,16 +481,15 @@ FIELDS = [
     # every SolverConfig field again, through dataclasses.replace and
     # validate_conditions, which reads a config with no problem: only the
     # space rule and the starts being set wait for solve
-    Field("algorithm", lambda v: _validated(algorithm=v),
-          valid=tuple(s for s, parts in SCHEMES.items() if parts.step is Adaptive),
-          others=("imsegm",)),
+    Field("algorithm", lambda v: _validated(algorithm=v), valid=PROPOSED, others=("imsegm",)),
     Field("step", lambda v: _validated(step=v), valid=(Adaptive(0.5, 0.5), Adaptive(0.1, 0.9)),
           others=(Fixed(0.5), Armijo(1.0, 0.5, 0.4))),
-    Field("theta", lambda v: _validated(theta=v), valid=tuple(RULES)),
-    Field("eta", lambda v: _validated(eta=v), valid=tuple(RULES)),
+    Field("theta", lambda v: _validated(theta=v), valid=tuple(RULES), others=THETA_RULES),
+    Field("eta", lambda v: _validated(eta=v), valid=tuple(RULES) + THETA_RULES),
     Field("zeta", lambda v: _validated(zeta=v),
-          valid=(RULES[0], SequenceRule("one_over_kp1_sq"))),
-    Field("delta", lambda v: _validated(delta=v), False, _nonnegative),
+          valid=(RULES[0], SequenceRule("one_over_kp1_sq")), others=THETA_RULES),
+    Field("zeta", lambda v: _validated(algorithm=Scheme.VSEGM, zeta=v), valid=(None,),
+          others=(SequenceRule("one_over_kp1_sq"),)),
     Field("lambda_T", lambda v: _validated(lambda_T=v), False, _unit_closed_left),
     Field("max_iter", lambda v: _validated(max_iter=v), True, _nonnegative),
     Field("x0", lambda v: _validated(x0=v), valid=(_X0, zeros(euclidean(3)), None),
