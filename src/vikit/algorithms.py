@@ -3,8 +3,8 @@
 Four inertial Mann-type extragradient methods (two subgradient-halfspace
 variants, two forward-correction variants) and six baselines: anchored,
 hybrid-steepest-descent, two plain Mann-type, and two viscosity-type
-extragradient methods. Each scheme is one row of `SCHEMES`, and one
-generic step runs every row.
+extragradient methods. Each scheme is one `Scheme` member, which names
+its parts, and one generic step runs every member.
 
 `solve` checks its starting points against the problem's space once and
 then iterates on plain coordinate arrays. A step that overflows, or meets
@@ -37,51 +37,34 @@ from .stepsize import (
 
 
 class Scheme(enum.Enum):
-    IMSEGM = "imsegm"
-    IMTEGM = "imtegm"
-    IMMSEGM = "immsegm"
-    IMMTEGM = "immtegm"
-    HSEGM = "hsegm"
-    STEGM = "stegm"
-    MSEGM = "msegm"
-    MMSEGM = "mmsegm"
-    VSEGM = "vsegm"
-    VTEGM = "vtegm"
+    """A scheme's name (its value) and what it is built from: inertial
+    extrapolation or none; the subgradient-extragradient "halfspace"
+    projection or Tseng's forward correction "tseng"; the outer update
+    ("mann", "modified_mann", "anchored", "viscosity" or "hsd", hybrid
+    steepest descent); and the step-policy type."""
 
-    # members are singletons, so identity hashes agree with equality;
-    # Enum's own __hash__ hashes the name in Python, on every SCHEMES lookup
-    __hash__ = object.__hash__
+    IMSEGM = "imsegm", True, "halfspace", "mann", Adaptive
+    IMTEGM = "imtegm", True, "tseng", "mann", Adaptive
+    IMMSEGM = "immsegm", True, "halfspace", "modified_mann", Adaptive
+    IMMTEGM = "immtegm", True, "tseng", "modified_mann", Adaptive
+    HSEGM = "hsegm", False, "halfspace", "anchored", Fixed
+    # the Armijo search yields y itself, so an Armijo scheme has no trial
+    # point to build a halfspace from and must use the forward correction
+    STEGM = "stegm", False, "tseng", "hsd", Armijo
+    MSEGM = "msegm", False, "halfspace", "mann", Fixed
+    MMSEGM = "mmsegm", False, "halfspace", "modified_mann", Fixed
+    VSEGM = "vsegm", False, "halfspace", "viscosity", Adaptive
+    VTEGM = "vtegm", False, "tseng", "viscosity", Adaptive
 
-
-class Parts(NamedTuple):
-    """What a scheme is built from: inertial extrapolation or none; the
-    subgradient-extragradient "halfspace" projection or Tseng's forward
-    correction "tseng"; the outer update ("mann", "modified_mann",
-    "anchored", "viscosity" or "hsd", hybrid steepest descent); and the
-    step-policy type."""
-
-    inertial: bool
-    correction: str
-    outer: str
-    step: type
+    def __new__(cls, value: str, inertial: bool, correction: str, outer: str, step: type):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.inertial, member.correction, member.outer = inertial, correction, outer
+        member.step = step
+        return member
 
 
-SCHEMES = {
-    Scheme.IMSEGM: Parts(True, "halfspace", "mann", Adaptive),
-    Scheme.IMTEGM: Parts(True, "tseng", "mann", Adaptive),
-    Scheme.IMMSEGM: Parts(True, "halfspace", "modified_mann", Adaptive),
-    Scheme.IMMTEGM: Parts(True, "tseng", "modified_mann", Adaptive),
-    Scheme.HSEGM: Parts(False, "halfspace", "anchored", Fixed),
-    # the Armijo search yields y itself, so an Armijo row has no trial point
-    # to build a halfspace from and must use the forward correction
-    Scheme.STEGM: Parts(False, "tseng", "hsd", Armijo),
-    Scheme.MSEGM: Parts(False, "halfspace", "mann", Fixed),
-    Scheme.MMSEGM: Parts(False, "halfspace", "modified_mann", Fixed),
-    Scheme.VSEGM: Parts(False, "halfspace", "viscosity", Adaptive),
-    Scheme.VTEGM: Parts(False, "tseng", "viscosity", Adaptive),
-}
-
-PROPOSED = tuple(s for s, p in SCHEMES.items() if p.inertial)
+PROPOSED = tuple(s for s in Scheme if s.inertial)
 
 
 class SolveError(RuntimeError):
@@ -155,11 +138,11 @@ class SolverConfig:
     record_invariants: bool = False
 
     def __post_init__(self):
-        parts, unset = SCHEMES[check_type("algorithm", self.algorithm, Scheme)], type(None)
+        scheme, unset = check_type("algorithm", self.algorithm, Scheme), type(None)
         # only the inertial extrapolation reads zeta; check_config asks for x0 and x1
         for name, kind in (("theta", SequenceRule), ("eta", SequenceRule),
-                           ("zeta", SequenceRule if parts.inertial else unset),
-                           ("step", parts.step), ("record_invariants", bool),
+                           ("zeta", SequenceRule if scheme.inertial else unset),
+                           ("step", scheme.step), ("record_invariants", bool),
                            ("x0", (SpaceElement, unset)), ("x1", (SpaceElement, unset))):
             check_type(name, getattr(self, name), kind)
         for name in ("theta", "zeta"):  # only eta is evaluated with theta_k
@@ -241,21 +224,21 @@ def _inertial_weight(space, zeta_k: float, dx: np.ndarray) -> float:
 _FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
 
 
-def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
+def _step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
           cfg: SolverConfig) -> IterateState:
-    """One iteration of the scheme built from parts."""
+    """One iteration of scheme, built from its parts."""
     k = state.k
     theta = cfg.theta(k)
     eta = cfg.eta(k, theta)
     space, A, T = problem.space, problem.A, problem.T
     x = state.x_curr
     s, dk = x, 0.0
-    if parts.inertial:
+    if scheme.inertial:
         dx = x - state.x_prev
         dk = _inertial_weight(space, cfg.zeta(k), dx)
         s = x + dk * dx
 
-    if parts.step is Armijo:
+    if scheme.step is Armijo:
         gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
     else:
         gamma = state.gamma
@@ -265,29 +248,29 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
         Ay = A(y)
 
     hk = None
-    if parts.correction == "tseng":
+    if scheme.correction == "tseng":
         z = y + (-gamma) * (Ay - As)
     else:
         hk = HalfSpace(trial - y, y, space)
         z = project(hk, s + (-gamma) * Ay)
 
-    if parts.outer == "mann":
+    if scheme.outer == "mann":
         x_next = (1.0 - theta - eta) * z + eta * T(z)
-    elif parts.outer == "modified_mann":
+    elif scheme.outer == "modified_mann":
         x_next = (1.0 - eta) * (theta * z) + eta * T(z)
-    elif parts.outer == "anchored":
+    elif scheme.outer == "anchored":
         z = theta * cfg.x0.coords + (1.0 - theta) * z
         x_next = eta * x + (1.0 - eta) * T(z)
     else:
         t = (1.0 - eta) * z + eta * T(z)
-        if parts.outer == "viscosity":
+        if scheme.outer == "viscosity":
             x_next = theta * problem.f_visc(x) + (1.0 - theta) * t
         else:  # hsd
             x_next = t + (-HSD_LAMBDA * theta) * problem.F(t)
     x_next = check_finite(x_next)
 
     gamma_next = gamma
-    if parts.step is Adaptive:
+    if scheme.step is Adaptive:
         gamma_next = adaptive_update(space, gamma, cfg.step.phi, s, y, As, Ay)
     return IterateState(k + 1, x, x_next, s, y, z, gamma_next, dk, state.gamma, hk)
 
@@ -297,32 +280,32 @@ def _step(parts: Parts, state: IterateState, problem: ProblemInstance,
 def step_alg1(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type subgradient extragradient step."""
-    return _step(SCHEMES[Scheme.IMSEGM], state, problem, cfg)
+    return _step(Scheme.IMSEGM, state, problem, cfg)
 
 
 def step_alg2(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type step with the forward correction in place of the
     second projection."""
-    return _step(SCHEMES[Scheme.IMTEGM], state, problem, cfg)
+    return _step(Scheme.IMTEGM, state, problem, cfg)
 
 
 def step_alg3(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type subgradient extragradient step."""
-    return _step(SCHEMES[Scheme.IMMSEGM], state, problem, cfg)
+    return _step(Scheme.IMMSEGM, state, problem, cfg)
 
 
 def step_alg4(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type step with the forward correction."""
-    return _step(SCHEMES[Scheme.IMMTEGM], state, problem, cfg)
+    return _step(Scheme.IMMTEGM, state, problem, cfg)
 
 
 def step_baseline(state: IterateState, problem: ProblemInstance,
                   cfg: SolverConfig) -> IterateState:
     """Step of the scheme cfg.algorithm."""
-    return _step(SCHEMES[cfg.algorithm], state, problem, cfg)
+    return _step(cfg.algorithm, state, problem, cfg)
 
 
 def check_tol(tol: Optional[float]):
@@ -342,7 +325,7 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     # validate_conditions reads lambda from the config, which has no problem
     if cfg.lambda_T != problem.lambda_T:
         raise ConfigError(f"lambda_T must be the problem's {problem.lambda_T}, got {cfg.lambda_T}")
-    parts = SCHEMES[cfg.algorithm]
+    scheme = cfg.algorithm
     # every D_k and residual is measured against x_star
     for name in ("tol", "record_invariants"):
         if problem.x_star is None and getattr(cfg, name) not in (None, False):
@@ -352,14 +335,14 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     for name in ("x0", "x1"):
         check_space(name, check_type(name, getattr(cfg, name), SpaceElement), problem.space)
     # gamma in (0, 1/L), with no division: L = 0 admits every gamma
-    if parts.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
+    if scheme.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
         raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
-    needed = _OUTER_OPERATORS.get(parts.outer)
+    needed = _OUTER_OPERATORS.get(scheme.outer)
     if needed is not None and getattr(problem, needed) is None:
-        raise ConfigError(f"{needed} must be set for {cfg.algorithm.value}'s {parts.outer} update")
+        raise ConfigError(f"{needed} must be set for {scheme.value}'s {scheme.outer} update")
 
 
-def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
+def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
                u: np.ndarray, space: SpaceDescriptor) -> Tuple[float, float, float]:
     """Per-iteration inequality slacks, nan where not applicable.
 
@@ -374,9 +357,9 @@ def _residuals(parts: Parts, state: IterateState, phi: Optional[float],
     def dist(a, b):
         return finite_norm(space, a - b)
 
-    if parts.inertial:
+    if scheme.inertial:
         ratio = state.gamma_prev / state.gamma
-        if parts.correction == "tseng":
+        if scheme.correction == "tseng":
             coeff = 1.0 - (phi * ratio) ** 2
             d_sy = dist(s, y)
             res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * d_sy ** 2)
@@ -398,7 +381,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     error D_k (when the solution is known), step and inertia parameters,
     elapsed time, and optional inequality residuals."""
     check_config(cfg, problem)
-    parts, tol = SCHEMES[cfg.algorithm], cfg.tol
+    scheme, tol = cfg.algorithm, cfg.tol
     phi = getattr(cfg.step, "phi", None)
     space = problem.space
     x_star = None if problem.x_star is None else problem.x_star.coords
@@ -409,7 +392,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     trace = ConvergenceTrace(scheme=cfg.algorithm)
     rows = trace.rows
     state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
-                         gamma=getattr(cfg.step, _FIRST_GAMMA[parts.step]))
+                         gamma=getattr(cfg.step, _FIRST_GAMMA[scheme.step]))
     rows.append(TraceRow(1, err(state.x_curr), state.gamma, 0.0, 0.0))
     start = time.perf_counter()
     for _ in range(cfg.max_iter):
@@ -420,7 +403,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
                              trace) from exc
         residuals = None
         if cfg.record_invariants:
-            residuals = _residuals(parts, state, phi, x_star, space)
+            residuals = _residuals(scheme, state, phi, x_star, space)
         d = err(state.x_curr)
         rows.append(TraceRow(state.k, d, state.gamma, state.delta_k,
                              time.perf_counter() - start, residuals))

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import problems as prob
 from .algorithms import (
-    SCHEMES,
     ConfigError,
     ConvergenceTrace,
     Scheme,
@@ -63,18 +62,18 @@ _STEPS = {Adaptive: Adaptive(gamma1=0.5, phi=0.5), Armijo: Armijo(rho=1.0, l=0.5
 TABLE1_FIXED_GAMMA_FACTOR = 0.99
 
 
-def _table1_row(parts) -> dict:
-    theta, eta = _OUTER_SEQS.get(parts.outer, ("one_over_kp1", "k_over_2kp1"))
+def _table1_row(scheme: Scheme) -> dict:
+    theta, eta = _OUTER_SEQS.get(scheme.outer, ("one_over_kp1", "k_over_2kp1"))
     row = dict(theta=SequenceRule(theta), eta=SequenceRule(eta))
-    if parts.inertial:
+    if scheme.inertial:
         row["zeta"] = SequenceRule("one_over_kp1_sq")
-    if parts.step in _STEPS:
-        row["step"] = _STEPS[parts.step]
+    if scheme.step in _STEPS:
+        row["step"] = _STEPS[scheme.step]
     return row
 
 
 # Each key of a row is the SolverConfig field it fills.
-TABLE1: Dict[Scheme, dict] = {scheme: _table1_row(p) for scheme, p in SCHEMES.items()}
+TABLE1: Dict[Scheme, dict] = {scheme: _table1_row(scheme) for scheme in Scheme}
 
 
 def make_config(scheme: Scheme, problem: prob.ProblemInstance,
@@ -135,7 +134,7 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     check_field("horizon", horizon, 1, integer=True)
     out: List[Violation] = []
     lam = cfg.lambda_T
-    cond = CONDITIONS.get(SCHEMES[cfg.algorithm].outer)
+    cond = CONDITIONS.get(cfg.algorithm.outer)
     eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
     ks = range(1, horizon + 1)
 
@@ -366,9 +365,12 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
     Returns the instance and the initial-point kind. The plan seed is used
     for ex1 generation when the spec does not pin one, and always for
     random initial points. A value the builder rejects raises ValueError
-    naming the spec.
+    naming the spec; a spec that is not a str, or a seed that is not an
+    integer in [0, inf), raises ConfigError naming it, even when the spec
+    pins its own seed.
     """
-    name, params, init = _spec_fields(spec, seed)
+    check_field("seed", seed, 0, integer=True)
+    name, params, init = _spec_fields(check_type("spec", spec, str), seed)
     try:
         return prob.FAMILIES[name].build(**params), init
     except ValueError as exc:

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, SpaceKind, _read_only,
-                    check_field, check_finite, check_space, check_type, euclidean)
+                    Reals, check_field, check_finite, check_space, check_type, euclidean)
 
 
 class PowerIterationError(RuntimeError):
@@ -67,7 +67,7 @@ class AffineMatrix:
     probe: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
+        G = np.asarray(check_type("G", self.G, Reals), dtype=float)
         if G.ndim != 2 or G.shape[0] != G.shape[1]:
             raise ConfigError(f"G must be a square matrix, got shape {G.shape}")
         f = self.f_vec

@@ -15,6 +15,7 @@ import numpy as np
 from . import operators as ops
 from .projections import Ball, Box, FeasibleSet, HalfSpace, project
 from .space import (
+    ConfigError,
     SpaceDescriptor,
     SpaceElement,
     check_field,
@@ -97,7 +98,7 @@ class RandomSpec:
 
 def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> ProblemInstance:
     """Box-constrained VI with A(x) = Gx + f, G = BB^T + S + E."""
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(check_type("spec", spec, RandomSpec).seed)
     n = spec.n
     B = rng.uniform(0.0, 2.0, (n, n))
     e = rng.uniform(0.0, 2.0, n)
@@ -189,9 +190,12 @@ FAMILIES = {
 
 def initial_points(problem: ProblemInstance, kind: str,
                    seed: int = 0) -> Tuple[SpaceElement, SpaceElement]:
-    """Paired starting points x^0 = x^1 per the named recipe."""
-    if kind not in _START_RECIPES:
-        raise ValueError(f"unknown initial-point kind {kind!r}")
+    """Paired starting points x^0 = x^1 per the named recipe. A kind that
+    names no recipe, or a seed that is not an integer in [0, inf), raises
+    ConfigError naming it."""
+    check_field("seed", seed, 0, integer=True)
+    if not isinstance(kind, str) or kind not in _START_RECIPES:
+        raise ConfigError(f"kind must be one of {', '.join(_START_RECIPES)}, got {kind!r}")
     x = element(problem.space, _START_RECIPES[kind].coords(problem.space, seed))
     return x, x
 

@@ -91,16 +91,27 @@ def check_space(name: str, value, space: SpaceDescriptor):
     raise SpaceMismatchError(f"{name} must lie in {space}, got a value {where}")
 
 
-class _RealArrayKind(type):
+class _RealKind(type):
     def __instancecheck__(cls, value) -> bool:
-        arr = np.asarray(value)
-        return arr.dtype.kind in "iuf" and arr.ndim <= 1 and not np.isnan(arr).any()
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged list
+            return False
+        if arr.dtype.kind not in "iuf":
+            return False
+        return cls is Reals or (arr.ndim <= 1 and not np.isnan(arr).any())
 
 
-class RealArray(metaclass=_RealArrayKind):
-    """The kind, for check_type, of a real number or a one-dimensional array
-    of them (a list or an ndarray of integer or float dtype) with no NaN
-    entry. Bools, strings and objects are not real."""
+class Reals(metaclass=_RealKind):
+    """The kind, for check_type, of a real number or an array or nested
+    list of them, of any shape: integer or float dtype, NaN and Inf
+    included. Bools, strings, complex numbers, objects and ragged lists
+    are not real. This is the one statement of what a real array is."""
+
+
+class RealArray(metaclass=_RealKind):
+    """The kind of a Reals value of one dimension at most with no NaN
+    entry, such as a Box bound."""
 
 
 @dataclass(frozen=True)
@@ -229,12 +240,13 @@ class SpaceElement:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        arr = check_space("coords", np.asarray(self.coords, dtype=float), self.space)
+        coords = np.asarray(check_type("coords", self.coords, Reals), dtype=float)
+        arr = check_space("coords", coords, self.space)
         object.__setattr__(self, "coords", _read_only(check_finite(arr).copy()))
 
 
 def element(space: SpaceDescriptor, coords) -> SpaceElement:
-    return SpaceElement(np.asarray(coords, dtype=float), space)
+    return SpaceElement(coords, space)
 
 
 def zeros(space: SpaceDescriptor) -> SpaceElement:

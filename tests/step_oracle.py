@@ -14,7 +14,7 @@ the same exception at the same step.
 
 import numpy as np
 
-from vikit.algorithms import HSD_LAMBDA, INERTIAL_DELTA, IterateState, Parts
+from vikit.algorithms import HSD_LAMBDA, INERTIAL_DELTA, IterateState, Scheme
 from vikit.projections import Ball, Box, HalfSpace
 from vikit.space import check_finite
 from vikit.stepsize import Adaptive, Armijo, armijo_search
@@ -68,7 +68,7 @@ def _adaptive_update(space, gamma_k, phi, s, y, As, Ay):
     return min(phi * norm(check_finite(s - y)) / denom, gamma_k)
 
 
-def step_checked(parts: Parts, state: IterateState, problem, cfg) -> IterateState:
+def step_checked(parts: Scheme, state: IterateState, problem, cfg) -> IterateState:
     k = state.k
     theta = cfg.theta(k)
     eta = cfg.eta(k, theta)

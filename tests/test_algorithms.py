@@ -15,7 +15,6 @@ from step_oracle import step_checked
 from vikit import algorithms, space
 from vikit.algorithms import (
     PROPOSED,
-    SCHEMES,
     ConfigError,
     IterateState,
     Scheme,
@@ -120,17 +119,15 @@ def test_sequence_rule_values():
 
 def test_scheme_table_reproduces_the_scheme_sets():
     S = Scheme
-    assert set(SCHEMES) == set(Scheme)
     assert PROPOSED == (S.IMSEGM, S.IMTEGM, S.IMMSEGM, S.IMMTEGM)
-    conditioned = {label: {s for s, p in SCHEMES.items() if p.outer in CONDITIONS
-                           and CONDITIONS[p.outer].label == label}
+    conditioned = {label: {s for s in Scheme if s.outer in CONDITIONS
+                           and CONDITIONS[s.outer].label == label}
                    for label in ("C4", "C5")}
     assert conditioned["C4"] == {S.IMSEGM, S.IMTEGM, S.MSEGM}
     assert conditioned["C5"] == {S.IMMSEGM, S.IMMTEGM, S.MMSEGM}
 
     def rows(**match):
-        return {s for s, p in SCHEMES.items()
-                if all(getattr(p, k) == v for k, v in match.items())}
+        return {s for s in Scheme if all(getattr(s, k) == v for k, v in match.items())}
 
     assert rows(inertial=True) == set(PROPOSED)
     assert rows(correction="tseng") == {S.IMTEGM, S.IMMTEGM, S.VTEGM, S.STEGM}
@@ -475,7 +472,7 @@ def _assert_binding_solved(n, dim_v, seed, start_seed):
     assert certify(p) == []
     x0, x1 = initial_points(p, "random_uniform", seed=start_seed)
     traces = {}
-    for scheme in SCHEMES:
+    for scheme in Scheme:
         traces[scheme] = solve(p, make_config(scheme, p, x0=x0, x1=x1, max_iter=BINDING_ITERS))
         rows = traces[scheme].rows
         assert rows[-1].D <= BINDING_SHARE * rows[0].D, scheme
@@ -593,9 +590,9 @@ def huge_runs(draw):
     scheme = draw(st.sampled_from(list(Scheme)))
     overrides = {}
     size = 10.0 ** draw(st.integers(-3, 300))
-    if SCHEMES[scheme].step is Adaptive:
+    if scheme.step is Adaptive:
         overrides["step"] = Adaptive(gamma1=size, phi=0.5)
-    elif SCHEMES[scheme].step is Armijo:
+    elif scheme.step is Armijo:
         overrides["step"] = Armijo(rho=size, l=0.5, phi=0.4)
     return p, make_config(scheme, p, x0=x0, x1=x1, max_iter=5,
                           record_invariants=draw(st.booleans()), **overrides)

@@ -1,15 +1,18 @@
 """The names perfbench's tracer binds in vikit still exist and still carry
-the calls it counts, and the library calls of perfbench's workloads still
-work.
+the calls it counts, the library calls of perfbench's workloads still
+work, and perfbench names every scheme.
 
 `perfbench/tracer.py` replaces module-level functions, the plan's thread
 pool, `parse_problem_spec`, `project`, `solve` and `SpaceElement.__init__`
 by name. A refactor that renames or drops one of them breaks every traced
 benchmark run, so a small traced plan runs here. `perfbench/run.py` builds,
 certifies, configures, validates, solves and writes its library cells
-through vikit's public functions, so two small cells run here through it.
+through vikit's public functions, so two small cells run here through it. perfbench keeps its own list of the scheme names, and
+`BENCHMARK.json` one per-scheme metric for each, so a scheme added to vikit
+alone would go untraced; that is checked here too.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -68,3 +71,16 @@ def test_library_workload_cells_run_through_vikit(tmp_path, monkeypatch):
             _, _, trace = run.run_cell(instance, 1, scheme, path)
             iterations, _, _ = run.fingerprint(path)
             assert 0 < iterations == len(trace.rows) - 1
+
+
+def test_perfbench_names_each_scheme_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    names = tuple(s.value for s in Scheme)
+    assert tracer.SCHEMES == names
+    prefix = "operators.A_evals_per_iter."
+    bench = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    metered = [m["name"][len(prefix):] for m in bench["per_layer"]
+               if m["name"].startswith(prefix)]
+    assert sorted(metered) == sorted(names)

@@ -270,14 +270,15 @@ def test_failed_validation_or_certification_prints_each_failure_and_exits_two(
     assert capsys.readouterr().out.splitlines() == expected
 
 
-# (arguments before the flag, an integer flag, its least accepted value or
-# None); the problems are tiny and --max-iter is at most 5
+# (arguments before the flag, an integer flag, its least accepted value);
+# the problems are tiny and --max-iter is at most 5. A seed is checked also
+# where the problem (ex2) does not read it
 INTEGER_FLAGS = [
     (["run", "--problem", "ex2:grid=5", "--alg", "imsegm"], "--max-iter", 1),
     (["run", "--problem", "ex2:grid=5", "--alg", "imsegm", "--max-iter", "2"], "--seed", 0),
     (["validate", "--alg", "imsegm", "--problem", "ex2:grid=5"], "--horizon", 1),
-    (["validate", "--alg", "imsegm", "--problem", "ex2:grid=5"], "--seed", None),
-    (["check", "--problem", "ex2:grid=5"], "--seed", None),
+    (["validate", "--alg", "imsegm", "--problem", "ex2:grid=5"], "--seed", 0),
+    (["check", "--problem", "ex2:grid=5"], "--seed", 0),
 ]
 
 
@@ -295,7 +296,7 @@ def test_integer_flags_take_ascii_decimals_only(case, value):
         assert code == 2
         assert f"argument {flag}: invalid integer value: {value!r}" in err.getvalue()
     else:
-        assert code == (2 if least is not None and int(value) < least else 0), err.getvalue()
+        assert code == (2 if int(value) < least else 0), err.getvalue()
 
 
 # (a command's argv, a scalar flag of it, an accepted value); run's scalar

@@ -22,7 +22,6 @@ from vikit import algorithms
 from vikit.algorithms import (
     INERTIAL_DELTA,
     PROPOSED,
-    SCHEMES,
     ConfigError,
     Scheme,
     SequenceRule,
@@ -33,7 +32,7 @@ from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, valid
 from vikit.operators import AffineMatrix, Scale, estimate_lipschitz
 from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
-from vikit.space import element, euclidean, grid_l2, zeros
+from vikit.space import SpaceElement, element, euclidean, grid_l2, zeros
 from vikit.stepsize import Adaptive, Armijo, Fixed, adaptive_update
 
 coord = st.floats(-10.0, 10.0, allow_subnormal=False)
@@ -111,7 +110,7 @@ def ex1_runs(draw, step_type):
     FLOOR_ITERS iterations from a drawn start seed by a drawn scheme whose
     step is step_type."""
     p = make_example1(RandomSpec(draw(st.integers(2, 30)), draw(st.integers(0, 2**16))))
-    scheme = draw(st.sampled_from([s for s in Scheme if SCHEMES[s].step is step_type]))
+    scheme = draw(st.sampled_from([s for s in Scheme if s.step is step_type]))
     x0, x1 = initial_points(p, "random_uniform", seed=draw(st.integers(0, 2**16)))
     cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=FLOOR_ITERS)
     return p, cfg.step, solve(p, cfg)
@@ -153,7 +152,7 @@ STEP_ITERS = 100
 
 
 def _with_correction(correction):
-    return [s for s in Scheme if SCHEMES[s].correction == correction]
+    return [s for s in Scheme if s.correction == correction]
 
 
 @st.composite
@@ -232,11 +231,11 @@ def test_inertial_step_contracts_toward_the_solution(run):
     # reached 6.6e-4 of that bound
     p, cfg, states = run
     norm, n = p.space.norm, p.space.dim
-    u, parts = p.x_star.coords, SCHEMES[cfg.algorithm]
+    u = p.x_star.coords
     for st_ in states:
         s, y, z = st_.s, st_.y, st_.z
         norm_As, norm_Ay = norm(p.A(s)), norm(p.A(y))
-        res_c = algorithms._residuals(parts, st_, cfg.step.phi, u, p.space)[0]
+        res_c = algorithms._residuals(cfg.algorithm, st_, cfg.step.phi, u, p.space)[0]
         kept = st_.gamma_prev * 1e-14 * max(1.0, norm_As, norm_Ay)
         size = norm(s) + norm(y) + norm(z) + norm(u) + st_.gamma_prev * (norm_As + norm_Ay)
         assert res_c <= kept * (2 * norm(z - y) + kept) + (n + 4) * EPS * size ** 2
@@ -286,8 +285,8 @@ def test_each_scheme_converges_to_the_point_its_theorem_names(dims, seed, start)
     # limits that lie apart, and inside the box, where project_omega is P_Omega
     assume(p.space.norm(min_norm - nearest) >= 1.0)
     assume(max(np.abs(min_norm).max(), np.abs(nearest).max()) < 2.0)
-    for scheme, parts in SCHEMES.items():
-        named, other = (nearest, min_norm) if parts.outer == "anchored" else (min_norm, nearest)
+    for scheme in Scheme:
+        named, other = (nearest, min_norm) if scheme.outer == "anchored" else (min_norm, nearest)
         cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=2 * LIMIT_ITERS)
         x_half, x_end = _iterates_after(p, cfg, (LIMIT_ITERS, 2 * LIMIT_ITERS))
         dist = p.space.norm(x_half - named)
@@ -373,6 +372,17 @@ def _plan(max_iter=2, seeds=(1,), problems=("ex1:n=4",), algorithms=(Scheme.IMSE
     return ExperimentPlan(problems, algorithms, max_iter, seeds, output_dir, **fields)
 
 
+def _spec_parsed(spec):
+    """parse_problem_spec at seed 1. Any str passes the type rule; one that
+    is no spec, such as "", is the grammar's ValueError, tested elsewhere."""
+    try:
+        return parse_problem_spec(spec, 1)
+    except ConfigError:
+        raise
+    except ValueError:
+        return None
+
+
 def _positive(v):
     return 0 < v < math.inf
 
@@ -399,6 +409,10 @@ THETA_RULES = (SequenceRule("theta_over_3"), SequenceRule("half_one_minus_theta"
 # the strings every field is offered, named so that a field that takes any
 # string can list these very objects as valid
 STRINGS = ("1", "")
+# coordinates, and a matrix, hold real numbers: integer or float dtype
+REAL_PAIRS = ([0, 1], np.arange(2), np.zeros(2, np.float32), [np.int64(1), 2.5])
+NOT_REAL_PAIRS = (["1", "2"], [True, False], np.array([1, 2], dtype=object), [1j, 0],
+                  [1, None], [[0], [1, 2]], np.zeros(3))
 FIELDS = [
     Field("gamma", Fixed, False, _positive),
     Field("gamma1", lambda v: Adaptive(v, 0.5), False, _positive),
@@ -423,6 +437,12 @@ FIELDS = [
     Field("upper", lambda v: Box(-math.inf, v), False, lambda v: not math.isnan(v),
           valid=(np.ones(2), [0, 1]), others=(np.array(["b"]), [math.nan], np.ones((3, 1)),
                                               np.ones((1, 1, 1)))),
+    Field("coords", lambda v: element(euclidean(2), v), valid=REAL_PAIRS, others=NOT_REAL_PAIRS),
+    Field("coords", lambda v: SpaceElement(v, euclidean(2)), valid=REAL_PAIRS,
+          others=NOT_REAL_PAIRS),
+    Field("G", AffineMatrix, valid=(np.eye(2), [[1, 0], [0, 1]], np.eye(2, dtype=int)),
+          others=([["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), np.eye(2) * 1j,
+                  np.eye(2, dtype=object), [[1], [1, 2]], np.ones((2, 3)))),
     Field("c", Scale, False, _finite),
     Field("f_vec", lambda v: AffineMatrix(np.eye(2), v), valid=(None, zeros(grid_l2(2))),
           others=(zeros(euclidean(3)), np.zeros(2))),
@@ -445,6 +465,13 @@ FIELDS = [
                   HalfSpace(np.ones(3), np.zeros(3), euclidean(3)))),
     Field("x_star", lambda v: dataclasses.replace(_BASE, x_star=v), valid=(_BASE.x_star, None),
           others=(zeros(euclidean(3)), zeros(grid_l2(4)), _BASE.x_star.coords)),
+    Field("seed", lambda v: initial_points(_BASE, "random_uniform", v), True, lambda v: v >= 0),
+    Field("kind", lambda v: initial_points(_BASE, v), valid=("random_uniform",),
+          others=("bogus",)),
+    Field("spec", make_example1, valid=(RandomSpec(2, 1),)),
+    Field("spec", _spec_parsed, valid=("ex1:n=4", "ex2:grid=3", *STRINGS)),
+    # the seed is checked also where the spec pins its own
+    Field("seed", lambda v: parse_problem_spec("ex1:n=4,seed=1", v), True, lambda v: v >= 0),
     Field("max_iter", lambda v: _plan(max_iter=v), True, lambda v: v >= 1),
     Field("seeds", lambda v: _plan(seeds=(v,)), True, lambda v: v >= 0),
     Field("tol", lambda v: _plan(tol=v), False, _positive, (None,)),
