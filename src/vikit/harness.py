@@ -86,8 +86,9 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
     lambda_T; keyword overrides win. The override keys are TABLE1's: theta,
     eta, zeta and step. Any other key raises ConfigError, and so does a zeta
     for a scheme without inertia (SolverConfig's rule). A Fixed step is
-    0.99/L, so a problem with L unset or 0 raises ConfigError, as does a
-    scheme that is not a Scheme."""
+    0.99/L unless a step is passed, so a problem with L unset or 0 raises
+    ConfigError, as does a scheme that is not a Scheme; a step passed as
+    None is SolverConfig's ConfigError naming step."""
     check_type("scheme", scheme, Scheme)
     keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
     unknown = [key for key in overrides if key not in keys]
@@ -95,7 +96,7 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance,
         raise ConfigError(f"unknown override key(s) {', '.join(unknown)}; "
                           f"make_config takes {', '.join(keys)}")
     entry = dict(TABLE1[scheme], **overrides)
-    if entry.get("step") is None:
+    if "step" not in entry:
         if not problem.L:
             raise ConfigError(f"{scheme.value} needs a Lipschitz bound for its fixed step")
         entry["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)

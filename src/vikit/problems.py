@@ -18,6 +18,7 @@ from .space import (
     ConfigError,
     SpaceDescriptor,
     SpaceElement,
+    SpaceKind,
     check_field,
     check_finite,
     check_space,
@@ -96,8 +97,10 @@ class RandomSpec:
         check_field("seed", self.seed, 0, integer=True)
 
 
-def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> ProblemInstance:
-    """Box-constrained VI with A(x) = Gx + f, G = BB^T + S + E."""
+def make_example1(spec: RandomSpec) -> ProblemInstance:
+    """Box-constrained VI with A(x) = Gx, G = BB^T + S + E, and T = x/2.
+    G's symmetric part is positive definite and Fix(T) = {0} lies inside
+    the box, so x* = 0 is the one solution."""
     rng = np.random.default_rng(check_type("spec", spec, RandomSpec).seed)
     n = spec.n
     B = rng.uniform(0.0, 2.0, (n, n))
@@ -115,9 +118,7 @@ def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> Problem
     G[np.diag_indices(n)] += e
 
     space = euclidean(n)
-    A = ops.AffineMatrix(G, f)
-    # a nonzero offset moves the solution off the origin; no closed form then
-    x_star = zeros(space) if f is None else None
+    A = ops.AffineMatrix(G)
     return ProblemInstance(
         space=space,
         A=A,
@@ -126,7 +127,7 @@ def make_example1(spec: RandomSpec, f: Optional[SpaceElement] = None) -> Problem
         lambda_T=0.0,
         F=ops.Scale(0.5),
         f_visc=ops.Scale(0.5),
-        x_star=x_star,
+        x_star=zeros(space),
         L=ops.estimate_lipschitz(A),
         problem_id=f"ex1:n={n},seed={spec.seed}",
     )
@@ -151,20 +152,21 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
 
 
 class StartRecipe(NamedTuple):
-    """Whether two seeds can give different starts, and the starting
+    """Whether two seeds can give different starts, whether the recipe
+    reads the nodes of a grid_l2 space (and so needs one), and the starting
     coordinates from the space and the seed."""
 
     reads_seed: bool
+    reads_grid: bool
     coords: Callable[[SpaceDescriptor, int], np.ndarray]
 
 
-# by initial-point kind; space.grid rejects a non-grid space for the two
-# t-recipes
+# by initial-point kind
 _START_RECIPES = {
-    "random_uniform": StartRecipe(True, lambda space, seed:
+    "random_uniform": StartRecipe(True, False, lambda space, seed:
                                   np.random.default_rng(seed).uniform(0.0, 1.0, space.dim)),
-    "t_squared": StartRecipe(False, lambda space, seed: space.grid ** 2),
-    "t_plus_half_cos_t": StartRecipe(False, lambda space, seed:
+    "t_squared": StartRecipe(False, True, lambda space, seed: space.grid ** 2),
+    "t_plus_half_cos_t": StartRecipe(False, True, lambda space, seed:
                                      space.grid + 0.5 * np.cos(space.grid)),
 }
 
@@ -190,12 +192,17 @@ FAMILIES = {
 
 def initial_points(problem: ProblemInstance, kind: str,
                    seed: int = 0) -> Tuple[SpaceElement, SpaceElement]:
-    """Paired starting points x^0 = x^1 per the named recipe. A kind that
-    names no recipe, or a seed that is not an integer in [0, inf), raises
-    ConfigError naming it."""
+    """Paired starting points x^0 = x^1 per the named recipe. A problem that
+    is not a ProblemInstance, a kind that names no recipe for the problem's
+    space (the t-recipes need a grid_l2 space), or a seed that is not an
+    integer in [0, inf), raises ConfigError naming it."""
+    check_type("problem", problem, ProblemInstance)
     check_field("seed", seed, 0, integer=True)
-    if not isinstance(kind, str) or kind not in _START_RECIPES:
-        raise ConfigError(f"kind must be one of {', '.join(_START_RECIPES)}, got {kind!r}")
+    grid = problem.space.kind is SpaceKind.GRID_L2
+    kinds = [name for name, recipe in _START_RECIPES.items() if grid or not recipe.reads_grid]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"kind must be one of {', '.join(kinds)} on {problem.space}, "
+                          f"got {kind!r}")
     x = element(problem.space, _START_RECIPES[kind].coords(problem.space, seed))
     return x, x
 
@@ -216,12 +223,16 @@ def solution_residual(problem: ProblemInstance) -> float:
 def certify(problem: ProblemInstance) -> list:
     """Machine checks gating a problem before any solver run.
 
-    Returns a list of human-readable failure strings; empty means certified.
-    An A or T value it reads with a NaN or Inf entry raises
-    NonFiniteElementError (README's call convention).
+    Returns a list of human-readable failure strings; empty means certified,
+    that is every hypothesis checked. Without a known x_star, nonempty Omega
+    and T's demicontractivity cannot be checked, and the first failure says
+    so; A's monotonicity is still sampled. An A or T value it reads with a
+    NaN or Inf entry raises NonFiniteElementError (README's call convention).
     """
     failures = []
-    if problem.x_star is not None:
+    if problem.x_star is None:
+        failures.append("no known x*, so Omega nonempty and T demicontractive were not checked")
+    else:
         r = solution_residual(problem)
         if r > 1e-8:
             failures.append(f"VI solution residual {r:.3e} exceeds 1e-8")

@@ -13,8 +13,12 @@ from typing import Union
 
 import numpy as np
 
-from .space import (ConfigError, RealArray, SpaceDescriptor, SpaceElement, check_field,
+from .space import (ConfigError, RealArray, Reals, SpaceDescriptor, SpaceElement, check_field,
                     check_finite, check_space, check_type, euclidean)
+
+# numpy keeps one dtype object per built-in type, so every float64 array's
+# dtype is this object
+_F64 = np.dtype(float)
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
@@ -58,8 +62,9 @@ class Ball:
 
 @dataclass
 class HalfSpace:
-    """{x : <normal, x - anchor> <= 0} in the given space. The normal and
-    the anchor are arrays of the space's shape (ConfigError otherwise).
+    """{x : <normal, x - anchor> <= 0} in the given space. The space is a
+    SpaceDescriptor, and the normal and the anchor are real arrays of its
+    shape (ConfigError naming the field otherwise).
 
     A zero normal is the degenerate case and denotes the whole space.
     Not frozen: a halfspace scheme builds one every step, and a frozen
@@ -71,15 +76,19 @@ class HalfSpace:
     space: SpaceDescriptor
 
     def __post_init__(self):
-        # the inline shape test is the per-step guard; a non-array, which
-        # has no shape, takes the checks' path, and check_type names it
+        # the inline dtype and shape test is the per-step guard; anything
+        # else, a non-array or a non-space among them, takes the checks'
+        # path, where check_type or check_space names it
         try:
-            if self.normal.shape == (self.space.dim,) == self.anchor.shape:
+            if (self.normal.dtype is _F64 is self.anchor.dtype
+                    and self.normal.shape == (self.space.dim,) == self.anchor.shape):
                 return
         except AttributeError:
             pass
+        check_type("space", self.space, SpaceDescriptor)
         for name in ("normal", "anchor"):
-            check_space(name, check_type(name, getattr(self, name), np.ndarray), self.space)
+            value = check_type(name, check_type(name, getattr(self, name), np.ndarray), Reals)
+            check_space(name, value, self.space)
 
 
 FeasibleSet = Union[Box, Ball, HalfSpace]

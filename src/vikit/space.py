@@ -231,7 +231,9 @@ def grid_l2(n_grid: int = 101) -> SpaceDescriptor:
 
 @dataclass(frozen=True)
 class SpaceElement:
-    """A point of a space: a coordinate vector plus its descriptor.
+    """A point of a space: a coordinate vector plus its descriptor. A space
+    that is not a SpaceDescriptor, or coordinates that are not Reals, raise
+    ConfigError naming it.
 
     Immutable; the underlying array is never mutated after construction.
     """
@@ -240,8 +242,9 @@ class SpaceElement:
     space: SpaceDescriptor
 
     def __post_init__(self):
+        space = check_type("space", self.space, SpaceDescriptor)
         coords = np.asarray(check_type("coords", self.coords, Reals), dtype=float)
-        arr = check_space("coords", coords, self.space)
+        arr = check_space("coords", coords, space)
         object.__setattr__(self, "coords", _read_only(check_finite(arr).copy()))
 
 

@@ -310,9 +310,8 @@ def test_bad_tolerance_rejected():
         with pytest.raises(ConfigError, match=r"tol must be a real number in \(0,inf\)"):
             solve(p, _solve_cfg(Scheme.IMSEGM, p, tol=tol))
     # with no known solution every D_k is NaN, so no tolerance could stop the run
-    sp = euclidean(4)
-    q = make_example1(RandomSpec(n=4, seed=1), f=element(sp, np.ones(4)))
-    x = zeros(sp)
+    q = dataclasses.replace(p, x_star=None)
+    x = zeros(q.space)
     with pytest.raises(ConfigError, match="x_star"):
         solve(q, make_config(Scheme.IMSEGM, q, x0=x, x1=x, tol=1e-8))
 
@@ -320,9 +319,8 @@ def test_bad_tolerance_rejected():
 
 def test_record_invariants_without_known_solution_rejected():
     # every residual is measured against x_star, so none could be recorded
-    sp = euclidean(5)
-    q = make_example1(RandomSpec(n=5, seed=1), f=element(sp, np.ones(5)))
-    x = zeros(sp)
+    q = dataclasses.replace(_toy_problem(), x_star=None)
+    x = zeros(q.space)
     with pytest.raises(ConfigError, match="record_invariants needs .* x_star"):
         solve(q, make_config(Scheme.IMSEGM, q, x0=x, x1=x, record_invariants=True))
 

@@ -1,22 +1,25 @@
 """Which statements of the numerical core the golden cells run.
 
-test_golden.py pins each scheme's arithmetic bit for bit, but only on the
-statements its 20 cells execute. This test runs the same cells under a
-sys.settrace line collector and checks that every statement of the
-functions in CORE is reached, apart from those in UNREACHED. Each of
-those names the test that pins it instead, and leaves the list once a
-golden cell reaches it. Line coverage does not see a branch inside one
-statement (a conditional expression, or the right operand of `and`), so
-such a branch needs a statement of its own to be counted.
+test_golden.py and test_golden_offset.py pin each scheme's arithmetic bit
+for bit, but only on the statements their 30 cells execute. This test
+runs the same cells under a sys.settrace line collector and checks that
+every statement of the functions in CORE is reached, apart from those in
+UNREACHED. Each of those names the test that pins it instead, and leaves
+the list once a golden cell reaches it. Line coverage does not see a
+branch inside one statement (a conditional expression, or the right
+operand of `and`), so such a branch needs a statement of its own to be
+counted.
 """
 
 import ast
+import functools
 import importlib
 import inspect
 import sys
 import textwrap
 
 from test_golden import GOLDEN, _fingerprint_sha
+from test_golden_offset import GOLDEN_OFFSET, _offset_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
@@ -24,8 +27,12 @@ CORE = (algorithms._step, algorithms._residuals, projections.project,
         stepsize.adaptive_update, stepsize.armijo_search, stepsize._proven_rejections,
         space.SpaceDescriptor.inner, space.SpaceDescriptor.norm, operators.AffineMatrix.__call__)
 
-# the golden cells, in the order they run here
-CELLS = list(GOLDEN)
+# the golden cells, in the order they run here: (the cell's fingerprint
+# given a path to write its trace to, its golden hash)
+CELLS = ([(functools.partial(_fingerprint_sha, spec, Scheme(scheme)), sha)
+          for (spec, scheme), sha in GOLDEN.items()]
+         + [(functools.partial(_offset_sha, Scheme(scheme)), sha)
+            for scheme, sha in GOLDEN_OFFSET.items()])
 
 # (function, statement as written, which of the function's statements so
 # written, counted from 1) -> the test that pins the statement where no
@@ -75,11 +82,9 @@ UNREACHED = {
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
     ("SpaceDescriptor.norm", "return big * math.sqrt(self.inner(b, b))", 1):
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
-    # certification's blocks of rows, and an offset f, which no spec builds
+    # certification's blocks of rows
     ("AffineMatrix.__call__", "y = x @ G.T", 1):
         "test_operators.py::test_affine_matrix_maps_a_block_bitwise_as_x_times_g_transposed",
-    ("AffineMatrix.__call__", "return y + self.f_vec.coords", 1):
-        "test_operators.py::test_affine_matrix_is_bitwise_the_matmul_form",
 }
 
 
@@ -124,8 +129,8 @@ def _reached(cells, path) -> set:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        for spec, scheme in cells:
-            assert _fingerprint_sha(spec, Scheme(scheme), path) == GOLDEN[(spec, scheme)]
+        for fingerprint, sha in cells:
+            assert fingerprint(path) == sha
     finally:
         sys.settrace(previous)
     return reached

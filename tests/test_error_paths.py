@@ -9,8 +9,8 @@ import pytest
 
 from vikit.algorithms import SequenceRule
 from vikit.operators import AffineMatrix, RankOneIntegral, Scale
-from vikit.problems import make_example2
-from vikit.projections import Box
+from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
+from vikit.projections import Box, HalfSpace
 from vikit.space import ConfigError, SpaceMismatchError, element, euclidean
 from vikit.stepsize import Armijo
 
@@ -41,10 +41,14 @@ from vikit.stepsize import Armijo
     (lambda: RankOneIntegral(euclidean(3)), ConfigError,
      r"space must be a grid_l2 space, got euclidean\(3\)"),
     (lambda: RankOneIntegral(5), ConfigError, "space must be of type SpaceDescriptor, got 5"),
+    (lambda: initial_points(make_example1(RandomSpec(4, 1)), "t_squared"), ConfigError,
+     r"kind must be one of random_uniform on euclidean\(4\), got 't_squared'"),
+    (lambda: HalfSpace(np.array(["a", "b"]), np.zeros(2), euclidean(2)), ConfigError,
+     r"normal must be of type Reals, got array\(\['a', 'b'\], dtype='<U1'\)"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
         "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
         "sequence-kind", "box-upper-below-lower", "affine-not-square", "rank-one-not-grid",
-        "rank-one-not-a-space"])
+        "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()

@@ -132,6 +132,8 @@ def test_theta_out_of_range_flagged(small_problem):
      "eta_range at k=1: eta_k=1.0 outside (0,1)"),
     (Scheme.IMSEGM, {}, dict(zeta=SequenceRule("constant", 0.0)),
      "zeta_positive at k=1: zeta_k=0.0 not positive"),
+    # an explicit None is no step, not a request for the fixed 0.99/L
+    (Scheme.IMSEGM, {}, dict(step=None), "ConfigError: step must be of type Adaptive, got None"),
 ])
 def test_bad_parameters_are_named_by_make_config_or_the_conditions(
         small_problem, scheme, problem_changes, overrides, named):

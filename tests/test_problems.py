@@ -61,13 +61,14 @@ def test_example1_certifies():
     assert certify(p) == []
 
 
-def test_example1_nonzero_offset_drops_known_solution():
-    base = make_example1(RandomSpec(n=5, seed=2))
-    f = element(base.space, np.ones(5))
-    p = make_example1(RandomSpec(n=5, seed=2), f=f)
-    assert p.x_star is None
+def test_a_problem_without_a_known_solution_is_not_certified():
+    # ex1 with offset 1 has an empty Omega: Fix(T) = {0} lies inside the
+    # box, and A(0) = 1 != 0. Monotonicity alone cannot show that
+    p = make_example1(RandomSpec(n=20, seed=1))
+    q = dataclasses.replace(p, A=AffineMatrix(p.A.G, element(p.space, np.ones(20))), x_star=None)
     with pytest.raises(ValueError):
-        solution_residual(p)
+        solution_residual(q)
+    assert certify(q) == ["no known x*, so Omega nonempty and T demicontractive were not checked"]
 
 
 def test_example2_structure_and_certification():
@@ -121,8 +122,11 @@ def test_grid_recipes_rejected_on_euclidean_space():
     assert starts == {"random_uniform", "t_squared", "t_plus_half_cos_t"}
 
 
-@pytest.mark.parametrize("family,kind", [(name, kind) for name, family in FAMILIES.items()
-                                         for kind in family.starts])
+# every (family, accepted start) pair
+STARTS = [(name, kind) for name, family in FAMILIES.items() for kind in family.starts]
+
+
+@pytest.mark.parametrize("family,kind", STARTS)
 def test_two_seeds_give_equal_starts_exactly_when_the_recipe_is_seed_free(family, kind):
     problem, _ = parse_problem_spec(f"{family}:init={kind}", seed=1)
     x1, _ = initial_points(problem, kind, seed=1)
@@ -216,3 +220,16 @@ def test_spec_validation_and_rng_label():
     with pytest.raises(ValueError):
         RandomSpec(n=0, seed=1)
     assert RNG_ALGORITHM == "numpy-PCG64"
+
+
+@pytest.mark.parametrize("family,kind", STARTS)
+def test_each_family_builds_a_problem_with_a_known_solution_that_certifies(family, kind):
+    # so no spec meets certify's failure for a problem without x*; the
+    # integer keys with a default are set small
+    keys = ",".join(f"{key}=5" for key, default in FAMILIES[family].keys.items()
+                    if default is not None)
+    problem, init = parse_problem_spec(f"{family}:{keys},init={kind}", seed=1)
+    assert init == kind and problem.x_star is not None
+    assert certify(problem) == []
+    x0, _ = initial_points(problem, kind, seed=1)
+    assert x0.space == problem.space

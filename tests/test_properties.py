@@ -30,7 +30,7 @@ from vikit.algorithms import (
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
 from vikit.operators import AffineMatrix, Scale, estimate_lipschitz
-from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
+from vikit.problems import RandomSpec, certify, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
 from vikit.space import SpaceElement, element, euclidean, grid_l2, zeros
 from vikit.stepsize import Adaptive, Armijo, Fixed, adaptive_update
@@ -280,6 +280,7 @@ def segment_dims(draw):
 @given(segment_dims(), st.integers(0, 2**16), st.integers(0, 2**16))
 def test_each_scheme_converges_to_the_point_its_theorem_names(dims, seed, start):
     p, project_omega = segment_problem(*dims, seed)
+    assert certify(p) == []
     x0, x1 = initial_points(p, "random_uniform", seed=start)
     min_norm, nearest = project_omega(np.zeros(dims[0])), project_omega(x0.coords)
     # limits that lie apart, and inside the box, where project_omega is P_Omega
@@ -440,6 +441,17 @@ FIELDS = [
     Field("coords", lambda v: element(euclidean(2), v), valid=REAL_PAIRS, others=NOT_REAL_PAIRS),
     Field("coords", lambda v: SpaceElement(v, euclidean(2)), valid=REAL_PAIRS,
           others=NOT_REAL_PAIRS),
+    Field("space", lambda v: element(v, [0, 1]), valid=(euclidean(2), grid_l2(2))),
+    # a halfspace is built every step, so its guard must not pass an array
+    # that is not real
+    Field("normal", lambda v: HalfSpace(v, np.zeros(2), euclidean(2)),
+          valid=(np.ones(2), np.arange(2), np.ones(2, np.float32)),
+          others=(np.array(["a", "b"]), np.array([True, False]), np.ones(2) * 1j,
+                  np.array([1, 2], dtype=object), [0.0, 1.0], np.ones(3), np.ones((1, 2)))),
+    Field("anchor", lambda v: HalfSpace(np.ones(2), v, euclidean(2)), valid=(np.zeros(2),),
+          others=(np.array(["a", "b"]), np.zeros(2, bool), (0.0, 0.0))),
+    Field("space", lambda v: HalfSpace(np.ones(2), np.zeros(2), v),
+          valid=(euclidean(2), grid_l2(2))),
     Field("G", AffineMatrix, valid=(np.eye(2), [[1, 0], [0, 1]], np.eye(2, dtype=int)),
           others=([["1", "0"], ["0", "1"]], np.eye(2, dtype=bool), np.eye(2) * 1j,
                   np.eye(2, dtype=object), [[1], [1, 2]], np.ones((2, 3)))),
@@ -466,8 +478,10 @@ FIELDS = [
     Field("x_star", lambda v: dataclasses.replace(_BASE, x_star=v), valid=(_BASE.x_star, None),
           others=(zeros(euclidean(3)), zeros(grid_l2(4)), _BASE.x_star.coords)),
     Field("seed", lambda v: initial_points(_BASE, "random_uniform", v), True, lambda v: v >= 0),
+    Field("problem", lambda v: initial_points(v, "random_uniform"), valid=(_BASE,)),
+    # the t-recipes read a grid, which _BASE's R^4 lacks
     Field("kind", lambda v: initial_points(_BASE, v), valid=("random_uniform",),
-          others=("bogus",)),
+          others=("bogus", "t_squared", "t_plus_half_cos_t")),
     Field("spec", make_example1, valid=(RandomSpec(2, 1),)),
     Field("spec", _spec_parsed, valid=("ex1:n=4", "ex2:grid=3", *STRINGS)),
     # the seed is checked also where the spec pins its own
