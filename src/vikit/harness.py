@@ -11,6 +11,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -25,7 +26,7 @@ from .algorithms import (
     check_tol,
     solve,
 )
-from .space import NonFiniteElementError, SpaceElement, check_field, check_type
+from .space import NonFiniteElementError, check_field, check_type
 from .stepsize import Adaptive, Armijo, Fixed
 
 
@@ -76,40 +77,31 @@ def _table1_row(scheme: Scheme) -> dict:
 TABLE1: Dict[Scheme, dict] = {scheme: _table1_row(scheme) for scheme in Scheme}
 
 
-def make_config(scheme: Scheme, problem: prob.ProblemInstance,
-                x0: Optional[SpaceElement] = None,
-                x1: Optional[SpaceElement] = None,
-                max_iter: int = 400, tol: Optional[float] = None,
-                record_invariants: bool = False,
-                **overrides) -> SolverConfig:
-    """Build a SolverConfig from the scheme's TABLE1 row and the problem's
-    lambda_T; keyword overrides win. The override keys are TABLE1's: theta,
-    eta, zeta and step. Any other key raises ConfigError, and so does a zeta
-    for a scheme without inertia (SolverConfig's rule). A Fixed step is
-    0.99/L unless a step is passed, so a problem with L unset or 0 raises
-    ConfigError, as does a scheme that is not a Scheme; a step passed as
-    None is SolverConfig's ConfigError naming step."""
+# the SolverConfig fields make_config takes as keywords: all but the two it
+# sets from the scheme and the problem
+_CONFIG_FIELDS = tuple(f.name for f in dataclass_fields(SolverConfig)
+                       if f.name not in ("algorithm", "lambda_T"))
+
+
+def make_config(scheme: Scheme, problem: prob.ProblemInstance, **fields) -> SolverConfig:
+    """The SolverConfig of scheme on problem: algorithm is scheme, lambda_T
+    is the problem's, each keyword sets the SolverConfig field it names,
+    and the scheme's TABLE1 row fills theta, eta, zeta and step where they
+    are not given. A keyword that is no other SolverConfig field raises
+    ConfigError naming it, as does a scheme that is not a Scheme. A Fixed
+    step is 0.99/L unless a step is given, so a problem with L unset or 0
+    raises ConfigError. Every other rule is SolverConfig's."""
     check_type("scheme", scheme, Scheme)
-    keys = dict.fromkeys(key for row in TABLE1.values() for key in row)
-    unknown = [key for key in overrides if key not in keys]
+    unknown = [key for key in fields if key not in _CONFIG_FIELDS]
     if unknown:
-        raise ConfigError(f"unknown override key(s) {', '.join(unknown)}; "
-                          f"make_config takes {', '.join(keys)}")
-    entry = dict(TABLE1[scheme], **overrides)
-    if "step" not in entry:
+        raise ConfigError(f"{', '.join(unknown)} not among the fields make_config takes: "
+                          + ", ".join(_CONFIG_FIELDS))
+    fields = dict(TABLE1[scheme], **fields)
+    if "step" not in fields:
         if not problem.L:
             raise ConfigError(f"{scheme.value} needs a Lipschitz bound for its fixed step")
-        entry["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
-    return SolverConfig(
-        algorithm=scheme,
-        lambda_T=problem.lambda_T,
-        max_iter=max_iter,
-        x0=x0,
-        x1=x1,
-        tol=tol,
-        record_invariants=record_invariants,
-        **entry,
-    )
+        fields["step"] = Fixed(TABLE1_FIXED_GAMMA_FACTOR / problem.L)
+    return SolverConfig(algorithm=scheme, lambda_T=problem.lambda_T, **fields)
 
 
 @dataclass(frozen=True)

@@ -133,10 +133,12 @@ def make_example1(spec: RandomSpec) -> ProblemInstance:
     )
 
 
-def make_example2(n_grid: int = 101) -> ProblemInstance:
-    """Positive-part operator over the unit ball of discretized L2([0,1]),
-    with the rank-one integral map as the fixed-point constraint."""
-    space = grid_l2(n_grid)
+def make_example2(grid: int = 101) -> ProblemInstance:
+    """Positive-part operator over the unit ball of discretized L2([0,1]) on
+    grid nodes, with the rank-one integral map as the fixed-point
+    constraint. A grid that is not an integer of at least 2 raises
+    ConfigError naming grid, the spec key."""
+    space = grid_l2(check_field("grid", grid, 2, integer=True))
     return ProblemInstance(
         space=space,
         A=ops.PositivePart(),
@@ -147,7 +149,7 @@ def make_example2(n_grid: int = 101) -> ProblemInstance:
         f_visc=ops.Scale(0.5),
         x_star=zeros(space),
         L=1.0,
-        problem_id=f"ex2:grid={n_grid}",
+        problem_id=f"ex2:grid={grid}",
     )
 
 

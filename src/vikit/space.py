@@ -253,7 +253,9 @@ def element(space: SpaceDescriptor, coords) -> SpaceElement:
 
 
 def zeros(space: SpaceDescriptor) -> SpaceElement:
-    return SpaceElement(np.zeros(space.dim), space)
+    """The origin of space; a space that is not a SpaceDescriptor raises
+    ConfigError naming space."""
+    return SpaceElement(np.zeros(check_type("space", space, SpaceDescriptor).dim), space)
 
 
 def inner(a: SpaceElement, b: SpaceElement) -> float:

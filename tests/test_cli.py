@@ -176,8 +176,8 @@ def test_check_rejects_bad_start_or_value(capsys, spec, named):
 @pytest.mark.parametrize("spec,named", [
     ("ex1:n=0", "n must be an integer in [1,inf), got 0"),
     ("ex1:n=5,seed=-1", "seed must be an integer in [0,inf), got -1"),
-    ("ex2:grid=1", "dim must be an integer in [2,inf), got 1"),
-    ("ex2:grid=-3", "dim must be an integer in [2,inf), got -3"),
+    ("ex2:grid=1", "grid must be an integer in [2,inf), got 1"),
+    ("ex2:grid=-3", "grid must be an integer in [2,inf), got -3"),
 ])
 def test_check_rejects_out_of_range_values_naming_the_spec(capsys, spec, named):
     assert main(["check", "--problem", spec]) == 2

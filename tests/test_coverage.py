@@ -1,14 +1,14 @@
 """Which statements of the numerical core the golden cells run.
 
-test_golden.py and test_golden_offset.py pin each scheme's arithmetic bit
-for bit, but only on the statements their 30 cells execute. This test
-runs the same cells under a sys.settrace line collector and checks that
-every statement of the functions in CORE is reached, apart from those in
-UNREACHED. Each of those names the test that pins it instead, and leaves
-the list once a golden cell reaches it. Line coverage does not see a
-branch inside one statement (a conditional expression, or the right
-operand of `and`), so such a branch needs a statement of its own to be
-counted.
+test_golden.py, test_golden_offset.py and test_golden_ball.py pin each
+scheme's arithmetic bit for bit, but only on the statements their 40 cells
+execute. This test runs the same cells under a sys.settrace line
+collector and checks that every statement of the functions in CORE is
+reached, apart from those in UNREACHED. Each of those names the test that
+pins it instead, and leaves the list once a golden cell reaches it. Line
+coverage does not see a branch inside one statement (a conditional
+expression, or the right operand of `and`), so such a branch needs a
+statement of its own to be counted.
 """
 
 import ast
@@ -19,6 +19,7 @@ import sys
 import textwrap
 
 from test_golden import GOLDEN, _fingerprint_sha
+from test_golden_ball import GOLDEN_BALL, _ball_sha
 from test_golden_offset import GOLDEN_OFFSET, _offset_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
@@ -32,7 +33,9 @@ CORE = (algorithms._step, algorithms._residuals, projections.project,
 CELLS = ([(functools.partial(_fingerprint_sha, spec, Scheme(scheme)), sha)
           for (spec, scheme), sha in GOLDEN.items()]
          + [(functools.partial(_offset_sha, Scheme(scheme)), sha)
-            for scheme, sha in GOLDEN_OFFSET.items()])
+            for scheme, sha in GOLDEN_OFFSET.items()]
+         + [(functools.partial(_ball_sha, Scheme(scheme)), sha)
+            for scheme, sha in GOLDEN_BALL.items()])
 
 # (function, statement as written, which of the function's statements so
 # written, counted from 1) -> the test that pins the statement where no
@@ -45,9 +48,6 @@ UNREACHED = {
     ("project", 'check_space("x", x, sp)', 2): "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
-    # ex2's iterates never leave the unit ball
-    ("project", "return c + (s.radius / dist) * d", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
     # a halfspace normal whose square underflows, and the overflow rescale
     ("project", "return project(HalfSpace(normal / np.abs(normal).max(), s.anchor, sp), x)", 1):
         "test_projections.py::test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space",

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from vikit.algorithms import SequenceRule
+from vikit.harness import parse_problem_spec
 from vikit.operators import AffineMatrix, RankOneIntegral, Scale
 from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
 from vikit.projections import Box, HalfSpace
-from vikit.space import ConfigError, SpaceMismatchError, element, euclidean
+from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, zeros
 from vikit.stepsize import Armijo
 
 
@@ -45,10 +46,15 @@ from vikit.stepsize import Armijo
      r"kind must be one of random_uniform on euclidean\(4\), got 't_squared'"),
     (lambda: HalfSpace(np.array(["a", "b"]), np.zeros(2), euclidean(2)), ConfigError,
      r"normal must be of type Reals, got array\(\['a', 'b'\], dtype='<U1'\)"),
+    (lambda: parse_problem_spec("ex2:grid=1", 1), ValueError,
+     r"'ex2:grid=1': grid must be an integer in \[2,inf\), got 1"),
+    (lambda: make_example2(1.5), ConfigError, r"grid must be an integer in \[2,inf\), got 1.5"),
+    (lambda: zeros(5), ConfigError, "space must be of type SpaceDescriptor, got 5"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
         "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
         "sequence-kind", "box-upper-below-lower", "affine-not-square", "rank-one-not-grid",
-        "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal"])
+        "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",
+        "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()

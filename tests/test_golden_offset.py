@@ -44,13 +44,14 @@ GOLDEN_OFFSET = {
 }
 
 
-def _offset_sha(scheme: Scheme, path) -> str:
-    x0, x1 = initial_points(PROBLEM, "random_uniform", seed=SEED)
-    cfg = harness.make_config(scheme, PROBLEM, x0=x0, x1=x1, max_iter=MAX_ITER,
+def _offset_sha(scheme: Scheme, path, problem=PROBLEM) -> str:
+    """The fingerprint hash of scheme's trace on problem, written to path."""
+    x0, x1 = initial_points(problem, "random_uniform", seed=SEED)
+    cfg = harness.make_config(scheme, problem, x0=x0, x1=x1, max_iter=MAX_ITER,
                               record_invariants=True)
-    header = harness.TraceFileHeader.create(scheme, "table1", PROBLEM.problem_id,
-                                            SEED, PROBLEM.space.dim)
-    harness.emit_csv(solve(PROBLEM, cfg), header, path)
+    header = harness.TraceFileHeader.create(scheme, "table1", problem.problem_id,
+                                            SEED, problem.space.dim)
+    harness.emit_csv(solve(problem, cfg), header, path)
     lines = harness.trace_fingerprint(path)
     assert len(lines) == MAX_ITER + 1
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -75,11 +75,14 @@ def test_presets_validate_cleanly(scheme, small_problem):
     assert harness.validate_conditions(cfg, horizon=400) == []
 
 
-# delta is the constant INERTIAL_DELTA, not an override
-@pytest.mark.parametrize("key", ["zeta_seq", "etaa", "hsd_lambda", "delta"])
+# delta is the constant INERTIAL_DELTA, not a field; make_config sets
+# algorithm and lambda_T itself
+@pytest.mark.parametrize("key", ["zeta_seq", "etaa", "hsd_lambda", "delta", "algorithm",
+                                 "lambda_T"])
 def test_make_config_rejects_unknown_override_keys(small_problem, key):
-    with pytest.raises(ConfigError, match=f"^unknown override key\\(s\\) {key}; make_config "
-                                          "takes theta, eta, zeta, step$"):
+    with pytest.raises(ConfigError, match=f"^{key} not among the fields make_config takes: "
+                                          "step, theta, eta, zeta, max_iter, x0, x1, tol, "
+                                          "record_invariants$"):
         harness.make_config(Scheme.IMSEGM, small_problem,
                             **{key: SequenceRule("constant", 1.0)})
 

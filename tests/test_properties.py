@@ -427,6 +427,8 @@ FIELDS = [
     Field("seed", lambda v: RandomSpec(3, v), True, lambda v: v >= 0),
     Field("dim", euclidean, True, lambda v: v >= 1),
     Field("dim", grid_l2, True, lambda v: v >= 2),
+    Field("grid", make_example2, True, lambda v: v >= 2),
+    Field("space", zeros, valid=(euclidean(2), grid_l2(2))),
     Field("radius", lambda v: Ball(zeros(euclidean(2)), v), False, _positive),
     Field("center", lambda v: Ball(v, 1.0), valid=(zeros(grid_l2(2)),), others=(np.zeros(2),)),
     # a bound is a real number or array of them, of one dimension at most,
