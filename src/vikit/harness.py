@@ -8,7 +8,6 @@ import functools
 import math
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -408,46 +407,20 @@ def _cell_error(exc: Exception) -> Tuple[str, str]:
     return ("config" if isinstance(exc, ValueError) else "runtime"), str(exc)
 
 
-class _SharedProblem:
-    """The build and certification of one distinct problem of a plan. The
-    first of its cells to ask does the work under the lock and the others
-    wait for it. Only the group's queued and running cells refer to it, so
-    the problem is freed when the last of them ends."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._outcome = None
-
-    def take(self, spec: str, seed: int):
-        """(certified problem, None) or (None, the error of every cell)."""
-        with self._lock:
-            if self._outcome is None:
-                try:
-                    problem, _ = parse_problem_spec(spec, seed)
-                    try:
-                        failures = prob.certify(problem)
-                    except NonFiniteElementError as exc:
-                        failures = [str(exc)]
-                    self._outcome = (problem, None) if not failures else (None, (
-                        "certification", "certification failed: " + "; ".join(failures)))
-                except Exception as exc:
-                    self._outcome = None, _cell_error(exc)
-            return self._outcome
-
-
 # (cell id, trace path, error) of a plan cell, where error is a
 # (category, message) pair
 _Outcome = Tuple[str, Optional[str], Optional[Tuple[str, str]]]
 
 
 def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
-               shared: _SharedProblem) -> List[_Outcome]:
+               problem: Optional[prob.ProblemInstance],
+               error: Optional[Tuple[str, str]]) -> List[_Outcome]:
     """Run the computation that all of cells stand for once, on their
-    group's shared problem, and write one trace per cell. The first trace
-    written is the computed one; the others name it in same_as. A failed
-    computation fails every cell with the same error."""
+    group's certified problem, and write one trace per cell. The first
+    trace written is the computed one; the others name it in same_as. A
+    failed computation, or the error that stands for the problem, fails
+    every cell with the same error."""
     first = cells[0]
-    problem, error = shared.take(first.spec, first.seed)
     if error is None:
         try:
             x0, x1 = prob.initial_points(problem, first.init, seed=first.seed)
@@ -478,6 +451,28 @@ def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
     return outcomes
 
 
+def _run_problem(pool: ThreadPoolExecutor, plan: ExperimentPlan,
+                 runs: List[List[_Cell]]) -> List[List[_Outcome]]:
+    """Build and certify the problem that runs share, on the calling
+    thread, then run each of runs as one pool task and return their
+    outcomes once all have ended, so the problem is freed before the next
+    one is built. A failed build or certification fails every cell with
+    one error."""
+    first = runs[0][0]
+    try:
+        problem, _ = parse_problem_spec(first.spec, first.seed)
+        try:
+            failures = prob.certify(problem)
+        except NonFiniteElementError as exc:
+            failures = [str(exc)]
+        error = None if not failures else (
+            "certification", "certification failed: " + "; ".join(failures))
+    except Exception as exc:
+        problem, error = None, _cell_error(exc)
+    tasks = [pool.submit(_run_cells, run, plan, problem, error) for run in runs]
+    return [task.result() for task in tasks]
+
+
 @dataclass
 class PlanResult:
     paths: List[str] = field(default_factory=list)
@@ -493,13 +488,13 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     A trace file of the plan that already exists, or an output path that
     is or lies under an existing non-directory, raises ValueError before
     anything runs. A cell whose spec does not resolve fails with "config"
-    and runs nothing. Each distinct problem is built and certified once
-    and shared by its cells. Cells that differ only in a seed their start
-    does not read run once: the first trace is computed and each other
-    cell's trace copies it under its own header, with a same_as line
-    naming the computed file. Runs are submitted problem by problem, so a
-    plan holds about one problem per worker. Results follow plan.cells()
-    order."""
+    and runs nothing. Each distinct problem is built and certified once,
+    on the calling thread, before its runs go to the pool, and all of its
+    runs end before the next problem is built, so one problem is alive at
+    a time for every VIKIT_THREADS. Cells that differ only in a seed their
+    start does not read run once: the first trace is computed and each
+    other cell's trace copies it under its own header, with a same_as line
+    naming the computed file. Results follow plan.cells() order."""
     workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
     check_field("VIKIT_THREADS", workers, 1, integer=True)
     cells = plan._resolved
@@ -519,15 +514,12 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
             groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(i)
     out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = []
         for runs in groups.values():
-            shared = _SharedProblem()
-            for members in runs.values():
-                tasks.append((members, pool.submit(
-                    _run_cells, [cells[i] for i in members], plan, shared)))
-        for members, task in tasks:
-            for i, outcome in zip(members, task.result()):
-                outcomes[i] = outcome
+            done = _run_problem(pool, plan, [[cells[i] for i in members]
+                                             for members in runs.values()])
+            for members, run_outcomes in zip(runs.values(), done):
+                for i, outcome in zip(members, run_outcomes):
+                    outcomes[i] = outcome
     result = PlanResult()
     for cell, path, error in outcomes:
         if error is not None:

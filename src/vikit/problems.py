@@ -133,7 +133,7 @@ def make_example1(spec: RandomSpec) -> ProblemInstance:
     )
 
 
-def make_example2(grid: int = 101) -> ProblemInstance:
+def make_example2(grid: int) -> ProblemInstance:
     """Positive-part operator over the unit ball of discretized L2([0,1]) on
     grid nodes, with the rank-one integral map as the fixed-point
     constraint. A grid that is not an integer of at least 2 raises

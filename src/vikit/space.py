@@ -149,6 +149,12 @@ class SpaceDescriptor:
         w[0] = w[-1] = 0.5 * h
         return _read_only(w)
 
+    @cached_property
+    def sqrt_min_weight(self) -> float:
+        """sqrt(min quad_weights), the Armijo screen's s; built once per
+        descriptor."""
+        return math.sqrt(self.quad_weights.min())
+
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product of two coordinate arrays; trapezoid quadrature of
         a*b in the GRID_L2 case.
@@ -225,7 +231,7 @@ def euclidean(n: int) -> SpaceDescriptor:
     return SpaceDescriptor(SpaceKind.EUCLIDEAN, n)
 
 
-def grid_l2(n_grid: int = 101) -> SpaceDescriptor:
+def grid_l2(n_grid: int) -> SpaceDescriptor:
     return SpaceDescriptor(SpaceKind.GRID_L2, n_grid)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .operators import AffineMatrix
 from .projections import Box, FeasibleSet, clip_ufunc, project
-from .space import SpaceDescriptor, _read_only, check_field, finite_norm
+from .space import SpaceDescriptor, _read_only, _vdot, check_field, finite_norm
 
 
 class ArmijoSearchError(RuntimeError):
@@ -210,15 +210,6 @@ def _screened_steps(rho: float, l: float, phi: float, frobenius: float) -> Optio
     return _read_only(np.array(gammas, dtype=float)) if gammas else None
 
 
-@functools.lru_cache(maxsize=16)
-def _screen_margins(space: SpaceDescriptor) -> Tuple[float, float, float]:
-    """The screen's s = sqrt(min w), eta = (n + 16) eps and the factor
-    2 (n + 3) eps s of dA in this space. Built once per space."""
-    n = space.dim
-    s = math.sqrt(space.quad_weights.min())
-    return s, (n + 16) * _EPS, 2 * (n + 3) * _EPS * s
-
-
 def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
                        Ax: np.ndarray, A, C: FeasibleSet) -> list:
     """For the first trials of armijo_search, True where the serial test
@@ -231,11 +222,12 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
     g = _screened_steps(policy.rho, policy.l, policy.phi, A.frobenius)
     if g is None:
         return []
-    s, eta, dA_factor = _screen_margins(space)
+    n, s = space.dim, space.sqrt_min_weight
+    eta = (n + 16) * _EPS
     # the screen's arithmetic may overflow or meet inf where the serial
     # trials it screens never would; such a row is simply not proven
     with np.errstate(all="ignore"):
-        xn = math.sqrt(np.vdot(x, x))
+        xn = math.sqrt(_vdot(x, x))
         # row j: the serial x + (-gamma_j) A(x), its clip, then x - y_j
         D = np.multiply.outer(-g, Ax)
         D += x
@@ -245,9 +237,9 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
         n1 = s * np.abs(D @ A.probe)
         F = A.frobenius + _TAU
         size = (2 * F / s) * (n2 + _TAU) + (F * (xn + _TAU) + A.f_norm + _TAU)
-        dA = dA_factor * size
+        dA = 2 * (n + 3) * _EPS * s * size
         proven = (g * n1 * (1 - 4 * eta)
                   > (policy.phi * (n2 + 2 * _TAU) + g * (dA + 2 * _TAU)) * (1 + 4 * eta) + _SIGMA)
         proven &= ((n2 <= _HUGE) & (size <= _HUGE)
-                   & (xn + g * math.sqrt(np.vdot(Ax, Ax)) <= _HUGE))
+                   & (xn + g * math.sqrt(_vdot(Ax, Ax)) <= _HUGE))
     return proven.tolist()

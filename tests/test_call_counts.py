@@ -23,3 +23,14 @@ def test_two_runs_give_the_same_counts_for_every_scheme():
     assert [row[0] for row in first] == [scheme.value for scheme in Scheme]
     assert all(float(python) > 0 and float(c) > 0 for _, python, c in first)
     assert _table("ex1:n=8,seed=1") == first
+
+
+def test_a_second_equal_problem_costs_no_more_per_iteration():
+    # in one fresh process, two builds of one spec give equal spaces; a
+    # cache keyed on the space would pay a comparison per step on the second
+    code = (f"import runpy; counts = runpy.run_path({str(TOOL)!r})['counts']; "
+            "print(*(counts('ex1:n=8,seed=1', 20)['stegm'][0] for _ in range(2)))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    first, second = map(float, out.split())
+    assert second <= first

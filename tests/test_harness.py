@@ -706,8 +706,11 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
             (harness._resolve(spec, scheme, 1).file if copied else None)
 
 
-def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch):
-    monkeypatch.setenv("VIKIT_THREADS", "1")
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch, threads):
+    # each problem's runs end before the next problem is built, with any
+    # number of workers
+    monkeypatch.setenv("VIKIT_THREADS", threads)
     built, alive_at_build = [], []
     parse = harness.parse_problem_spec
 

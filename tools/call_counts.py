@@ -6,8 +6,10 @@ For every scheme, the problem of SPEC (a `vikit run` problem spec, built at
 plan seed 1) is solved for N iterations (default 200) from its spec's
 start drawn at seed 1, with no tolerance, under sys.setprofile. The table
 gives the profiler's `call` events (Python functions) and `c_call` events
-(builtins and C functions) of the whole solve divided by N; the first
-solve also fills the library's caches. The counts patch no name, and two runs of one
+(builtins and C functions) of the whole solve divided by N. A scheme's
+first solve in a process also pays one-time costs: stegm builds its
+Armijo screen's steps (`_screened_steps`) and the space's cached weight
+(`sqrt_min_weight`). The counts patch no name, and two runs of one
 checkout give the same counts, so unlike wall time they can be compared
 across commits on a noisy host. vikit is imported from the src directory
 next to this script's parent, so a copy of this file in another checkout
