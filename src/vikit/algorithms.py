@@ -321,7 +321,11 @@ _OUTER_OPERATORS = {"hsd": "F", "viscosity": "f_visc"}
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
     """The rules of cfg that read the problem; cfg checked the others when
     it was built, and sequence-condition checks live in the harness. Each
-    rejected field raises ConfigError naming it, before any step."""
+    rejected field raises ConfigError naming it, before any step, as does a
+    cfg that is not a SolverConfig or a problem that is not a
+    ProblemInstance."""
+    check_type("cfg", cfg, SolverConfig)
+    check_type("problem", problem, ProblemInstance)
     # validate_conditions reads lambda from the config, which has no problem
     if cfg.lambda_T != problem.lambda_T:
         raise ConfigError(f"lambda_T must be the problem's {problem.lambda_T}, got {cfg.lambda_T}")

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from . import harness, problems
-from .algorithms import Scheme
+from .algorithms import Scheme, SolverConfig
 
 
 def _scheme_list(name: str):
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ex1:n=100,seed=7 or ex2:grid=101[,init=t_squared]")
     run.add_argument("--alg", action="append", required=True,
                      help="scheme name or 'all' (repeatable)")
-    run.add_argument("--max-iter", type=integer, default=400, action=_Once)
+    run.add_argument("--max-iter", type=integer, default=SolverConfig.max_iter, action=_Once)
     run.add_argument("--tol", type=decimal, default=None, action=_Once)
     run.add_argument("--seed", type=integer, action="append", default=None)
     run.add_argument("--record-invariants", action="store_true")
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     val = sub.add_parser("validate", help="validate the Table 1 sequences")
     val.add_argument("--alg", action="append", required=True)
-    val.add_argument("--horizon", type=integer, default=400, action=_Once)
+    val.add_argument("--horizon", type=integer, default=SolverConfig.max_iter, action=_Once)
     val.add_argument("--problem", default="ex1:n=10,seed=1", action=_Once,
                      help="instance whose mapping T supplies the demicontractive "
                           "constant lambda to the condition sets")

@@ -87,10 +87,12 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance, **fields) -> Solv
     is the problem's, each keyword sets the SolverConfig field it names,
     and the scheme's TABLE1 row fills theta, eta, zeta and step where they
     are not given. A keyword that is no other SolverConfig field raises
-    ConfigError naming it, as does a scheme that is not a Scheme. A Fixed
+    ConfigError naming it, as does a scheme that is not a Scheme or a
+    problem that is not a ProblemInstance. A Fixed
     step is 0.99/L unless a step is given, so a problem with L unset or 0
     raises ConfigError. Every other rule is SolverConfig's."""
     check_type("scheme", scheme, Scheme)
+    check_type("problem", problem, prob.ProblemInstance)
     unknown = [key for key in fields if key not in _CONFIG_FIELDS]
     if unknown:
         raise ConfigError(f"{', '.join(unknown)} not among the fields make_config takes: "
@@ -120,45 +122,39 @@ def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     Schemes whose outer update has a CONDITIONS row: theta_k in (0,1),
     eta_k in (0, eta_bound(theta_k, lambda)), zeta_k > 0, and
     zeta_k / zeta_divisor(theta_k) decreasing over the last horizon/2
-    terms. Other schemes get range checks only. A horizon that is not an
-    integer of at least 1 raises ConfigError.
+    terms. Other schemes get range checks only. The list gives the theta
+    and eta violations by k, then the zeta_k > 0 violations by k, then the
+    ratio's. A horizon that is not an integer of at least 1, or a cfg that
+    is not a SolverConfig, raises ConfigError naming it.
     """
     check_field("horizon", horizon, 1, integer=True)
-    out: List[Violation] = []
-    lam = cfg.lambda_T
-    cond = CONDITIONS.get(cfg.algorithm.outer)
+    cond = CONDITIONS.get(check_type("cfg", cfg, SolverConfig).algorithm.outer)
     eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
-    ks = range(1, horizon + 1)
-
-    thetas = {}
-    for k in ks:
+    zeta = None if cond is None else cfg.zeta
+    out: List[Violation] = []
+    zeta_out: List[Violation] = []  # listed after every theta and eta violation
+    ratios = []
+    for k in range(1, horizon + 1):
         th = cfg.theta(k)
-        thetas[k] = th
+        z = None if zeta is None else zeta(k)
+        if z is not None and z <= 0.0:
+            zeta_out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
         if not 0.0 < th < 1.0:
             out.append(Violation("theta_range", k, f"theta_k={th} outside (0,1)"))
             continue
+        if z is not None and z > 0.0:
+            ratios.append((k, z / cond.zeta_divisor(th)))
         eta = cfg.eta(k, th)
-        hi = 1 if cond is None else cond.eta_bound(th, lam)
+        hi = 1 if cond is None else cond.eta_bound(th, cfg.lambda_T)
         if not 0.0 < eta < hi:
             out.append(Violation(eta_range, k, f"eta_k={eta} outside (0,{hi})"))
-
-    if cond is not None and cfg.zeta is not None:
-        ratios = []
-        for k in ks:
-            z = cfg.zeta(k)
-            if z <= 0.0:
-                out.append(Violation("zeta_positive", k, f"zeta_k={z} not positive"))
-                continue
-            th = thetas[k]
-            if 0.0 < th < 1.0:
-                ratios.append((k, z / cond.zeta_divisor(th)))
-        tail = ratios[len(ratios) // 2:]
-        for (k0, r0), (k1, r1) in zip(tail, tail[1:]):
-            if r1 >= r0:
-                out.append(Violation(f"{cond.label}.{cond.ratio}", k1,
-                                     f"ratio {r1} did not decrease from {r0}"))
-                break
-    return out
+    tail = ratios[len(ratios) // 2:]
+    for (k0, r0), (k1, r1) in zip(tail, tail[1:]):
+        if r1 >= r0:
+            zeta_out.append(Violation(f"{cond.label}.{cond.ratio}", k1,
+                                      f"ratio {r1} did not decrease from {r0}"))
+            break
+    return out + zeta_out
 
 
 @dataclass(frozen=True)
@@ -179,8 +175,8 @@ class TraceFileHeader:
     @classmethod
     def create(cls, scheme: Scheme, preset: str, problem_id: str, seed: int,
                dim: int, same_as: Optional[str] = None) -> "TraceFileHeader":
-        return cls(scheme=scheme.value, preset=preset, problem=problem_id,
-                   seed=seed, rng=prob.RNG_ALGORITHM, dim=dim,
+        return cls(scheme=check_type("scheme", scheme, Scheme).value, preset=preset,
+                   problem=problem_id, seed=seed, rng=prob.RNG_ALGORITHM, dim=dim,
                    timestamp=datetime.datetime.now().isoformat(), same_as=same_as)
 
 
@@ -194,7 +190,9 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
     """Write one '# key: value' line per header field that is set, a
     '# columns:' line, and one data row per iterate with 17-significant-digit
     floats. The residual columns are written when some row has them, as nan
-    in the rows that do not."""
+    in the rows that do not. A header that is not a TraceFileHeader raises
+    ConfigError naming it."""
+    check_type("header", header, TraceFileHeader)
     names = ConvergenceTrace.SCALAR_NAMES
     missing = ()  # the residuals of a row that has none
     if any(r.residuals is not None for r in trace.rows):
@@ -220,9 +218,10 @@ _COLUMN_LINES = tuple(",".join(names) for names in (
 
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
     """Inverse of emit_csv; float fields round-trip bitwise. A '# columns:'
-    line other than the two emit_csv writes, or a data row whose field
-    count differs from the '# columns:' line before it, raises ValueError
-    naming the path and the 1-based line number."""
+    line other than the two emit_csv writes, a data row whose field count
+    differs from the '# columns:' line before it, or a field that is not a
+    number (k: not an integer), raises ValueError naming the path and the
+    1-based line number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
     meta = {}
     rows: List[TraceRow] = []
@@ -242,8 +241,11 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
         if len(parts) != width:
             raise ValueError(f"{path} line {number}: {len(parts)} fields, but the "
                              f"'# columns:' line names {width}")
-        residuals = tuple(map(float, parts[scalars:])) or None
-        rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
+        try:
+            residuals = tuple(map(float, parts[scalars:])) or None
+            rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
+        except ValueError as exc:  # a field that is not a number, or a k that is no integer
+            raise ValueError(f"{path} line {number}: {exc}") from exc
     return meta, rows
 
 
@@ -370,9 +372,9 @@ def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]
 
 
 class _Cell(NamedTuple):
-    """A plan cell resolved once: its id, trace file name, problem key, run
-    key and start, or the ValueError of a spec that does not resolve. Cells
-    with equal problem keys (family and resolved integer keys) share one
+    """A plan cell resolved once: its id, trace file name, problem key and
+    run key, or the ValueError of a spec that does not resolve. Cells with
+    equal problem keys (family and resolved integer keys) share one
     problem. Of those, cells with equal run keys (scheme, start, and the
     seed only when the start draws from it) run the same computation, and
     only such cells share a file name."""
@@ -384,7 +386,6 @@ class _Cell(NamedTuple):
     file: Optional[str] = None
     problem: Optional[tuple] = None
     run: Optional[tuple] = None
-    init: Optional[str] = None
     error: Optional[ValueError] = None
 
 
@@ -400,33 +401,43 @@ def _resolve(spec: str, scheme: Scheme, seed: int) -> _Cell:
     reads_seed = prob._START_RECIPES[init].reads_seed
     return cell._replace(file=f"{stem}__{scheme.value}__seed{seed}.csv",
                          problem=(name, tuple(params.items())),
-                         run=(scheme, init, seed if reads_seed else None), init=init)
+                         run=(scheme, init, seed if reads_seed else None))
 
 
 def _cell_error(exc: Exception) -> Tuple[str, str]:
     return ("config" if isinstance(exc, ValueError) else "runtime"), str(exc)
 
 
-# (cell id, trace path, error) of a plan cell, where error is a
-# (category, message) pair
-_Outcome = Tuple[str, Optional[str], Optional[Tuple[str, str]]]
+def _certified(cell: _Cell) -> Tuple[Optional[prob.ProblemInstance], Optional[Tuple[str, str]]]:
+    """The problem of cell's spec, built and certified, and None; or None
+    and the (category, message) error that fails every cell of it."""
+    try:
+        problem, _ = parse_problem_spec(cell.spec, cell.seed)
+        try:
+            failures = prob.certify(problem)
+        except NonFiniteElementError as exc:
+            failures = [str(exc)]
+    except Exception as exc:
+        return None, _cell_error(exc)
+    return problem, None if not failures else (
+        "certification", "certification failed: " + "; ".join(failures))
 
 
 def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
                problem: Optional[prob.ProblemInstance],
-               error: Optional[Tuple[str, str]]) -> List[_Outcome]:
+               error: Optional[Tuple[str, str]]) -> dict:
     """Run the computation that all of cells stand for once, on their
-    group's certified problem, and write one trace per cell. The first
-    trace written is the computed one; the others name it in same_as. A
-    failed computation, or the error that stands for the problem, fails
-    every cell with the same error."""
-    first = cells[0]
+    group's certified problem, and write one trace per cell. Returns
+    {cell id: (trace path, error)}, with a (category, message) error or
+    None. The first trace written is the computed one; the others name it
+    in same_as. A failed computation, or the error that stands for the
+    problem, fails every cell with the same error."""
+    scheme, init, _ = cells[0].run
     if error is None:
         try:
-            x0, x1 = prob.initial_points(problem, first.init, seed=first.seed)
-            cfg = make_config(first.scheme, problem, x0=x0, x1=x1,
-                              max_iter=plan.max_iter, tol=plan.tol,
-                              record_invariants=plan.record_invariants)
+            x0, x1 = prob.initial_points(problem, init, seed=cells[0].seed)
+            cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=plan.max_iter,
+                              tol=plan.tol, record_invariants=plan.record_invariants)
             violations = validate_conditions(cfg, horizon=plan.max_iter)
             if violations:
                 error = "conditions", "; ".join(str(v) for v in violations)
@@ -435,42 +446,19 @@ def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
         except Exception as exc:
             error = _cell_error(exc)
     if error is not None:
-        return [(cell.id, None, error) for cell in cells]
-    outcomes, source = [], None
+        return {cell.id: (None, error) for cell in cells}
+    outcomes, source = {}, None
     for cell in cells:
-        header = TraceFileHeader.create(cell.scheme, "table1", problem.problem_id,
+        header = TraceFileHeader.create(scheme, "table1", problem.problem_id,
                                         cell.seed, problem.space.dim, same_as=source)
         path = Path(plan.output_dir) / cell.file
         try:
             emit_csv(trace, header, path)
+            outcomes[cell.id] = str(path), None
+            source = source or path.name
         except Exception as exc:
-            outcomes.append((cell.id, None, _cell_error(exc)))
-            continue
-        outcomes.append((cell.id, str(path), None))
-        source = source or path.name
+            outcomes[cell.id] = None, _cell_error(exc)
     return outcomes
-
-
-def _run_problem(pool: ThreadPoolExecutor, plan: ExperimentPlan,
-                 runs: List[List[_Cell]]) -> List[List[_Outcome]]:
-    """Build and certify the problem that runs share, on the calling
-    thread, then run each of runs as one pool task and return their
-    outcomes once all have ended, so the problem is freed before the next
-    one is built. A failed build or certification fails every cell with
-    one error."""
-    first = runs[0][0]
-    try:
-        problem, _ = parse_problem_spec(first.spec, first.seed)
-        try:
-            failures = prob.certify(problem)
-        except NonFiniteElementError as exc:
-            failures = [str(exc)]
-        error = None if not failures else (
-            "certification", "certification failed: " + "; ".join(failures))
-    except Exception as exc:
-        problem, error = None, _cell_error(exc)
-    tasks = [pool.submit(_run_cells, run, plan, problem, error) for run in runs]
-    return [task.result() for task in tasks]
 
 
 @dataclass
@@ -487,43 +475,46 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
 
     A trace file of the plan that already exists, or an output path that
     is or lies under an existing non-directory, raises ValueError before
-    anything runs. A cell whose spec does not resolve fails with "config"
-    and runs nothing. Each distinct problem is built and certified once,
-    on the calling thread, before its runs go to the pool, and all of its
-    runs end before the next problem is built, so one problem is alive at
-    a time for every VIKIT_THREADS. Cells that differ only in a seed their
-    start does not read run once: the first trace is computed and each
-    other cell's trace copies it under its own header, with a same_as line
-    naming the computed file. Results follow plan.cells() order."""
+    anything runs, and a plan that is not an ExperimentPlan raises
+    ConfigError naming it. A cell whose spec does not resolve fails with
+    "config" and runs nothing. Each distinct problem is built and
+    certified once, on the calling thread, before its runs go to the pool,
+    and all of its runs end before the next problem is built, so one
+    problem is alive at a time for every VIKIT_THREADS. Cells that differ
+    only in a seed their start does not read run once: the first trace is
+    computed and each other cell's trace copies it under its own header,
+    with a same_as line naming the computed file. Results follow
+    plan.cells() order."""
+    check_type("plan", plan, ExperimentPlan)
     workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
     check_field("VIKIT_THREADS", workers, 1, integer=True)
-    cells = plan._resolved
     out = Path(plan.output_dir)
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"output path {existing} exists and is not a directory")
-    outcomes = [None] * len(cells)
-    groups: Dict[object, Dict[object, List[int]]] = {}
-    for i, cell in enumerate(cells):
+    outcomes = {}  # {cell id: (trace path, error)}, as _run_cells returns them
+    groups: Dict[tuple, Dict[tuple, List[_Cell]]] = {}  # cells by problem key, then run key
+    for cell in plan._resolved:
         if cell.error is not None:
-            outcomes[i] = cell.id, None, _cell_error(cell.error)
+            outcomes[cell.id] = None, _cell_error(cell.error)
         elif (out / cell.file).is_file():
             raise ValueError(f"{out / cell.file} already exists; cell {cell.id} "
                              "would overwrite it")
         else:
-            groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(i)
+            groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(cell)
     out.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for runs in groups.values():
-            done = _run_problem(pool, plan, [[cells[i] for i in members]
-                                             for members in runs.values()])
-            for members, run_outcomes in zip(runs.values(), done):
-                for i, outcome in zip(members, run_outcomes):
-                    outcomes[i] = outcome
+            problem, error = _certified(next(iter(runs.values()))[0])
+            tasks = [pool.submit(_run_cells, run, plan, problem, error) for run in runs.values()]
+            del problem  # now only the tasks hold it, so it is freed before the next build
+            for task in tasks:
+                outcomes.update(task.result())
     result = PlanResult()
-    for cell, path, error in outcomes:
-        if error is not None:
-            result.errors.append((cell, *error))
-        else:
+    for cell in plan._resolved:
+        path, error = outcomes[cell.id]
+        if error is None:
             result.paths.append(path)
+        else:
+            result.errors.append((cell.id, *error))
     return result

@@ -230,9 +230,10 @@ def certify(problem: ProblemInstance) -> list:
     and T's demicontractivity cannot be checked, and the first failure says
     so; A's monotonicity is still sampled. An A or T value it reads with a
     NaN or Inf entry raises NonFiniteElementError (README's call convention).
+    A problem that is not a ProblemInstance raises ConfigError naming it.
     """
     failures = []
-    if problem.x_star is None:
+    if check_type("problem", problem, ProblemInstance).x_star is None:
         failures.append("no known x*, so Omega nonempty and T demicontractive were not checked")
     else:
         r = solution_residual(problem)

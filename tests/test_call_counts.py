@@ -34,3 +34,9 @@ def test_a_second_equal_problem_costs_no_more_per_iteration():
                          capture_output=True, text=True, check=True).stdout
     first, second = map(float, out.split())
     assert second <= first
+
+
+def test_a_spec_vikit_rejects_is_named_with_exit_code_2():
+    run = subprocess.run([sys.executable, str(TOOL), "ex9:n=3"], capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr == "error: unknown problem family 'ex9' in 'ex9:n=3'\n"

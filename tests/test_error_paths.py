@@ -3,17 +3,28 @@ exception type and message."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
-from vikit.algorithms import SequenceRule
-from vikit.harness import parse_problem_spec
+from vikit.algorithms import ConvergenceTrace, Scheme, SequenceRule, solve
+from vikit.harness import (
+    TraceFileHeader,
+    emit_csv,
+    make_config,
+    parse_problem_spec,
+    run_plan,
+    validate_conditions,
+)
 from vikit.operators import AffineMatrix, RankOneIntegral, Scale
-from vikit.problems import RandomSpec, initial_points, make_example1, make_example2
+from vikit.problems import RandomSpec, certify, initial_points, make_example1, make_example2
 from vikit.projections import Box, HalfSpace
 from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, zeros
 from vikit.stepsize import Armijo
+
+_EX1 = make_example1(RandomSpec(4, 1))
+_CFG = make_config(Scheme.IMSEGM, _EX1)
 
 
 @pytest.mark.parametrize("make,error,message", [
@@ -50,11 +61,25 @@ from vikit.stepsize import Armijo
      r"'ex2:grid=1': grid must be an integer in \[2,inf\), got 1"),
     (lambda: make_example2(1.5), ConfigError, r"grid must be an integer in \[2,inf\), got 1.5"),
     (lambda: zeros(5), ConfigError, "space must be of type SpaceDescriptor, got 5"),
+    (lambda: solve(None, _CFG), ConfigError, "problem must be of type ProblemInstance, got None"),
+    (lambda: solve(_EX1, None), ConfigError, "cfg must be of type SolverConfig, got None"),
+    (lambda: make_config(Scheme.IMSEGM, None), ConfigError,
+     "problem must be of type ProblemInstance, got None"),
+    (lambda: validate_conditions(None, 5), ConfigError,
+     "cfg must be of type SolverConfig, got None"),
+    (lambda: certify(None), ConfigError, "problem must be of type ProblemInstance, got None"),
+    (lambda: run_plan(None), ConfigError, "plan must be of type ExperimentPlan, got None"),
+    (lambda: emit_csv(ConvergenceTrace(scheme=Scheme.IMSEGM), None, os.devnull), ConfigError,
+     "header must be of type TraceFileHeader, got None"),
+    (lambda: TraceFileHeader.create("imsegm", "table1", "ex1:n=4,seed=1", 1, 4), ConfigError,
+     "scheme must be of type Scheme, got 'imsegm'"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
         "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
         "sequence-kind", "box-upper-below-lower", "affine-not-square", "rank-one-not-grid",
         "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",
-        "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space"])
+        "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space",
+        "solve-problem", "solve-cfg", "make-config-problem", "validate-cfg", "certify-problem",
+        "run-plan-plan", "emit-csv-header", "header-scheme"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()

@@ -120,6 +120,22 @@ def test_eta_out_of_range_flagged_for_theta_to_one(small_problem):
     assert all(v.condition == "C5.eta_range" for v in violations)
 
 
+@pytest.mark.parametrize("overrides,conditions", [
+    (dict(eta=SequenceRule("constant", 2.0), zeta=SequenceRule("constant", 0.0)),
+     [("C4.eta_range", k) for k in range(1, 6)] + [("zeta_positive", k) for k in range(1, 6)]),
+    (dict(theta=SequenceRule("constant", 1.5), zeta=SequenceRule("constant", -1.0)),
+     [("theta_range", k) for k in range(1, 6)] + [("zeta_positive", k) for k in range(1, 6)]),
+    # zeta_k / theta_k = k + 1 grows over the tail k = 3..5
+    (dict(eta=SequenceRule("constant", 2.0), zeta=SequenceRule("constant", 1.0)),
+     [("C4.eta_range", k) for k in range(1, 6)] + [("C4.zeta_over_theta", 4)]),
+])
+def test_theta_and_eta_violations_come_before_zeta_violations(small_problem, overrides,
+                                                             conditions):
+    cfg = harness.make_config(Scheme.IMSEGM, small_problem, **overrides)
+    assert [(v.condition, v.k) for v in harness.validate_conditions(cfg, horizon=5)] == \
+        conditions
+
+
 def test_theta_out_of_range_flagged(small_problem):
     cfg = harness.make_config(Scheme.IMSEGM, small_problem,
                               theta=SequenceRule("constant", 1.5))
@@ -200,20 +216,22 @@ def test_csv_skips_blank_lines(tmp_path, with_res):
     assert repr(harness.parse_csv(spaced)) == repr(harness.parse_csv(path))
 
 
-@pytest.mark.parametrize("with_res,row,fields", [
-    (False, "1,0.5,0.5", 3),
-    (False, "1,0.5,0.5,0,0,7", 6),
-    (True, "1,0.5,0.5,0,0,7", 6),
-    (True, "1,0.5,0.5,0,0,7,7,7,7,7", 10),
-])
-def test_csv_row_that_does_not_fit_the_columns_line_is_named(tmp_path, with_res, row, fields):
+@pytest.mark.parametrize("with_res,row,error", [
+    (False, "1,0.5,0.5", "3 fields, but the '# columns:' line names 5"),
+    (False, "1,0.5,0.5,0,0,7", "6 fields, but the '# columns:' line names 5"),
+    (True, "1,0.5,0.5,0,0,7", "6 fields, but the '# columns:' line names 8"),
+    (True, "1,0.5,0.5,0,0,7,7,7,7,7", "10 fields, but the '# columns:' line names 8"),
+    (False, "1,abc,0.5,0,0", "could not convert string to float: 'abc'"),
+    (True, "1,0.5,0.5,0,0,0,x,0", "could not convert string to float: 'x'"),
+    (False, "1.0,0.1,0.5,0,0", "invalid literal for int() with base 10: '1.0'"),
+], ids=["3-of-5", "6-of-5", "6-of-8", "10-of-8", "float-field", "residual-field", "float-k"])
+def test_csv_data_row_that_does_not_parse_is_named(tmp_path, with_res, row, error):
     path = tmp_path / "t.csv"
     harness.emit_csv(_toy_trace(with_res), _header(), path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines + [row]) + "\n")
-    width = 8 if with_res else 5
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {len(lines) + 1}: {fields} fields, "
-                                         f"but the '# columns:' line names {width}$"):
+    named = f"{path} line {len(lines) + 1}: {error}"
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
         harness.parse_csv(path)
 
 
@@ -704,6 +722,32 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
         copied = spec.startswith("ex2") and seed == 2
         assert harness.parse_csv(result.paths[i])[0].get("same_as") == \
             (harness._resolve(spec, scheme, 1).file if copied else None)
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_mixed_outcomes_follow_cell_order_once_each(tmp_path, monkeypatch, threads):
+    # an unresolvable spec between two good problems, a third problem that
+    # fails certification, and ex2 cells whose seeds share a run
+    monkeypatch.setenv("VIKIT_THREADS", threads)
+    certify = harness.prob.certify
+    monkeypatch.setattr(harness.prob, "certify", lambda problem: (
+        ["forced"] if problem.space.dim == 6 else certify(problem)))
+    plan = harness.ExperimentPlan(
+        problems=["ex2:grid=21", "ex9:n=5", "ex1:n=6,seed=1", "ex2:grid=31"],
+        algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5, seeds=[1, 2],
+        output_dir=str(tmp_path))
+    result = harness.run_plan(plan)
+    cells = [harness._resolve(*cell) for cell in plan.cells()]
+    errors = {"ex9:n=5": ("config", "unknown problem family 'ex9' in 'ex9:n=5'"),
+              "ex1:n=6,seed=1": ("certification", "certification failed: forced")}
+    assert result.errors == [(cell.id, *errors[cell.spec]) for cell in cells
+                             if cell.spec in errors]
+    assert result.paths == [str(tmp_path / cell.file) for cell in cells
+                            if cell.spec not in errors]
+    # each scheme's seed-2 trace copies its seed-1 run
+    assert [harness.parse_csv(path)[0].get("same_as") for path in result.paths] == [
+        None if cell.seed == 1 else harness._resolve(cell.spec, cell.scheme, 1).file
+        for cell in cells if cell.spec not in errors]
 
 
 @pytest.mark.parametrize("threads", ["1", "3"])

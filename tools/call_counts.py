@@ -13,7 +13,8 @@ Armijo screen's steps (`_screened_steps`) and the space's cached weight
 checkout give the same counts, so unlike wall time they can be compared
 across commits on a noisy host. vikit is imported from the src directory
 next to this script's parent, so a copy of this file in another checkout
-counts that checkout.
+counts that checkout. A spec that vikit rejects prints `error: ...` and
+exits 2, as `vikit` does.
 """
 
 from __future__ import annotations
@@ -60,9 +61,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be at least 1")
+    try:
+        table = counts(args.spec, args.iters)
+    except ValueError as exc:  # a spec vikit rejects, as `vikit check` reports it
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.spec}, {args.iters} iterations, seed {SEED}")
     print(f"{'scheme':8}  {'python':>8}  {'c':>8}")
-    for name, (python, c) in counts(args.spec, args.iters).items():
+    for name, (python, c) in table.items():
         print(f"{name:8}  {python:8.2f}  {c:8.2f}")
     return 0
 

@@ -12,6 +12,8 @@ The directory defaults to src/vikit next to this script's parent. With
 --against, each module is also read at the git revision REV (`git show
 REV:<path>`), and the table gives its count there, its count now and the
 difference; a module that exists on one side only counts 0 on the other.
+A directory that does not exist or holds no .py file, and a revision git
+cannot read there, are usage errors (exit 2) that name it.
 """
 
 from __future__ import annotations
@@ -73,13 +75,20 @@ def main(argv=None) -> int:
                         help="also count each module at this git revision")
     args = parser.parse_args(argv)
     root = Path(args.directory)
+    if not root.is_dir():
+        parser.error(f"{root} is not a directory")
     now = {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+    if not now:
+        parser.error(f"{root} holds no .py file")
     if args.against is None:
         for name, n in now.items():
             print(f"{n:6d}  {name}")
         print(f"{sum(now.values()):6d}  total")
         return 0
-    before = counts_at(root, args.against)
+    try:
+        before = counts_at(root, args.against)
+    except subprocess.CalledProcessError as exc:
+        parser.error(f"git cannot read revision {args.against} in {root}: {exc.stderr.strip()}")
     print(f"{args.against[:10]:>10}  {'now':>6}  {'delta':>6}")
     for name in sorted(before.keys() | now.keys()):
         a, b = before.get(name, 0), now.get(name, 0)
