@@ -25,7 +25,7 @@ import numpy as np
 from .problems import ProblemInstance
 from .projections import HalfSpace, halfspace_residual, project
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
-                    check_space, check_type, finite_norm)
+                    check_space, check_type)
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -208,13 +208,13 @@ HSD_LAMBDA = 0.5
 def _inertial_weight(space, zeta_k: float, dx: np.ndarray) -> float:
     """Extrapolation weight from dx = x_k - x_{k-1}: min(zeta_k / ||dx||,
     INERTIAL_DELTA), or the cap INERTIAL_DELTA when the last two iterates
-    coincide, so that delta_k * ||dx|| <= zeta_k. Raises
-    NonFiniteElementError when dx has a NaN or Inf entry, which the min
-    could pass over, and ValueError when zeta_k is not positive (NaN
-    included)."""
+    coincide, so that delta_k * ||dx|| <= zeta_k. Like every norm, ||dx||
+    raises NonFiniteElementError on a NaN or Inf entry, which the min
+    could pass over; a zeta_k that is not positive (NaN included) raises
+    ValueError."""
     if not zeta_k > 0:
         raise ValueError(f"zeta_k must be positive, got {zeta_k}")
-    gap = finite_norm(space, dx)
+    gap = space.norm(dx)
     if gap == 0.0:
         return INERTIAL_DELTA
     return min(zeta_k / gap, INERTIAL_DELTA)
@@ -359,7 +359,7 @@ def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
     s, y, z = state.s, state.y, state.z
 
     def dist(a, b):
-        return finite_norm(space, a - b)
+        return space.norm(a - b)
 
     if scheme.inertial:
         ratio = state.gamma_prev / state.gamma
@@ -391,7 +391,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     x_star = None if problem.x_star is None else problem.x_star.coords
 
     def err(x: np.ndarray) -> float:
-        return finite_norm(space, x - x_star) if x_star is not None else math.nan
+        return space.norm(x - x_star) if x_star is not None else math.nan
 
     trace = ConvergenceTrace(scheme=cfg.algorithm)
     rows = trace.rows

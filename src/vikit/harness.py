@@ -217,11 +217,12 @@ _COLUMN_LINES = tuple(",".join(names) for names in (
 
 
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
-    """Inverse of emit_csv; float fields round-trip bitwise. A '# columns:'
-    line other than the two emit_csv writes, a data row whose field count
-    differs from the '# columns:' line before it, or a field that is not a
-    number (k: not an integer), raises ValueError naming the path and the
-    1-based line number."""
+    """Inverse of emit_csv; float fields round-trip bitwise. A header key
+    given twice (emit_csv writes each once), a '# columns:' line other than
+    the two emit_csv writes, a data row whose field count differs from the
+    '# columns:' line before it, or a field that is not a number (k: not an
+    integer), raises ValueError naming the path and the 1-based line
+    number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
     meta = {}
     rows: List[TraceRow] = []
@@ -231,6 +232,8 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
         if line.startswith("#"):
             key, _, val = line[1:].partition(":")
             key, val = key.strip(), val.strip()
+            if key in meta:
+                raise ValueError(f"{path} line {number}: a second '# {key}:' line")
             if key == "columns" and val not in _COLUMN_LINES:
                 raise ValueError(f"{path} line {number}: '# columns:' line names {val!r}, "
                                  f"not {_COLUMN_LINES[0]!r} or {_COLUMN_LINES[1]!r}")

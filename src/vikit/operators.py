@@ -224,12 +224,15 @@ class SampleCheck:
         return self.failed_at is None
 
 
-def _rows(op, X: np.ndarray) -> np.ndarray:
+def _rows(op, X: np.ndarray, name: str, space: SpaceDescriptor) -> np.ndarray:
     """op at each row of the (m, n) block X: one call for vikit's own
     operators, one call per row for any other callable, which is never
-    handed more than one point. The values are checked as README's call
-    convention says."""
+    handed more than one point. A value that does not lie in space raises
+    SpaceMismatchError naming it name(x), before any arithmetic on it; the
+    values are checked for NaN and Inf as README's call convention says."""
     values = op(X) if type(op) in _BLOCK_OPERATORS else np.stack([op(x) for x in X])
+    if values.shape != X.shape:  # every row has the first one's shape
+        check_space(f"{name}(x)", values[0], space)
     return check_finite(values)
 
 
@@ -260,7 +263,9 @@ def _first_failure(start: int, failed: np.ndarray, value: np.ndarray) -> SampleC
 
 def check_monotone(op, space: SpaceDescriptor) -> SampleCheck:
     """Sampled check of <op(x) - op(y), x - y> >= -CERTIFY_TOL; a failing
-    sample's value is that inner product.
+    sample's value is that inner product. An op value that does not lie in
+    space raises SpaceMismatchError naming it A(x), as the operator of the
+    VI is named.
 
     Each block of pairs is evaluated with one call of `op` (see `_rows`),
     so an `op` that raises on some sample raises here even when an earlier
@@ -269,7 +274,7 @@ def check_monotone(op, space: SpaceDescriptor) -> SampleCheck:
     can disagree on a sample whose value lies within rounding of
     -CERTIFY_TOL, and only there."""
     for start, XY in _sample_blocks(space.dim, 2):
-        AXY = _rows(op, XY.reshape(-1, space.dim)).reshape(XY.shape)
+        AXY = _rows(op, XY.reshape(-1, space.dim), "A", space).reshape(XY.shape)
         value = space.row_inner(AXY[:, 0] - AXY[:, 1], XY[:, 0] - XY[:, 1])
         check = _first_failure(start, value < -CERTIFY_TOL, value)
         if not check:
@@ -283,9 +288,11 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement) -> SampleCh
     ||Tx - z||^2 - ||x - z||^2 - lam ||x - Tx||^2. Blocks are evaluated as
     in `check_monotone`, and the squared norms are `row_inner`s where a
     one-at-a-time loop squares `norm`s, so the two can disagree on a sample
-    whose value lies within rounding of +CERTIFY_TOL, and only there."""
+    whose value lies within rounding of +CERTIFY_TOL, and only there. An op
+    value that does not lie in z's space raises SpaceMismatchError naming
+    it T(z) or T(x)."""
     space, z = fixed_point.space, fixed_point.coords
-    if space.norm(check_finite(op(z)) - z) > FIXED_POINT_TOL:
+    if space.norm(check_space("T(z)", op(z), space) - z) > FIXED_POINT_TOL:
         raise ValueError("provided point is not a fixed point of the operator")
 
     def sq(d):
@@ -293,7 +300,7 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement) -> SampleCh
 
     for start, X in _sample_blocks(space.dim, 1):
         X = X[:, 0]
-        TX = _rows(op, X)
+        TX = _rows(op, X, "T", space)
         lhs = sq(TX - z)
         rhs = sq(X - z) + lam * sq(X - TX)
         check = _first_failure(start, lhs > rhs + CERTIFY_TOL, lhs - rhs)

@@ -218,7 +218,7 @@ def solution_residual(problem: ProblemInstance) -> float:
     if problem.x_star is None:
         raise ValueError("problem has no known solution")
     xs = problem.x_star.coords
-    Ax = check_finite(problem.A(xs))
+    Ax = check_finite(check_space("A(x*)", problem.A(xs), problem.space))
     return problem.space.norm(xs - project(problem.C, xs - RESIDUAL_GAMMA * Ax))
 
 
@@ -228,9 +228,11 @@ def certify(problem: ProblemInstance) -> list:
     Returns a list of human-readable failure strings; empty means certified,
     that is every hypothesis checked. Without a known x_star, nonempty Omega
     and T's demicontractivity cannot be checked, and the first failure says
-    so; A's monotonicity is still sampled. An A or T value it reads with a
-    NaN or Inf entry raises NonFiniteElementError (README's call convention).
-    A problem that is not a ProblemInstance raises ConfigError naming it.
+    so; A's monotonicity is still sampled. An A or T value it reads that
+    does not lie in the problem's space raises SpaceMismatchError naming it
+    (A(x*), T(x*) or A(x)), and one with a NaN or Inf entry raises
+    NonFiniteElementError (README's call convention). A problem that is not
+    a ProblemInstance raises ConfigError naming it.
     """
     failures = []
     if check_type("problem", problem, ProblemInstance).x_star is None:
@@ -240,7 +242,7 @@ def certify(problem: ProblemInstance) -> list:
         if r > 1e-8:
             failures.append(f"VI solution residual {r:.3e} exceeds 1e-8")
         xs = problem.x_star.coords
-        fp = problem.space.norm(check_finite(problem.T(xs)) - xs)
+        fp = problem.space.norm(check_space("T(x*)", problem.T(xs), problem.space) - xs)
         if fp > ops.FIXED_POINT_TOL:
             failures.append(f"fixed-point residual {fp:.3e} exceeds {ops.FIXED_POINT_TOL:g}")
         # demicontractivity is sampled about x*, so only when x* is a fixed point

@@ -98,10 +98,12 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     """Nearest point of the set in the space's norm. Returns x itself when
     it already lies in a ball or halfspace.
 
-    A box rejects a point with a NaN or Inf entry (NonFiniteElementError),
-    which clipping would map to a bound. A ball or halfspace passes such an
-    entry of x on to its result, as NaN or Inf. A point that does not fit
-    the set's space, or a box's bounds, raises SpaceMismatchError."""
+    A box or ball rejects a point with a NaN or Inf entry
+    (NonFiniteElementError): clipping would map it to a bound, and the
+    ball's norm of x - center raises on it, as every norm does. A halfspace
+    passes such an entry of x on to its result, as NaN or Inf. A point that
+    does not fit the set's space, or a box's bounds, raises
+    SpaceMismatchError."""
     if isinstance(s, Box):  # a box has no space of its own
         y = clip_ufunc(check_finite(x), s.lower, s.upper)
         if y.shape != x.shape:  # bounds of another shape broadcast x to theirs
@@ -114,15 +116,13 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
         c = s.center.coords
         d = x - c
         dist = sp.norm(d)
-        # a NaN dist fails the test, and an infinite one scales d by 0,
-        # which turns an Inf entry into NaN
         if dist <= s.radius:
             return x
         return c + (s.radius / dist) * d
     # halfspace: one-step orthogonal correction. A NaN or Inf entry of x is
     # returned or turned into NaN; only a non-finite normal could pass a
     # finite x as a member (viol = -Inf), and a step's normal is finite when
-    # its trial point is, as the box check and the ball's NaN ensure
+    # its trial point is, as the box check and the ball's norm ensure
     sp, normal = s.space, s.normal
     if x.shape != normal.shape:  # the normal has the space's shape
         check_space("x", x, sp)

@@ -172,18 +172,20 @@ class SpaceDescriptor:
         return float(np.add.reduce(self.quad_weights * a * b))
 
     def norm(self, a: np.ndarray) -> float:
-        """sqrt(inner(a, a)), NaN or Inf when a has a NaN or Inf entry. A
-        sum of squares that overflows on finite entries (past ~1.3e154) is
-        taken again on a / max|a|, so a finite array has a finite norm
-        unless the norm itself exceeds the largest float. A C-contiguous
-        array in R^n takes inner's dot directly, without the call (a square
-        has no -0.0 to keep, so one entry needs no @). The weights are
-        positive, so the sum of squares is never negative."""
+        """sqrt(inner(a, a)); raises NonFiniteElementError when a has a NaN
+        or Inf entry. The weights are positive, so such an entry always
+        makes the sum of squares non-finite, and only then is a checked
+        entry by entry. A sum that overflows on finite entries (past
+        ~1.3e154) is taken again on a / max|a|, so a finite array has a
+        finite norm unless the norm itself exceeds the largest float. A
+        C-contiguous array in R^n takes inner's dot directly, without the
+        call (a square has no -0.0 to keep, so one entry needs no @)."""
         if self.kind is SpaceKind.EUCLIDEAN and a.flags.c_contiguous:
             sq = float(a.dot(a))
         else:
             sq = self.inner(a, a)
-        if not math.isfinite(sq) and np.isfinite(a).all():
+        if not math.isfinite(sq):
+            check_finite(a)
             big = float(np.abs(a).max())
             b = a / big
             return big * math.sqrt(self.inner(b, b))
@@ -214,17 +216,6 @@ def check_finite(v: np.ndarray) -> np.ndarray:
     if not math.isfinite(_vdot(v, v)) and not np.isfinite(v).all():
         raise NonFiniteElementError("element contains non-finite entries")
     return v
-
-
-def finite_norm(space: SpaceDescriptor, v: np.ndarray) -> float:
-    """space.norm(v), once v is known to hold no NaN or Inf entry; raises
-    NonFiniteElementError otherwise. Such an entry always makes the norm
-    non-finite (the weights are positive), so v is checked entry by entry
-    only when the norm is."""
-    n = space.norm(v)
-    if not math.isfinite(n):
-        check_finite(v)
-    return n
 
 
 def euclidean(n: int) -> SpaceDescriptor:

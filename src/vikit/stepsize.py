@@ -13,7 +13,7 @@ import numpy as np
 
 from .operators import AffineMatrix
 from .projections import Box, FeasibleSet, clip_ufunc, project
-from .space import SpaceDescriptor, _read_only, _vdot, check_field, finite_norm
+from .space import SpaceDescriptor, _read_only, _vdot, check_field
 
 
 class ArmijoSearchError(RuntimeError):
@@ -61,9 +61,9 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
                     s: np.ndarray, y: np.ndarray, As: np.ndarray,
                     Ay: np.ndarray) -> float:
     """Next step: min(phi * ||s-y|| / ||As-Ay||, gamma_k), or gamma_k when
-    the operator displacement vanishes. Never increases. Raises
-    NonFiniteElementError when As - Ay or s - y has a NaN or Inf entry,
-    which the comparison or the min could otherwise pass over.
+    the operator displacement vanishes. Never increases. Like every norm,
+    ||As - Ay|| and ||s - y|| raise NonFiniteElementError on a NaN or Inf
+    entry, which the comparison or the min could otherwise pass over.
 
     "As != Ay" is read in floating point as the test
 
@@ -85,13 +85,13 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
     Only in the band between the two is ||Ay|| computed and the test
     applied as stated. An ||As|| + denom that overflows lands in the band.
     So the step is bitwise the four-norm rule's."""
-    denom = finite_norm(space, As - Ay)
+    denom = space.norm(As - Ay)
     norm_As = space.norm(As)
     if denom <= 1e-14 * max(1.0, norm_As) or (
             denom <= 2e-14 * max(1.0, norm_As + denom)
             and denom <= 1e-14 * max(1.0, norm_As, space.norm(Ay))):
         return gamma_k
-    return min(phi * finite_norm(space, s - y) / denom, gamma_k)
+    return min(phi * space.norm(s - y) / denom, gamma_k)
 
 
 ARMIJO_MAX_TRIALS = 60
@@ -188,7 +188,7 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
             continue
         y = project(C, x + (-gamma) * Ax)
         Ay = A(y)
-        if gamma * finite_norm(space, Ax - Ay) <= policy.phi * finite_norm(space, x - y):
+        if gamma * space.norm(Ax - Ay) <= policy.phi * space.norm(x - y):
             return gamma, y, Ax, Ay
         gamma *= policy.l
     raise ArmijoSearchError(

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from vikit.algorithms import Scheme
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_counts.py"
@@ -40,3 +42,11 @@ def test_a_spec_vikit_rejects_is_named_with_exit_code_2():
     run = subprocess.run([sys.executable, str(TOOL), "ex9:n=3"], capture_output=True, text=True)
     assert (run.returncode, run.stdout) == (2, "")
     assert run.stderr == "error: unknown problem family 'ex9' in 'ex9:n=3'\n"
+
+
+@pytest.mark.parametrize("iters", ["1_0", "٣"])  # int() reads both: 10 and 3
+def test_iters_that_is_not_an_ascii_decimal_integer_is_a_usage_error(iters):
+    run = subprocess.run([sys.executable, str(TOOL), "ex1:n=8,seed=1", "--iters", iters],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.endswith(f"error: argument --iters: invalid integer value: {iters!r}\n")

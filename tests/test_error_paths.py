@@ -17,7 +17,8 @@ from vikit.harness import (
     run_plan,
     validate_conditions,
 )
-from vikit.operators import AffineMatrix, RankOneIntegral, Scale
+from vikit.operators import (AffineMatrix, RankOneIntegral, Scale, check_demicontractive,
+                             check_monotone)
 from vikit.problems import RandomSpec, certify, initial_points, make_example1, make_example2
 from vikit.projections import Box, HalfSpace
 from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, zeros
@@ -68,6 +69,20 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
     (lambda: validate_conditions(None, 5), ConfigError,
      "cfg must be of type SolverConfig, got None"),
     (lambda: certify(None), ConfigError, "problem must be of type ProblemInstance, got None"),
+    (lambda: certify(dataclasses.replace(_EX1, A=lambda x: x[..., :3])), SpaceMismatchError,
+     r"A\(x\*\) must lie in euclidean\(4\), got a value of shape \(3,\)"),
+    (lambda: certify(dataclasses.replace(_EX1, A=lambda x: x[..., :3], x_star=None)),
+     SpaceMismatchError, r"A\(x\) must lie in euclidean\(4\), got a value of shape \(3,\)"),
+    (lambda: certify(dataclasses.replace(_EX1, T=lambda x: x[..., :3])), SpaceMismatchError,
+     r"T\(x\*\) must lie in euclidean\(4\), got a value of shape \(3,\)"),
+    (lambda: check_monotone(lambda x: float(x.sum()), euclidean(3)), SpaceMismatchError,
+     r"A\(x\) must lie in euclidean\(3\), got a value of shape \(\)"),
+    (lambda: check_demicontractive(lambda x: x[:2], 0.0, zeros(euclidean(3))),
+     SpaceMismatchError, r"T\(z\) must lie in euclidean\(3\), got a value of shape \(2,\)"),
+    # a T that keeps z but maps the samples elsewhere
+    (lambda: check_demicontractive(lambda x: x if not x.any() else x[:2], 0.0,
+                                   zeros(euclidean(3))),
+     SpaceMismatchError, r"T\(x\) must lie in euclidean\(3\), got a value of shape \(2,\)"),
     (lambda: run_plan(None), ConfigError, "plan must be of type ExperimentPlan, got None"),
     (lambda: emit_csv(ConvergenceTrace(scheme=Scheme.IMSEGM), None, os.devnull), ConfigError,
      "header must be of type TraceFileHeader, got None"),
@@ -79,6 +94,9 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
         "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",
         "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space",
         "solve-problem", "solve-cfg", "make-config-problem", "validate-cfg", "certify-problem",
+        "certify-a-shape", "certify-a-shape-no-solution", "certify-t-shape",
+        "monotone-scalar-value", "demicontractive-fixed-point-shape",
+        "demicontractive-sample-shape",
         "run-plan-plan", "emit-csv-header", "header-scheme"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -256,6 +256,26 @@ def test_csv_columns_line_other_than_the_two_emitted_is_named(tmp_path, with_res
         harness.parse_csv(path)
 
 
+@pytest.mark.parametrize("with_res,line", [
+    # a second columns line once replaced the first: a wider one after the
+    # rows made trace_fingerprint fail on a bare IndexError, a narrower one
+    # dropped the residuals
+    (False, "# columns: k,D_k,gamma_k,delta_k,elapsed_s,res_contraction,res_halfspace,res_tseng"),
+    (True, "# columns: k,D_k,gamma_k,delta_k,elapsed_s"),
+    (False, "# scheme: stegm"),
+], ids=["columns-5-then-8", "columns-8-then-5", "scheme"])
+def test_csv_header_key_given_twice_is_named(tmp_path, with_res, line):
+    path = tmp_path / "t.csv"
+    harness.emit_csv(_toy_trace(with_res), _header(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines + [line]) + "\n")
+    key = line[2:].partition(":")[0]
+    named = f"{path} line {len(lines) + 1}: a second '# {key}:' line"
+    for read in (harness.parse_csv, harness.trace_fingerprint):
+        with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):
+            read(path)
+
+
 def test_empty_trace_writes_header_only(tmp_path):
     path = tmp_path / "t.csv"
     harness.emit_csv(ConvergenceTrace(scheme=Scheme.IMSEGM), _header(), path)

@@ -13,7 +13,8 @@ from vikit.projections import (
     halfspace_residual,
     project,
 )
-from vikit.space import ConfigError, SpaceMismatchError, element, euclidean, grid_l2, zeros
+from vikit.space import (ConfigError, NonFiniteElementError, SpaceMismatchError, element,
+                         euclidean, grid_l2, zeros)
 
 
 def _random_set(variant, n, rng):
@@ -47,6 +48,16 @@ def test_ball_uses_the_l2_grid_norm():
     x = element(sp, 2.0 * np.ones(101))  # constant 2 has L2 norm 2, sup norm 2
     p = project(Ball(zeros(sp), 1.0), x.coords)
     assert sp.norm(p) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("sp", [euclidean(3), grid_l2(3)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ball_rejects_a_point_with_a_nan_or_inf_entry(sp, bad):
+    # a member test on a NaN distance would fail, and an infinite one
+    # would scale the entry to NaN; the norm raises on either first
+    x = np.array([0.5, bad, 0.0])
+    with pytest.raises(NonFiniteElementError):
+        project(Ball(zeros(sp), 1.0), x)
 
 
 def test_halfspace_orthogonal_drop():

@@ -26,6 +26,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vikit.algorithms import Scheme, solve  # noqa: E402
+from vikit.cli import integer  # noqa: E402
 from vikit.harness import make_config, parse_problem_spec  # noqa: E402
 from vikit.problems import initial_points  # noqa: E402
 
@@ -57,7 +58,7 @@ def counts(spec: str, iters: int) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Count calls per iteration of each scheme.")
     parser.add_argument("spec", help="problem spec, such as ex1:n=100,seed=1")
-    parser.add_argument("--iters", type=int, default=200, help="iterations (default 200)")
+    parser.add_argument("--iters", type=integer, default=200, help="iterations (default 200)")
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be at least 1")
