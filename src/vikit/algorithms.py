@@ -9,7 +9,7 @@ its parts, and one generic step runs every member.
 `solve` checks its starting points against the problem's space once and
 then iterates on plain coordinate arrays. A step that overflows, or meets
 NaN, raises NonFiniteElementError at that step; where it checks follows
-README's call convention.
+the `space` module's call convention.
 """
 
 from __future__ import annotations
@@ -94,7 +94,10 @@ class SequenceRule:
     """Closed-form scalar sequence, evaluated at 1-based iteration index.
     `kind` names one of its closed forms (ConfigError otherwise). Only a
     "constant" reads `value`, which must then be finite; any other kind
-    takes none (ConfigError)."""
+    takes none (ConfigError). The terms themselves are not range-checked
+    here: a theta_k or eta_k outside its condition's interval, such as
+    theta_k = 2, is a violation that `harness.validate_conditions`
+    reports, not an error."""
 
     kind: str
     value: Optional[float] = None
@@ -381,9 +384,11 @@ def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
 
 
 def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
-    """Run the selected scheme for max_iter iterations, recording the
-    error D_k (when the solution is known), step and inertia parameters,
-    elapsed time, and optional inequality residuals."""
+    """Run the selected scheme for max_iter iterations, or until D_k < tol
+    when tol is set, recording the error D_k (when the solution is known),
+    step and inertia parameters, elapsed time, and optional inequality
+    residuals. A step that raises ends the run with SolveError, which
+    carries the rows recorded so far."""
     check_config(cfg, problem)
     scheme, tol = cfg.algorithm, cfg.tol
     phi = getattr(cfg.step, "phi", None)

@@ -84,7 +84,9 @@ def _cmd_validate(args) -> int:
                 for v in violations:
                     print(f"{scheme.value}: {v}")
             else:
-                print(f"{scheme.value}: ok ({args.horizon} terms)")
+                cond = harness.CONDITIONS.get(scheme.outer)
+                checked = "range checks only" if cond is None else cond.label
+                print(f"{scheme.value}: ok ({checked}, {args.horizon} terms)")
     return status
 
 

@@ -264,6 +264,16 @@ def trace_fingerprint(path) -> List[str]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """Every (problem spec, scheme, seed) cell, with the run settings they
+    share. Construction checks the plan whole, so a bad plan fails before
+    `run_plan` creates anything: each list field is a list (TypeError
+    otherwise), stored as a tuple, non-empty, and holds strs, Schemes and
+    integer seeds in [0, inf); max_iter is an integer in [1, inf), tol
+    unset or in (0, inf), record_invariants a bool and output_dir a
+    non-empty str or path (ConfigError naming the field otherwise). Each
+    cell's spec is resolved here, once, and two cells that would write one
+    file raise ValueError."""
+
     problems: Tuple[str, ...]
     algorithms: Tuple[Scheme, ...]
     max_iter: int

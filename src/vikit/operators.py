@@ -4,7 +4,7 @@ Concrete maps: affine Gx + f, coordinatewise positive part, scalar
 scaling, and the rank-one integral map t -> t * integral(x). Each maps a
 coordinate array to a new coordinate array, and an (m, n) block of rows
 to the block of its values row by row. They are pure maps: where a NaN
-or Inf value is checked follows README's call convention.
+or Inf value is checked follows the `space` module's call convention.
 Monotonicity and demicontractivity are certified by seeded sampling,
 which evaluates these four maps once per block of samples and any other
 callable one point at a time; demiclosedness is a declared property and
@@ -37,7 +37,8 @@ _PROBE_MIN_NORM = 2.0 ** -400
 
 @dataclass(frozen=True)
 class AffineMatrix:
-    """x -> G x + f.
+    """x -> G x + f. G is a real square matrix and f, when set, a
+    SpaceElement of G's size (ConfigError naming the field otherwise).
 
     `frobenius` is ||G||_F, computed once here. It bounds the Lipschitz
     constant ||G||_2 from above, and it bounds how far a computed A(y)
@@ -229,7 +230,8 @@ def _rows(op, X: np.ndarray, name: str, space: SpaceDescriptor) -> np.ndarray:
     operators, one call per row for any other callable, which is never
     handed more than one point. A value that does not lie in space raises
     SpaceMismatchError naming it name(x), before any arithmetic on it; the
-    values are checked for NaN and Inf as README's call convention says."""
+    values are checked for NaN and Inf, as the `space` module's call
+    convention says."""
     values = op(X) if type(op) in _BLOCK_OPERATORS else np.stack([op(x) for x in X])
     if values.shape != X.shape:  # every row has the first one's shape
         check_space(f"{name}(x)", values[0], space)

@@ -41,12 +41,15 @@ class ProblemInstance:
     `PositivePart`, `Scale`, `RankOneIntegral`) are evaluated once per
     block, any other callable once per point, so a callable written for
     one point is never handed a block. Construction checks the type and
-    space rules of README's "Library use" on every field: `space` is a
-    `SpaceDescriptor`, `A`, `T` and (when set) `F` and `f_visc` are
-    callable, `C` is a `Box`, `Ball` or `HalfSpace` that fits the space,
-    `x_star` (when known) lies in the space, and an `AffineMatrix` `A` is
-    dim x dim with its offset in the space; `lambda_T` lies in [0, 1) and
-    `L` in [0, inf), where `L` = 0 bounds the zero operator."""
+    space rules (`space.check_type`, `space.check_space`) on every field:
+    `space` is a `SpaceDescriptor`, `A`, `T` and (when set) `F` and
+    `f_visc` are callable, `C` is a `Box`, `Ball` or `HalfSpace` that fits
+    the space, `x_star` (when known) lies in the space, and an
+    `AffineMatrix` `A` is dim x dim with its offset in the space;
+    `lambda_T` lies in [0, 1) and `L` in [0, inf), where `L` = 0 bounds
+    the zero operator. `L` is the Lipschitz constant the fixed steps read;
+    `operators.estimate_lipschitz` computes it for an `AffineMatrix` only,
+    so a problem with any other `A` states it."""
 
     space: SpaceDescriptor
     A: object
@@ -231,8 +234,8 @@ def certify(problem: ProblemInstance) -> list:
     so; A's monotonicity is still sampled. An A or T value it reads that
     does not lie in the problem's space raises SpaceMismatchError naming it
     (A(x*), T(x*) or A(x)), and one with a NaN or Inf entry raises
-    NonFiniteElementError (README's call convention). A problem that is not
-    a ProblemInstance raises ConfigError naming it.
+    NonFiniteElementError (the `space` module's call convention). A problem
+    that is not a ProblemInstance raises ConfigError naming it.
     """
     failures = []
     if check_type("problem", problem, ProblemInstance).x_star is None:

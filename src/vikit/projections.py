@@ -13,8 +13,8 @@ from typing import Union
 
 import numpy as np
 
-from .space import (ConfigError, RealArray, Reals, SpaceDescriptor, SpaceElement, check_field,
-                    check_finite, check_space, check_type, euclidean)
+from .space import (ConfigError, NonFiniteElementError, RealArray, Reals, SpaceDescriptor,
+                    SpaceElement, check_field, check_finite, check_space, check_type, euclidean)
 
 # numpy keeps one dtype object per built-in type, so every float64 array's
 # dtype is this object
@@ -100,9 +100,10 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
 
     A box or ball rejects a point with a NaN or Inf entry
     (NonFiniteElementError): clipping would map it to a bound, and the
-    ball's norm of x - center raises on it, as every norm does. A halfspace
-    passes such an entry of x on to its result, as NaN or Inf. A point that
-    does not fit the set's space, or a box's bounds, raises
+    ball checks x when its norm of x - center raises, as every norm does
+    on such an entry; a finite x whose x - center overflows is projected.
+    A halfspace passes such an entry of x on to its result, as NaN or Inf.
+    A point that does not fit the set's space, or a box's bounds, raises
     SpaceMismatchError."""
     if isinstance(s, Box):  # a box has no space of its own
         y = clip_ufunc(check_finite(x), s.lower, s.upper)
@@ -115,7 +116,16 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
             check_space("x", x, sp)
         c = s.center.coords
         d = x - c
-        dist = sp.norm(d)
+        try:
+            dist = sp.norm(d)
+        except NonFiniteElementError:
+            # x has a NaN or Inf entry, on which check_finite raises, or
+            # x - c overflowed: then x lies further from c than the largest
+            # float, so outside the ball. Take d on x and c divided by their
+            # largest |entry|, as norm rescales
+            scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
+            d = x / scale - c / scale
+            return c + (s.radius / sp.norm(d)) * d
         if dist <= s.radius:
             return x
         return c + (s.radius / dist) * d

@@ -1,12 +1,53 @@
-"""Inner-product space shared by the solvers.
+"""Inner-product space shared by the solvers, the input checks and the
+call convention.
 
 Two concrete spaces are supported: R^n with the usual dot product, and
 functions on [0,1] sampled on a uniform grid with the L2 inner product
 approximated by composite trapezoid quadrature.
 
-`SpaceElement` is the checked point type at the library boundary. Inside
-the solvers points are plain float64 coordinate arrays, and the space's
-`inner`/`norm` methods supply the geometry.
+Call convention. `SpaceElement` is the checked point type at the library
+boundary: `element`, `zeros`, `problems.initial_points`, a problem's
+`x_star` and a config's `x0` and `x1` are SpaceElements. Construction
+rejects coordinates that are not real, of another shape than the space's,
+or with a NaN or Inf entry. A SpaceElement has no arithmetic. `solve`
+checks once that x0 and x1 are set and lie in the problem's space, and
+then runs on their float64 `.coords`. Everything below that boundary takes
+and returns coordinate arrays: the operators, `projections.project`, the
+step-size rules, the scheme steps and the `IterateState` they pass along.
+Code that needs the geometry takes the SpaceDescriptor (or reads it from a
+Ball's centre, a HalfSpace or a RankOneIntegral) and calls its
+`inner`/`norm`.
+
+Operators are pure maps: vikit's own check nothing, and a caller's need
+not either. A NaN or Inf raises NonFiniteElementError, and `check_finite`
+checks a vector entry by entry in four kinds of place only:
+- where a NaN or Inf would otherwise be lost: the point a Box clips
+  (clipping maps +-Inf to a bound) and each new iterate x_{k+1};
+- every operator value `problems.certify` reads: each block of sampled A
+  or T values (`operators._rows`, for vikit's operators and a caller's
+  alike) and A(x*) in the VI residual;
+- the SpaceElement boundary;
+- every norm. `SpaceDescriptor.norm` raises on such an entry, so a norm
+  that feeds a comparison or a min (the inertial weight, the adaptive
+  step, the Armijo test, D_k, the fixed-point residual of T(x*)) cannot
+  pass a NaN over.
+So a Box rejects a point with such an entry, and so does a Ball, which
+checks x when its norm of x - center raises; a HalfSpace passes it on to
+its result. Every
+other vector, operator values included, goes unchecked: a NaN or Inf in
+it reaches x_{k+1} or a norm and raises there, at the same k (as
+SolveError, from `solve`). In the Armijo search a non-finite trial point
+raises in the projection, or makes y non-finite, and the trial's
+||x - y|| raises. A failing step may thus emit numpy RuntimeWarnings
+before it raises. tests/step_oracle.py keeps a step that checks every
+vector and operator value, and tests/armijo_oracle.py a search that does;
+property tests check that the library gives the same rows bit for bit,
+or the same error at the same k.
+
+`check_finite` sums squares with np.vdot, not with `@` or `dot`: all three
+overflow on finite entries past ~1e154, but vdot does so silently, while
+the others warn, and a warnings filter set to "error" (as the test
+suite's is) would turn that warning into an exception on a finite vector.
 """
 
 from __future__ import annotations

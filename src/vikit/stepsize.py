@@ -177,8 +177,9 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     point finite (the row's is bitwise the same); size bounds F ||y_j|| +
     ||f|| and F ||x|| + ||f|| below 2^500, so no partial sum of G y_j + f
     overflows and A(y_j) and A(x) - A(y_j) are finite; and n2 <= 2^500
-    keeps x - y_j finite. Each trial checks finiteness as README's call
-    convention says, and none of these checks rejects a finite vector."""
+    keeps x - y_j finite. Each trial checks finiteness as the `space`
+    module's call convention says, and none of these checks rejects a
+    finite vector."""
     Ax = A(x)
     skip = _proven_rejections(space, policy, x, Ax, A, C)
     gamma = policy.rho

@@ -1,5 +1,5 @@
 """tools/call_counts.py: calls per iteration of each scheme, the same on
-every run of one checkout."""
+every run of one checkout, and within the budget of call_budget.txt."""
 
 import subprocess
 import sys
@@ -10,12 +10,35 @@ import pytest
 from vikit.algorithms import Scheme
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_counts.py"
+BUDGET = Path(__file__).with_name("call_budget.txt")
 
 
 def _table(spec: str) -> list:
     out = subprocess.run([sys.executable, str(TOOL), spec, "--iters", "20"],
                          capture_output=True, text=True, check=True).stdout
     return [line.split() for line in out.splitlines()[2:]]
+
+
+def test_every_count_is_within_its_budget_row():
+    budget = {}  # {spec: {scheme: (python, c)}}
+    for line in BUDGET.read_text().splitlines():
+        if line and not line.startswith("#"):
+            spec, scheme, python, c = line.split()
+            budget.setdefault(spec, {})[scheme] = float(python), float(c)
+    # one fresh process per spec, side by side, at the tool's 200 iterations
+    runs = {spec: subprocess.Popen([sys.executable, str(TOOL), spec],
+                                   stdout=subprocess.PIPE, text=True) for spec in budget}
+    outside = []
+    for spec, run in runs.items():
+        out, _ = run.communicate()
+        assert run.returncode == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert [row[0] for row in rows] == list(budget[spec]) == [s.value for s in Scheme]
+        for scheme, *counts in rows:
+            for kind, count, row in zip(("python", "c"), map(float, counts), budget[spec][scheme]):
+                if not row - 0.5 <= count <= row:
+                    outside.append(f"{spec} {scheme} {kind}: {count} against {row}")
+    assert not outside, "counts outside [row - 0.5, row]: " + "; ".join(outside)
 
 
 def test_two_runs_give_the_same_counts_for_every_scheme():

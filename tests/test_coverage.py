@@ -1,8 +1,8 @@
 """Which statements of the numerical core the golden cells run.
 
-test_golden.py, test_golden_offset.py and test_golden_ball.py pin each
-scheme's arithmetic bit for bit, but only on the statements their 40 cells
-execute. This test runs the same cells under a sys.settrace line
+test_golden.py, test_golden_offset.py, test_golden_ball.py and
+test_golden_demi.py pin each scheme's arithmetic bit for bit, but only on
+the statements their 50 cells execute. This test runs the same cells under a sys.settrace line
 collector and checks that every statement of the functions in CORE is
 reached, apart from those in UNREACHED. Each of those names the test that
 pins it instead, and leaves the list once a golden cell reaches it. Line
@@ -20,6 +20,7 @@ import textwrap
 
 from test_golden import GOLDEN, _fingerprint_sha
 from test_golden_ball import GOLDEN_BALL, _ball_sha
+from test_golden_demi import GOLDEN_DEMI, _demi_sha
 from test_golden_offset import GOLDEN_OFFSET, _offset_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
@@ -35,7 +36,9 @@ CELLS = ([(functools.partial(_fingerprint_sha, spec, Scheme(scheme)), sha)
          + [(functools.partial(_offset_sha, Scheme(scheme)), sha)
             for scheme, sha in GOLDEN_OFFSET.items()]
          + [(functools.partial(_ball_sha, Scheme(scheme)), sha)
-            for scheme, sha in GOLDEN_BALL.items()])
+            for scheme, sha in GOLDEN_BALL.items()]
+         + [(functools.partial(_demi_sha, Scheme(scheme)), sha)
+            for scheme, sha in GOLDEN_DEMI.items()])
 
 # (function, statement as written, which of the function's statements so
 # written, counted from 1) -> the test that pins the statement where no
@@ -65,6 +68,13 @@ UNREACHED = {
         "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
     ("project", "return x - (scale * (viol / sp.inner(a, a))) * a", 1):
         "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
+    # a ball's x - center that overflows on finite points
+    ("project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
+        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
+    ("project", "d = x / scale - c / scale", 1):
+        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
+    ("project", "return c + (s.radius / sp.norm(d)) * d", 1):
+        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     # the Armijo search exhausted, and a policy with no trial to screen
     ("armijo_search", "raise ArmijoSearchError(", 1):
         "test_stepsize.py::test_armijo_exhaustion_raises_with_last_gamma",

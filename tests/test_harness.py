@@ -1,3 +1,14 @@
+"""The harness: make_config and Table 1, validate_conditions (C4 and
+C5 read the problem's lambda_T, see demi_problem.py), the trace CSV, and
+run_plan.
+
+A plan built from lists stores tuples, so it cannot gain cells after
+they were resolved, and a str or a non-iterable in place of a list is a
+TypeError naming the field. run_plan builds and certifies each problem
+once, frees it after its cells, runs each distinct computation once and
+keeps the cells' order at every thread count.
+"""
+
 import dataclasses
 import math
 import re
@@ -7,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from demi_problem import demi_problem
 from vikit import harness
 from vikit.algorithms import (
     HSD_LAMBDA,
@@ -71,8 +83,9 @@ def test_table1_rows_follow_each_schemes_parts(small_problem):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_presets_validate_cleanly(scheme, small_problem):
-    cfg = harness.make_config(scheme, small_problem)
-    assert harness.validate_conditions(cfg, horizon=400) == []
+    for problem in (small_problem, demi_problem(1.5)):  # lambda_T = 0 and 0.2
+        cfg = harness.make_config(scheme, problem)
+        assert harness.validate_conditions(cfg, horizon=400) == []
 
 
 # delta is the constant INERTIAL_DELTA, not a field; make_config sets
@@ -118,6 +131,28 @@ def test_eta_out_of_range_flagged_for_theta_to_one(small_problem):
     violations = harness.validate_conditions(cfg, horizon=50)
     assert violations
     assert all(v.condition == "C5.eta_range" for v in violations)
+
+
+@pytest.mark.parametrize("scheme", [Scheme.IMSEGM, Scheme.IMTEGM, Scheme.MSEGM])
+def test_c4_bound_reads_lambda(scheme):
+    # Table 1's Mann eta_k = (1 - theta_k)/2 lies below C4's bound
+    # (1 - lambda)(1 - theta_k) at lambda = 0.2 (test_presets_validate_cleanly)
+    # and equals it at 0.5, where the strict inequality fails at every k
+    cfg = harness.make_config(scheme, demi_problem(3.0))
+    assert [(v.condition, v.k) for v in harness.validate_conditions(cfg, 400)] == \
+        [("C4.eta_range", k) for k in range(1, 401)]
+
+
+def test_c5_bound_reads_lambda(small_problem):
+    # C5's bound (1 - lambda) theta / (lambda + theta) is 1 at lambda = 0
+    # and below 1/3 at lambda = 0.5, so eta_k = 0.4 passes the one and
+    # fails the other at every k
+    eta = SequenceRule("constant", 0.4)
+    cfg = harness.make_config(Scheme.IMMSEGM, small_problem, eta=eta)
+    assert harness.validate_conditions(cfg, 400) == []
+    cfg = harness.make_config(Scheme.IMMSEGM, demi_problem(3.0), eta=eta)
+    assert [(v.condition, v.k) for v in harness.validate_conditions(cfg, 400)] == \
+        [("C5.eta_range", k) for k in range(1, 401)]
 
 
 @pytest.mark.parametrize("overrides,conditions", [

@@ -1,3 +1,14 @@
+"""The operators, the Lipschitz estimate and the sampled certification
+checks.
+
+The block checks are drawn over operators (ex1 and ex2 instances, Scale
+of either sign, a non-monotone AffineMatrix, each also wrapped in a plain
+function) and block sizes, and must find the first failing sample that
+certify_oracle.py's one-at-a-time loop finds, or none. Tie cases drawn at
++-CERTIFY_TOL check that the two disagree only within rounding of the
+threshold.
+"""
+
 import math
 
 import numpy as np

@@ -1,9 +1,19 @@
+"""The problem families, their starts and `certify`.
+
+Every family, at every start it accepts, builds a problem with a known x*
+that certifies. certify raises NonFiniteElementError on a caller's A or T
+that returns NaN or Inf, at x* or on some samples, over a box or a ball,
+with and without x*, and takes a demicontractive T at its constant
+lambda_T > 0 but not below it (demi_problem.py).
+"""
+
 import dataclasses
 
 import numpy as np
 import pytest
 
 from certify_oracle import check_demicontractive_serial, check_monotone_serial
+from demi_problem import demi_problem
 from vikit.harness import parse_problem_spec
 from vikit.operators import (
     AffineMatrix,
@@ -69,6 +79,16 @@ def test_a_problem_without_a_known_solution_is_not_certified():
     with pytest.raises(ValueError):
         solution_residual(q)
     assert certify(q) == ["no known x*, so Omega nonempty and T demicontractive were not checked"]
+
+
+@pytest.mark.parametrize("k,lam,below", [(1.5, 0.2, 0.19), (3.0, 0.5, 0.49)])
+def test_certify_takes_a_demicontractive_t_at_its_constant_and_not_below(k, lam, below):
+    # T = -k x is demicontractive with lambda = (k - 1)/(k + 1) and no less
+    p = demi_problem(k)
+    assert p.lambda_T == lam and certify(p) == []
+    failures = certify(dataclasses.replace(p, lambda_T=below))
+    assert len(failures) == 1 and failures[0].startswith(
+        f"mapping failed the sampled demicontractivity check (lambda={below}) at sample 0 ")
 
 
 def test_example2_structure_and_certification():

@@ -1,3 +1,8 @@
+"""Projections onto boxes, balls and halfspaces, against the closed forms
+and the brute-force oracle of projection_oracle.py, including the points
+whose sums of squares overflow or underflow.
+"""
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +63,22 @@ def test_ball_rejects_a_point_with_a_nan_or_inf_entry(sp, bad):
     x = np.array([0.5, bad, 0.0])
     with pytest.raises(NonFiniteElementError):
         project(Ball(zeros(sp), 1.0), x)
+
+
+@pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
+def test_ball_projects_a_finite_point_whose_offset_overflows(sp):
+    # x - center overflows to Inf on finite points more than ~1.8e308
+    # apart; the ball takes the offset on both scaled down instead
+    c = np.array([-1e308, 0.0])
+    with np.errstate(over="ignore"):
+        # so far out, a unit ball's nearest point is its centre to the last bit
+        assert np.array_equal(project(Ball(element(sp, c), 1.0), np.array([1e308, 0.0])), c)
+        p = project(Ball(element(sp, c), 1e308), np.array([1e308, 1e308]))
+    # the same projection scaled down by 1e300, where nothing overflows
+    small = project(Ball(element(sp, c * 1e-300), 1e8), np.array([1e8, 1e8])) * 1e300
+    assert np.all(np.isfinite(p)) and np.allclose(p, small, rtol=1e-14, atol=0)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
+        project(Ball(element(sp, c), 1.0), np.array([np.inf, 0.0]))
 
 
 def test_halfspace_orthogonal_drop():

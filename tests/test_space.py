@@ -1,3 +1,8 @@
+"""The spaces' inner products and norms (bitwise the `@` forms, as
+`SpaceDescriptor.inner` says, and finite until the norm itself
+overflows), check_finite, and the space rule.
+"""
+
 import math
 
 import numpy as np

@@ -1,3 +1,12 @@
+"""The step-size policies.
+
+Armijo searches are drawn over boxes, balls and halfspaces, for an
+AffineMatrix or the positive part, with tie cases within 4 ulps of the
+acceptance test, and the screened search is checked bit for bit against
+the serial loop kept in armijo_oracle.py, with its A calls counted. The
+adaptive update is checked bit for bit against the four-norm rule.
+"""
+
 import dataclasses
 import math
 from unittest import mock
