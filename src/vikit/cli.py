@@ -84,8 +84,7 @@ def _cmd_validate(args) -> int:
                 for v in violations:
                     print(f"{scheme.value}: {v}")
             else:
-                cond = harness.CONDITIONS.get(scheme.outer)
-                checked = "range checks only" if cond is None else cond.label
+                checked = harness._conditions_label(scheme)
                 print(f"{scheme.value}: ok ({checked}, {args.horizon} terms)")
     return status
 

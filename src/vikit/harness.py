@@ -49,6 +49,13 @@ CONDITIONS = {
                                   lambda th: 1.0 - th, "zeta_over_one_minus_theta"),
 }
 
+
+def _conditions_label(scheme: Scheme) -> str:
+    """What validate_conditions checks a scheme's sequences against: its
+    outer update's CONDITIONS label, or range checks only."""
+    return CONDITIONS[scheme.outer].label if scheme.outer in CONDITIONS else "range checks only"
+
+
 # Table 1 by part: theta_k and eta_k by outer update, 1/(k+1) and k/(2k+1)
 # for every outer update not named here; zeta_k of the inertial rows; the
 # step policy by type. A Fixed step depends on the problem's Lipschitz

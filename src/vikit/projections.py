@@ -101,7 +101,8 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     A box or ball rejects a point with a NaN or Inf entry
     (NonFiniteElementError): clipping would map it to a bound, and the
     ball checks x when its norm of x - center raises, as every norm does
-    on such an entry; a finite x whose x - center overflows is projected.
+    on such an entry; a finite x whose x - center overflows is kept when
+    it lies within the radius and projected otherwise.
     A halfspace passes such an entry of x on to its result, as NaN or Inf.
     A point that does not fit the set's space, or a box's bounds, raises
     SpaceMismatchError."""
@@ -115,17 +116,19 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
         if x.shape != (sp.dim,):
             check_space("x", x, sp)
         c = s.center.coords
-        d = x - c
         try:
+            d = x - c
             dist = sp.norm(d)
-        except NonFiniteElementError:
+        except (NonFiniteElementError, RuntimeWarning):
             # x has a NaN or Inf entry, on which check_finite raises, or
-            # x - c overflowed: then x lies further from c than the largest
-            # float, so outside the ball. Take d on x and c divided by their
-            # largest |entry|, as norm rescales
+            # x - c overflowed on finite points (a RuntimeWarning where
+            # warnings are errors). A grid space's weights can still put
+            # such an x in the ball, so take the distance on x and c divided
+            # by their largest |entry|, as norm rescales, and the nearest
+            # point as the convex combination of c and x, which cannot overflow
             scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
-            d = x / scale - c / scale
-            return c + (s.radius / sp.norm(d)) * d
+            t = s.radius / scale / sp.norm(x / scale - c / scale)
+            return x if t >= 1.0 else (1.0 - t) * c + t * x
         if dist <= s.radius:
             return x
         return c + (s.radius / dist) * d

@@ -33,16 +33,15 @@ checks a vector entry by entry in four kinds of place only:
   pass a NaN over.
 So a Box rejects a point with such an entry, and so does a Ball, which
 checks x when its norm of x - center raises; a HalfSpace passes it on to
-its result. Every
-other vector, operator values included, goes unchecked: a NaN or Inf in
-it reaches x_{k+1} or a norm and raises there, at the same k (as
-SolveError, from `solve`). In the Armijo search a non-finite trial point
-raises in the projection, or makes y non-finite, and the trial's
+its result. Every other vector, operator values included, goes unchecked:
+a NaN or Inf in it reaches x_{k+1} or a norm and raises there, at the same
+k (as SolveError, from `solve`). In the Armijo search a non-finite trial
+point raises in the projection, or makes y non-finite, and the trial's
 ||x - y|| raises. A failing step may thus emit numpy RuntimeWarnings
 before it raises. tests/step_oracle.py keeps a step that checks every
 vector and operator value, and tests/armijo_oracle.py a search that does;
-property tests check that the library gives the same rows bit for bit,
-or the same error at the same k.
+property tests check that the library gives the same rows bit for bit, or
+the same error at the same k.
 
 `check_finite` sums squares with np.vdot, not with `@` or `dot`: all three
 overflow on finite entries past ~1e154, but vdot does so silently, while

@@ -13,10 +13,14 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "call_counts.py"
 BUDGET = Path(__file__).with_name("call_budget.txt")
 
 
-def _table(spec: str) -> list:
-    out = subprocess.run([sys.executable, str(TOOL), spec, "--iters", "20"],
-                         capture_output=True, text=True, check=True).stdout
+def _rows(out: str) -> list:
+    """The tool's table below its two header lines, one list per scheme."""
     return [line.split() for line in out.splitlines()[2:]]
+
+
+def _table(spec: str) -> list:
+    return _rows(subprocess.run([sys.executable, str(TOOL), spec, "--iters", "20"],
+                                capture_output=True, text=True, check=True).stdout)
 
 
 def test_every_count_is_within_its_budget_row():
@@ -32,7 +36,7 @@ def test_every_count_is_within_its_budget_row():
     for spec, run in runs.items():
         out, _ = run.communicate()
         assert run.returncode == 0
-        rows = [line.split() for line in out.splitlines()[2:]]
+        rows = _rows(out)
         assert [row[0] for row in rows] == list(budget[spec]) == [s.value for s in Scheme]
         for scheme, *counts in rows:
             for kind, count, row in zip(("python", "c"), map(float, counts), budget[spec][scheme]):

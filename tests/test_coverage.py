@@ -71,9 +71,9 @@ UNREACHED = {
     # a ball's x - center that overflows on finite points
     ("project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project", "d = x / scale - c / scale", 1):
+    ("project", "t = s.radius / scale / sp.norm(x / scale - c / scale)", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project", "return c + (s.radius / sp.norm(d)) * d", 1):
+    ("project", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     # the Armijo search exhausted, and a policy with no trial to screen
     ("armijo_search", "raise ArmijoSearchError(", 1):

@@ -3,6 +3,8 @@ and the brute-force oracle of projection_oracle.py, including the points
 whose sums of squares overflow or underflow.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -65,20 +67,38 @@ def test_ball_rejects_a_point_with_a_nan_or_inf_entry(sp, bad):
         project(Ball(zeros(sp), 1.0), x)
 
 
+@pytest.mark.parametrize("warn", ["error", "ignore"])
 @pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
-def test_ball_projects_a_finite_point_whose_offset_overflows(sp):
+def test_ball_projects_a_finite_point_whose_offset_overflows(sp, warn):
     # x - center overflows to Inf on finite points more than ~1.8e308
-    # apart; the ball takes the offset on both scaled down instead
+    # apart: numpy's RuntimeWarning raises under "error", as in this suite,
+    # and the norm raises under "ignore"; the ball then takes the distance
+    # on both points scaled down
     c = np.array([-1e308, 0.0])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
         # so far out, a unit ball's nearest point is its centre to the last bit
         assert np.array_equal(project(Ball(element(sp, c), 1.0), np.array([1e308, 0.0])), c)
-        p = project(Ball(element(sp, c), 1e308), np.array([1e308, 1e308]))
-    # the same projection scaled down by 1e300, where nothing overflows
-    small = project(Ball(element(sp, c * 1e-300), 1e8), np.array([1e8, 1e8])) * 1e300
-    assert np.all(np.isfinite(p)) and np.allclose(p, small, rtol=1e-14, atol=0)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
-        project(Ball(element(sp, c), 1.0), np.array([np.inf, 0.0]))
+        # grid_l2(2)'s weights are 0.5: [1e308, 0] lies 1.41e308 from c
+        # there, inside a ball of radius 1.5e308, and 2e308 from it in R^2;
+        # [1.7e308, 0] is outside both, and its nearest point in grid_l2(2)
+        # lies 2.1e308 from c along the first axis
+        for radius, x in [(1e308, [1e308, 1e308]), (1.5e308, [1e308, 0.0]),
+                          (1.5e308, [1.7e308, 0.0])]:
+            x = np.array(x)
+            p = project(Ball(element(sp, c), radius), x)
+            # the same projection scaled down by 1e300, where nothing overflows
+            xs = x * 1e-300
+            small = project(Ball(element(sp, c * 1e-300), radius * 1e-300), xs)
+            if small is xs:
+                assert p is x
+            else:
+                assert np.all(np.isfinite(p)) and np.allclose(p, small * 1e300, rtol=1e-14, atol=0)
+        x = np.array([1e308, 0.0])  # kept in grid_l2(2) only
+        inside = sp.norm(np.array([2.0, 0.0])) < 1.5
+        assert (project(Ball(element(sp, c), 1.5e308), x) is x) == inside
+        with pytest.raises(NonFiniteElementError):
+            project(Ball(element(sp, c), 1.0), np.array([np.inf, 0.0]))
 
 
 def test_halfspace_orthogonal_drop():
