@@ -97,7 +97,12 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance, **fields) -> Solv
     ConfigError naming it, as does a scheme that is not a Scheme or a
     problem that is not a ProblemInstance. A Fixed
     step is 0.99/L unless a step is given, so a problem with L unset or 0
-    raises ConfigError. Every other rule is SolverConfig's."""
+    raises ConfigError. Every other rule is SolverConfig's.
+
+    Table 1's sequences meet C4 and C5 only when lambda_T < 1/2: at 1/2
+    the Mann rows' eta_k equals C4's strict bound at every k, and above it
+    the modified Mann rows' eta_k reaches C5's bound from some k on. The
+    config is built all the same; validate_conditions reports either."""
     check_type("scheme", scheme, Scheme)
     check_type("problem", problem, prob.ProblemInstance)
     unknown = [key for key in fields if key not in _CONFIG_FIELDS]
@@ -226,10 +231,10 @@ _COLUMN_LINES = tuple(",".join(names) for names in (
 def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
     """Inverse of emit_csv; float fields round-trip bitwise. A header key
     given twice (emit_csv writes each once), a '# columns:' line other than
-    the two emit_csv writes, a data row whose field count differs from the
-    '# columns:' line before it, or a field that is not a number (k: not an
-    integer), raises ValueError naming the path and the 1-based line
-    number."""
+    the two emit_csv writes, a data row with no '# columns:' line before it
+    or whose field count differs from that line's, or a field that is not a
+    number (k: not an integer), raises ValueError naming the path and the
+    1-based line number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
     meta = {}
     rows: List[TraceRow] = []
@@ -246,8 +251,10 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
                                  f"not {_COLUMN_LINES[0]!r} or {_COLUMN_LINES[1]!r}")
             meta[key] = val
             continue
+        if "columns" not in meta:
+            raise ValueError(f"{path} line {number}: a data row before any '# columns:' line")
         parts = line.split(",")
-        width = meta["columns"].count(",") + 1 if "columns" in meta else 0
+        width = meta["columns"].count(",") + 1
         if len(parts) != width:
             raise ValueError(f"{path} line {number}: {len(parts)} fields, but the "
                              f"'# columns:' line names {width}")

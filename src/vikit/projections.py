@@ -103,7 +103,8 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     ball checks x when its norm of x - center raises, as every norm does
     on such an entry; a finite x whose x - center overflows is kept when
     it lies within the radius and projected otherwise.
-    A halfspace passes such an entry of x on to its result, as NaN or Inf.
+    A halfspace passes such an entry of x on to its result, as NaN or Inf,
+    and projects a finite x whose x - anchor overflows.
     A point that does not fit the set's space, or a box's bounds, raises
     SpaceMismatchError."""
     if isinstance(s, Box):  # a box has no space of its own
@@ -139,29 +140,30 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     sp, normal = s.space, s.normal
     if x.shape != normal.shape:  # the normal has the space's shape
         check_space("x", x, sp)
-    nn = sp.inner(normal, normal)
-    if nn == 0.0:
-        if not normal.any():
+    try:
+        nn = sp.inner(normal, normal)
+        if nn == 0.0 and not normal.any():
             return x
-        # <normal, normal> underflowed (entries below ~1e-162): the same
-        # halfspace with the normal divided by its largest |entry|
-        return project(HalfSpace(normal / np.abs(normal).max(), s.anchor, sp), x)
-    d = x - s.anchor
-    viol = sp.inner(normal, d)  # halfspace_residual(s, x)
-    if viol <= 0.0:
+        viol = sp.inner(normal, x - s.anchor)  # halfspace_residual(s, x)
+    except RuntimeWarning:  # numpy's overflow warning, where warnings are errors
+        nn = viol = math.nan
+    if viol <= 0.0 and nn != 0.0:
         return x
-    if not (math.isfinite(nn) and math.isfinite(viol)):
-        # past ~1e154 the inner products overflow on finite vectors; take
-        # them again on the vectors divided by their largest |entry|, as
-        # SpaceDescriptor.norm does. A non-finite vector keeps the NaN.
-        if np.isfinite(normal).all() and np.isfinite(d).all():
-            a = normal / np.abs(normal).max()
-            scale = float(np.abs(d).max())
-            viol = sp.inner(a, d / scale)
-            if viol <= 0.0:
-                return x
-            return x - (scale * (viol / sp.inner(a, a))) * a
-    return x - (viol / nn) * normal
+    if 0.0 < nn < math.inf and math.isfinite(viol):
+        return x - (viol / nn) * normal
+    # <normal, normal> underflowed (entries below ~1e-162), or it, x - anchor
+    # or <normal, x - anchor> overflowed on finite vectors (past ~1e154):
+    # take them again on the normal divided by its largest |entry|, and on x
+    # and the anchor divided by the power of two at or below their largest
+    # |entry|, which rounds nothing, and scale the nearest point back only
+    # at the end, so that nothing overflows before the result does. A NaN
+    # or Inf entry still gives a NaN or Inf; the anchor's |entry| comes
+    # first, so that max passes over a NaN of x.
+    a = normal / np.abs(normal).max()
+    scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), np.abs(x).max()))[1])
+    xs = x / scale
+    viol = sp.inner(a, xs - s.anchor / scale)
+    return x if viol <= 0.0 else scale * (xs - (viol / sp.inner(a, a)) * a)
 
 
 def halfspace_residual(s: HalfSpace, x: np.ndarray) -> float:

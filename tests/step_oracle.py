@@ -3,14 +3,17 @@
 This is `vikit.algorithms._step` as it was when every vector a step forms
 went through `check_finite`, with the inertial weight, the adaptive
 update and the ball and halfspace projections it called then; the
-halfspace projection also has the library's rescales for inner products
-that overflow on finite vectors and for a normal whose square underflows.
+halfspace projection also has the library's rescale for a normal whose
+square underflows, and for x - anchor or an inner product that overflows
+on finite vectors.
 Every operator value (A, T, F and the viscosity map) is checked too, as
 the affine, scaling and integral maps once checked their own results.
 The library step checks only the points where a NaN or Inf could be lost;
 from the same state it must give the same iterate bit for bit, or raise
 the same exception at the same step.
 """
+
+import math
 
 import numpy as np
 
@@ -32,25 +35,21 @@ def _project(s, x):
             return x
         return check_finite(c + (s.radius / dist) * d)
     nn = sp.inner(s.normal, s.normal)
-    if nn == 0.0:
-        if not s.normal.any():
-            return x
-        # a normal whose square underflows, divided by its largest |entry|
-        return _project(HalfSpace(s.normal / np.abs(s.normal).max(), s.anchor, sp), x)
-    d = check_finite(x - s.anchor)
-    viol = sp.inner(s.normal, d)
-    if viol <= 0.0:
+    if nn == 0.0 and not s.normal.any():
         return x
-    if np.isfinite(nn) and np.isfinite(viol):
+    viol = sp.inner(s.normal, x - s.anchor)
+    if viol <= 0.0 and nn != 0.0:
+        return x
+    if 0.0 < nn < math.inf and math.isfinite(viol):
         return check_finite(x - (viol / nn) * s.normal)
-    # inner products that overflow on finite vectors, taken again on the
-    # vectors divided by their largest |entry|
-    a = check_finite(s.normal) / np.abs(s.normal).max()
-    scale = np.abs(d).max()
-    viol = sp.inner(a, d / scale)
-    if viol <= 0.0:
-        return x
-    return check_finite(x - (scale * (viol / sp.inner(a, a))) * a)
+    # a normal whose square underflows, or x - anchor or an inner product
+    # that overflows on finite vectors: the normal divided by its largest
+    # |entry|, x and the anchor by the power of two at or below theirs
+    a = s.normal / np.abs(s.normal).max()
+    scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), np.abs(x).max()))[1])
+    xs = x / scale
+    viol = sp.inner(a, xs - s.anchor / scale)
+    return x if viol <= 0.0 else check_finite(scale * (xs - (viol / sp.inner(a, a)) * a))
 
 
 def _inertial_delta(space, zeta_k, x_curr, x_prev):

@@ -1,44 +1,28 @@
 """Which statements of the numerical core the golden cells run.
 
-test_golden.py, test_golden_offset.py, test_golden_ball.py and
-test_golden_demi.py pin each scheme's arithmetic bit for bit, but only on
-the statements their 50 cells execute. This test runs the same cells under a sys.settrace line
-collector and checks that every statement of the functions in CORE is
-reached, apart from those in UNREACHED. Each of those names the test that
-pins it instead, and leaves the list once a golden cell reaches it. Line
-coverage does not see a branch inside one statement (a conditional
-expression, or the right operand of `and`), so such a branch needs a
-statement of its own to be counted.
+test_golden.py pins each scheme's arithmetic bit for bit, but only on the
+statements its 50 cells execute. This test runs the same cells under a
+sys.settrace line collector and checks that every statement of the
+functions in CORE is reached, apart from those in UNREACHED. Each of those
+names the test that pins it instead, and leaves the list once a golden
+cell reaches it. Line coverage does not see a branch inside one statement
+(a conditional expression, or the right operand of `and`), so such a
+branch needs a statement of its own to be counted.
 """
 
 import ast
-import functools
 import importlib
 import inspect
 import sys
 import textwrap
 
-from test_golden import GOLDEN, _fingerprint_sha
-from test_golden_ball import GOLDEN_BALL, _ball_sha
-from test_golden_demi import GOLDEN_DEMI, _demi_sha
-from test_golden_offset import GOLDEN_OFFSET, _offset_sha
+from test_golden import GOLDEN, fingerprint_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
 CORE = (algorithms._step, algorithms._residuals, projections.project,
         stepsize.adaptive_update, stepsize.armijo_search, stepsize._proven_rejections,
         space.SpaceDescriptor.inner, space.SpaceDescriptor.norm, operators.AffineMatrix.__call__)
-
-# the golden cells, in the order they run here: (the cell's fingerprint
-# given a path to write its trace to, its golden hash)
-CELLS = ([(functools.partial(_fingerprint_sha, spec, Scheme(scheme)), sha)
-          for (spec, scheme), sha in GOLDEN.items()]
-         + [(functools.partial(_offset_sha, Scheme(scheme)), sha)
-            for scheme, sha in GOLDEN_OFFSET.items()]
-         + [(functools.partial(_ball_sha, Scheme(scheme)), sha)
-            for scheme, sha in GOLDEN_BALL.items()]
-         + [(functools.partial(_demi_sha, Scheme(scheme)), sha)
-            for scheme, sha in GOLDEN_DEMI.items()])
 
 # (function, statement as written, which of the function's statements so
 # written, counted from 1) -> the test that pins the statement where no
@@ -51,23 +35,21 @@ UNREACHED = {
     ("project", 'check_space("x", x, sp)', 2): "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
-    # a halfspace normal whose square underflows, and the overflow rescale
-    ("project", "return project(HalfSpace(normal / np.abs(normal).max(), s.anchor, sp), x)", 1):
-        "test_projections.py::test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space",
-    ("project", "if np.isfinite(normal).all() and np.isfinite(d).all():", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
+    # a halfspace normal whose square underflows, or an x - anchor or inner
+    # product that overflows on finite vectors
+    ("project", "nn = viol = math.nan", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
     ("project", "a = normal / np.abs(normal).max()", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
-    ("project", "scale = float(np.abs(d).max())", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
-    ("project", "viol = sp.inner(a, d / scale)", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
-    ("project", "if viol <= 0.0:", 2):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
-    ("project", "return x", 4):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
-    ("project", "return x - (scale * (viol / sp.inner(a, a))) * a", 1):
-        "test_algorithms.py::test_step_checks_only_where_finiteness_can_be_lost",
+        "test_projections.py::test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space",
+    ("project", "scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), "
+                "np.abs(x).max()))[1])", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
+    ("project", "xs = x / scale", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
+    ("project", "viol = sp.inner(a, xs - s.anchor / scale)", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
+    ("project", "return x if viol <= 0.0 else scale * (xs - (viol / sp.inner(a, a)) * a)", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
     # a ball's x - center that overflows on finite points
     ("project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
@@ -125,9 +107,9 @@ def _code_objects(code):
             yield from _code_objects(const)
 
 
-def _reached(cells, path) -> set:
-    """(file, line) of every line of CORE that running cells executes;
-    each cell must still give its golden fingerprint."""
+def _reached(path) -> set:
+    """(file, line) of every line of CORE that running the golden cells
+    executes; each cell must still give its golden fingerprint."""
     traced = {code for func in CORE for code in _code_objects(func.__code__)}
     reached = set()
 
@@ -142,15 +124,15 @@ def _reached(cells, path) -> set:
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        for fingerprint, sha in cells:
-            assert fingerprint(path) == sha
+        for (name, scheme), sha in GOLDEN.items():
+            assert fingerprint_sha(name, Scheme(scheme), path) == sha
     finally:
         sys.settrace(previous)
     return reached
 
 
 def test_the_golden_cells_reach_every_statement_of_the_core_but_the_listed_ones(tmp_path):
-    reached = _reached(CELLS, tmp_path / "trace.csv")
+    reached = _reached(tmp_path / "trace.csv")
     missed = {}
     for func in CORE:
         for number, (text, occurrence) in _statements(func).items():

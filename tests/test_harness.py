@@ -83,7 +83,8 @@ def test_table1_rows_follow_each_schemes_parts(small_problem):
 
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_presets_validate_cleanly(scheme, small_problem):
-    for problem in (small_problem, demi_problem(1.5)):  # lambda_T = 0 and 0.2
+    # lambda_T = 0, 0.2 and 0.4987: Table 1 meets C4 and C5 below 1/2
+    for problem in (small_problem, demi_problem(1.5), demi_problem(2.99)):
         cfg = harness.make_config(scheme, problem)
         assert harness.validate_conditions(cfg, horizon=400) == []
 
@@ -143,16 +144,25 @@ def test_c4_bound_reads_lambda(scheme):
         [("C4.eta_range", k) for k in range(1, 401)]
 
 
-def test_c5_bound_reads_lambda(small_problem):
+@pytest.mark.parametrize("eta,clean_k,flagged_k,first", [
     # C5's bound (1 - lambda) theta / (lambda + theta) is 1 at lambda = 0
     # and below 1/3 at lambda = 0.5, so eta_k = 0.4 passes the one and
     # fails the other at every k
-    eta = SequenceRule("constant", 0.4)
-    cfg = harness.make_config(Scheme.IMMSEGM, small_problem, eta=eta)
-    assert harness.validate_conditions(cfg, 400) == []
-    cfg = harness.make_config(Scheme.IMMSEGM, demi_problem(3.0), eta=eta)
-    assert [(v.condition, v.k) for v in harness.validate_conditions(cfg, 400)] == \
-        [("C5.eta_range", k) for k in range(1, 401)]
+    (0.4, None, 3.0, 1),
+    # Table 1's eta_k = theta_k / 3 lies below it while theta_k < 3 - 4 lambda:
+    # at every k for lambda = 0.5 (T = -3x), and for k < 20 only at
+    # lambda = 0.512 (T = -3.1x)
+    (None, 3.0, 3.1, 20),
+], ids=["constant-eta", "table1-eta"])
+def test_c5_bound_reads_lambda(small_problem, eta, clean_k, flagged_k, first):
+    fields = {} if eta is None else {"eta": SequenceRule("constant", eta)}
+    clean = small_problem if clean_k is None else demi_problem(clean_k)
+    for scheme in (s for s in Scheme if s.outer == "modified_mann"):  # the C5 rows
+        cfg = harness.make_config(scheme, clean, **fields)
+        assert harness.validate_conditions(cfg, 400) == []
+        cfg = harness.make_config(scheme, demi_problem(flagged_k), **fields)
+        assert [(v.condition, v.k) for v in harness.validate_conditions(cfg, 400)] == \
+            [("C5.eta_range", k) for k in range(first, 401)]
 
 
 @pytest.mark.parametrize("overrides,conditions", [
@@ -259,11 +269,17 @@ def test_csv_skips_blank_lines(tmp_path, with_res):
     (False, "1,abc,0.5,0,0", "could not convert string to float: 'abc'"),
     (True, "1,0.5,0.5,0,0,0,x,0", "could not convert string to float: 'x'"),
     (False, "1.0,0.1,0.5,0,0", "invalid literal for int() with base 10: '1.0'"),
-], ids=["3-of-5", "6-of-5", "6-of-8", "10-of-8", "float-field", "residual-field", "float-k"])
+    # with_res None: the header lines before '# columns:' only; this row
+    # was once reported as "5 fields, but the '# columns:' line names 0"
+    (None, "1,0.5,0.5,0,0", "a data row before any '# columns:' line"),
+], ids=["3-of-5", "6-of-5", "6-of-8", "10-of-8", "float-field", "residual-field", "float-k",
+        "no-columns"])
 def test_csv_data_row_that_does_not_parse_is_named(tmp_path, with_res, row, error):
     path = tmp_path / "t.csv"
-    harness.emit_csv(_toy_trace(with_res), _header(), path)
+    harness.emit_csv(_toy_trace(bool(with_res)), _header(), path)
     lines = path.read_text().splitlines()
+    if with_res is None:
+        lines = lines[:next(i for i, line in enumerate(lines) if line.startswith("# columns:"))]
     path.write_text("\n".join(lines + [row]) + "\n")
     named = f"{path} line {len(lines) + 1}: {error}"
     with pytest.raises(ValueError, match=f"^{re.escape(named)}$"):

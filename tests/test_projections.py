@@ -108,6 +108,35 @@ def test_halfspace_orthogonal_drop():
     assert np.allclose(p, [0.0, 3.0])
 
 
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
+def test_halfspace_projects_a_finite_point_whose_offset_overflows(sp, warn):
+    # x - anchor overflows to Inf on finite points more than ~1.8e308
+    # apart, and <normal, normal> past ~1e154: numpy's RuntimeWarning raises
+    # under "error", as in this suite, and the residual is Inf or NaN under
+    # "ignore"; the halfspace then takes both on the vectors scaled down
+    anchor = np.array([-1e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn)
+        # the nearest point of the plane x_1 = -1e308, to the last bit
+        assert np.array_equal(project(HalfSpace(np.array([1.0, 0.0]), anchor, sp),
+                                      np.array([1e308, 0.0])), anchor)
+        for normal, x in [([1.0, 1.0], [1e308, 1e308]), ([1.0, 0.0], [1.7e308, -1e308]),
+                          ([1e200, 1e200], [1e308, 0.0]), ([1e200, 0.0], [1e200, 3.0])]:
+            normal, x = np.array(normal), np.array(x)
+            p = project(HalfSpace(normal, anchor, sp), x)
+            # the same projection scaled down by 1e300, where nothing overflows
+            small = project(HalfSpace(normal / normal.max(), anchor * 1e-300, sp), x * 1e-300)
+            assert np.all(np.isfinite(p)) and np.allclose(p, small * 1e300, rtol=1e-14, atol=0)
+        # members, whose x - anchor overflows to -Inf, are kept
+        x = np.array([-1e308, 5.0])
+        assert project(HalfSpace(np.array([1.0, 0.0]), -anchor, sp), x) is x
+        assert project(HalfSpace(np.array([1e200, 0.0]), -anchor, sp), x) is x
+        # a NaN entry of x is still passed on
+        assert np.isnan(project(HalfSpace(np.array([1.0, 0.0]), anchor, sp),
+                                np.array([np.nan, 0.0]))).all()
+
+
 @pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
 def test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space(sp):
     # <normal, normal> is 0 for both normals below; only the zero one is degenerate
