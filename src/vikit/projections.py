@@ -8,7 +8,7 @@ projection is taken in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -36,11 +36,13 @@ except ImportError:
 @dataclass(frozen=True)
 class Box:
     """{x : lower <= x_i <= upper} coordinatewise. Each bound is a real
-    number or an array of them, and may be infinite but not NaN; an upper
-    bound below its lower one is also a ConfigError."""
+    number or a non-empty array of them, and may be infinite but not NaN;
+    an upper bound below its lower one is also a ConfigError. `shape` is the shape
+    the bounds broadcast to: () for scalar bounds, (n,) otherwise."""
 
     lower: Union[float, np.ndarray]
     upper: Union[float, np.ndarray]
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_type("lower", self.lower, RealArray)
@@ -48,6 +50,8 @@ class Box:
         if not np.all(np.asarray(self.lower) <= np.asarray(self.upper)):
             raise ConfigError(f"upper must be at least lower coordinatewise, got lower="
                               f"{self.lower!r}, upper={self.upper!r}")
+        object.__setattr__(self, "shape", np.broadcast_shapes(np.shape(self.lower),
+                                                              np.shape(self.upper)))
 
 
 @dataclass(frozen=True)
@@ -98,20 +102,19 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     """Nearest point of the set in the space's norm. Returns x itself when
     it already lies in a ball or halfspace.
 
-    A box or ball rejects a point with a NaN or Inf entry
-    (NonFiniteElementError): clipping would map it to a bound, and the
-    ball checks x when its norm of x - center raises, as every norm does
-    on such an entry; a finite x whose x - center overflows is kept when
-    it lies within the radius and projected otherwise.
-    A halfspace passes such an entry of x on to its result, as NaN or Inf,
-    and projects a finite x whose x - anchor overflows.
-    A point that does not fit the set's space, or a box's bounds, raises
+    Every set rejects a point with a NaN or Inf entry
+    (NonFiniteElementError), except a halfspace with a zero normal, which
+    is the whole space: clipping would map it to a bound, the ball checks
+    x when its norm of x - center raises, as every norm does on such an
+    entry, and the halfspace when its residual is not finite. A finite x
+    whose x - center or x - anchor overflows is kept when it lies in the
+    set and projected otherwise.
+    A point that does not fit the set's space, or a box's shape, raises
     SpaceMismatchError."""
     if isinstance(s, Box):  # a box has no space of its own
-        y = clip_ufunc(check_finite(x), s.lower, s.upper)
-        if y.shape != x.shape:  # bounds of another shape broadcast x to theirs
-            check_space("x", x, euclidean(y.size))
-        return y
+        if s.shape not in ((), x.shape):  # clipping would broadcast x and the bounds
+            check_space("x", x, euclidean(s.shape[0]))
+        return clip_ufunc(check_finite(x), s.lower, s.upper)
     if isinstance(s, Ball):
         sp = s.center.space
         if x.shape != (sp.dim,):
@@ -133,10 +136,9 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
         if dist <= s.radius:
             return x
         return c + (s.radius / dist) * d
-    # halfspace: one-step orthogonal correction. A NaN or Inf entry of x is
-    # returned or turned into NaN; only a non-finite normal could pass a
-    # finite x as a member (viol = -Inf), and a step's normal is finite when
-    # its trial point is, as the box check and the ball's norm ensure
+    # halfspace: one-step orthogonal correction. A residual that is not
+    # finite, from a NaN or Inf entry of x or from an overflow on finite
+    # vectors, takes the slow path below, which checks x
     sp, normal = s.space, s.normal
     if x.shape != normal.shape:  # the normal has the space's shape
         check_space("x", x, sp)
@@ -145,20 +147,20 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
         if nn == 0.0 and not normal.any():
             return x
         viol = sp.inner(normal, x - s.anchor)  # halfspace_residual(s, x)
-    except RuntimeWarning:  # numpy's overflow warning, where warnings are errors
+    except RuntimeWarning:  # numpy's overflow or invalid warning, where warnings are errors
         nn = viol = math.nan
-    if viol <= 0.0 and nn != 0.0:
+    if -math.inf < viol <= 0.0 and nn != 0.0:
         return x
     if 0.0 < nn < math.inf and math.isfinite(viol):
         return x - (viol / nn) * normal
-    # <normal, normal> underflowed (entries below ~1e-162), or it, x - anchor
-    # or <normal, x - anchor> overflowed on finite vectors (past ~1e154):
-    # take them again on the normal divided by its largest |entry|, and on x
-    # and the anchor divided by the power of two at or below their largest
+    # x has a NaN or Inf entry, which check_finite rejects, or <normal,
+    # normal> underflowed (entries below ~1e-162), or it, x - anchor or
+    # <normal, x - anchor> overflowed on finite vectors (past ~1e154): take
+    # them again on the normal divided by its largest |entry|, and on x and
+    # the anchor divided by the power of two at or below their largest
     # |entry|, which rounds nothing, and scale the nearest point back only
-    # at the end, so that nothing overflows before the result does. A NaN
-    # or Inf entry still gives a NaN or Inf; the anchor's |entry| comes
-    # first, so that max passes over a NaN of x.
+    # at the end, so that nothing overflows before the result does.
+    check_finite(x)
     a = normal / np.abs(normal).max()
     scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), np.abs(x).max()))[1])
     xs = x / scale

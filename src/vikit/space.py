@@ -22,7 +22,9 @@ Operators are pure maps: vikit's own check nothing, and a caller's need
 not either. A NaN or Inf raises NonFiniteElementError, and `check_finite`
 checks a vector entry by entry in four kinds of place only:
 - where a NaN or Inf would otherwise be lost: the point a Box clips
-  (clipping maps +-Inf to a bound) and each new iterate x_{k+1};
+  (clipping maps +-Inf to a bound), the point a HalfSpace projects when
+  its residual is not finite (a residual of -Inf would keep it as a
+  member) and each new iterate x_{k+1};
 - every operator value `problems.certify` reads: each block of sampled A
   or T values (`operators._rows`, for vikit's operators and a caller's
   alike) and A(x*) in the VI residual;
@@ -31,17 +33,18 @@ checks a vector entry by entry in four kinds of place only:
   that feeds a comparison or a min (the inertial weight, the adaptive
   step, the Armijo test, D_k, the fixed-point residual of T(x*)) cannot
   pass a NaN over.
-So a Box rejects a point with such an entry, and so does a Ball, which
-checks x when its norm of x - center raises; a HalfSpace passes it on to
-its result. Every other vector, operator values included, goes unchecked:
-a NaN or Inf in it reaches x_{k+1} or a norm and raises there, at the same
-k (as SolveError, from `solve`). In the Armijo search a non-finite trial
-point raises in the projection, or makes y non-finite, and the trial's
-||x - y|| raises. A failing step may thus emit numpy RuntimeWarnings
-before it raises. tests/step_oracle.py keeps a step that checks every
-vector and operator value, and tests/armijo_oracle.py a search that does;
-property tests check that the library gives the same rows bit for bit, or
-the same error at the same k.
+So every set rejects a point with such an entry: a Box checks it before
+clipping, a Ball when its norm of x - center raises, and a HalfSpace when
+its residual is not finite; only a halfspace with a zero normal, the
+whole space, returns it as it is. Every other vector, operator values
+included, goes unchecked: a NaN or Inf in it reaches x_{k+1} or a norm
+and raises there, at the same k (as SolveError, from `solve`). In the
+Armijo search a non-finite trial point raises in the projection, or makes
+y non-finite, and the trial's ||x - y|| raises. A failing step may thus
+emit numpy RuntimeWarnings before it raises. tests/step_oracle.py keeps a
+step that checks every vector and operator value, and
+tests/armijo_oracle.py a search that does; property tests check that the
+library gives the same rows bit for bit, or the same error at the same k.
 
 `check_finite` sums squares with np.vdot, not with `@` or `dot`: all three
 overflow on finite entries past ~1e154, but vdot does so silently, while
@@ -139,7 +142,7 @@ class _RealKind(type):
             return False
         if arr.dtype.kind not in "iuf":
             return False
-        return cls is Reals or (arr.ndim <= 1 and not np.isnan(arr).any())
+        return cls is Reals or (arr.ndim <= 1 and arr.size > 0 and not np.isnan(arr).any())
 
 
 class Reals(metaclass=_RealKind):
@@ -150,8 +153,8 @@ class Reals(metaclass=_RealKind):
 
 
 class RealArray(metaclass=_RealKind):
-    """The kind of a Reals value of one dimension at most with no NaN
-    entry, such as a Box bound."""
+    """The kind of a Reals value of one dimension at most, not empty, with
+    no NaN entry, such as a Box bound."""
 
 
 @dataclass(frozen=True)

@@ -218,7 +218,7 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
     empty unless A is an AffineMatrix with a probe and C a Box with scalar
     or per-coordinate bounds."""
     if not (isinstance(A, AffineMatrix) and A.probe is not None and isinstance(C, Box)
-            and {np.shape(C.lower), np.shape(C.upper)} <= {(), x.shape}):
+            and C.shape in ((), x.shape)):
         return []
     g = _screened_steps(policy.rho, policy.l, policy.phi, A.frobenius)
     if g is None:

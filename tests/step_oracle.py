@@ -5,7 +5,7 @@ went through `check_finite`, with the inertial weight, the adaptive
 update and the ball and halfspace projections it called then; the
 halfspace projection also has the library's rescale for a normal whose
 square underflows, and for x - anchor or an inner product that overflows
-on finite vectors.
+on finite vectors, where it rejects a NaN or Inf x as the library does.
 Every operator value (A, T, F and the viscosity map) is checked too, as
 the affine, scaling and integral maps once checked their own results.
 The library step checks only the points where a NaN or Inf could be lost;
@@ -38,13 +38,15 @@ def _project(s, x):
     if nn == 0.0 and not s.normal.any():
         return x
     viol = sp.inner(s.normal, x - s.anchor)
-    if viol <= 0.0 and nn != 0.0:
+    if -math.inf < viol <= 0.0 and nn != 0.0:
         return x
     if 0.0 < nn < math.inf and math.isfinite(viol):
         return check_finite(x - (viol / nn) * s.normal)
-    # a normal whose square underflows, or x - anchor or an inner product
-    # that overflows on finite vectors: the normal divided by its largest
-    # |entry|, x and the anchor by the power of two at or below theirs
+    # x with a NaN or Inf entry, a normal whose square underflows, or x -
+    # anchor or an inner product that overflows on finite vectors: x is
+    # checked, the normal divided by its largest |entry|, x and the anchor
+    # by the power of two at or below theirs
+    check_finite(x)
     a = s.normal / np.abs(s.normal).max()
     scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), np.abs(x).max()))[1])
     xs = x / scale

@@ -29,14 +29,16 @@ CORE = (algorithms._step, algorithms._residuals, projections.project,
 # golden cell reaches it
 UNREACHED = {
     # guards that raise on a point of the wrong shape
-    ("project", 'check_space("x", x, euclidean(y.size))', 1):
+    ("project", 'check_space("x", x, euclidean(s.shape[0]))', 1):
         "test_projections.py::test_box_projection_keeps_the_points_shape_or_names_it",
     ("project", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
     ("project", 'check_space("x", x, sp)', 2): "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
-    # a halfspace normal whose square underflows, or an x - anchor or inner
-    # product that overflows on finite vectors
+    # a halfspace normal whose square underflows, an x - anchor or inner
+    # product that overflows on finite vectors, or a NaN or Inf entry of x
+    ("project", "check_finite(x)", 1):
+        "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
     ("project", "nn = viol = math.nan", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
     ("project", "a = normal / np.abs(normal).max()", 1):

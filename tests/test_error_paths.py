@@ -10,6 +10,7 @@ import pytest
 
 from vikit.algorithms import ConvergenceTrace, Scheme, SequenceRule, solve
 from vikit.harness import (
+    ExperimentPlan,
     TraceFileHeader,
     emit_csv,
     make_config,
@@ -84,6 +85,12 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
                                    zeros(euclidean(3))),
      SpaceMismatchError, r"T\(x\) must lie in euclidean\(3\), got a value of shape \(2,\)"),
     (lambda: run_plan(None), ConfigError, "plan must be of type ExperimentPlan, got None"),
+    (lambda: ExperimentPlan([], [Scheme.IMSEGM], 10, [1], "x"), ConfigError,
+     "problems must not be empty"),
+    (lambda: ExperimentPlan(["ex1:n=5"], [], 10, [1], "x"), ConfigError,
+     "algorithms must not be empty"),
+    (lambda: ExperimentPlan(["ex1:n=5"], [Scheme.IMSEGM], 10, [], "x"), ConfigError,
+     "seeds must not be empty"),
     (lambda: emit_csv(ConvergenceTrace(scheme=Scheme.IMSEGM), None, os.devnull), ConfigError,
      "header must be of type TraceFileHeader, got None"),
     (lambda: TraceFileHeader.create("imsegm", "table1", "ex1:n=4,seed=1", 1, 4), ConfigError,
@@ -97,7 +104,8 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
         "certify-a-shape", "certify-a-shape-no-solution", "certify-t-shape",
         "monotone-scalar-value", "demicontractive-fixed-point-shape",
         "demicontractive-sample-shape",
-        "run-plan-plan", "emit-csv-header", "header-scheme"])
+        "run-plan-plan", "plan-no-problems", "plan-no-algorithms", "plan-no-seeds",
+        "emit-csv-header", "header-scheme"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         make()

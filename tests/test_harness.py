@@ -101,13 +101,6 @@ def test_make_config_rejects_unknown_override_keys(small_problem, key):
                             **{key: SequenceRule("constant", 1.0)})
 
 
-@pytest.mark.parametrize("horizon", [0, -5])
-def test_horizon_below_one_rejected(small_problem, horizon):
-    cfg = harness.make_config(Scheme.IMSEGM, small_problem)
-    with pytest.raises(ValueError, match=rf"horizon must be an integer in \[1,inf\), got {horizon}"):
-        harness.validate_conditions(cfg, horizon)
-
-
 def test_eta_out_of_range_flagged_for_vanishing_theta(small_problem):
     cfg = harness.make_config(Scheme.IMSEGM, small_problem,
                               eta=SequenceRule("constant", 2.0))
@@ -344,21 +337,6 @@ def test_fingerprint_ignores_header_and_elapsed(tmp_path):
                           elapsed=9.9, residuals=tr.rows[1].residuals)
     harness.emit_csv(tr, _header(), b)
     assert harness.trace_fingerprint(a) == harness.trace_fingerprint(b)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        harness.ExperimentPlan(problems=[], algorithms=[Scheme.IMSEGM],
-                               max_iter=10, seeds=[1], output_dir="x")
-    with pytest.raises(ValueError):
-        harness.ExperimentPlan(problems=["ex1:n=5"], algorithms=[],
-                               max_iter=10, seeds=[1], output_dir="x")
-    with pytest.raises(ValueError):
-        harness.ExperimentPlan(problems=["ex1:n=5"], algorithms=[Scheme.IMSEGM],
-                               max_iter=10, seeds=[], output_dir="x")
-    with pytest.raises(ValueError):
-        harness.ExperimentPlan(problems=["ex1:n=5"], algorithms=[Scheme.IMSEGM],
-                               max_iter=0, seeds=[1], output_dir="x")
 
 
 @pytest.mark.parametrize("name,value", [

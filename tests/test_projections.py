@@ -20,8 +20,8 @@ from vikit.projections import (
     halfspace_residual,
     project,
 )
-from vikit.space import (ConfigError, NonFiniteElementError, SpaceMismatchError, element,
-                         euclidean, grid_l2, zeros)
+from vikit.space import (ConfigError, NonFiniteElementError, SpaceDescriptor, SpaceMismatchError,
+                         element, euclidean, grid_l2, zeros)
 
 
 def _random_set(variant, n, rng):
@@ -132,9 +132,20 @@ def test_halfspace_projects_a_finite_point_whose_offset_overflows(sp, warn):
         x = np.array([-1e308, 5.0])
         assert project(HalfSpace(np.array([1.0, 0.0]), -anchor, sp), x) is x
         assert project(HalfSpace(np.array([1e200, 0.0]), -anchor, sp), x) is x
-        # a NaN entry of x is still passed on
-        assert np.isnan(project(HalfSpace(np.array([1.0, 0.0]), anchor, sp),
-                                np.array([np.nan, 0.0]))).all()
+        # a point outside (residual 1e308) whose first product overflows to
+        # -Inf; the normal is divided by the weights, so that the grid's
+        # products are those of R^3
+        sp3 = SpaceDescriptor(sp.kind, 3)
+        normal = np.array([2.0, 1.0, 1.0]) / sp3.quad_weights
+        x = np.array([-1e308, 1.5e308, 1.5e308])
+        p = project(HalfSpace(normal, np.zeros(3), sp3), x)
+        small = project(HalfSpace(normal, np.zeros(3), sp3), x * 1e-300)
+        assert np.all(np.isfinite(p)) and np.allclose(p, small * 1e300, rtol=1e-14, atol=0)
+        # a NaN or Inf entry of x is rejected, where the normal's entry is 1 and where 0
+        for bad in (np.nan, np.inf, -np.inf):
+            for x in ([bad, 0.0], [0.0, bad]):
+                with pytest.raises(NonFiniteElementError):
+                    project(HalfSpace(np.array([1.0, 0.0]), anchor, sp), np.array(x))
 
 
 @pytest.mark.parametrize("sp", [euclidean(2), grid_l2(2)])
@@ -188,26 +199,16 @@ def test_halfspace_with_a_list_normal_or_anchor_names_it():
 
 
 def test_box_projection_keeps_the_points_shape_or_names_it():
-    # clipping would broadcast a 1-vector against 3-vector bounds
+    # clipping would broadcast a point and bounds of other shapes to one
+    for box, x, dim in [(Box(np.zeros(3), np.ones(3)), [0.5], 3),
+                        (Box(np.zeros(1), 1.0), [0.5, 2.0, 3.0], 1),
+                        (Box(np.zeros(3), 1.0), [0.5, 2.0], 3)]:
+        with pytest.raises(SpaceMismatchError, match=rf"^x must lie in euclidean\({dim}\), got "
+                                                     rf"a value of shape \({len(x)},\)$"):
+            project(box, np.array(x))
     box = Box(np.zeros(3), np.ones(3))
-    with pytest.raises(SpaceMismatchError,
-                       match=r"^x must lie in euclidean\(3\), got a value of shape \(1,\)$"):
-        project(box, np.array([0.5]))
     assert project(box, np.array([0.5, 2.0, -1.0])).tolist() == [0.5, 1.0, 0.0]
     assert project(Box(0.0, 1.0), np.array([2.0])).tolist() == [1.0]
-
-
-def test_bad_sets_rejected():
-    for lower, upper in ((1.0, 0.0), (np.nan, 1.0), (0.0, np.nan),
-                         (np.array([0.0, np.nan]), 1.0)):
-        with pytest.raises(ValueError):
-            Box(lower, upper)
-    for radius in (0.0, np.nan):
-        with pytest.raises(ValueError):
-            Ball(zeros(euclidean(2)), radius)
-    # infinite bounds are legal: a half-bounded or unbounded box
-    Box(-np.inf, 0.0)
-    Box(np.array([0.0, -np.inf]), np.inf)
 
 
 @pytest.mark.parametrize("variant", ["box", "ball", "half"])

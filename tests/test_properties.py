@@ -11,6 +11,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -29,7 +30,7 @@ from vikit.algorithms import (
     solve,
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
-from vikit.operators import AffineMatrix, Scale, estimate_lipschitz
+from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, estimate_lipschitz
 from vikit.problems import RandomSpec, certify, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
 from vikit.space import SpaceElement, element, euclidean, grid_l2, zeros
@@ -431,15 +432,15 @@ FIELDS = [
     Field("space", zeros, valid=(euclidean(2), grid_l2(2))),
     Field("radius", lambda v: Ball(zeros(euclidean(2)), v), False, _positive),
     Field("center", lambda v: Ball(v, 1.0), valid=(zeros(grid_l2(2)),), others=(np.zeros(2),)),
-    # a bound is a real number or array of them, of one dimension at most,
-    # infinite but never NaN
+    # a bound is a real number or a non-empty array of them, of one
+    # dimension at most, infinite but never NaN
     Field("lower", lambda v: Box(v, math.inf), False, lambda v: not math.isnan(v),
-          valid=(np.zeros(2), [0, 1]), others=(np.array(["a"]), np.array([True]), [1, "a"],
-                                              np.array([0.0, math.nan]), np.zeros((1, 3)),
-                                              [[0, 1]])),
+          valid=(np.zeros(2), [0, 1], np.array([0.0, -math.inf])),
+          others=(np.array(["a"]), np.array([True]), [1, "a"], np.array([0.0, math.nan]),
+                  np.zeros((1, 3)), [[0, 1]], np.zeros(0))),
     Field("upper", lambda v: Box(-math.inf, v), False, lambda v: not math.isnan(v),
           valid=(np.ones(2), [0, 1]), others=(np.array(["b"]), [math.nan], np.ones((3, 1)),
-                                              np.ones((1, 1, 1)))),
+                                              np.ones((1, 1, 1)), [])),
     Field("coords", lambda v: element(euclidean(2), v), valid=REAL_PAIRS, others=NOT_REAL_PAIRS),
     Field("coords", lambda v: SpaceElement(v, euclidean(2)), valid=REAL_PAIRS,
           others=NOT_REAL_PAIRS),
@@ -451,7 +452,7 @@ FIELDS = [
           others=(np.array(["a", "b"]), np.array([True, False]), np.ones(2) * 1j,
                   np.array([1, 2], dtype=object), [0.0, 1.0], np.ones(3), np.ones((1, 2)))),
     Field("anchor", lambda v: HalfSpace(np.ones(2), v, euclidean(2)), valid=(np.zeros(2),),
-          others=(np.array(["a", "b"]), np.zeros(2, bool), (0.0, 0.0))),
+          others=(np.array(["a", "b"]), np.zeros(2, bool), (0.0, 0.0), np.zeros(3))),
     Field("space", lambda v: HalfSpace(np.ones(2), np.zeros(2), v),
           valid=(euclidean(2), grid_l2(2))),
     Field("G", AffineMatrix, valid=(np.eye(2), [[1, 0], [0, 1]], np.eye(2, dtype=int)),
@@ -459,8 +460,9 @@ FIELDS = [
                   np.eye(2, dtype=object), [[1], [1, 2]], np.ones((2, 3)))),
     Field("c", Scale, False, _finite),
     Field("f_vec", lambda v: AffineMatrix(np.eye(2), v), valid=(None, zeros(grid_l2(2))),
-          others=(zeros(euclidean(3)), np.zeros(2))),
-    Field("op", estimate_lipschitz, valid=(_BASE.A,), others=(Scale(1.0),)),
+          others=(zeros(euclidean(3)), element(euclidean(1), [2.0]), np.zeros(2))),
+    Field("op", estimate_lipschitz, valid=(_BASE.A,),
+          others=(Scale(1.0), PositivePart(), RankOneIntegral(grid_l2(5)))),
     Field("space", lambda v: dataclasses.replace(_BASE, space=v), valid=(_BASE.space,)),
     Field("L", lambda v: dataclasses.replace(_BASE, L=v), False, _nonnegative, (None,)),
     Field("lambda_T", lambda v: dataclasses.replace(_BASE, lambda_T=v), False, _unit_closed_left),
@@ -518,7 +520,7 @@ FIELDS = [
     Field("max_iter", lambda v: _solved(max_iter=v), True, lambda v: 0 <= v <= 7),
     Field("x0", lambda v: _solved(x0=v), valid=(_X0,),
           others=(_X0.coords, zeros(euclidean(3)), zeros(grid_l2(4)))),
-    Field("x1", lambda v: _solved(x1=v), valid=(_X1,), others=(_X1.coords,)),
+    Field("x1", lambda v: _solved(x1=v), valid=(_X1,), others=(_X1.coords, zeros(euclidean(3)))),
     Field("tol", lambda v: _solved(tol=v), False, _positive, (None,)),
     Field("record_invariants", lambda v: _solved(record_invariants=v), valid=(True, False)),
     # every SolverConfig field again, through dataclasses.replace and
@@ -551,23 +553,24 @@ NOT_NUMBERS = [True, False, np.bool_(True), *STRINGS, None, math.nan, np.float64
                RULES[0]]
 
 
-FIELD_VALUES = [(field, value) for field in FIELDS
-                for value in field.valid + field.others + tuple(NUMBERS + NOT_NUMBERS)]
-
-
-def test_each_field_takes_its_values_or_names_itself_before_any_step():
-    # every (field, value) pair in turn: the set is finite and small, so
-    # it is checked whole rather than sampled
-    for field, value in FIELD_VALUES:
+@pytest.mark.parametrize("field", FIELDS, ids=[field.name for field in FIELDS])
+def test_each_field_takes_its_values_or_names_itself_before_any_step(field):
+    # every value offered to the field in turn: the set is finite and small,
+    # so it is checked whole rather than sampled, and every wrong value is
+    # listed; one case per field, so that a broken rule is named in the summary
+    wrong = []
+    for value in field.valid + field.others + tuple(NUMBERS + NOT_NUMBERS):
         accepted = any(value is v for v in field.valid) or (
             field.interval is not None and _is_number(value, field.integer)
             and bool(field.interval(value)))
         _A_CALLS.clear()
         try:
             field.build(value)
-        except ConfigError as exc:
-            assert not accepted, (field.name, exc)
-            assert str(exc).startswith(field.name), exc
-            assert _A_CALLS == []
+        except Exception as exc:  # anything but a ConfigError naming the field is wrong
+            if (accepted or not isinstance(exc, ConfigError)
+                    or not str(exc).startswith(field.name) or _A_CALLS):
+                wrong.append((value, exc))
         else:
-            assert accepted, (field.name, value)
+            if not accepted:
+                wrong.append((value, "accepted"))
+    assert not wrong, wrong

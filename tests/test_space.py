@@ -130,11 +130,6 @@ def test_cached_geometry_is_shared_and_read_only(sp):
             arr[0] = 1.0
 
 
-def test_grid_requires_two_nodes():
-    with pytest.raises(ValueError):
-        grid_l2(1)
-
-
 @pytest.mark.parametrize("sp", [euclidean(7), grid_l2(33)])
 def test_cauchy_schwarz(sp):
     rng = np.random.default_rng(11)
