@@ -4,12 +4,31 @@ Four inertial Mann-type extragradient methods (two subgradient-halfspace
 variants, two forward-correction variants) and six baselines: anchored,
 hybrid-steepest-descent, two plain Mann-type, and two viscosity-type
 extragradient methods. Each scheme is one `Scheme` member, which names
-its parts, and one generic step runs every member.
+its parts, and one builder, `_build_step`, makes the step of every member.
 
 `solve` checks its starting points against the problem's space once and
-then iterates on plain coordinate arrays. A step that overflows, or meets
-NaN, raises NonFiniteElementError at that step; where it checks follows
-the `space` module's call convention.
+then builds its scheme's step once, before the loop. The build resolves
+what cannot change within a solve: the scheme's extrapolation,
+correction, outer update and step policy; theta_k, eta_k and zeta_k as
+their closed forms, called as `SequenceRule` calls them; and the names
+`project`, `armijo_search`, `adaptive_update` and `check_finite`, as they
+are bound when solve starts. Two direct paths skip per-call checks that
+hold for the whole solve, each chosen where its module states the rule
+for dot giving @'s bits (`space.dot_agrees`):
+- `operators.bare_map`: A is G.dot, plus the offset f, when A is exactly
+  an `AffineMatrix`, and G and both starts are C-contiguous with n > 1;
+- `SpaceDescriptor.bare_inner`: the inner products of the halfspace
+  projection, the inertial gap ||x_k - x_{k-1}|| and D_k are ndarray.dot
+  in R^n when both starts are C-contiguous with n > 1; a norm whose sum
+  of squares is not finite falls back to `SpaceDescriptor.norm`.
+Every other input (any other operator, perfbench's wrapped ones among
+them, the grid space, a start at a reversed stride) keeps the calls of
+its own type. Every step is arrays in, arrays out: the loop carries
+(x_{k-1}, x_k, gamma_k), and an `IterateState` and a `HalfSpace` are
+built only when the residuals are recorded. Either way each trace is
+bitwise the same. A step that overflows, or meets NaN, raises
+NonFiniteElementError at that step; where it checks follows the `space`
+module's call convention.
 """
 
 from __future__ import annotations
@@ -23,7 +42,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .problems import ProblemInstance
-from .projections import HalfSpace, halfspace_residual, project
+from .operators import bare_map
+from .projections import HalfSpace, halfspace_residual, project, project_halfspace
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
                     check_space, check_type)
 from .stepsize import (
@@ -208,107 +228,126 @@ INERTIAL_DELTA = 0.6
 HSD_LAMBDA = 0.5
 
 
-def _inertial_weight(space, zeta_k: float, dx: np.ndarray) -> float:
-    """Extrapolation weight from dx = x_k - x_{k-1}: min(zeta_k / ||dx||,
-    INERTIAL_DELTA), or the cap INERTIAL_DELTA when the last two iterates
-    coincide, so that delta_k * ||dx|| <= zeta_k. Like every norm, ||dx||
-    raises NonFiniteElementError on a NaN or Inf entry, which the min
-    could pass over; a zeta_k that is not positive (NaN included) raises
-    ValueError."""
-    if not zeta_k > 0:
-        raise ValueError(f"zeta_k must be positive, got {zeta_k}")
-    gap = space.norm(dx)
-    if gap == 0.0:
-        return INERTIAL_DELTA
-    return min(zeta_k / gap, INERTIAL_DELTA)
-
-
 # the field of each step-policy type that holds gamma_1
 _FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
 
 
-def _step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
-          cfg: SolverConfig) -> IterateState:
-    """One iteration of scheme, built from its parts."""
-    k = state.k
-    theta = cfg.theta(k)
-    eta = cfg.eta(k, theta)
-    space, A, T = problem.space, problem.A, problem.T
-    x = state.x_curr
-    s, dk = x, 0.0
-    if scheme.inertial:
-        dx = x - state.x_prev
-        dk = _inertial_weight(space, cfg.zeta(k), dx)
-        s = x + dk * dx
+def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
+                starts: Tuple[np.ndarray, np.ndarray], record: bool):
+    """scheme's step on problem, built once: step(k, x_prev, x, gamma)
+    gives (x_{k+1}, gamma_{k+1}, delta_k) from the k-th iterate x, the one
+    before it and gamma_k, or with record the new iterate's IterateState.
+    Its x and x_prev are the starts, laid out as `starts`, or its own
+    results.
 
-    if scheme.step is Armijo:
-        gamma, y, As, Ay = armijo_search(space, cfg.step, s, A, problem.C)
-    else:
-        gamma = state.gamma
-        As = A(s)
-        trial = s + (-gamma) * As
-        y = project(problem.C, trial)
-        Ay = A(y)
+    The inertial weight is delta_k = min(zeta_k / ||dx||, INERTIAL_DELTA),
+    dx = x_k - x_{k-1}, or the cap INERTIAL_DELTA when the two iterates
+    coincide, so that delta_k ||dx|| <= zeta_k. Like every norm, ||dx||
+    raises NonFiniteElementError on a NaN or Inf entry, which the min could
+    pass over; a zeta_k that is not positive (NaN included) raises
+    ValueError."""
+    inertial, outer, tseng = scheme.inertial, scheme.outer, scheme.correction == "tseng"
+    adaptive, armijo, policy = scheme.step is Adaptive, scheme.step is Armijo, cfg.step
+    space, C, T, F, f_visc = problem.space, problem.C, problem.T, problem.F, problem.f_visc
+    anchor = cfg.x0.coords if outer == "anchored" else None
+    # each sequence's closed form, called with SequenceRule.__call__'s arguments
+    th, th_v = _SEQUENCES[cfg.theta.kind], cfg.theta.value
+    et, et_v = _SEQUENCES[cfg.eta.kind], cfg.eta.value
+    ze, ze_v = (_SEQUENCES[cfg.zeta.kind], cfg.zeta.value) if inertial else (None, None)
+    # the names a caller may have rebound, as they are now, and the operator
+    # and inner product without their per-call checks where these may go
+    A_op, A, inner = problem.A, bare_map(problem.A, *starts), space.bare_inner(*starts)
+    search, update, proj, finite = armijo_search, adaptive_update, project, check_finite
 
-    hk = None
-    if scheme.correction == "tseng":
-        z = y + (-gamma) * (Ay - As)
-    else:
-        hk = HalfSpace(trial - y, y, space)
-        z = project(hk, s + (-gamma) * Ay)
+    def step(k, x_prev, x, gamma):
+        theta = th(k, None, th_v)
+        eta = et(k, theta, et_v)
+        s, dk, gamma_k = x, 0.0, gamma
+        if inertial:
+            dx = x - x_prev
+            zeta_k = ze(k, None, ze_v)
+            if not zeta_k > 0:
+                raise ValueError(f"zeta_k must be positive, got {zeta_k}")
+            sq = inner(dx, dx)  # norm(dx), as solve's err takes it
+            gap = math.sqrt(sq) if sq < math.inf else space.norm(dx)
+            dk = INERTIAL_DELTA if gap == 0.0 else min(zeta_k / gap, INERTIAL_DELTA)
+            s = x + dk * dx
+        if armijo:
+            gamma, y, As, Ay = search(space, policy, s, A_op, C)
+        else:
+            As = A(s)
+            trial = s + (-gamma) * As
+            y = proj(C, trial)
+            Ay = A(y)
+        if tseng:
+            z = y + (-gamma) * (Ay - As)
+        else:
+            normal = trial - y
+            z = project_halfspace(inner, normal, y, s + (-gamma) * Ay)
+        if outer == "mann":
+            x_next = (1.0 - theta - eta) * z + eta * T(z)
+        elif outer == "modified_mann":
+            x_next = (1.0 - eta) * (theta * z) + eta * T(z)
+        elif outer == "anchored":
+            z = theta * anchor + (1.0 - theta) * z
+            x_next = eta * x + (1.0 - eta) * T(z)
+        else:
+            t = (1.0 - eta) * z + eta * T(z)
+            if outer == "viscosity":
+                x_next = theta * f_visc(x) + (1.0 - theta) * t
+            else:  # hsd
+                x_next = t + (-HSD_LAMBDA * theta) * F(t)
+        x_next = finite(x_next)
+        if adaptive:
+            gamma = update(space, gamma, policy.phi, s, y, As, Ay)
+        if not record:
+            return x_next, gamma, dk
+        hk = None if tseng else HalfSpace(normal, y, space)
+        return IterateState(k + 1, x, x_next, s, y, z, gamma, dk, gamma_k, hk)
 
-    if scheme.outer == "mann":
-        x_next = (1.0 - theta - eta) * z + eta * T(z)
-    elif scheme.outer == "modified_mann":
-        x_next = (1.0 - eta) * (theta * z) + eta * T(z)
-    elif scheme.outer == "anchored":
-        z = theta * cfg.x0.coords + (1.0 - theta) * z
-        x_next = eta * x + (1.0 - eta) * T(z)
-    else:
-        t = (1.0 - eta) * z + eta * T(z)
-        if scheme.outer == "viscosity":
-            x_next = theta * problem.f_visc(x) + (1.0 - theta) * t
-        else:  # hsd
-            x_next = t + (-HSD_LAMBDA * theta) * problem.F(t)
-    x_next = check_finite(x_next)
+    return step
 
-    gamma_next = gamma
-    if scheme.step is Adaptive:
-        gamma_next = adaptive_update(space, gamma, cfg.step.phi, s, y, As, Ay)
-    return IterateState(k + 1, x, x_next, s, y, z, gamma_next, dk, state.gamma, hk)
+
+def _state_step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
+                cfg: SolverConfig) -> IterateState:
+    """One step of scheme from state, built for it alone, as an
+    IterateState that holds the step's intermediate points."""
+    starts = state.x_prev, state.x_curr
+    return _build_step(scheme, problem, cfg, starts, True)(state.k, *starts, state.gamma)
 
 
 # One function per proposed scheme, so each can be called (and profiled)
-# on its own; solve runs every scheme through step_baseline.
+# on its own from an IterateState; solve builds its scheme's step once and
+# calls it through step_baseline.
 def step_alg1(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type subgradient extragradient step."""
-    return _step(Scheme.IMSEGM, state, problem, cfg)
+    return _state_step(Scheme.IMSEGM, state, problem, cfg)
 
 
 def step_alg2(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Inertial Mann-type step with the forward correction in place of the
     second projection."""
-    return _step(Scheme.IMTEGM, state, problem, cfg)
+    return _state_step(Scheme.IMTEGM, state, problem, cfg)
 
 
 def step_alg3(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type subgradient extragradient step."""
-    return _step(Scheme.IMMSEGM, state, problem, cfg)
+    return _state_step(Scheme.IMMSEGM, state, problem, cfg)
 
 
 def step_alg4(state: IterateState, problem: ProblemInstance,
               cfg: SolverConfig) -> IterateState:
     """Modified inertial Mann-type step with the forward correction."""
-    return _step(Scheme.IMMTEGM, state, problem, cfg)
+    return _state_step(Scheme.IMMTEGM, state, problem, cfg)
 
 
-def step_baseline(state: IterateState, problem: ProblemInstance,
-                  cfg: SolverConfig) -> IterateState:
-    """Step of the scheme cfg.algorithm."""
-    return _step(cfg.algorithm, state, problem, cfg)
+def step_baseline(step, k: int, x_prev: np.ndarray, x: np.ndarray, gamma: float):
+    """One iteration of solve: step(k, x_prev, x, gamma), the step
+    _build_step built for its scheme."""
+    return step(k, x_prev, x, gamma)
 
 
 def check_tol(tol: Optional[float]):
@@ -390,32 +429,37 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     residuals. A step that raises ends the run with SolveError, which
     carries the rows recorded so far."""
     check_config(cfg, problem)
-    scheme, tol = cfg.algorithm, cfg.tol
-    phi = getattr(cfg.step, "phi", None)
-    space = problem.space
+    scheme, tol, record = cfg.algorithm, cfg.tol, cfg.record_invariants
+    phi, space = getattr(cfg.step, "phi", None), problem.space
+    x_prev, x = cfg.x0.coords, cfg.x1.coords
+    step = _build_step(scheme, problem, cfg, (x_prev, x), record)
+    inner = space.bare_inner(x_prev, x)
     x_star = None if problem.x_star is None else problem.x_star.coords
 
-    def err(x: np.ndarray) -> float:
-        return space.norm(x - x_star) if x_star is not None else math.nan
+    def err(x: np.ndarray) -> float:  # space.norm(x - x_star), as the step takes its norms
+        if x_star is None:
+            return math.nan
+        d = x - x_star
+        sq = inner(d, d)
+        return math.sqrt(sq) if sq < math.inf else space.norm(d)
 
-    trace = ConvergenceTrace(scheme=cfg.algorithm)
+    trace = ConvergenceTrace(scheme=scheme)
     rows = trace.rows
-    state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
-                         gamma=getattr(cfg.step, _FIRST_GAMMA[scheme.step]))
-    rows.append(TraceRow(1, err(state.x_curr), state.gamma, 0.0, 0.0))
+    gamma = getattr(cfg.step, _FIRST_GAMMA[scheme.step])
+    rows.append(TraceRow(1, err(x), gamma, 0.0, 0.0))
     start = time.perf_counter()
-    for _ in range(cfg.max_iter):
+    for k in range(1, cfg.max_iter + 1):
         try:
-            state = step_baseline(state, problem, cfg)
+            out = step_baseline(step, k, x_prev, x, gamma)
         except Exception as exc:
-            raise SolveError(f"{cfg.algorithm.value} failed at k={state.k}: {exc}",
-                             trace) from exc
+            raise SolveError(f"{scheme.value} failed at k={k}: {exc}", trace) from exc
         residuals = None
-        if cfg.record_invariants:
-            residuals = _residuals(scheme, state, phi, x_star, space)
-        d = err(state.x_curr)
-        rows.append(TraceRow(state.k, d, state.gamma, state.delta_k,
-                             time.perf_counter() - start, residuals))
+        if record:
+            residuals = _residuals(scheme, out, phi, x_star, space)
+            out = out.x_curr, out.gamma, out.delta_k
+        x_prev, (x, gamma, dk) = x, out
+        d = err(x)
+        rows.append(TraceRow(k + 1, d, gamma, dk, time.perf_counter() - start, residuals))
         if tol is not None and d < tol:
             break
     return trace

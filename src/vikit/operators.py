@@ -21,7 +21,8 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, SpaceKind, _read_only,
-                    Reals, check_field, check_finite, check_space, check_type, euclidean)
+                    Reals, check_field, check_finite, check_space, check_type, dot_agrees,
+                    euclidean)
 
 
 class PowerIterationError(RuntimeError):
@@ -97,17 +98,26 @@ class AffineMatrix:
             # a block as X @ G.T: (G @ X.T).T, the same map without a
             # branch, made certify at n = 2000 1.8x slower
             y = x @ G.T
-        elif x.size > 1 and x.flags.c_contiguous and G.flags.c_contiguous:
-            # as in SpaceDescriptor.inner: on these operands G.dot(x) is the
-            # BLAS dgemv G @ x calls, bit for bit, without matmul's ufunc
-            # dispatch (~1 us at n = 100). A reversed x, or a 1x1 G that dot
-            # multiplies directly, keeps @.
+        elif x.size > 1 and x.flags.c_contiguous and G.flags.c_contiguous:  # dot_agrees(G, x)
+            # G.dot(x) spares matmul's ufunc dispatch (~1 us at n = 100)
             y = G.dot(x)
         else:
             y = G @ x
         if self.f_vec is None:
             return y
         return y + self.f_vec.coords
+
+
+def bare_map(op, *points):
+    """op, for a caller that passes it only C-contiguous points of its
+    space, as `points` are. When op is exactly an AffineMatrix (a subclass
+    may override __call__) and dot_agrees(G, *points), this is G.dot, plus
+    f where set as __call__ adds it: op's bits without its checks, chosen
+    once. Any other op is itself."""
+    if type(op) is not AffineMatrix or not dot_agrees(op.G, *points):
+        return op
+    dot, f = op.G.dot, op.f_vec
+    return dot if f is None else lambda x, f=f.coords: dot(x) + f
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ or with a NaN or Inf entry. A SpaceElement has no arithmetic. `solve`
 checks once that x0 and x1 are set and lie in the problem's space, and
 then runs on their float64 `.coords`. Everything below that boundary takes
 and returns coordinate arrays: the operators, `projections.project`, the
-step-size rules, the scheme steps and the `IterateState` they pass along.
-Code that needs the geometry takes the SpaceDescriptor (or reads it from a
-Ball's centre, a HalfSpace or a RankOneIntegral) and calls its
-`inner`/`norm`.
+step-size rules, the scheme steps and the `IterateState` a recording step
+returns. Code that needs the geometry takes the SpaceDescriptor (or reads
+it from a Ball's centre, a HalfSpace or a RankOneIntegral) and calls its
+`inner`/`norm`, or the `bare_inner` it chose once for arrays laid out
+alike.
 
 Operators are pure maps: vikit's own check nothing, and a caller's need
 not either. A NaN or Inf raises NonFiniteElementError, and `check_finite`
@@ -142,7 +143,9 @@ class _RealKind(type):
             return False
         if arr.dtype.kind not in "iuf":
             return False
-        return cls is Reals or (arr.ndim <= 1 and arr.size > 0 and not np.isnan(arr).any())
+        # the sum of squares is NaN exactly when an entry is (its terms
+        # cannot cancel), and costs a quarter of np.isnan(arr).any()
+        return cls is Reals or (arr.ndim <= 1 and arr.size > 0 and not math.isnan(_vdot(arr, arr)))
 
 
 class Reals(metaclass=_RealKind):
@@ -200,15 +203,10 @@ class SpaceDescriptor:
 
     def inner(self, a: np.ndarray, b: np.ndarray) -> float:
         """Inner product of two coordinate arrays; trapezoid quadrature of
-        a*b in the GRID_L2 case.
-
-        In R^n, a.dot(b) and a @ b reach the same BLAS ddot when both
-        arrays are C-contiguous, so they give the same bits, and dot costs
-        about half as much. On a negative stride @ does not call BLAS and
-        sums in another order, and dot multiplies one-element arrays
-        directly, keeping a -0.0 that the sum from +0.0 drops; those keep @."""
+        a*b in the GRID_L2 case. In R^n it is a.dot(b) where
+        dot_agrees(a, b), and a @ b otherwise."""
         if self.kind is SpaceKind.EUCLIDEAN:
-            if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:
+            if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:  # dot_agrees(a, b)
                 return float(a.dot(b))
             return float(a @ b)
         # np.sum's pairwise sum without its Python wrapper
@@ -222,7 +220,10 @@ class SpaceDescriptor:
         ~1.3e154) is taken again on a / max|a|, so a finite array has a
         finite norm unless the norm itself exceeds the largest float. A
         C-contiguous array in R^n takes inner's dot directly, without the
-        call (a square has no -0.0 to keep, so one entry needs no @)."""
+        call (a square has no -0.0 to keep, so one entry needs no @).
+
+        So wherever inner(a, a) is finite the norm is math.sqrt of it, bit
+        for bit, as a caller that holds inner may compute it itself."""
         if self.kind is SpaceKind.EUCLIDEAN and a.flags.c_contiguous:
             sq = float(a.dot(a))
         else:
@@ -234,11 +235,34 @@ class SpaceDescriptor:
             return big * math.sqrt(self.inner(b, b))
         return math.sqrt(sq)
 
+    def bare_inner(self, *arrays):
+        """inner, for a caller that passes it only C-contiguous arrays of
+        this space, as `arrays` are: in R^n, when dot_agrees(*arrays),
+        np.ndarray.dot itself, whose numpy float has inner's bits (a numpy
+        float warns on an overflow where a float does not, so convert it
+        before dividing); inner otherwise. Chosen once, it spares each call
+        the tests of inner."""
+        euclidean = self.kind is SpaceKind.EUCLIDEAN
+        return np.ndarray.dot if euclidean and dot_agrees(*arrays) else self.inner
+
     def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Inner products of the matching rows of two (m, n) blocks, as an
         (m,) array: each row of a*b weighted by quad_weights and summed.
         Each agrees with `inner` on that pair of rows up to rounding."""
         return (a * b) @ self.quad_weights
+
+
+def dot_agrees(*arrays) -> bool:
+    """Whether dot gives @'s bits on these arrays, and on any others laid
+    out alike: each is C-contiguous with more than one entry. On such
+    operands a.dot(b) and a @ b (a vector's ddot, a matrix's dgemv) reach
+    the same BLAS call, and dot costs about half as much. On a negative
+    stride @ does not call BLAS and sums in another order, and dot
+    multiplies one-element arrays directly, keeping a -0.0 that the sum
+    from +0.0 drops; those keep @. This is the one statement of the rule;
+    `SpaceDescriptor.inner` and `operators.AffineMatrix.__call__` test it
+    inline, where a call would cost more than the test."""
+    return all(a.size > 1 and a.flags.c_contiguous for a in arrays)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 """The fully checked scheme step, the reference for the tests.
 
-This is `vikit.algorithms._step` as it was when every vector a step forms
-went through `check_finite`, with the inertial weight, the adaptive
+This is the scheme step `vikit.algorithms` builds, as it was when every
+vector a step forms went through `check_finite`, with the inertial weight, the adaptive
 update and the ball and halfspace projections it called then; the
 halfspace projection also has the library's rescale for a normal whose
 square underflows, and for x - anchor or an inner product that overflows

@@ -13,6 +13,7 @@ seeds 1-5 and from both ex2:grid=1001 starts.
 """
 
 import contextlib
+import copy
 import dataclasses
 import math
 import sys
@@ -35,13 +36,13 @@ from vikit.algorithms import (
     SequenceRule,
     SolveError,
     SolverConfig,
-    _inertial_weight,
+    TraceRow,
+    _state_step,
     solve,
     step_alg1,
     step_alg2,
     step_alg3,
     step_alg4,
-    step_baseline,
 )
 from vikit.harness import CONDITIONS, make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, Scale
@@ -83,24 +84,34 @@ def _ones_state(sp, gamma):
     return IterateState(k=1, x_prev=x, x_curr=x, gamma=gamma)
 
 
+def inertial_weight(sp, zeta, x_curr, x_prev):
+    """delta_k of imsegm's step from x_prev and x_curr with zeta_k = zeta,
+    on a problem in sp with A = 0 and C the whole space."""
+    p = ProblemInstance(space=sp, A=Scale(0.0), C=Box(-math.inf, math.inf), T=Scale(1.0),
+                        lambda_T=0.0, x_star=zeros(sp), L=0.0, problem_id="inertia")
+    cfg = _cfg(Scheme.IMSEGM, Adaptive(1.0, 0.5), "one_over_kp1", "half_one_minus_theta",
+               zeta=SequenceRule("constant", zeta))
+    return step_alg1(IterateState(1, x_prev, x_curr, gamma=1.0), p, cfg).delta_k
+
+
 def test_inertial_delta_examples():
     sp = euclidean(1)
     a, b = element(sp, [1.0]).coords, element(sp, [0.0]).coords
     # coincident iterates: return the cap
-    assert _inertial_weight(sp, 0.25, a - a) == 0.6
+    assert inertial_weight(sp, 0.25, a, a) == 0.6
     # gap 1, zeta 0.25: the ratio wins
-    assert _inertial_weight(sp, 0.25, a - b) == 0.25
+    assert inertial_weight(sp, 0.25, a, b) == 0.25
     # large zeta: the cap wins
-    assert _inertial_weight(sp, 10.0, a - b) == 0.6
-    with pytest.raises(ValueError):
-        _inertial_weight(sp, 0.0, a - b)
+    assert inertial_weight(sp, 10.0, a, b) == 0.6
+    with pytest.raises(ValueError, match="^zeta_k must be positive, got 0.0$"):
+        inertial_weight(sp, 0.0, a, b)
 
 
 def test_inertial_delta_rejects_a_gap_that_overflows():
     # x_k - x_{k-1} = inf would make zeta_k / inf = 0 win the min
     sp = euclidean(2)
     with np.errstate(over="ignore"), pytest.raises(NonFiniteElementError):
-        _inertial_weight(sp, 0.25, np.array([1e308, 0.0]) - np.array([-1e308, 0.0]))
+        inertial_weight(sp, 0.25, np.array([1e308, 0.0]), np.array([-1e308, 0.0]))
 
 
 def test_inertial_delta_guarantee():
@@ -110,7 +121,7 @@ def test_inertial_delta_guarantee():
         a = element(sp, rng.uniform(-4, 4, 3)).coords
         b = element(sp, rng.uniform(-4, 4, 3)).coords
         zeta = float(rng.uniform(0.001, 1.0))
-        dk = _inertial_weight(sp, zeta, a - b)
+        dk = inertial_weight(sp, zeta, a, b)
         assert dk * sp.norm(a - b) <= zeta + 1e-15
 
 
@@ -218,7 +229,7 @@ def test_step_alg3_matches_scalar_recomputation():
 def test_step_vsegm_matches_scalar_recomputation():
     p = _toy_problem()
     cfg = _cfg(Scheme.VSEGM, Adaptive(0.5, 0.5), "one_over_kp1", "k_over_2kp1")
-    st = step_baseline(_ones_state(p.space, 0.5), p, cfg)
+    st = _state_step(cfg.algorithm, _ones_state(p.space, 0.5), p, cfg)
     *_, x2, _ = _scalar_first_iteration("vsegm")
     assert np.allclose(st.x_curr, x2)
     assert x2 == 0.5625
@@ -257,7 +268,7 @@ def test_stegm_step_componentwise():
     p = _toy_problem()
     cfg = _cfg(Scheme.STEGM, Armijo(rho=1.0, l=0.5, phi=0.4),
                "one_over_kp1", "k_over_2kp1")
-    st = step_baseline(_ones_state(p.space, 1.0), p, cfg)
+    st = _state_step(cfg.algorithm, _ones_state(p.space, 1.0), p, cfg)
     gamma, y = 0.25, 0.75
     z = y - gamma * (y - 1.0)
     eta = 1.0 / 3.0
@@ -273,7 +284,7 @@ def test_hsegm_step_uses_the_anchor():
     anchor = element(p.space, [1.0, 1.0])
     cfg = _cfg(Scheme.HSEGM, Fixed(0.5), "one_over_kp1", "k_over_2kp1",
                x0=anchor, x1=anchor)
-    st = step_baseline(_ones_state(p.space, 0.5), p, cfg)
+    st = _state_step(cfg.algorithm, _ones_state(p.space, 0.5), p, cfg)
     # w = z-block value 0.75; z = 0.5*anchor + 0.5*w; x2 = eta x + (1-eta) T z
     zc = 0.5 * 1.0 + 0.5 * 0.75
     x2 = (1.0 / 3.0) * 1.0 + (2.0 / 3.0) * 0.5 * zc
@@ -550,10 +561,23 @@ def test_distances_from_a_huge_start_are_finite():
         assert all(math.isfinite(row.D) for row in rows)
 
 
+def _reversed_stride(point):
+    """A copy of point whose coordinates are held at a negative stride, as
+    no constructor leaves them."""
+    coords = np.empty_like(point.coords)[::-1]
+    coords[:] = point.coords
+    point = copy.copy(point)
+    object.__setattr__(point, "coords", coords)
+    return point
+
+
 @st.composite
 def huge_runs(draw):
-    """(problem, config): a small ex1, ex2 or binding problem, any scheme,
-    5 iterations from starts of up to 1e305 with gamma1 or rho up to 1e300."""
+    """(problem, config): a small ex1, ex2 or binding problem (whose A is
+    an AffineMatrix with an offset), any scheme, 5 iterations from starts
+    of up to 1e305 with gamma1 or rho up to 1e300. Some draws take the
+    step's generic path: A wrapped in a plain function, as perfbench's
+    tracer wraps it, or x1 held at a reversed stride."""
     family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
     if family == "ex1":
         p = make_example1(RandomSpec(draw(st.integers(2, 12)), draw(st.integers(0, 2**16))))
@@ -565,6 +589,11 @@ def huge_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     x0, x1 = (element(p.space, 10.0 ** draw(st.integers(-3, 305))
                       * rng.uniform(-1.0, 1.0, p.space.dim)) for _ in range(2))
+    path = draw(st.sampled_from(["direct", "wrapped", "reversed"]))
+    if path == "wrapped":
+        p = dataclasses.replace(p, A=lambda x, A=p.A: A(x))
+    elif path == "reversed":
+        x1 = _reversed_stride(x1)
     scheme = draw(st.sampled_from(list(Scheme)))
     overrides = {}
     size = 10.0 ** draw(st.integers(-3, 300))
@@ -576,28 +605,74 @@ def huge_runs(draw):
                           record_invariants=draw(st.booleans()), **overrides)
 
 
-def _outcome(p, cfg, step):
-    """(exception type, message, rows as bits) of solve with the given step."""
+def _bits(rows) -> list:
+    """Each row's k and its floats as hex, elapsed time left out."""
+    return [(r.k,) + tuple(float(v).hex() for v in (r.D, r.gamma, r.delta) + (r.residuals or ()))
+            for r in rows]
+
+
+def _solved(p, cfg):
+    """(exception type, message, rows as bits) of solve(p, cfg); no rows
+    when it raises anything but SolveError."""
     exc, rows = None, None
-    with mock.patch.object(algorithms, "_step", step), np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         try:
             rows = solve(p, cfg).rows
         except Exception as e:  # compared below, whatever it is
             exc = e
             rows = e.trace.rows if isinstance(e, SolveError) else None
-    bits = None if rows is None else [
-        (r.k,) + tuple(float(v).hex() for v in (r.D, r.gamma, r.delta) + (r.residuals or ()))
-        for r in rows]
-    return type(exc), str(exc), bits
+    return type(exc), str(exc), None if rows is None else _bits(rows)
+
+
+def _checked(p, cfg):
+    """The same for a loop of step_checked that records its rows as solve
+    does."""
+    scheme, space, u = cfg.algorithm, p.space, p.x_star.coords
+    phi = getattr(cfg.step, "phi", None)
+    state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
+                         gamma=getattr(cfg.step, algorithms._FIRST_GAMMA[scheme.step]))
+    exc = None
+    with np.errstate(all="ignore"):
+        rows = [TraceRow(1, space.norm(state.x_curr - u), state.gamma, 0.0, 0.0)]
+        try:
+            for _ in range(cfg.max_iter):
+                try:
+                    state = step_checked(scheme, state, p, cfg)
+                except Exception as e:
+                    raise SolveError(f"{scheme.value} failed at k={state.k}: {e}", None) from e
+                residuals = None
+                if cfg.record_invariants:
+                    residuals = algorithms._residuals(scheme, state, phi, u, space)
+                rows.append(TraceRow(state.k, space.norm(state.x_curr - u), state.gamma,
+                                     state.delta_k, 0.0, residuals))
+        except Exception as e:  # compared below, whatever it is
+            exc = e
+    kept = exc is None or isinstance(exc, SolveError)
+    return type(exc), str(exc), _bits(rows) if kept else None
 
 
 @settings(max_examples=300)
 @given(huge_runs())
 def test_step_checks_only_where_finiteness_can_be_lost(run):
-    # the library step and the fully checked one give the same rows bit for
+    # solve and a loop of the fully checked step give the same rows bit for
     # bit, or fail with the same error at the same k after the same rows
     p, cfg = run
-    assert _outcome(p, cfg, algorithms._step) == _outcome(p, cfg, step_checked)
+    assert _solved(p, cfg) == _checked(p, cfg)
+
+
+@pytest.mark.parametrize("problem", [make_example1(RandomSpec(8, 1)), binding_problem(8, 4, 1)],
+                         ids=["ex1", "binding-offset"])
+def test_a_wrapped_operator_gives_the_affine_matrix_run_bit_for_bit(problem):
+    # on C-contiguous starts the step calls the AffineMatrix's G.dot (plus
+    # its offset) and ndarray.dot directly; a plain function around it, as
+    # perfbench's tracer wraps A, takes A's own call and the space's inner
+    wrapped = dataclasses.replace(problem, A=lambda x, A=problem.A: A(x))
+    x0, x1 = initial_points(problem, "random_uniform", seed=1)
+    for scheme in Scheme:
+        for record in (False, True):
+            cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=50,
+                              record_invariants=record)
+            assert _bits(solve(wrapped, cfg).rows) == _bits(solve(problem, cfg).rows), scheme
 
 
 def _check_finite_calls(run) -> int:

@@ -20,9 +20,10 @@ from test_golden import GOLDEN, fingerprint_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
-CORE = (algorithms._step, algorithms._residuals, projections.project,
-        stepsize.adaptive_update, stepsize.armijo_search, stepsize._proven_rejections,
-        space.SpaceDescriptor.inner, space.SpaceDescriptor.norm, operators.AffineMatrix.__call__)
+CORE = (algorithms._build_step, algorithms._residuals, projections.project,
+        projections.project_halfspace, stepsize.adaptive_update, stepsize.armijo_search,
+        stepsize._proven_rejections, space.SpaceDescriptor.inner, space.SpaceDescriptor.norm,
+        space.SpaceDescriptor.bare_inner, operators.AffineMatrix.__call__, operators.bare_map)
 
 # (function, statement as written, which of the function's statements so
 # written, counted from 1) -> the test that pins the statement where no
@@ -32,26 +33,39 @@ UNREACHED = {
     ("project", 'check_space("x", x, euclidean(s.shape[0]))', 1):
         "test_projections.py::test_box_projection_keeps_the_points_shape_or_names_it",
     ("project", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
-    ("project", 'check_space("x", x, sp)', 2): "test_projections.py::test_space_mismatch",
+    ("project", 'check_space("x", x, s.space)', 1): "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
     # a halfspace normal whose square underflows, an x - anchor or inner
     # product that overflows on finite vectors, or a NaN or Inf entry of x
-    ("project", "check_finite(x)", 1):
+    ("project_halfspace", "check_finite(x)", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
-    ("project", "nn = viol = math.nan", 1):
+    ("project_halfspace", "nn = viol = math.nan", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
-    ("project", "a = normal / np.abs(normal).max()", 1):
+    ("project_halfspace", "a = normal / np.abs(normal).max()", 1):
         "test_projections.py::test_halfspace_whose_normal_squared_underflows_is_not_the_whole_space",
-    ("project", "scale = math.ldexp(0.5, math.frexp(max(np.abs(s.anchor).max(), "
-                "np.abs(x).max()))[1])", 1):
+    ("project_halfspace", "scale = math.ldexp(0.5, math.frexp(max(np.abs(anchor).max(), "
+                          "np.abs(x).max()))[1])", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
-    ("project", "xs = x / scale", 1):
+    ("project_halfspace", "xs = x / scale", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
-    ("project", "viol = sp.inner(a, xs - s.anchor / scale)", 1):
+    ("project_halfspace", "viol = float(inner(a, xs - anchor / scale))", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
-    ("project", "return x if viol <= 0.0 else scale * (xs - (viol / sp.inner(a, a)) * a)", 1):
+    ("project_halfspace",
+     "return x if viol <= 0.0 else scale * (xs - (viol / float(inner(a, a))) * a)", 1):
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
+    # a projection onto a halfspace C: a scheme's step projects onto its
+    # own halfspace with project_halfspace, and every golden C is a box or ball
+    ("project", "if x.shape != s.normal.shape:  # the normal has the space's shape", 1):
+        "test_projections.py::test_halfspace_orthogonal_drop",
+    ("project", "return project_halfspace(s.space.inner, s.normal, s.anchor, x)", 1):
+        "test_projections.py::test_halfspace_orthogonal_drop",
+    # a zeta_k that is not positive, which no Table 1 sequence gives
+    ("_build_step", 'raise ValueError(f"zeta_k must be positive, got {zeta_k}")', 1):
+        "test_algorithms.py::test_inertial_delta_examples",
+    # a step that records nothing; the golden cells record their residuals
+    ("_build_step", "return x_next, gamma, dk", 1):
+        "test_golden.py::test_a_run_that_records_nothing_gives_the_golden_columns",
     # a ball's x - center that overflows on finite points
     ("project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",

@@ -50,6 +50,8 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
      "theta_over_3, one_over_kp1_sq, constant, got 'bogus'"),
     (lambda: Box(1.0, 0.0), ConfigError,
      "upper must be at least lower coordinatewise, got lower=1.0, upper=0.0"),
+    (lambda: Box(np.zeros(2), np.ones(3)), ConfigError,
+     r"upper must broadcast with lower's shape \(2,\), got shape \(3,\)"),
     (lambda: AffineMatrix(np.ones((2, 3))), ConfigError,
      r"G must be a square matrix, got shape \(2, 3\)"),
     (lambda: RankOneIntegral(euclidean(3)), ConfigError,
@@ -58,7 +60,7 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
     (lambda: initial_points(make_example1(RandomSpec(4, 1)), "t_squared"), ConfigError,
      r"kind must be one of random_uniform on euclidean\(4\), got 't_squared'"),
     (lambda: HalfSpace(np.array(["a", "b"]), np.zeros(2), euclidean(2)), ConfigError,
-     r"normal must be of type Reals, got array\(\['a', 'b'\], dtype='<U1'\)"),
+     r"normal must be of type RealArray, got array\(\['a', 'b'\], dtype='<U1'\)"),
     (lambda: parse_problem_spec("ex2:grid=1", 1), ValueError,
      r"'ex2:grid=1': grid must be an integer in \[2,inf\), got 1"),
     (lambda: make_example2(1.5), ConfigError, r"grid must be an integer in \[2,inf\), got 1.5"),
@@ -97,7 +99,8 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
      "scheme must be of type Scheme, got 'imsegm'"),
 ], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
         "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
-        "sequence-kind", "box-upper-below-lower", "affine-not-square", "rank-one-not-grid",
+        "sequence-kind", "box-upper-below-lower", "box-bound-shapes",
+        "affine-not-square", "rank-one-not-grid",
         "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",
         "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space",
         "solve-problem", "solve-cfg", "make-config-problem", "validate-cfg", "certify-problem",

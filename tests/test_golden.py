@@ -170,3 +170,19 @@ def test_the_table_holds_every_problem_and_scheme():
 @pytest.mark.parametrize("name,scheme", list(GOLDEN))
 def test_trace_matches_golden_fingerprint(name, scheme, tmp_path):
     assert fingerprint_sha(name, Scheme(scheme), tmp_path / "trace.csv") == GOLDEN[name, scheme]
+
+
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_a_run_that_records_nothing_gives_the_golden_columns(name):
+    # the golden cells record their residuals; a step that records nothing
+    # returns before it builds an IterateState, with the same bits
+    problem, init = PROBLEMS[name]
+    x0, x1 = initial_points(problem, init, seed=SEED)
+    for scheme in Scheme:
+        columns = []
+        for record in (True, False):
+            cfg = harness.make_config(scheme, problem, x0=x0, x1=x1, max_iter=MAX_ITER,
+                                      record_invariants=record)
+            columns.append([(r.k, r.D.hex(), r.gamma.hex(), r.delta.hex())
+                            for r in solve(problem, cfg).rows])
+        assert columns[0] == columns[1], scheme

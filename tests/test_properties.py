@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from binding_problem import binding_problem
 from membership import contains, sample_point
 from segment_problem import segment_problem
+from test_algorithms import inertial_weight
 from vikit import algorithms
 from vikit.algorithms import (
     INERTIAL_DELTA,
@@ -26,7 +27,6 @@ from vikit.algorithms import (
     ConfigError,
     Scheme,
     SequenceRule,
-    _inertial_weight,
     solve,
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
@@ -137,7 +137,7 @@ def test_adaptive_step_stays_at_least_min_gamma1_and_phi_over_l(run):
 @given(space_and_points(2), st.floats(1e-6, 10.0))
 def test_inertial_step_stays_within_zeta(case, zeta):
     sp, x_curr, x_prev = case
-    dk = _inertial_weight(sp, zeta, x_curr - x_prev)
+    dk = inertial_weight(sp, zeta, x_curr, x_prev)
     assert 0.0 <= dk <= INERTIAL_DELTA
     assert dk * sp.norm(x_curr - x_prev) <= zeta * (1.0 + 1e-12)
 
@@ -160,8 +160,9 @@ def _with_correction(correction):
 def step_states(draw, schemes):
     """(problem, config, states): an ex1 problem with n = 5-100, an ex2
     problem on 3-201 nodes from any start, or a binding problem with n =
-    4-24, solved for STEP_ITERS iterations by a scheme drawn from schemes;
-    states are the IterateStates its steps returned."""
+    4-24, solved for STEP_ITERS iterations by a scheme drawn from schemes,
+    recording its residuals; states are the IterateStates its steps
+    returned."""
     family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
     init = "random_uniform"
     if family == "ex1":
@@ -174,12 +175,12 @@ def step_states(draw, schemes):
         p = binding_problem(n, draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
     x0, x1 = initial_points(p, init, seed=draw(st.integers(0, 2**16)))
     scheme = draw(st.sampled_from(schemes))
-    cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS)
+    cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS, record_invariants=True)
     states = []
-    step = algorithms.step_baseline
+    step_baseline = algorithms.step_baseline
 
-    def record(state, problem, c):
-        states.append(step(state, problem, c))
+    def record(*args):
+        states.append(step_baseline(*args))
         return states[-1]
 
     with mock.patch.object(algorithms, "step_baseline", record):
@@ -255,13 +256,13 @@ def _iterates_after(problem, cfg, counts):
     """The iterates of solve(problem, cfg) after each number of steps in
     counts."""
     kept = {}
-    step = algorithms.step_baseline
+    step_baseline = algorithms.step_baseline
 
-    def record(state, problem, c):
-        state = step(state, problem, c)
-        if state.k - 1 in counts:
-            kept[state.k - 1] = state.x_curr
-        return state
+    def record(step, k, *args):
+        x_next, gamma, dk = step_baseline(step, k, *args)
+        if k in counts:
+            kept[k] = x_next
+        return x_next, gamma, dk
 
     with mock.patch.object(algorithms, "step_baseline", record):
         solve(problem, cfg)
@@ -445,14 +446,15 @@ FIELDS = [
     Field("coords", lambda v: SpaceElement(v, euclidean(2)), valid=REAL_PAIRS,
           others=NOT_REAL_PAIRS),
     Field("space", lambda v: element(v, [0, 1]), valid=(euclidean(2), grid_l2(2))),
-    # a halfspace is built every step, so its guard must not pass an array
-    # that is not real
+    # a normal or an anchor with a NaN entry would make every projection NaN
     Field("normal", lambda v: HalfSpace(v, np.zeros(2), euclidean(2)),
           valid=(np.ones(2), np.arange(2), np.ones(2, np.float32)),
           others=(np.array(["a", "b"]), np.array([True, False]), np.ones(2) * 1j,
-                  np.array([1, 2], dtype=object), [0.0, 1.0], np.ones(3), np.ones((1, 2)))),
+                  np.array([1, 2], dtype=object), [0.0, 1.0], np.ones(3), np.ones((1, 2)),
+                  np.array([math.nan, 1.0]))),
     Field("anchor", lambda v: HalfSpace(np.ones(2), v, euclidean(2)), valid=(np.zeros(2),),
-          others=(np.array(["a", "b"]), np.zeros(2, bool), (0.0, 0.0), np.zeros(3))),
+          others=(np.array(["a", "b"]), np.zeros(2, bool), (0.0, 0.0), np.zeros(3),
+                  np.array([0.0, math.nan]))),
     Field("space", lambda v: HalfSpace(np.ones(2), np.zeros(2), v),
           valid=(euclidean(2), grid_l2(2))),
     Field("G", AffineMatrix, valid=(np.eye(2), [[1, 0], [0, 1]], np.eye(2, dtype=int)),
