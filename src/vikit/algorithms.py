@@ -19,16 +19,30 @@ for dot giving @'s bits (`space.dot_agrees`):
   an `AffineMatrix`, and G and both starts are C-contiguous with n > 1;
 - `SpaceDescriptor.bare_inner`: the inner products of the halfspace
   projection, the inertial gap ||x_k - x_{k-1}|| and D_k are ndarray.dot
-  in R^n when both starts are C-contiguous with n > 1; a norm whose sum
-  of squares is not finite falls back to `SpaceDescriptor.norm`.
+  in R^n when both starts are C-contiguous with n > 1 (on a grid, inner
+  bound to a work vector); a norm whose sum of squares is not finite
+  falls back to `SpaceDescriptor.norm`.
 Every other input (any other operator, perfbench's wrapped ones among
-them, the grid space, a start at a reversed stride) keeps the calls of
-its own type. Every step is arrays in, arrays out: the loop carries
-(x_{k-1}, x_k, gamma_k), and an `IterateState` and a `HalfSpace` are
-built only when the residuals are recorded. Either way each trace is
-bitwise the same. A step that overflows, or meets NaN, raises
-NonFiniteElementError at that step; where it checks follows the `space`
-module's call convention.
+them, a start at a reversed stride) keeps the calls of its own type.
+
+The built step owns its solve's work vectors: sixteen n-vectors made
+once by the build, plus the work vector of a grid's `bare_inner`. It
+writes every vector it forms into them with numpy's `out` arguments,
+keeping each expression's order of operations: dx, s, A(s), the trial
+point, y, A(y), the normal, z, T(z), the outer update's terms and
+x_{k+1}, which rotates among three so that it never overwrites x_k or
+x_{k-1} (the starts are only read). It passes an `out` to A, T, F and
+f_visc only when the operator is exactly one of vikit's own
+(`operators.OWN_OPERATORS`), and work vectors to `project_ball`,
+`project_halfspace`, `adaptive_update` and `armijo_search`; on a
+10001-node grid a step then allocates nothing. A box or a halfspace C is
+projected by `project`, which makes a new array. Every step is arrays
+in, arrays out: the loop
+carries (x_{k-1}, x_k, gamma_k), and an `IterateState` is built only when
+the residuals are recorded, which read the step's normal and anchor. Each
+trace is bitwise the same either way. A step that overflows, or meets
+NaN, raises NonFiniteElementError at that step; where it checks follows
+the `space` module's call convention.
 """
 
 from __future__ import annotations
@@ -42,8 +56,8 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .problems import ProblemInstance
-from .operators import bare_map
-from .projections import HalfSpace, halfspace_residual, project, project_halfspace
+from .operators import OWN_OPERATORS, bare_map
+from .projections import Ball, HalfSpace, project, project_ball, project_halfspace
 from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
                     check_space, check_type)
 from .stepsize import (
@@ -236,9 +250,15 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
                 starts: Tuple[np.ndarray, np.ndarray], record: bool):
     """scheme's step on problem, built once: step(k, x_prev, x, gamma)
     gives (x_{k+1}, gamma_{k+1}, delta_k) from the k-th iterate x, the one
-    before it and gamma_k, or with record the new iterate's IterateState.
-    Its x and x_prev are the starts, laid out as `starts`, or its own
-    results.
+    before it and gamma_k, or with record the new iterate's IterateState
+    and the normal of the step's halfspace (None for a forward
+    correction), whose anchor is the state's y. Its x and x_prev are the
+    starts, laid out as `starts`, or its own results.
+
+    The step's vectors, x_{k+1} among them, are work vectors of this
+    build, which the next step overwrites: x_{k+1} rotates among three,
+    so that it never overwrites x_k or x_{k-1}, and the starts are only
+    read.
 
     The inertial weight is delta_k = min(zeta_k / ||dx||, INERTIAL_DELTA),
     dx = x_k - x_{k-1}, or the cap INERTIAL_DELTA when the two iterates
@@ -258,52 +278,72 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
     # and inner product without their per-call checks where these may go
     A_op, A, inner = problem.A, bare_map(problem.A, *starts), space.bare_inner(*starts)
     search, update, proj, finite = armijo_search, adaptive_update, project, check_finite
+    # which operators write their value into a work vector: exactly vikit's
+    # own, while any other (perfbench's wrapped ones) is called as A(x)
+    own = OWN_OPERATORS
+    a_out, t_out, f_out, v_out = (type(A_op) in own, type(T) in own, type(F) in own,
+                                  type(f_visc) in own)
+    ball = type(C) is Ball
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    # the solve's work vectors, one array each, as the step made its
+    # temporaries: x_{k+1} is X[k % 3]; DX, S, AS, TR, Y, AY, NM, Z and TZ
+    # hold the vectors so named below, P the point projected onto the
+    # halfspace, W an outer-update term, D a difference whose norm is taken
+    # and Q a norm's quadrature
+    *X, DX, S, AS, TR, Y, AY, NM, P, Z, TZ, W, D, Q = map(np.empty, [space.dim] * 16)
+    search_work, update_work = (AS, TR, Y, AY, D, Q), (D, Q)
 
     def step(k, x_prev, x, gamma):
         theta = th(k, None, th_v)
         eta = et(k, theta, et_v)
         s, dk, gamma_k = x, 0.0, gamma
         if inertial:
-            dx = x - x_prev
+            dx = subtract(x, x_prev, DX)
             zeta_k = ze(k, None, ze_v)
             if not zeta_k > 0:
                 raise ValueError(f"zeta_k must be positive, got {zeta_k}")
             sq = inner(dx, dx)  # norm(dx), as solve's err takes it
             gap = math.sqrt(sq) if sq < math.inf else space.norm(dx)
             dk = INERTIAL_DELTA if gap == 0.0 else min(zeta_k / gap, INERTIAL_DELTA)
-            s = x + dk * dx
+            s = add(x, multiply(dk, dx, S), S)
         if armijo:
-            gamma, y, As, Ay = search(space, policy, s, A_op, C)
+            gamma, y, As, Ay = search(space, policy, s, A_op, C, search_work)
         else:
-            As = A(s)
-            trial = s + (-gamma) * As
-            y = proj(C, trial)
-            Ay = A(y)
+            As = A(s, AS) if a_out else A(s)
+            trial = add(s, multiply(-gamma, As, TR), TR)
+            y = project_ball(C, trial, Y, Q) if ball else proj(C, trial)
+            Ay = A(y, AY) if a_out else A(y)
         if tseng:
-            z = y + (-gamma) * (Ay - As)
+            z = add(y, multiply(-gamma, subtract(Ay, As, Z), Z), Z)
         else:
-            normal = trial - y
-            z = project_halfspace(inner, normal, y, s + (-gamma) * Ay)
+            normal = subtract(trial, y, NM)
+            z = project_halfspace(inner, normal, y, add(s, multiply(-gamma, Ay, P), P), Z)
+        if outer == "anchored":
+            z = add(multiply(theta, anchor, W), multiply(1.0 - theta, z, Z), Z)
+        Tz = T(z, TZ) if t_out else T(z)
+        x_next = X[k % 3]
         if outer == "mann":
-            x_next = (1.0 - theta - eta) * z + eta * T(z)
+            add(multiply(1.0 - theta - eta, z, x_next), multiply(eta, Tz, TZ), x_next)
         elif outer == "modified_mann":
-            x_next = (1.0 - eta) * (theta * z) + eta * T(z)
+            add(multiply(1.0 - eta, multiply(theta, z, x_next), x_next), multiply(eta, Tz, TZ),
+                x_next)
         elif outer == "anchored":
-            z = theta * anchor + (1.0 - theta) * z
-            x_next = eta * x + (1.0 - eta) * T(z)
+            add(multiply(eta, x, x_next), multiply(1.0 - eta, Tz, TZ), x_next)
         else:
-            t = (1.0 - eta) * z + eta * T(z)
+            t = add(multiply(1.0 - eta, z, W), multiply(eta, Tz, TZ), W)
             if outer == "viscosity":
-                x_next = theta * f_visc(x) + (1.0 - theta) * t
+                fx = f_visc(x, x_next) if v_out else f_visc(x)
+                add(multiply(theta, fx, x_next), multiply(1.0 - theta, t, W), x_next)
             else:  # hsd
-                x_next = t + (-HSD_LAMBDA * theta) * F(t)
+                Ft = F(t, x_next) if f_out else F(t)
+                add(t, multiply(-HSD_LAMBDA * theta, Ft, x_next), x_next)
         x_next = finite(x_next)
         if adaptive:
-            gamma = update(space, gamma, policy.phi, s, y, As, Ay)
+            gamma = update(space, gamma, policy.phi, s, y, As, Ay, update_work)
         if not record:
             return x_next, gamma, dk
-        hk = None if tseng else HalfSpace(normal, y, space)
-        return IterateState(k + 1, x, x_next, s, y, z, gamma, dk, gamma_k, hk)
+        state = IterateState(k + 1, x, x_next, s, y, z, gamma, dk, gamma_k)
+        return state, None if tseng else normal
 
     return step
 
@@ -311,9 +351,13 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
 def _state_step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
                 cfg: SolverConfig) -> IterateState:
     """One step of scheme from state, built for it alone, as an
-    IterateState that holds the step's intermediate points."""
+    IterateState that holds the step's intermediate points and its
+    halfspace."""
     starts = state.x_prev, state.x_curr
-    return _build_step(scheme, problem, cfg, starts, True)(state.k, *starts, state.gamma)
+    state, normal = _build_step(scheme, problem, cfg, starts, True)(state.k, *starts, state.gamma)
+    if normal is not None:
+        state.halfspace = HalfSpace(normal, state.y, problem.space)
+    return state
 
 
 # One function per proposed scheme, so each can be called (and profiled)
@@ -346,7 +390,9 @@ def step_alg4(state: IterateState, problem: ProblemInstance,
 
 def step_baseline(step, k: int, x_prev: np.ndarray, x: np.ndarray, gamma: float):
     """One iteration of solve: step(k, x_prev, x, gamma), the step
-    _build_step built for its scheme."""
+    _build_step built for its scheme. The vectors it returns are the
+    step's work vectors: a caller that keeps one past the next step keeps
+    a copy."""
     return step(k, x_prev, x, gamma)
 
 
@@ -388,13 +434,16 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         raise ConfigError(f"{needed} must be set for {scheme.value}'s {scheme.outer} update")
 
 
-def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
-               u: np.ndarray, space: SpaceDescriptor) -> Tuple[float, float, float]:
+def _residuals(scheme: Scheme, state: IterateState, normal: Optional[np.ndarray],
+               anchor: Optional[np.ndarray], phi: Optional[float], u: np.ndarray,
+               space: SpaceDescriptor) -> Tuple[float, float, float]:
     """Per-iteration inequality slacks, nan where not applicable.
 
     res_contraction: slack of the halfspace-variant contraction bound, or of
     the phi^2-form bound for forward-correction variants (positive = violated).
-    res_halfspace: membership residual of z in the constructed halfspace.
+    res_halfspace: membership residual <normal, z - anchor> of z in the
+    step's halfspace, given by its normal (None for a forward correction)
+    and anchor.
     res_tseng: slack of ||z - y|| <= phi (gamma_k/gamma_{k+1}) ||s - y||.
     """
     res_c = res_h = res_t = math.nan
@@ -417,8 +466,8 @@ def _residuals(scheme: Scheme, state: IterateState, phi: Optional[float],
                 - coeff * dist(y, s) ** 2
                 - coeff * dist(z, y) ** 2
             )
-    if state.halfspace is not None:
-        res_h = halfspace_residual(state.halfspace, z)
+    if normal is not None:
+        res_h = space.inner(normal, z - anchor)  # halfspace_residual
     return res_c, res_h, res_t
 
 
@@ -433,13 +482,13 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     phi, space = getattr(cfg.step, "phi", None), problem.space
     x_prev, x = cfg.x0.coords, cfg.x1.coords
     step = _build_step(scheme, problem, cfg, (x_prev, x), record)
-    inner = space.bare_inner(x_prev, x)
+    inner, work = space.bare_inner(x_prev, x), np.empty(space.dim)
     x_star = None if problem.x_star is None else problem.x_star.coords
 
     def err(x: np.ndarray) -> float:  # space.norm(x - x_star), as the step takes its norms
         if x_star is None:
             return math.nan
-        d = x - x_star
+        d = np.subtract(x, x_star, work)
         sq = inner(d, d)
         return math.sqrt(sq) if sq < math.inf else space.norm(d)
 
@@ -455,8 +504,9 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
             raise SolveError(f"{scheme.value} failed at k={k}: {exc}", trace) from exc
         residuals = None
         if record:
-            residuals = _residuals(scheme, out, phi, x_star, space)
-            out = out.x_curr, out.gamma, out.delta_k
+            state, normal = out
+            residuals = _residuals(scheme, state, normal, state.y, phi, x_star, space)
+            out = state.x_curr, state.gamma, state.delta_k
         x_prev, (x, gamma, dk) = x, out
         d = err(x)
         rows.append(TraceRow(k + 1, d, gamma, dk, time.perf_counter() - start, residuals))

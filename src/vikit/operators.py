@@ -3,8 +3,10 @@
 Concrete maps: affine Gx + f, coordinatewise positive part, scalar
 scaling, and the rank-one integral map t -> t * integral(x). Each maps a
 coordinate array to a new coordinate array, and an (m, n) block of rows
-to the block of its values row by row. They are pure maps: where a NaN
-or Inf value is checked follows the `space` module's call convention.
+to the block of its values row by row; given an `out` of the value's
+shape, which must not be x, it writes the value there, bit for bit the
+same, and returns out. They are pure maps: where a NaN or Inf value is
+checked follows the `space` module's call convention.
 Monotonicity and demicontractivity are certified by seeded sampling,
 which evaluates these four maps once per block of samples and any other
 callable one point at a time; demiclosedness is a declared property and
@@ -90,22 +92,22 @@ class AffineMatrix:
         object.__setattr__(self, "f_norm", f_norm)
         object.__setattr__(self, "probe", _read_only(probe) if usable else None)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         G = self.G
         if G.shape[0] != x.shape[-1]:
             check_space("x", x, euclidean(G.shape[0]))
         if x.ndim != 1:
             # a block as X @ G.T: (G @ X.T).T, the same map without a
             # branch, made certify at n = 2000 1.8x slower
-            y = x @ G.T
+            y = np.matmul(x, G.T, out)
         elif x.size > 1 and x.flags.c_contiguous and G.flags.c_contiguous:  # dot_agrees(G, x)
             # G.dot(x) spares matmul's ufunc dispatch (~1 us at n = 100)
-            y = G.dot(x)
+            y = G.dot(x, out)
         else:
-            y = G @ x
+            y = np.matmul(G, x, out)
         if self.f_vec is None:
             return y
-        return y + self.f_vec.coords
+        return np.add(y, self.f_vec.coords, out)
 
 
 def bare_map(op, *points):
@@ -113,21 +115,22 @@ def bare_map(op, *points):
     space, as `points` are. When op is exactly an AffineMatrix (a subclass
     may override __call__) and dot_agrees(G, *points), this is G.dot, plus
     f where set as __call__ adds it: op's bits without its checks, chosen
-    once. Any other op is itself."""
+    once, taking __call__'s `out` as its second argument. Any other op is
+    itself."""
     if type(op) is not AffineMatrix or not dot_agrees(op.G, *points):
         return op
     dot, f = op.G.dot, op.f_vec
-    return dot if f is None else lambda x, f=f.coords: dot(x) + f
+    return dot if f is None else lambda x, out=None, f=f.coords: np.add(dot(x, out), f, out)
 
 
 @dataclass(frozen=True)
 class PositivePart:
     """x -> max(x, 0) coordinatewise; NaN stays NaN, -Inf gives 0."""
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         # against a zero row numpy takes its contiguous loop; against the
         # scalar 0.0 it took 3x as long at 10001 nodes, with the same bits
-        return np.maximum(x, _zero_row(x.shape[-1]))
+        return np.maximum(x, _zero_row(x.shape[-1]), out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,8 +147,8 @@ class Scale:
     def __post_init__(self):
         check_field("c", self.c, -math.inf)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.c * x
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return np.multiply(self.c, x, out)
 
 
 @dataclass(frozen=True)
@@ -163,9 +166,10 @@ class RankOneIntegral:
         # of 6 perfbench runs on a 2-core Xeon), from where it sat in the heap
         self.space.grid
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        integral = (self.space.quad_weights * x).sum(axis=-1, keepdims=True)
-        return integral * self.space.grid
+    def __call__(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        # out holds the weighted x until the integral is taken
+        weighted = np.multiply(self.space.quad_weights, x, out)
+        return np.multiply(np.add.reduce(weighted, axis=-1, keepdims=True), self.space.grid, out)
 
 
 def spectral_norm(G: np.ndarray) -> float:
@@ -215,9 +219,10 @@ CERTIFY_BLOCK_BYTES = 120 << 10
 # take as its fixed point
 FIXED_POINT_TOL = 1e-10
 
-# the operators whose __call__ maps a block of rows; a subclass may
-# override __call__ for one point, so the type must match exactly
-_BLOCK_OPERATORS = (AffineMatrix, PositivePart, Scale, RankOneIntegral)
+# vikit's own operators, whose __call__ maps a block of rows and takes an
+# optional out; a subclass may override __call__ for one point, so the type
+# must match exactly
+OWN_OPERATORS = (AffineMatrix, PositivePart, Scale, RankOneIntegral)
 
 
 @dataclass(frozen=True)
@@ -242,7 +247,7 @@ def _rows(op, X: np.ndarray, name: str, space: SpaceDescriptor) -> np.ndarray:
     SpaceMismatchError naming it name(x), before any arithmetic on it; the
     values are checked for NaN and Inf, as the `space` module's call
     convention says."""
-    values = op(X) if type(op) in _BLOCK_OPERATORS else np.stack([op(x) for x in X])
+    values = op(X) if type(op) in OWN_OPERATORS else np.stack([op(x) for x in X])
     if values.shape != X.shape:  # every row has the first one's shape
         check_space(f"{name}(x)", values[0], space)
     return check_finite(values)

@@ -2,14 +2,16 @@
 
 Closed-form projectors for boxes, balls and halfspaces. Points are
 coordinate arrays; a ball or halfspace carries the space whose norm the
-projection is taken in.
+projection is taken in. `project` makes a new array for a point it
+moves; `project_ball` and `project_halfspace`, which a scheme's step
+calls directly, write it into a caller's work vector instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -71,8 +73,9 @@ class HalfSpace:
     shape with no NaN entry (ConfigError naming the field otherwise).
 
     A zero normal is the degenerate case and denotes the whole space.
-    A scheme builds one per step only when it records its residuals; its
-    step projects with `project_halfspace` directly.
+    A scheme's step projects with `project_halfspace` directly and builds
+    none: only a step called on its own (`algorithms.step_alg1` and its
+    kind) hands out the halfspace it formed.
     """
 
     normal: np.ndarray
@@ -107,36 +110,48 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
             check_space("x", x, euclidean(s.shape[0]))
         return clip_ufunc(check_finite(x), s.lower, s.upper)
     if isinstance(s, Ball):
-        sp = s.center.space
-        if x.shape != (sp.dim,):
-            check_space("x", x, sp)
-        c = s.center.coords
-        try:
-            d = x - c
-            dist = sp.norm(d)
-        except (NonFiniteElementError, RuntimeWarning):
-            # x has a NaN or Inf entry, on which check_finite raises, or
-            # x - c overflowed on finite points (a RuntimeWarning where
-            # warnings are errors). A grid space's weights can still put
-            # such an x in the ball, so take the distance on x and c divided
-            # by their largest |entry|, as norm rescales, and the nearest
-            # point as the convex combination of c and x, which cannot overflow
-            scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
-            t = s.radius / scale / sp.norm(x / scale - c / scale)
-            return x if t >= 1.0 else (1.0 - t) * c + t * x
-        if dist <= s.radius:
-            return x
-        return c + (s.radius / dist) * d
+        return project_ball(s, x)
     if x.shape != s.normal.shape:  # the normal has the space's shape
         check_space("x", x, s.space)
     return project_halfspace(s.space.inner, s.normal, s.anchor, x)
 
 
+def project_ball(s: Ball, x: np.ndarray, out: Optional[np.ndarray] = None,
+                 work: Optional[np.ndarray] = None) -> np.ndarray:
+    """project's ball branch; a scheme's step and the Armijo search call it
+    directly. `out`, an n-vector, holds x - center and then the nearest
+    point when one is given, and `work` is passed to the norm (see
+    `SpaceDescriptor.inner`); neither may be x, and x itself is returned
+    when it lies in the ball, as by project."""
+    sp = s.center.space
+    if x.shape != (sp.dim,):
+        check_space("x", x, sp)
+    c = s.center.coords
+    try:
+        d = np.subtract(x, c, out)
+        dist = sp.norm(d, work)
+    except (NonFiniteElementError, RuntimeWarning):
+        # x has a NaN or Inf entry, on which check_finite raises, or
+        # x - c overflowed on finite points (a RuntimeWarning where
+        # warnings are errors). A grid space's weights can still put
+        # such an x in the ball, so take the distance on x and c divided
+        # by their largest |entry|, as norm rescales, and the nearest
+        # point as the convex combination of c and x, which cannot overflow
+        scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
+        t = s.radius / scale / sp.norm(x / scale - c / scale)
+        return x if t >= 1.0 else (1.0 - t) * c + t * x
+    if dist <= s.radius:
+        return x
+    return np.add(c, np.multiply(s.radius / dist, d, out), out)
+
+
 def project_halfspace(inner, normal: np.ndarray, anchor: np.ndarray,
-                      x: np.ndarray) -> np.ndarray:
+                      x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """project's halfspace branch, on the halfspace's parts: inner is its
     space's `inner`, or that space's `bare_inner` for C-contiguous arrays,
-    and x lies in the space. A scheme's step calls it directly.
+    and x lies in the space. A scheme's step calls it directly. `out`, an
+    n-vector that is none of x, the normal and the anchor, holds x - anchor
+    and then the projection when one is given; the slow path allocates.
 
     One-step orthogonal correction. A residual that is not finite, from a
     NaN or Inf entry of x or from an overflow on finite vectors, takes the
@@ -145,13 +160,13 @@ def project_halfspace(inner, normal: np.ndarray, anchor: np.ndarray,
         nn = float(inner(normal, normal))
         if nn == 0.0 and not normal.any():
             return x
-        viol = float(inner(normal, x - anchor))  # halfspace_residual
+        viol = float(inner(normal, np.subtract(x, anchor, out)))  # halfspace_residual
     except RuntimeWarning:  # numpy's overflow or invalid warning, where warnings are errors
         nn = viol = math.nan
     if -math.inf < viol <= 0.0 and nn != 0.0:
         return x
     if 0.0 < nn < math.inf and math.isfinite(viol):
-        return x - (viol / nn) * normal
+        return np.subtract(x, np.multiply(viol / nn, normal, out), out)
     # x has a NaN or Inf entry, which check_finite rejects, or <normal,
     # normal> underflowed (entries below ~1e-162), or it, x - anchor or
     # <normal, x - anchor> overflowed on finite vectors (past ~1e154): take

@@ -20,7 +20,17 @@ it from a Ball's centre, a HalfSpace or a RankOneIntegral) and calls its
 alike.
 
 Operators are pure maps: vikit's own check nothing, and a caller's need
-not either. A NaN or Inf raises NonFiniteElementError, and `check_finite`
+not either. vikit's own (`operators.OWN_OPERATORS`) also take an `out`,
+into which they write their value, and `inner`, `norm`, the ball and
+halfspace projections and the step-size rules take work vectors; a
+caller's operator is only ever called with the point. Work vectors
+belong to one solve: `algorithms.solve` makes them once, before its
+loop, and its step writes every vector it forms into them, so that a
+step over a ball allocates nothing (`project` makes a new array for a
+box or a halfspace C). None lives on a space, an operator or a
+problem, which the plan runner's threads share.
+
+A NaN or Inf raises NonFiniteElementError, and `check_finite`
 checks a vector entry by entry in four kinds of place only:
 - where a NaN or Inf would otherwise be lost: the point a Box clips
   (clipping maps +-Inf to a bound), the point a HalfSpace projects when
@@ -56,9 +66,11 @@ suite's is) would turn that warning into an exception on a finite vector.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -201,18 +213,21 @@ class SpaceDescriptor:
         descriptor."""
         return math.sqrt(self.quad_weights.min())
 
-    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+    def inner(self, a: np.ndarray, b: np.ndarray, work: Optional[np.ndarray] = None) -> float:
         """Inner product of two coordinate arrays; trapezoid quadrature of
         a*b in the GRID_L2 case. In R^n it is a.dot(b) where
-        dot_agrees(a, b), and a @ b otherwise."""
+        dot_agrees(a, b), and a @ b otherwise. On a grid the weighted
+        product w*a*b is formed in `work`, an n-vector that is neither a
+        nor b, when one is given, and in a new array otherwise; R^n needs
+        none and ignores it."""
         if self.kind is SpaceKind.EUCLIDEAN:
             if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:  # dot_agrees(a, b)
                 return float(a.dot(b))
             return float(a @ b)
         # np.sum's pairwise sum without its Python wrapper
-        return float(np.add.reduce(self.quad_weights * a * b))
+        return float(np.add.reduce(np.multiply(np.multiply(self.quad_weights, a, work), b, work)))
 
-    def norm(self, a: np.ndarray) -> float:
+    def norm(self, a: np.ndarray, work: Optional[np.ndarray] = None) -> float:
         """sqrt(inner(a, a)); raises NonFiniteElementError when a has a NaN
         or Inf entry. The weights are positive, so such an entry always
         makes the sum of squares non-finite, and only then is a checked
@@ -223,11 +238,12 @@ class SpaceDescriptor:
         call (a square has no -0.0 to keep, so one entry needs no @).
 
         So wherever inner(a, a) is finite the norm is math.sqrt of it, bit
-        for bit, as a caller that holds inner may compute it itself."""
+        for bit, as a caller that holds inner may compute it itself. `work`
+        is passed to inner."""
         if self.kind is SpaceKind.EUCLIDEAN and a.flags.c_contiguous:
             sq = float(a.dot(a))
         else:
-            sq = self.inner(a, a)
+            sq = self.inner(a, a, work)
         if not math.isfinite(sq):
             check_finite(a)
             big = float(np.abs(a).max())
@@ -240,10 +256,13 @@ class SpaceDescriptor:
         this space, as `arrays` are: in R^n, when dot_agrees(*arrays),
         np.ndarray.dot itself, whose numpy float has inner's bits (a numpy
         float warns on an overflow where a float does not, so convert it
-        before dividing); inner otherwise. Chosen once, it spares each call
-        the tests of inner."""
-        euclidean = self.kind is SpaceKind.EUCLIDEAN
-        return np.ndarray.dot if euclidean and dot_agrees(*arrays) else self.inner
+        before dividing), and inner otherwise; on a grid, inner bound to a
+        work vector of its own, made here, so that a call allocates
+        nothing. Chosen once, it spares each call the tests of inner; made
+        once per solve, its work vector is never shared between threads."""
+        if self.kind is not SpaceKind.EUCLIDEAN:
+            return functools.partial(self.inner, work=np.empty(self.dim))
+        return np.ndarray.dot if dot_agrees(*arrays) else self.inner
 
     def row_inner(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Inner products of the matching rows of two (m, n) blocks, as an

@@ -11,8 +11,8 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .operators import AffineMatrix
-from .projections import Box, FeasibleSet, clip_ufunc, project
+from .operators import OWN_OPERATORS, AffineMatrix
+from .projections import Ball, Box, FeasibleSet, clip_ufunc, project, project_ball
 from .space import SpaceDescriptor, _read_only, _vdot, check_field
 
 
@@ -59,11 +59,14 @@ StepPolicy = Union[Fixed, Adaptive, Armijo]
 
 def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
                     s: np.ndarray, y: np.ndarray, As: np.ndarray,
-                    Ay: np.ndarray) -> float:
+                    Ay: np.ndarray, work: tuple = (None, None)) -> float:
     """Next step: min(phi * ||s-y|| / ||As-Ay||, gamma_k), or gamma_k when
     the operator displacement vanishes. Never increases. Like every norm,
     ||As - Ay|| and ||s - y|| raise NonFiniteElementError on a NaN or Inf
     entry, which the comparison or the min could otherwise pass over.
+    `work` is a pair of n-vectors, none of the four points: the first
+    holds As - Ay and then s - y, and the second is passed to each norm
+    (see `SpaceDescriptor.inner`); with None a new array is made instead.
 
     "As != Ay" is read in floating point as the test
 
@@ -85,13 +88,14 @@ def adaptive_update(space: SpaceDescriptor, gamma_k: float, phi: float,
     Only in the band between the two is ||Ay|| computed and the test
     applied as stated. An ||As|| + denom that overflows lands in the band.
     So the step is bitwise the four-norm rule's."""
-    denom = space.norm(As - Ay)
-    norm_As = space.norm(As)
+    d, q = work
+    denom = space.norm(np.subtract(As, Ay, d), q)
+    norm_As = space.norm(As, q)
     if denom <= 1e-14 * max(1.0, norm_As) or (
             denom <= 2e-14 * max(1.0, norm_As + denom)
-            and denom <= 1e-14 * max(1.0, norm_As, space.norm(Ay))):
+            and denom <= 1e-14 * max(1.0, norm_As, space.norm(Ay, q))):
         return gamma_k
-    return min(phi * space.norm(s - y) / denom, gamma_k)
+    return min(phi * space.norm(np.subtract(s, y, d), q) / denom, gamma_k)
 
 
 ARMIJO_MAX_TRIALS = 60
@@ -107,12 +111,20 @@ _EPS = float(np.finfo(float).eps)
 
 
 def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
-                  C: FeasibleSet) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+                  C: FeasibleSet, work: Optional[tuple] = None
+                  ) -> Tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Largest gamma among the first ARMIJO_MAX_TRIALS of {rho, rho*l,
     rho*l^2, ...} with gamma * ||A(x) - A(y)|| <= phi * ||x - y||,
     y = P_C(x - gamma A(x)).
 
-    Returns (gamma, y, A(x), A(y)) for the accepted step.
+    Returns (gamma, y, A(x), A(y)) for the accepted step. `work`, six
+    n-vectors none of which is x, holds the serial loop's vectors: A(x),
+    the unprojected trial point, y projected onto a ball, A(y), x - y and
+    A(x) - A(y), and each norm's quadrature (see `SpaceDescriptor.inner`).
+    A(x) and A(y) are written there only when A is exactly one of vikit's
+    own operators (`operators.OWN_OPERATORS`); any other A is called with
+    the point alone. With no work, new arrays are made instead. Either way
+    y, A(x) and A(y) may be work vectors, which the next call overwrites.
 
     The trials run in order, each exactly as stated, except those that
     `_proven_rejections` proves the test rejects: these are skipped (gamma
@@ -180,16 +192,20 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     keeps x - y_j finite. Each trial checks finiteness as the `space`
     module's call convention says, and none of these checks rejects a
     finite vector."""
-    Ax = A(x)
+    ax, trial, yb, ay, d, q = (None,) * 6 if work is None else work
+    own, ball = type(A) in OWN_OPERATORS, type(C) is Ball
+    Ax = A(x, ax) if own else A(x)
     skip = _proven_rejections(space, policy, x, Ax, A, C)
     gamma = policy.rho
     for j in range(ARMIJO_MAX_TRIALS):
         if j < len(skip) and skip[j]:
             gamma *= policy.l
             continue
-        y = project(C, x + (-gamma) * Ax)
-        Ay = A(y)
-        if gamma * space.norm(Ax - Ay) <= policy.phi * space.norm(x - y):
+        t = np.add(x, np.multiply(-gamma, Ax, trial), trial)
+        y = project_ball(C, t, yb, q) if ball else project(C, t)
+        Ay = A(y, ay) if own else A(y)
+        if (gamma * space.norm(np.subtract(Ax, Ay, d), q)
+                <= policy.phi * space.norm(np.subtract(x, y, d), q)):
             return gamma, y, Ax, Ay
         gamma *= policy.l
     raise ArmijoSearchError(

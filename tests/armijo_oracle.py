@@ -5,7 +5,8 @@ is evaluated in order. It checks every vector it forms, A(x) and A(y)
 included, as the search and `AffineMatrix` once did; the trial point is
 checked before any projection, not only before a box clips it. The
 screened search must return the same (gamma, y, A(x), A(y)) bit for bit,
-or raise the same exception.
+or raise the same exception. It takes the search's `work` and makes new
+arrays instead.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from vikit.stepsize import ARMIJO_MAX_TRIALS, Armijo, ArmijoSearchError
 
 
 def armijo_search_serial(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
-                         C: FeasibleSet):
+                         C: FeasibleSet, work=None):
     norm = space.norm
     Ax = check_finite(A(x))
     gamma = policy.rho

@@ -54,7 +54,7 @@ from vikit.problems import (
     make_example1,
     make_example2,
 )
-from vikit.projections import Box
+from vikit.projections import Box, HalfSpace
 from vikit.space import NonFiniteElementError, element, euclidean, norm, zeros
 from vikit.stepsize import Adaptive, Armijo, Fixed
 
@@ -92,6 +92,14 @@ def inertial_weight(sp, zeta, x_curr, x_prev):
     cfg = _cfg(Scheme.IMSEGM, Adaptive(1.0, 0.5), "one_over_kp1", "half_one_minus_theta",
                zeta=SequenceRule("constant", zeta))
     return step_alg1(IterateState(1, x_prev, x_curr, gamma=1.0), p, cfg).delta_k
+
+
+def residuals(scheme, state, phi, u, space):
+    """algorithms._residuals of a state that holds its step's halfspace,
+    as step_alg1's and step_checked's do."""
+    hk = state.halfspace
+    normal, anchor = (None, None) if hk is None else (hk.normal, hk.anchor)
+    return algorithms._residuals(scheme, state, normal, anchor, phi, u, space)
 
 
 def test_inertial_delta_examples():
@@ -499,6 +507,20 @@ def test_residual_columns_present_when_requested():
     assert all(math.isnan(v) for v in trace.column("res_tseng"))
 
 
+def test_a_recording_solve_builds_no_halfspace(monkeypatch):
+    # the residuals read the step's normal and anchor; only a step called
+    # on its own (step_alg1 and its kind) hands out a HalfSpace
+    problem, init = parse_problem_spec("ex1:n=100,seed=1", 1)
+    x, _ = initial_points(problem, init, seed=1)
+    cfg = make_config(Scheme.IMSEGM, problem, x0=x, x1=x, max_iter=50, record_invariants=True)
+    built, post_init = [], HalfSpace.__post_init__
+    monkeypatch.setattr(HalfSpace, "__post_init__", lambda hk: built.append(post_init(hk)))
+    trace = solve(problem, cfg)
+    assert len(trace.column("res_halfspace")) == 50 and built == []
+    state = step_alg1(IterateState(1, x.coords, x.coords, gamma=cfg.step.gamma1), problem, cfg)
+    assert len(built) == 1 and isinstance(state.halfspace, HalfSpace)
+
+
 def _iterations_to(problem, x, scheme, tol):
     trace = solve(problem, make_config(scheme, problem, x0=x, x1=x, max_iter=3000, tol=tol))
     assert trace.rows[-1].D <= tol
@@ -640,11 +662,11 @@ def _checked(p, cfg):
                     state = step_checked(scheme, state, p, cfg)
                 except Exception as e:
                     raise SolveError(f"{scheme.value} failed at k={state.k}: {e}", None) from e
-                residuals = None
+                res = None
                 if cfg.record_invariants:
-                    residuals = algorithms._residuals(scheme, state, phi, u, space)
+                    res = residuals(scheme, state, phi, u, space)
                 rows.append(TraceRow(state.k, space.norm(state.x_curr - u), state.gamma,
-                                     state.delta_k, 0.0, residuals))
+                                     state.delta_k, 0.0, res))
         except Exception as e:  # compared below, whatever it is
             exc = e
     kept = exc is None or isinstance(exc, SolveError)

@@ -21,7 +21,8 @@ from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
 CORE = (algorithms._build_step, algorithms._residuals, projections.project,
-        projections.project_halfspace, stepsize.adaptive_update, stepsize.armijo_search,
+        projections.project_ball, projections.project_halfspace, stepsize.adaptive_update,
+        stepsize.armijo_search,
         stepsize._proven_rejections, space.SpaceDescriptor.inner, space.SpaceDescriptor.norm,
         space.SpaceDescriptor.bare_inner, operators.AffineMatrix.__call__, operators.bare_map)
 
@@ -32,7 +33,7 @@ UNREACHED = {
     # guards that raise on a point of the wrong shape
     ("project", 'check_space("x", x, euclidean(s.shape[0]))', 1):
         "test_projections.py::test_box_projection_keeps_the_points_shape_or_names_it",
-    ("project", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
+    ("project_ball", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
     ("project", 'check_space("x", x, s.space)', 1): "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
@@ -67,11 +68,17 @@ UNREACHED = {
     ("_build_step", "return x_next, gamma, dk", 1):
         "test_golden.py::test_a_run_that_records_nothing_gives_the_golden_columns",
     # a ball's x - center that overflows on finite points
-    ("project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
+    ("project_ball", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project", "t = s.radius / scale / sp.norm(x / scale - c / scale)", 1):
+    ("project_ball", "t = s.radius / scale / sp.norm(x / scale - c / scale)", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
+    ("project_ball", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
+        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
+    # project onto a ball: a scheme's step and the Armijo search call
+    # project_ball directly
+    ("project", "if isinstance(s, Ball):", 1):
+        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
+    ("project", "return project_ball(s, x)", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     # the Armijo search exhausted, and a policy with no trial to screen
     ("armijo_search", "raise ArmijoSearchError(", 1):
@@ -81,7 +88,7 @@ UNREACHED = {
     # the @ forms of a reversed, strided or one-element operand
     ("SpaceDescriptor.inner", "return float(a @ b)", 1):
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
-    ("AffineMatrix.__call__", "y = G @ x", 1):
+    ("AffineMatrix.__call__", "y = np.matmul(G, x, out)", 1):
         "test_operators.py::test_affine_matrix_is_bitwise_the_matmul_form",
     # a norm of a NaN or Inf entry, and a sum of squares that overflows on
     # finite entries
@@ -94,7 +101,7 @@ UNREACHED = {
     ("SpaceDescriptor.norm", "return big * math.sqrt(self.inner(b, b))", 1):
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
     # certification's blocks of rows
-    ("AffineMatrix.__call__", "y = x @ G.T", 1):
+    ("AffineMatrix.__call__", "y = np.matmul(x, G.T, out)", 1):
         "test_operators.py::test_affine_matrix_maps_a_block_bitwise_as_x_times_g_transposed",
 }
 

@@ -5,6 +5,7 @@ inequalities of each step, and the point of the solution set each scheme
 converges to; and of the problem-spec grammar and the input fields."""
 
 import dataclasses
+import functools
 import math
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
@@ -19,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from binding_problem import binding_problem
 from membership import contains, sample_point
 from segment_problem import segment_problem
-from test_algorithms import inertial_weight
+from test_algorithms import inertial_weight, residuals
 from vikit import algorithms
 from vikit.algorithms import (
     INERTIAL_DELTA,
@@ -30,7 +31,8 @@ from vikit.algorithms import (
     solve,
 )
 from vikit.harness import ExperimentPlan, make_config, parse_problem_spec, validate_conditions
-from vikit.operators import AffineMatrix, PositivePart, RankOneIntegral, Scale, estimate_lipschitz
+from vikit.operators import (AffineMatrix, PositivePart, RankOneIntegral, Scale, bare_map,
+                             estimate_lipschitz)
 from vikit.problems import RandomSpec, certify, initial_points, make_example1, make_example2
 from vikit.projections import Ball, Box, HalfSpace, halfspace_residual, project
 from vikit.space import SpaceElement, element, euclidean, grid_l2, zeros
@@ -180,8 +182,14 @@ def step_states(draw, schemes):
     step_baseline = algorithms.step_baseline
 
     def record(*args):
-        states.append(step_baseline(*args))
-        return states[-1]
+        # a copy of each vector: the step's own are overwritten by later steps
+        out = state, normal = step_baseline(*args)
+        kept = dataclasses.replace(state, **{name: getattr(state, name).copy()
+                                             for name in ("x_prev", "x_curr", "s", "y", "z")})
+        if normal is not None:
+            kept.halfspace = HalfSpace(normal.copy(), kept.y, p.space)
+        states.append(kept)
+        return out
 
     with mock.patch.object(algorithms, "step_baseline", record):
         solve(p, cfg)
@@ -237,7 +245,7 @@ def test_inertial_step_contracts_toward_the_solution(run):
     for st_ in states:
         s, y, z = st_.s, st_.y, st_.z
         norm_As, norm_Ay = norm(p.A(s)), norm(p.A(y))
-        res_c = algorithms._residuals(cfg.algorithm, st_, cfg.step.phi, u, p.space)[0]
+        res_c = residuals(cfg.algorithm, st_, cfg.step.phi, u, p.space)[0]
         kept = st_.gamma_prev * 1e-14 * max(1.0, norm_As, norm_Ay)
         size = norm(s) + norm(y) + norm(z) + norm(u) + st_.gamma_prev * (norm_As + norm_Ay)
         assert res_c <= kept * (2 * norm(z - y) + kept) + (n + 4) * EPS * size ** 2
@@ -260,8 +268,8 @@ def _iterates_after(problem, cfg, counts):
 
     def record(step, k, *args):
         x_next, gamma, dk = step_baseline(step, k, *args)
-        if k in counts:
-            kept[k] = x_next
+        if k in counts:  # a copy: x_next is overwritten three steps on
+            kept[k] = x_next.copy()
         return x_next, gamma, dk
 
     with mock.patch.object(algorithms, "step_baseline", record):
@@ -576,3 +584,59 @@ def test_each_field_takes_its_values_or_names_itself_before_any_step(field):
             if not accepted:
                 wrong.append((value, "accepted"))
     assert not wrong, wrong
+
+
+# Each `out` form against the plain form it stands for: writing into out
+# gives the plain form's bits, and returns out itself. No out is the point
+# it is computed from, as the step never passes a map its own input.
+def _own_operators(n):
+    rng = np.random.default_rng(n)
+    G = rng.uniform(-2.0, 2.0, (n, n))
+    return (AffineMatrix(G), AffineMatrix(G, element(euclidean(n), rng.uniform(-1.0, 1.0, n))),
+            PositivePart(), Scale(-1.5), RankOneIntegral(grid_l2(n)))
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@given(st.integers(2, 12), st.integers(1, 3), st.data())
+def test_each_operator_writes_its_plain_bits_into_out(n, m, data):
+    for shape in ((n,), (m, n)):  # a point and a block of rows
+        x = data.draw(hnp.arrays(np.float64, shape, elements=coord))
+        for op in _own_operators(n):
+            out = np.full(shape, np.nan)
+            assert op(x, out) is out and _same_bits(out, op(x)), (op, shape)
+
+
+@given(space_and_points(2))
+def test_a_bare_inner_gives_the_inner_products_bits(case):
+    # on a grid it is inner bound to a work vector of its own, which each
+    # call overwrites; an inner product given a work vector is the same
+    sp, a, b = case
+    bare, work = sp.bare_inner(a, b), np.empty(sp.dim)
+    for x, y in ((a, b), (b, b), (a, a)):
+        want = sp.inner(x, y).hex()
+        assert float(bare(x, y)).hex() == want == sp.inner(x, y, work).hex()
+
+
+@functools.lru_cache(maxsize=1)
+def _affine_maps(n):
+    """An AffineMatrix of size n without and with an offset."""
+    ops = _own_operators(n)
+    return ops[0], ops[1]
+
+
+@pytest.mark.parametrize("n", [8, 100, 2000])
+@settings(max_examples=10)
+@given(seed=st.integers(0, 2**16))
+def test_bare_map_writes_the_mat_vecs_bits_into_out(n, seed):
+    # bare_map's G.dot(x, out), plus the offset, against G.dot(x) and the
+    # AffineMatrix's own call
+    x = np.random.default_rng(seed).uniform(-10.0, 10.0, n)
+    for op in _affine_maps(n):
+        mat_vec = bare_map(op, x)
+        assert mat_vec is not op  # the direct path
+        out = np.full(n, np.nan)
+        assert mat_vec(x, out) is out
+        assert _same_bits(out, mat_vec(x)) and _same_bits(out, op(x))
