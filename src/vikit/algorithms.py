@@ -37,12 +37,15 @@ f_visc only when the operator is exactly one of vikit's own
 `project_halfspace`, `adaptive_update` and `armijo_search`; on a
 10001-node grid a step then allocates nothing. A box or a halfspace C is
 projected by `project`, which makes a new array. Every step is arrays
-in, arrays out: the loop
-carries (x_{k-1}, x_k, gamma_k), and an `IterateState` is built only when
-the residuals are recorded, which read the step's normal and anchor. Each
-trace is bitwise the same either way. A step that overflows, or meets
-NaN, raises NonFiniteElementError at that step; where it checks follows
-the `space` module's call convention.
+in, arrays out: the loop carries (x_{k-1}, x_k, gamma_k), and each step
+returns (x_{k+1}, gamma_{k+1}, delta_k, residuals). A recording solve
+builds a closure that the step calls with its own points s, y, z and its
+halfspace's normal, which gives the three residuals from solve's work
+vector and `bare_inner` (`_recorder`); residuals is None when nothing is
+recorded. Only `_state_step` (step_alg1 to step_alg4) builds an
+`IterateState` and a `HalfSpace`. Each trace is bitwise the same either
+way. A step that overflows, or meets NaN, raises NonFiniteElementError at
+that step; where it checks follows the `space` module's call convention.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ import numpy as np
 from .problems import ProblemInstance
 from .operators import OWN_OPERATORS, bare_map
 from .projections import Ball, HalfSpace, project, project_ball, project_halfspace
-from .space import (ConfigError, SpaceDescriptor, SpaceElement, check_field, check_finite,
-                    check_space, check_type)
+from .space import (ConfigError, SpaceElement, check_field, check_finite, check_space,
+                    check_type)
 from .stepsize import (
     Adaptive,
     Armijo,
@@ -247,13 +250,14 @@ _FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
 
 
 def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
-                starts: Tuple[np.ndarray, np.ndarray], record: bool):
+                starts: Tuple[np.ndarray, np.ndarray], record=None):
     """scheme's step on problem, built once: step(k, x_prev, x, gamma)
-    gives (x_{k+1}, gamma_{k+1}, delta_k) from the k-th iterate x, the one
-    before it and gamma_k, or with record the new iterate's IterateState
-    and the normal of the step's halfspace (None for a forward
-    correction), whose anchor is the state's y. Its x and x_prev are the
-    starts, laid out as `starts`, or its own results.
+    gives (x_{k+1}, gamma_{k+1}, delta_k, kept) from the k-th iterate x,
+    the one before it and gamma_k. kept is None, or with record what
+    record(s, y, z, normal, gamma_k, gamma_{k+1}) returns, called once the
+    step is done with its points s, y and z and the normal of its
+    halfspace (None for a forward correction), whose anchor is y. Its x
+    and x_prev are the starts, laid out as `starts`, or its own results.
 
     The step's vectors, x_{k+1} among them, are work vectors of this
     build, which the next step overwrites: x_{k+1} rotates among three,
@@ -340,10 +344,8 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
         x_next = finite(x_next)
         if adaptive:
             gamma = update(space, gamma, policy.phi, s, y, As, Ay, update_work)
-        if not record:
-            return x_next, gamma, dk
-        state = IterateState(k + 1, x, x_next, s, y, z, gamma, dk, gamma_k)
-        return state, None if tseng else normal
+        return x_next, gamma, dk, None if record is None else record(
+            s, y, z, None if tseng else normal, gamma_k, gamma)
 
     return step
 
@@ -354,10 +356,10 @@ def _state_step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
     IterateState that holds the step's intermediate points and its
     halfspace."""
     starts = state.x_prev, state.x_curr
-    state, normal = _build_step(scheme, problem, cfg, starts, True)(state.k, *starts, state.gamma)
-    if normal is not None:
-        state.halfspace = HalfSpace(normal, state.y, problem.space)
-    return state
+    step = _build_step(scheme, problem, cfg, starts, lambda *points: points[:4])
+    x_next, gamma, dk, (s, y, z, normal) = step(state.k, *starts, state.gamma)
+    hk = None if normal is None else HalfSpace(normal, y, problem.space)
+    return IterateState(state.k + 1, state.x_curr, x_next, s, y, z, gamma, dk, state.gamma, hk)
 
 
 # One function per proposed scheme, so each can be called (and profiled)
@@ -434,41 +436,56 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
         raise ConfigError(f"{needed} must be set for {scheme.value}'s {scheme.outer} update")
 
 
-def _residuals(scheme: Scheme, state: IterateState, normal: Optional[np.ndarray],
-               anchor: Optional[np.ndarray], phi: Optional[float], u: np.ndarray,
-               space: SpaceDescriptor) -> Tuple[float, float, float]:
-    """Per-iteration inequality slacks, nan where not applicable.
+def _square(v: float) -> float:
+    """v ** 2, or inf where that overflows, on which a float's ** raises
+    OverflowError."""
+    try:
+        return v ** 2
+    except OverflowError:
+        return math.inf
+
+
+def _recorder(scheme: Scheme, step: StepPolicy, u: np.ndarray, dist, inner, work: np.ndarray):
+    """The residuals of a recording solve: a function that a step built
+    with it calls as record(s, y, z, normal, gamma_k, gamma_{k+1}), which
+    gives the step's per-iteration inequality slacks, nan where one does
+    not apply, with u = x*, dist the solve's dist(a, b) = ||a - b|| and
+    inner its bare_inner, and `work` an n-vector of the solve that holds
+    none of the points.
 
     res_contraction: slack of the halfspace-variant contraction bound, or of
     the phi^2-form bound for forward-correction variants (positive = violated).
-    res_halfspace: membership residual <normal, z - anchor> of z in the
-    step's halfspace, given by its normal (None for a forward correction)
-    and anchor.
+    res_halfspace: membership residual <normal, z - y> of z in the step's
+    halfspace, given by its normal (None for a forward correction) and its
+    anchor y.
     res_tseng: slack of ||z - y|| <= phi (gamma_k/gamma_{k+1}) ||s - y||.
-    """
-    res_c = res_h = res_t = math.nan
-    s, y, z = state.s, state.y, state.z
 
-    def dist(a, b):
-        return space.norm(a - b)
+    A square that overflows is inf, so far from x* res_contraction is inf,
+    -inf or, where two such squares meet, nan; the iterates are those of a
+    solve that records nothing."""
+    inertial, tseng, phi = scheme.inertial, scheme.correction == "tseng", getattr(step, "phi", None)
+    nan, subtract = math.nan, np.subtract
 
-    if scheme.inertial:
-        ratio = state.gamma_prev / state.gamma
-        if scheme.correction == "tseng":
-            coeff = 1.0 - (phi * ratio) ** 2
-            d_sy = dist(s, y)
-            res_c = dist(z, u) ** 2 - (dist(s, u) ** 2 - coeff * d_sy ** 2)
-            res_t = dist(z, y) - phi * ratio * d_sy
-        else:
-            coeff = 1.0 - phi * ratio
-            res_c = dist(z, u) ** 2 - (
-                dist(s, u) ** 2
-                - coeff * dist(y, s) ** 2
-                - coeff * dist(z, y) ** 2
-            )
-    if normal is not None:
-        res_h = space.inner(normal, z - anchor)  # halfspace_residual
-    return res_c, res_h, res_t
+    def residuals(s, y, z, normal, gamma_k, gamma):
+        res_c = res_t = nan
+        if inertial:
+            ratio = gamma_k / gamma
+            if tseng:
+                coeff = 1.0 - _square(phi * ratio)
+                d_sy = dist(s, y)
+                res_c = _square(dist(z, u)) - (_square(dist(s, u)) - coeff * _square(d_sy))
+                res_t = dist(z, y) - phi * ratio * d_sy
+            else:
+                coeff = 1.0 - phi * ratio
+                res_c = _square(dist(z, u)) - (
+                    _square(dist(s, u))
+                    - coeff * _square(dist(y, s))
+                    - coeff * _square(dist(z, y))
+                )
+        res_h = nan if normal is None else float(inner(normal, subtract(z, y, work)))
+        return res_c, res_h, res_t
+
+    return residuals
 
 
 def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
@@ -478,37 +495,33 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     residuals. A step that raises ends the run with SolveError, which
     carries the rows recorded so far."""
     check_config(cfg, problem)
-    scheme, tol, record = cfg.algorithm, cfg.tol, cfg.record_invariants
-    phi, space = getattr(cfg.step, "phi", None), problem.space
+    scheme, tol, space = cfg.algorithm, cfg.tol, problem.space
     x_prev, x = cfg.x0.coords, cfg.x1.coords
-    step = _build_step(scheme, problem, cfg, (x_prev, x), record)
     inner, work = space.bare_inner(x_prev, x), np.empty(space.dim)
     x_star = None if problem.x_star is None else problem.x_star.coords
 
-    def err(x: np.ndarray) -> float:  # space.norm(x - x_star), as the step takes its norms
-        if x_star is None:
-            return math.nan
-        d = np.subtract(x, x_star, work)
+    def dist(a: np.ndarray, b: np.ndarray) -> float:  # space.norm(a - b), as the step takes it
+        d = np.subtract(a, b, work)
         sq = inner(d, d)
         return math.sqrt(sq) if sq < math.inf else space.norm(d)
 
+    err = dist if x_star is not None else lambda x, u: math.nan
+    record = None
+    if cfg.record_invariants:
+        record = _recorder(scheme, cfg.step, x_star, dist, inner, work)
+    step = _build_step(scheme, problem, cfg, (x_prev, x), record)
     trace = ConvergenceTrace(scheme=scheme)
     rows = trace.rows
     gamma = getattr(cfg.step, _FIRST_GAMMA[scheme.step])
-    rows.append(TraceRow(1, err(x), gamma, 0.0, 0.0))
+    rows.append(TraceRow(1, err(x, x_star), gamma, 0.0, 0.0))
     start = time.perf_counter()
     for k in range(1, cfg.max_iter + 1):
         try:
             out = step_baseline(step, k, x_prev, x, gamma)
         except Exception as exc:
             raise SolveError(f"{scheme.value} failed at k={k}: {exc}", trace) from exc
-        residuals = None
-        if record:
-            state, normal = out
-            residuals = _residuals(scheme, state, normal, state.y, phi, x_star, space)
-            out = state.x_curr, state.gamma, state.delta_k
-        x_prev, (x, gamma, dk) = x, out
-        d = err(x)
+        x_prev, (x, gamma, dk, residuals) = x, out
+        d = err(x, x_star)
         rows.append(TraceRow(k + 1, d, gamma, dk, time.perf_counter() - start, residuals))
         if tol is not None and d < tol:
             break

@@ -193,9 +193,9 @@ class TraceFileHeader:
 
 
 def _row_format(width: int) -> str:
-    """The format of a CSV data row of width fields: k as an integer, then
-    floats to 17 significant digits, which read back bitwise."""
-    return ",".join(["{}"] + ["{:.17g}"] * (width - 1))
+    """The %-format of a CSV data row of width fields: k as an integer,
+    then floats to 17 significant digits, which read back bitwise."""
+    return "%d" + ",%.17g" * (width - 1)
 
 
 def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
@@ -213,8 +213,8 @@ def emit_csv(trace: ConvergenceTrace, header: TraceFileHeader, path) -> None:
     lines = [f"# {key}: {value}" for key, value in asdict(header).items() if value is not None]
     lines.append(f"# columns: {','.join(names)}")
     row = _row_format(len(names))
-    for r in trace.rows:  # a TraceRow's last field is its residuals
-        lines.append(row.format(*r[:-1], *(r.residuals or missing)))
+    # a TraceRow's last field is its residuals
+    lines += [row % (r[:-1] + (r.residuals or missing)) for r in trace.rows]
     try:
         Path(path).write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -273,7 +273,7 @@ def trace_fingerprint(path) -> List[str]:
     cut = ConvergenceTrace.SCALAR_NAMES.index("elapsed_s")
     meta, rows = parse_csv(path)
     row = _row_format(meta.get("columns", "").count(","))  # every column but elapsed_s
-    return [row.format(*r[:cut], *r[cut + 1:-1], *(r.residuals or ())) for r in rows]
+    return [row % (r[:cut] + r[cut + 1:-1] + (r.residuals or ())) for r in rows]
 
 
 @dataclass(frozen=True)

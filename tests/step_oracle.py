@@ -11,6 +11,10 @@ the affine, scaling and integral maps once checked their own results.
 The library step checks only the points where a NaN or Inf could be lost;
 from the same state it must give the same iterate bit for bit, or raise
 the same exception at the same step.
+
+`residuals` is the reference for a recording step's residuals: each
+distance a new difference array and its `space.norm`, as `solve` took them
+from an IterateState before the step recorded them itself.
 """
 
 import math
@@ -116,3 +120,41 @@ def step_checked(parts: Scheme, state: IterateState, problem, cfg) -> IterateSta
     return IterateState(k=k + 1, x_prev=x, x_curr=x_next, s=s, y=y, z=z,
                         gamma=gamma_next, delta_k=dk, gamma_prev=state.gamma,
                         halfspace=hk)
+
+
+def _square(v):
+    try:
+        return v ** 2
+    except OverflowError:  # a square past the largest float is inf
+        return math.inf
+
+
+def residuals(parts: Scheme, state: IterateState, phi, u, space):
+    """(res_contraction, res_halfspace, res_tseng) of the step that formed
+    state, which holds its halfspace as step_checked's and step_alg1's do,
+    with u = x*; nan where one does not apply. A square that overflows is
+    inf."""
+    res_c = res_h = res_t = math.nan
+    s, y, z = state.s, state.y, state.z
+
+    def dist(a, b):
+        return space.norm(a - b)
+
+    if parts.inertial:
+        ratio = state.gamma_prev / state.gamma
+        if parts.correction == "tseng":
+            coeff = 1.0 - _square(phi * ratio)
+            d_sy = dist(s, y)
+            res_c = _square(dist(z, u)) - (_square(dist(s, u)) - coeff * _square(d_sy))
+            res_t = dist(z, y) - phi * ratio * d_sy
+        else:
+            coeff = 1.0 - phi * ratio
+            res_c = _square(dist(z, u)) - (
+                _square(dist(s, u))
+                - coeff * _square(dist(y, s))
+                - coeff * _square(dist(z, y))
+            )
+    hk = state.halfspace
+    if hk is not None:
+        res_h = space.inner(hk.normal, z - hk.anchor)
+    return res_c, res_h, res_t

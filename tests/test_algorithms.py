@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from armijo_oracle import armijo_search_serial
 from binding_problem import binding_problem
-from step_oracle import step_checked
+from step_oracle import residuals, step_checked
 from vikit import algorithms, space
 from vikit.algorithms import (
     PROPOSED,
@@ -92,14 +92,6 @@ def inertial_weight(sp, zeta, x_curr, x_prev):
     cfg = _cfg(Scheme.IMSEGM, Adaptive(1.0, 0.5), "one_over_kp1", "half_one_minus_theta",
                zeta=SequenceRule("constant", zeta))
     return step_alg1(IterateState(1, x_prev, x_curr, gamma=1.0), p, cfg).delta_k
-
-
-def residuals(scheme, state, phi, u, space):
-    """algorithms._residuals of a state that holds its step's halfspace,
-    as step_alg1's and step_checked's do."""
-    hk = state.halfspace
-    normal, anchor = (None, None) if hk is None else (hk.normal, hk.anchor)
-    return algorithms._residuals(scheme, state, normal, anchor, phi, u, space)
 
 
 def test_inertial_delta_examples():
@@ -583,6 +575,22 @@ def test_distances_from_a_huge_start_are_finite():
         assert all(math.isfinite(row.D) for row in rows)
 
 
+@pytest.mark.parametrize("scheme", PROPOSED)
+def test_a_recording_solve_runs_where_a_plain_solve_does(scheme):
+    # from every entry 1e160 the distances to x* are finite, their squares
+    # are not (a float's ** raises OverflowError there): res_contraction is
+    # recorded as inf - inf = nan, and the iterates are the plain solve's
+    p = make_example1(RandomSpec(n=8, seed=1))
+    x = element(p.space, np.full(8, 1e160))
+    with np.errstate(over="ignore"):
+        plain, recorded = (solve(p, make_config(scheme, p, x0=x, x1=x, max_iter=5,
+                                                record_invariants=record)).rows
+                           for record in (False, True))
+    assert _bits(plain) == _bits([row._replace(residuals=None) for row in recorded])
+    assert len(recorded) == 6
+    assert all(math.isnan(row.residuals[0]) for row in recorded[1:])
+
+
 def _reversed_stride(point):
     """A copy of point whose coordinates are held at a negative stride, as
     no constructor leaves them."""
@@ -648,7 +656,8 @@ def _solved(p, cfg):
 
 def _checked(p, cfg):
     """The same for a loop of step_checked that records its rows as solve
-    does."""
+    does: the residuals are part of the step, so an error in them fails
+    the step, and a square that overflows is recorded as inf."""
     scheme, space, u = cfg.algorithm, p.space, p.x_star.coords
     phi = getattr(cfg.step, "phi", None)
     state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
@@ -658,13 +667,13 @@ def _checked(p, cfg):
         rows = [TraceRow(1, space.norm(state.x_curr - u), state.gamma, 0.0, 0.0)]
         try:
             for _ in range(cfg.max_iter):
+                k, res = state.k, None
                 try:
                     state = step_checked(scheme, state, p, cfg)
+                    if cfg.record_invariants:
+                        res = residuals(scheme, state, phi, u, space)
                 except Exception as e:
-                    raise SolveError(f"{scheme.value} failed at k={state.k}: {e}", None) from e
-                res = None
-                if cfg.record_invariants:
-                    res = residuals(scheme, state, phi, u, space)
+                    raise SolveError(f"{scheme.value} failed at k={k}: {e}", None) from e
                 rows.append(TraceRow(state.k, space.norm(state.x_curr - u), state.gamma,
                                      state.delta_k, 0.0, res))
         except Exception as e:  # compared below, whatever it is

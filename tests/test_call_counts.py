@@ -24,24 +24,24 @@ def _table(spec: str) -> list:
 
 
 def test_every_count_is_within_its_budget_row():
-    budget = {}  # {spec: {scheme: (python, c)}}
+    budget = {}  # {tool arguments: {scheme: (python, c)}}
     for line in BUDGET.read_text().splitlines():
         if line and not line.startswith("#"):
-            spec, scheme, python, c = line.split()
-            budget.setdefault(spec, {})[scheme] = float(python), float(c)
-    # one fresh process per spec, side by side, at the tool's 200 iterations
-    runs = {spec: subprocess.Popen([sys.executable, str(TOOL), spec],
-                                   stdout=subprocess.PIPE, text=True) for spec in budget}
+            *args, scheme, python, c = line.split()
+            budget.setdefault(" ".join(args), {})[scheme] = float(python), float(c)
+    # one fresh process per argument list, side by side, at the tool's 200 iterations
+    runs = {args: subprocess.Popen([sys.executable, str(TOOL), *args.split()],
+                                   stdout=subprocess.PIPE, text=True) for args in budget}
     outside = []
-    for spec, run in runs.items():
+    for args, run in runs.items():
         out, _ = run.communicate()
         assert run.returncode == 0
         rows = _rows(out)
-        assert [row[0] for row in rows] == list(budget[spec]) == [s.value for s in Scheme]
+        assert [row[0] for row in rows] == list(budget[args]) == [s.value for s in Scheme]
         for scheme, *counts in rows:
-            for kind, count, row in zip(("python", "c"), map(float, counts), budget[spec][scheme]):
+            for kind, count, row in zip(("python", "c"), map(float, counts), budget[args][scheme]):
                 if not row - 0.5 <= count <= row:
-                    outside.append(f"{spec} {scheme} {kind}: {count} against {row}")
+                    outside.append(f"{args} {scheme} {kind}: {count} against {row}")
     assert not outside, "counts outside [row - 0.5, row]: " + "; ".join(outside)
 
 

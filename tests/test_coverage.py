@@ -20,7 +20,7 @@ from test_golden import GOLDEN, fingerprint_sha
 from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
-CORE = (algorithms._build_step, algorithms._residuals, projections.project,
+CORE = (algorithms._build_step, algorithms._recorder, algorithms._square, projections.project,
         projections.project_ball, projections.project_halfspace, stepsize.adaptive_update,
         stepsize.armijo_search,
         stepsize._proven_rejections, space.SpaceDescriptor.inner, space.SpaceDescriptor.norm,
@@ -64,9 +64,9 @@ UNREACHED = {
     # a zeta_k that is not positive, which no Table 1 sequence gives
     ("_build_step", 'raise ValueError(f"zeta_k must be positive, got {zeta_k}")', 1):
         "test_algorithms.py::test_inertial_delta_examples",
-    # a step that records nothing; the golden cells record their residuals
-    ("_build_step", "return x_next, gamma, dk", 1):
-        "test_golden.py::test_a_run_that_records_nothing_gives_the_golden_columns",
+    # a residual's square that overflows
+    ("_square", "return math.inf", 1):
+        "test_algorithms.py::test_a_recording_solve_runs_where_a_plain_solve_does",
     # a ball's x - center that overflows on finite points
     ("project_ball", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
@@ -85,6 +85,13 @@ UNREACHED = {
         "test_stepsize.py::test_armijo_exhaustion_raises_with_last_gamma",
     ("_proven_rejections", "return []", 2):
         "test_stepsize.py::test_screened_armijo_search_equals_the_serial_search",
+    # inner's dot in R^n: a step, and so a recording one, takes
+    # ndarray.dot itself on the C-contiguous vectors of a golden cell
+    ("SpaceDescriptor.inner",
+     "if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:  # dot_agrees(a, b)", 1):
+        "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
+    ("SpaceDescriptor.inner", "return float(a.dot(b))", 1):
+        "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
     # the @ forms of a reversed, strided or one-element operand
     ("SpaceDescriptor.inner", "return float(a @ b)", 1):
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",

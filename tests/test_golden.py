@@ -175,7 +175,7 @@ def test_trace_matches_golden_fingerprint(name, scheme, tmp_path):
 @pytest.mark.parametrize("name", list(PROBLEMS))
 def test_a_run_that_records_nothing_gives_the_golden_columns(name):
     # the golden cells record their residuals; a step that records nothing
-    # returns before it builds an IterateState, with the same bits
+    # calls no recorder, and gives the same bits
     problem, init = PROBLEMS[name]
     x0, x1 = initial_points(problem, init, seed=SEED)
     for scheme in Scheme:

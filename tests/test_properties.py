@@ -17,15 +17,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ball_problem import ball_problem
 from binding_problem import binding_problem
+from demi_problem import demi_problem
 from membership import contains, sample_point
 from segment_problem import segment_problem
-from test_algorithms import inertial_weight, residuals
+from step_oracle import residuals
+from test_algorithms import inertial_weight
 from vikit import algorithms
 from vikit.algorithms import (
     INERTIAL_DELTA,
     PROPOSED,
     ConfigError,
+    IterateState,
     Scheme,
     SequenceRule,
     solve,
@@ -159,41 +163,56 @@ def _with_correction(correction):
 
 
 @st.composite
-def step_states(draw, schemes):
-    """(problem, config, states): an ex1 problem with n = 5-100, an ex2
-    problem on 3-201 nodes from any start, or a binding problem with n =
-    4-24, solved for STEP_ITERS iterations by a scheme drawn from schemes,
-    recording its residuals; states are the IterateStates its steps
-    returned."""
-    family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
+def step_states(draw, schemes, families=("ex1", "ex2", "binding")):
+    """(problem, config, states): from families, an ex1 problem with n =
+    5-100, an ex2 problem on 3-201 nodes from any start, a binding problem
+    with n = 4-24, a ball problem with n = 2-24 or a demi problem with k in
+    (1, 3], and a config that records its residuals for STEP_ITERS
+    iterations of a scheme drawn from schemes; states are the IterateStates
+    that _state_step gives from the config's starts on, each one step of
+    solve's, with its halfspace."""
+    family = draw(st.sampled_from(families))
     init = "random_uniform"
     if family == "ex1":
         p = make_example1(RandomSpec(draw(st.integers(5, 100)), draw(st.integers(0, 2**16))))
     elif family == "ex2":
         p = make_example2(draw(st.integers(3, 201)))
         init = draw(st.sampled_from(["t_squared", "t_plus_half_cos_t", "random_uniform"]))
-    else:
+    elif family == "binding":
         n = draw(st.integers(4, 24))
         p = binding_problem(n, draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
+    elif family == "ball":
+        p = ball_problem(draw(st.integers(2, 24)), draw(st.integers(0, 2**16)))
+    else:
+        p = demi_problem(draw(st.floats(1.0, 3.0, exclude_min=True)))
     x0, x1 = initial_points(p, init, seed=draw(st.integers(0, 2**16)))
     scheme = draw(st.sampled_from(schemes))
     cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS, record_invariants=True)
+    state = IterateState(1, x0.coords, x1.coords,
+                         gamma=getattr(cfg.step, algorithms._FIRST_GAMMA[scheme.step]))
     states = []
-    step_baseline = algorithms.step_baseline
-
-    def record(*args):
-        # a copy of each vector: the step's own are overwritten by later steps
-        out = state, normal = step_baseline(*args)
-        kept = dataclasses.replace(state, **{name: getattr(state, name).copy()
-                                             for name in ("x_prev", "x_curr", "s", "y", "z")})
-        if normal is not None:
-            kept.halfspace = HalfSpace(normal.copy(), kept.y, p.space)
-        states.append(kept)
-        return out
-
-    with mock.patch.object(algorithms, "step_baseline", record):
-        solve(p, cfg)
+    for _ in range(STEP_ITERS):  # each step is built anew, so its vectors are its own
+        state = algorithms._state_step(scheme, state, p, cfg)
+        states.append(state)
     return p, cfg, states
+
+
+def _hex(values) -> tuple:
+    return tuple(float(v).hex() for v in values)
+
+
+@settings(max_examples=60)
+@given(step_states(list(Scheme), families=("ex1", "ex2", "binding", "ball", "demi")))
+def test_a_recording_step_gives_the_oracles_residuals_bit_for_bit(run):
+    # solve's step computes its residuals from its own work vectors; the
+    # oracle takes each distance as a new difference array and its norm
+    p, cfg, states = run
+    phi, u = getattr(cfg.step, "phi", None), p.x_star.coords
+    rows = solve(p, cfg).rows[1:]
+    assert ([_hex((r.gamma, r.delta)) for r in rows]
+            == [_hex((st_.gamma, st_.delta_k)) for st_ in states])
+    assert ([_hex(r.residuals) for r in rows]
+            == [_hex(residuals(cfg.algorithm, st_, phi, u, p.space)) for st_ in states])
 
 
 @settings(max_examples=30)
@@ -267,10 +286,10 @@ def _iterates_after(problem, cfg, counts):
     step_baseline = algorithms.step_baseline
 
     def record(step, k, *args):
-        x_next, gamma, dk = step_baseline(step, k, *args)
-        if k in counts:  # a copy: x_next is overwritten three steps on
-            kept[k] = x_next.copy()
-        return x_next, gamma, dk
+        out = step_baseline(step, k, *args)
+        if k in counts:  # a copy: x_{k+1} is overwritten three steps on
+            kept[k] = out[0].copy()
+        return out
 
     with mock.patch.object(algorithms, "step_baseline", record):
         solve(problem, cfg)

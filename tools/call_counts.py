@@ -1,10 +1,11 @@
 """Count the Python-level and C-level calls per iteration of each scheme.
 
-    python tools/call_counts.py SPEC [--iters N]
+    python tools/call_counts.py SPEC [--iters N] [--record-invariants]
 
 For every scheme, the problem of SPEC (a `vikit run` problem spec, built at
 plan seed 1) is solved for N iterations (default 200) from its spec's
-start drawn at seed 1, with no tolerance, under sys.setprofile. The table
+start drawn at seed 1, with no tolerance, under sys.setprofile; with
+--record-invariants each solve also records its residuals. The table
 gives the profiler's `call` events (Python functions) and `c_call` events
 (builtins and C functions) of the whole solve divided by N. A scheme's
 first solve in a process also pays one-time costs: stegm builds its
@@ -33,13 +34,15 @@ from vikit.problems import initial_points  # noqa: E402
 SEED = 1  # the plan seed and the start seed
 
 
-def counts(spec: str, iters: int) -> dict:
-    """{scheme name: (call events, c_call events) per iteration}."""
+def counts(spec: str, iters: int, record: bool = False) -> dict:
+    """{scheme name: (call events, c_call events) per iteration}, of solves
+    that record their residuals when record is set."""
     problem, init = parse_problem_spec(spec, SEED)
     x0, x1 = initial_points(problem, init, seed=SEED)
     out = {}
     for scheme in Scheme:
-        cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=iters)
+        cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=iters,
+                          record_invariants=record)
         events = {"call": 0, "c_call": 0}
 
         def on_event(frame, event, arg):
@@ -59,15 +62,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Count calls per iteration of each scheme.")
     parser.add_argument("spec", help="problem spec, such as ex1:n=100,seed=1")
     parser.add_argument("--iters", type=integer, default=200, help="iterations (default 200)")
+    parser.add_argument("--record-invariants", action="store_true",
+                        help="count solves that record their residuals")
     args = parser.parse_args(argv)
     if args.iters < 1:
         parser.error("--iters must be at least 1")
     try:
-        table = counts(args.spec, args.iters)
+        table = counts(args.spec, args.iters, args.record_invariants)
     except ValueError as exc:  # a spec vikit rejects, as `vikit check` reports it
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"{args.spec}, {args.iters} iterations, seed {SEED}")
+    recording = ", recording invariants" if args.record_invariants else ""
+    print(f"{args.spec}, {args.iters} iterations, seed {SEED}{recording}")
     print(f"{'scheme':8}  {'python':>8}  {'c':>8}")
     for name, (python, c) in table.items():
         print(f"{name:8}  {python:8.2f}  {c:8.2f}")
