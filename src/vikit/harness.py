@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
@@ -450,11 +451,30 @@ def _certified(cell: _Cell) -> Tuple[Optional[prob.ProblemInstance], Optional[Tu
         "certification", "certification failed: " + "; ".join(failures))
 
 
+def _validator(horizon: int) -> Callable[[SolverConfig], List[Violation]]:
+    """validate_conditions(cfg, horizon), called once for each distinct
+    (scheme, lambda_T) of the configs it is given, from any thread. A plan
+    cell's config takes theta, eta and zeta from its scheme's TABLE1 row,
+    so these two decide the result."""
+    memo: Dict[tuple, List[Violation]] = {}
+    lock = threading.Lock()
+
+    def validate(cfg: SolverConfig) -> List[Violation]:
+        key = cfg.algorithm, cfg.lambda_T
+        with lock:
+            if key not in memo:
+                memo[key] = validate_conditions(cfg, horizon=horizon)
+            return memo[key]
+    return validate
+
+
 def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
                problem: Optional[prob.ProblemInstance],
-               error: Optional[Tuple[str, str]]) -> dict:
+               error: Optional[Tuple[str, str]],
+               validate: Callable[[SolverConfig], List[Violation]]) -> dict:
     """Run the computation that all of cells stand for once, on their
-    group's certified problem, and write one trace per cell. Returns
+    group's certified problem, checking its config's sequences with
+    validate (see `_validator`), and write one trace per cell. Returns
     {cell id: (trace path, error)}, with a (category, message) error or
     None. The first trace written is the computed one; the others name it
     in same_as. A failed computation, or the error that stands for the
@@ -465,7 +485,7 @@ def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
             x0, x1 = prob.initial_points(problem, init, seed=cells[0].seed)
             cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=plan.max_iter,
                               tol=plan.tol, record_invariants=plan.record_invariants)
-            violations = validate_conditions(cfg, horizon=plan.max_iter)
+            violations = validate(cfg)
             if violations:
                 error = "conditions", "; ".join(str(v) for v in violations)
             else:
@@ -510,7 +530,8 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     problem is alive at a time for every VIKIT_THREADS. Cells that differ
     only in a seed their start does not read run once: the first trace is
     computed and each other cell's trace copies it under its own header,
-    with a same_as line naming the computed file. Results follow
+    with a same_as line naming the computed file. Each distinct scheme and
+    lambda_T of a plan has its sequences validated once. Results follow
     plan.cells() order."""
     check_type("plan", plan, ExperimentPlan)
     workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
@@ -530,10 +551,12 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
         else:
             groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(cell)
     out.mkdir(parents=True, exist_ok=True)
+    validate = _validator(plan.max_iter)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for runs in groups.values():
             problem, error = _certified(next(iter(runs.values()))[0])
-            tasks = [pool.submit(_run_cells, run, plan, problem, error) for run in runs.values()]
+            tasks = [pool.submit(_run_cells, run, plan, problem, error, validate)
+                     for run in runs.values()]
             del problem  # now only the tasks hold it, so it is freed before the next build
             for task in tasks:
                 outcomes.update(task.result())

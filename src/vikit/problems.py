@@ -103,21 +103,27 @@ class RandomSpec:
 def make_example1(spec: RandomSpec) -> ProblemInstance:
     """Box-constrained VI with A(x) = Gx, G = BB^T + S + E, and T = x/2.
     G's symmetric part is positive definite and Fix(T) = {0} lies inside
-    the box, so x* = 0 is the one solution."""
+    the box, so x* = 0 is the one solution. At most two n x n arrays are
+    alive at a time, in the build and in its Lipschitz estimate."""
     rng = np.random.default_rng(check_type("spec", spec, RandomSpec).seed)
     n = spec.n
     B = rng.uniform(0.0, 2.0, (n, n))
     e = rng.uniform(0.0, 2.0, n)
-    M = rng.uniform(-2.0, 2.0, (n, n))
-    # the bits of B @ B.T + 0.5 * (M - M.T) + diag(e), built in place with
-    # each part freed once added, so at most three n x n arrays are alive
+    # the bits of B @ B.T + 0.5 * (M - M.T) + diag(e), drawn in the order
+    # B, e, M: B is freed before M is drawn, and the skew part is added
+    # n // 8 rows at a time through one buffer, so at most two n x n arrays
+    # (G and B, then G and M) and n^2/8 floats more are alive
     G = B @ B.T
     del B
-    S = M - M.T
-    del M
-    S *= 0.5
-    G += S
-    del S
+    M = rng.uniform(-2.0, 2.0, (n, n))
+    rows = max(1, n // 8)
+    S = np.empty((rows, n))
+    for i in range(0, n, rows):
+        s = S[:min(rows, n - i)]
+        np.subtract(M[i:i + rows], M[:, i:i + rows].T, out=s)
+        s *= 0.5
+        G[i:i + rows] += s
+    del M, S, s  # s is a view of S
     G[np.diag_indices(n)] += e
 
     space = euclidean(n)

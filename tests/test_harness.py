@@ -546,13 +546,16 @@ def test_plan_with_duplicate_cells_rejected(problems, algorithms, seeds):
 
 
 def _count_calls(monkeypatch, *names):
-    """Wrap the named problems functions; each call appends to its list."""
+    """Wrap the named functions of harness or, where harness has none of
+    that name, of problems; each call appends to its list."""
     calls = {name: [] for name in names}
     for name in names:
-        def counted(*args, _orig=getattr(harness.prob, name), _log=calls[name]):
+        module = harness if hasattr(harness, name) else harness.prob
+
+        def counted(*args, _orig=getattr(module, name), _log=calls[name], **kwargs):
             _log.append(args)
-            return _orig(*args)
-        monkeypatch.setattr(harness.prob, name, counted)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -566,12 +569,15 @@ def _run_switching_often(plan):
         sys.setswitchinterval(interval)
 
 
+# a plan validates each distinct scheme and lambda_T once, however many
+# computations and problems share them
 @pytest.mark.parametrize("problems,algorithms,seeds,builds", [
     (["ex1:n=6,seed=1"], [Scheme.IMSEGM, Scheme.STEGM, Scheme.MSEGM], [1, 2],
-     dict(make_example1=1, make_example2=0, certify=1)),
-    (["ex1:n=6"], [Scheme.IMSEGM], [1, 2], dict(make_example1=2, make_example2=0, certify=2)),
+     dict(make_example1=1, make_example2=0, certify=1, validate_conditions=3)),
+    (["ex1:n=6"], [Scheme.IMSEGM], [1, 2],
+     dict(make_example1=2, make_example2=0, certify=2, validate_conditions=1)),
     (["ex2:grid=21", "ex2:grid=21,init=t_plus_half_cos_t"], [Scheme.IMSEGM], [1],
-     dict(make_example1=0, make_example2=1, certify=1)),
+     dict(make_example1=0, make_example2=1, certify=1, validate_conditions=1)),
 ])
 def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, problems,
                                                          algorithms, seeds, builds):
@@ -702,6 +708,27 @@ def test_copied_traces_name_their_computed_source(tmp_path):
             assert copy_meta["seed"] == str(seed)
             assert harness.trace_fingerprint(copy) == harness.trace_fingerprint(source)
             assert _body(copy) == _body(source)
+
+
+def test_one_validation_fails_every_computation_of_its_scheme_with_its_message(tmp_path,
+                                                                             monkeypatch):
+    bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
+    monkeypatch.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
+    calls = _count_calls(monkeypatch, "validate_conditions")
+    # two problems, and two computations of each scheme on each
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex1:n=6,seed=2"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                                  seeds=[1, 2], output_dir=str(tmp_path))
+    result = _run_switching_often(plan)
+    assert sorted(cfg.algorithm.value for cfg, in calls["validate_conditions"]) == \
+        ["imsegm", "stegm"]
+    problem, _ = harness.parse_problem_spec("ex1:n=6,seed=1", 1)
+    violations = harness.validate_conditions(harness.make_config(Scheme.IMSEGM, problem), 5)
+    message = "; ".join(str(v) for v in violations)
+    assert message.startswith("theta_range at k=1: theta_k=1.5 outside (0,1)")
+    assert result.errors == [(harness._resolve(*cell).id, "conditions", message)
+                             for cell in plan.cells() if cell[1] is Scheme.IMSEGM]
+    assert len(result.paths) == 4
 
 
 def test_failed_computation_fails_each_cell_it_stands_for(tmp_path, monkeypatch):

@@ -9,8 +9,6 @@ certify_oracle.py's one-at-a-time loop finds, or none. Tie cases drawn at
 threshold.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +17,7 @@ from hypothesis import strategies as st
 from certify_oracle import check_demicontractive_serial, check_monotone_serial
 from vikit import operators as ops
 from vikit.operators import (
+    AFFINE_BLOCK_DIVISOR,
     CERTIFY_BLOCK_BYTES,
     CERTIFY_SAMPLES,
     CERTIFY_TOL,
@@ -252,16 +251,19 @@ def test_vikit_operators_map_a_block_row_by_row(op, sp):
     assert np.all(np.abs(block - expected) <= 2 * g * (np.abs(X) @ np.abs(op.G).T + f))
 
 
-def test_certification_evaluates_an_affine_operator_once_per_block(monkeypatch):
-    p = make_example1(RandomSpec(n=400, seed=1))
+# n, pairs per block, blocks: the byte cap's blocks at n = 400, and n // 32
+# pairs once that is more, as from n ~ 700
+@pytest.mark.parametrize("n,pairs,blocks", [(400, 38, 6), (1024, 32, 7)])
+def test_certification_evaluates_an_affine_operator_once_per_block(monkeypatch, n, pairs,
+                                                                   blocks):
+    p = make_example1(RandomSpec(n=n, seed=1))
     shapes = []
     call = AffineMatrix.__call__
     monkeypatch.setattr(AffineMatrix, "__call__",
                         lambda self, x: shapes.append(x.shape) or call(self, x))
     assert check_monotone(p.A, p.space)
-    pairs = CERTIFY_BLOCK_BYTES // (8 * 400)
-    assert len(shapes) == math.ceil(CERTIFY_SAMPLES / pairs)
-    assert sum(m for m, _ in shapes) == 2 * CERTIFY_SAMPLES
+    assert pairs == max(CERTIFY_BLOCK_BYTES // (8 * n), n // AFFINE_BLOCK_DIVISOR)
+    assert [m for m, _ in shapes] == [2 * pairs] * (blocks - 1) + [2 * (CERTIFY_SAMPLES % pairs)]
 
 
 def _pointwise(op, seen):
@@ -277,8 +279,10 @@ def certify_cases(draw):
     """An operator, its space and a demicontractive constant: ex1's A or T
     (n in [1, 60]), ex2's A or T on a drawn grid, Scale(c) with c < 0 or
     c > 0, or a non-monotone AffineMatrix I - c u u^T, which fails on the
-    samples x - y close enough to the unit vector u, so often part-way."""
-    kind = draw(st.sampled_from(["ex1", "ex2", "scale", "nonmonotone"]))
+    samples x - y close enough to the unit vector u, so often part-way.
+    A "wide" one has n in [64, 200], where an AffineMatrix's blocks of
+    n // AFFINE_BLOCK_DIVISOR pairs outgrow those of a small block_bytes."""
+    kind = draw(st.sampled_from(["ex1", "ex2", "scale", "nonmonotone", "wide"]))
     if kind == "ex1":
         p = make_example1(RandomSpec(draw(st.integers(1, 60)), draw(st.integers(0, 2**32 - 1))))
         op, sp = draw(st.sampled_from([p.A, p.T])), p.space
@@ -286,7 +290,7 @@ def certify_cases(draw):
         p = make_example2(draw(st.integers(2, 300)))
         op, sp = draw(st.sampled_from([p.A, p.T])), p.space
     else:
-        n = draw(st.integers(1, 60))
+        n = draw(st.integers(64, 200) if kind == "wide" else st.integers(1, 60))
         sp = draw(st.sampled_from([euclidean(n)] + ([grid_l2(n)] if n > 1 else [])))
         if kind == "scale":
             c = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-2.0, 0.5))

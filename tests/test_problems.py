@@ -52,6 +52,21 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.A.G, b.A.G)
 
 
+# the build adds the skew part max(1, n // 8) rows at a time: one-row blocks
+# up to n = 15, the first two-row blocks at n = 16 and 17 (eight, then eight
+# and one row more), and at n = 35 eight four-row blocks and three rows more
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 15, 16, 17, 35])
+def test_example1_is_bitwise_its_formula_drawn_in_order(n):
+    rng = np.random.default_rng(5)
+    B = rng.uniform(0.0, 2.0, (n, n))
+    e = rng.uniform(0.0, 2.0, n)
+    M = rng.uniform(-2.0, 2.0, (n, n))
+    G = B @ B.T + 0.5 * (M - M.T) + np.diag(e)
+    p = make_example1(RandomSpec(n=n, seed=5))
+    assert p.A.G.tobytes() == G.tobytes()
+    assert p.L == spectral_norm(G)
+
+
 def test_example1_structure():
     p = make_example1(RandomSpec(n=30, seed=3))
     assert isinstance(p.C, Box) and p.C.lower == -2.0 and p.C.upper == 5.0
