@@ -73,27 +73,64 @@ from .stepsize import (
 )
 
 
+class Outer(str, enum.Enum):
+    """An outer update, which turns the corrected point into the next
+    iterate: its name (its value, which the member equals) and what Table 1
+    and its theorem fix for it. `operator` is the problem operator it reads
+    beyond T, or None; `kinds` are the SequenceRule kinds of Table 1's
+    theta_k and eta_k; `label` names what harness.validate_conditions
+    checks them against. The Mann update is proved under (C4), with
+    theta_k -> 0, and the modified Mann update under (C5), with theta_k -> 1;
+    for these, `eta_bound(theta_k, lambda)` is the strict upper bound on
+    eta_k, and zeta_k / `zeta_divisor(theta_k)`, the ratio named `ratio`,
+    must decrease over the tail. The anchored, viscosity and hsd (hybrid
+    steepest descent) updates rest on their cited theorems, and their
+    sequences get range checks only.
+
+    Table 1's sequences meet C4 and C5 only when lambda_T < 1/2: at 1/2
+    the Mann rows' eta_k equals C4's strict bound at every k, and above it
+    the modified Mann rows' eta_k reaches C5's bound from some k on.
+    harness.make_config builds such a config all the same, and
+    validate_conditions reports either."""
+
+    MANN = ("mann", None, ("one_over_kp1", "half_one_minus_theta"), "C4",
+            lambda th, lam: (1.0 - lam) * (1.0 - th), lambda th: th, "zeta_over_theta")
+    MODIFIED_MANN = ("modified_mann", None, ("k_over_kp1", "theta_over_3"), "C5",
+                     lambda th, lam: (1.0 - lam) * th / (lam + th), lambda th: 1.0 - th,
+                     "zeta_over_one_minus_theta")
+    ANCHORED = "anchored", None, ("one_over_kp1", "k_over_2kp1"), "range checks only"
+    VISCOSITY = "viscosity", "f_visc", ("one_over_kp1", "k_over_2kp1"), "range checks only"
+    HSD = "hsd", "F", ("one_over_kp1", "k_over_2kp1"), "range checks only"
+
+    def __new__(cls, value: str, operator: Optional[str], kinds: Tuple[str, str], label: str,
+                eta_bound=None, zeta_divisor=None, ratio: Optional[str] = None):
+        member = str.__new__(cls, value)
+        member._value_ = value
+        member.operator, member.kinds, member.label = operator, kinds, label
+        member.eta_bound, member.zeta_divisor, member.ratio = eta_bound, zeta_divisor, ratio
+        return member
+
+
 class Scheme(enum.Enum):
     """A scheme's name (its value) and what it is built from: inertial
     extrapolation or none; the subgradient-extragradient "halfspace"
-    projection or Tseng's forward correction "tseng"; the outer update
-    ("mann", "modified_mann", "anchored", "viscosity" or "hsd", hybrid
-    steepest descent); and the step-policy type."""
+    projection or Tseng's forward correction "tseng"; its `Outer` update;
+    and the step-policy type."""
 
-    IMSEGM = "imsegm", True, "halfspace", "mann", Adaptive
-    IMTEGM = "imtegm", True, "tseng", "mann", Adaptive
-    IMMSEGM = "immsegm", True, "halfspace", "modified_mann", Adaptive
-    IMMTEGM = "immtegm", True, "tseng", "modified_mann", Adaptive
-    HSEGM = "hsegm", False, "halfspace", "anchored", Fixed
+    IMSEGM = "imsegm", True, "halfspace", Outer.MANN, Adaptive
+    IMTEGM = "imtegm", True, "tseng", Outer.MANN, Adaptive
+    IMMSEGM = "immsegm", True, "halfspace", Outer.MODIFIED_MANN, Adaptive
+    IMMTEGM = "immtegm", True, "tseng", Outer.MODIFIED_MANN, Adaptive
+    HSEGM = "hsegm", False, "halfspace", Outer.ANCHORED, Fixed
     # the Armijo search yields y itself, so an Armijo scheme has no trial
     # point to build a halfspace from and must use the forward correction
-    STEGM = "stegm", False, "tseng", "hsd", Armijo
-    MSEGM = "msegm", False, "halfspace", "mann", Fixed
-    MMSEGM = "mmsegm", False, "halfspace", "modified_mann", Fixed
-    VSEGM = "vsegm", False, "halfspace", "viscosity", Adaptive
-    VTEGM = "vtegm", False, "tseng", "viscosity", Adaptive
+    STEGM = "stegm", False, "tseng", Outer.HSD, Armijo
+    MSEGM = "msegm", False, "halfspace", Outer.MANN, Fixed
+    MMSEGM = "mmsegm", False, "halfspace", Outer.MODIFIED_MANN, Fixed
+    VSEGM = "vsegm", False, "halfspace", Outer.VISCOSITY, Adaptive
+    VTEGM = "vtegm", False, "tseng", Outer.VISCOSITY, Adaptive
 
-    def __new__(cls, value: str, inertial: bool, correction: str, outer: str, step: type):
+    def __new__(cls, value: str, inertial: bool, correction: str, outer: Outer, step: type):
         member = object.__new__(cls)
         member._value_ = value
         member.inertial, member.correction, member.outer = inertial, correction, outer
@@ -270,7 +307,9 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
     raises NonFiniteElementError on a NaN or Inf entry, which the min could
     pass over; a zeta_k that is not positive (NaN included) raises
     ValueError."""
-    inertial, outer, tseng = scheme.inertial, scheme.outer, scheme.correction == "tseng"
+    # the outer update's name as a plain str, which the step compares with
+    # its names faster than the member (an attribute, where .value is a call)
+    inertial, outer, tseng = scheme.inertial, scheme.outer._value_, scheme.correction == "tseng"
     adaptive, armijo, policy = scheme.step is Adaptive, scheme.step is Armijo, cfg.step
     space, C, T, F, f_visc = problem.space, problem.C, problem.T, problem.F, problem.f_visc
     anchor = cfg.x0.coords if outer == "anchored" else None
@@ -404,10 +443,6 @@ def check_tol(tol: Optional[float]):
         check_field("tol", tol, 0.0, lo_open=True)
 
 
-# the problem operator each outer update reads beyond T
-_OUTER_OPERATORS = {"hsd": "F", "viscosity": "f_visc"}
-
-
 def check_config(cfg: SolverConfig, problem: ProblemInstance):
     """The rules of cfg that read the problem; cfg checked the others when
     it was built, and sequence-condition checks live in the harness. Each
@@ -431,9 +466,9 @@ def check_config(cfg: SolverConfig, problem: ProblemInstance):
     # gamma in (0, 1/L), with no division: L = 0 admits every gamma
     if scheme.step is Fixed and problem.L is not None and not cfg.step.gamma * problem.L < 1.0:
         raise ConfigError(f"fixed step {cfg.step.gamma} outside (0, 1/L) for L={problem.L}")
-    needed = _OUTER_OPERATORS.get(scheme.outer)
+    needed = scheme.outer.operator
     if needed is not None and getattr(problem, needed) is None:
-        raise ConfigError(f"{needed} must be set for {scheme.value}'s {scheme.outer} update")
+        raise ConfigError(f"{needed} must be set for {scheme.value}'s {scheme.outer.value} update")
 
 
 def _square(v: float) -> float:

@@ -84,8 +84,7 @@ def _cmd_validate(args) -> int:
                 for v in violations:
                     print(f"{scheme.value}: {v}")
             else:
-                checked = harness._conditions_label(scheme)
-                print(f"{scheme.value}: ok ({checked}, {args.horizon} terms)")
+                print(f"{scheme.value}: ok ({scheme.outer.label}, {args.horizon} terms)")
     return status
 
 

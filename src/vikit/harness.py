@@ -30,48 +30,17 @@ from .space import NonFiniteElementError, check_field, check_type
 from .stepsize import Adaptive, Armijo, Fixed
 
 
-class ConditionSet(NamedTuple):
-    """A strong-convergence condition set: its label, the upper bound on
-    eta_k as a function of (theta_k, lambda), the divisor of zeta_k in the
-    ratio that must decrease over the tail, and that ratio's name."""
-
-    label: str
-    eta_bound: Callable[[float, float], float]
-    zeta_divisor: Callable[[float], float]
-    ratio: str
-
-
-# by outer update: (C4) for Mann with theta_k -> 0, (C5) for modified Mann
-# with theta_k -> 1
-CONDITIONS = {
-    "mann": ConditionSet("C4", lambda th, lam: (1.0 - lam) * (1.0 - th),
-                         lambda th: th, "zeta_over_theta"),
-    "modified_mann": ConditionSet("C5", lambda th, lam: (1.0 - lam) * th / (lam + th),
-                                  lambda th: 1.0 - th, "zeta_over_one_minus_theta"),
-}
-
-
-def _conditions_label(scheme: Scheme) -> str:
-    """What validate_conditions checks a scheme's sequences against: its
-    outer update's CONDITIONS label, or range checks only."""
-    return CONDITIONS[scheme.outer].label if scheme.outer in CONDITIONS else "range checks only"
-
-
-# Table 1 by part: theta_k and eta_k by outer update, 1/(k+1) and k/(2k+1)
-# for every outer update not named here; zeta_k of the inertial rows; the
-# step policy by type. A Fixed step depends on the problem's Lipschitz
-# constant, so make_config sets it to 0.99/L. The inertial cap delta and the
-# hsd weight are algorithms.INERTIAL_DELTA and algorithms.HSD_LAMBDA.
-_OUTER_SEQS = {
-    "mann": ("one_over_kp1", "half_one_minus_theta"),
-    "modified_mann": ("k_over_kp1", "theta_over_3"),
-}
+# Table 1 by part: theta_k and eta_k by outer update (algorithms.Outer's
+# kinds); zeta_k of the inertial rows; the step policy by type. A Fixed step
+# depends on the problem's Lipschitz constant, so make_config sets it to
+# 0.99/L. The inertial cap delta and the hsd weight are
+# algorithms.INERTIAL_DELTA and algorithms.HSD_LAMBDA.
 _STEPS = {Adaptive: Adaptive(gamma1=0.5, phi=0.5), Armijo: Armijo(rho=1.0, l=0.5, phi=0.4)}
 TABLE1_FIXED_GAMMA_FACTOR = 0.99
 
 
 def _table1_row(scheme: Scheme) -> dict:
-    theta, eta = _OUTER_SEQS.get(scheme.outer, ("one_over_kp1", "k_over_2kp1"))
+    theta, eta = scheme.outer.kinds
     row = dict(theta=SequenceRule(theta), eta=SequenceRule(eta))
     if scheme.inertial:
         row["zeta"] = SequenceRule("one_over_kp1_sq")
@@ -98,12 +67,9 @@ def make_config(scheme: Scheme, problem: prob.ProblemInstance, **fields) -> Solv
     ConfigError naming it, as does a scheme that is not a Scheme or a
     problem that is not a ProblemInstance. A Fixed
     step is 0.99/L unless a step is given, so a problem with L unset or 0
-    raises ConfigError. Every other rule is SolverConfig's.
-
-    Table 1's sequences meet C4 and C5 only when lambda_T < 1/2: at 1/2
-    the Mann rows' eta_k equals C4's strict bound at every k, and above it
-    the modified Mann rows' eta_k reaches C5's bound from some k on. The
-    config is built all the same; validate_conditions reports either."""
+    raises ConfigError. Every other rule is SolverConfig's. A lambda_T for
+    which Table 1's sequences miss C4 or C5 (see algorithms.Outer) still
+    builds; validate_conditions reports it."""
     check_type("scheme", scheme, Scheme)
     check_type("problem", problem, prob.ProblemInstance)
     unknown = [key for key in fields if key not in _CONFIG_FIELDS]
@@ -132,16 +98,17 @@ class Violation:
 def validate_conditions(cfg: SolverConfig, horizon: int) -> List[Violation]:
     """Pointwise and tail checks of the parameter sequences over k=1..horizon.
 
-    Schemes whose outer update has a CONDITIONS row: theta_k in (0,1),
-    eta_k in (0, eta_bound(theta_k, lambda)), zeta_k > 0, and
-    zeta_k / zeta_divisor(theta_k) decreasing over the last horizon/2
-    terms. Other schemes get range checks only. The list gives the theta
-    and eta violations by k, then the zeta_k > 0 violations by k, then the
-    ratio's. A horizon that is not an integer of at least 1, or a cfg that
+    Schemes whose outer update (algorithms.Outer) is proved under C4 or
+    C5: theta_k in (0,1), eta_k in (0, eta_bound(theta_k, lambda)),
+    zeta_k > 0, and zeta_k / zeta_divisor(theta_k) decreasing over the
+    last horizon/2 terms. Other schemes get range checks only. The list
+    gives the theta and eta violations by k, then the zeta_k > 0
+    violations by k, then the ratio's. A horizon that is not an integer of at least 1, or a cfg that
     is not a SolverConfig, raises ConfigError naming it.
     """
     check_field("horizon", horizon, 1, integer=True)
-    cond = CONDITIONS.get(check_type("cfg", cfg, SolverConfig).algorithm.outer)
+    outer = check_type("cfg", cfg, SolverConfig).algorithm.outer
+    cond = None if outer.eta_bound is None else outer
     eta_range = "eta_range" if cond is None else f"{cond.label}.eta_range"
     zeta = None if cond is None else cfg.zeta
     out: List[Violation] = []

@@ -32,6 +32,7 @@ from vikit.algorithms import (
     PROPOSED,
     ConfigError,
     IterateState,
+    Outer,
     Scheme,
     SequenceRule,
     SolveError,
@@ -44,7 +45,7 @@ from vikit.algorithms import (
     step_alg3,
     step_alg4,
 )
-from vikit.harness import CONDITIONS, make_config, parse_problem_spec
+from vikit.harness import make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, Scale
 from vikit.problems import (
     ProblemInstance,
@@ -141,11 +142,6 @@ def test_sequence_rule_values():
 def test_scheme_table_reproduces_the_scheme_sets():
     S = Scheme
     assert PROPOSED == (S.IMSEGM, S.IMTEGM, S.IMMSEGM, S.IMMTEGM)
-    conditioned = {label: {s for s in Scheme if s.outer in CONDITIONS
-                           and CONDITIONS[s.outer].label == label}
-                   for label in ("C4", "C5")}
-    assert conditioned["C4"] == {S.IMSEGM, S.IMTEGM, S.MSEGM}
-    assert conditioned["C5"] == {S.IMMSEGM, S.IMMTEGM, S.MMSEGM}
 
     def rows(**match):
         return {s for s in Scheme if all(getattr(s, k) == v for k, v in match.items())}
@@ -155,9 +151,43 @@ def test_scheme_table_reproduces_the_scheme_sets():
     assert rows(step=Fixed) == {S.HSEGM, S.MSEGM, S.MMSEGM}
     assert rows(step=Armijo) == {S.STEGM}
     assert rows(step=Adaptive) == set(PROPOSED) | {S.VSEGM, S.VTEGM}
-    assert rows(outer="anchored") == {S.HSEGM}
-    assert rows(outer="hsd") == {S.STEGM}
-    assert rows(outer="viscosity") == {S.VSEGM, S.VTEGM}
+    assert rows(outer=Outer.MANN) == {S.IMSEGM, S.IMTEGM, S.MSEGM}
+    assert rows(outer=Outer.MODIFIED_MANN) == {S.IMMSEGM, S.IMMTEGM, S.MMSEGM}
+    assert rows(outer=Outer.ANCHORED) == {S.HSEGM}
+    assert rows(outer=Outer.HSD) == {S.STEGM}
+    assert rows(outer=Outer.VISCOSITY) == {S.VSEGM, S.VTEGM}
+
+
+# each outer update's record, written out: the operator it reads beyond T,
+# Table 1's theta_k and eta_k kinds, its condition set's label, and for C4
+# and C5 the eta_k bound, the zeta_k ratio's name and its divisor at
+# theta_k = 0.3 and lambda = 0.2
+OUTER_RECORDS = [
+    (Outer.MANN, None, ("one_over_kp1", "half_one_minus_theta"), "C4",
+     (0.8 * 0.7, "zeta_over_theta", 0.3)),
+    (Outer.MODIFIED_MANN, None, ("k_over_kp1", "theta_over_3"), "C5",
+     (0.8 * 0.3 / 0.5, "zeta_over_one_minus_theta", 0.7)),
+    (Outer.ANCHORED, None, ("one_over_kp1", "k_over_2kp1"), "range checks only", None),
+    (Outer.VISCOSITY, "f_visc", ("one_over_kp1", "k_over_2kp1"), "range checks only", None),
+    (Outer.HSD, "F", ("one_over_kp1", "k_over_2kp1"), "range checks only", None),
+]
+
+
+def test_every_outer_update_has_a_written_record():
+    assert [record[0] for record in OUTER_RECORDS] == list(Outer)
+
+
+@pytest.mark.parametrize("outer,operator,kinds,label,conditions", OUTER_RECORDS,
+                         ids=[record[0].value for record in OUTER_RECORDS])
+def test_each_outer_update_states_its_theorem(outer, operator, kinds, label, conditions):
+    assert (outer.operator, outer.kinds, outer.label) == (operator, kinds, label)
+    if conditions is None:
+        assert (outer.eta_bound, outer.zeta_divisor, outer.ratio) == (None, None, None)
+    else:
+        bound, ratio, divisor = conditions
+        assert outer.eta_bound(0.3, 0.2) == pytest.approx(bound)
+        assert outer.ratio == ratio
+        assert outer.zeta_divisor(0.3) == pytest.approx(divisor)
 
 
 def _scalar_first_iteration(variant):
@@ -360,6 +390,20 @@ def test_check_config_names_each_rejected_field(scheme, cfg_changes, problem_cha
     x = element(p.space, [1.0, 1.0])
     with pytest.raises(ConfigError, match=f"^{message}$"):
         solve(p, dataclasses.replace(make_config(scheme, p, x0=x, x1=x), **cfg_changes))
+
+
+@pytest.mark.parametrize("scheme", Scheme, ids=lambda s: s.value)
+def test_an_outer_update_reads_exactly_the_operator_its_record_names(scheme):
+    # F and f_visc unset: a scheme whose outer update names neither solves,
+    # and one that names an operator is rejected, then solves once it is set
+    bare = dataclasses.replace(_toy_problem(), F=None, f_visc=None)
+    x = element(bare.space, [1.0, 1.0])
+    needed = scheme.outer.operator
+    if needed is not None:
+        with pytest.raises(ConfigError, match=f"^{needed} must be set for {scheme.value}'s "):
+            solve(bare, make_config(scheme, bare, x0=x, x1=x, max_iter=5))
+        bare = dataclasses.replace(bare, **{needed: Scale(0.5)})
+    assert len(solve(bare, make_config(scheme, bare, x0=x, x1=x, max_iter=5)).rows) == 6
 
 
 def test_a_checked_config_cannot_be_changed_unchecked():

@@ -94,9 +94,18 @@ def test_validate_clean_presets(capsys):
                  "--problem", "ex1:n=5,seed=1"])
     assert code == 0
     # each line names the condition set checked, or that there is none
-    checked = {"mann": "C4", "modified_mann": "C5"}
     assert capsys.readouterr().out.splitlines() == [
-        f"{s.value}: ok ({checked.get(s.outer, 'range checks only')}, 100 terms)" for s in Scheme]
+        "imsegm: ok (C4, 100 terms)",
+        "imtegm: ok (C4, 100 terms)",
+        "immsegm: ok (C5, 100 terms)",
+        "immtegm: ok (C5, 100 terms)",
+        "hsegm: ok (range checks only, 100 terms)",
+        "stegm: ok (range checks only, 100 terms)",
+        "msegm: ok (C4, 100 terms)",
+        "mmsegm: ok (C5, 100 terms)",
+        "vsegm: ok (range checks only, 100 terms)",
+        "vtegm: ok (range checks only, 100 terms)",
+    ]
 
 
 @pytest.mark.parametrize("horizon", ["0", "-5"])

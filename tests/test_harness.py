@@ -25,6 +25,7 @@ from vikit.algorithms import (
     INERTIAL_DELTA,
     ConfigError,
     ConvergenceTrace,
+    Outer,
     Scheme,
     SequenceRule,
     TraceRow,
@@ -150,7 +151,7 @@ def test_c4_bound_reads_lambda(scheme):
 def test_c5_bound_reads_lambda(small_problem, eta, clean_k, flagged_k, first):
     fields = {} if eta is None else {"eta": SequenceRule("constant", eta)}
     clean = small_problem if clean_k is None else demi_problem(clean_k)
-    for scheme in (s for s in Scheme if s.outer == "modified_mann"):  # the C5 rows
+    for scheme in (s for s in Scheme if s.outer is Outer.MODIFIED_MANN):  # the C5 rows
         cfg = harness.make_config(scheme, clean, **fields)
         assert harness.validate_conditions(cfg, 400) == []
         cfg = harness.make_config(scheme, demi_problem(flagged_k), **fields)

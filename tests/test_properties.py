@@ -30,6 +30,7 @@ from vikit.algorithms import (
     PROPOSED,
     ConfigError,
     IterateState,
+    Outer,
     Scheme,
     SequenceRule,
     solve,
@@ -316,7 +317,8 @@ def test_each_scheme_converges_to_the_point_its_theorem_names(dims, seed, start)
     assume(p.space.norm(min_norm - nearest) >= 1.0)
     assume(max(np.abs(min_norm).max(), np.abs(nearest).max()) < 2.0)
     for scheme in Scheme:
-        named, other = (nearest, min_norm) if scheme.outer == "anchored" else (min_norm, nearest)
+        anchored = scheme.outer is Outer.ANCHORED
+        named, other = (nearest, min_norm) if anchored else (min_norm, nearest)
         cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=2 * LIMIT_ITERS)
         x_half, x_end = _iterates_after(p, cfg, (LIMIT_ITERS, 2 * LIMIT_ITERS))
         dist = p.space.norm(x_half - named)
