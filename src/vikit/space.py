@@ -215,14 +215,12 @@ class SpaceDescriptor:
 
     def inner(self, a: np.ndarray, b: np.ndarray, work: Optional[np.ndarray] = None) -> float:
         """Inner product of two coordinate arrays; trapezoid quadrature of
-        a*b in the GRID_L2 case. In R^n it is a.dot(b) where
-        dot_agrees(a, b), and a @ b otherwise. On a grid the weighted
-        product w*a*b is formed in `work`, an n-vector that is neither a
-        nor b, when one is given, and in a new array otherwise; R^n needs
-        none and ignores it."""
+        a*b in the GRID_L2 case. In R^n it is a @ b, whose bits a.dot(b)
+        gives wherever dot_agrees(a, b): a solve takes dot through
+        `bare_inner`. On a grid the weighted product w*a*b is formed in
+        `work`, an n-vector that is neither a nor b, when one is given, and
+        in a new array otherwise; R^n needs none and ignores it."""
         if self.kind is SpaceKind.EUCLIDEAN:
-            if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:  # dot_agrees(a, b)
-                return float(a.dot(b))
             return float(a @ b)
         # np.sum's pairwise sum without its Python wrapper
         return float(np.add.reduce(np.multiply(np.multiply(self.quad_weights, a, work), b, work)))
@@ -234,8 +232,8 @@ class SpaceDescriptor:
         entry by entry. A sum that overflows on finite entries (past
         ~1.3e154) is taken again on a / max|a|, so a finite array has a
         finite norm unless the norm itself exceeds the largest float. A
-        C-contiguous array in R^n takes inner's dot directly, without the
-        call (a square has no -0.0 to keep, so one entry needs no @).
+        C-contiguous array in R^n takes a.dot(a), which gives inner's bits
+        (a square has no -0.0 to keep, so one entry needs no @).
 
         So wherever inner(a, a) is finite the norm is math.sqrt of it, bit
         for bit, as a caller that holds inner may compute it itself. `work`
@@ -279,8 +277,8 @@ def dot_agrees(*arrays) -> bool:
     stride @ does not call BLAS and sums in another order, and dot
     multiplies one-element arrays directly, keeping a -0.0 that the sum
     from +0.0 drops; those keep @. This is the one statement of the rule;
-    `SpaceDescriptor.inner` and `operators.AffineMatrix.__call__` test it
-    inline, where a call would cost more than the test."""
+    `operators.AffineMatrix.__call__` tests it inline, where a call would
+    cost more than the test."""
     return all(a.size > 1 and a.flags.c_contiguous for a in arrays)
 
 

@@ -12,11 +12,9 @@ iterations than msegm, and immsegm in fewer than mmsegm, on ex1:n=100
 seeds 1-5 and from both ex2:grid=1001 starts.
 """
 
-import contextlib
 import copy
 import dataclasses
 import math
-import sys
 from unittest import mock
 
 import numpy as np
@@ -26,6 +24,7 @@ from hypothesis import strategies as st
 
 from armijo_oracle import armijo_search_serial
 from binding_problem import binding_problem
+from call_counts import by_name, count_calls
 from step_oracle import residuals, step_checked
 from vikit import algorithms, space
 from vikit.algorithms import (
@@ -417,22 +416,15 @@ def test_solve_checks_its_fields_once_per_run_not_per_step():
     # a checker costs ~0.4 us a call, so none may run inside the step loop
     p = _toy_problem()
     x = element(p.space, [1.0, 1.0])
-    checkers = {f.__code__: f.__name__ for f in (space.check_field, space.check_type,
-                                                   space.check_space)}
+    checkers = (space.check_field, space.check_type, space.check_space)
+    rules = {f.__code__: by_name for f in checkers}
 
     def checker_calls(scheme, max_iter):
-        calls = dict.fromkeys(checkers.values(), 0)
+        def run():  # the config's checks count too
+            return solve(p, make_config(scheme, p, x0=x, x1=x, max_iter=max_iter))
 
-        def profile(frame, event, arg):
-            if event == "call" and frame.f_code in checkers:
-                calls[checkers[frame.f_code]] += 1
-
-        sys.setprofile(profile)
-        try:
-            solve(p, make_config(scheme, p, x0=x, x1=x, max_iter=max_iter))
-        finally:
-            sys.setprofile(None)
-        return calls
+        _, calls = count_calls(rules, run)
+        return {f.__name__: calls[f.__name__] for f in checkers}
 
     for scheme in Scheme:
         short = checker_calls(scheme, 10)
@@ -543,18 +535,18 @@ def test_residual_columns_present_when_requested():
     assert all(math.isnan(v) for v in trace.column("res_tseng"))
 
 
-def test_a_recording_solve_builds_no_halfspace(monkeypatch):
+def test_a_recording_solve_builds_no_halfspace():
     # the residuals read the step's normal and anchor; only a step called
     # on its own (step_alg1 and its kind) hands out a HalfSpace
     problem, init = parse_problem_spec("ex1:n=100,seed=1", 1)
     x, _ = initial_points(problem, init, seed=1)
     cfg = make_config(Scheme.IMSEGM, problem, x0=x, x1=x, max_iter=50, record_invariants=True)
-    built, post_init = [], HalfSpace.__post_init__
-    monkeypatch.setattr(HalfSpace, "__post_init__", lambda hk: built.append(post_init(hk)))
-    trace = solve(problem, cfg)
-    assert len(trace.column("res_halfspace")) == 50 and built == []
-    state = step_alg1(IterateState(1, x.coords, x.coords, gamma=cfg.step.gamma1), problem, cfg)
-    assert len(built) == 1 and isinstance(state.halfspace, HalfSpace)
+    rules = {HalfSpace.__post_init__.__code__: by_name}
+    trace, calls = count_calls(rules, solve, problem, cfg)
+    assert len(trace.column("res_halfspace")) == 50 and calls["__post_init__"] == 0
+    state, calls = count_calls(rules, step_alg1, IterateState(1, x.coords, x.coords,
+                                                              gamma=cfg.step.gamma1), problem, cfg)
+    assert calls["__post_init__"] == 1 and isinstance(state.halfspace, HalfSpace)
 
 
 def _iterations_to(problem, x, scheme, tol):
@@ -735,36 +727,27 @@ def test_step_checks_only_where_finiteness_can_be_lost(run):
     assert _solved(p, cfg) == _checked(p, cfg)
 
 
+class _OtherAffine(AffineMatrix):
+    """An AffineMatrix of another type, which may override __call__."""
+
+
+@pytest.mark.parametrize("wrap", [lambda A: lambda x: A(x),
+                                  lambda A: _OtherAffine(A.G, A.f_vec)],
+                         ids=["function", "subclass"])
 @pytest.mark.parametrize("problem", [make_example1(RandomSpec(8, 1)), binding_problem(8, 4, 1)],
                          ids=["ex1", "binding-offset"])
-def test_a_wrapped_operator_gives_the_affine_matrix_run_bit_for_bit(problem):
+def test_a_wrapped_operator_gives_the_affine_matrix_run_bit_for_bit(problem, wrap):
     # on C-contiguous starts the step calls the AffineMatrix's G.dot (plus
     # its offset) and ndarray.dot directly; a plain function around it, as
-    # perfbench's tracer wraps A, takes A's own call and the space's inner
-    wrapped = dataclasses.replace(problem, A=lambda x, A=problem.A: A(x))
+    # perfbench's tracer wraps A, or a subclass, which is not exactly one
+    # of vikit's own operators, takes A's own call without an out
+    wrapped = dataclasses.replace(problem, A=wrap(problem.A))
     x0, x1 = initial_points(problem, "random_uniform", seed=1)
     for scheme in Scheme:
         for record in (False, True):
             cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=50,
                               record_invariants=record)
             assert _bits(solve(wrapped, cfg).rows) == _bits(solve(problem, cfg).rows), scheme
-
-
-def _check_finite_calls(run) -> int:
-    """How many times run() calls check_finite, counted through every vikit
-    module that binds it (space's own callers included)."""
-    real, calls = space.check_finite, []
-
-    def counted(v):
-        calls.append(None)
-        return real(v)
-
-    with contextlib.ExitStack() as stack:
-        for name, module in list(sys.modules.items()):
-            if name.startswith("vikit") and getattr(module, "check_finite", None) is real:
-                stack.enter_context(mock.patch.object(module, "check_finite", counted))
-        run()
-    return len(calls)
 
 
 @pytest.mark.parametrize("spec,per_iter", [("ex1:n=100,seed=1", 2), ("ex2:grid=1001", 1)])
@@ -775,4 +758,5 @@ def test_a_step_checks_two_vectors_over_a_box_and_one_over_a_ball(spec, per_iter
     problem, init = parse_problem_spec(spec, 1)
     x, _ = initial_points(problem, init, seed=1)
     cfg = make_config(scheme, problem, x0=x, x1=x, max_iter=200)
-    assert _check_finite_calls(lambda: solve(problem, cfg)) == 200 * per_iter
+    _, calls = count_calls({space.check_finite.__code__: by_name}, solve, problem, cfg)
+    assert calls["check_finite"] == 200 * per_iter

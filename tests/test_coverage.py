@@ -85,14 +85,8 @@ UNREACHED = {
         "test_stepsize.py::test_armijo_exhaustion_raises_with_last_gamma",
     ("_proven_rejections", "return []", 2):
         "test_stepsize.py::test_screened_armijo_search_equals_the_serial_search",
-    # inner's dot in R^n: a step, and so a recording one, takes
-    # ndarray.dot itself on the C-contiguous vectors of a golden cell
-    ("SpaceDescriptor.inner",
-     "if a.size > 1 and a.flags.c_contiguous and b.flags.c_contiguous:  # dot_agrees(a, b)", 1):
-        "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
-    ("SpaceDescriptor.inner", "return float(a.dot(b))", 1):
-        "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
-    # the @ forms of a reversed, strided or one-element operand
+    # inner's @ in R^n: a step, and so a recording one, takes ndarray.dot
+    # itself on a golden cell's C-contiguous vectors (`bare_inner`)
     ("SpaceDescriptor.inner", "return float(a @ b)", 1):
         "test_space.py::test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms",
     ("AffineMatrix.__call__", "y = np.matmul(G, x, out)", 1):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from call_counts import count_calls
 from certify_oracle import check_demicontractive_serial, check_monotone_serial
 from vikit import operators as ops
 from vikit.operators import (
@@ -254,16 +255,14 @@ def test_vikit_operators_map_a_block_row_by_row(op, sp):
 # n, pairs per block, blocks: the byte cap's blocks at n = 400, and n // 32
 # pairs once that is more, as from n ~ 700
 @pytest.mark.parametrize("n,pairs,blocks", [(400, 38, 6), (1024, 32, 7)])
-def test_certification_evaluates_an_affine_operator_once_per_block(monkeypatch, n, pairs,
-                                                                   blocks):
+def test_certification_evaluates_an_affine_operator_once_per_block(n, pairs, blocks):
     p = make_example1(RandomSpec(n=n, seed=1))
-    shapes = []
-    call = AffineMatrix.__call__
-    monkeypatch.setattr(AffineMatrix, "__call__",
-                        lambda self, x: shapes.append(x.shape) or call(self, x))
-    assert check_monotone(p.A, p.space)
+    rules = {AffineMatrix.__call__.__code__: lambda frame, arg: frame.f_locals["x"].shape}
+    check, calls = count_calls(rules, check_monotone, p.A, p.space)
+    assert check
     assert pairs == max(CERTIFY_BLOCK_BYTES // (8 * n), n // AFFINE_BLOCK_DIVISOR)
-    assert [m for m, _ in shapes] == [2 * pairs] * (blocks - 1) + [2 * (CERTIFY_SAMPLES % pairs)]
+    assert [(key, k) for key, k in calls.items() if isinstance(key, tuple)] == [
+        ((2 * pairs, n), blocks - 1), ((2 * (CERTIFY_SAMPLES % pairs), n), 1)]
 
 
 def _pointwise(op, seen):

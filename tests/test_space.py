@@ -201,9 +201,9 @@ def vector_pairs(draw):
 @settings(max_examples=300)
 @given(vector_pairs())
 def test_euclidean_inner_and_norm_are_bitwise_the_matmul_forms(pair):
-    # inner takes ndarray.dot on C-contiguous vectors of two or more
-    # entries, which is the same BLAS ddot as @; a reversed or strided
-    # vector, or a single entry (dot keeps -1.0 * 0.0 = -0.0), must keep @
+    # inner is @; norm takes ndarray.dot on a C-contiguous vector, the same
+    # BLAS ddot as @ from two entries on and for one entry a square, which
+    # has no -0.0 to keep; a reversed or strided vector keeps @
     a, b = pair
     sp = euclidean(max(a.size, 1))
     with np.errstate(over="ignore", invalid="ignore"):

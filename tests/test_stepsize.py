@@ -7,9 +7,8 @@ the serial loop kept in armijo_oracle.py, with its A calls counted. The
 adaptive update is checked bit for bit against the four-norm rule.
 """
 
-import dataclasses
 import math
-from unittest import mock
+from types import FrameType
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from armijo_oracle import armijo_search_serial
+from call_counts import count_calls, work_rules
 from step_oracle import _adaptive_update
-from vikit import algorithms
 from vikit.algorithms import Scheme, solve
 from vikit.harness import make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, PositivePart
@@ -115,18 +114,12 @@ def test_each_adaptive_update_makes_three_norm_calls():
     problem, init = parse_problem_spec("ex1:n=100,seed=1", 1)
     x, _ = initial_points(problem, init, seed=1)
     cfg = make_config(Scheme.IMSEGM, problem, x0=x, x1=x, tol=1e-8)
-    per_call = []
 
-    def counted(*args):
-        before = norm.call_count
-        gamma = adaptive_update(*args)
-        per_call.append(norm.call_count - before)
-        return gamma
+    def update(frame, arg):  # the adaptive update a norm is taken in, as its frame
+        return frame.f_back if frame.f_back.f_code is adaptive_update.__code__ else None
 
-    with mock.patch.object(SpaceDescriptor, "norm", autospec=True,
-                           side_effect=SpaceDescriptor.norm) as norm, \
-            mock.patch.object(algorithms, "adaptive_update", counted):
-        trace = solve(problem, cfg)
+    trace, calls = count_calls({SpaceDescriptor.norm.__code__: update}, solve, problem, cfg)
+    per_call = [n for key, n in calls.items() if isinstance(key, FrameType)]
     assert len(per_call) == len(trace.rows) - 1 > 10
     assert set(per_call) == {3}
 
@@ -378,29 +371,17 @@ def test_the_screen_is_empty_without_a_probe(kind, n):
                               x, x, A, Box(-1.0, 1.0)) == []
 
 
-@dataclasses.dataclass(frozen=True)
-class _CountingAffine(AffineMatrix):
-    """An AffineMatrix, so the screen still applies, that counts its
-    evaluations."""
-
-    calls: list = dataclasses.field(default_factory=list, repr=False, compare=False)
-
-    def __call__(self, x):
-        self.calls.append(x.shape)
-        return super().__call__(x)
-
-
 @pytest.mark.parametrize("n,seed", [(100, 1), (400, 7)])
 def test_the_screen_leaves_one_serial_trial_per_stegm_iteration(n, seed):
     # A(x) and the accepted trial: the screen proves every rejected trial
-    # rejected, so a margin that grew too conservative shows here
+    # rejected, so a margin that grew too conservative shows here. Each is
+    # a call of the AffineMatrix, whose G.dot inside it counts once
     p = make_example1(RandomSpec(n=n, seed=seed))
-    A = _CountingAffine(p.A.G, p.A.f_vec)
     x0, x1 = initial_points(p, "random_uniform", seed=0)
-    trace = solve(dataclasses.replace(p, A=A),
-                  make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=400))
+    trace, calls = count_calls(work_rules(p), solve, p,
+                               make_config(Scheme.STEGM, p, x0=x0, x1=x1, max_iter=400))
     assert len(trace.rows) == 401
-    assert len(A.calls) / 400 == 2.0
+    assert calls["A"] / 400 == 2.0
 
 
 def test_the_screens_constants_are_built_once_per_policy_and_problem():
