@@ -728,7 +728,8 @@ def test_step_checks_only_where_finiteness_can_be_lost(run):
 
 
 class _OtherAffine(AffineMatrix):
-    """An AffineMatrix of another type, which may override __call__."""
+    """An AffineMatrix subclass: not exactly one of vikit's own operators,
+    so a solve calls it without an out."""
 
 
 @pytest.mark.parametrize("wrap", [lambda A: lambda x: A(x),

@@ -8,7 +8,6 @@ adaptive update is checked bit for bit against the four-norm rule.
 """
 
 import math
-from types import FrameType
 
 import numpy as np
 import pytest
@@ -115,13 +114,21 @@ def test_each_adaptive_update_makes_three_norm_calls():
     x, _ = initial_points(problem, init, seed=1)
     cfg = make_config(Scheme.IMSEGM, problem, x0=x, x1=x, tol=1e-8)
 
-    def update(frame, arg):  # the adaptive update a norm is taken in, as its frame
-        return frame.f_back if frame.f_back.f_code is adaptive_update.__code__ else None
+    per_call = {}  # each adaptive update's frame: the norms taken while it runs
 
-    trace, calls = count_calls({SpaceDescriptor.norm.__code__: update}, solve, problem, cfg)
-    per_call = [n for key, n in calls.items() if isinstance(key, FrameType)]
+    def update(frame, arg):
+        per_call[frame] = 0
+
+    def norm(frame, arg):  # through a helper too: the nearest adaptive update up the stack
+        while frame is not None and frame.f_code is not adaptive_update.__code__:
+            frame = frame.f_back
+        if frame is not None:
+            per_call[frame] += 1
+
+    rules = {adaptive_update.__code__: update, SpaceDescriptor.norm.__code__: norm}
+    trace, _ = count_calls(rules, solve, problem, cfg)
     assert len(per_call) == len(trace.rows) - 1 > 10
-    assert set(per_call) == {3}
+    assert set(per_call.values()) == {3}
 
 
 def _setup(scale=2.0):

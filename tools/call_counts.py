@@ -63,7 +63,8 @@ def count_calls(rules: dict, fn, *args):
     rule(frame, None), run at each call of that code with the callee's
     frame, and the string "c_call" to rule(frame, function), run at each C
     call with the calling frame; each adds one to the key its rule gives,
-    unless that is None. fn is called from this frame, so that the events
+    unless that is None, so a rule that needs order or several values
+    records into its caller's own list and gives None. fn is called from this frame, so that the events
     are fn's own and sys.setprofile's last call; the profile function found
     on entry is restored on exit and sees none of fn's events."""
     counts = Counter()
