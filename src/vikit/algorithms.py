@@ -26,26 +26,30 @@ Every other input (any other operator, perfbench's wrapped ones among
 them, a start at a reversed stride) keeps the calls of its own type.
 
 The built step owns its solve's work vectors: sixteen n-vectors made
-once by the build, plus the work vector of a grid's `bare_inner`. It
-writes every vector it forms into them with numpy's `out` arguments,
-keeping each expression's order of operations: dx, s, A(s), the trial
-point, y, A(y), the normal, z, T(z), the outer update's terms and
-x_{k+1}, which rotates among three so that it never overwrites x_k or
-x_{k-1} (the starts are only read). It passes an `out` to A, T, F and
-f_visc only when the operator is exactly one of vikit's own
-(`operators.OWN_OPERATORS`), and work vectors to `project_ball`,
-`project_halfspace`, `adaptive_update` and `armijo_search`; on a
-10001-node grid a step then allocates nothing. A box or a halfspace C is
-projected by `project`, which makes a new array. Every step is arrays
-in, arrays out: the loop carries (x_{k-1}, x_k, gamma_k), and each step
-returns (x_{k+1}, gamma_{k+1}, delta_k, residuals). A recording solve
-builds a closure that the step calls with its own points s, y, z and its
-halfspace's normal, which gives the three residuals from solve's work
-vector and `bare_inner` (`_recorder`); residuals is None when nothing is
-recorded. Only `_state_step` (step_alg1 to step_alg4) builds an
-`IterateState` and a `HalfSpace`. Each trace is bitwise the same either
-way. A step that overflows, or meets NaN, raises NonFiniteElementError at
-that step; where it checks follows the `space` module's call convention.
+once by the build, plus the work vector of a grid's `bare_inner`, and a
+0-d array into which each step writes -gamma_k once, for every product
+that reads it (numpy multiplies by a 0-d array faster than by a Python
+float, to the same bits). It writes every vector it forms into them with
+numpy's `out` arguments, keeping each expression's order of operations:
+dx, s, A(s), the trial point, y, A(y), the normal, z, T(z), the outer
+update's terms and x_{k+1}, which rotates among three so that it never
+overwrites x_k or x_{k-1} (the starts are only read). It passes an `out`
+to A, T, F and f_visc only when the operator is exactly one of vikit's
+own (`operators.OWN_OPERATORS`), and work vectors to `project_box`,
+`project_ball`, `project_halfspace`, `adaptive_update` and
+`armijo_search`. So a step onto a box or a ball allocates no vector,
+save the rows of the Armijo screen (`stepsize.armijo_search`); a
+halfspace C is projected by `project`, which makes a new array. Every
+step is arrays in, arrays out: the loop carries (x_{k-1}, x_k, gamma_k),
+and each step returns (x_{k+1}, gamma_{k+1}, delta_k, residuals). A
+recording solve builds a closure that the step calls with its own points
+s, y, z and its halfspace's normal, which gives the three residuals from
+solve's work vector and `bare_inner` (`_recorder`); residuals is None
+when nothing is recorded. Only `_state_step` (step_alg1 to step_alg4)
+builds an `IterateState` and a `HalfSpace`. Each trace is bitwise the
+same either way. A step that overflows, or meets NaN, raises
+NonFiniteElementError at that step; where it checks follows the `space`
+module's call convention.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import numpy as np
 
 from .problems import ProblemInstance
 from .operators import OWN_OPERATORS, bare_map
-from .projections import Ball, HalfSpace, project, project_ball, project_halfspace
+from .projections import Ball, Box, HalfSpace, project, project_ball, project_box, project_halfspace
 from .space import (ConfigError, SpaceElement, check_field, check_finite, check_space,
                     check_type)
 from .stepsize import (
@@ -326,15 +330,16 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
     own = OWN_OPERATORS
     a_out, t_out, f_out, v_out = (type(A_op) in own, type(T) in own, type(F) in own,
                                   type(f_visc) in own)
-    ball = type(C) is Ball
+    ball, box = type(C) is Ball, type(C) is Box
     add, subtract, multiply = np.add, np.subtract, np.multiply
     # the solve's work vectors, one array each, as the step made its
     # temporaries: x_{k+1} is X[k % 3]; DX, S, AS, TR, Y, AY, NM, Z and TZ
-    # hold the vectors so named below, P the point projected onto the
-    # halfspace, W an outer-update term, D a difference whose norm is taken
-    # and Q a norm's quadrature
+    # hold the vectors so named below, Y the projected trial point, P the
+    # point projected onto the halfspace, W an outer-update term, D a
+    # difference whose norm is taken and Q a norm's quadrature; neg_gamma
+    # is the 0-d array that holds -gamma_k
     *X, DX, S, AS, TR, Y, AY, NM, P, Z, TZ, W, D, Q = map(np.empty, [space.dim] * 16)
-    search_work, update_work = (AS, TR, Y, AY, D, Q), (D, Q)
+    search_work, update_work, neg_gamma = (AS, TR, Y, AY, D, Q), (D, Q), np.empty(())
 
     def step(k, x_prev, x, gamma):
         theta = th(k, None, th_v)
@@ -351,16 +356,18 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
             s = add(x, multiply(dk, dx, S), S)
         if armijo:
             gamma, y, As, Ay = search(space, policy, s, A_op, C, search_work)
-        else:
+        neg_gamma[()] = -gamma
+        if not armijo:
             As = A(s, AS) if a_out else A(s)
-            trial = add(s, multiply(-gamma, As, TR), TR)
-            y = project_ball(C, trial, Y, Q) if ball else proj(C, trial)
+            trial = add(s, multiply(neg_gamma, As, TR), TR)
+            y = (project_ball(C, trial, Y, Q) if ball else project_box(C, trial, Y) if box
+                 else proj(C, trial))
             Ay = A(y, AY) if a_out else A(y)
         if tseng:
-            z = add(y, multiply(-gamma, subtract(Ay, As, Z), Z), Z)
+            z = add(y, multiply(neg_gamma, subtract(Ay, As, Z), Z), Z)
         else:
             normal = subtract(trial, y, NM)
-            z = project_halfspace(inner, normal, y, add(s, multiply(-gamma, Ay, P), P), Z)
+            z = project_halfspace(inner, normal, y, add(s, multiply(neg_gamma, Ay, P), P), Z)
         if outer == "anchored":
             z = add(multiply(theta, anchor, W), multiply(1.0 - theta, z, Z), Z)
         Tz = T(z, TZ) if t_out else T(z)

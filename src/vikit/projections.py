@@ -3,8 +3,9 @@
 Closed-form projectors for boxes, balls and halfspaces. Points are
 coordinate arrays; a ball or halfspace carries the space whose norm the
 projection is taken in. `project` makes a new array for a point it
-moves; `project_ball` and `project_halfspace`, which a scheme's step
-calls directly, write it into a caller's work vector instead.
+moves; `project_box`, `project_ball` and `project_halfspace`, which a
+scheme's step calls directly, write it into a caller's work vector
+instead.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .space import (ConfigError, NonFiniteElementError, RealArray, SpaceDescriptor,
-                    SpaceElement, check_field, check_finite, check_space, check_type, euclidean)
+                    SpaceElement, _read_only, check_field, check_finite, check_space,
+                    check_type, euclidean)
 
 # numpy's clip ufunc. For float arrays with both bounds set, as a Box's
 # always are, np.clip is a Python wrapper that calls it: 5.3 us per call
@@ -36,11 +38,19 @@ class Box:
     """{x : lower <= x_i <= upper} coordinatewise. Each bound is a real
     number or a non-empty array of them, and may be infinite but not NaN;
     an upper bound below its lower one is also a ConfigError. `shape` is the shape
-    the bounds broadcast to: () for scalar bounds, (n,) otherwise."""
+    the bounds broadcast to: () for scalar bounds, (n,) otherwise.
+
+    `lo` and `hi` are the bounds as read-only float64 arrays of their own
+    shapes, made once here, which every clip reads: numpy clips a float
+    vector to the same bits either way, but with 0-d array bounds in
+    0.40 us against 0.72 us for Python floats (n = 100, 2-core Xeon,
+    numpy 2.4)."""
 
     lower: Union[float, np.ndarray]
     upper: Union[float, np.ndarray]
     shape: tuple = field(init=False, repr=False, compare=False)
+    lo: np.ndarray = field(init=False, repr=False, compare=False)
+    hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_type("lower", self.lower, RealArray)
@@ -54,6 +64,8 @@ class Box:
             raise ConfigError(f"upper must be at least lower coordinatewise, got lower="
                               f"{self.lower!r}, upper={self.upper!r}")
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "lo", _read_only(np.array(self.lower, dtype=float)))
+        object.__setattr__(self, "hi", _read_only(np.array(self.upper, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -105,15 +117,23 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     set and projected otherwise.
     A point that does not fit the set's space, or a box's shape, raises
     SpaceMismatchError."""
-    if isinstance(s, Box):  # a box has no space of its own
-        if s.shape not in ((), x.shape):  # clipping would broadcast x and the bounds
-            check_space("x", x, euclidean(s.shape[0]))
-        return clip_ufunc(check_finite(x), s.lower, s.upper)
+    if isinstance(s, Box):
+        return project_box(s, x)
     if isinstance(s, Ball):
         return project_ball(s, x)
     if x.shape != s.normal.shape:  # the normal has the space's shape
         check_space("x", x, s.space)
     return project_halfspace(s.space.inner, s.normal, s.anchor, x)
+
+
+def project_box(s: Box, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """project's box branch; a scheme's step and the Armijo search call it
+    directly. `out`, an array of x's shape, holds the clipped point when
+    one is given, and a new array is made otherwise."""
+    # a box has no space of its own; clipping would broadcast x and the bounds
+    if s.shape not in ((), x.shape):
+        check_space("x", x, euclidean(s.shape[0]))
+    return clip_ufunc(check_finite(x), s.lo, s.hi, out)
 
 
 def project_ball(s: Ball, x: np.ndarray, out: Optional[np.ndarray] = None,

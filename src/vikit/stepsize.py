@@ -12,7 +12,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .operators import OWN_OPERATORS, AffineMatrix
-from .projections import Ball, Box, FeasibleSet, clip_ufunc, project, project_ball
+from .projections import (Ball, Box, FeasibleSet, clip_ufunc, project, project_ball,
+                          project_box)
 from .space import SpaceDescriptor, _read_only, _vdot, check_field
 
 
@@ -119,8 +120,9 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
 
     Returns (gamma, y, A(x), A(y)) for the accepted step. `work`, six
     n-vectors none of which is x, holds the serial loop's vectors: A(x),
-    the unprojected trial point, y projected onto a ball, A(y), x - y and
-    A(x) - A(y), and each norm's quadrature (see `SpaceDescriptor.inner`).
+    the unprojected trial point, y projected onto a box or a ball, A(y),
+    x - y and A(x) - A(y), and each norm's quadrature (see
+    `SpaceDescriptor.inner`).
     A(x) and A(y) are written there only when A is exactly one of vikit's
     own operators (`operators.OWN_OPERATORS`); any other A is called with
     the point alone. With no work, new arrays are made instead. Either way
@@ -193,7 +195,7 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     module's call convention says, and none of these checks rejects a
     finite vector."""
     ax, trial, yb, ay, d, q = (None,) * 6 if work is None else work
-    own, ball = type(A) in OWN_OPERATORS, type(C) is Ball
+    own, ball, box = type(A) in OWN_OPERATORS, type(C) is Ball, type(C) is Box
     Ax = A(x, ax) if own else A(x)
     skip = _proven_rejections(space, policy, x, Ax, A, C)
     gamma = policy.rho
@@ -202,7 +204,7 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
             gamma *= policy.l
             continue
         t = np.add(x, np.multiply(-gamma, Ax, trial), trial)
-        y = project_ball(C, t, yb, q) if ball else project(C, t)
+        y = project_ball(C, t, yb, q) if ball else project_box(C, t, yb) if box else project(C, t)
         Ay = A(y, ay) if own else A(y)
         if (gamma * space.norm(np.subtract(Ax, Ay, d), q)
                 <= policy.phi * space.norm(np.subtract(x, y, d), q)):
@@ -248,7 +250,7 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
         # row j: the serial x + (-gamma_j) A(x), its clip, then x - y_j
         D = np.multiply.outer(-g, Ax)
         D += x
-        clip_ufunc(D, C.lower, C.upper, out=D)
+        clip_ufunc(D, C.lo, C.hi, out=D)
         np.subtract(x, D, out=D)
         n2 = np.sqrt(space.row_inner(D, D))
         n1 = s * np.abs(D @ A.probe)

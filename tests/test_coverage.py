@@ -21,7 +21,8 @@ from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
 CORE = (algorithms._build_step, algorithms._recorder, algorithms._square, projections.project,
-        projections.project_ball, projections.project_halfspace, stepsize.adaptive_update,
+        projections.project_box, projections.project_ball, projections.project_halfspace,
+        stepsize.adaptive_update,
         stepsize.armijo_search,
         stepsize._proven_rejections, space.SpaceDescriptor.inner, space.SpaceDescriptor.norm,
         space.SpaceDescriptor.bare_inner, operators.AffineMatrix.__call__, operators.bare_map)
@@ -31,7 +32,7 @@ CORE = (algorithms._build_step, algorithms._recorder, algorithms._square, projec
 # golden cell reaches it
 UNREACHED = {
     # guards that raise on a point of the wrong shape
-    ("project", 'check_space("x", x, euclidean(s.shape[0]))', 1):
+    ("project_box", 'check_space("x", x, euclidean(s.shape[0]))', 1):
         "test_projections.py::test_box_projection_keeps_the_points_shape_or_names_it",
     ("project_ball", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
     ("project", 'check_space("x", x, s.space)', 1): "test_projections.py::test_space_mismatch",
@@ -74,8 +75,12 @@ UNREACHED = {
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     ("project_ball", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    # project onto a ball: a scheme's step and the Armijo search call
-    # project_ball directly
+    # project onto a box or a ball: a scheme's step and the Armijo search
+    # call project_box and project_ball directly
+    ("project", "if isinstance(s, Box):", 1):
+        "test_projections.py::test_the_clip_ufunc_is_np_clip_bit_for_bit",
+    ("project", "return project_box(s, x)", 1):
+        "test_projections.py::test_the_clip_ufunc_is_np_clip_bit_for_bit",
     ("project", "if isinstance(s, Ball):", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     ("project", "return project_ball(s, x)", 1):

@@ -72,6 +72,22 @@ def test_scale_half():
     assert np.array_equal(Scale(0.5)(element(sp, [2, -4]).coords), [1.0, -2.0])
 
 
+@pytest.mark.parametrize("c", [3, -2.5, 0.0, -0.0, 1e308, 2 ** 70])
+def test_scale_is_np_multiply_by_its_factor_bit_for_bit(c):
+    # Scale multiplies by c as a 0-d float64 array, made once; an integer c,
+    # a negative one, both zeros and a c whose products overflow keep the
+    # bits np.multiply(c, x) gives, for a point and a block of rows
+    row = [1.5, -2.0, 0.0, -0.0, 5e-324, -1.7976931348623157e308, 3.0, 0.1]
+    op = Scale(c)
+    with np.errstate(over="ignore"):
+        for x in (np.array(row), np.array([row, row[::-1]])):
+            expected = np.multiply(c, x).tobytes()
+            out = np.empty_like(x)
+            assert op(x).tobytes() == expected
+            assert op(x, out) is out and out.tobytes() == expected
+    assert op.factor.shape == () and not op.factor.flags.writeable
+
+
 def test_affine_matrix():
     sp = euclidean(2)
     op = AffineMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]), element(sp, [1, 1]))

@@ -1,21 +1,27 @@
-"""The ex2 step allocates nothing: in steady state on a 10001-node grid,
-no scheme page-faults, whether or not its solve records its residuals.
+"""A step allocates no vector: in steady state on a 10001-node grid, no
+ex2 scheme page-faults, whether or not its solve records its residuals,
+and an ex1 step that makes no Armijo search allocates less than one
+n-vector.
 
 Each solve owns its work vectors, made once before its loop, and every
-step writes its vectors there, the residuals' differences included. A step
-that made new 80 KB temporaries let glibc trim the heap and fault the pages
-back in: 2.1-52.6 minor faults per iteration, by scheme, on this grid. The
-solves run in a fresh process whose environment holds no malloc setting,
-so that none can hide a fault.
+step writes its vectors there, the residuals' differences and the clipped
+trial point included. A step that made new 80 KB temporaries let glibc
+trim the heap and fault the pages back in: 2.1-52.6 minor faults per
+iteration, by scheme, on this grid. The ex2 solves run in a fresh process
+whose environment holds no malloc setting, so that none can hide a fault.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
-from vikit.algorithms import Scheme
+from vikit.algorithms import _FIRST_GAMMA, Scheme, _build_step
+from vikit.harness import make_config, parse_problem_spec
+from vikit.problems import initial_points
+from vikit.stepsize import Armijo
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ITERS = 100
@@ -55,3 +61,27 @@ def test_no_scheme_page_faults_in_steady_state_on_a_10001_node_grid():
     assert list(faults) == ([scheme.value for scheme in Scheme]
                             + [f"{scheme.value} recording" for scheme in Scheme])
     assert all(per_iter <= 0.1 for per_iter in faults.values()), faults
+
+
+def test_a_non_armijo_ex1_step_allocates_no_n_vector():
+    # 50 steps of each scheme's built step on a box, under tracemalloc,
+    # which sees numpy's array data: a vector the step made, such as a
+    # clip into a new array, would take 8n bytes
+    problem, init = parse_problem_spec("ex1:n=400,seed=1", 1)
+    x0, x1 = initial_points(problem, init, seed=1)
+    n, grown = problem.space.dim, {}
+    for scheme in Scheme:
+        if scheme.step is Armijo:
+            continue
+        cfg = make_config(scheme, problem, x0=x0, x1=x1)
+        x_prev, x, gamma = x0.coords, x1.coords, getattr(cfg.step, _FIRST_GAMMA[scheme.step])
+        step = _build_step(scheme, problem, cfg, (x_prev, x))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for k in range(1, 51):
+                x_prev, (x, gamma, _, _) = x, step(k, x_prev, x, gamma)
+            grown[scheme.value] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert len(grown) == 9 and all(peak < 8 * n for peak in grown.values()), grown

@@ -19,6 +19,7 @@ from vikit.projections import (
     clip_ufunc,
     halfspace_residual,
     project,
+    project_box,
 )
 from vikit.space import (ConfigError, NonFiniteElementError, SpaceDescriptor, SpaceMismatchError,
                          element, euclidean, grid_l2, zeros)
@@ -264,8 +265,10 @@ _FINITE = st.one_of(st.sampled_from([v for v in _EDGES if np.isfinite(v)]),
 
 @st.composite
 def _box_bounds(draw, n):
-    """Scalar or per-coordinate bounds, lower <= upper, some of them infinite."""
-    bound = st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf]))
+    """Scalar or per-coordinate bounds, lower <= upper: floats, some of them
+    infinite, or integers, which a Box reads as float64."""
+    bound = draw(st.sampled_from([st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf])),
+                                  st.integers(-2 ** 63, 2 ** 63 - 1)]))
     if draw(st.booleans()):
         lo, hi = sorted([draw(bound), draw(bound)])
         return lo, hi
@@ -277,9 +280,15 @@ def _box_bounds(draw, n):
 @given(st.data(), st.integers(1, 12))
 def test_the_clip_ufunc_is_np_clip_bit_for_bit(data, n):
     lo, hi = data.draw(_box_bounds(n))
-    # a point, as project(Box) clips it
+    box = Box(lo, hi)
+    # a point, as project(Box) clips it, and as a step clips its trial
+    # point into a work vector, leaving the point as it was
     x = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
-    assert project(Box(lo, hi), x).tobytes() == np.clip(x, lo, hi).tobytes()
+    expected, before, out = np.clip(x, lo, hi).tobytes(), x.tobytes(), np.empty(n)
+    assert project(box, x).tobytes() == expected
+    assert project_box(box, x, out) is out
+    assert (out.tobytes(), x.tobytes()) == (expected, before)
+    assert not (box.lo.flags.writeable or box.hi.flags.writeable)
     # a block of screen rows, which may hold inf or NaN, clipped in place
     rows = data.draw(st.integers(1, 5))
     entries = st.one_of(_FINITE, st.sampled_from([np.inf, -np.inf, np.nan]))
@@ -288,5 +297,5 @@ def test_the_clip_ufunc_is_np_clip_bit_for_bit(data, n):
     expected = D.copy()
     with np.errstate(all="ignore"):
         np.clip(expected, lo, hi, out=expected)
-        clip_ufunc(D, lo, hi, out=D)
+        clip_ufunc(D, box.lo, box.hi, out=D)
     assert D.tobytes() == expected.tobytes()

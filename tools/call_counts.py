@@ -43,7 +43,8 @@ from vikit.cli import integer  # noqa: E402
 from vikit.harness import make_config, parse_problem_spec  # noqa: E402
 from vikit.operators import OWN_OPERATORS, AffineMatrix  # noqa: E402
 from vikit.problems import initial_points  # noqa: E402
-from vikit.projections import project, project_ball, project_halfspace  # noqa: E402
+from vikit.projections import (project, project_ball, project_box,  # noqa: E402
+                               project_halfspace)
 from vikit.stepsize import armijo_search  # noqa: E402
 
 SEED = 1  # the plan seed and the start seed
@@ -101,7 +102,7 @@ def work_rules(problem) -> dict:
     outside AffineMatrix.__call__, as where A is exactly an AffineMatrix a
     solve may evaluate it as G.dot (`operators.bare_map`). A projection
     counts under (its set's kind, whether armijo_search made it); one that
-    `project` hands on to its ball or halfspace branch counts once."""
+    `project` hands on to its box, ball or halfspace branch counts once."""
     named = [(getattr(problem, name), name) for name in OPERATORS]
 
     def operator(frame, arg):
@@ -117,7 +118,8 @@ def work_rules(problem) -> dict:
         return rule
 
     rules = dict.fromkeys(CALLS.values(), operator)
-    rules.update({project.__code__: projection(None), project_ball.__code__: projection("ball"),
+    rules.update({project.__code__: projection(None), project_box.__code__: projection("box"),
+                  project_ball.__code__: projection("ball"),
                   project_halfspace.__code__: projection("halfspace")})
     if type(problem.A) is AffineMatrix:
         G, call = problem.A.G, CALLS[AffineMatrix]
