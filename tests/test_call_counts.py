@@ -1,15 +1,18 @@
 """tools/call_counts.py: calls, operator evaluations and projections per
 iteration of each scheme, the same on every run of one checkout and
 within the budget of call_budget.txt, counted by a hook that patches
-nothing and restores the profile function it found."""
+nothing, counts every call of the threads the counted call starts, and
+restores the profile functions it found."""
 
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from call_counts import COLUMNS, count_calls, counts
+from call_counts import COLUMNS, by_name, count_calls, counts
 from vikit.algorithms import Scheme
 from vikit.operators import PositivePart
 
@@ -87,22 +90,47 @@ def test_two_runs_give_the_same_counts_for_every_scheme():
     assert _table("ex1:n=8,seed=1") == first
 
 
+def _counted():
+    """A function the tests below count by its code object."""
+
+
+COUNTED = {_counted.__code__: by_name}
+
+
+def _on_threads(count: int, calls: int):
+    """_counted() calls times in each of count tasks, run on a pool of up
+    to count threads that is started and joined here, as a plan's is."""
+    with ThreadPoolExecutor(count) as pool:
+        list(pool.map(lambda _: [_counted() for _ in range(calls)], range(count)))
+
+
+def test_a_call_on_a_thread_the_counted_call_starts_is_counted():
+    assert count_calls(COUNTED, _on_threads, 1, 1)[1]["_counted"] == 1
+
+
+def test_threads_that_call_at_once_all_count(switching_often):
+    assert count_calls(COUNTED, _on_threads, 8, 10_000)[1]["_counted"] == 80_000
+
+
 def test_the_hook_restores_the_profile_function_it_found():
     seen = []
 
     def found(frame, event, arg):
-        seen.append(arg)
+        seen.append(frame.f_code if event == "call" else arg)
 
-    before = sys.getprofile()
+    before = sys.getprofile(), threading.getprofile()
     sys.setprofile(found)
+    threading.setprofile(found)
     try:
         total, calls = count_calls({}, sum, [1, 2])
-        after = sys.getprofile()
+        count_calls(COUNTED, _on_threads, 1, 1)  # a thread it starts gets the hook, not found
+        after = sys.getprofile(), threading.getprofile()
     finally:
-        sys.setprofile(before)
+        sys.setprofile(before[0])
+        threading.setprofile(before[1])
     # sum and the hook's own sys.setprofile, and none of them seen by found
-    assert (after, total, calls) == (found, 3, {"c_call": 2})
-    assert sum not in seen
+    assert (after, total, calls) == ((found, found), 3, {"c_call": 2})
+    assert sum not in seen and _counted.__code__ not in seen
 
 
 def test_a_second_equal_problem_costs_no_more_per_iteration():

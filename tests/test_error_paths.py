@@ -33,6 +33,11 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
     (lambda: AffineMatrix(np.eye(2))(np.ones(3)), SpaceMismatchError,
      r"x must lie in euclidean\(2\), got a value of shape \(3,\)"),
     (lambda: Scale(math.inf), ValueError, r"c must be a real number in \(-inf,inf\), got inf"),
+    # past float64's largest: an int or a longdouble holds it, a float64 factor could not
+    (lambda: Scale(10**400), ConfigError,
+     r"c must be a finite float64 in \(-inf,inf\), got 10{400}$"),
+    (lambda: Scale(np.longdouble("1e4000")), ConfigError,
+     r"c must be a finite float64 in \(-inf,inf\), got np.longdouble\('1e\+4000'\)"),
     (lambda: element(euclidean(2), [1.0, 2.0, 3.0]), SpaceMismatchError,
      r"coords must lie in euclidean\(2\), got a value of shape \(3,\)"),
     (lambda: Armijo(rho=1.0, l=0.5, phi=0.0), ValueError,
@@ -97,8 +102,9 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
      "header must be of type TraceFileHeader, got None"),
     (lambda: TraceFileHeader.create("imsegm", "table1", "ex1:n=4,seed=1", 1, 4), ConfigError,
      "scheme must be of type Scheme, got 'imsegm'"),
-], ids=["affine-dimension", "scale-non-finite", "element-shape", "armijo-phi-0",
-        "armijo-phi-1", "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
+], ids=["affine-dimension", "scale-non-finite", "scale-int-past-float64",
+        "scale-longdouble-past-float64", "element-shape", "armijo-phi-0", "armijo-phi-1",
+        "lipschitz-negative", "lipschitz-nan", "lipschitz-inf",
         "sequence-kind", "box-upper-below-lower", "box-bound-shapes",
         "affine-not-square", "rank-one-not-grid",
         "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",

@@ -6,18 +6,20 @@ A plan built from lists stores tuples, so it cannot gain cells after
 they were resolved, and a str or a non-iterable in place of a list is a
 TypeError naming the field. run_plan builds and certifies each problem
 once, frees it after its cells, runs each distinct computation once and
-keeps the cells' order at every thread count.
+keeps the cells' order at every thread count. Its calls are counted with
+tools/call_counts.count_calls, which follows the plan's worker threads;
+a test rebinds a vikit name only to substitute its behaviour.
 """
 
 import dataclasses
 import math
 import re
-import sys
 import weakref
 from pathlib import Path
 
 import pytest
 
+from call_counts import by_name, count_calls
 from demi_problem import demi_problem
 from vikit import harness
 from vikit.algorithms import (
@@ -29,8 +31,9 @@ from vikit.algorithms import (
     Scheme,
     SequenceRule,
     TraceRow,
+    solve,
 )
-from vikit.problems import RandomSpec, make_example1, make_example2
+from vikit.problems import ProblemInstance, RandomSpec, certify, make_example1, make_example2
 from vikit.stepsize import Adaptive, Armijo, Fixed
 
 
@@ -497,14 +500,10 @@ def test_parse_problem_spec_rejects_non_integer_values(spec, key):
         harness.parse_problem_spec(spec, seed=1)
 
 
-def test_run_plan_rejects_bad_init_before_build_and_certify(tmp_path, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("reached")
-
-    monkeypatch.setattr(harness.prob, "make_example1", unreachable)
-    monkeypatch.setattr(harness.prob, "certify", unreachable)
-    result = harness.run_plan(_one_cell_plan(tmp_path, spec="ex1:n=5,seed=1,init=t_squared"))
-    assert result.paths == []
+def test_run_plan_rejects_bad_init_before_build_and_certify(tmp_path):
+    result, calls = count_calls(_named(make_example1, certify), lambda: harness.run_plan(
+        _one_cell_plan(tmp_path, spec="ex1:n=5,seed=1,init=t_squared")))
+    assert calls["make_example1"] == calls["certify"] == 0 and result.paths == []
     [(cell, category, message)] = result.errors
     assert category == "config" and "ex1 accepts random_uniform" in message
 
@@ -546,28 +545,10 @@ def test_plan_with_duplicate_cells_rejected(problems, algorithms, seeds):
                                max_iter=5, seeds=seeds, output_dir="x")
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap the named functions of harness or, where harness has none of
-    that name, of problems; each call appends to its list."""
-    calls = {name: [] for name in names}
-    for name in names:
-        module = harness if hasattr(harness, name) else harness.prob
-
-        def counted(*args, _orig=getattr(module, name), _log=calls[name], **kwargs):
-            _log.append(args)
-            return _orig(*args, **kwargs)
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
-def _run_switching_often(plan):
-    """Run a plan with the interpreter switching threads every microsecond."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        return harness.run_plan(plan)
-    finally:
-        sys.setswitchinterval(interval)
+def _named(*functions) -> dict:
+    """count_calls rules that count each function's calls, on any thread,
+    under its name."""
+    return dict.fromkeys((function.__code__ for function in functions), by_name)
 
 
 # a plan validates each distinct scheme and lambda_T once, however many
@@ -580,16 +561,16 @@ def _run_switching_often(plan):
     (["ex2:grid=21", "ex2:grid=21,init=t_plus_half_cos_t"], [Scheme.IMSEGM], [1],
      dict(make_example1=0, make_example2=1, certify=1, validate_conditions=1)),
 ])
-def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, problems,
-                                                         algorithms, seeds, builds):
+def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, switching_often,
+                                                         problems, algorithms, seeds, builds):
     # more workers than cores, switching threads often: a build done twice shows
     monkeypatch.setenv("VIKIT_THREADS", "8")
-    calls = _count_calls(monkeypatch, *builds)
     plan = harness.ExperimentPlan(problems=problems, algorithms=algorithms, max_iter=5,
                                   seeds=seeds, output_dir=str(tmp_path))
-    result = _run_switching_often(plan)
+    result, calls = count_calls(_named(make_example1, make_example2, certify,
+                                       harness.validate_conditions), harness.run_plan, plan)
     assert result.errors == [] and len(result.paths) == len(plan.cells())
-    assert {name: len(log) for name, log in calls.items()} == builds
+    assert {name: calls[name] for name in builds} == builds
 
 
 def _group_plan(out, spec):
@@ -611,9 +592,7 @@ def test_a_non_finite_certification_value_fails_as_certification(tmp_path, monke
     ex2 = harness.prob.FAMILIES["ex2"]
     monkeypatch.setitem(harness.prob.FAMILIES, "ex2", ex2._replace(
         build=lambda grid: dataclasses.replace(make_example2(grid), T=lambda x: x * math.nan)))
-    plan = harness.ExperimentPlan(problems=["ex2:grid=5"], algorithms=[Scheme.IMSEGM],
-                                  max_iter=5, seeds=[1], output_dir=str(tmp_path))
-    assert harness.run_plan(plan).errors == [
+    assert harness.run_plan(_one_cell_plan(tmp_path, spec="ex2:grid=5")).errors == [
         ("ex2:grid=5|imsegm|seed=1", "certification",
          "certification failed: element contains non-finite entries")]
 
@@ -621,11 +600,12 @@ def test_a_non_finite_certification_value_fails_as_certification(tmp_path, monke
 def test_builder_crash_fails_every_cell_of_its_problem(tmp_path, monkeypatch):
     calls = []
 
-    def crash(spec):
-        calls.append(spec)
+    def crash(n, seed):
+        calls.append((n, seed))
         raise RuntimeError("builder crashed")
 
-    monkeypatch.setattr(harness.prob, "make_example1", crash)
+    monkeypatch.setitem(harness.prob.FAMILIES, "ex1",
+                        harness.prob.FAMILIES["ex1"]._replace(build=crash))
     result = harness.run_plan(_group_plan(tmp_path, "ex1:n=6,seed=1"))
     assert result.paths == [] and len(calls) == 1
     assert [error[1:] for error in result.errors] == [("runtime", "builder crashed")] * 4
@@ -640,36 +620,17 @@ def test_rejected_spec_fails_every_cell_with_config(tmp_path, spec):
         [(harness._resolve(*cell).id, "config") for cell in plan.cells()]
 
 
-def test_run_plan_resolves_each_cell_once(tmp_path, monkeypatch):
+def test_run_plan_resolves_each_cell_once(tmp_path):
     # 12 cells on two buildable problems and one unknown family: one parse
-    # per cell and one per problem build
-    calls = []
-    spec_fields = harness._spec_fields
-
-    def counted(spec, seed):
-        calls.append(spec)
-        return spec_fields(spec, seed)
-
-    monkeypatch.setattr(harness, "_spec_fields", counted)
-    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=21", "ex9"],
-                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
-                                  seeds=[1, 2], output_dir=str(tmp_path))
-    result = harness.run_plan(plan)
+    # per cell, as the plan is built, and one per problem build
+    result, calls = count_calls(_named(harness._spec_fields), lambda: harness.run_plan(
+        harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=21", "ex9"],
+                               algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                               seeds=[1, 2], output_dir=str(tmp_path))))
     assert len(result.paths) == 8
     assert [error[1:] for error in result.errors] == \
         [("config", "unknown problem family 'ex9' in 'ex9'")] * 4
-    assert len(calls) == 14
-
-
-def _count_solves(monkeypatch):
-    calls = []
-
-    def counted(problem, cfg, _solve=harness.solve):
-        calls.append(cfg.algorithm)
-        return _solve(problem, cfg)
-
-    monkeypatch.setattr(harness, "solve", counted)
-    return calls
+    assert calls["_spec_fields"] == 14
 
 
 @pytest.mark.parametrize("spec,solves", [
@@ -678,15 +639,15 @@ def _count_solves(monkeypatch):
     ("ex1:n=6", 4),  # so do ex1's start and, unpinned, its problem
     ("ex1:n=6,seed=3", 4),
 ])
-def test_run_plan_runs_each_distinct_computation_once(tmp_path, monkeypatch, spec, solves):
+def test_run_plan_runs_each_distinct_computation_once(tmp_path, monkeypatch, switching_often,
+                                                      spec, solves):
     monkeypatch.setenv("VIKIT_THREADS", "8")
-    calls = _count_solves(monkeypatch)
     plan = _group_plan(tmp_path, spec)
-    result = _run_switching_often(plan)
+    result, calls = count_calls(_named(solve), harness.run_plan, plan)
     assert result.errors == [] and len(result.paths) == len(plan.cells()) == 4
     assert sorted(p.name for p in tmp_path.glob("*.csv")) == \
         sorted(harness._resolve(*cell).file for cell in plan.cells())
-    assert len(calls) == solves
+    assert calls["solve"] == solves
 
 
 def _body(path):
@@ -711,18 +672,20 @@ def test_copied_traces_name_their_computed_source(tmp_path):
             assert _body(copy) == _body(source)
 
 
-def test_one_validation_fails_every_computation_of_its_scheme_with_its_message(tmp_path,
-                                                                             monkeypatch):
+def test_one_validation_fails_every_computation_of_its_scheme_with_its_message(
+        tmp_path, monkeypatch, switching_often):
     bad = dict(harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5))
     monkeypatch.setitem(harness.TABLE1, Scheme.IMSEGM, bad)
-    calls = _count_calls(monkeypatch, "validate_conditions")
     # two problems, and two computations of each scheme on each
     plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex1:n=6,seed=2"],
                                   algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
                                   seeds=[1, 2], output_dir=str(tmp_path))
-    result = _run_switching_often(plan)
-    assert sorted(cfg.algorithm.value for cfg, in calls["validate_conditions"]) == \
-        ["imsegm", "stegm"]
+    # each validation counts under its config's scheme
+    rules = {harness.validate_conditions.__code__:
+             lambda frame, arg: frame.f_locals["cfg"].algorithm}
+    result, calls = count_calls(rules, harness.run_plan, plan)
+    assert {key: n for key, n in calls.items() if isinstance(key, Scheme)} == \
+        {Scheme.IMSEGM: 1, Scheme.STEGM: 1}
     problem, _ = harness.parse_problem_spec("ex1:n=6,seed=1", 1)
     violations = harness.validate_conditions(harness.make_config(Scheme.IMSEGM, problem), 5)
     message = "; ".join(str(v) for v in violations)
@@ -765,16 +728,20 @@ def test_copy_of_a_trace_that_failed_to_write_becomes_the_source(tmp_path):
     assert meta["seed"] == "2" and "same_as" not in meta
 
 
-def test_run_plan_refuses_to_overwrite_a_trace(tmp_path, monkeypatch):
+def test_run_plan_refuses_to_overwrite_a_trace(tmp_path):
     assert harness.run_plan(_one_cell_plan(tmp_path)).errors == []
     [written] = tmp_path.iterdir()
     before = written.read_bytes()
-    calls = _count_solves(monkeypatch)
     plan = harness.ExperimentPlan(problems=["ex1:n=5,seed=1"], algorithms=[Scheme.IMSEGM],
                                   max_iter=10, seeds=[2, 1], output_dir=str(tmp_path))
-    with pytest.raises(ValueError, match=r"already exists; cell ex1:n=5,seed=1\|imsegm\|seed=1 "):
-        harness.run_plan(plan)
-    assert calls == [] and list(tmp_path.iterdir()) == [written]
+
+    def refused():
+        with pytest.raises(ValueError,
+                           match=r"already exists; cell ex1:n=5,seed=1\|imsegm\|seed=1 "):
+            harness.run_plan(plan)
+
+    assert count_calls(_named(solve), refused)[1]["solve"] == 0
+    assert list(tmp_path.iterdir()) == [written]
     assert written.read_bytes() == before
 
 
@@ -833,16 +800,11 @@ def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch, thre
     # number of workers
     monkeypatch.setenv("VIKIT_THREADS", threads)
     built, alive_at_build = [], []
-    parse = harness.parse_problem_spec
-
-    def tracked(spec, seed):
-        alive_at_build.append(sum(ref() is not None for ref in built))
-        problem, init = parse(spec, seed)
-        built.append(weakref.ref(problem))
-        return problem, init
-
-    monkeypatch.setattr(harness, "parse_problem_spec", tracked)
+    rules = {ProblemInstance.__post_init__.__code__:
+             lambda frame, arg: built.append(weakref.ref(frame.f_locals["self"])),
+             harness.parse_problem_spec.__code__:
+             lambda frame, arg: alive_at_build.append(sum(ref() is not None for ref in built))}
     plan = harness.ExperimentPlan(problems=["ex1:n=6"], algorithms=[Scheme.IMSEGM],
                                   max_iter=5, seeds=[1, 2, 3], output_dir=str(tmp_path))
-    assert harness.run_plan(plan).errors == []
-    assert alive_at_build == [0, 0, 0]
+    result, _ = count_calls(rules, harness.run_plan, plan)
+    assert result.errors == [] and alive_at_build == [0, 0, 0]

@@ -7,9 +7,9 @@ converges to; and of the problem-spec grammar and the input fields."""
 import dataclasses
 import functools
 import math
+import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Tuple
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -282,19 +282,28 @@ LIMIT_ITERS = 2000
 
 def _iterates_after(problem, cfg, counts):
     """The iterates of solve(problem, cfg) after each number of steps in
-    counts."""
-    kept = {}
-    step_baseline = algorithms.step_baseline
-
-    def record(step, k, *args):
-        out = step_baseline(step, k, *args)
+    counts, from a loop of the step that solve builds, as solve loops it;
+    a change to solve's loop is to be made here too."""
+    x_prev, x = cfg.x0.coords, cfg.x1.coords
+    gamma = getattr(cfg.step, algorithms._FIRST_GAMMA[cfg.algorithm.step])
+    step, kept = algorithms._build_step(cfg.algorithm, problem, cfg, (x_prev, x)), {}
+    for k in range(1, max(counts) + 1):
+        x_prev, (x, gamma, _, _) = x, step(k, x_prev, x, gamma)
         if k in counts:  # a copy: x_{k+1} is overwritten three steps on
-            kept[k] = out[0].copy()
-        return out
-
-    with mock.patch.object(algorithms, "step_baseline", record):
-        solve(problem, cfg)
+            kept[k] = x.copy()
     return [kept[count] for count in counts]
+
+
+def test_iterates_after_loops_the_step_as_solve_does():
+    # _iterates_after copies algorithms.solve's loop, which the theorem-point
+    # test reads without the hook's cost: every scheme's iterates give, bit
+    # for bit, the errors D_k that solve records (ex1's solution is 0)
+    p = make_example1(RandomSpec(20, 1))
+    x0, x1 = initial_points(p, "random_uniform", seed=1)
+    for scheme in Scheme:
+        cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=300)
+        iterates = _iterates_after(p, cfg, range(1, 301))
+        assert [p.space.norm(x) for x in iterates] == [row.D for row in solve(p, cfg).rows[1:]]
 
 
 @st.composite
@@ -370,9 +379,11 @@ class Field(NamedTuple):
 
 def _is_number(value, integer: bool) -> bool:
     """A real number, or an integer for a count; numpy scalars count, bools
-    do not."""
+    do not, and nor does an int past float64's largest, such as 10**400,
+    which converts to no finite float64."""
     kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
-    return isinstance(value, kinds) and not isinstance(value, (bool, np.bool_))
+    return (isinstance(value, kinds) and not isinstance(value, (bool, np.bool_))
+            and (integer or not isinstance(value, int) or abs(value) <= sys.float_info.max))
 
 
 # A 4-dimensional ex1 whose A counts its calls, so that a rejection can be
@@ -590,7 +601,9 @@ def test_each_field_takes_its_values_or_names_itself_before_any_step(field):
     # so it is checked whole rather than sampled, and every wrong value is
     # listed; one case per field, so that a broken rule is named in the summary
     wrong = []
-    for value in field.valid + field.others + tuple(NUMBERS + NOT_NUMBERS):
+    # a real field is also offered 10**400; a count would take it and allocate
+    huge = () if field.integer or field.interval is None else (10**400, -10**400)
+    for value in field.valid + field.others + tuple(NUMBERS + NOT_NUMBERS) + huge:
         accepted = any(value is v for v in field.valid) or (
             field.interval is not None and _is_number(value, field.integer)
             and bool(field.interval(value)))

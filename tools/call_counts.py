@@ -4,8 +4,9 @@ each scheme.
     python tools/call_counts.py SPEC [--iters N] [--record-invariants]
 
 `count_calls` is the one call counter of the repository's tests and tools:
-one sys.setprofile function, keyed on code objects, that rebinds, mocks
-and subclasses nothing, so it counts the path the code runs anyway.
+one profile function, keyed on code objects and set on the calling thread
+and on each thread the counted call starts, that rebinds, mocks and
+subclasses nothing, so it counts the path the code runs anyway.
 
 For every scheme, the problem of SPEC (a `vikit run` problem spec, built at
 plan seed 1) is solved for N iterations (default 200) from its spec's
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -56,34 +58,43 @@ CALLS = {cls: cls.__call__.__code__ for cls in OWN_OPERATORS}
 
 
 def count_calls(rules: dict, fn, *args):
-    """(fn(*args), a Counter of the calls it made), counted by one
-    sys.setprofile function that rebinds, mocks and subclasses nothing, so
-    the calls are those of the path the code runs anyway. "call" counts the
-    profiler's `call` events (Python functions) and "c_call" its `c_call`
-    events (builtins and C functions). `rules` maps a code object to
-    rule(frame, None), run at each call of that code with the callee's
-    frame, and the string "c_call" to rule(frame, function), run at each C
-    call with the calling frame; each adds one to the key its rule gives,
-    unless that is None, so a rule that needs order or several values
-    records into its caller's own list and gives None. fn is called from this frame, so that the events
-    are fn's own and sys.setprofile's last call; the profile function found
-    on entry is restored on exit and sees none of fn's events."""
-    counts = Counter()
+    """(fn(*args), a Counter of the calls it made), counted by one profile
+    function that rebinds, mocks and subclasses nothing, so the calls are
+    those of the path the code runs anyway. It is set with sys.setprofile
+    on this thread and with threading.setprofile for every thread started
+    while fn runs, such as a plan's worker pool; a thread started before
+    the hook is set is not covered, and one that fn leaves running counts
+    on until it ends. The counts are kept under a lock, so threads that
+    call at once all count. "call" counts the profiler's `call` events
+    (Python functions) and "c_call" its `c_call` events (builtins and C
+    functions). `rules` maps a code object to rule(frame, None), run at
+    each call of that code with the callee's frame, and the string
+    "c_call" to rule(frame, function), run at each C call with the calling
+    frame; each adds one to the key its rule gives, unless that is None,
+    so a rule that needs order or several values records into its caller's
+    own list and gives None. fn is called from this frame, so that this
+    thread's events are fn's own and sys.setprofile's last call; both
+    profile functions found on entry are restored on exit and see none of
+    fn's events."""
+    counts, lock = Counter(), threading.Lock()
 
     def profile(frame, event, arg):
         if event == "call" or event == "c_call":
-            counts[event] += 1
             rule = rules.get(frame.f_code if event == "call" else event)
             key = None if rule is None else rule(frame, arg)
-            if key is not None:
-                counts[key] += 1
+            with lock:
+                counts[event] += 1
+                if key is not None:
+                    counts[key] += 1
 
-    found = sys.getprofile()
+    found, found_threads = sys.getprofile(), threading.getprofile()
+    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         result = fn(*args)
     finally:
         sys.setprofile(found)
+        threading.setprofile(found_threads)
     return result, counts
 
 
