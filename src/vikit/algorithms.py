@@ -10,15 +10,19 @@ its parts, and one builder, `_build_step`, makes the step of every member.
 then builds its scheme's step once, before the loop. The build resolves
 what cannot change within a solve: the scheme's extrapolation,
 correction, outer update and step policy; theta_k, eta_k and zeta_k as
-their closed forms, called as `SequenceRule` calls them; and the names
-`project`, `armijo_search`, `adaptive_update` and `check_finite`, as they
-are bound when solve starts. Two direct paths skip per-call checks that
-hold for the whole solve, each chosen where its module states the rule
-for dot giving @'s bits (`space.dot_agrees`):
+their closed forms, called as `SequenceRule` calls them; the names
+`armijo_search`, `adaptive_update` and `check_finite`, as they are bound
+when solve starts; C's own `project`; and each of A, T, F and f_visc as
+a function of (x, out). An operator that is exactly one of vikit's own
+(`operators.OWN_OPERATORS`) is itself such a function, and writes its
+value into out; any other is called with the point alone. Nothing in the
+step tests the type of C or of an operator. Two direct paths skip
+per-call checks that hold for the whole solve, each chosen where its
+module states the rule for dot giving @'s bits (`space.dot_agrees`):
 - `operators.bare_map`: A is G.dot, plus the offset f, when A is exactly
   an `AffineMatrix`, and G and both starts are C-contiguous with n > 1;
-- `SpaceDescriptor.bare_inner`: the inner products of the halfspace
-  projection, the inertial gap ||x_k - x_{k-1}|| and D_k are ndarray.dot
+- `SpaceDescriptor.bare_inner`: the inner products of the projection
+  onto the step's own halfspace, the inertial gap ||x_k - x_{k-1}|| and D_k are ndarray.dot
   in R^n when both starts are C-contiguous with n > 1 (on a grid, inner
   bound to a work vector); a norm whose sum of squares is not finite
   falls back to `SpaceDescriptor.norm`.
@@ -33,13 +37,12 @@ float, to the same bits). It writes every vector it forms into them with
 numpy's `out` arguments, keeping each expression's order of operations:
 dx, s, A(s), the trial point, y, A(y), the normal, z, T(z), the outer
 update's terms and x_{k+1}, which rotates among three so that it never
-overwrites x_k or x_{k-1} (the starts are only read). It passes an `out`
-to A, T, F and f_visc only when the operator is exactly one of vikit's
-own (`operators.OWN_OPERATORS`), and work vectors to `project_box`,
-`project_ball`, `project_halfspace`, `adaptive_update` and
-`armijo_search`. So a step onto a box or a ball allocates no vector,
-save the rows of the Armijo screen (`stepsize.armijo_search`); a
-halfspace C is projected by `project`, which makes a new array. Every
+overwrites x_k or x_{k-1} (the starts are only read). It passes work
+vectors to C's `project`, `project_halfspace`, `adaptive_update` and
+`armijo_search`. So a step over a box, a ball or a halfspace allocates
+no vector, save the rows of the Armijo screen (`stepsize.armijo_search`)
+and, over a halfspace C on a grid, the weighted products of that
+space's `inner`. Every
 step is arrays in, arrays out: the loop carries (x_{k-1}, x_k, gamma_k),
 and each step returns (x_{k+1}, gamma_{k+1}, delta_k, residuals). A
 recording solve builds a closure that the step calls with its own points
@@ -64,7 +67,7 @@ import numpy as np
 
 from .problems import ProblemInstance
 from .operators import OWN_OPERATORS, bare_map
-from .projections import Ball, Box, HalfSpace, project, project_ball, project_box, project_halfspace
+from .projections import HalfSpace, project_halfspace
 from .space import (ConfigError, SpaceElement, check_field, check_finite, check_space,
                     check_type)
 from .stepsize import (
@@ -321,16 +324,18 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
     th, th_v = _SEQUENCES[cfg.theta.kind], cfg.theta.value
     et, et_v = _SEQUENCES[cfg.eta.kind], cfg.eta.value
     ze, ze_v = (_SEQUENCES[cfg.zeta.kind], cfg.zeta.value) if inertial else (None, None)
-    # the names a caller may have rebound, as they are now, and the operator
-    # and inner product without their per-call checks where these may go
-    A_op, A, inner = problem.A, bare_map(problem.A, *starts), space.bare_inner(*starts)
-    search, update, proj, finite = armijo_search, adaptive_update, project, check_finite
-    # which operators write their value into a work vector: exactly vikit's
-    # own, while any other (perfbench's wrapped ones) is called as A(x)
+    # the names a caller may have rebound, as they are now, C's projection,
+    # and the inner product without its per-call checks where these may go
+    A_op, inner, proj = problem.A, space.bare_inner(*starts), C.project
+    search, update, finite = armijo_search, adaptive_update, check_finite
+    # each operator as a function of (x, out): exactly one of vikit's own
+    # writes its value into out (A as bare_map has it), while any other,
+    # such as perfbench's wrapped ones, is called with the point alone
     own = OWN_OPERATORS
-    a_out, t_out, f_out, v_out = (type(A_op) in own, type(T) in own, type(F) in own,
-                                  type(f_visc) in own)
-    ball, box = type(C) is Ball, type(C) is Box
+    A = bare_map(A_op, *starts) if type(A_op) in own else lambda x, out=None, op=A_op: op(x)
+    T = T if type(T) in own else lambda x, out=None, op=T: op(x)
+    F = F if type(F) in own else lambda x, out=None, op=F: op(x)
+    f_visc = f_visc if type(f_visc) in own else lambda x, out=None, op=f_visc: op(x)
     add, subtract, multiply = np.add, np.subtract, np.multiply
     # the solve's work vectors, one array each, as the step made its
     # temporaries: x_{k+1} is X[k % 3]; DX, S, AS, TR, Y, AY, NM, Z and TZ
@@ -358,11 +363,10 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
             gamma, y, As, Ay = search(space, policy, s, A_op, C, search_work)
         neg_gamma[()] = -gamma
         if not armijo:
-            As = A(s, AS) if a_out else A(s)
+            As = A(s, AS)
             trial = add(s, multiply(neg_gamma, As, TR), TR)
-            y = (project_ball(C, trial, Y, Q) if ball else project_box(C, trial, Y) if box
-                 else proj(C, trial))
-            Ay = A(y, AY) if a_out else A(y)
+            y = proj(trial, Y, Q)
+            Ay = A(y, AY)
         if tseng:
             z = add(y, multiply(neg_gamma, subtract(Ay, As, Z), Z), Z)
         else:
@@ -370,7 +374,7 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
             z = project_halfspace(inner, normal, y, add(s, multiply(neg_gamma, Ay, P), P), Z)
         if outer == "anchored":
             z = add(multiply(theta, anchor, W), multiply(1.0 - theta, z, Z), Z)
-        Tz = T(z, TZ) if t_out else T(z)
+        Tz = T(z, TZ)
         x_next = X[k % 3]
         if outer == "mann":
             add(multiply(1.0 - theta - eta, z, x_next), multiply(eta, Tz, TZ), x_next)
@@ -382,10 +386,10 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
         else:
             t = add(multiply(1.0 - eta, z, W), multiply(eta, Tz, TZ), W)
             if outer == "viscosity":
-                fx = f_visc(x, x_next) if v_out else f_visc(x)
+                fx = f_visc(x, x_next)
                 add(multiply(theta, fx, x_next), multiply(1.0 - theta, t, W), x_next)
             else:  # hsd
-                Ft = F(t, x_next) if f_out else F(t)
+                Ft = F(t, x_next)
                 add(t, multiply(-HSD_LAMBDA * theta, Ft, x_next), x_next)
         x_next = finite(x_next)
         if adaptive:

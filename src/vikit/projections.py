@@ -2,10 +2,11 @@
 
 Closed-form projectors for boxes, balls and halfspaces. Points are
 coordinate arrays; a ball or halfspace carries the space whose norm the
-projection is taken in. `project` makes a new array for a point it
-moves; `project_box`, `project_ball` and `project_halfspace`, which a
-scheme's step calls directly, write it into a caller's work vector
-instead.
+projection is taken in. Each set projects itself: `s.project(x, out,
+work)` writes a point it moves into the work vector `out` when one is
+given, as a scheme's step and the Armijo search pass it, and makes a new
+array otherwise, as `project(s, x)` does. The step projects onto its own
+halfspace, which it never builds, with `project_halfspace`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ class Box:
         object.__setattr__(self, "lo", _read_only(np.array(self.lower, dtype=float)))
         object.__setattr__(self, "hi", _read_only(np.array(self.upper, dtype=float)))
 
+    def project(self, x: np.ndarray, out: Optional[np.ndarray] = None,
+                work: Optional[np.ndarray] = None) -> np.ndarray:
+        """x clipped to the box, into `out`, an array of x's shape, when
+        one is given, and into a new array otherwise; a box takes no
+        `work`."""
+        # a box has no space of its own; clipping would broadcast x and the bounds
+        if self.shape not in ((), x.shape):
+            check_space("x", x, euclidean(self.shape[0]))
+        return clip_ufunc(check_finite(x), self.lo, self.hi, out)
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -76,6 +87,33 @@ class Ball:
     def __post_init__(self):
         check_type("center", self.center, SpaceElement)
         check_field("radius", self.radius, 0.0, lo_open=True)
+
+    def project(self, x: np.ndarray, out: Optional[np.ndarray] = None,
+                work: Optional[np.ndarray] = None) -> np.ndarray:
+        """The nearest point of the ball to x. `out`, an n-vector, holds
+        x - center and then the nearest point when one is given, and
+        `work` is passed to the norm (see `SpaceDescriptor.inner`); neither
+        may be x, and x itself is returned when it lies in the ball."""
+        sp = self.center.space
+        if x.shape != (sp.dim,):
+            check_space("x", x, sp)
+        c = self.center.coords
+        try:
+            d = np.subtract(x, c, out)
+            dist = sp.norm(d, work)
+        except (NonFiniteElementError, RuntimeWarning):
+            # x has a NaN or Inf entry, on which check_finite raises, or
+            # x - c overflowed on finite points (a RuntimeWarning where
+            # warnings are errors). A grid space's weights can still put
+            # such an x in the ball, so take the distance on x and c divided
+            # by their largest |entry|, as norm rescales, and the nearest
+            # point as the convex combination of c and x, which cannot overflow
+            scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
+            t = self.radius / scale / sp.norm(x / scale - c / scale)
+            return x if t >= 1.0 else (1.0 - t) * c + t * x
+        if dist <= self.radius:
+            return x
+        return np.add(c, np.multiply(self.radius / dist, d, out), out)
 
 
 @dataclass
@@ -100,6 +138,15 @@ class HalfSpace:
             value = check_space(name, check_type(name, getattr(self, name), np.ndarray), self.space)
             check_type(name, value, RealArray)
 
+    def project(self, x: np.ndarray, out: Optional[np.ndarray] = None,
+                work: Optional[np.ndarray] = None) -> np.ndarray:
+        """`project_halfspace` on this halfspace, in its space's `inner`,
+        once x is known to lie in the space; `out` is passed on, and a
+        halfspace takes no `work`."""
+        if x.shape != self.normal.shape:  # the normal has the space's shape
+            check_space("x", x, self.space)
+        return project_halfspace(self.space.inner, self.normal, self.anchor, x, out)
+
 
 FeasibleSet = Union[Box, Ball, HalfSpace]
 
@@ -116,60 +163,17 @@ def project(s: FeasibleSet, x: np.ndarray) -> np.ndarray:
     whose x - center or x - anchor overflows is kept when it lies in the
     set and projected otherwise.
     A point that does not fit the set's space, or a box's shape, raises
-    SpaceMismatchError."""
-    if isinstance(s, Box):
-        return project_box(s, x)
-    if isinstance(s, Ball):
-        return project_ball(s, x)
-    if x.shape != s.normal.shape:  # the normal has the space's shape
-        check_space("x", x, s.space)
-    return project_halfspace(s.space.inner, s.normal, s.anchor, x)
-
-
-def project_box(s: Box, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """project's box branch; a scheme's step and the Armijo search call it
-    directly. `out`, an array of x's shape, holds the clipped point when
-    one is given, and a new array is made otherwise."""
-    # a box has no space of its own; clipping would broadcast x and the bounds
-    if s.shape not in ((), x.shape):
-        check_space("x", x, euclidean(s.shape[0]))
-    return clip_ufunc(check_finite(x), s.lo, s.hi, out)
-
-
-def project_ball(s: Ball, x: np.ndarray, out: Optional[np.ndarray] = None,
-                 work: Optional[np.ndarray] = None) -> np.ndarray:
-    """project's ball branch; a scheme's step and the Armijo search call it
-    directly. `out`, an n-vector, holds x - center and then the nearest
-    point when one is given, and `work` is passed to the norm (see
-    `SpaceDescriptor.inner`); neither may be x, and x itself is returned
-    when it lies in the ball, as by project."""
-    sp = s.center.space
-    if x.shape != (sp.dim,):
-        check_space("x", x, sp)
-    c = s.center.coords
-    try:
-        d = np.subtract(x, c, out)
-        dist = sp.norm(d, work)
-    except (NonFiniteElementError, RuntimeWarning):
-        # x has a NaN or Inf entry, on which check_finite raises, or
-        # x - c overflowed on finite points (a RuntimeWarning where
-        # warnings are errors). A grid space's weights can still put
-        # such an x in the ball, so take the distance on x and c divided
-        # by their largest |entry|, as norm rescales, and the nearest
-        # point as the convex combination of c and x, which cannot overflow
-        scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())
-        t = s.radius / scale / sp.norm(x / scale - c / scale)
-        return x if t >= 1.0 else (1.0 - t) * c + t * x
-    if dist <= s.radius:
-        return x
-    return np.add(c, np.multiply(s.radius / dist, d, out), out)
+    SpaceMismatchError. The set's own `project` makes the projection."""
+    return s.project(x)
 
 
 def project_halfspace(inner, normal: np.ndarray, anchor: np.ndarray,
                       x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """project's halfspace branch, on the halfspace's parts: inner is its
-    space's `inner`, or that space's `bare_inner` for C-contiguous arrays,
-    and x lies in the space. A scheme's step calls it directly. `out`, an
+    """The projection onto the halfspace {y : <normal, y - anchor> <= 0},
+    on its parts: inner is its space's `inner`, or that space's
+    `bare_inner` for C-contiguous arrays, and x lies in the space. A
+    scheme's step calls it directly for its own halfspace, and
+    `HalfSpace.project` for a halfspace C. `out`, an
     n-vector that is none of x, the normal and the anchor, holds x - anchor
     and then the projection when one is given; the slow path allocates.
 

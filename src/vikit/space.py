@@ -21,14 +21,13 @@ alike.
 
 Operators are pure maps: vikit's own check nothing, and a caller's need
 not either. vikit's own (`operators.OWN_OPERATORS`) also take an `out`,
-into which they write their value, and `inner`, `norm`, the ball and
-halfspace projections and the step-size rules take work vectors; a
-caller's operator is only ever called with the point. Work vectors
-belong to one solve: `algorithms.solve` makes them once, before its
-loop, and its step writes every vector it forms into them, so that a
-step over a ball allocates nothing (`project` makes a new array for a
-box or a halfspace C). None lives on a space, an operator or a
-problem, which the plan runner's threads share.
+into which they write their value, and `inner`, `norm`, each set's
+`project` and the step-size rules take work vectors; a caller's
+operator is only ever called with the point. Work vectors belong to one
+solve: `algorithms.solve` makes them once, before its loop, and its
+step writes every vector it forms into them, so that a step over a box,
+a ball or a halfspace of R^n allocates nothing. None lives on a space,
+an operator or a problem, which the plan runner's threads share.
 
 A NaN or Inf raises NonFiniteElementError, and `check_finite`
 checks a vector entry by entry in four kinds of place only:

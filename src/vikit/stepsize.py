@@ -12,8 +12,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .operators import OWN_OPERATORS, AffineMatrix
-from .projections import (Ball, Box, FeasibleSet, clip_ufunc, project, project_ball,
-                          project_box)
+from .projections import Box, FeasibleSet, clip_ufunc
 from .space import SpaceDescriptor, _read_only, _vdot, check_field
 
 
@@ -120,13 +119,14 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
 
     Returns (gamma, y, A(x), A(y)) for the accepted step. `work`, six
     n-vectors none of which is x, holds the serial loop's vectors: A(x),
-    the unprojected trial point, y projected onto a box or a ball, A(y),
+    the unprojected trial point, y as C's `project` writes it, A(y),
     x - y and A(x) - A(y), and each norm's quadrature (see
-    `SpaceDescriptor.inner`).
-    A(x) and A(y) are written there only when A is exactly one of vikit's
-    own operators (`operators.OWN_OPERATORS`); any other A is called with
-    the point alone. With no work, new arrays are made instead. Either way
-    y, A(x) and A(y) may be work vectors, which the next call overwrites.
+    `SpaceDescriptor.inner`). C's `project` is bound once per search, and
+    so is A: itself when it is exactly one of vikit's own operators
+    (`operators.OWN_OPERATORS`), which write A(x) and A(y) there, and
+    otherwise a function that calls it with the point alone. With no
+    work, new arrays are made instead. Either way y, A(x) and A(y) may be
+    work vectors, which the next call overwrites.
 
     The trials run in order, each exactly as stated, except those that
     `_proven_rejections` proves the test rejects: these are skipped (gamma
@@ -195,8 +195,9 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     module's call convention says, and none of these checks rejects a
     finite vector."""
     ax, trial, yb, ay, d, q = (None,) * 6 if work is None else work
-    own, ball, box = type(A) in OWN_OPERATORS, type(C) is Ball, type(C) is Box
-    Ax = A(x, ax) if own else A(x)
+    op = A if type(A) in OWN_OPERATORS else lambda x, out=None: A(x)
+    proj = C.project
+    Ax = op(x, ax)
     skip = _proven_rejections(space, policy, x, Ax, A, C)
     gamma = policy.rho
     for j in range(ARMIJO_MAX_TRIALS):
@@ -204,8 +205,8 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
             gamma *= policy.l
             continue
         t = np.add(x, np.multiply(-gamma, Ax, trial), trial)
-        y = project_ball(C, t, yb, q) if ball else project_box(C, t, yb) if box else project(C, t)
-        Ay = A(y, ay) if own else A(y)
+        y = proj(t, yb, q)
+        Ay = op(y, ay)
         if (gamma * space.norm(np.subtract(Ax, Ay, d), q)
                 <= policy.phi * space.norm(np.subtract(x, y, d), q)):
             return gamma, y, Ax, Ay

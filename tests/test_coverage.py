@@ -21,8 +21,8 @@ from vikit import algorithms, operators, projections, space, stepsize
 from vikit.algorithms import Scheme
 
 CORE = (algorithms._build_step, algorithms._recorder, algorithms._square, projections.project,
-        projections.project_box, projections.project_ball, projections.project_halfspace,
-        stepsize.adaptive_update,
+        projections.Box.project, projections.Ball.project, projections.HalfSpace.project,
+        projections.project_halfspace, stepsize.adaptive_update,
         stepsize.armijo_search,
         stepsize._proven_rejections, space.SpaceDescriptor.inner, space.SpaceDescriptor.norm,
         space.SpaceDescriptor.bare_inner, operators.AffineMatrix.__call__, operators.bare_map)
@@ -32,10 +32,11 @@ CORE = (algorithms._build_step, algorithms._recorder, algorithms._square, projec
 # golden cell reaches it
 UNREACHED = {
     # guards that raise on a point of the wrong shape
-    ("project_box", 'check_space("x", x, euclidean(s.shape[0]))', 1):
+    ("Box.project", 'check_space("x", x, euclidean(self.shape[0]))', 1):
         "test_projections.py::test_box_projection_keeps_the_points_shape_or_names_it",
-    ("project_ball", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
-    ("project", 'check_space("x", x, s.space)', 1): "test_projections.py::test_space_mismatch",
+    ("Ball.project", 'check_space("x", x, sp)', 1): "test_projections.py::test_space_mismatch",
+    ("HalfSpace.project", 'check_space("x", x, self.space)', 1):
+        "test_projections.py::test_space_mismatch",
     ("AffineMatrix.__call__", 'check_space("x", x, euclidean(G.shape[0]))', 1):
         "test_error_paths.py::test_bad_input_raises_a_typed_error_naming_it",
     # a halfspace normal whose square underflows, an x - anchor or inner
@@ -58,9 +59,10 @@ UNREACHED = {
         "test_projections.py::test_halfspace_projects_a_finite_point_whose_offset_overflows",
     # a projection onto a halfspace C: a scheme's step projects onto its
     # own halfspace with project_halfspace, and every golden C is a box or ball
-    ("project", "if x.shape != s.normal.shape:  # the normal has the space's shape", 1):
-        "test_projections.py::test_halfspace_orthogonal_drop",
-    ("project", "return project_halfspace(s.space.inner, s.normal, s.anchor, x)", 1):
+    ("HalfSpace.project", "if x.shape != self.normal.shape:  # the normal has the space's shape",
+     1): "test_projections.py::test_halfspace_orthogonal_drop",
+    ("HalfSpace.project",
+     "return project_halfspace(self.space.inner, self.normal, self.anchor, x, out)", 1):
         "test_projections.py::test_halfspace_orthogonal_drop",
     # a zeta_k that is not positive, which no Table 1 sequence gives
     ("_build_step", 'raise ValueError(f"zeta_k must be positive, got {zeta_k}")', 1):
@@ -69,22 +71,16 @@ UNREACHED = {
     ("_square", "return math.inf", 1):
         "test_algorithms.py::test_a_recording_solve_runs_where_a_plain_solve_does",
     # a ball's x - center that overflows on finite points
-    ("project_ball", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
+    ("Ball.project", "scale = max(np.abs(check_finite(x)).max(), np.abs(c).max())", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project_ball", "t = s.radius / scale / sp.norm(x / scale - c / scale)", 1):
+    ("Ball.project", "t = self.radius / scale / sp.norm(x / scale - c / scale)", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project_ball", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
+    ("Ball.project", "return x if t >= 1.0 else (1.0 - t) * c + t * x", 1):
         "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    # project onto a box or a ball: a scheme's step and the Armijo search
-    # call project_box and project_ball directly
-    ("project", "if isinstance(s, Box):", 1):
+    # project itself: a scheme's step and the Armijo search call the set's
+    # own project
+    ("project", "return s.project(x)", 1):
         "test_projections.py::test_the_clip_ufunc_is_np_clip_bit_for_bit",
-    ("project", "return project_box(s, x)", 1):
-        "test_projections.py::test_the_clip_ufunc_is_np_clip_bit_for_bit",
-    ("project", "if isinstance(s, Ball):", 1):
-        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
-    ("project", "return project_ball(s, x)", 1):
-        "test_projections.py::test_ball_projects_a_finite_point_whose_offset_overflows",
     # the Armijo search exhausted, and a policy with no trial to screen
     ("armijo_search", "raise ArmijoSearchError(", 1):
         "test_stepsize.py::test_armijo_exhaustion_raises_with_last_gamma",

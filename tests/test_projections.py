@@ -19,7 +19,6 @@ from vikit.projections import (
     clip_ufunc,
     halfspace_residual,
     project,
-    project_box,
 )
 from vikit.space import (ConfigError, NonFiniteElementError, SpaceDescriptor, SpaceMismatchError,
                          element, euclidean, grid_l2, zeros)
@@ -286,7 +285,7 @@ def test_the_clip_ufunc_is_np_clip_bit_for_bit(data, n):
     x = np.array(data.draw(st.lists(_FINITE, min_size=n, max_size=n)))
     expected, before, out = np.clip(x, lo, hi).tobytes(), x.tobytes(), np.empty(n)
     assert project(box, x).tobytes() == expected
-    assert project_box(box, x, out) is out
+    assert box.project(x, out) is out
     assert (out.tobytes(), x.tobytes()) == (expected, before)
     assert not (box.lo.flags.writeable or box.hi.flags.writeable)
     # a block of screen rows, which may hold inf or NaN, clipped in place

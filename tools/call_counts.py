@@ -45,8 +45,7 @@ from vikit.cli import integer  # noqa: E402
 from vikit.harness import make_config, parse_problem_spec  # noqa: E402
 from vikit.operators import OWN_OPERATORS, AffineMatrix  # noqa: E402
 from vikit.problems import initial_points  # noqa: E402
-from vikit.projections import (project, project_ball, project_box,  # noqa: E402
-                               project_halfspace)
+from vikit.projections import Ball, Box, HalfSpace, project_halfspace  # noqa: E402
 from vikit.stepsize import armijo_search  # noqa: E402
 
 SEED = 1  # the plan seed and the start seed
@@ -112,8 +111,10 @@ def work_rules(problem) -> dict:
     a call of an operator's __call__, and a C call of G's method from
     outside AffineMatrix.__call__, as where A is exactly an AffineMatrix a
     solve may evaluate it as G.dot (`operators.bare_map`). A projection
-    counts under (its set's kind, whether armijo_search made it); one that
-    `project` hands on to its box, ball or halfspace branch counts once."""
+    counts under (its set's kind, whether armijo_search made it): a call of
+    a set's `project`, or of `project_halfspace`, with which a step
+    projects onto its own halfspace; one that `HalfSpace.project` hands on
+    to `project_halfspace` counts once."""
     named = [(getattr(problem, name), name) for name in OPERATORS]
 
     def operator(frame, arg):
@@ -123,14 +124,14 @@ def work_rules(problem) -> dict:
     def projection(kind):
         def rule(frame, arg):
             caller = frame.f_back.f_code
-            if caller is not project.__code__:
-                return (kind or type(frame.f_locals["s"]).__name__.lower(),
-                        caller is armijo_search.__code__)
+            if caller is not HalfSpace.project.__code__:
+                return kind, caller is armijo_search.__code__
         return rule
 
     rules = dict.fromkeys(CALLS.values(), operator)
-    rules.update({project.__code__: projection(None), project_box.__code__: projection("box"),
-                  project_ball.__code__: projection("ball"),
+    rules.update({Box.project.__code__: projection("box"),
+                  Ball.project.__code__: projection("ball"),
+                  HalfSpace.project.__code__: projection("halfspace"),
                   project_halfspace.__code__: projection("halfspace")})
     if type(problem.A) is AffineMatrix:
         G, call = problem.A.G, CALLS[AffineMatrix]
