@@ -22,10 +22,10 @@ module states the rule for dot giving @'s bits (`space.dot_agrees`):
 - `operators.bare_map`: A is G.dot, plus the offset f, when A is exactly
   an `AffineMatrix`, and G and both starts are C-contiguous with n > 1;
 - `SpaceDescriptor.bare_inner`: the inner products of the projection
-  onto the step's own halfspace, the inertial gap ||x_k - x_{k-1}|| and D_k are ndarray.dot
-  in R^n when both starts are C-contiguous with n > 1 (on a grid, inner
-  bound to a work vector); a norm whose sum of squares is not finite
-  falls back to `SpaceDescriptor.norm`.
+  onto the step's own halfspace, the inertial gap ||x_k - x_{k-1}|| and
+  D_k are ndarray.dot in R^n when both starts are C-contiguous with
+  n > 1 (on a grid, inner bound to a work vector); a norm whose sum of
+  squares is not finite falls back to `SpaceDescriptor.norm`.
 Every other input (any other operator, perfbench's wrapped ones among
 them, a start at a reversed stride) keeps the calls of its own type.
 
@@ -42,17 +42,16 @@ vectors to C's `project`, `project_halfspace`, `adaptive_update` and
 `armijo_search`. So a step over a box, a ball or a halfspace allocates
 no vector, save the rows of the Armijo screen (`stepsize.armijo_search`)
 and, over a halfspace C on a grid, the weighted products of that
-space's `inner`. Every
-step is arrays in, arrays out: the loop carries (x_{k-1}, x_k, gamma_k),
-and each step returns (x_{k+1}, gamma_{k+1}, delta_k, residuals). A
-recording solve builds a closure that the step calls with its own points
-s, y, z and its halfspace's normal, which gives the three residuals from
-solve's work vector and `bare_inner` (`_recorder`); residuals is None
-when nothing is recorded. Only `_state_step` (step_alg1 to step_alg4)
-builds an `IterateState` and a `HalfSpace`. Each trace is bitwise the
-same either way. A step that overflows, or meets NaN, raises
-NonFiniteElementError at that step; where it checks follows the `space`
-module's call convention.
+space's `inner`. Every step is arrays in, arrays out: the loop carries
+(x_{k-1}, x_k, gamma_k), and each step returns (x_{k+1}, gamma_{k+1},
+delta_k, residuals). A recording solve builds a closure that the step
+calls with its own points s, y, z and its halfspace's normal, which
+gives the three residuals from solve's work vector and `bare_inner`
+(`_recorder`); residuals is None when nothing is recorded. Only
+`_state_step` (step_alg1 to step_alg4) builds an `IterateState` and a
+`HalfSpace`. Each trace is bitwise the same either way. A step that
+overflows, or meets NaN, raises NonFiniteElementError at that step;
+where it checks follows the `space` module's call convention.
 """
 
 from __future__ import annotations
@@ -287,10 +286,6 @@ class ConvergenceTrace:
 # weight lambda for the hsd outer update
 INERTIAL_DELTA = 0.6
 HSD_LAMBDA = 0.5
-
-
-# the field of each step-policy type that holds gamma_1
-_FIRST_GAMMA = {Fixed: "gamma", Adaptive: "gamma1", Armijo: "rho"}
 
 
 def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
@@ -558,7 +553,7 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     step = _build_step(scheme, problem, cfg, (x_prev, x), record)
     trace = ConvergenceTrace(scheme=scheme)
     rows = trace.rows
-    gamma = getattr(cfg.step, _FIRST_GAMMA[scheme.step])
+    gamma = cfg.step.gamma1
     rows.append(TraceRow(1, err(x, x_star), gamma, 0.0, 0.0))
     start = time.perf_counter()
     for k in range(1, cfg.max_iter + 1):

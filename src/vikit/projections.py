@@ -37,7 +37,8 @@ except ImportError:
 @dataclass(frozen=True)
 class Box:
     """{x : lower <= x_i <= upper} coordinatewise. Each bound is a real
-    number or a non-empty array of them, and may be infinite but not NaN;
+    number or a non-empty array of them, and may be infinite but not NaN
+    nor a finite value past float64's largest, such as a longdouble 1e4000;
     an upper bound below its lower one is also a ConfigError. `shape` is the shape
     the bounds broadcast to: () for scalar bounds, (n,) otherwise.
 
@@ -54,8 +55,13 @@ class Box:
     hi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_type("lower", self.lower, RealArray)
-        check_type("upper", self.upper, RealArray)
+        for name in ("lower", "upper"):
+            bound = np.asarray(check_type(name, getattr(self, name), RealArray))
+            # float64's largest as a float64: a float32 bound would cast a Python float
+            # to float32, and overflow
+            if (np.isfinite(bound) & (np.abs(bound) > np.finfo(float).max)).any():
+                raise ConfigError(f"{name} must be infinite or a finite float64, "
+                                  f"got {getattr(self, name)!r}")
         try:
             shape = np.broadcast_shapes(np.shape(self.lower), np.shape(self.upper))
         except ValueError:
@@ -120,7 +126,8 @@ class Ball:
 class HalfSpace:
     """{x : <normal, x - anchor> <= 0} in the given space. The space is a
     SpaceDescriptor, and the normal and the anchor are real arrays of its
-    shape with no NaN entry (ConfigError naming the field otherwise).
+    shape with no NaN or Inf entry (ConfigError naming the field
+    otherwise).
 
     A zero normal is the degenerate case and denotes the whole space.
     A scheme's step projects with `project_halfspace` directly and builds
@@ -136,7 +143,10 @@ class HalfSpace:
         check_type("space", self.space, SpaceDescriptor)
         for name in ("normal", "anchor"):
             value = check_space(name, check_type(name, getattr(self, name), np.ndarray), self.space)
-            check_type(name, value, RealArray)
+            try:
+                check_finite(check_type(name, value, RealArray))
+            except NonFiniteElementError:
+                raise ConfigError(f"{name} must have no Inf entry, got {value!r}") from None
 
     def project(self, x: np.ndarray, out: Optional[np.ndarray] = None,
                 work: Optional[np.ndarray] = None) -> np.ndarray:
@@ -173,9 +183,9 @@ def project_halfspace(inner, normal: np.ndarray, anchor: np.ndarray,
     on its parts: inner is its space's `inner`, or that space's
     `bare_inner` for C-contiguous arrays, and x lies in the space. A
     scheme's step calls it directly for its own halfspace, and
-    `HalfSpace.project` for a halfspace C. `out`, an
-    n-vector that is none of x, the normal and the anchor, holds x - anchor
-    and then the projection when one is given; the slow path allocates.
+    `HalfSpace.project` for a halfspace C. `out`, an n-vector that is none
+    of x, the normal and the anchor, holds x - anchor and then the
+    projection when one is given; the slow path allocates.
 
     One-step orthogonal correction. A residual that is not finite, from a
     NaN or Inf entry of x or from an overflow on finite vectors, takes the

@@ -26,8 +26,9 @@ into which they write their value, and `inner`, `norm`, each set's
 operator is only ever called with the point. Work vectors belong to one
 solve: `algorithms.solve` makes them once, before its loop, and its
 step writes every vector it forms into them, so that a step over a box,
-a ball or a halfspace of R^n allocates nothing. None lives on a space,
-an operator or a problem, which the plan runner's threads share.
+a ball or a halfspace of R^n allocates no vector outside the Armijo
+screen. None lives on a space, an operator or a problem, which the plan
+runner's threads share.
 
 A NaN or Inf raises NonFiniteElementError, and `check_finite`
 checks a vector entry by entry in four kinds of place only:

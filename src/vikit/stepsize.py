@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -31,6 +32,10 @@ class Fixed:
     def __post_init__(self):
         check_field("gamma", self.gamma, 0.0, lo_open=True)
 
+    # the first step gamma_1, read once per solve, as Adaptive.gamma1 is; an
+    # attrgetter runs no Python frame, so a solve makes no call more for it
+    gamma1 = property(operator.attrgetter("gamma"), doc="The first step gamma_1: gamma.")
+
 
 @dataclass(frozen=True)
 class Adaptive:
@@ -52,6 +57,9 @@ class Armijo:
         check_field("rho", self.rho, 0.0, lo_open=True)
         check_field("l", self.l, 0.0, 1.0, lo_open=True)
         check_field("phi", self.phi, 0.0, 1.0, lo_open=True)
+
+    # the first step gamma_1 is the search's first trial; read as Fixed.gamma1 is
+    gamma1 = property(operator.attrgetter("rho"), doc="The first step gamma_1: rho.")
 
 
 StepPolicy = Union[Fixed, Adaptive, Armijo]

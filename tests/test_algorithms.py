@@ -4,9 +4,10 @@ Each step is checked against a scalar recomputation, and every scheme
 runs on a test-only problem whose VI binds (binding_problem.py: T = P_V,
 A(x) = G(x - x*) with x* != 0 in V), drawn over n, dim V and seeds, where
 a scheme that ignored A would stall. Runs drawn from starts up to 1e305
-with steps up to 1e300 are checked bit for bit against step_oracle.py, the
-step that checks every vector; `check_finite` is called exactly twice per
-iteration on ex1:n=100,seed=1 and once on ex2:grid=1001, for every scheme.
+with steps up to 1e300, over a box, a ball or a halfspace C, are checked
+bit for bit against step_oracle.py, the step that checks every vector;
+`check_finite` is called exactly twice per iteration on ex1:n=100,seed=1
+and once on ex2:grid=1001, for every scheme.
 The paper's comparison holds too: imsegm reaches D <= 1e-4 in fewer
 iterations than msegm, and immsegm in fewer than mmsegm, on ex1:n=100
 seeds 1-5 and from both ex2:grid=1001 starts.
@@ -640,11 +641,12 @@ def _reversed_stride(point):
 @st.composite
 def huge_runs(draw):
     """(problem, config): a small ex1, ex2 or binding problem (whose A is
-    an AffineMatrix with an offset), any scheme, 5 iterations from starts
+    an AffineMatrix with an offset), the last over its box or over a
+    halfspace C through its solution, any scheme, 5 iterations from starts
     of up to 1e305 with gamma1 or rho up to 1e300. Some draws take the
     step's generic path: A wrapped in a plain function, as perfbench's
     tracer wraps it, or x1 held at a reversed stride."""
-    family = draw(st.sampled_from(["ex1", "ex2", "binding"]))
+    family = draw(st.sampled_from(["ex1", "ex2", "binding", "binding-halfspace"]))
     if family == "ex1":
         p = make_example1(RandomSpec(draw(st.integers(2, 12)), draw(st.integers(0, 2**16))))
     elif family == "ex2":
@@ -653,6 +655,10 @@ def huge_runs(draw):
         n = draw(st.integers(2, 12))
         p = binding_problem(n, draw(st.integers(1, n)), draw(st.integers(0, 2**16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if family == "binding-halfspace":
+        # C = {x : <a, x - x*> <= 0}: A(x*) = 0 and x* lies in C, so x* still solves the VI
+        p = dataclasses.replace(p, C=HalfSpace(rng.standard_normal(p.space.dim),
+                                               p.x_star.coords, p.space))
     x0, x1 = (element(p.space, 10.0 ** draw(st.integers(-3, 305))
                       * rng.uniform(-1.0, 1.0, p.space.dim)) for _ in range(2))
     path = draw(st.sampled_from(["direct", "wrapped", "reversed"]))
@@ -696,8 +702,7 @@ def _checked(p, cfg):
     the step, and a square that overflows is recorded as inf."""
     scheme, space, u = cfg.algorithm, p.space, p.x_star.coords
     phi = getattr(cfg.step, "phi", None)
-    state = IterateState(1, cfg.x0.coords, cfg.x1.coords,
-                         gamma=getattr(cfg.step, algorithms._FIRST_GAMMA[scheme.step]))
+    state = IterateState(1, cfg.x0.coords, cfg.x1.coords, gamma=cfg.step.gamma1)
     exc = None
     with np.errstate(all="ignore"):
         rows = [TraceRow(1, space.norm(state.x_curr - u), state.gamma, 0.0, 0.0)]

@@ -66,6 +66,14 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
      r"kind must be one of random_uniform on euclidean\(4\), got 't_squared'"),
     (lambda: HalfSpace(np.array(["a", "b"]), np.zeros(2), euclidean(2)), ConfigError,
      r"normal must be of type RealArray, got array\(\['a', 'b'\], dtype='<U1'\)"),
+    # an Inf entry, past which project would return a NaN point
+    (lambda: HalfSpace(np.array([math.inf, 0.0]), np.zeros(2), euclidean(2)), ConfigError,
+     r"normal must have no Inf entry, got array\(\[inf,  0\.\]\)"),
+    (lambda: HalfSpace(np.array([1.0, 0.0]), np.array([-math.inf, 0.0]), euclidean(2)),
+     ConfigError, r"anchor must have no Inf entry, got array\(\[-inf,   0\.\]\)"),
+    # past float64's largest, which a float64 bound would hold as inf; inf itself is a bound
+    (lambda: Box(np.longdouble("1e4000"), math.inf), ConfigError,
+     r"lower must be infinite or a finite float64, got np.longdouble\('1e\+4000'\)"),
     (lambda: parse_problem_spec("ex2:grid=1", 1), ValueError,
      r"'ex2:grid=1': grid must be an integer in \[2,inf\), got 1"),
     (lambda: make_example2(1.5), ConfigError, r"grid must be an integer in \[2,inf\), got 1.5"),
@@ -108,6 +116,7 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
         "sequence-kind", "box-upper-below-lower", "box-bound-shapes",
         "affine-not-square", "rank-one-not-grid",
         "rank-one-not-a-space", "grid-start-on-euclidean", "halfspace-string-normal",
+        "halfspace-inf-normal", "halfspace-inf-anchor", "box-bound-past-float64",
         "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space",
         "solve-problem", "solve-cfg", "make-config-problem", "validate-cfg", "certify-problem",
         "certify-a-shape", "certify-a-shape-no-solution", "certify-t-shape",

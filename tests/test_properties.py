@@ -189,8 +189,7 @@ def step_states(draw, schemes, families=("ex1", "ex2", "binding")):
     x0, x1 = initial_points(p, init, seed=draw(st.integers(0, 2**16)))
     scheme = draw(st.sampled_from(schemes))
     cfg = make_config(scheme, p, x0=x0, x1=x1, max_iter=STEP_ITERS, record_invariants=True)
-    state = IterateState(1, x0.coords, x1.coords,
-                         gamma=getattr(cfg.step, algorithms._FIRST_GAMMA[scheme.step]))
+    state = IterateState(1, x0.coords, x1.coords, gamma=cfg.step.gamma1)
     states = []
     for _ in range(STEP_ITERS):  # each step is built anew, so its vectors are its own
         state = algorithms._state_step(scheme, state, p, cfg)
@@ -285,7 +284,7 @@ def _iterates_after(problem, cfg, counts):
     counts, from a loop of the step that solve builds, as solve loops it;
     a change to solve's loop is to be made here too."""
     x_prev, x = cfg.x0.coords, cfg.x1.coords
-    gamma = getattr(cfg.step, algorithms._FIRST_GAMMA[cfg.algorithm.step])
+    gamma = cfg.step.gamma1
     step, kept = algorithms._build_step(cfg.algorithm, problem, cfg, (x_prev, x)), {}
     for k in range(1, max(counts) + 1):
         x_prev, (x, gamma, _, _) = x, step(k, x_prev, x, gamma)

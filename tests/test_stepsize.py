@@ -34,13 +34,24 @@ from vikit.space import (
 )
 from vikit.stepsize import (
     ARMIJO_MAX_TRIALS,
+    Adaptive,
     Armijo,
     ArmijoSearchError,
+    Fixed,
     _proven_rejections,
     _screened_steps,
     adaptive_update,
     armijo_search,
 )
+
+
+@pytest.mark.parametrize("policy,first", [(Fixed(0.3), 0.3), (Adaptive(gamma1=0.7, phi=0.5), 0.7),
+                                          (Armijo(rho=2.0, l=0.5, phi=0.4), 2.0)],
+                         ids=["fixed", "adaptive", "armijo"])
+def test_each_policy_gives_its_first_step_as_a_read_only_gamma1(policy, first):
+    assert policy.gamma1 == first
+    with pytest.raises(AttributeError):
+        policy.gamma1 = 1.0
 
 
 def test_adaptive_update_examples():
