@@ -4,7 +4,10 @@ Four inertial Mann-type extragradient methods (two subgradient-halfspace
 variants, two forward-correction variants) and six baselines: anchored,
 hybrid-steepest-descent, two plain Mann-type, and two viscosity-type
 extragradient methods. Each scheme is one `Scheme` member, which names
-its parts, and one builder, `_build_step`, makes the step of every member.
+its parts, and one builder, `_build_step`, makes the step of every member
+from a `SolverConfig` alone, which names its scheme and step policy. The
+four proposed schemes' steps on their own, step_alg1 to step_alg4, are
+one body, `_state_step`, bound to each of them.
 
 `solve` checks its starting points against the problem's space once and
 then builds its scheme's step once, before the loop. The build resolves
@@ -47,16 +50,18 @@ space's `inner`. Every step is arrays in, arrays out: the loop carries
 delta_k, residuals). A recording solve builds a closure that the step
 calls with its own points s, y, z and its halfspace's normal, which
 gives the three residuals from solve's work vector and `bare_inner`
-(`_recorder`); residuals is None when nothing is recorded. Only
-`_state_step` (step_alg1 to step_alg4) builds an `IterateState` and a
-`HalfSpace`. Each trace is bitwise the same either way. A step that
-overflows, or meets NaN, raises NonFiniteElementError at that step;
-where it checks follows the `space` module's call convention.
+(`_recorder`, which reads the scheme and policy from the same config);
+residuals is None when nothing is recorded. Only `_state_step` (step_alg1
+to step_alg4) builds an `IterateState` and a `HalfSpace`. Each trace is
+bitwise the same either way. A step that overflows, or meets NaN, raises
+NonFiniteElementError at that step; where it checks follows the `space`
+module's call convention.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -288,15 +293,16 @@ INERTIAL_DELTA = 0.6
 HSD_LAMBDA = 0.5
 
 
-def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
+def _build_step(problem: ProblemInstance, cfg: SolverConfig,
                 starts: Tuple[np.ndarray, np.ndarray], record=None):
-    """scheme's step on problem, built once: step(k, x_prev, x, gamma)
-    gives (x_{k+1}, gamma_{k+1}, delta_k, kept) from the k-th iterate x,
-    the one before it and gamma_k. kept is None, or with record what
-    record(s, y, z, normal, gamma_k, gamma_{k+1}) returns, called once the
-    step is done with its points s, y and z and the normal of its
-    halfspace (None for a forward correction), whose anchor is y. Its x
-    and x_prev are the starts, laid out as `starts`, or its own results.
+    """The step of cfg's scheme, cfg.algorithm, on problem, built once:
+    step(k, x_prev, x, gamma) gives (x_{k+1}, gamma_{k+1}, delta_k, kept)
+    from the k-th iterate x, the one before it and gamma_k. kept is None,
+    or with record what record(s, y, z, normal, gamma_k, gamma_{k+1})
+    returns, called once the step is done with its points s, y and z and
+    the normal of its halfspace (None for a forward correction), whose
+    anchor is y. Its x and x_prev are the starts, laid out as `starts`, or
+    its own results.
 
     The step's vectors, x_{k+1} among them, are work vectors of this
     build, which the next step overwrites: x_{k+1} rotates among three,
@@ -309,6 +315,7 @@ def _build_step(scheme: Scheme, problem: ProblemInstance, cfg: SolverConfig,
     raises NonFiniteElementError on a NaN or Inf entry, which the min could
     pass over; a zeta_k that is not positive (NaN included) raises
     ValueError."""
+    scheme = cfg.algorithm
     # the outer update's name as a plain str, which the step compares with
     # its names faster than the member (an attribute, where .value is a call)
     inertial, outer, tseng = scheme.inertial, scheme.outer._value_, scheme.correction == "tseng"
@@ -399,40 +406,23 @@ def _state_step(scheme: Scheme, state: IterateState, problem: ProblemInstance,
                 cfg: SolverConfig) -> IterateState:
     """One step of scheme from state, built for it alone, as an
     IterateState that holds the step's intermediate points and its
-    halfspace."""
+    halfspace. A cfg of another scheme raises ConfigError naming it."""
+    if check_type("cfg", cfg, SolverConfig).algorithm is not scheme:
+        raise ConfigError(f"cfg must configure {scheme.value}, got a config of "
+                          f"{cfg.algorithm.value}")
     starts = state.x_prev, state.x_curr
-    step = _build_step(scheme, problem, cfg, starts, lambda *points: points[:4])
+    step = _build_step(problem, cfg, starts, lambda *points: points[:4])
     x_next, gamma, dk, (s, y, z, normal) = step(state.k, *starts, state.gamma)
     hk = None if normal is None else HalfSpace(normal, y, problem.space)
     return IterateState(state.k + 1, state.x_curr, x_next, s, y, z, gamma, dk, state.gamma, hk)
 
 
-# One function per proposed scheme, so each can be called (and profiled)
+# step_alg1 to step_alg4: _state_step bound to each proposed scheme in turn
+# (imsegm, imtegm, immsegm, immtegm), so each can be called (and profiled)
 # on its own from an IterateState; solve builds its scheme's step once and
 # calls it through step_baseline.
-def step_alg1(state: IterateState, problem: ProblemInstance,
-              cfg: SolverConfig) -> IterateState:
-    """Inertial Mann-type subgradient extragradient step."""
-    return _state_step(Scheme.IMSEGM, state, problem, cfg)
-
-
-def step_alg2(state: IterateState, problem: ProblemInstance,
-              cfg: SolverConfig) -> IterateState:
-    """Inertial Mann-type step with the forward correction in place of the
-    second projection."""
-    return _state_step(Scheme.IMTEGM, state, problem, cfg)
-
-
-def step_alg3(state: IterateState, problem: ProblemInstance,
-              cfg: SolverConfig) -> IterateState:
-    """Modified inertial Mann-type subgradient extragradient step."""
-    return _state_step(Scheme.IMMSEGM, state, problem, cfg)
-
-
-def step_alg4(state: IterateState, problem: ProblemInstance,
-              cfg: SolverConfig) -> IterateState:
-    """Modified inertial Mann-type step with the forward correction."""
-    return _state_step(Scheme.IMMTEGM, state, problem, cfg)
+step_alg1, step_alg2, step_alg3, step_alg4 = (functools.partial(_state_step, scheme)
+                                              for scheme in PROPOSED)
 
 
 def step_baseline(step, k: int, x_prev: np.ndarray, x: np.ndarray, gamma: float):
@@ -486,13 +476,13 @@ def _square(v: float) -> float:
         return math.inf
 
 
-def _recorder(scheme: Scheme, step: StepPolicy, u: np.ndarray, dist, inner, work: np.ndarray):
-    """The residuals of a recording solve: a function that a step built
-    with it calls as record(s, y, z, normal, gamma_k, gamma_{k+1}), which
-    gives the step's per-iteration inequality slacks, nan where one does
-    not apply, with u = x*, dist the solve's dist(a, b) = ||a - b|| and
-    inner its bare_inner, and `work` an n-vector of the solve that holds
-    none of the points.
+def _recorder(cfg: SolverConfig, u: np.ndarray, dist, inner, work: np.ndarray):
+    """The residuals of a recording solve of cfg's scheme and step policy:
+    a function that a step built with it calls as record(s, y, z, normal,
+    gamma_k, gamma_{k+1}), which gives the step's per-iteration inequality
+    slacks, nan where one does not apply, with u = x*, dist the solve's
+    dist(a, b) = ||a - b|| and inner its bare_inner, and `work` an n-vector
+    of the solve that holds none of the points.
 
     res_contraction: slack of the halfspace-variant contraction bound, or of
     the phi^2-form bound for forward-correction variants (positive = violated).
@@ -504,7 +494,8 @@ def _recorder(scheme: Scheme, step: StepPolicy, u: np.ndarray, dist, inner, work
     A square that overflows is inf, so far from x* res_contraction is inf,
     -inf or, where two such squares meet, nan; the iterates are those of a
     solve that records nothing."""
-    inertial, tseng, phi = scheme.inertial, scheme.correction == "tseng", getattr(step, "phi", None)
+    scheme, phi = cfg.algorithm, getattr(cfg.step, "phi", None)
+    inertial, tseng = scheme.inertial, scheme.correction == "tseng"
     nan, subtract = math.nan, np.subtract
 
     def residuals(s, y, z, normal, gamma_k, gamma):
@@ -549,8 +540,8 @@ def solve(problem: ProblemInstance, cfg: SolverConfig) -> ConvergenceTrace:
     err = dist if x_star is not None else lambda x, u: math.nan
     record = None
     if cfg.record_invariants:
-        record = _recorder(scheme, cfg.step, x_star, dist, inner, work)
-    step = _build_step(scheme, problem, cfg, (x_prev, x), record)
+        record = _recorder(cfg, x_star, dist, inner, work)
+    step = _build_step(problem, cfg, (x_prev, x), record)
     trace = ConvergenceTrace(scheme=scheme)
     rows = trace.rows
     gamma = cfg.step.gamma1

@@ -131,8 +131,8 @@ class HalfSpace:
 
     A zero normal is the degenerate case and denotes the whole space.
     A scheme's step projects with `project_halfspace` directly and builds
-    none: only a step called on its own (`algorithms.step_alg1` and its
-    kind) hands out the halfspace it formed.
+    none: only a step called on its own (`algorithms.step_alg1` to
+    `step_alg4`) hands out the halfspace it formed.
     """
 
     normal: np.ndarray

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from vikit.algorithms import HSD_LAMBDA, INERTIAL_DELTA, IterateState, Scheme
+from vikit.algorithms import HSD_LAMBDA, INERTIAL_DELTA, IterateState
 from vikit.projections import Ball, Box, HalfSpace
 from vikit.space import check_finite
 from vikit.stepsize import Adaptive, Armijo, armijo_search
@@ -73,8 +73,8 @@ def _adaptive_update(space, gamma_k, phi, s, y, As, Ay):
     return min(phi * norm(check_finite(s - y)) / denom, gamma_k)
 
 
-def step_checked(parts: Scheme, state: IterateState, problem, cfg) -> IterateState:
-    k = state.k
+def step_checked(state: IterateState, problem, cfg) -> IterateState:
+    parts, k = cfg.algorithm, state.k
     theta = cfg.theta(k)
     eta = cfg.eta(k, theta)
     space, A, T = problem.space, problem.A, problem.T
@@ -129,11 +129,12 @@ def _square(v):
         return math.inf
 
 
-def residuals(parts: Scheme, state: IterateState, phi, u, space):
-    """(res_contraction, res_halfspace, res_tseng) of the step that formed
-    state, which holds its halfspace as step_checked's and step_alg1's do,
-    with u = x*; nan where one does not apply. A square that overflows is
-    inf."""
+def residuals(state: IterateState, cfg, u, space):
+    """(res_contraction, res_halfspace, res_tseng) of the step of cfg's
+    scheme that formed state, which holds its halfspace as step_checked's
+    and step_alg1's do, with u = x*; nan where one does not apply. A square
+    that overflows is inf."""
+    parts, phi = cfg.algorithm, getattr(cfg.step, "phi", None)
     res_c = res_h = res_t = math.nan
     s, y, z = state.s, state.y, state.z
 

@@ -701,7 +701,6 @@ def _checked(p, cfg):
     does: the residuals are part of the step, so an error in them fails
     the step, and a square that overflows is recorded as inf."""
     scheme, space, u = cfg.algorithm, p.space, p.x_star.coords
-    phi = getattr(cfg.step, "phi", None)
     state = IterateState(1, cfg.x0.coords, cfg.x1.coords, gamma=cfg.step.gamma1)
     exc = None
     with np.errstate(all="ignore"):
@@ -710,9 +709,9 @@ def _checked(p, cfg):
             for _ in range(cfg.max_iter):
                 k, res = state.k, None
                 try:
-                    state = step_checked(scheme, state, p, cfg)
+                    state = step_checked(state, p, cfg)
                     if cfg.record_invariants:
-                        res = residuals(scheme, state, phi, u, space)
+                        res = residuals(state, cfg, u, space)
                 except Exception as e:
                     raise SolveError(f"{scheme.value} failed at k={k}: {e}", None) from e
                 rows.append(TraceRow(state.k, space.norm(state.x_curr - u), state.gamma,

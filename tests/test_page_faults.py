@@ -82,7 +82,7 @@ def test_a_non_armijo_ex1_step_allocates_no_n_vector():
                 continue
             cfg = make_config(scheme, p, x0=x0, x1=x1)
             x_prev, x, gamma = x0.coords, x1.coords, cfg.step.gamma1
-            step = _build_step(scheme, p, cfg, (x_prev, x))
+            step = _build_step(p, cfg, (x_prev, x))
             tracemalloc.start()
             try:
                 start = tracemalloc.get_traced_memory()[0]

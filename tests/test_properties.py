@@ -207,12 +207,12 @@ def test_a_recording_step_gives_the_oracles_residuals_bit_for_bit(run):
     # solve's step computes its residuals from its own work vectors; the
     # oracle takes each distance as a new difference array and its norm
     p, cfg, states = run
-    phi, u = getattr(cfg.step, "phi", None), p.x_star.coords
+    u = p.x_star.coords
     rows = solve(p, cfg).rows[1:]
     assert ([_hex((r.gamma, r.delta)) for r in rows]
             == [_hex((st_.gamma, st_.delta_k)) for st_ in states])
     assert ([_hex(r.residuals) for r in rows]
-            == [_hex(residuals(cfg.algorithm, st_, phi, u, p.space)) for st_ in states])
+            == [_hex(residuals(st_, cfg, u, p.space)) for st_ in states])
 
 
 @settings(max_examples=30)
@@ -264,7 +264,7 @@ def test_inertial_step_contracts_toward_the_solution(run):
     for st_ in states:
         s, y, z = st_.s, st_.y, st_.z
         norm_As, norm_Ay = norm(p.A(s)), norm(p.A(y))
-        res_c = residuals(cfg.algorithm, st_, cfg.step.phi, u, p.space)[0]
+        res_c = residuals(st_, cfg, u, p.space)[0]
         kept = st_.gamma_prev * 1e-14 * max(1.0, norm_As, norm_Ay)
         size = norm(s) + norm(y) + norm(z) + norm(u) + st_.gamma_prev * (norm_As + norm_Ay)
         assert res_c <= kept * (2 * norm(z - y) + kept) + (n + 4) * EPS * size ** 2
@@ -285,7 +285,7 @@ def _iterates_after(problem, cfg, counts):
     a change to solve's loop is to be made here too."""
     x_prev, x = cfg.x0.coords, cfg.x1.coords
     gamma = cfg.step.gamma1
-    step, kept = algorithms._build_step(cfg.algorithm, problem, cfg, (x_prev, x)), {}
+    step, kept = algorithms._build_step(problem, cfg, (x_prev, x)), {}
     for k in range(1, max(counts) + 1):
         x_prev, (x, gamma, _, _) = x, step(k, x_prev, x, gamma)
         if k in counts:  # a copy: x_{k+1} is overwritten three steps on
