@@ -435,30 +435,27 @@ def _validator(horizon: int) -> Callable[[SolverConfig], List[Violation]]:
     return validate
 
 
-def _run_cells(cells: List[_Cell], plan: ExperimentPlan,
-               problem: Optional[prob.ProblemInstance],
-               error: Optional[Tuple[str, str]],
+def _run_cells(cells: List[_Cell], plan: ExperimentPlan, problem: prob.ProblemInstance,
                validate: Callable[[SolverConfig], List[Violation]]) -> dict:
     """Run the computation that all of cells stand for once, on their
     group's certified problem, checking its config's sequences with
     validate (see `_validator`), and write one trace per cell. Returns
     {cell id: (trace path, error)}, with a (category, message) error or
     None. The first trace written is the computed one; the others name it
-    in same_as. A failed computation, or the error that stands for the
-    problem, fails every cell with the same error."""
+    in same_as. A failed computation fails every cell with the same error."""
     scheme, init, _ = cells[0].run
-    if error is None:
-        try:
-            x0, x1 = prob.initial_points(problem, init, seed=cells[0].seed)
-            cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=plan.max_iter,
-                              tol=plan.tol, record_invariants=plan.record_invariants)
-            violations = validate(cfg)
-            if violations:
-                error = "conditions", "; ".join(str(v) for v in violations)
-            else:
-                trace = solve(problem, cfg)
-        except Exception as exc:
-            error = _cell_error(exc)
+    error = None
+    try:
+        x0, x1 = prob.initial_points(problem, init, seed=cells[0].seed)
+        cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=plan.max_iter,
+                          tol=plan.tol, record_invariants=plan.record_invariants)
+        violations = validate(cfg)
+        if violations:
+            error = "conditions", "; ".join(str(v) for v in violations)
+        else:
+            trace = solve(problem, cfg)
+    except Exception as exc:
+        error = _cell_error(exc)
     if error is not None:
         return {cell.id: (None, error) for cell in cells}
     outcomes, source = {}, None
@@ -492,12 +489,14 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     anything runs, and a plan that is not an ExperimentPlan raises
     ConfigError naming it. A cell whose spec does not resolve fails with
     "config" and runs nothing. Each distinct problem is built and
-    certified once, on the calling thread, before its runs go to the pool,
-    and all of its runs end before the next problem is built, so one
-    problem is alive at a time for every VIKIT_THREADS. Cells that differ
-    only in a seed their start does not read run once: the first trace is
-    computed and each other cell's trace copies it under its own header,
-    with a same_as line naming the computed file. Each distinct scheme and
+    certified once, on the calling thread, before its runs go to the pool;
+    a problem that fails to build or certify fails each of its cells there,
+    and none of its runs goes to the pool. All of a problem's runs end
+    before the next problem is built, so one problem is alive at a time
+    for every VIKIT_THREADS. Cells that differ only in a seed their start
+    does not read run once: the first trace is computed and each other
+    cell's trace copies it under its own header, with a same_as line
+    naming the computed file. Each distinct scheme and
     lambda_T of a plan has its sequences validated once. Results follow
     plan.cells() order."""
     check_type("plan", plan, ExperimentPlan)
@@ -522,7 +521,10 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for runs in groups.values():
             problem, error = _certified(next(iter(runs.values()))[0])
-            tasks = [pool.submit(_run_cells, run, plan, problem, error, validate)
+            if error is not None:
+                outcomes.update((cell.id, (None, error)) for run in runs.values() for cell in run)
+                continue
+            tasks = [pool.submit(_run_cells, run, plan, problem, validate)
                      for run in runs.values()]
             del problem  # now only the tasks hold it, so it is freed before the next build
             for task in tasks:

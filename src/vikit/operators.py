@@ -200,11 +200,16 @@ def spectral_norm(G: np.ndarray) -> float:
 
 
 def estimate_lipschitz(op) -> float:
-    """Lipschitz constant of an affine map x -> Gx + f: the spectral norm of G.
+    """Lipschitz constant of an affine map x -> Gx + f, exactly an
+    AffineMatrix: the spectral norm of G.
 
     Other maps raise ConfigError; a sampled ratio would only bound L from
-    below, so their problems must state L themselves."""
-    return spectral_norm(check_type("op", op, AffineMatrix).G)
+    below, so their problems must state L themselves. A subclass of
+    AffineMatrix is one of them, as it may override __call__ (see
+    OWN_OPERATORS), and its G need not be its map's."""
+    if type(op) is not AffineMatrix:
+        raise ConfigError(f"op must be of type AffineMatrix exactly, got {op!r}")
+    return spectral_norm(op.G)
 
 
 # Every certification check draws CERTIFY_SAMPLES samples, each a point
@@ -231,8 +236,10 @@ AFFINE_BLOCK_DIVISOR = 32
 FIXED_POINT_TOL = 1e-10
 
 # vikit's own operators, whose __call__ maps a block of rows and takes an
-# optional out; a subclass may override __call__ for one point, so the type
-# must match exactly
+# optional out. A subclass may override __call__, for one point or as
+# another map, so the type must match exactly: wherever vikit reads an
+# operator's parts (bare_map, the Armijo screen, estimate_lipschitz,
+# certification's blocks, the step), a subclass is a caller's operator
 OWN_OPERATORS = (AffineMatrix, PositivePart, Scale, RankOneIntegral)
 
 
@@ -292,9 +299,10 @@ def _first_failure(start: int, failed: np.ndarray, value: np.ndarray) -> SampleC
 
 def check_monotone(op, space: SpaceDescriptor) -> SampleCheck:
     """Sampled check of <op(x) - op(y), x - y> >= -CERTIFY_TOL; a failing
-    sample's value is that inner product. An op value that does not lie in
-    space raises SpaceMismatchError naming it A(x), as the operator of the
-    VI is named.
+    sample's value is that inner product. A space that is not a
+    SpaceDescriptor raises ConfigError naming it, and an op value that does
+    not lie in space raises SpaceMismatchError naming it A(x), as the
+    operator of the VI is named.
 
     Each block of pairs is evaluated with one call of `op` (see `_rows`),
     so an `op` that raises on some sample raises here even when an earlier
@@ -303,6 +311,7 @@ def check_monotone(op, space: SpaceDescriptor) -> SampleCheck:
     than a one-sample-at-a-time loop (`row_inner` against `inner`), so the
     two can disagree on a sample whose value lies within rounding of
     -CERTIFY_TOL, and only there."""
+    check_type("space", space, SpaceDescriptor)
     least = space.dim // AFFINE_BLOCK_DIVISOR if type(op) is AffineMatrix else 1
     for start, XY in _sample_blocks(space.dim, 2, least):
         AXY = _rows(op, XY.reshape(-1, space.dim), "A", space).reshape(XY.shape)
@@ -319,10 +328,13 @@ def check_demicontractive(op, lam: float, fixed_point: SpaceElement) -> SampleCh
     ||Tx - z||^2 - ||x - z||^2 - lam ||x - Tx||^2. Blocks are evaluated as
     in `check_monotone`, and the squared norms are `row_inner`s where a
     one-at-a-time loop squares `norm`s, so the two can disagree on a sample
-    whose value lies within rounding of +CERTIFY_TOL, and only there. An op
-    value that does not lie in z's space raises SpaceMismatchError naming
-    it T(z) or T(x)."""
-    space, z = fixed_point.space, fixed_point.coords
+    whose value lies within rounding of +CERTIFY_TOL, and only there. A lam
+    outside [0, 1), the interval of ProblemInstance.lambda_T, or a
+    fixed_point that is not a SpaceElement raises ConfigError naming it;
+    an op value that does not lie in z's space raises SpaceMismatchError
+    naming it T(z) or T(x)."""
+    check_field("lam", lam, 0.0, 1.0)
+    space, z = check_type("fixed_point", fixed_point, SpaceElement).space, fixed_point.coords
     if space.norm(check_space("T(z)", op(z), space) - z) > FIXED_POINT_TOL:
         raise ValueError("provided point is not a fixed point of the operator")
 

@@ -142,9 +142,11 @@ def armijo_search(space: SpaceDescriptor, policy: Armijo, x: np.ndarray, A,
     rejected them. So the result, or the exception and its `last_gamma`,
     is bitwise the serial search's.
 
-    The screen applies when A is an `AffineMatrix` with a `probe` and C a
-    `Box` with scalar or per-coordinate bounds; any other A (a
-    `PositivePart`, a wrapped operator) or set runs the serial loop alone.
+    The screen applies when A is exactly an `AffineMatrix` with a `probe`
+    and C exactly a `Box` with scalar or per-coordinate bounds; any other
+    A (a `PositivePart`, a wrapped operator, a subclass, which may override
+    `__call__`) or set (a subclass among them, which may override
+    `project`) runs the serial loop alone.
     The trials j = 0, 1, ... with gamma_j ||G||_F > phi (at most
     ARMIJO_MAX_TRIALS; later ones pass the exact test, as ||G||_F >= L)
     are formed as rows of one array, with the same repeated gamma *= l and
@@ -242,9 +244,10 @@ def _proven_rejections(space: SpaceDescriptor, policy: Armijo, x: np.ndarray,
                        Ax: np.ndarray, A, C: FeasibleSet) -> list:
     """For the first trials of armijo_search, True where the serial test
     is proven to reject the trial (see its docstring for the margin);
-    empty unless A is an AffineMatrix with a probe and C a Box with scalar
-    or per-coordinate bounds."""
-    if not (isinstance(A, AffineMatrix) and A.probe is not None and isinstance(C, Box)
+    empty unless A is exactly an AffineMatrix with a probe and C exactly a
+    Box with scalar or per-coordinate bounds, as a subclass may map or
+    project otherwise."""
+    if not (type(A) is AffineMatrix and A.probe is not None and type(C) is Box
             and C.shape in ((), x.shape)):
         return []
     g = _screened_steps(policy.rho, policy.l, policy.phi, A.frobenius)

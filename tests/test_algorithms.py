@@ -27,6 +27,7 @@ from armijo_oracle import armijo_search_serial
 from binding_problem import binding_problem
 from call_counts import by_name, count_calls
 from step_oracle import residuals, step_checked
+from subclassed import Damped
 from vikit import algorithms, space
 from vikit.algorithms import (
     PROPOSED,
@@ -753,6 +754,20 @@ def test_a_wrapped_operator_gives_the_affine_matrix_run_bit_for_bit(problem, wra
             cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=50,
                               record_invariants=record)
             assert _bits(solve(wrapped, cfg).rows) == _bits(solve(problem, cfg).rows), scheme
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_a_subclass_that_maps_otherwise_runs_as_its_own_call(scheme):
+    # a Damped is x -> 1e-3 (Gx + f) by its own __call__: a solve over it
+    # is bitwise the solve over that call as a plain function, for which
+    # nothing reads G (stegm's Armijo screen once read it)
+    problem, init = parse_problem_spec("ex1:n=50,seed=1", 1)
+    damped = Damped(problem.A.G, problem.A.f_vec)
+    x0, x1 = initial_points(problem, init, seed=1)
+    cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=20)
+    subclass, function = (solve(dataclasses.replace(problem, A=A), cfg).rows
+                          for A in (damped, lambda x: damped(x)))
+    assert _bits(subclass) == _bits(function)
 
 
 @pytest.mark.parametrize("spec,per_iter", [("ex1:n=100,seed=1", 2), ("ex2:grid=1001", 1)])

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from vikit.algorithms import ConvergenceTrace, Scheme, SequenceRule, solve
+from vikit.algorithms import (ConvergenceTrace, IterateState, Scheme, SequenceRule, _state_step,
+                              solve, step_alg1, step_alg2)
 from vikit.harness import (
     ExperimentPlan,
     TraceFileHeader,
@@ -27,6 +28,7 @@ from vikit.stepsize import Armijo
 
 _EX1 = make_example1(RandomSpec(4, 1))
 _CFG = make_config(Scheme.IMSEGM, _EX1)
+_STATE = IterateState(1, np.zeros(4), np.zeros(4), gamma=1.0)
 
 
 @pytest.mark.parametrize("make,error,message", [
@@ -93,12 +95,28 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
      r"T\(x\*\) must lie in euclidean\(4\), got a value of shape \(3,\)"),
     (lambda: check_monotone(lambda x: float(x.sum()), euclidean(3)), SpaceMismatchError,
      r"A\(x\) must lie in euclidean\(3\), got a value of shape \(\)"),
+    # lam is T's demicontractive constant, in [0, 1) as ProblemInstance.lambda_T
+    (lambda: check_demicontractive(Scale(-10.0), math.nan, zeros(euclidean(3))), ConfigError,
+     r"lam must be a real number in \[0,1\), got nan"),
+    (lambda: check_demicontractive(Scale(-10.0), 50.0, zeros(euclidean(3))), ConfigError,
+     r"lam must be a real number in \[0,1\), got 50.0"),
+    (lambda: check_demicontractive(Scale(0.5), 0.0, np.zeros(3)), ConfigError,
+     r"fixed_point must be of type SpaceElement, got array\(\[0., 0., 0.\]\)"),
+    (lambda: check_monotone(Scale(1.0), "euclidean"), ConfigError,
+     "space must be of type SpaceDescriptor, got 'euclidean'"),
     (lambda: check_demicontractive(lambda x: x[:2], 0.0, zeros(euclidean(3))),
      SpaceMismatchError, r"T\(z\) must lie in euclidean\(3\), got a value of shape \(2,\)"),
     # a T that keeps z but maps the samples elsewhere
     (lambda: check_demicontractive(lambda x: x if not x.any() else x[:2], 0.0,
                                    zeros(euclidean(3))),
      SpaceMismatchError, r"T\(x\) must lie in euclidean\(3\), got a value of shape \(2,\)"),
+    # a step on its own is built from its config, which must be of its scheme
+    (lambda: step_alg2(_STATE, _EX1, _CFG), ConfigError,
+     "cfg must configure imtegm, got a config of imsegm"),
+    (lambda: _state_step(Scheme.STEGM, _STATE, _EX1, _CFG), ConfigError,
+     "cfg must configure stegm, got a config of imsegm"),
+    (lambda: step_alg1(_STATE, _EX1, None), ConfigError,
+     "cfg must be of type SolverConfig, got None"),
     (lambda: run_plan(None), ConfigError, "plan must be of type ExperimentPlan, got None"),
     (lambda: ExperimentPlan([], [Scheme.IMSEGM], 10, [1], "x"), ConfigError,
      "problems must not be empty"),
@@ -120,8 +138,10 @@ _CFG = make_config(Scheme.IMSEGM, _EX1)
         "spec-grid-below-two", "grid-not-an-integer", "zeros-not-a-space",
         "solve-problem", "solve-cfg", "make-config-problem", "validate-cfg", "certify-problem",
         "certify-a-shape", "certify-a-shape-no-solution", "certify-t-shape",
-        "monotone-scalar-value", "demicontractive-fixed-point-shape",
-        "demicontractive-sample-shape",
+        "monotone-scalar-value", "demicontractive-lam-nan", "demicontractive-lam-past-one",
+        "demicontractive-fixed-point-array", "monotone-space-string",
+        "demicontractive-fixed-point-shape", "demicontractive-sample-shape",
+        "step-alg2-imsegm-cfg", "state-step-stegm-imsegm-cfg", "step-alg1-cfg",
         "run-plan-plan", "plan-no-problems", "plan-no-algorithms", "plan-no-seeds",
         "emit-csv-header", "header-scheme"])
 def test_bad_input_raises_a_typed_error_naming_it(make, error, message):

@@ -588,6 +588,18 @@ def test_failed_certification_fails_every_cell_of_its_problem(tmp_path, monkeypa
         [("certification", "certification failed: forced")] * 4
 
 
+def test_a_failed_problem_sends_no_computation_to_the_pool(tmp_path, monkeypatch):
+    # its cells fail where the failure is found, on the calling thread; the
+    # certified problem's two computations still run
+    monkeypatch.setattr(harness.prob, "certify",
+                        lambda problem: ["forced"] if problem.space.dim == 6 else [])
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex1:n=5,seed=1"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                                  seeds=[1], output_dir=str(tmp_path))
+    result, calls = count_calls(_named(harness._run_cells), harness.run_plan, plan)
+    assert len(result.errors) == len(result.paths) == 2 and calls["_run_cells"] == 2
+
+
 def test_a_non_finite_certification_value_fails_as_certification(tmp_path, monkeypatch):
     ex2 = harness.prob.FAMILIES["ex2"]
     monkeypatch.setitem(harness.prob.FAMILIES, "ex2", ex2._replace(

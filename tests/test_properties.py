@@ -23,6 +23,7 @@ from demi_problem import demi_problem
 from membership import contains, sample_point
 from segment_problem import segment_problem
 from step_oracle import residuals
+from subclassed import Damped
 from test_algorithms import inertial_weight
 from vikit import algorithms
 from vikit.algorithms import (
@@ -502,8 +503,9 @@ FIELDS = [
     Field("c", Scale, False, _finite),
     Field("f_vec", lambda v: AffineMatrix(np.eye(2), v), valid=(None, zeros(grid_l2(2))),
           others=(zeros(euclidean(3)), element(euclidean(1), [2.0]), np.zeros(2))),
+    # a subclass may map otherwise than its G (subclassed.py)
     Field("op", estimate_lipschitz, valid=(_BASE.A,),
-          others=(Scale(1.0), PositivePart(), RankOneIntegral(grid_l2(5)))),
+          others=(Scale(1.0), PositivePart(), RankOneIntegral(grid_l2(5)), Damped(np.eye(2)))),
     Field("space", lambda v: dataclasses.replace(_BASE, space=v), valid=(_BASE.space,)),
     Field("L", lambda v: dataclasses.replace(_BASE, L=v), False, _nonnegative, (None,)),
     Field("lambda_T", lambda v: dataclasses.replace(_BASE, lambda_T=v), False, _unit_closed_left),

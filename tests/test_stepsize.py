@@ -2,9 +2,11 @@
 
 Armijo searches are drawn over boxes, balls and halfspaces, for an
 AffineMatrix or the positive part, with tie cases within 4 ulps of the
-acceptance test, and the screened search is checked bit for bit against
-the serial loop kept in armijo_oracle.py, with its A calls counted. The
-adaptive update is checked bit for bit against the four-norm rule.
+acceptance test, and made on ex1 with a subclass of AffineMatrix or Box
+that maps or projects otherwise (subclassed.py). The screened search is
+checked bit for bit against the serial loop kept in armijo_oracle.py,
+with its A calls counted. The adaptive update is checked bit for bit
+against the four-norm rule.
 """
 
 import math
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 from armijo_oracle import armijo_search_serial
 from call_counts import count_calls, work_rules
 from step_oracle import _adaptive_update
+from subclassed import Damped, HalvedBox
 from vikit.algorithms import Scheme, solve
 from vikit.harness import make_config, parse_problem_spec
 from vikit.operators import AffineMatrix, PositivePart
@@ -350,6 +353,20 @@ def _outcome(search, case):
 @given(armijo_cases())
 def test_screened_armijo_search_equals_the_serial_search(case):
     assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case)
+
+
+@pytest.mark.parametrize("subclass", ["operator", "set"])
+def test_a_subclass_is_left_to_the_serial_search(subclass):
+    # a Damped's G and probe and a HalvedBox's bounds are not its map's or
+    # its projection's, so the screen, which reads them, must not run: on
+    # ex1 at n = 50 it skipped trials that the serial test accepts
+    for seed in range(20):
+        p = make_example1(RandomSpec(50, seed))
+        A = Damped(p.A.G, p.A.f_vec) if subclass == "operator" else p.A
+        C = HalvedBox(p.C.lower, p.C.upper) if subclass == "set" else p.C
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, 50)
+        case = (p.space, Armijo(rho=1.0, l=0.5, phi=0.4), x, A, C)
+        assert _outcome(armijo_search, case) == _outcome(armijo_search_serial, case), seed
 
 
 @pytest.mark.parametrize("offset", ["none", "near_root"])
