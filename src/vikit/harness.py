@@ -8,12 +8,11 @@ import functools
 import math
 import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import problems as prob
 from .algorithms import (
@@ -200,9 +199,10 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
     """Inverse of emit_csv; float fields round-trip bitwise. A header key
     given twice (emit_csv writes each once), a '# columns:' line other than
     the two emit_csv writes, a data row with no '# columns:' line before it
-    or whose field count differs from that line's, or a field that is not a
-    number (k: not an integer), raises ValueError naming the path and the
-    1-based line number."""
+    or whose field count differs from that line's, or a field emit_csv
+    would not write (k: an ASCII decimal integer; any other: an ASCII
+    decimal number, nan, inf or -inf), raises ValueError naming the path
+    and the 1-based line number."""
     scalars = len(ConvergenceTrace.SCALAR_NAMES)
     meta = {}
     rows: List[TraceRow] = []
@@ -226,11 +226,13 @@ def parse_csv(path) -> Tuple[dict, List[TraceRow]]:
         if len(parts) != width:
             raise ValueError(f"{path} line {number}: {len(parts)} fields, but the "
                              f"'# columns:' line names {width}")
-        try:
-            residuals = tuple(map(float, parts[scalars:])) or None
-            rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
-        except ValueError as exc:  # a field that is not a number, or a k that is no integer
-            raise ValueError(f"{path} line {number}: {exc}") from exc
+        if re.fullmatch(_WRITTEN_ROW, line) is None:  # a field emit_csv never writes; name it
+            where = f"{path} line {number}:"
+            _matched(_INTEGER, parts[0], f"{where} invalid literal for int() with base 10:")
+            for part in parts[1:]:
+                _matched(_WRITTEN_FLOAT, part, f"{where} could not convert string to float:")
+        residuals = tuple(map(float, parts[scalars:])) or None
+        rows.append(TraceRow(int(parts[0]), *map(float, parts[1:scalars]), residuals))
     return meta, rows
 
 
@@ -248,13 +250,14 @@ def trace_fingerprint(path) -> List[str]:
 class ExperimentPlan:
     """Every (problem spec, scheme, seed) cell, with the run settings they
     share. Construction checks the plan whole, so a bad plan fails before
-    `run_plan` creates anything: each list field is a list (TypeError
-    otherwise), stored as a tuple, non-empty, and holds strs, Schemes and
-    integer seeds in [0, inf); max_iter is an integer in [1, inf), tol
-    unset or in (0, inf), record_invariants a bool and output_dir a
-    non-empty str or path (ConfigError naming the field otherwise). Each
-    cell's spec is resolved here, once, and two cells that would write one
-    file raise ValueError."""
+    `run_plan` creates anything: each list field is a list or a tuple
+    (TypeError otherwise, so a set, a dict or a generator too, whose order
+    or values a plan would not keep), stored as a tuple, non-empty, and
+    holds strs, Schemes and integer seeds in [0, inf); max_iter is an
+    integer in [1, inf), tol unset or in (0, inf), record_invariants a bool
+    and output_dir a non-empty str or path (ConfigError naming the field
+    otherwise). Each cell's spec is resolved here, once, and two cells that
+    would write one file raise ValueError."""
 
     problems: Tuple[str, ...]
     algorithms: Tuple[Scheme, ...]
@@ -265,20 +268,20 @@ class ExperimentPlan:
     tol: Optional[float] = None
 
     def __post_init__(self):
-        # each list field: a list (stored as a tuple, so that the cells
-        # resolved here stay the plan's), non-empty, and its entries' rule
+        # each list field: a list or tuple, so its order is the caller's
+        # (stored as a tuple, so that the cells resolved here stay the
+        # plan's), non-empty, and its entries' rule
         for name, check in (("problems", functools.partial(check_type, kind=str)),
                             ("algorithms", functools.partial(check_type, kind=Scheme)),
                             ("seeds", functools.partial(check_field, lo=0, integer=True))):
             value = getattr(self, name)
-            if isinstance(value, str) or not hasattr(value, "__iter__"):
+            if not isinstance(value, (list, tuple)):
                 raise TypeError(f"plan {name} must be a list, got {value!r}")
-            value = tuple(value)
             if not value:
                 raise ConfigError(f"{name} must not be empty")
             for i, entry in enumerate(value):
                 check(f"{name}[{i}]", entry)
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, tuple(value))
         check_field("max_iter", self.max_iter, 1, integer=True)
         check_tol(self.tol)
         check_type("record_invariants", self.record_invariants, bool)
@@ -329,23 +332,36 @@ def _spec_fields(spec: str, seed: int) -> Tuple[str, Dict[str, int], str]:
     return name, params, init
 
 
+# an ASCII decimal integer; an ASCII decimal number, such as '2', '-.5' or
+# '1e-8'; a float as emit_csv's %.17g writes it, which adds nan, inf and
+# -inf; and a data row of emit_csv's, k then floats. Each refuses what
+# int() or float() would also read, such as '1_0', ' 2 ' or non-ASCII
+# digits. They are compiled on first use, through re's cache, so that
+# importing vikit compiles none.
+_INTEGER = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_WRITTEN_FLOAT = f"{_DECIMAL}|nan|-?inf"
+_WRITTEN_ROW = f"{_INTEGER}(?:,(?:{_WRITTEN_FLOAT}))*"
+
+
+def _matched(rule: str, text: str, message: str) -> str:
+    """text, when the pattern rule matches all of it; ValueError
+    '<message> <text!r>' otherwise."""
+    if re.fullmatch(rule, text) is None:
+        raise ValueError(f"{message} {text!r}")
+    return text
+
+
 def _integer(text: str, what: str) -> int:
-    """The value of text written as an ASCII decimal integer, [+-]?[0-9]+.
-    Anything else, such as '1_0' or non-ASCII digits that int() would read,
-    raises ValueError naming what."""
-    if re.fullmatch(r"[+-]?[0-9]+", text) is None:
-        raise ValueError(f"{what} must be an integer, got {text!r}")
-    return int(text)
+    """The value of text written as an _INTEGER; anything else raises
+    ValueError naming what."""
+    return int(_matched(_INTEGER, text, f"{what} must be an integer, got"))
 
 
 def _decimal(text: str, what: str) -> float:
-    """The value of text written as an ASCII decimal number, such as '2',
-    '-.5' or '1e-8'. Anything else, such as '1_0', 'nan', 'inf' or
-    non-ASCII digits that float() would read, raises ValueError naming
-    what."""
-    if re.fullmatch(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?", text) is None:
-        raise ValueError(f"{what} must be a decimal number, got {text!r}")
-    return float(text)
+    """The value of text written as a _DECIMAL, so not 'nan' or 'inf';
+    anything else raises ValueError naming what."""
+    return float(_matched(_DECIMAL, text, f"{what} must be a decimal number, got"))
 
 
 def parse_problem_spec(spec: str, seed: int) -> Tuple[prob.ProblemInstance, str]:
@@ -418,49 +434,43 @@ def _certified(cell: _Cell) -> Tuple[Optional[prob.ProblemInstance], Optional[Tu
         "certification", "certification failed: " + "; ".join(failures))
 
 
-def _validator(horizon: int) -> Callable[[SolverConfig], List[Violation]]:
-    """validate_conditions(cfg, horizon), called once for each distinct
-    (scheme, lambda_T) of the configs it is given, from any thread. A plan
-    cell's config takes theta, eta and zeta from its scheme's TABLE1 row,
-    so these two decide the result."""
-    memo: Dict[tuple, List[Violation]] = {}
-    lock = threading.Lock()
-
-    def validate(cfg: SolverConfig) -> List[Violation]:
-        key = cfg.algorithm, cfg.lambda_T
-        with lock:
-            if key not in memo:
-                memo[key] = validate_conditions(cfg, horizon=horizon)
-            return memo[key]
-    return validate
-
-
-def _run_cells(cells: List[_Cell], plan: ExperimentPlan, problem: prob.ProblemInstance,
-               validate: Callable[[SolverConfig], List[Violation]]) -> dict:
-    """Run the computation that all of cells stand for once, on their
-    group's certified problem, checking its config's sequences with
-    validate (see `_validator`), and write one trace per cell. Returns
-    {cell id: (trace path, error)}, with a (category, message) error or
-    None. The first trace written is the computed one; the others name it
-    in same_as. A failed computation fails every cell with the same error."""
-    scheme, init, _ = cells[0].run
-    error = None
+def _configured(cell: _Cell, plan: ExperimentPlan, problem: prob.ProblemInstance,
+                validated: dict) -> Tuple[Optional[SolverConfig], Optional[Tuple[str, str]]]:
+    """The config of cell's run on its certified problem, and None; or None
+    and the (category, message) error that fails every cell of the run.
+    validated holds validate_conditions' violations, joined into one
+    message, by (scheme, lambda_T): a plan cell's config takes theta, eta
+    and zeta from its scheme's TABLE1 row, so these two decide them, and
+    each pair is validated once."""
+    scheme, init, _ = cell.run
     try:
-        x0, x1 = prob.initial_points(problem, init, seed=cells[0].seed)
+        x0, x1 = prob.initial_points(problem, init, seed=cell.seed)
         cfg = make_config(scheme, problem, x0=x0, x1=x1, max_iter=plan.max_iter,
                           tol=plan.tol, record_invariants=plan.record_invariants)
-        violations = validate(cfg)
-        if violations:
-            error = "conditions", "; ".join(str(v) for v in violations)
-        else:
-            trace = solve(problem, cfg)
+        key = scheme, cfg.lambda_T
+        if key not in validated:
+            validated[key] = "; ".join(map(str, validate_conditions(cfg, horizon=plan.max_iter)))
     except Exception as exc:
-        error = _cell_error(exc)
-    if error is not None:
-        return {cell.id: (None, error) for cell in cells}
+        return None, _cell_error(exc)
+    return (None, ("conditions", validated[key])) if validated[key] else (cfg, None)
+
+
+def _outcomes(cells: List[_Cell], task: Future, plan: ExperimentPlan,
+              problem: prob.ProblemInstance) -> dict:
+    """{cell id: (trace path, error)} of the run that cells stand for, whose
+    solve is task, with a (category, message) error or None: the solve's
+    error for every cell if it raised, or else the outcome of writing its
+    trace once per cell. The first trace written is the computed one; the
+    others name it in same_as."""
+    # read as task.exception(), not raised by task.result(): a raised
+    # exception's traceback would hold this frame, and so task and problem
+    exc = task.exception()
+    if isinstance(exc, Exception):
+        return {cell.id: (None, _cell_error(exc)) for cell in cells}
+    trace = task.result()  # raises any other BaseException
     outcomes, source = {}, None
     for cell in cells:
-        header = TraceFileHeader.create(scheme, "table1", problem.problem_id,
+        header = TraceFileHeader.create(cell.scheme, "table1", problem.problem_id,
                                         cell.seed, problem.space.dim, same_as=source)
         path = Path(plan.output_dir) / cell.file
         try:
@@ -488,17 +498,22 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     is or lies under an existing non-directory, raises ValueError before
     anything runs, and a plan that is not an ExperimentPlan raises
     ConfigError naming it. A cell whose spec does not resolve fails with
-    "config" and runs nothing. Each distinct problem is built and
-    certified once, on the calling thread, before its runs go to the pool;
-    a problem that fails to build or certify fails each of its cells there,
-    and none of its runs goes to the pool. All of a problem's runs end
-    before the next problem is built, so one problem is alive at a time
-    for every VIKIT_THREADS. Cells that differ only in a seed their start
-    does not read run once: the first trace is computed and each other
-    cell's trace copies it under its own header, with a same_as line
-    naming the computed file. Each distinct scheme and
-    lambda_T of a plan has its sequences validated once. Results follow
-    plan.cells() order."""
+    "config" and runs nothing. The calling thread does all of the plan's
+    work but the solves, which go to a pool of VIKIT_THREADS worker
+    threads: it builds and certifies each distinct problem once, then
+    builds and validates each run's config, submits each run that passes
+    as one solve, and writes each run's traces, in submission order, as
+    its solve returns. A failure is recorded where it is found, for every
+    cell it stands for: a problem that fails to build or certify, or a run
+    whose config or sequences fail, submits nothing, and a solve that
+    raises fails each cell of its run. All of a problem's runs end and
+    are written before the next problem is built, so one problem is alive
+    at a time for every VIKIT_THREADS. Cells that differ only in a seed
+    their start does not read run once: the first trace is computed and
+    each other cell's trace copies it under its own header, with a same_as
+    line naming the computed file. Each distinct scheme and lambda_T of a
+    plan has its sequences validated once. Results follow plan.cells()
+    order."""
     check_type("plan", plan, ExperimentPlan)
     workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
     check_field("VIKIT_THREADS", workers, 1, integer=True)
@@ -506,7 +521,7 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"output path {existing} exists and is not a directory")
-    outcomes = {}  # {cell id: (trace path, error)}, as _run_cells returns them
+    outcomes = {}  # {cell id: (trace path, error)}
     groups: Dict[tuple, Dict[tuple, List[_Cell]]] = {}  # cells by problem key, then run key
     for cell in plan._resolved:
         if cell.error is not None:
@@ -517,18 +532,21 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
         else:
             groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(cell)
     out.mkdir(parents=True, exist_ok=True)
-    validate = _validator(plan.max_iter)
+    validated: Dict[tuple, str] = {}  # see _configured
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for runs in groups.values():
             problem, error = _certified(next(iter(runs.values()))[0])
-            if error is not None:
-                outcomes.update((cell.id, (None, error)) for run in runs.values() for cell in run)
-                continue
-            tasks = [pool.submit(_run_cells, run, plan, problem, validate)
-                     for run in runs.values()]
-            del problem  # now only the tasks hold it, so it is freed before the next build
-            for task in tasks:
-                outcomes.update(task.result())
+            tasks = []  # (a run's cells, its solve), in submission order
+            for cells in runs.values():
+                cfg, run_error = (None, error) if error else _configured(
+                    cells[0], plan, problem, validated)
+                if run_error is None:
+                    tasks.append((cells, pool.submit(solve, problem, cfg)))
+                else:
+                    outcomes.update((cell.id, (None, run_error)) for cell in cells)
+            for cells, task in tasks:
+                outcomes.update(_outcomes(cells, task, plan, problem))
+            del problem, tasks  # so that the next build is the only problem alive
     result = PlanResult()
     for cell in plan._resolved:
         path, error = outcomes[cell.id]

@@ -3,10 +3,11 @@ C5 read the problem's lambda_T, see demi_problem.py), the trace CSV, and
 run_plan.
 
 A plan built from lists stores tuples, so it cannot gain cells after
-they were resolved, and a str or a non-iterable in place of a list is a
-TypeError naming the field. run_plan builds and certifies each problem
-once, frees it after its cells, runs each distinct computation once and
-keeps the cells' order at every thread count. Its calls are counted with
+they were resolved, and anything but a list or a tuple in place of a
+list is a TypeError naming the field. run_plan builds and certifies each
+problem once, frees it after its cells, runs each distinct computation
+once, sends its worker pool the solves alone and keeps the cells' order
+at every thread count. Its calls are counted with
 tools/call_counts.count_calls, which follows the plan's worker threads;
 a test rebinds a vikit name only to substitute its behaviour.
 """
@@ -14,6 +15,7 @@ a test rebinds a vikit name only to substitute its behaviour.
 import dataclasses
 import math
 import re
+import threading
 import weakref
 from pathlib import Path
 
@@ -33,7 +35,14 @@ from vikit.algorithms import (
     TraceRow,
     solve,
 )
-from vikit.problems import ProblemInstance, RandomSpec, certify, make_example1, make_example2
+from vikit.problems import (
+    ProblemInstance,
+    RandomSpec,
+    certify,
+    initial_points,
+    make_example1,
+    make_example2,
+)
 from vikit.stepsize import Adaptive, Armijo, Fixed
 
 
@@ -266,11 +275,20 @@ def test_csv_skips_blank_lines(tmp_path, with_res):
     (False, "1,abc,0.5,0,0", "could not convert string to float: 'abc'"),
     (True, "1,0.5,0.5,0,0,0,x,0", "could not convert string to float: 'x'"),
     (False, "1.0,0.1,0.5,0,0", "invalid literal for int() with base 10: '1.0'"),
+    # fields that int() or float() would read, but emit_csv never writes;
+    # each was once read as a number
+    (False, "1_0,0.5,0.5,0,0", "invalid literal for int() with base 10: '1_0'"),
+    (False, " 2 ,0.5,0.5,0,0", "invalid literal for int() with base 10: ' 2 '"),
+    (False, "\u0661,0.5,0.5,0,0", "invalid literal for int() with base 10: '\u0661'"),
+    (False, "1,1_0,0.5,0,0", "could not convert string to float: '1_0'"),
+    (True, "1,0.5,0.5,0,0,0, 2 ,0", "could not convert string to float: ' 2 '"),
+    (False, "1,0.5,\u0661,0,0", "could not convert string to float: '\u0661'"),
     # with_res None: the header lines before '# columns:' only; this row
     # was once reported as "5 fields, but the '# columns:' line names 0"
     (None, "1,0.5,0.5,0,0", "a data row before any '# columns:' line"),
 ], ids=["3-of-5", "6-of-5", "6-of-8", "10-of-8", "float-field", "residual-field", "float-k",
-        "no-columns"])
+        "underscore-k", "spaced-k", "arabic-indic-k", "underscore-float", "spaced-residual",
+        "arabic-indic-float", "no-columns"])
 def test_csv_data_row_that_does_not_parse_is_named(tmp_path, with_res, row, error):
     path = tmp_path / "t.csv"
     harness.emit_csv(_toy_trace(bool(with_res)), _header(), path)
@@ -344,12 +362,18 @@ def test_fingerprint_ignores_header_and_elapsed(tmp_path):
 
 
 @pytest.mark.parametrize("name,value", [
-    ("problems", "ex2"), ("algorithms", Scheme.IMSEGM), ("seeds", 1)])
+    ("problems", "ex2"), ("algorithms", Scheme.IMSEGM), ("seeds", 1),
+    # a dict's values were once dropped, and a set's order, and so the
+    # order of cells() and the results, changed with PYTHONHASHSEED
+    ("problems", {"ex1:n=5,seed=1": "ignored"}), ("problems", {"ex2:grid=5", "ex2:grid=7"}),
+    ("algorithms", {Scheme.IMSEGM}), ("seeds", {1, 2}),
+    ("seeds", (seed for seed in [1, 2]))])
 def test_plan_field_that_is_a_str_or_not_iterable_is_a_type_error(name, value, monkeypatch):
-    # raised before any cell is resolved
+    # only a list or a tuple; raised before any cell is resolved
     monkeypatch.setattr(harness, "_resolve", None)
     fields = dict(problems=["ex2:grid=5"], algorithms=[Scheme.IMSEGM], seeds=[1])
-    with pytest.raises(TypeError, match=f"^plan {name} must be a list, got {value!r}$"):
+    message = f"plan {name} must be a list, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         harness.ExperimentPlan(**dict(fields, **{name: value}), max_iter=5, output_dir="x")
 
 
@@ -596,8 +620,8 @@ def test_a_failed_problem_sends_no_computation_to_the_pool(tmp_path, monkeypatch
     plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex1:n=5,seed=1"],
                                   algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
                                   seeds=[1], output_dir=str(tmp_path))
-    result, calls = count_calls(_named(harness._run_cells), harness.run_plan, plan)
-    assert len(result.errors) == len(result.paths) == 2 and calls["_run_cells"] == 2
+    result, calls = count_calls(_named(solve), harness.run_plan, plan)
+    assert len(result.errors) == len(result.paths) == 2 and calls["solve"] == 2
 
 
 def test_a_non_finite_certification_value_fails_as_certification(tmp_path, monkeypatch):
@@ -692,12 +716,16 @@ def test_one_validation_fails_every_computation_of_its_scheme_with_its_message(
     plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex1:n=6,seed=2"],
                                   algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
                                   seeds=[1, 2], output_dir=str(tmp_path))
-    # each validation counts under its config's scheme
+    # each validation counts under its config's scheme, and each solve
+    # under ("solve", its scheme): no imsegm run is solved
     rules = {harness.validate_conditions.__code__:
-             lambda frame, arg: frame.f_locals["cfg"].algorithm}
+             lambda frame, arg: frame.f_locals["cfg"].algorithm,
+             solve.__code__: lambda frame, arg: ("solve", frame.f_locals["cfg"].algorithm)}
     result, calls = count_calls(rules, harness.run_plan, plan)
     assert {key: n for key, n in calls.items() if isinstance(key, Scheme)} == \
         {Scheme.IMSEGM: 1, Scheme.STEGM: 1}
+    assert {key: n for key, n in calls.items() if isinstance(key, tuple)} == \
+        {("solve", Scheme.STEGM): 4}
     problem, _ = harness.parse_problem_spec("ex1:n=6,seed=1", 1)
     violations = harness.validate_conditions(harness.make_config(Scheme.IMSEGM, problem), 5)
     message = "; ".join(str(v) for v in violations)
@@ -820,3 +848,25 @@ def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch, thre
                                   max_iter=5, seeds=[1, 2, 3], output_dir=str(tmp_path))
     result, _ = count_calls(rules, harness.run_plan, plan)
     assert result.errors == [] and alive_at_build == [0, 0, 0]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_the_pool_runs_solve_and_nothing_else(tmp_path, monkeypatch, threads):
+    # every call is counted under (its function's name, whether it ran on
+    # the thread that called run_plan)
+    monkeypatch.setenv("VIKIT_THREADS", threads)
+    caller = threading.get_ident()
+    rules = dict.fromkeys(
+        (function.__code__ for function in (
+            harness.parse_problem_spec, certify, initial_points, harness.make_config,
+            harness.validate_conditions, harness.emit_csv, solve)),
+        lambda frame, arg: (frame.f_code.co_name, threading.get_ident() == caller))
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=21"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                                  seeds=[1, 2], output_dir=str(tmp_path))
+    result, calls = count_calls(rules, harness.run_plan, plan)
+    assert result.errors == [] and len(result.paths) == 8
+    assert {key for key in calls if isinstance(key, tuple)} == {
+        ("parse_problem_spec", True), ("certify", True), ("initial_points", True),
+        ("make_config", True), ("validate_conditions", True), ("emit_csv", True),
+        ("solve", False)}
