@@ -498,25 +498,22 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
     is or lies under an existing non-directory, raises ValueError before
     anything runs, and a plan that is not an ExperimentPlan raises
     ConfigError naming it. A cell whose spec does not resolve fails with
-    "config" and runs nothing. The calling thread does all of the plan's
-    work but the solves, which go to a pool of VIKIT_THREADS worker
-    threads: it builds and certifies each distinct problem once, then
-    builds and validates each run's config, submits each run that passes
-    as one solve, and writes each run's traces, in submission order, as
-    its solve returns. A failure is recorded where it is found, for every
-    cell it stands for: a problem that fails to build or certify, or a run
-    whose config or sequences fail, submits nothing, and a solve that
-    raises fails each cell of its run. All of a problem's runs end and
-    are written before the next problem is built, so one problem is alive
-    at a time for every VIKIT_THREADS. Cells that differ only in a seed
-    their start does not read run once: the first trace is computed and
-    each other cell's trace copies it under its own header, with a same_as
-    line naming the computed file. Each distinct scheme and lambda_T of a
-    plan has its sequences validated once. Results follow plan.cells()
-    order."""
+    "config" and runs nothing. The plan's runs go one at a time: each
+    distinct problem is built and certified once, then, for each of its
+    runs in turn, the run's config is built and validated, its one solve
+    runs, and its traces are written, before the next run is configured.
+    numpy's BLAS threads are the plan's only parallelism. A failure is
+    recorded where it is found, for every cell it stands for: a problem
+    that fails to build or certify, or a run whose config or sequences
+    fail, solves nothing, and a solve that raises fails each cell of its
+    run. All of a problem's runs end and are written before the next
+    problem is built, so one problem is alive at a time. Cells that
+    differ only in a seed their start does not read run once: the first
+    trace is computed and each other cell's trace copies it under its own
+    header, with a same_as line naming the computed file. Each distinct
+    scheme and lambda_T of a plan has its sequences validated once.
+    Results follow plan.cells() order."""
     check_type("plan", plan, ExperimentPlan)
-    workers = _integer(os.environ.get("VIKIT_THREADS", "4").strip(), "VIKIT_THREADS")
-    check_field("VIKIT_THREADS", workers, 1, integer=True)
     out = Path(plan.output_dir)
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
@@ -533,20 +530,19 @@ def run_plan(plan: ExperimentPlan) -> PlanResult:
             groups.setdefault(cell.problem, {}).setdefault(cell.run, []).append(cell)
     out.mkdir(parents=True, exist_ok=True)
     validated: Dict[tuple, str] = {}  # see _configured
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # one worker, one task in flight: perfbench's tracer counts each task as a cell
+    with ThreadPoolExecutor(max_workers=1) as pool:
         for runs in groups.values():
             problem, error = _certified(next(iter(runs.values()))[0])
-            tasks = []  # (a run's cells, its solve), in submission order
             for cells in runs.values():
                 cfg, run_error = (None, error) if error else _configured(
                     cells[0], plan, problem, validated)
                 if run_error is None:
-                    tasks.append((cells, pool.submit(solve, problem, cfg)))
+                    outcomes.update(_outcomes(cells, pool.submit(solve, problem, cfg),
+                                              plan, problem))
                 else:
                     outcomes.update((cell.id, (None, run_error)) for cell in cells)
-            for cells, task in tasks:
-                outcomes.update(_outcomes(cells, task, plan, problem))
-            del problem, tasks  # so that the next build is the only problem alive
+            del problem  # so that the next build is the only problem alive
     result = PlanResult()
     for cell in plan._resolved:
         path, error = outcomes[cell.id]

@@ -6,9 +6,9 @@ A plan built from lists stores tuples, so it cannot gain cells after
 they were resolved, and anything but a list or a tuple in place of a
 list is a TypeError naming the field. run_plan builds and certifies each
 problem once, frees it after its cells, runs each distinct computation
-once, sends its worker pool the solves alone and keeps the cells' order
-at every thread count. Its calls are counted with
-tools/call_counts.count_calls, which follows the plan's worker threads;
+once, solves one run at a time on its one pool worker, which runs the
+solves alone, and keeps the cells' order. Its calls are counted with
+tools/call_counts.count_calls, which follows the pool's worker thread;
 a test rebinds a vikit name only to substitute its behaviour.
 """
 
@@ -587,8 +587,8 @@ def _named(*functions) -> dict:
 ])
 def test_run_plan_builds_and_certifies_each_problem_once(tmp_path, monkeypatch, switching_often,
                                                          problems, algorithms, seeds, builds):
-    # more workers than cores, switching threads often: a build done twice shows
-    monkeypatch.setenv("VIKIT_THREADS", "8")
+    # switching threads often, between the caller and the pool's worker: a
+    # build done twice shows
     plan = harness.ExperimentPlan(problems=problems, algorithms=algorithms, max_iter=5,
                                   seeds=seeds, output_dir=str(tmp_path))
     result, calls = count_calls(_named(make_example1, make_example2, certify,
@@ -677,7 +677,6 @@ def test_run_plan_resolves_each_cell_once(tmp_path):
 ])
 def test_run_plan_runs_each_distinct_computation_once(tmp_path, monkeypatch, switching_often,
                                                       spec, solves):
-    monkeypatch.setenv("VIKIT_THREADS", "8")
     plan = _group_plan(tmp_path, spec)
     result, calls = count_calls(_named(solve), harness.run_plan, plan)
     assert result.errors == [] and len(result.paths) == len(plan.cells()) == 4
@@ -785,9 +784,7 @@ def test_run_plan_refuses_to_overwrite_a_trace(tmp_path):
     assert written.read_bytes() == before
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threads):
-    monkeypatch.setenv("VIKIT_THREADS", threads)
+def test_shared_problems_keep_cell_order_and_traces(tmp_path):
     plan = harness.ExperimentPlan(
         problems=["ex1:n=6,seed=4", "ex1:n=6", "ex2:grid=21",
                   "ex2:grid=21,init=t_plus_half_cos_t"],
@@ -808,11 +805,9 @@ def test_shared_problems_keep_cell_order_and_traces(tmp_path, monkeypatch, threa
             (harness._resolve(spec, scheme, 1).file if copied else None)
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_mixed_outcomes_follow_cell_order_once_each(tmp_path, monkeypatch, threads):
+def test_mixed_outcomes_follow_cell_order_once_each(tmp_path, monkeypatch):
     # an unresolvable spec between two good problems, a third problem that
     # fails certification, and ex2 cells whose seeds share a run
-    monkeypatch.setenv("VIKIT_THREADS", threads)
     certify = harness.prob.certify
     monkeypatch.setattr(harness.prob, "certify", lambda problem: (
         ["forced"] if problem.space.dim == 6 else certify(problem)))
@@ -834,11 +829,8 @@ def test_mixed_outcomes_follow_cell_order_once_each(tmp_path, monkeypatch, threa
         for cell in cells if cell.spec not in errors]
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch, threads):
-    # each problem's runs end before the next problem is built, with any
-    # number of workers
-    monkeypatch.setenv("VIKIT_THREADS", threads)
+def test_run_plan_frees_each_problem_after_its_cells(tmp_path):
+    # each problem's runs end before the next problem is built
     built, alive_at_build = [], []
     rules = {ProblemInstance.__post_init__.__code__:
              lambda frame, arg: built.append(weakref.ref(frame.f_locals["self"])),
@@ -850,11 +842,9 @@ def test_run_plan_frees_each_problem_after_its_cells(tmp_path, monkeypatch, thre
     assert result.errors == [] and alive_at_build == [0, 0, 0]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_the_pool_runs_solve_and_nothing_else(tmp_path, monkeypatch, threads):
+def test_the_pool_runs_solve_and_nothing_else(tmp_path):
     # every call is counted under (its function's name, whether it ran on
     # the thread that called run_plan)
-    monkeypatch.setenv("VIKIT_THREADS", threads)
     caller = threading.get_ident()
     rules = dict.fromkeys(
         (function.__code__ for function in (
@@ -870,3 +860,20 @@ def test_the_pool_runs_solve_and_nothing_else(tmp_path, monkeypatch, threads):
         ("parse_problem_spec", True), ("certify", True), ("initial_points", True),
         ("make_config", True), ("validate_conditions", True), ("emit_csv", True),
         ("solve", False)}
+
+
+def test_one_solve_is_in_flight_at_a_time(tmp_path):
+    # each run is configured, solved and written before the next run is
+    # configured: ex1's start reads the seed, so its four cells are four
+    # runs; ex2's does not, so its two seeds share each scheme's run
+    order = []
+    rules = dict.fromkeys(
+        (function.__code__ for function in (harness.make_config, solve, harness.emit_csv)),
+        lambda frame, arg: order.append(frame.f_code.co_name))
+    plan = harness.ExperimentPlan(problems=["ex1:n=6,seed=1", "ex2:grid=21"],
+                                  algorithms=[Scheme.IMSEGM, Scheme.STEGM], max_iter=5,
+                                  seeds=[1, 2], output_dir=str(tmp_path))
+    result, _ = count_calls(rules, harness.run_plan, plan)
+    assert result.errors == [] and len(result.paths) == 8
+    assert order == ["make_config", "solve", "emit_csv"] * 4 + \
+        ["make_config", "solve", "emit_csv", "emit_csv"] * 2
