@@ -240,6 +240,18 @@ def test_trace_write_failure_exits_one_whatever_the_path(tmp_path, capsys):
     assert "failed to write trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1_0", "\u0663"])
+def test_thread_setting_is_not_read(tmp_path, capsys, monkeypatch, value):
+    # a plan solves one run at a time, whatever VIKIT_THREADS reads
+    argv = ["run", "--problem", "ex1:n=8,seed=2", "--alg", "imsegm", "--max-iter", "5"]
+    assert main(argv + ["--out", str(tmp_path / "unset")]) == 0
+    monkeypatch.setenv("VIKIT_THREADS", value)
+    assert main(argv + ["--out", str(tmp_path / "set")]) == 0
+    assert "VIKIT_THREADS" not in capsys.readouterr().err
+    [unset], [set_] = ((tmp_path / out).iterdir() for out in ("unset", "set"))
+    assert harness.trace_fingerprint(str(set_)) == harness.trace_fingerprint(str(unset))
+
+
 def test_run_into_a_path_that_is_not_a_directory_exits_two(tmp_path, capsys):
     # the output directory is the file itself or would lie under it
     afile = tmp_path / "afile"

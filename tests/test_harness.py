@@ -877,3 +877,60 @@ def test_one_solve_is_in_flight_at_a_time(tmp_path):
     assert result.errors == [] and len(result.paths) == 8
     assert order == ["make_config", "solve", "emit_csv"] * 4 + \
         ["make_config", "solve", "emit_csv", "emit_csv"] * 2
+
+
+_RUN, _FAILED_RUN = ["make_config", "solve", "emit_csv"], ["make_config", "solve"]
+
+
+def _unresolvable_spec(monkeypatch, out):
+    return ["ex1:n=6,seed=1", "ex9:n=5", "ex2:grid=21"], \
+        _RUN * 4 + (_RUN + ["emit_csv"]) * 2, 4
+
+
+def _certification_fails(monkeypatch, out):
+    certify = harness.prob.certify
+    monkeypatch.setattr(harness.prob, "certify", lambda problem: (
+        ["forced"] if problem.space.dim == 6 else certify(problem)))
+    return ["ex1:n=6,seed=1", "ex2:grid=21"], (_RUN + ["emit_csv"]) * 2, 4
+
+
+def _conditions_fail(monkeypatch, out):
+    monkeypatch.setitem(harness.TABLE1, Scheme.IMSEGM, dict(
+        harness.TABLE1[Scheme.IMSEGM], theta=SequenceRule("constant", 1.5)))
+    return ["ex1:n=6,seed=1", "ex2:grid=21"], \
+        ["make_config"] * 2 + _RUN * 2 + ["make_config"] + _RUN + ["emit_csv"], 4
+
+
+def _solve_raises(monkeypatch, out):
+    def crash_after_stegm(problem, cfg):
+        trace = solve(problem, cfg)
+        if cfg.algorithm is Scheme.STEGM:
+            raise RuntimeError("solve crashed")
+        return trace
+
+    monkeypatch.setattr(harness, "solve", crash_after_stegm)
+    return ["ex1:n=6,seed=1", "ex2:grid=21"], \
+        _RUN * 2 + _FAILED_RUN * 2 + _RUN + ["emit_csv"] + _FAILED_RUN, 4
+
+
+def _trace_write_fails(monkeypatch, out):
+    (out / harness._resolve("ex1:n=6,seed=1", Scheme.IMSEGM, 1).file).mkdir(parents=True)
+    return ["ex1:n=6,seed=1", "ex2:grid=21"], _RUN * 4 + (_RUN + ["emit_csv"]) * 2, 1
+
+
+@pytest.mark.parametrize("failing", [_unresolvable_spec, _certification_fails,
+                                     _conditions_fail, _solve_raises, _trace_write_fails],
+                         ids=lambda failing: failing.__name__.lstrip("_"))
+def test_one_solve_is_in_flight_at_a_time_when_a_run_fails(tmp_path, monkeypatch, failing):
+    # a failed run ends where its failure is found, before the next run is
+    # configured, and the runs after it keep the same order
+    problems, expected, failed = failing(monkeypatch, tmp_path)
+    order = []
+    rules = dict.fromkeys(
+        (function.__code__ for function in (harness.make_config, solve, harness.emit_csv)),
+        lambda frame, arg: order.append(frame.f_code.co_name))
+    plan = harness.ExperimentPlan(problems=problems, algorithms=[Scheme.IMSEGM, Scheme.STEGM],
+                                  max_iter=5, seeds=[1, 2], output_dir=str(tmp_path))
+    result, _ = count_calls(rules, harness.run_plan, plan)
+    assert len(result.errors) == failed and len(result.paths) == len(plan.cells()) - failed
+    assert order == expected
